@@ -8,9 +8,10 @@ lists of rows of ``Fraction``/``int`` entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DegenerateGeometry, DimensionMismatch
@@ -18,23 +19,38 @@ from .errors import DegenerateGeometry, DimensionMismatch
 Row = Sequence[Fraction | int]
 
 
+def _clear_row(row: Row) -> tuple[list[int], int]:
+    """Integer row and the positive scale d (lcm of denominators) with row * d."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    fracs = [Fraction(x) for x in row]
+    d = lcm(*(f.denominator for f in fracs)) if fracs else 1
+    return [f.numerator * (d // f.denominator) for f in fracs], d
+
+
 def _int_rows(rows: Sequence[Row]) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; return integer rows and the scale product."""
+    """Clear denominators row by row; return integer rows and the scale product.
+
+    Always returns fresh lists, so the caller may destroy them.
+    """
     out = []
     scale = 1
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        d = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * d) for f in fracs])
+        ints, d = _clear_row(row)
+        out.append(ints)
         scale *= d
     return out, scale
 
 
-def det_int(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix. Destroys m."""
-    n = len(m)
-    if n == 0:
-        return 1
+def _eliminate(m: list[list[int]], n: int) -> int:
+    """Bareiss forward pass over the first n columns of the n-row matrix m.
+
+    Works in place on rows of any width >= n.  After step k every entry of
+    rows k+1.. is a (k+2)-by-(k+2) minor of the input (Sylvester's
+    identity), so each division by the previous pivot is exact.  Returns
+    the sign of the row permutation used, or 0 when one of the first n-1
+    columns has no pivot (the leading n-by-n block is singular).
+    """
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -46,15 +62,51 @@ def det_int(m: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = m[k][k]
+        rk = m[k]
+        pivot = rk[k]
+        width = len(rk)
         for i in range(k + 1, n):
-            mik = m[i][k]
-            ri, rk = m[i], m[k]
-            for j in range(k + 1, n):
+            ri = m[i]
+            mik = ri[k]
+            for j in range(k + 1, width):
                 ri[j] = (ri[j] * pivot - mik * rk[j]) // prev
             ri[k] = 0
         prev = pivot
-    return sign * m[-1][-1]
+    return sign
+
+
+def det_int(m: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of an integer matrix. Destroys m."""
+    n = len(m)
+    if n == 0:
+        return 1
+    return _eliminate(m, n) * m[-1][-1]
+
+
+def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
+    """Solve the integer system [A | B] (n rows, A square) fraction-free.
+
+    Destroys m.  Returns (Y, D) with D the last Bareiss pivot, which is
+    +-det A, and Y = D * A^-1 B.  By Cramer's rule every entry of D * A^-1 B
+    is +-det of A with one column replaced by a column of B, an integer, so
+    the back substitution u_ii y_i = D b'_i - sum_{j>i} u_ij y_j on the
+    eliminated triangular system has an integral quotient and each ``//``
+    is exact.  Raises DegenerateGeometry when A is singular.
+    """
+    if _eliminate(m, n) == 0 or m[n - 1][n - 1] == 0:
+        raise DegenerateGeometry("singular linear system")
+    d = m[n - 1][n - 1]
+    y: list[tuple[int, ...]] = [()] * n
+    for i in range(n - 1, -1, -1):
+        ri = m[i]
+        y[i] = tuple(
+            [
+                (d * ri[c] - sum(ri[j] * y[j][c - n] for j in range(i + 1, n)))
+                // ri[i]
+                for c in range(n, len(ri))
+            ]
+        )
+    return y, d
 
 
 def det(rows: Sequence[Row]) -> Fraction:
@@ -90,37 +142,56 @@ def rank(rows: Sequence[Row]) -> int:
 
 
 def solve(rows: Sequence[Row], rhs: Row) -> list[Fraction]:
-    """Solve a square exact linear system by Gaussian elimination.
+    """Solve a square exact linear system by fraction-free elimination.
+
+    Each equation is first multiplied by the lcm of its denominators, which
+    leaves the solution unchanged and yields an integer system A x = b.
+    Bareiss elimination of [A | b] stays in the integers (every ``//`` in
+    the forward pass divides a minor by a minor it is a multiple of), and
+    back substitution computes y = D x with D = +-det A, which Cramer's rule
+    makes integral (see _solve_int).  The answer is y_i / D.
 
     Raises DegenerateGeometry if the matrix is singular.
     """
     n = len(rows)
     if len(rhs) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("solve requires a square system")
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise DegenerateGeometry("singular linear system")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        pk = a[k]
-        inv = 1 / pk[k]
-        a[k] = pk = [x * inv for x in pk]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], pk)]
-    return [a[i][n] for i in range(n)]
+    if n == 0:
+        return []
+    m, _ = _int_rows([[*row, b] for row, b in zip(rows, rhs)])
+    y, d = _solve_int(m, n)
+    return [Fraction(yi, d) for (yi,) in y]
+
+
+def integer_inverse(rows: Sequence[Row]) -> tuple[list[tuple[int, ...]], int]:
+    """Inverse of a square exact matrix as an integer matrix over D > 0.
+
+    Returns (Y, D) with rows * Y = D * I.  For an integer matrix D is
+    |det| and Y is the adjugate up to the sign of det.  Row i is cleared of
+    denominators by its scale s_i, so the eliminated system is
+    [S A | S] with solution A^-1, integral after scaling by D (_solve_int).
+    Raises DegenerateGeometry if the matrix is singular.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("inverse requires a square matrix")
+    if n == 0:
+        return [], 1
+    m = []
+    for i, row in enumerate(rows):
+        ints, s = _clear_row(row)
+        ints.extend(s if j == i else 0 for j in range(n))
+        m.append(ints)
+    y, d = _solve_int(m, n)
+    if d < 0:
+        y, d = [tuple([-x for x in row]) for row in y], -d
+    return y, d
 
 
 def inverse(rows: Sequence[Row]) -> list[list[Fraction]]:
     """Exact inverse of a square matrix."""
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(solve(rows, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    y, d = integer_inverse(rows)
+    return [[Fraction(x, d) for x in row] for row in y]
 
 
 def affine_rank(points: Sequence[Sequence[Fraction | int]]) -> int:
@@ -131,21 +202,45 @@ def affine_rank(points: Sequence[Sequence[Fraction | int]]) -> int:
     if any(len(p) != dim for p in points):
         raise DimensionMismatch("points of mixed dimension")
     base = points[0]
-    diffs = [[Fraction(x) - Fraction(y) for x, y in zip(p, base)] for p in points[1:]]
-    return rank(diffs)
+    return rank([[x - y for x, y in zip(p, base)] for p in points[1:]])
 
 
 @dataclass(frozen=True)
 class AffineFunctional:
-    """Affine map x -> <coeffs, x> + constant with exact rational data."""
+    """Affine map x -> <coeffs, x> + constant with exact rational data.
+
+    ``__post_init__`` puts the data over one common denominator D, the lcm
+    of the denominators of coeffs and constant: row holds the integers
+    c.numerator * (D // c.denominator), where each ``//`` is exact because
+    D is a common multiple, so row = D * (coeffs, constant).  Evaluation is
+    then one dot product (row[:-1] . x + row[-1]) / D, an integer over D for
+    an integral point and equal to <coeffs, x> + constant for any point.
+    """
 
     coeffs: tuple[Fraction, ...]
     constant: Fraction
+    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        data = (*self.coeffs, self.constant)
+        den = lcm(*(x.denominator for x in data))
+        row = tuple(x.numerator * (den // x.denominator) for x in data)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "denominator", den)
 
     def __call__(self, point: Sequence[Fraction | int]) -> Fraction:
+        return Fraction(self.numerator(point), self.denominator)
+
+    def numerator(self, point: Sequence[Fraction | int]) -> Fraction | int:
+        """D times the value at point: an int for an integral point.
+
+        D > 0, so its sign is the sign of the value, with no division.
+        """
         if len(point) != len(self.coeffs):
             raise DimensionMismatch("point dimension does not match functional")
-        return sum((c * x for c, x in zip(self.coeffs, point)), self.constant)
+        # map stops at the point's end, so row[-1] is the constant term
+        return sum(map(mul, self.row, point)) + self.row[-1]
 
     def scaled(self, factor: Fraction | int) -> "AffineFunctional":
         f = Fraction(factor)

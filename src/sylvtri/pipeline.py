@@ -67,6 +67,18 @@ def _cells_exceed(n: int, limit: int) -> bool:
     return False
 
 
+def _require_feasible(n: int, max_cells: int) -> None:
+    """Refuse a build on the level-n dual triangulation above max_cells.
+
+    Runs before any cache lookup, so a cached artifact is refused exactly
+    when building it would be.
+    """
+    if _cells_exceed(n, max_cells):
+        raise FeasibilityLimit(
+            f"level {n} needs more than {max_cells} cells (limit --max-cells)"
+        )
+
+
 def _clip_hyperplane(n_plus_1: int) -> HalfSpace:
     """The slanted hyperplane sum((s_n - 1)/s_i) x_i + x_n = 0."""
     n = n_plus_1 - 1
@@ -89,13 +101,10 @@ def triangulate_p2dual(
     at every lattice point in lexicographic order.
     """
     spec = FamilySpec(Family.P2DUAL, n)
+    _require_feasible(n, max_cells)
     cached = _load_cached(spec, cache_dir)
     if cached is not None:
         return cached
-    if _cells_exceed(n, max_cells):
-        raise FeasibilityLimit(
-            f"level {n} needs more than {max_cells} cells (limit --max-cells)"
-        )
 
     if n == 1:
         tri = subdivision.make_subdivision(
@@ -163,6 +172,7 @@ def triangulate_p2(
     (a unimodular lattice map, so all certificates carry over).
     """
     spec = FamilySpec(Family.P2, n)
+    _require_feasible(n, max_cells)
     cached = _load_cached(spec, cache_dir)
     if cached is not None:
         return cached
@@ -194,6 +204,7 @@ def triangulate_p1(
     glued to the cone at the weight vertex (constrained apex height).
     """
     spec = FamilySpec(Family.P1, n_plus_1)
+    _require_feasible(n_plus_1 - 1, max_cells)
     cached = _load_cached(spec, cache_dir)
     if cached is not None:
         return cached
@@ -348,8 +359,22 @@ def _load_cached(
 
 
 def _store_cached(art: PipelineArtifact, cache_dir: str | None) -> PipelineArtifact:
+    """Remember an artifact; on disk, write a temp file and rename it.
+
+    os.replace is atomic, so a crash mid-write never leaves a truncated
+    cache entry for the next run to load.  The temp name carries the
+    process id, so concurrent writers do not share a temp file.
+    """
     _CACHE[(art.spec.family, art.spec.n)] = art
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        save(art, _cache_path(art.spec, cache_dir))
+        path = _cache_path(art.spec, cache_dir)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            save(art, tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     return art

@@ -73,9 +73,12 @@ class HalfSpace:
     def __post_init__(self):
         if all(c == 0 for c in self.normal):
             raise DegenerateGeometry("half-space normal must be nonzero")
+        object.__setattr__(
+            self, "_fn", exact.AffineFunctional(self.normal, self.offset)
+        )
 
     def eval(self, p: Sequence[Fraction | int]) -> Fraction:
-        return sum((c * Fraction(x) for c, x in zip(self.normal, p)), self.offset)
+        return self._fn(p)
 
     def canonical(self) -> "HalfSpace":
         """Offset-1 form when offset > 0, else primitive integer form."""
@@ -128,13 +131,29 @@ def nvol(s: LatticeSimplex | Sequence[Point]) -> int:
     return abs(d)
 
 
+def simplex_inverse(verts: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
+    """Integer inverse (Y, D), D > 0, of a simplex's homogenised vertex matrix.
+
+    The matrix has one column (v, 1) per vertex, so the barycentric
+    coordinate of x at vertex k is (Y[k] . (x, 1)) / D.  For a lattice
+    simplex D is its normalized volume.
+    """
+    dim = len(verts[0])
+    if len(verts) != dim + 1:
+        raise DimensionMismatch("need exactly d+1 vertices in dimension d")
+    rows = [[v[k] for v in verts] for k in range(dim)] + [[1] * len(verts)]
+    return exact.integer_inverse(rows)
+
+
 def barycentric_functionals(verts: Sequence[Point]) -> list[exact.AffineFunctional]:
     """Affine barycentric coordinates of a full-dimensional simplex."""
-    fns = []
-    for i in range(len(verts)):
-        values = [Fraction(1) if j == i else Fraction(0) for j in range(len(verts))]
-        fns.append(exact.affine_interpolant(verts, values))
-    return fns
+    y, d = simplex_inverse(verts)
+    return [
+        exact.AffineFunctional(
+            tuple(Fraction(x, d) for x in row[:-1]), Fraction(row[-1], d)
+        )
+        for row in y
+    ]
 
 
 def halfspaces(s: LatticeSimplex) -> list[HalfSpace]:

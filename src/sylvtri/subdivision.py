@@ -8,6 +8,7 @@ each returns a new Subdivision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -35,11 +36,12 @@ class Subdivision:
         if list(self.points) != sorted(set(self.points)):
             raise DegenerateGeometry("point store must be sorted and deduplicated")
 
-    @property
+    @cached_property
     def index(self) -> dict[Point, int]:
+        """Store position of each point (shared: do not mutate)."""
         return {p: i for i, p in enumerate(self.points)}
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return exact.affine_rank(self.ambient)
 

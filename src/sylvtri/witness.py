@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Callable, Sequence
 
 from . import exact, polytope, subdivision
@@ -243,6 +245,47 @@ def _largest_power_drop(upper: Fraction | None) -> Fraction:
     return eps
 
 
+# An integer affine form (row, den), den > 0, stands for the map
+# x -> (row[:-1] . x + row[-1]) / den: a row of polytope.simplex_inverse
+# over its D, or AffineFunctional.row over its denominator.
+Form = tuple[Sequence[int], int]
+
+
+def _row_at(row: Sequence[int], p: Point) -> int:
+    """row[:-1] . p + row[-1], an integer for an integral point."""
+    # map stops at p's end, so row[-1] is the homogenising term
+    return sum(map(mul, row, p)) + row[-1]
+
+
+def _pyramid_inverse(
+    adj: Sequence[tuple[int, ...]], d: int, lam: Sequence[int], j: int
+) -> list[tuple[int, ...]]:
+    """Inverse rows of the simplex with vertex j replaced by a point m.
+
+    lam are m's barycentric numerators over d, with lam[j] > 0.  Since
+    m = sum lam_k v_k / d, Cramer's rule gives the new simplex volume
+    lam[j], and its barycentric coordinates over lam[j] are adj[j] . x for
+    m and (lam[j] adj[k] - lam[k] adj[j]) . x / d for every other vertex k.
+    The new inverse is integral over lam[j], so each ``//`` is exact.
+    Rows come in the old vertex order, with m's row at position j.
+    """
+    lj, aj = lam[j], adj[j]
+    return [
+        aj if k == j else tuple([(lj * a - lk * b) // d for a, b in zip(adj[k], aj)])
+        for k, lk in enumerate(lam)
+    ]
+
+
+def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
+    """The form a - eps * lam in lowest terms."""
+    (arow, ad), (lrow, ld) = a, lam
+    en, ed = eps.numerator, eps.denominator
+    row = [x * ed * ld - en * y * ad for x, y in zip(arow, lrow)]
+    den = ad * ed * ld
+    g = gcd(den, *row)
+    return tuple(x // g for x in row), den // g
+
+
 def pull_sweep(
     s: Subdivision, w: RegularityWitness
 ) -> tuple[Triangulation, RegularityWitness, list[tuple[Point, Fraction]]]:
@@ -254,6 +297,13 @@ def pull_sweep(
     interpolant caching, and the convexity fact that the tightest
     upper bound on the drop from cells not touching the pulled point is
     attained among facet-neighbors of the cells that do contain it.
+
+    The sweep runs on integers: each simplex cell keeps the integer
+    inverse of its homogenised vertex matrix (derived from its parent's
+    when a pull splits it), points are located by their integer
+    barycentric numerators, interpolants are integer forms in lowest
+    terms, and drop bounds are compared by cross-multiplication.  Only
+    witness values and drops are Fractions.
     """
     pts = s.points
     npts = len(pts)
@@ -265,39 +315,45 @@ def pull_sweep(
     cells: set[Cell] = set(s.cells)
     vert_inc: list[set[Cell]] = [set() for _ in range(npts)]
     loc: list[set[Cell]] = [set() for _ in range(npts)]  # non-vertex containment
-    cell_pts: dict[Cell, set[int]] = {}  # forward map of loc
-    # barycentric coordinates of located points, for simplex cells
-    bary: dict[Cell, dict[int, tuple[Fraction, ...]]] = {}
-    cache: dict[Cell, AffineFunctional] = {}
+    # forward map of loc, for cells holding points: each point with its
+    # barycentric numerators in a simplex cell, None in a polytopal one
+    located: dict[Cell, dict[int, tuple[int, ...] | None]] = {}
+    inv: dict[Cell, tuple[Sequence[tuple[int, ...]], int]] = {}  # simplex_inverse
+    cache: dict[Cell, Form] = {}  # interpolants
 
-    def interpolant(c: Cell) -> AffineFunctional:
-        fn = cache.get(c)
-        if fn is None:
+    def interpolant(c: Cell) -> Form:
+        form = cache.get(c)
+        if form is None:
             verts = [pts[i] for i in c]
             cvals = [vals[i] for i in c]
             if len(verts) == dim + 1:
                 fn = exact.affine_interpolant(verts, cvals)
             else:
                 fn = exact.functional_on_affine_basis(verts, cvals)
-            cache[c] = fn
-        return fn
+            cache[c] = form = (fn.row, fn.denominator)
+        return form
 
     def register(c: Cell, candidates) -> None:
-        """Locate candidate points in a cell by direct exact solves."""
+        """Locate candidate points in a cell.
+
+        A simplex cell's point test is one integer dot product per vertex
+        against its inverse, computed here unless a split derived it.
+        """
         cells.add(c)
-        cell_pts[c] = located = set()
         verts = [pts[i] for i in c]
         simplex = len(verts) == dim + 1
-        fns = None if simplex else polytope.inner_functionals(verts)
         lo = [min(v[k] for v in verts) for k in range(dim)]
         hi = [max(v[k] for v in verts) for k in range(dim)]
         cset = set(c)
         for i in c:
             vert_inc[i].add(c)
         if simplex:
-            bary[c] = {}
-            rows = [[Fraction(v[k]) for v in verts] for k in range(dim)]
-            rows.append([Fraction(1)] * len(verts))
+            if c not in inv:
+                inv[c] = polytope.simplex_inverse(verts)
+            adj = inv[c][0]
+        else:
+            fns = polytope.inner_functionals(verts)
+        found: dict[int, tuple[int, ...] | None] = {}
         for pi in candidates:
             if pi in cset:
                 continue
@@ -305,41 +361,25 @@ def pull_sweep(
             if any(p[k] < lo[k] or p[k] > hi[k] for k in range(dim)):
                 continue
             if simplex:
-                bc = tuple(exact.solve(rows, list(p) + [1]))
-                inside = all(b >= 0 for b in bc)
-                if inside:
-                    bary[c][pi] = bc
+                nums = tuple(_row_at(row, p) for row in adj)
+                inside = min(nums) >= 0
             else:
-                inside = all(fn(p) >= 0 for fn in fns)
+                nums = None
+                inside = all(fn.numerator(p) >= 0 for fn in fns)
             if inside:
+                found[pi] = nums
                 loc[pi].add(c)
-                located.add(pi)
-
-    def register_located(c: Cell, coords: dict[int, tuple[Fraction, ...]]) -> None:
-        """Adopt a simplex cell with precomputed barycentric coordinates."""
-        cells.add(c)
-        for i in c:
-            vert_inc[i].add(c)
-        cell_pts[c] = set(coords)
-        bary[c] = coords
-        for pi in coords:
-            loc[pi].add(c)
+        if found:
+            located[c] = found
 
     def unregister(c: Cell) -> None:
         cells.discard(c)
         cache.pop(c, None)
-        bary.pop(c, None)
+        inv.pop(c, None)
         for i in c:
             vert_inc[i].discard(c)
-        for pi in cell_pts.pop(c, ()):
+        for pi in located.pop(c, ()):
             loc[pi].discard(c)
-
-    def bary_functional(c: Cell, j: int) -> AffineFunctional:
-        """Affine function equal to 1 at vertex j of a simplex cell, 0 elsewhere."""
-        rows = [list(pts[i]) + [1] for i in c]
-        e = [Fraction(1) if k == j else Fraction(0) for k in range(len(c))]
-        sol = exact.solve(rows, e)
-        return AffineFunctional(tuple(sol[:dim]), sol[dim])
 
     # initial point location over the starting cells
     for c in s.cells:
@@ -351,7 +391,9 @@ def pull_sweep(
         incident = vert_inc[m_index] | loc[m_index]
         if not incident:
             raise DomainError(f"store point {m} is not covered by any cell")
-        phi_m = min(interpolant(c)(m) for c in incident)
+        phi_m = min(
+            Fraction(_row_at(row, m), den) for row, den in map(interpolant, incident)
+        )
 
         # one-ring upper bound: cells meeting the incident cells but not m
         ring: set[Cell] = set()
@@ -359,69 +401,56 @@ def pull_sweep(
             for i in c:
                 ring |= vert_inc[i]
         ring -= incident
-        upper: Fraction | None = None
+        # the drop stays below every bound found: the least so far is
+        # bn / bd (bd > 0, None while unbounded), an unreduced integer pair
+        # compared by cross-multiplication.  The ring bound is phi_m minus
+        # the largest ring interpolant at m, found the same way.
+        bn: int | None = None
+        bd = 1
+        top_n: int | None = None
+        top_d = 1
         for c in ring:
-            gap = phi_m - interpolant(c)(m)
-            if gap <= 0:
+            row, den = interpolant(c)
+            n = _row_at(row, m)
+            if top_n is None or n * top_d > top_n * den:
+                top_n, top_d = n, den
+        if top_n is not None:
+            pd = phi_m.denominator
+            bn, bd = phi_m.numerator * top_d - top_n * pd, pd * top_d
+            if bn <= 0:
                 raise DomainError("witness is not convex before the pull")
-            if upper is None or gap < upper:
-                upper = gap
 
         # cells keeping m as a vertex have an eps-dependent interpolant
         # A0 - eps * Lam, with Lam the barycentric coordinate of m; collect
         # (cell, A0, Lam) triples while replacing the cells containing m.
         # Simplices with m as a vertex are the only fixed points of a pull.
-        eps_cells: list[tuple[Cell, AffineFunctional, AffineFunctional, bool]] = []
+        eps_cells: list[tuple[Cell, Form, Form, bool]] = []
         for c in vert_inc[m_index]:
             if len(c) == dim + 1:
-                a0 = interpolant(c)
-                bfn = bary_functional(c, c.index(m_index))
-                eps_cells.append((c, a0, bfn, True))
+                adj, d = inv[c]
+                eps_cells.append((c, interpolant(c), (adj[c.index(m_index)], d), True))
 
         replaced = list(loc[m_index]) + [
             c for c in vert_inc[m_index] if len(c) != dim + 1
         ]
         for parent in replaced:
-            carried = cell_pts[parent] - {m_index}
+            carried = located.get(parent, {}).keys() - {m_index}
             if len(parent) == dim + 1:
                 # split off the pyramids over the facets m sees, deriving
-                # each child's data from the parent's barycentric cache
+                # each child's inverse from the parent's
                 a0 = interpolant(parent)
-                lam_parent = bary[parent][m_index]
-                bfns = {
-                    j: bary_functional(parent, j)
-                    for j, lj in enumerate(lam_parent)
-                    if lj > 0
-                }
-                mu = {pi: bary[parent][pi] for pi in carried}
+                adj, d = inv[parent]
+                lam = located[parent][m_index]
                 unregister(parent)
-                for j, lj in enumerate(lam_parent):
+                for j, lj in enumerate(lam):
                     if lj <= 0:
                         continue
-                    key = tuple(
-                        sorted(parent[:j] + parent[j + 1 :] + (m_index,))
-                    )
-                    pos = {i: k for k, i in enumerate(key)}
-                    coords: dict[int, tuple[Fraction, ...]] = {}
-                    for pi, muv in mu.items():
-                        t = muv[j] / lj
-                        if t < 0:
-                            continue
-                        cc = [Fraction(0)] * len(key)
-                        cc[pos[m_index]] = t
-                        ok = True
-                        for k, i in enumerate(parent):
-                            if k == j:
-                                continue
-                            x = muv[k] - t * lam_parent[k]
-                            if x < 0:
-                                ok = False
-                                break
-                            cc[pos[i]] = x
-                        if ok:
-                            coords[pi] = tuple(cc)
-                    register_located(key, coords)
-                    eps_cells.append((key, a0, bfns[j].scaled(1 / lj), True))
+                    child = parent[:j] + (m_index,) + parent[j + 1 :]
+                    rows = dict(zip(child, _pyramid_inverse(adj, d, lam, j)))
+                    key = tuple(sorted(child))
+                    inv[key] = (tuple([rows[i] for i in key]), lj)
+                    register(key, carried)
+                    eps_cells.append((key, a0, (adj[j], lj), True))
             else:
                 verts = tuple(pts[i] for i in parent)
                 children_pts = subdivision._general_pull(verts, m)
@@ -431,19 +460,19 @@ def pull_sweep(
                 saved, vals[m_index] = vals[m_index], phi_m
                 for child in children_pts:
                     key = tuple(sorted(idx[p] for p in child))
-                    register(key, sorted(carried) + [m_index])
+                    register(key, carried)
                     cache.pop(key, None)
                     a0 = interpolant(key)
                     cache.pop(key, None)
-                    kverts = [pts[i] for i in key]
-                    ones = [
-                        Fraction(1) if i == m_index else Fraction(0)
-                        for i in key
-                    ]
                     if len(key) == dim + 1:
-                        lam = exact.affine_interpolant(kverts, ones)
+                        adj, d = inv[key]
+                        lam = (adj[key.index(m_index)], d)
                     else:
-                        lam = exact.functional_on_affine_basis(kverts, ones)
+                        fn = exact.functional_on_affine_basis(
+                            [pts[i] for i in key],
+                            [1 if i == m_index else 0 for i in key],
+                        )
+                        lam = (fn.row, fn.denominator)
                     eps_cells.append((key, a0, lam, False))
                 vals[m_index] = saved
 
@@ -451,7 +480,7 @@ def pull_sweep(
         # condition across interior facets, so for simplices only vertices
         # of facet-neighbors can bind; constraints with Lam >= 0 relax as
         # eps grows and are already covered by the pre-pull certificate
-        for c, a0, lam, local_ok in eps_cells:
+        for c, (arow, ad), (lrow, ld), local_ok in eps_cells:
             cset = set(c)
             if local_ok:
                 targets: set[int] = set()
@@ -472,23 +501,23 @@ def pull_sweep(
                 targets = set(range(npts)) - cset
             for pi in targets:
                 p = pts[pi]
-                c1 = lam(p)
-                if c1 >= 0:
+                ln = _row_at(lrow, p)
+                if ln >= 0:
                     continue
-                c0 = vals[pi] - a0(p)
-                if c0 <= 0:
+                # bound = (vals[pi] - A0(p)) / -Lam(p) = c0n ld / (vd ad -ln)
+                v = vals[pi]
+                vd = v.denominator
+                c0n = v.numerator * ad - _row_at(arow, p) * vd
+                if c0n <= 0:
                     raise DomainError("witness is not convex before the pull")
-                bound = c0 / -c1
-                if upper is None or bound < upper:
-                    upper = bound
+                num, den = c0n * ld, vd * ad * -ln
+                if bn is None or num * bd < bn * den:
+                    bn, bd = num, den
 
-        eps = _largest_power_drop(upper)
+        eps = _largest_power_drop(None if bn is None else Fraction(bn, bd))
         vals[m_index] = phi_m - eps
         for c, a0, lam, _ in eps_cells:
-            cache[c] = AffineFunctional(
-                tuple(a - eps * l for a, l in zip(a0.coeffs, lam.coeffs)),
-                a0.constant - eps * lam.constant,
-            )
+            cache[c] = _drop(a0, lam, eps)
         log.append((m, eps))
 
     out = RegularityWitness(tuple(vals))

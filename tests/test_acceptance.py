@@ -1,5 +1,6 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion."""
 
+import hashlib
 import random
 import time
 
@@ -234,3 +235,34 @@ def test_criterion_10_pull_oracle_equivalence(_line):
         ok &= rep.volume_checksum == polytope.nvol_cell(s.ambient)
     _line(10, "pulling oracle equivalence (100 random)", ok)
     assert ok
+
+
+# sha256 of every saved artifact, recorded from the Fraction-only kernel:
+# a faster kernel must reproduce witness values and provenance epsilons
+# byte for byte
+ARTIFACT_SHA256 = {
+    "p2dual_1": "3bb76ba13b651d68bdc7c6dd3ab86e9a71f0c0862c0676e4b761b312623c159a",
+    "p2dual_2": "343bae97cdcf56eb89dbd8f88aa7a03d16e76b23d23151bfa0a1f16a2e5d92bf",
+    "p2dual_3": "4ac84b9499c989615595c5c854212901fa6787a959643c95d08670d4e9437dec",
+    "p2dual_4": "f0adac0c29bca2b5e3ee481a6e2ee3cbbf7ea8739b55a0be300c4ae034e596f1",
+    "p2_1": "40c7909fc26866c9578f6cfbe0fd6b2517c87617e2766fcc3396d96305e5e4f1",
+    "p2_2": "fe9a954070a125fd3d3afc169728c24dc5b1699f79ae95986efb37a97e761317",
+    "p2_3": "db54e9dd6e4137dbeea2cf2346792469b065711681962ef0a45bd7ec23798ced",
+    "p2_4": "130def07f3861eab90daeba20503c9bce14563496d2838312d7c58a6437cb3cf",
+    "p1_2": "813168d2227e9c1eb39fb28c394b4e93e51bfa309d27326c97fd156613da553e",
+    "p1_3": "c36f5211bc2644c24063b61a187ddbb6d6235120d87fec1aced642de00f3ec33",
+    "p1_4": "346b603e862ce3d307311b4921492c3e475df934613c3c27be29a50550d97e3d",
+    "p1_5": "74a22852e7cb658ca1d5896d16221d84d8a5032a84a2a7f2f1f205b53a34611e",
+}
+
+
+def test_artifacts_byte_identical(dual_arts, p2_arts, p1_arts, tmp_path):
+    arts = {f"p2dual_{n}": a for n, a in dual_arts[0].items()}
+    arts.update({f"p2_{n}": a for n, a in p2_arts.items()})
+    arts.update({f"p1_{n}": a for n, a in p1_arts.items()})
+    got = {}
+    for key, art in arts.items():
+        path = tmp_path / f"{key}.json"
+        pipeline.save(art, str(path))
+        got[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == ARTIFACT_SHA256

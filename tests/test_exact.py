@@ -155,3 +155,131 @@ def test_functional_on_affine_basis_checks_consistency():
         exact.functional_on_affine_basis(pts, [0, 1, 2, 4])
     with pytest.raises(DegenerateGeometry):
         exact.functional_on_affine_basis([(0, 0), (1, 1)], [0, 1])
+
+
+def gauss_jordan(rows, rhs):
+    """Independent solve oracle: plain Fraction Gauss-Jordan, or None if singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [a[i][n] for i in range(n)]
+
+
+small_frac = st.builds(
+    Fraction, small_int, st.integers(min_value=1, max_value=12)
+)
+
+
+@st.composite
+def systems(draw, entries):
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(
+        st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+    rhs = draw(st.lists(entries, min_size=n, max_size=n))
+    return rows, rhs
+
+
+def check_against_oracle(rows, rhs):
+    want = gauss_jordan(rows, rhs)
+    if want is None:
+        with pytest.raises(DegenerateGeometry):
+            exact.solve(rows, rhs)
+    else:
+        assert exact.solve(rows, rhs) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(small_int))
+def test_solve_matches_gauss_jordan_on_integer_systems(system):
+    check_against_oracle(*system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(st.one_of(small_int, small_frac)))
+def test_solve_matches_gauss_jordan_on_fraction_systems(system):
+    check_against_oracle(*system)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(st.one_of(small_int, small_frac)), st.data())
+def test_solve_with_zero_leading_pivots(system, data):
+    # zero the top-left entries so elimination must swap rows
+    rows, rhs = system
+    n = len(rows)
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    for i in range(k):
+        rows[i][0] = 0
+    if n > 1:
+        rows[0][1] = 0
+    check_against_oracle(rows, rhs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(st.one_of(small_int, small_frac)), st.data())
+def test_solve_rejects_singular_systems(system, data):
+    rows, rhs = system
+    n = len(rows)
+    i = data.draw(st.integers(min_value=0, max_value=n - 1))
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    f = data.draw(small_frac)
+    # row i becomes a multiple of row j (or zero when i == j)
+    rows[i] = [0] * n if i == j else [f * x for x in rows[j]]
+    with pytest.raises(DegenerateGeometry):
+        exact.solve(rows, rhs)
+
+
+def test_solve_large_entries():
+    big = 2**113 + 1
+    rows = [[big, 3, Fraction(1, 6144)], [0, 0, 1], [5, Fraction(-7, 98304), 2]]
+    rhs = [Fraction(big, 122880), 1, -big]
+    assert exact.solve(rows, rhs) == gauss_jordan(rows, rhs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(st.one_of(small_int, small_frac)))
+def test_integer_inverse_scales_identity(system):
+    rows, _ = system
+    n = len(rows)
+    if gauss_jordan(rows, [0] * n) is None:
+        with pytest.raises(DegenerateGeometry):
+            exact.integer_inverse(rows)
+        return
+    y, d = exact.integer_inverse(rows)
+    assert d > 0 and all(isinstance(x, int) for row in y for x in row)
+    prod = [
+        [sum(Fraction(rows[i][k]) * y[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert prod == [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    if all(isinstance(x, int) for row in rows for x in row):
+        # integer matrix: D is |det| and Y the adjugate up to its sign
+        assert d == abs(cofactor_det(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_affine_functional_matches_direct_sum(data):
+    dim = data.draw(st.integers(min_value=1, max_value=5))
+    coeffs = data.draw(
+        st.lists(st.one_of(small_int, small_frac), min_size=dim, max_size=dim)
+    )
+    constant = data.draw(st.one_of(small_int, small_frac))
+    fn = exact.AffineFunctional(tuple(coeffs), constant)
+    for entries in (small_int, st.one_of(small_int, small_frac)):
+        p = data.draw(st.lists(entries, min_size=dim, max_size=dim))
+        want = sum((Fraction(c) * x for c, x in zip(coeffs, p)), Fraction(constant))
+        got = fn(p)
+        assert type(got) is Fraction and got == want
+        assert fn.numerator(p) == want * fn.denominator

@@ -152,3 +152,42 @@ def test_provenance_replayable_epsilons():
     pulls = art.provenance[-1]["epsilons"]
     assert len(pulls) == len(art.triangulation.points)
     assert [tuple(e["point"]) for e in pulls] == list(art.triangulation.points)
+
+
+def test_feasibility_limit_applies_to_cached_levels():
+    pipeline.triangulate_p2dual(3)
+    pipeline.triangulate_p1(4)
+    for build in (
+        pipeline.triangulate_p2dual,
+        pipeline.triangulate_p2,
+        lambda n, max_cells: pipeline.triangulate_p1(n + 1, max_cells),
+    ):
+        with pytest.raises(FeasibilityLimit):
+            build(3, max_cells=10)
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    cache = str(tmp_path)
+    pipeline.triangulate_p2dual(2, cache_dir=cache)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "p2dual_1.json",
+        "p2dual_2.json",
+    ]
+    good = (tmp_path / "p2dual_2.json").read_bytes()
+
+    def crash(art, path):
+        with open(path, "w") as fh:
+            fh.write('{"version": 1, "fam')
+        raise KeyboardInterrupt
+
+    pipeline.clear_cache()
+    monkeypatch.setattr(pipeline, "save", crash)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.triangulate_p2(2, cache_dir=cache)
+    # the crashed write left neither a truncated entry nor a temp file
+    assert not (tmp_path / "p2_2.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "p2dual_1.json",
+        "p2dual_2.json",
+    ]
+    assert (tmp_path / "p2dual_2.json").read_bytes() == good

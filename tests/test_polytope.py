@@ -70,6 +70,21 @@ def test_halfspace_eval_and_canonical():
         HalfSpace((Fraction(0), Fraction(0)), Fraction(1))
 
 
+def test_halfspace_eval_int_and_fraction_points():
+    h = HalfSpace((Fraction(1, 3), Fraction(-2)), Fraction(5, 6))
+    for p in ((3, 1), (Fraction(1, 2), 4), (0, Fraction(-5, 7))):
+        want = sum(c * Fraction(x) for c, x in zip(h.normal, p)) + h.offset
+        assert h.eval(p) == want
+
+
+def test_barycentric_functionals_match_interpolants():
+    verts = ((0, 0, 0), (3, 1, 0), (1, -2, 5), (-1, 4, 2))
+    fns = polytope.barycentric_functionals(verts)
+    for i, fn in enumerate(fns):
+        unit = [1 if j == i else 0 for j in range(len(verts))]
+        assert fn == exact.affine_interpolant(verts, unit)
+
+
 def test_halfspaces_saturation():
     s = LatticeSimplex(((1, 0), (0, 1), (-1, -1)))
     hs = polytope.halfspaces(s)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sylvtri import family, subdivision as sd, witness as wt
+from sylvtri import exact, family, pipeline, polytope, subdivision as sd, witness as wt
 from sylvtri.errors import DimensionMismatch, DomainError, UnsupportedStore
 from sylvtri.polytope import HalfSpace
 from sylvtri.witness import RegularityWitness
@@ -182,3 +182,80 @@ def test_transport_through_lattice_map():
     mapped = sd.apply_lattice_map(tri, [[-1]], [3])
     w2 = wt.remap_witness(w, tri, mapped, lambda p: (3 - p[0],))
     assert wt.verify_regularity(mapped, w2).regular
+
+
+def _solve_bary(verts, p):
+    """Oracle barycentric coordinates of p by one exact solve."""
+    rows = [[v[k] for v in verts] for k in range(len(p))] + [[1] * len(verts)]
+    return exact.solve(rows, list(p) + [1])
+
+
+def test_pull_sweep_point_location_matches_solve():
+    # on a level-3 store: the sweep's integer inverse locates every store
+    # point exactly where barycentric coordinates from exact.solve do
+    tri = pipeline.triangulate_p2dual(3).triangulation
+    located = 0
+    for c in tri.cells:
+        verts = tri.cell_points(c)
+        adj, d = polytope.simplex_inverse(verts)
+        assert d == 1  # unimodular cells
+        for p in tri.points:
+            want = _solve_bary(verts, p)
+            nums = [wt._row_at(row, p) for row in adj]
+            assert [Fraction(x, d) for x in nums] == want
+            if min(nums) >= 0:
+                located += 1
+    # each point lies in its star's cells, vertices included
+    assert located == sum(len(c) for c in tri.cells)
+
+
+def test_pyramid_inverse_matches_direct_inverse():
+    # on the level-3 glued store the sweep starts from: replacing vertex j
+    # of a simplex cell by any store point m with a positive coordinate
+    # there, the derived inverse equals a fresh one
+    prev = pipeline.triangulate_p2dual(2)
+    h = lambda y: family.hyperplane_height(3, y)
+    clipped = [p for p in family.lattice_points_p2dual(3) if p[-1] <= h(p[:-1])]
+    pb = sd.pullback_restricted(prev.triangulation, h, clipped)
+    half = pipeline._clip_hyperplane(3)
+    z = (-1, -1, family.sylvester(2) - 1)
+    cone = sd.cone_subdivision(
+        z,
+        sd.restrict_to_hyperplane(
+            pb, half, [v for v in pb.ambient if half.eval(v) == 0]
+        ),
+    )
+    glued = sd.glue(pb, cone)
+    checked = 0
+    for c in glued.cells:
+        verts = glued.cell_points(c)
+        if len(verts) != len(verts[0]) + 1:
+            continue
+        adj, d = polytope.simplex_inverse(verts)
+        for m in glued.points:
+            if m in verts:
+                continue
+            lam = [wt._row_at(row, m) for row in adj]
+            assert [Fraction(x, d) for x in lam] == _solve_bary(verts, m)
+            for j, lj in enumerate(lam):
+                if lj > 0:
+                    child = verts[:j] + (m,) + verts[j + 1 :]
+                    assert (wt._pyramid_inverse(adj, d, lam, j), lj) == (
+                        polytope.simplex_inverse(child)
+                    )
+                    checked += 1
+    assert checked > 0
+
+
+def test_drop_matches_fraction_arithmetic():
+    # the sweep's integer update A0 - eps * Lam lands in the lowest terms
+    # AffineFunctional computes from its Fraction data
+    a0 = exact.AffineFunctional((Fraction(3, 4), Fraction(-5, 6)), Fraction(7, 10))
+    lam = exact.AffineFunctional((Fraction(2, 5), Fraction(-1, 5)), Fraction(3, 5))
+    for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 2**40), Fraction(3, 7)):
+        want = exact.AffineFunctional(
+            tuple(a - eps * b for a, b in zip(a0.coeffs, lam.coeffs)),
+            a0.constant - eps * lam.constant,
+        )
+        got = wt._drop((a0.row, a0.denominator), (lam.row, lam.denominator), eps)
+        assert got == (want.row, want.denominator)
