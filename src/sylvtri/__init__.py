@@ -34,8 +34,8 @@ from .pipeline import (
     triangulate_p2,
     triangulate_p2dual,
 )
-from .polytope import HalfSpace, LatticeSimplex, Membership, nvol, polar_dual
-from .subdivision import Subdivision, Triangulation, VerifyReport, pull, pull_all, verify
+from .polytope import HalfSpace, LatticeSimplex, nvol, polar_dual
+from .subdivision import Subdivision, Triangulation, VerifyReport, verify
 from .witness import CertificateReport, RegularityWitness, verify_regularity
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "IncompatibleSubdivision",
     "InvariantReport",
     "LatticeSimplex",
-    "Membership",
     "PipelineArtifact",
     "RegularityWitness",
     "ResolutionFan",
@@ -76,8 +75,6 @@ __all__ = [
     "load",
     "nvol",
     "polar_dual",
-    "pull",
-    "pull_all",
     "save",
     "sylvester",
     "triangulate",

@@ -32,12 +32,6 @@ EXIT_DOMAIN = 5
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress timing output")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="maximum worker threads (computation is currently sequential)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    if args.threads < 1:
-        raise DomainError("--threads must be >= 1")
     if getattr(args, "n", 1) < 1:
         raise DomainError("--n must be >= 1")
     if getattr(args, "n_max", 1) < 1:

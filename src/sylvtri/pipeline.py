@@ -346,6 +346,11 @@ def _cache_path(spec: FamilySpec, cache_dir: str) -> str:
 def _load_cached(
     spec: FamilySpec, cache_dir: str | None
 ) -> PipelineArtifact | None:
+    """The artifact for spec from memory or cache_dir, or None if absent.
+
+    A disk entry must hold the family and level it is filed under; its
+    cells and witness are not re-verified here.
+    """
     key = (spec.family, spec.n)
     if key in _CACHE:
         return _CACHE[key]
@@ -353,6 +358,12 @@ def _load_cached(
         path = _cache_path(spec, cache_dir)
         if os.path.exists(path):
             art = load(path)
+            if art.spec != spec:
+                raise ArtifactFormatError(
+                    f"cache entry {path} holds {art.spec.family.value} "
+                    f"n={art.spec.n}, not the requested "
+                    f"{spec.family.value} n={spec.n}"
+                )
             _CACHE[key] = art
             return art
     return None

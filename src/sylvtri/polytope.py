@@ -1,4 +1,4 @@
-"""Lattice polytopes and simplices: volumes, duality, faces, membership.
+"""Lattice polytopes and simplices: volumes, duality, facets, hull membership.
 
 Points are plain tuples of ints (lattice) or Fractions (rational).  All cells
 appearing in this project are low-dimensional with few vertices, so face
@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import exact
-from .errors import BoxLimitExceeded, DegenerateGeometry, DimensionMismatch, DomainError
+from .errors import DegenerateGeometry, DimensionMismatch, DomainError
 
 Point = tuple[int, ...]
 RatPoint = tuple[Fraction, ...]
-
-BRUTEFORCE_BOX_LIMIT = 10**7
 
 
 def as_fraction_point(p: Sequence[Fraction | int]) -> RatPoint:
@@ -91,27 +88,6 @@ class HalfSpace:
         g = math.gcd(*ints)
         ints = [x // g for x in ints]
         return HalfSpace(tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1]))
-
-
-@dataclass(frozen=True)
-class CellPolytope:
-    """Polytopal cell given by exactly its vertex set (no redundant points)."""
-
-    vertices: tuple[Point, ...]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.vertices[0])
-
-    @property
-    def dim(self) -> int:
-        return exact.affine_rank(self.vertices)
-
-
-class Membership(Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
 
 
 def nvol(s: LatticeSimplex | Sequence[Point]) -> int:
@@ -289,24 +265,6 @@ def facet_vertex_sets(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
     return sorted(out)
 
 
-def faces(c: CellPolytope) -> list[CellPolytope]:
-    """All proper faces of a cell, each exactly once, graded by dimension.
-
-    Brute-force scan: facets via supporting hyperplanes, then recursion.
-    """
-    seen: set[tuple[Point, ...]] = set()
-
-    def walk(verts: tuple[Point, ...]):
-        for fverts in facet_vertex_sets(verts):
-            if fverts not in seen:
-                seen.add(fverts)
-                walk(fverts)
-
-    walk(tuple(sorted(c.vertices)))
-    out = [CellPolytope(v) for v in seen]
-    return sorted(out, key=lambda f: (f.dim, f.vertices))
-
-
 def inner_functionals(vertices: Sequence[Point]) -> list[exact.AffineFunctional]:
     """Facet functionals of a full-dimensional cell, oriented >= 0 inside."""
     dim = len(vertices[0])
@@ -329,77 +287,10 @@ def inner_functionals(vertices: Sequence[Point]) -> list[exact.AffineFunctional]
     return fns
 
 
-def contains(
-    c: CellPolytope | LatticeSimplex, p: Sequence[Fraction | int]
-) -> Membership:
-    """Exact membership classification of a rational point in a cell.
-
-    For lower-dimensional cells, interior means relative interior.
-    """
-    verts = c.vertices
-    if len(p) != len(verts[0]):
-        raise DimensionMismatch("point dimension does not match cell")
-    k = exact.affine_rank(verts)
-    if k < len(verts[0]):
-        # point must lie in the affine hull first
-        if exact.affine_rank(list(verts) + [as_fraction_point(p)]) > k:
-            return Membership.OUTSIDE
-        aug = affine_coordinates(list(verts) + [tuple(p)])
-        cverts, cp = aug[:-1], aug[-1]
-        if k == 0:
-            return Membership.INTERIOR
-        return contains(CellPolytope(tuple(cverts)), cp)
-    vals = [fn(p) for fn in inner_functionals(verts)]
-    if any(v < 0 for v in vals):
-        return Membership.OUTSIDE
-    if any(v == 0 for v in vals):
-        return Membership.BOUNDARY
-    return Membership.INTERIOR
-
-
-def in_hull_caratheodory(p: Sequence[Fraction | int], points: Sequence[Point]) -> bool:
-    """Independent membership oracle: p is a convex combination of points.
-
-    Checks all affinely independent subsets of size <= dim+1 (Caratheodory),
-    solving each small system exactly.
-    """
-    pf = as_fraction_point(p)
-    k = exact.affine_rank(points)
-    for size in range(1, k + 2):
-        for subset in combinations(points, size):
-            if exact.affine_rank(subset) != size - 1:
-                continue
-            rows = [[Fraction(v[i]) for v in subset] for i in range(len(pf))]
-            rows.append([Fraction(1)] * size)
-            rhs = list(pf) + [Fraction(1)]
-            # least-squares-free: solve on an independent row subset, verify rest
-            ridx: list[int] = []
-            for i in range(len(rows)):
-                trial = [rows[j] for j in ridx] + [rows[i]]
-                if exact.rank(trial) == len(ridx) + 1:
-                    ridx.append(i)
-                if len(ridx) == size:
-                    break
-            if len(ridx) < size:
-                continue
-            try:
-                lam = exact.solve([rows[i] for i in ridx], [rhs[i] for i in ridx])
-            except DegenerateGeometry:
-                continue
-            if any(l < 0 for l in lam):
-                continue
-            if all(
-                sum(r * l for r, l in zip(row, lam)) == b for row, b in zip(rows, rhs)
-            ):
-                return True
-    return False
-
-
 def in_hull_lp(p: Sequence[Fraction | int], points: Sequence[Point]) -> bool:
-    """Convex-hull membership by exact linear programming.
+    """Whether p is a convex combination of points, by exact linear programming.
 
-    Same predicate as in_hull_caratheodory but polynomial in the number of
-    points, for use on large point sets.
+    Polynomial in the number of points, so it serves large point sets.
     """
     pf = as_fraction_point(p)
     cols = [list(q) + [1] for q in points]
@@ -415,32 +306,6 @@ def vertex_filter(points: Iterable[Point]) -> tuple[Point, ...]:
         if not others or not in_hull_lp(p, others):
             out.append(p)
     return tuple(out)
-
-
-def lattice_points_bruteforce(
-    c: CellPolytope | LatticeSimplex, limit: int = BRUTEFORCE_BOX_LIMIT
-) -> list[Point]:
-    """All lattice points of a cell by exact bounding-box scan, sorted lex.
-
-    Refuses (never approximates) when the box exceeds the candidate limit.
-    """
-    verts = c.vertices
-    dim = len(verts[0])
-    los = [min(v[i] for v in verts) for i in range(dim)]
-    his = [max(v[i] for v in verts) for i in range(dim)]
-    count = 1
-    for lo, hi in zip(los, his):
-        count *= hi - lo + 1
-    if count > limit:
-        raise BoxLimitExceeded(f"bounding box has {count} candidates (limit {limit})")
-    k = exact.affine_rank(verts)
-    if k == dim:
-        fns = inner_functionals(verts)
-        test = lambda p: all(fn(p) >= 0 for fn in fns)
-    else:
-        test = lambda p: in_hull_caratheodory(p, verts)
-    ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
-    return [p for p in product(*ranges) if test(p)]
 
 
 def triangulate_cell(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:

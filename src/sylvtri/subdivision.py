@@ -1,8 +1,9 @@
-"""Subdivision calculus: point stores, cells, and the five constructors.
+"""Subdivision calculus: point stores, cells, constructors, structural checks.
 
 A Subdivision holds a lexicographically sorted point store plus maximal
-cells as sorted index tuples into that store.  Constructors are pure:
-each returns a new Subdivision.
+cells as sorted index tuples into that store.  Constructors (column
+pullback, restriction, cone, glue, lattice map) are pure: each returns a
+new Subdivision.  The pulling refinement is witness.pull_sweep.
 """
 
 from __future__ import annotations
@@ -19,9 +20,13 @@ from .errors import (
     GluingMismatch,
     IncompatibleSubdivision,
 )
-from .polytope import HalfSpace, Membership, Point
+from .polytope import HalfSpace, Point
 
 Cell = tuple[int, ...]
+
+# largest cell count for which verify(pairwise="auto") runs the quadratic
+# common-face check
+FULL_PAIRWISE_CELL_LIMIT = 120
 
 
 @dataclass(frozen=True)
@@ -82,13 +87,6 @@ def make_subdivision(
     )
     cls = Triangulation if simplicial else Subdivision
     return cls(store, tuple(ambient), cells)
-
-
-def _remap(sub: Subdivision, store: tuple[Point, ...]) -> tuple[Cell, ...]:
-    idx = {p: i for i, p in enumerate(store)}
-    return tuple(
-        sorted(tuple(sorted(idx[p] for p in sub.cell_points(c))) for c in sub.cells)
-    )
 
 
 def cone_subdivision(z: Point, s: Subdivision) -> Subdivision:
@@ -211,121 +209,6 @@ def glue(a: Subdivision, b: Subdivision) -> Subdivision:
     )
 
 
-def _simplex_pull(verts: tuple[Point, ...], m: Point):
-    """Pulled cells of a simplex at m, or None when m is outside.
-
-    Uses barycentric coordinates: new cells are pyramids from m over the
-    facets with positive coordinate.
-    """
-    try:
-        lam = exact.solve(
-            [[Fraction(v[i]) for v in verts] for i in range(len(m))]
-            + [[Fraction(1)] * len(verts)],
-            list(m) + [1],
-        )
-    except DegenerateGeometry:
-        return None
-    if any(l < 0 for l in lam):
-        return None
-    out = []
-    for j, lj in enumerate(lam):
-        if lj > 0:
-            out.append(tuple(v for k, v in enumerate(verts) if k != j) + (m,))
-    return out
-
-
-def _general_pull(verts: tuple[Point, ...], m: Point):
-    """Pulled cells of an arbitrary cell at m, or None when m is outside."""
-    cell = polytope.CellPolytope(tuple(verts))
-    if polytope.contains(cell, m) is Membership.OUTSIDE:
-        return None
-    out = []
-    for facet in polytope.facet_vertex_sets(verts):
-        if m in facet:
-            continue
-        fcell = polytope.CellPolytope(facet)
-        if polytope.contains(fcell, m) is not Membership.OUTSIDE:
-            continue
-        out.append(facet + (m,))
-    return out
-
-
-def pull(s: Subdivision, m_index: int) -> Subdivision:
-    """Pulling refinement at store point m.
-
-    Every maximal cell containing m is replaced by pyramids from m over its
-    facets avoiding m; other cells are untouched.
-    """
-    m = s.points[m_index]
-    if (
-        polytope.contains(polytope.CellPolytope(tuple(s.ambient)), m)
-        is Membership.OUTSIDE
-    ):
-        raise DomainError("pull point lies outside the ambient polytope")
-    d = s.dim
-    new_cells: list[tuple[Point, ...]] = []
-    for c in s.cells:
-        verts = s.cell_points(c)
-        # cheap rejection: bounding box
-        if any(
-            m[i] < min(v[i] for v in verts) or m[i] > max(v[i] for v in verts)
-            for i in range(len(m))
-        ):
-            new_cells.append(verts)
-            continue
-        if len(verts) == d + 1 and s.ambient_dim == d:
-            pulled = _simplex_pull(verts, m)
-        else:
-            pulled = _general_pull(verts, m)
-        if pulled is None:
-            new_cells.append(verts)
-        else:
-            new_cells.extend(pulled)
-    dedup = sorted({tuple(sorted(c)) for c in new_cells})
-    simplicial = all(len(c) == d + 1 for c in dedup)
-    return make_subdivision(s.points, s.ambient, dedup, simplicial)
-
-
-def pull_literal(s: Subdivision, m_index: int) -> Subdivision:
-    """Pulling refinement via the literal face-based definition.
-
-    Replaces each cell containing m by cones from m over ALL its proper faces
-    avoiding m, then keeps the maximal (full-rank) ones.  Oracle counterpart
-    of the facet shortcut in pull().
-    """
-    m = s.points[m_index]
-    d = s.dim
-    new_cells: list[tuple[Point, ...]] = []
-    for c in s.cells:
-        verts = s.cell_points(c)
-        cell = polytope.CellPolytope(tuple(verts))
-        if polytope.contains(cell, m) is Membership.OUTSIDE:
-            new_cells.append(verts)
-            continue
-        for face in polytope.faces(cell):
-            fverts = tuple(sorted(face.vertices))
-            if m in fverts:
-                continue
-            if polytope.contains(face, m) is not Membership.OUTSIDE:
-                continue
-            cone = tuple(sorted(fverts + (m,)))
-            if exact.affine_rank(cone) == d:
-                new_cells.append(cone)
-    maximal = sorted({tuple(sorted(c)) for c in new_cells})
-    simplicial = all(len(c) == d + 1 for c in maximal)
-    return make_subdivision(s.points, s.ambient, maximal, simplicial)
-
-
-def pull_all(s: Subdivision) -> Triangulation:
-    """Pull at every store point in ascending lexicographic order."""
-    cur = s
-    for i in range(len(s.points)):
-        cur = pull(cur, i)
-    if not isinstance(cur, Triangulation):
-        raise DegenerateGeometry("pulling at all points did not yield simplices")
-    return cur
-
-
 def apply_lattice_map(
     s: Subdivision,
     matrix: Sequence[Sequence[int]],
@@ -428,24 +311,19 @@ def _intersection_in_face(A: tuple, B: tuple, common: frozenset) -> bool:
             continue
         if not common:
             return False
-        if tuple(x) not in common and not polytope.in_hull_caratheodory(
-            tuple(x), hull
-        ):
+        if tuple(x) not in common and not polytope.in_hull_lp(tuple(x), hull):
             return False
     return True
 
 
-def verify(
-    s: Subdivision,
-    pairwise: str = "auto",
-    full_pairwise_cell_limit: int = 120,
-) -> VerifyReport:
+def verify(s: Subdivision, pairwise: str = "auto") -> VerifyReport:
     """Structural verification of a subdivision.
 
     Checks covering (exact volume checksum against the ambient polytope),
     pairwise cell compatibility, simpliciality, and per-cell unimodularity.
     Pairwise mode "full" runs the quadratic common-face check, "facets" the
-    facet-key join; "auto" picks by cell count.
+    facet-key join; "auto" runs "full" up to FULL_PAIRWISE_CELL_LIMIT cells
+    (and on any non-simplicial subdivision), "facets" above it.
     """
     failures: list[str] = []
     d = s.dim
@@ -484,7 +362,7 @@ def verify(
     if mode == "auto":
         mode = (
             "full"
-            if len(s.cells) <= full_pairwise_cell_limit or not simplicial
+            if len(s.cells) <= FULL_PAIRWISE_CELL_LIMIT or not simplicial
             else "facets"
         )
     if mode == "full":

@@ -17,13 +17,12 @@ from typing import Callable, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import (
-    DegenerateGeometry,
     DimensionMismatch,
     DomainError,
     UnsupportedStore,
 )
 from .exact import AffineFunctional
-from .polytope import Membership, Point
+from .polytope import Point
 from .subdivision import Cell, Subdivision, Triangulation
 
 
@@ -68,65 +67,32 @@ def cell_interpolant(
     return exact.functional_on_affine_basis(verts, vals)
 
 
-def _check(
-    s: Subdivision,
-    w: RegularityWitness,
-    strict: bool,
-    cells: Sequence[Cell] | None = None,
-    point_indices: Sequence[int] | None = None,
-) -> CertificateReport:
-    """Convexity check of w against the cells of s.
-
-    Strict mode demands A_cell(p) < w(p) for every store point p outside
-    the cell's vertex set.  Non-strict mode (intermediate subdivisions)
-    tolerates equality exactly when p geometrically lies in the cell.
-    """
-    if len(w.values) != len(s.points):
-        raise DimensionMismatch("witness length does not match the point store")
-    cells = s.cells if cells is None else cells
-    point_indices = range(len(s.points)) if point_indices is None else point_indices
-    violations: list[tuple[Cell, Point, Fraction]] = []
-    for c in cells:
-        fn = cell_interpolant(s, c, w)
-        cset = set(c)
-        geom = None
-        for pi in point_indices:
-            if pi in cset:
-                continue
-            p = s.points[pi]
-            margin = w.values[pi] - fn(p)
-            if margin > 0:
-                continue
-            if margin == 0 and not strict:
-                if geom is None:
-                    geom = polytope.CellPolytope(s.cell_points(c))
-                if polytope.contains(geom, p) is not Membership.OUTSIDE:
-                    continue
-            violations.append((c, p, margin))
-            if len(violations) > 50:
-                return CertificateReport(False, violations)
-    return CertificateReport(not violations, violations)
-
-
 def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateReport:
     """Strict certificate check over every (cell, store point) pair.
 
     Requires full-dimensional cells and a store holding all lattice points
     of the ambient polytope; regular iff A_cell(p) < w(p) for every store
-    point p outside each cell.
+    point p outside each cell.  Cells are visited in order, each against
+    the store in order, and the report stops after 51 violations.
     """
     if t.dim != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")
-    return _check(t, w, strict=True)
-
-
-def check_intermediate(s: Subdivision, w: RegularityWitness) -> CertificateReport:
-    """Certificate check for mid-pipeline subdivisions.
-
-    Store points may still sit inside cells awaiting a pulling step, so
-    equality of interpolant and witness is accepted for contained points.
-    """
-    return _check(s, w, strict=False)
+    if len(w.values) != len(t.points):
+        raise DimensionMismatch("witness length does not match the point store")
+    violations: list[tuple[Cell, Point, Fraction]] = []
+    for c in t.cells:
+        fn = cell_interpolant(t, c, w)
+        cset = set(c)
+        for pi, p in enumerate(t.points):
+            if pi in cset:
+                continue
+            margin = w.values[pi] - fn(p)
+            if margin > 0:
+                continue
+            violations.append((c, p, margin))
+            if len(violations) > 50:
+                return CertificateReport(False, violations)
+    return CertificateReport(not violations, violations)
 
 
 def witness_pullback(
@@ -200,43 +166,6 @@ def witness_glue(
     return RegularityWitness(tuple(vals)), omega
 
 
-def witness_pull(
-    w: RegularityWitness,
-    s_before: Subdivision,
-    m_index: int,
-) -> tuple[Subdivision, RegularityWitness, Fraction]:
-    """Pull at store point m and drop its height epsilon below the hull.
-
-    The new height is phi(m) - epsilon, where phi(m) is the induced
-    piecewise-affine value at m (the minimum of the incident cells'
-    interpolants; equal to the stored value when m is already a vertex).
-    Starting from epsilon = 1, the drop is halved until the convexity
-    check restricted to the affected region passes: the cells now
-    incident to m against every point, and every cell against m.
-    Deterministic and guaranteed to terminate.
-    """
-    m = s_before.points[m_index]
-    s_after = subdivision.pull(s_before, m_index)
-    local_cells = [c for c in s_after.cells if m_index in c]
-    phi_m = min(
-        cell_interpolant(s_before, c, w)(m)
-        for c in s_before.cells
-        if m_index in c
-        or polytope.contains(polytope.CellPolytope(s_before.cell_points(c)), m)
-        is not Membership.OUTSIDE
-    )
-    eps = Fraction(1)
-    while True:
-        vals = list(w.values)
-        vals[m_index] = phi_m - eps
-        cand = RegularityWitness(tuple(vals))
-        rep_new = _check(s_after, cand, strict=False, cells=local_cells)
-        rep_m = _check(s_after, cand, strict=False, point_indices=[m_index])
-        if rep_new.regular and rep_m.regular:
-            return s_after, cand, eps
-        eps /= 2
-
-
 def _largest_power_drop(upper: Fraction | None) -> Fraction:
     """Largest 2^-k (k >= 0) strictly below the upper bound (1 if unbounded)."""
     eps = Fraction(1)
@@ -286,17 +215,37 @@ def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
     return tuple(x // g for x in row), den // g
 
 
+def _pull_cell(pts: Sequence[Point], cell: Cell, m_index: int) -> list[Cell]:
+    """The pulling refinement of one polytopal cell at a store point m in it.
+
+    One pyramid from m over each facet that does not contain m.  Every
+    inner facet functional is >= 0 at m, and it is 0 exactly on the facets
+    through m, so one facet enumeration gives both the facets and the test.
+    """
+    m = pts[m_index]
+    out = []
+    for fn in polytope.inner_functionals([pts[i] for i in cell]):
+        if fn.numerator(m) != 0:
+            facet = [i for i in cell if fn.numerator(pts[i]) == 0]
+            out.append(tuple(sorted(facet + [m_index])))
+    return out
+
+
 def pull_sweep(
     s: Subdivision, w: RegularityWitness
 ) -> tuple[Triangulation, RegularityWitness, list[tuple[Point, Fraction]]]:
     """Pull at every store point in order, threading the witness through.
 
-    Equivalent to iterating witness_pull over the whole store, made
-    tractable for large sweeps by three exact shortcuts: a maintained
-    point-location map (which cells contain each not-yet-pulled point),
-    interpolant caching, and the convexity fact that the tightest
-    upper bound on the drop from cells not touching the pulled point is
-    attained among facet-neighbors of the cells that do contain it.
+    This is the library's only pulling code.  It gives the cells, witness
+    and drops of pulling one store point at a time and halving each drop
+    from 1 until the witness certifies the refinement (the test oracle
+    witness_pull in tests/oracles.py, which pulls by the literal
+    face-based definition), made tractable for large sweeps by three
+    exact shortcuts: a maintained point-location map (which cells contain
+    each not-yet-pulled point), interpolant caching, and the convexity
+    fact that the tightest upper bound on the drop from cells not touching
+    the pulled point is attained among facet-neighbors of the cells that
+    do contain it.
 
     The sweep runs on integers: each simplex cell keeps the integer
     inverse of its homogenised vertex matrix (derived from its parent's
@@ -452,14 +401,10 @@ def pull_sweep(
                     register(key, carried)
                     eps_cells.append((key, a0, (adj[j], lj), True))
             else:
-                verts = tuple(pts[i] for i in parent)
-                children_pts = subdivision._general_pull(verts, m)
+                children = _pull_cell(pts, parent, m_index)
                 unregister(parent)
-                idx = {pts[i]: i for i in parent}
-                idx[m] = m_index
                 saved, vals[m_index] = vals[m_index], phi_m
-                for child in children_pts:
-                    key = tuple(sorted(idx[p] for p in child))
+                for key in children:
                     register(key, carried)
                     cache.pop(key, None)
                     a0 = interpolant(key)

@@ -1,0 +1,273 @@
+"""Brute-force oracles the tests check the library against.
+
+Each oracle follows its textbook definition as literally as possible and
+is slow on purpose: membership by a supporting-hyperplane scan or by
+Caratheodory subsets, lattice points by a bounding-box scan, pulling by
+coning over every proper face (De Loera-Rambau-Santos, *Triangulations*,
+2010), and the eps-halving pull that threads a witness through one
+pulling step at a time.  None of this is on the production path;
+``witness.pull_sweep`` is the library's only pulling code.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+from itertools import combinations, product
+from typing import Sequence
+
+from sylvtri import exact, polytope, subdivision as sd
+from sylvtri.errors import BoxLimitExceeded, DegenerateGeometry, DimensionMismatch
+from sylvtri.polytope import LatticeSimplex, Point
+from sylvtri.subdivision import Cell, Subdivision
+from sylvtri.witness import CertificateReport, RegularityWitness, cell_interpolant
+
+BRUTEFORCE_BOX_LIMIT = 10**7
+
+
+@dataclass(frozen=True)
+class CellPolytope:
+    """Polytopal cell given by exactly its vertex set (no redundant points)."""
+
+    vertices: tuple[Point, ...]
+
+    @property
+    def dim(self) -> int:
+        return exact.affine_rank(self.vertices)
+
+
+class Membership(Enum):
+    INTERIOR = "interior"
+    BOUNDARY = "boundary"
+    OUTSIDE = "outside"
+
+
+def faces(c: CellPolytope) -> list[CellPolytope]:
+    """All proper faces of a cell, each exactly once, graded by dimension.
+
+    Brute-force scan: facets via supporting hyperplanes, then recursion.
+    """
+    seen: set[tuple[Point, ...]] = set()
+
+    def walk(verts: tuple[Point, ...]):
+        for fverts in polytope.facet_vertex_sets(verts):
+            if fverts not in seen:
+                seen.add(fverts)
+                walk(fverts)
+
+    walk(tuple(sorted(c.vertices)))
+    out = [CellPolytope(v) for v in seen]
+    return sorted(out, key=lambda f: (f.dim, f.vertices))
+
+
+def contains(
+    c: CellPolytope | LatticeSimplex, p: Sequence[Fraction | int]
+) -> Membership:
+    """Exact membership classification of a rational point in a cell.
+
+    For lower-dimensional cells, interior means relative interior.
+    """
+    verts = c.vertices
+    if len(p) != len(verts[0]):
+        raise DimensionMismatch("point dimension does not match cell")
+    k = exact.affine_rank(verts)
+    if k < len(verts[0]):
+        # point must lie in the affine hull first
+        if exact.affine_rank(list(verts) + [polytope.as_fraction_point(p)]) > k:
+            return Membership.OUTSIDE
+        aug = polytope.affine_coordinates(list(verts) + [tuple(p)])
+        cverts, cp = aug[:-1], aug[-1]
+        if k == 0:
+            return Membership.INTERIOR
+        return contains(CellPolytope(tuple(cverts)), cp)
+    vals = [fn(p) for fn in polytope.inner_functionals(verts)]
+    if any(v < 0 for v in vals):
+        return Membership.OUTSIDE
+    if any(v == 0 for v in vals):
+        return Membership.BOUNDARY
+    return Membership.INTERIOR
+
+
+def in_hull_caratheodory(p: Sequence[Fraction | int], points: Sequence[Point]) -> bool:
+    """Membership oracle: p is a convex combination of points.
+
+    Checks all affinely independent subsets of size <= dim+1 (Caratheodory),
+    solving each small system exactly.
+    """
+    pf = polytope.as_fraction_point(p)
+    k = exact.affine_rank(points)
+    for size in range(1, k + 2):
+        for subset in combinations(points, size):
+            if exact.affine_rank(subset) != size - 1:
+                continue
+            rows = [[Fraction(v[i]) for v in subset] for i in range(len(pf))]
+            rows.append([Fraction(1)] * size)
+            rhs = list(pf) + [Fraction(1)]
+            # least-squares-free: solve on an independent row subset, verify rest
+            ridx: list[int] = []
+            for i in range(len(rows)):
+                trial = [rows[j] for j in ridx] + [rows[i]]
+                if exact.rank(trial) == len(ridx) + 1:
+                    ridx.append(i)
+                if len(ridx) == size:
+                    break
+            if len(ridx) < size:
+                continue
+            try:
+                lam = exact.solve([rows[i] for i in ridx], [rhs[i] for i in ridx])
+            except DegenerateGeometry:
+                continue
+            if any(l < 0 for l in lam):
+                continue
+            if all(
+                sum(r * l for r, l in zip(row, lam)) == b for row, b in zip(rows, rhs)
+            ):
+                return True
+    return False
+
+
+def lattice_points_bruteforce(
+    c: CellPolytope | LatticeSimplex, limit: int = BRUTEFORCE_BOX_LIMIT
+) -> list[Point]:
+    """All lattice points of a cell by exact bounding-box scan, sorted lex.
+
+    Refuses (never approximates) when the box exceeds the candidate limit.
+    """
+    verts = c.vertices
+    dim = len(verts[0])
+    los = [min(v[i] for v in verts) for i in range(dim)]
+    his = [max(v[i] for v in verts) for i in range(dim)]
+    count = 1
+    for lo, hi in zip(los, his):
+        count *= hi - lo + 1
+    if count > limit:
+        raise BoxLimitExceeded(f"bounding box has {count} candidates (limit {limit})")
+    k = exact.affine_rank(verts)
+    if k == dim:
+        fns = polytope.inner_functionals(verts)
+        test = lambda p: all(fn(p) >= 0 for fn in fns)
+    else:
+        test = lambda p: in_hull_caratheodory(p, verts)
+    ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
+    return [p for p in product(*ranges) if test(p)]
+
+
+def pull_literal(s: Subdivision, m_index: int) -> Subdivision:
+    """Pulling refinement via the literal face-based definition.
+
+    Replaces each cell containing m by cones from m over ALL its proper faces
+    avoiding m, then keeps the maximal (full-rank) ones.
+    """
+    m = s.points[m_index]
+    d = s.dim
+    new_cells: list[tuple[Point, ...]] = []
+    for c in s.cells:
+        verts = s.cell_points(c)
+        cell = CellPolytope(tuple(verts))
+        if contains(cell, m) is Membership.OUTSIDE:
+            new_cells.append(verts)
+            continue
+        for face in faces(cell):
+            fverts = tuple(sorted(face.vertices))
+            if m in fverts:
+                continue
+            if contains(face, m) is not Membership.OUTSIDE:
+                continue
+            cone = tuple(sorted(fverts + (m,)))
+            if exact.affine_rank(cone) == d:
+                new_cells.append(cone)
+    maximal = sorted({tuple(sorted(c)) for c in new_cells})
+    simplicial = all(len(c) == d + 1 for c in maximal)
+    return sd.make_subdivision(s.points, s.ambient, maximal, simplicial)
+
+
+def _check_nonstrict(
+    s: Subdivision,
+    w: RegularityWitness,
+    cells: Sequence[Cell] | None = None,
+    point_indices: Sequence[int] | None = None,
+) -> CertificateReport:
+    """Convexity check that tolerates A_cell(p) == w(p) for p in the cell.
+
+    Store points of an intermediate subdivision may still sit inside cells
+    awaiting a pulling step; every other point needs A_cell(p) < w(p).
+    """
+    if len(w.values) != len(s.points):
+        raise DimensionMismatch("witness length does not match the point store")
+    cells = s.cells if cells is None else cells
+    point_indices = range(len(s.points)) if point_indices is None else point_indices
+    violations: list[tuple[Cell, Point, Fraction]] = []
+    for c in cells:
+        fn = cell_interpolant(s, c, w)
+        geom = CellPolytope(s.cell_points(c))
+        for pi in point_indices:
+            if pi in c:
+                continue
+            p = s.points[pi]
+            margin = w.values[pi] - fn(p)
+            if margin > 0:
+                continue
+            if margin == 0 and contains(geom, p) is not Membership.OUTSIDE:
+                continue
+            violations.append((c, p, margin))
+    return CertificateReport(not violations, violations)
+
+
+def check_intermediate(s: Subdivision, w: RegularityWitness) -> CertificateReport:
+    """Certificate check for mid-pipeline subdivisions."""
+    return _check_nonstrict(s, w)
+
+
+def witness_pull(
+    w: RegularityWitness,
+    s_before: Subdivision,
+    m_index: int,
+) -> tuple[Subdivision, RegularityWitness, Fraction]:
+    """Pull at store point m and drop its height epsilon below the hull.
+
+    The new height is phi(m) - epsilon, where phi(m) is the induced
+    piecewise-affine value at m (the minimum of the incident cells'
+    interpolants; equal to the stored value when m is already a vertex).
+    Starting from epsilon = 1, the drop is halved until the convexity
+    check restricted to the affected region passes: the cells now
+    incident to m against every point, and every cell against m.
+    """
+    m = s_before.points[m_index]
+    s_after = pull_literal(s_before, m_index)
+    local_cells = [c for c in s_after.cells if m_index in c]
+    phi_m = min(
+        cell_interpolant(s_before, c, w)(m)
+        for c in s_before.cells
+        if m_index in c
+        or contains(CellPolytope(s_before.cell_points(c)), m) is not Membership.OUTSIDE
+    )
+    eps = Fraction(1)
+    while True:
+        vals = list(w.values)
+        vals[m_index] = phi_m - eps
+        cand = RegularityWitness(tuple(vals))
+        if (
+            _check_nonstrict(s_after, cand, cells=local_cells).regular
+            and _check_nonstrict(s_after, cand, point_indices=[m_index]).regular
+        ):
+            return s_after, cand, eps
+        eps /= 2
+
+
+def random_polytope_subdivision(rng, dim: int) -> Subdivision:
+    """A random full-dimensional lattice polytope as a one-cell subdivision.
+
+    Its store holds every lattice point of the polytope.
+    """
+    span = 3 if dim == 1 else 2 if dim == 2 else 1
+    while True:
+        pts = {
+            tuple(rng.randint(-span, span) for _ in range(dim))
+            for _ in range(rng.randint(dim + 1, 8))
+        }
+        verts = polytope.vertex_filter(pts)
+        if exact.affine_rank(verts) == dim:
+            return sd.make_subdivision(
+                lattice_points_bruteforce(CellPolytope(verts)), verts, [verts]
+            )

@@ -16,8 +16,9 @@ from sylvtri import (
     witness as wt,
 )
 from sylvtri.family import Family, FamilySpec
-from sylvtri.polytope import CellPolytope
 from sylvtri.witness import RegularityWitness
+
+import oracles
 
 
 @pytest.fixture
@@ -80,7 +81,7 @@ def test_criterion_03_lattice_point_structure(_line):
     for n in (1, 2, 3):
         simplex = family.build(FamilySpec(Family.P2DUAL, n))
         ok &= list(family.lattice_points_p2dual(n)) == (
-            polytope.lattice_points_bruteforce(simplex)
+            oracles.lattice_points_bruteforce(simplex)
         )
     for n_plus_1 in (2, 3, 4):
         n = n_plus_1 - 1
@@ -155,7 +156,7 @@ def test_criterion_07_p1_artifacts(p1_arts, _line):
         ok &= set(tri.points) == embedded | {e_last, w1}
         if n_plus_1 <= 3:
             simplex = family.build(FamilySpec(Family.P1, n_plus_1))
-            ok &= list(tri.points) == polytope.lattice_points_bruteforce(simplex)
+            ok &= list(tri.points) == oracles.lattice_points_bruteforce(simplex)
         apexes = {tri.index[e_last], tri.index[w1]}
         ok &= all(len(apexes & set(c)) == 1 for c in tri.cells)
     _line(7, "first-family artifacts n+1=2..5", ok)
@@ -203,36 +204,27 @@ def test_criterion_09_invariant_tables(_line):
     assert ok
 
 
-def _random_polytope_subdivision(rng, dim):
-    span = 3 if dim == 1 else 2 if dim == 2 else 1
-    while True:
-        pts = {
-            tuple(rng.randint(-span, span) for _ in range(dim))
-            for _ in range(rng.randint(dim + 1, 8))
-        }
-        verts = polytope.vertex_filter(pts)
-        if exact.affine_rank(verts) == dim:
-            return sd.make_subdivision(
-                polytope.lattice_points_bruteforce(CellPolytope(verts)),
-                verts,
-                [verts],
-            )
-
-
 def test_criterion_10_pull_oracle_equivalence(_line):
+    # the shipped sweep against iterated literal face-based pulling, on
+    # random lattice polytopes of dimension 1-3 under the placing witness
+    # (0 at the polytope's vertices, 1 at every other lattice point)
     rng = random.Random(20260823)
     ok = True
     for _ in range(100):
         dim = rng.randint(1, 3)
-        s = _random_polytope_subdivision(rng, dim)
-        cur, lit = s, s
+        s = oracles.random_polytope_subdivision(rng, dim)
+        corners = set(s.ambient)
+        w = RegularityWitness(tuple(0 if p in corners else 1 for p in s.points))
+        tri, w_tri, _ = wt.pull_sweep(s, w)
+        lit = s
         for i in range(len(s.points)):
-            cur = sd.pull(cur, i)
-            lit = sd.pull_literal(lit, i)
-            ok &= cur.cell_point_sets() == lit.cell_point_sets()
-        rep = sd.verify(cur, pairwise="facets")
-        ok &= rep.valid and rep.simplicial
-        ok &= rep.volume_checksum == polytope.nvol_cell(s.ambient)
+            lit = oracles.pull_literal(lit, i)
+        ok &= tri.cell_point_sets() == lit.cell_point_sets()
+        ok &= wt.verify_regularity(tri, w_tri).regular
+        for pairwise in ("full", "facets"):
+            rep = sd.verify(tri, pairwise=pairwise)
+            ok &= rep.valid and rep.simplicial
+            ok &= rep.volume_checksum == polytope.nvol_cell(s.ambient)
     _line(10, "pulling oracle equivalence (100 random)", ok)
     assert ok
 

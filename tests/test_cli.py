@@ -128,7 +128,3 @@ def test_stats(tmp_path, capsys):
     assert cli.main(["stats", str(path)]) == 0
     out = capsys.readouterr().out
     assert "p2dual n=2" in out and "cells=6" in out and "dim=2" in out
-
-
-def test_threads_validation():
-    assert cli.main(["invariants", "--threads", "0"]) == 5

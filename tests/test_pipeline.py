@@ -123,6 +123,19 @@ def test_load_rejects_unknown_version(tmp_path):
         pipeline.load(str(path))
 
 
+def test_cache_refuses_mislabelled_entry(tmp_path):
+    # a level-2 artifact filed as the level-3 entry must not be served as
+    # level 3, nor feed the p2 transport
+    path = tmp_path / "p2dual_3.json"
+    pipeline.save(pipeline.triangulate_p2dual(2), str(path))
+    pipeline.clear_cache()
+    with pytest.raises(ArtifactFormatError, match="p2dual_3.json.*p2dual n=2.*n=3"):
+        pipeline.triangulate_p2dual(3, cache_dir=str(tmp_path))
+    pipeline.clear_cache()
+    with pytest.raises(ArtifactFormatError):
+        pipeline.triangulate_p2(3, cache_dir=str(tmp_path))
+
+
 def test_load_rejects_truncated_file(tmp_path):
     path = tmp_path / "trunc.json"
     path.write_text('{"version": 1, "family": "p2"')

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from sylvtri import exact, polytope
 from sylvtri.errors import BoxLimitExceeded, DegenerateGeometry, DomainError
-from sylvtri.polytope import (
-    CellPolytope,
-    HalfSpace,
-    LatticeSimplex,
-    Membership,
-    RationalSimplex,
-)
+from sylvtri.polytope import HalfSpace, LatticeSimplex, RationalSimplex
+
+import oracles
+from oracles import CellPolytope, Membership
 
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
 QUAD = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -120,9 +117,9 @@ def test_polar_dual_involution():
 
 
 def test_faces_of_triangle_and_quad():
-    tri = polytope.faces(CellPolytope(UNIT_TRIANGLE))
+    tri = oracles.faces(CellPolytope(UNIT_TRIANGLE))
     assert len(tri) == 6  # 3 vertices + 3 edges
-    quad = polytope.faces(CellPolytope(QUAD))
+    quad = oracles.faces(CellPolytope(QUAD))
     assert len(quad) == 8  # 4 vertices + 4 edges
 
 
@@ -139,12 +136,12 @@ def test_inner_functionals_orientation():
 
 def test_contains_classifications():
     cell = CellPolytope(QUAD)
-    assert polytope.contains(cell, (Fraction(1, 2), Fraction(1, 2))) is Membership.INTERIOR
-    assert polytope.contains(cell, (0, 0)) is Membership.BOUNDARY
-    assert polytope.contains(cell, (2, 0)) is Membership.OUTSIDE
+    assert oracles.contains(cell, (Fraction(1, 2), Fraction(1, 2))) is Membership.INTERIOR
+    assert oracles.contains(cell, (0, 0)) is Membership.BOUNDARY
+    assert oracles.contains(cell, (2, 0)) is Membership.OUTSIDE
     edge = CellPolytope(((0, 0), (2, 0)))
-    assert polytope.contains(edge, (1, 0)) is Membership.INTERIOR
-    assert polytope.contains(edge, (1, 1)) is Membership.OUTSIDE
+    assert oracles.contains(edge, (1, 0)) is Membership.INTERIOR
+    assert oracles.contains(edge, (1, 1)) is Membership.OUTSIDE
 
 
 coord = st.integers(min_value=-4, max_value=4)
@@ -157,15 +154,15 @@ def test_contains_agrees_with_caratheodory(pts, p):
     verts = polytope.vertex_filter(pts)
     if exact.affine_rank(verts) != 2:
         return
-    geom = polytope.contains(CellPolytope(verts), p) is not Membership.OUTSIDE
-    assert geom == polytope.in_hull_caratheodory(p, verts)
+    geom = oracles.contains(CellPolytope(verts), p) is not Membership.OUTSIDE
+    assert geom == oracles.in_hull_caratheodory(p, verts)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=7, unique=True),
        st.tuples(coord, coord, coord))
 def test_hull_lp_agrees_with_caratheodory(pts, p):
-    assert polytope.in_hull_lp(p, pts) == polytope.in_hull_caratheodory(p, pts)
+    assert polytope.in_hull_lp(p, pts) == oracles.in_hull_caratheodory(p, pts)
 
 
 def test_vertex_filter_drops_interior_points():
@@ -177,12 +174,12 @@ def test_vertex_filter_drops_interior_points():
 
 def test_lattice_points_bruteforce():
     tri = CellPolytope(((0, 0), (2, 0), (0, 2)))
-    pts = polytope.lattice_points_bruteforce(tri)
+    pts = oracles.lattice_points_bruteforce(tri)
     assert len(pts) == 6
     assert (1, 1) in pts and (2, 1) not in pts
     big = CellPolytope(((0, 0), (10**4, 0), (0, 10**4)))
     with pytest.raises(BoxLimitExceeded):
-        polytope.lattice_points_bruteforce(big, limit=100)
+        oracles.lattice_points_bruteforce(big, limit=100)
 
 
 def test_triangulate_cell_and_nvol_cell():

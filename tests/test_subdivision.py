@@ -1,18 +1,20 @@
 """Subdivision engine tests: constructors, pulling, structural verification."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from sylvtri import exact, family, polytope, subdivision as sd
+from sylvtri import family, subdivision as sd, witness as wt
 from sylvtri.errors import (
     DegenerateGeometry,
     DomainError,
     GluingMismatch,
     IncompatibleSubdivision,
 )
-from sylvtri.polytope import CellPolytope, HalfSpace
+from sylvtri.polytope import HalfSpace
+from sylvtri.witness import RegularityWitness
+
+import oracles
 
 
 def segment_triangulation():
@@ -121,22 +123,16 @@ def test_glue_rejects_non_facet_overlap():
         sd.glue(a, b)
 
 
-def test_pull_all_level2():
-    _, _, glued = build_level2()
-    tri = sd.pull_all(glued)
-    assert len(tri.cells) == 6
-    rep = sd.verify(tri, pairwise="full")
-    assert rep.valid and rep.simplicial and rep.unimodular
-    assert rep.volume_checksum == 6
-
-
 def test_pull_matches_literal_definition_on_trace():
-    _, _, glued = build_level2()
-    cur, lit = glued, glued
+    pb, _, glued = build_level2()
+    base = segment_triangulation()
+    w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
+    w_glued, _ = wt.witness_glue(w_pb, pb, glued, (-1, 2))
+    tri, _, _ = wt.pull_sweep(glued, w_glued)
+    lit = glued
     for i in range(len(glued.points)):
-        cur = sd.pull(cur, i)
-        lit = sd.pull_literal(lit, i)
-        assert cur.cell_point_sets() == lit.cell_point_sets()
+        lit = oracles.pull_literal(lit, i)
+    assert tri.cell_point_sets() == lit.cell_point_sets()
 
 
 def test_pull_outside_point_rejected():
@@ -144,12 +140,12 @@ def test_pull_outside_point_rejected():
         [(-5,), (0,), (1,)], [(0,), (1,)], [[(0,), (1,)]]
     )
     with pytest.raises(DomainError):
-        sd.pull(s, 0)
+        wt.pull_sweep(s, RegularityWitness((1, 0, 0)))
 
 
 def test_pull_at_vertex_is_identity():
     s = segment_triangulation()
-    assert sd.pull(s, 0).cells == s.cells
+    assert wt.pull_sweep(s, RegularityWitness((1, 0, 1)))[0].cells == s.cells
 
 
 def test_apply_lattice_map():
@@ -205,35 +201,3 @@ def test_common_face_wraparound_fan():
             assert sd.common_face_ok(cells[i], cells[j])
     # overlapping wedge pair must fail
     assert not sd.common_face_ok(cells[0], ((0, 0), (1, 1), (1, -1)))
-
-
-def _random_polytope_subdivision(rng, dim):
-    span = 3 if dim == 1 else 2 if dim == 2 else 1
-    while True:
-        pts = {
-            tuple(rng.randint(-span, span) for _ in range(dim))
-            for _ in range(rng.randint(dim + 1, 8))
-        }
-        verts = polytope.vertex_filter(pts)
-        if exact.affine_rank(verts) == dim:
-            break
-    store = polytope.lattice_points_bruteforce(CellPolytope(verts))
-    return sd.make_subdivision(store, verts, [verts])
-
-
-def test_pull_oracle_equivalence_random():
-    """Facet-shortcut pulling equals the literal face-based definition."""
-    rng = random.Random(20260823)
-    checked = 0
-    while checked < 30:
-        dim = rng.randint(1, 3)
-        s = _random_polytope_subdivision(rng, dim)
-        cur, lit = s, s
-        for i in range(len(s.points)):
-            cur = sd.pull(cur, i)
-            lit = sd.pull_literal(lit, i)
-            assert cur.cell_point_sets() == lit.cell_point_sets()
-        rep = sd.verify(cur, pairwise="full")
-        assert rep.valid and rep.simplicial
-        assert rep.volume_checksum == polytope.nvol_cell(s.ambient)
-        checked += 1

@@ -9,6 +9,7 @@ from sylvtri.errors import DimensionMismatch, DomainError, UnsupportedStore
 from sylvtri.polytope import HalfSpace
 from sylvtri.witness import RegularityWitness
 
+import oracles
 from test_subdivision import build_level2, segment_triangulation
 
 
@@ -17,6 +18,22 @@ def test_verify_regularity_1d():
     assert wt.verify_regularity(s, RegularityWitness((1, 0, 1))).regular
     rep = wt.verify_regularity(s, RegularityWitness((0, 0, 0)))
     assert not rep.regular and rep.violating_pairs
+
+
+def test_verify_regularity_report_pinned():
+    # a raised corner breaks convexity at 51+ pairs; the report keeps the
+    # first 51 in (cell, store point) order, with exact margins
+    art = pipeline.triangulate_p2dual(3)
+    vals = list(art.witness.values)
+    vals[0] += 10**6
+    rep = wt.verify_regularity(art.triangulation, RegularityWitness(tuple(vals)))
+    assert not rep.regular
+    assert len(rep.violating_pairs) == 51
+    assert rep.violating_pairs[0] == (
+        (0, 1, 12, 22),
+        (-1, 0, -1),
+        Fraction(-98303999869, 24576),
+    )
 
 
 def test_witness_length_mismatch():
@@ -46,7 +63,7 @@ def test_witness_pullback_column_constancy():
     idx = pb.index
     assert lifted.values[idx[(-1, -1)]] == 1
     assert lifted.values[idx[(0, -1)]] == 0
-    assert wt.check_intermediate(pb, lifted).regular
+    assert oracles.check_intermediate(pb, lifted).regular
 
 
 def test_witness_pullback_missing_base_point():
@@ -72,7 +89,7 @@ def test_witness_cone_free_omega():
         wc = wt.witness_cone(w, base, cone, (0, 1), omega)
         assert len(wc.values) == 4
         assert wc.value_at(cone, (0, 1)) == omega
-        assert wt.check_intermediate(cone, wc).regular
+        assert oracles.check_intermediate(cone, wc).regular
 
 
 def test_witness_cone_rejects_interior_store_points():
@@ -99,7 +116,7 @@ def test_witness_glue_omega_exceeds_all_interpolants():
     assert omega == 1 + max(
         wt.cell_interpolant(pb, c, w_pb)(z) for c in pb.cells
     )
-    assert wt.check_intermediate(glued, w_glued).regular
+    assert oracles.check_intermediate(glued, w_glued).regular
 
 
 def test_witness_glue_too_small_omega_fails():
@@ -110,13 +127,13 @@ def test_witness_glue_too_small_omega_fails():
     w_glued, omega = wt.witness_glue(w_pb, pb, glued, z)
     low = list(w_glued.values)
     low[glued.index[z]] = omega - 2  # below the max of the cell interpolants
-    assert not wt.check_intermediate(glued, RegularityWitness(tuple(low))).regular
+    assert not oracles.check_intermediate(glued, RegularityWitness(tuple(low))).regular
 
 
 def test_witness_pull_1d_example():
     s = sd.make_subdivision([(-1,), (0,), (1,)], [(-1,), (1,)], [[(-1,), (1,)]])
     w = RegularityWitness((1, 1, 1))
-    s2, w2, eps = wt.witness_pull(w, s, 1)
+    s2, w2, eps = oracles.witness_pull(w, s, 1)
     assert [s2.cell_points(c) for c in s2.cells] == [
         ((-1,), (0,)),
         ((0,), (1,)),
@@ -130,7 +147,7 @@ def test_witness_pull_1d_example():
 def test_witness_pull_at_vertex_preserves_regularity():
     s = segment_triangulation()
     w = RegularityWitness((1, 0, 1))
-    s2, w2, eps = wt.witness_pull(w, s, 0)
+    s2, w2, eps = oracles.witness_pull(w, s, 0)
     assert s2.cells == s.cells
     assert wt.verify_regularity(s2, w2).regular
 
@@ -157,7 +174,7 @@ def test_pull_sweep_matches_iterated_witness_pull():
     tri, w_tri, log = wt.pull_sweep(glued, w_glued)
     cur, wcur = glued, w_glued
     for i in range(len(glued.points)):
-        cur, wcur, eps = wt.witness_pull(wcur, cur, i)
+        cur, wcur, eps = oracles.witness_pull(wcur, cur, i)
         assert eps == log[i][1]
     assert cur.cell_point_sets() == tri.cell_point_sets()
     assert wcur.values == w_tri.values
@@ -173,7 +190,7 @@ def test_negative_monotonicity_detected():
         [(-1,), (0,), (1,)], [(-1,), (1,)], [[(-1,), (1,)]]
     )
     sunk = RegularityWitness((1, Fraction(-1), 1))
-    assert not wt.check_intermediate(single, sunk).regular
+    assert not oracles.check_intermediate(single, sunk).regular
 
 
 def test_transport_through_lattice_map():
