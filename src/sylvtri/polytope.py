@@ -96,15 +96,22 @@ def nvol(s: LatticeSimplex | Sequence[Point]) -> int:
     Equals |det| of the vertex matrix with a homogenizing row appended,
     i.e. n! times the euclidean volume.
     """
-    verts = s.vertices if isinstance(s, LatticeSimplex) else tuple(s)
+    return abs(signed_nvol(s.vertices if isinstance(s, LatticeSimplex) else s))
+
+
+def signed_nvol(verts: Sequence[Point]) -> int:
+    """det of the rows (v, 1) of a full-dimensional simplex, never 0.
+
+    Its absolute value is nvol; its sign is the orientation of the vertex
+    order.
+    """
     dim = len(verts[0])
     if len(verts) != dim + 1:
         raise DegenerateGeometry("nvol requires a full-dimensional simplex")
-    m = [list(v) + [1] for v in verts]
-    d = exact.det_int(m)
+    d = exact.det_int([list(v) + [1] for v in verts])
     if d == 0:
         raise DegenerateGeometry("zero-volume simplex")
-    return abs(d)
+    return d
 
 
 def simplex_inverse(verts: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:

@@ -9,8 +9,9 @@ new Subdivision.  The pulling refinement is witness.pull_sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
+from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from . import exact, polytope
@@ -324,6 +325,34 @@ def verify(s: Subdivision, pairwise: str = "auto") -> VerifyReport:
     Pairwise mode "full" runs the quadratic common-face check, "facets" the
     facet-key join; "auto" runs "full" up to FULL_PAIRWISE_CELL_LIMIT cells
     (and on any non-simplicial subdivision), "facets" above it.
+
+    Why "facets" proves a triangulation of P = conv(ambient) when every
+    cell is a full-dimensional simplex.  It checks that every cell vertex
+    lies in P, so every cell does; that every facet (a cell minus one
+    vertex) belongs to two cells or lies in a facet of P (pseudomanifold);
+    that the two cells of a shared facet lie on opposite sides of it
+    (orientation); and that the normalized volumes sum to nvol(P)
+    (checksum).  Let m(x) count the cells containing x; it is locally
+    constant off the cells' facets.  A path inside P that crosses facets
+    only in their relative interiors crosses no facet of P, so each facet
+    it crosses is shared by two cells on opposite sides: the path leaves
+    one and enters the other, and m does not change.  Such paths connect
+    almost all of P (they avoid only codimension-2 faces), so m is one
+    constant k almost everywhere and the volumes sum to k * nvol(P); the
+    checksum gives k = 1, and the cells cover P with disjoint interiors.
+    Shared facets match as vertex sets, so the cells through a
+    codimension-2 face close up into a ring covering a neighbourhood of its
+    relative interior, which no other cell meets; descending through the
+    face dimensions, any two cells meet in a common face.
+
+    Without the orientation check, two cells folded onto one side of a
+    shared facet (or of a facet of P) pass both the count and the
+    checksum.  A simplex's side of its facet opposite vertex k is
+    sign(det) * (-1)^(d-k), with det the signed determinant of its rows
+    (v, 1) (polytope.signed_nvol): moving row k last takes d - k
+    transpositions, and the sign of that determinant, with the facet's
+    vertices in sorted order above v_k, tells which side of the facet's
+    hyperplane v_k lies on.
     """
     failures: list[str] = []
     d = s.dim
@@ -331,6 +360,9 @@ def verify(s: Subdivision, pairwise: str = "auto") -> VerifyReport:
     simplicial = all(len(c) == d + 1 for c in s.cells)
 
     checksum = None
+    dets: list[int] = []  # signed volume of each simplex cell, in cell order
+    ambient_fns: list[exact.AffineFunctional] = []
+    used = {i for c in s.cells for i in c}  # store indices of cell vertices
     if full_dim:
         try:
             ambient_nvol = polytope.nvol_cell(s.ambient)
@@ -338,7 +370,8 @@ def verify(s: Subdivision, pairwise: str = "auto") -> VerifyReport:
             for c in s.cells:
                 verts = s.cell_points(c)
                 if len(verts) == d + 1:
-                    checksum += polytope.nvol(verts)
+                    dets.append(polytope.signed_nvol(verts))
+                    checksum += abs(dets[-1])
                 else:
                     checksum += polytope.nvol_cell(verts)
             if checksum != ambient_nvol:
@@ -349,14 +382,19 @@ def verify(s: Subdivision, pairwise: str = "auto") -> VerifyReport:
             failures.append(f"degenerate cell: {e}")
 
         try:
-            fns = polytope.inner_functionals(s.ambient)
-            for c in s.cells:
-                for p in s.cell_points(c):
-                    if any(fn(p) < 0 for fn in fns):
-                        failures.append(f"cell vertex {p} outside ambient")
-                        break
+            ambient_fns = polytope.inner_functionals(s.ambient)
         except DegenerateGeometry:
             failures.append("ambient polytope is degenerate")
+        else:
+            outside = {
+                i
+                for i in used
+                if any(fn.numerator(s.points[i]) < 0 for fn in ambient_fns)
+            }
+            for c in s.cells:
+                i = next((i for i in c if i in outside), None)
+                if i is not None:
+                    failures.append(f"cell vertex {s.points[i]} outside ambient")
 
     mode = pairwise
     if mode == "auto":
@@ -380,23 +418,39 @@ def verify(s: Subdivision, pairwise: str = "auto") -> VerifyReport:
             if len(failures) > 20:
                 break
     elif mode == "facets" and simplicial and full_dim:
-        counts: dict[Cell, int] = {}
-        for c in s.cells:
+        # each facet with its cells and the side of it each cell lies on
+        # (0 where a degenerate cell stopped the signed volumes)
+        sides: dict[Cell, list[tuple[Cell, int]]] = {}
+        for ci, c in enumerate(s.cells):
+            sign = 0 if ci >= len(dets) else 1 if dets[ci] > 0 else -1
             for k in range(len(c)):
-                key = c[:k] + c[k + 1 :]
-                counts[key] = counts.get(key, 0) + 1
-        boundary_fns = polytope.inner_functionals(s.ambient)
-        for key, cnt in counts.items():
-            if cnt > 2:
-                failures.append(f"facet {key} shared by {cnt} cells")
-            elif cnt == 1:
-                pts = [s.points[i] for i in key]
-                if not any(all(fn(p) == 0 for p in pts) for fn in boundary_fns):
-                    failures.append(f"facet {key} unmatched and not on the boundary")
+                sides.setdefault(c[:k] + c[k + 1 :], []).append(
+                    (c, -sign if (d - k) % 2 else sign)
+                )
+        # bit j set where a cell vertex lies on the j-th facet of P
+        on_facets = {
+            i: sum(
+                1 << j
+                for j, fn in enumerate(ambient_fns)
+                if fn.numerator(s.points[i]) == 0
+            )
+            for i in used
+        }
+        for key, on in sides.items():
+            if len(on) > 2:
+                failures.append(f"facet {key} shared by {len(on)} cells")
+            elif len(on) == 1 and not reduce(and_, (on_facets[i] for i in key)):
+                failures.append(f"facet {key} unmatched and not on the boundary")
+        for key, on in sides.items():
+            if len(on) == 2 and on[0][1] == on[1][1] != 0:
+                failures.append(
+                    f"cells {on[0][0]} and {on[1][0]} lie on one side of "
+                    f"their common facet {key}"
+                )
 
     unimodular = False
     if simplicial and full_dim and not failures:
-        unimodular = all(polytope.nvol(s.cell_points(c)) == 1 for c in s.cells)
+        unimodular = all(abs(x) == 1 for x in dets)
 
     return VerifyReport(
         valid=not failures,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -21,7 +21,6 @@ from .errors import (
     DomainError,
     UnsupportedStore,
 )
-from .exact import AffineFunctional
 from .polytope import Point
 from .subdivision import Cell, Subdivision, Triangulation
 
@@ -56,15 +55,40 @@ class CertificateReport:
     )
 
 
-def cell_interpolant(
-    s: Subdivision, cell: Cell, w: RegularityWitness
-) -> AffineFunctional:
-    """Affine function matching the witness on a full-dimensional cell."""
+# An integer affine form (row, den), den > 0, stands for the map
+# x -> (row[:-1] . x + row[-1]) / den: a row of polytope.simplex_inverse
+# over its D, or AffineFunctional.row over its denominator.
+Form = tuple[Sequence[int], int]
+
+
+def _row_at(row: Sequence[int], p: Point) -> int:
+    """row[:-1] . p + row[-1], an integer for an integral point."""
+    # map stops at p's end, so row[-1] is the homogenising term
+    return sum(map(mul, row, p)) + row[-1]
+
+
+def _common_scale(w: RegularityWitness) -> tuple[list[int], int]:
+    """The witness over one common denominator: (W, L), W[i] = w_i * L."""
+    scale = lcm(*(v.denominator for v in w.values))
+    return [v.numerator * (scale // v.denominator) for v in w.values], scale
+
+
+def _cell_form(s: Subdivision, cell: Cell, heights: Sequence[int]) -> Form:
+    """Integer form (row, den), den > 0, interpolating integer heights on a cell.
+
+    For a simplex with simplex_inverse (Y, D), Y[k] . (x, 1) / D is the
+    barycentric coordinate of x at vertex k, so the interpolant is
+    sum_k heights[c_k] Y[k] over D.  A polytopal cell takes the row and
+    denominator of its functional_on_affine_basis.  Raises
+    DegenerateGeometry on a degenerate cell.
+    """
     verts = s.cell_points(cell)
-    vals = [w.values[i] for i in cell]
+    hs = [heights[i] for i in cell]
     if len(verts) == len(verts[0]) + 1:
-        return exact.affine_interpolant(verts, vals)
-    return exact.functional_on_affine_basis(verts, vals)
+        adj, d = polytope.simplex_inverse(verts)
+        return [sum(map(mul, hs, col)) for col in zip(*adj)], d
+    fn = exact.functional_on_affine_basis(verts, hs)
+    return fn.row, fn.denominator
 
 
 def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateReport:
@@ -72,24 +96,44 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
 
     Requires full-dimensional cells and a store holding all lattice points
     of the ambient polytope; regular iff A_cell(p) < w(p) for every store
-    point p outside each cell.  Cells are visited in order, each against
-    the store in order, and the report stops after 51 violations.
+    point p outside each cell (De Loera-Rambau-Santos, *Triangulations*,
+    2010).  Cells are visited in order, each against the store in order,
+    and the report stops after 51 violations.
+
+    The check runs on integers.  With L the lcm of the witness
+    denominators, W = L * w is integral, and _cell_form gives each cell an
+    integer form (row, den), den > 0, with L * A_cell(p) = _row_at(row, p)
+    / den.  Hence
+
+        w(p) - A_cell(p) = (W[p] * den - _row_at(row, p)) / (L * den),
+
+    and L * den > 0, so a pair passes iff that integer numerator is
+    positive: one integer dot product (taken axis by axis over the whole
+    store) and one comparison per pair.  Only a violation builds its
+    Fraction margin, which reduces to the same value as evaluating
+    w(p) - A_cell(p) in Fractions.
     """
     if t.dim != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")
     if len(w.values) != len(t.points):
         raise DimensionMismatch("witness length does not match the point store")
+    pts = t.points
+    if any(len(p) != t.ambient_dim for p in pts):
+        raise DimensionMismatch("point dimension does not match functional")
+    heights, scale = _common_scale(w)
+    axes = list(zip(*pts))  # store coordinates, one tuple per axis
     violations: list[tuple[Cell, Point, Fraction]] = []
     for c in t.cells:
-        fn = cell_interpolant(t, c, w)
-        cset = set(c)
-        for pi, p in enumerate(t.points):
-            if pi in cset:
+        row, den = _cell_form(t, c, heights)
+        # gaps[i] = heights[i] * den - _row_at(row, pts[i]), one axis at a time
+        gaps = [h * den - row[-1] for h in heights]
+        for rk, xs in zip(row, axes):
+            if rk:
+                gaps = [g - rk * x for g, x in zip(gaps, xs)]
+        for pi in [pi for pi, gap in enumerate(gaps) if gap <= 0]:
+            if pi in c:
                 continue
-            margin = w.values[pi] - fn(p)
-            if margin > 0:
-                continue
-            violations.append((c, p, margin))
+            violations.append((c, pts[pi], Fraction(gaps[pi], scale * den)))
             if len(violations) > 50:
                 return CertificateReport(False, violations)
     return CertificateReport(not violations, violations)
@@ -147,11 +191,19 @@ def witness_glue(
     """Witness on a glue of S⁻ with the cone from z over their interface.
 
     The apex height omega must exceed every cell interpolant of S⁻
-    evaluated at z; the exact maximum plus one is used.
+    evaluated at z; the exact maximum plus one is used.  It is found on
+    the integer cell forms of L * w (see verify_regularity): each value at
+    z is an integer over L * den, compared by cross-multiplication, so
+    only omega itself is a Fraction.
     """
-    omega = 1 + max(
-        cell_interpolant(s_minus, c, w_minus)(z) for c in s_minus.cells
-    )
+    heights, scale = _common_scale(w_minus)
+    top_n, top_d = None, 1
+    for c in s_minus.cells:
+        row, den = _cell_form(s_minus, c, heights)
+        n = _row_at(row, z)
+        if top_n is None or n * top_d > top_n * den:
+            top_n, top_d = n, den
+    omega = 1 + Fraction(top_n, top_d * scale)
     idx = s_minus.index
     vals = []
     for p in glued.points:
@@ -172,18 +224,6 @@ def _largest_power_drop(upper: Fraction | None) -> Fraction:
     while upper is not None and eps >= upper:
         eps /= 2
     return eps
-
-
-# An integer affine form (row, den), den > 0, stands for the map
-# x -> (row[:-1] . x + row[-1]) / den: a row of polytope.simplex_inverse
-# over its D, or AffineFunctional.row over its denominator.
-Form = tuple[Sequence[int], int]
-
-
-def _row_at(row: Sequence[int], p: Point) -> int:
-    """row[:-1] . p + row[-1], an integer for an integral point."""
-    # map stops at p's end, so row[-1] is the homogenising term
-    return sum(map(mul, row, p)) + row[-1]
 
 
 def _pyramid_inverse(

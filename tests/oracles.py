@@ -4,8 +4,9 @@ Each oracle follows its textbook definition as literally as possible and
 is slow on purpose: membership by a supporting-hyperplane scan or by
 Caratheodory subsets, lattice points by a bounding-box scan, pulling by
 coning over every proper face (De Loera-Rambau-Santos, *Triangulations*,
-2010), and the eps-halving pull that threads a witness through one
-pulling step at a time.  None of this is on the production path;
+2010), the eps-halving pull that threads a witness through one pulling
+step at a time, and the all-pairs certificate check evaluated in
+Fractions.  None of this is on the production path;
 ``witness.pull_sweep`` is the library's only pulling code.
 """
 
@@ -21,7 +22,7 @@ from sylvtri import exact, polytope, subdivision as sd
 from sylvtri.errors import BoxLimitExceeded, DegenerateGeometry, DimensionMismatch
 from sylvtri.polytope import LatticeSimplex, Point
 from sylvtri.subdivision import Cell, Subdivision
-from sylvtri.witness import CertificateReport, RegularityWitness, cell_interpolant
+from sylvtri.witness import CertificateReport, RegularityWitness
 
 BRUTEFORCE_BOX_LIMIT = 10**7
 
@@ -180,6 +181,46 @@ def pull_literal(s: Subdivision, m_index: int) -> Subdivision:
     maximal = sorted({tuple(sorted(c)) for c in new_cells})
     simplicial = all(len(c) == d + 1 for c in maximal)
     return sd.make_subdivision(s.points, s.ambient, maximal, simplicial)
+
+
+def cell_interpolant(
+    s: Subdivision, cell: Cell, w: RegularityWitness
+) -> exact.AffineFunctional:
+    """Fraction affine function matching the witness on a full-dimensional cell."""
+    verts = s.cell_points(cell)
+    vals = [w.values[i] for i in cell]
+    if len(verts) == len(verts[0]) + 1:
+        return exact.affine_interpolant(verts, vals)
+    return exact.functional_on_affine_basis(verts, vals)
+
+
+def verify_regularity_fraction(
+    t: Subdivision, w: RegularityWitness
+) -> CertificateReport:
+    """The all-pairs certificate check evaluated in Fractions.
+
+    Same contract as witness.verify_regularity: regular iff A_cell(p) < w(p)
+    for every store point p outside each cell, (cell, store point) order,
+    and the report stops after 51 violations.
+    """
+    if t.dim != t.ambient_dim:
+        raise DimensionMismatch("regularity check needs full-dimensional cells")
+    if len(w.values) != len(t.points):
+        raise DimensionMismatch("witness length does not match the point store")
+    violations: list[tuple[Cell, Point, Fraction]] = []
+    for c in t.cells:
+        fn = cell_interpolant(t, c, w)
+        cset = set(c)
+        for pi, p in enumerate(t.points):
+            if pi in cset:
+                continue
+            margin = w.values[pi] - fn(p)
+            if margin > 0:
+                continue
+            violations.append((c, p, margin))
+            if len(violations) > 50:
+                return CertificateReport(False, violations)
+    return CertificateReport(not violations, violations)
 
 
 def _check_nonstrict(

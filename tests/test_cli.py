@@ -1,6 +1,7 @@
 """Command-line interface tests: output lines and exit-code contract."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -128,3 +129,42 @@ def test_stats(tmp_path, capsys):
     assert cli.main(["stats", str(path)]) == 0
     out = capsys.readouterr().out
     assert "p2dual n=2" in out and "cells=6" in out and "dim=2" in out
+
+
+def test_verify_tampered_level3_lines(tmp_path, capsys):
+    # one height raised by 1000, and one cell vertex replaced by a store
+    # point added outside the ambient simplex: the exit code, the verdict
+    # line and every failure / violation line are pinned
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
+    data["witness"][5] = str(Fraction(data["witness"][5]) + 1000)
+    data["points"].append([2, 2, 2])  # sorts last: store index 24
+    data["witness"].append("0")
+    data["cells"][10] = sorted(data["cells"][10][:-1] + [24])
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["verify", str(path), "--mode", "local"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out.splitlines() == [
+        "valid=false simplicial=true unimodular=false regular=false checksum=44"
+    ]
+    assert captured.err.splitlines() == [
+        "failure: volume checksum 44 != ambient nvol 42",
+        "failure: cell vertex (2, 2, 2) outside ambient",
+        "failure: facet (0, 20, 22) unmatched and not on the boundary",
+        "failure: facet (0, 19, 22) unmatched and not on the boundary",
+        "failure: facet (19, 20, 24) unmatched and not on the boundary",
+        "failure: facet (0, 20, 24) unmatched and not on the boundary",
+        "failure: facet (0, 19, 24) unmatched and not on the boundary",
+        "failure: facet (19, 20, 22) unmatched and not on the boundary",
+        "regularity violation: cell (0, 19, 20, 24) point (0, 0, -1) margin -3741/4096",
+        "regularity violation: cell (0, 19, 20, 24) point (0, 0, 0) margin -23/12",
+        "regularity violation: cell (4, 5, 12, 22) point (-1, -1, 5) margin -127999/64",
+        "regularity violation: cell (4, 5, 12, 22) point (-1, -1, 6) margin -11518057/3840",
+        "regularity violation: cell (4, 5, 12, 22) point (0, -1, 1) margin -40870837/40960",
+        "regularity violation: cell (4, 5, 12, 22) point (0, -1, 2) margin -16366345/8192",
+        "regularity violation: cell (4, 5, 12, 22) point (1, -1, -1) margin -8173953/4096",
+        "regularity violation: cell (4, 5, 12, 22) point (2, 2, 2) margin -2558197/320",
+        "regularity violation: cell (4, 5, 20, 22) point (-1, -1, 5) margin -127999/64",
+        "regularity violation: cell (4, 5, 20, 22) point (-1, -1, 6) margin -11518057/3840",
+    ]

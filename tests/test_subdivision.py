@@ -175,6 +175,21 @@ def test_verify_detects_gap_and_overlap():
     assert not rep_facets.valid
 
 
+def test_verify_reports_cell_vertex_outside_ambient():
+    # (1, 1) is one lattice step outside the unit triangle; the ambient test
+    # names it once per cell that uses it, in cell order
+    pts = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    s = sd.make_subdivision(
+        pts, pts[:3], [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
+    )
+    for mode in ("full", "facets"):
+        rep = sd.verify(s, pairwise=mode)
+        assert rep.failures[:2] == [
+            "volume checksum 2 != ambient nvol 1",
+            "cell vertex (1, 1) outside ambient",
+        ]
+
+
 def test_common_face_ok_cases():
     a = ((0, 0), (1, 0), (0, 1))
     b = ((1, 0), (0, 1), (1, 1))
@@ -201,3 +216,44 @@ def test_common_face_wraparound_fan():
             assert sd.common_face_ok(cells[i], cells[j])
     # overlapping wedge pair must fail
     assert not sd.common_face_ok(cells[0], ((0, 0), (1, 1), (1, -1)))
+
+
+def test_verify_facets_rejects_cells_folded_onto_one_side():
+    # [0,1], [0,2], [1,2] in [0,4]: every facet is shared by two cells and
+    # the volumes sum to nvol 4, so facet counts and the checksum pass, but
+    # [0,2] folds back over [0,1] and [1,2] and (2, 4) is left uncovered;
+    # the boundary facet 0 is shared by two cells on its one inner side
+    pts = [(x,) for x in range(5)]
+    fold = sd.make_subdivision(
+        pts, [(0,), (4,)], [[(0,), (1,)], [(0,), (2,)], [(1,), (2,)]], simplicial=True
+    )
+    # the same fold coned to an apex off the segment's line, in the plane
+    z = (5, 1)
+    cone = sd.make_subdivision(
+        [(x, 0) for x in range(5)] + [z],
+        [(0, 0), (4, 0), z],
+        [[(a, 0), (b, 0), z] for a, b in ((0, 1), (0, 2), (1, 2))],
+        simplicial=True,
+    )
+    for s, pair_a, pair_b in (
+        (fold, ((0, 1), (0, 2), (0,)), ((0, 2), (1, 2), (2,))),
+        (cone, ((0, 1, 5), (0, 2, 5), (0, 5)), ((0, 2, 5), (1, 2, 5), (2, 5))),
+    ):
+        rep = sd.verify(s, pairwise="facets")
+        assert rep.volume_checksum == 4
+        assert rep.failures == [
+            f"cells {a} and {b} lie on one side of their common facet {key}"
+            for a, b, key in (pair_a, pair_b)
+        ]
+        assert not rep.valid and not rep.unimodular
+        assert not sd.verify(s, pairwise="full").valid
+
+
+def test_verify_unimodular_reads_signed_volumes():
+    # a valid triangulation with a cell of volume 2 is not unimodular, in
+    # both modes: the unimodularity pass reads the checksum's volumes
+    pts = [(0, 0), (0, 1), (2, 0)]
+    bumped = sd.make_subdivision(pts, pts, [pts], simplicial=True)
+    for mode in ("full", "facets"):
+        rep = sd.verify(bumped, pairwise=mode)
+        assert rep.valid and not rep.unimodular and rep.volume_checksum == 2

@@ -1,11 +1,17 @@
 """Regularity witness tests: certificates through every constructor."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from sylvtri import exact, family, pipeline, polytope, subdivision as sd, witness as wt
-from sylvtri.errors import DimensionMismatch, DomainError, UnsupportedStore
+from sylvtri.errors import (
+    DegenerateGeometry,
+    DimensionMismatch,
+    DomainError,
+    UnsupportedStore,
+)
 from sylvtri.polytope import HalfSpace
 from sylvtri.witness import RegularityWitness
 
@@ -114,7 +120,7 @@ def test_witness_glue_omega_exceeds_all_interpolants():
     z = (-1, 2)
     w_glued, omega = wt.witness_glue(w_pb, pb, glued, z)
     assert omega == 1 + max(
-        wt.cell_interpolant(pb, c, w_pb)(z) for c in pb.cells
+        oracles.cell_interpolant(pb, c, w_pb)(z) for c in pb.cells
     )
     assert oracles.check_intermediate(glued, w_glued).regular
 
@@ -226,14 +232,13 @@ def test_pull_sweep_point_location_matches_solve():
     assert located == sum(len(c) for c in tri.cells)
 
 
-def test_pyramid_inverse_matches_direct_inverse():
-    # on the level-3 glued store the sweep starts from: replacing vertex j
-    # of a simplex cell by any store point m with a positive coordinate
-    # there, the derived inverse equals a fresh one
+def _level3_glue():
+    """The level-3 column pullback, its witness, the glue and its apex."""
     prev = pipeline.triangulate_p2dual(2)
     h = lambda y: family.hyperplane_height(3, y)
     clipped = [p for p in family.lattice_points_p2dual(3) if p[-1] <= h(p[:-1])]
     pb = sd.pullback_restricted(prev.triangulation, h, clipped)
+    w_pb = wt.witness_pullback(prev.witness, prev.triangulation, pb)
     half = pipeline._clip_hyperplane(3)
     z = (-1, -1, family.sylvester(2) - 1)
     cone = sd.cone_subdivision(
@@ -242,7 +247,14 @@ def test_pyramid_inverse_matches_direct_inverse():
             pb, half, [v for v in pb.ambient if half.eval(v) == 0]
         ),
     )
-    glued = sd.glue(pb, cone)
+    return pb, w_pb, sd.glue(pb, cone), z
+
+
+def test_pyramid_inverse_matches_direct_inverse():
+    # on the level-3 glued store the sweep starts from: replacing vertex j
+    # of a simplex cell by any store point m with a positive coordinate
+    # there, the derived inverse equals a fresh one
+    _, _, glued, _ = _level3_glue()
     checked = 0
     for c in glued.cells:
         verts = glued.cell_points(c)
@@ -276,3 +288,89 @@ def test_drop_matches_fraction_arithmetic():
         )
         got = wt._drop((a0.row, a0.denominator), (lam.row, lam.denominator), eps)
         assert got == (want.row, want.denominator)
+
+
+def _agree(s, w):
+    """The integer check's report equals the Fraction oracle's, exactly."""
+    got = wt.verify_regularity(s, w)
+    assert got == oracles.verify_regularity_fraction(s, w)
+    return got
+
+
+def test_verify_regularity_matches_fraction_oracle_on_pipeline_levels():
+    for n in (1, 2, 3):
+        for art in (
+            pipeline.triangulate_p2dual(n),
+            pipeline.triangulate_p2(n),
+            pipeline.triangulate_p1(n + 1),
+        ):
+            assert _agree(art.triangulation, art.witness).regular
+
+
+def test_verify_regularity_matches_fraction_oracle_on_perturbations():
+    rng = random.Random(20261018)
+    arts = [pipeline.triangulate_p2dual(3), pipeline.triangulate_p2(2),
+            pipeline.triangulate_p1(3)]
+    verdicts = set()
+    for trial in range(60):
+        art = arts[trial % len(arts)]
+        t, vals = art.triangulation, list(art.witness.values)
+        if trial % 2:
+            # raise or lower one height by a random rational
+            pi = rng.randrange(len(vals))
+            delta = Fraction(rng.randint(1, 10**6), rng.choice((1, 3, 2**20)))
+            vals[pi] += delta if rng.random() < 0.5 else -delta
+            s = t
+        else:
+            # replace one cell vertex by another store point
+            cells = list(t.cells)
+            k = rng.randrange(len(cells))
+            j = rng.randrange(len(cells[k]))
+            q = rng.choice([i for i in range(len(t.points)) if i not in cells[k]])
+            cells[k] = tuple(sorted(cells[k][:j] + (q,) + cells[k][j + 1 :]))
+            s = sd.Triangulation(t.points, t.ambient, tuple(cells))
+            if exact.affine_rank(s.cell_points(cells[k])) < s.ambient_dim:
+                continue
+        verdicts.add(_agree(s, RegularityWitness(tuple(vals))).regular)
+    assert verdicts == {True, False}
+
+
+def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
+    # the level-3 glued store pull_sweep starts from: column cells and
+    # simplices, with the glue witness and perturbations of it at points
+    # that are vertices of no cell (so each cell stays affine)
+    pb, w_pb, glued, z = _level3_glue()
+    w_glued, _ = wt.witness_glue(w_pb, pb, glued, z)
+    assert any(len(c) > glued.ambient_dim + 1 for c in glued.cells)
+    _agree(pb, w_pb)
+    _agree(glued, w_glued)
+    free = sorted(set(range(len(glued.points))) - {i for c in glued.cells for i in c})
+    assert free
+    rng = random.Random(7)
+    for _ in range(10):
+        vals = list(w_glued.values)
+        pi = rng.choice(free)
+        vals[pi] += Fraction(rng.randint(-50, 50), rng.choice((1, 7, 64)))
+        _agree(glued, RegularityWitness(tuple(vals)))
+    # one random polytope as a single cell, heights affine on its vertices
+    for dim in (1, 2, 3):
+        s = oracles.random_polytope_subdivision(rng, dim)
+        coeffs = [rng.randint(-3, 3) for _ in range(dim)]
+        vals = [
+            sum(a * x for a, x in zip(coeffs, p))
+            + (0 if p in s.ambient else Fraction(rng.randint(-2, 2), 3))
+            for p in s.points
+        ]
+        _agree(s, RegularityWitness(tuple(vals)))
+
+
+def test_verify_regularity_rejects_degenerate_cell():
+    pts = [(0, 0), (0, 1), (1, 0), (2, 0)]
+    # the second cell's vertices are collinear
+    flat = sd.Triangulation(
+        tuple(pts), tuple(pts[:2] + pts[3:]), ((0, 1, 3), (0, 2, 3))
+    )
+    w = RegularityWitness((0, 1, 0, 1))
+    for check in (wt.verify_regularity, oracles.verify_regularity_fraction):
+        with pytest.raises(DegenerateGeometry):
+            check(flat, w)
