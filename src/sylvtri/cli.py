@@ -54,7 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a stored artifact")
     p.add_argument("path")
-    p.add_argument("--mode", choices=["full", "local"], default="full")
+    p.add_argument(
+        "--mode",
+        choices=["full", "local"],
+        default="full",
+        help="kept for old scripts: both run the one structural proof, the "
+        "facet join with its orientation and volume checks",
+    )
     _add_common(p)
 
     p = sub.add_parser("fan", help="export the resolution fan of an artifact")
@@ -106,10 +112,7 @@ def cmd_triangulate(args) -> int:
 
 def cmd_verify(args) -> int:
     art = pipeline.load(args.path)
-    rep = subdivision.verify(
-        art.triangulation,
-        pairwise="full" if args.mode == "full" else "facets",
-    )
+    rep = subdivision.verify(art.triangulation)
     cert = witness.verify_regularity(art.triangulation, art.witness)
     print(
         f"valid={str(rep.valid).lower()} "

@@ -53,8 +53,11 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _expected_cells(n: int) -> int:
-    return family.sylvester(n) - 1
+def _expected_cells(spec: FamilySpec) -> int:
+    """s_n - 1 cells at level n of p2dual and p2, 2 (s_{n-1} - 1) for p1."""
+    if spec.family is Family.P1:
+        return 2 * (family.sylvester(spec.n - 1) - 1)
+    return family.sylvester(spec.n) - 1
 
 
 def _cells_exceed(n: int, limit: int) -> bool:
@@ -156,7 +159,7 @@ def triangulate_p2dual(
         }
     )
 
-    _internal_check(tri, _expected_cells(n), prov)
+    _internal_check(tri, _expected_cells(spec), prov)
     art = PipelineArtifact(spec, tri, w_tri, tuple(prov))
     return _store_cached(art, cache_dir)
 
@@ -235,7 +238,7 @@ def triangulate_p1(
         {"step": "cone", "apex": list(e_last), "omega": "0/1"},
         {"step": "glue", "apex": list(w1), "omega": _frac_str(omega)},
     )
-    _internal_check(glued, 2 * _expected_cells(n), list(prov))
+    _internal_check(glued, _expected_cells(spec), list(prov))
     art = PipelineArtifact(spec, glued, w_glued, prov)
     return _store_cached(art, cache_dir)
 
@@ -314,14 +317,22 @@ def from_json_dict(data: dict) -> PipelineArtifact:
     except (KeyError, ValueError, TypeError) as e:
         raise ArtifactFormatError(f"malformed artifact field: {e}") from e
     spec = FamilySpec(fam, n)
+    ambient = build_vertices(spec)
     if list(points) != sorted(set(points)):
         raise ArtifactFormatError("point store is not sorted and deduplicated")
+    for p in points:
+        if len(p) != len(ambient[0]):
+            raise ArtifactFormatError(
+                f"point {p} has {len(p)} coordinates, expected {len(ambient[0])}"
+            )
     if len(wvals) != len(points):
         raise ArtifactFormatError("witness length does not match point store")
     for c in cells:
         if any(i < 0 or i >= len(points) for i in c):
             raise ArtifactFormatError(f"cell {c} has out-of-range indices")
-    tri = Triangulation(points, build_vertices(spec), cells)
+        if any(a >= b for a, b in zip(c, c[1:])):
+            raise ArtifactFormatError(f"cell {c} indices are not strictly increasing")
+    tri = Triangulation(points, ambient, cells)
     return PipelineArtifact(spec, tri, RegularityWitness(wvals), prov)
 
 
@@ -348,8 +359,9 @@ def _load_cached(
 ) -> PipelineArtifact | None:
     """The artifact for spec from memory or cache_dir, or None if absent.
 
-    A disk entry must hold the family and level it is filed under; its
-    cells and witness are not re-verified here.
+    A disk entry is untrusted: it must hold the family and level it is
+    filed under, and pass the structural proof, the regularity check and
+    the expected cell count before it is served.
     """
     key = (spec.family, spec.n)
     if key in _CACHE:
@@ -364,8 +376,30 @@ def _load_cached(
                     f"n={art.spec.n}, not the requested "
                     f"{spec.family.value} n={spec.n}"
                 )
+            failure = _first_failure(art)
+            if failure is not None:
+                raise VerificationFailure(f"cache entry {path}: {failure}")
             _CACHE[key] = art
             return art
+    return None
+
+
+def _first_failure(art: PipelineArtifact) -> str | None:
+    """The first reason art is not a certified triangulation, or None."""
+    tri = art.triangulation
+    expected = _expected_cells(art.spec)
+    if len(tri.cells) != expected:
+        return f"cell count {len(tri.cells)} != expected {expected}"
+    rep = subdivision.verify(tri)
+    if rep.failures:
+        return rep.failures[0]
+    if not rep.unimodular:
+        c = next(c for c in tri.cells if polytope.nvol(tri.cell_points(c)) != 1)
+        return f"cell {c} is not unimodular"
+    cert = witness.verify_regularity(tri, art.witness)
+    if not cert.regular:
+        c, p, margin = cert.violating_pairs[0]
+        return f"regularity violation: cell {c} point {p} margin {margin}"
     return None
 
 

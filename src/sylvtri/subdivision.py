@@ -25,10 +25,6 @@ from .polytope import HalfSpace, Point
 
 Cell = tuple[int, ...]
 
-# largest cell count for which verify(pairwise="auto") runs the quadratic
-# common-face check
-FULL_PAIRWISE_CELL_LIMIT = 120
-
 
 @dataclass(frozen=True)
 class Subdivision:
@@ -246,88 +242,23 @@ class VerifyReport:
     failures: list[str] = field(default_factory=list)
 
 
-def _is_face_of(verts: Sequence[Point], sub: frozenset[Point]) -> bool:
-    """Whether sub is a face of conv(verts) (verts full-dim in coords)."""
-    fns = polytope.inner_functionals(verts)
-    active = [fn for fn in fns if all(fn(p) == 0 for p in sub)]
-    if not active:
-        return sub == frozenset(verts)
-    zero = {v for v in verts if all(fn(v) == 0 for fn in active)}
-    return zero == set(sub)
+def verify(s: Subdivision) -> VerifyReport:
+    """Structural proof that the cells of s triangulate P = conv(ambient).
 
+    Checks the exact volume checksum against P, that every cell vertex
+    lies in P, the facet join (pseudomanifold) with its orientation check,
+    and per-cell unimodularity.  Preconditions:
 
-def common_face_ok(a_verts: Sequence[Point], b_verts: Sequence[Point]) -> bool:
-    """Exact check that conv(A) and conv(B) intersect in a common face.
+    - every cell is a strictly increasing tuple of store indices: facets
+      are keyed by sorted index tuples (pipeline.from_json_dict refuses
+      any other cell);
+    - every cell is a full-dimensional simplex.  Where one is not (a
+      polytopal cell, or an ambient of lower dimension than the store's
+      coordinates) nothing is proved: the report is invalid, with a
+      failure naming the first such cell.
 
-    Fast path: a facet hyperplane of either cell weakly separates the two
-    with the shared vertices on it.  Cells wrapped around a shared lower
-    face admit no such separator, so the fallback enumerates the vertices
-    of the intersection polytope exactly and demands each lie in the
-    convex hull of the shared vertex set.
-    """
-    A = tuple(sorted(set(a_verts)))
-    B = tuple(sorted(set(b_verts)))
-    if A == B:
-        return False  # duplicate cells
-    joint = polytope.affine_coordinates(list(A) + list(B))
-    A2, B2 = tuple(joint[: len(A)]), tuple(joint[len(A) :])
-    common = frozenset(A2) & frozenset(B2)
-    dim = len(A2[0])
-    if exact.affine_rank(A2) != dim or exact.affine_rank(B2) != dim:
-        raise DegenerateGeometry("common-face check expects full-dimensional cells")
-    if common and not (_is_face_of(A2, common) and _is_face_of(B2, common)):
-        return False
-    # quick accept: weak separator among facet hyperplanes of either cell
-    for verts, others in ((A2, B2), (B2, A2)):
-        for fn in polytope.inner_functionals(verts):
-            if all(fn(q) <= 0 for q in others) and all(
-                fn(p) == 0 for p in common
-            ):
-                return True
-    return _intersection_in_face(A2, B2, common)
-
-
-def _intersection_in_face(A: tuple, B: tuple, common: frozenset) -> bool:
-    """Whether conv(A) ∩ conv(B) equals conv(common), by vertex enumeration."""
-    from itertools import combinations
-
-    fns = polytope.inner_functionals(A) + polytope.inner_functionals(B)
-    # deduplicate coincident halfspaces (shared facets) to shrink the scan
-    seen: dict[tuple, exact.AffineFunctional] = {}
-    for fn in fns:
-        denom = next((c for c in fn.coeffs if c != 0), fn.constant)
-        key = tuple(c / denom for c in fn.coeffs) + (fn.constant / denom,)
-        seen.setdefault(key, fn)
-    fns = list(seen.values())
-    dim = len(A[0])
-    hull = list(common) if common else []
-    for idxs in combinations(range(len(fns)), dim):
-        rows = [list(fns[i].coeffs) for i in idxs]
-        rhs = [-fns[i].constant for i in idxs]
-        try:
-            x = exact.solve(rows, rhs)
-        except DegenerateGeometry:
-            continue
-        if any(fn(x) < 0 for fn in fns):
-            continue
-        if not common:
-            return False
-        if tuple(x) not in common and not polytope.in_hull_lp(tuple(x), hull):
-            return False
-    return True
-
-
-def verify(s: Subdivision, pairwise: str = "auto") -> VerifyReport:
-    """Structural verification of a subdivision.
-
-    Checks covering (exact volume checksum against the ambient polytope),
-    pairwise cell compatibility, simpliciality, and per-cell unimodularity.
-    Pairwise mode "full" runs the quadratic common-face check, "facets" the
-    facet-key join; "auto" runs "full" up to FULL_PAIRWISE_CELL_LIMIT cells
-    (and on any non-simplicial subdivision), "facets" above it.
-
-    Why "facets" proves a triangulation of P = conv(ambient) when every
-    cell is a full-dimensional simplex.  It checks that every cell vertex
+    Why this proves a triangulation of P when every cell is a
+    full-dimensional simplex.  It checks that every cell vertex
     lies in P, so every cell does; that every facet (a cell minus one
     vertex) belongs to two cells or lies in a facet of P (pseudomanifold);
     that the two cells of a shared facet lie on opposite sides of it
@@ -396,28 +327,15 @@ def verify(s: Subdivision, pairwise: str = "auto") -> VerifyReport:
                 if i is not None:
                     failures.append(f"cell vertex {s.points[i]} outside ambient")
 
-    mode = pairwise
-    if mode == "auto":
-        mode = (
-            "full"
-            if len(s.cells) <= FULL_PAIRWISE_CELL_LIMIT or not simplicial
-            else "facets"
+    bad = next((c for c in s.cells if not full_dim or len(c) != d + 1), None)
+    if not full_dim:
+        failures.append(
+            f"cell {bad} is not full-dimensional: the ambient spans "
+            f"dimension {d} of {s.ambient_dim}"
         )
-    if mode == "full":
-        for i in range(len(s.cells)):
-            for j in range(i + 1, len(s.cells)):
-                if not common_face_ok(
-                    s.cell_points(s.cells[i]), s.cell_points(s.cells[j])
-                ):
-                    failures.append(
-                        f"cells {s.cells[i]} and {s.cells[j]} do not meet in a "
-                        "common face (interiors intersect or facial mismatch)"
-                    )
-                    if len(failures) > 20:
-                        break
-            if len(failures) > 20:
-                break
-    elif mode == "facets" and simplicial and full_dim:
+    elif bad is not None:
+        failures.append(f"cell {bad} is not a simplex")
+    else:
         # each facet with its cells and the side of it each cell lies on
         # (0 where a degenerate cell stopped the signed volumes)
         sides: dict[Cell, list[tuple[Cell, int]]] = {}
@@ -448,9 +366,7 @@ def verify(s: Subdivision, pairwise: str = "auto") -> VerifyReport:
                     f"their common facet {key}"
                 )
 
-    unimodular = False
-    if simplicial and full_dim and not failures:
-        unimodular = all(abs(x) == 1 for x in dets)
+    unimodular = not failures and all(abs(x) == 1 for x in dets)
 
     return VerifyReport(
         valid=not failures,

@@ -5,9 +5,11 @@ is slow on purpose: membership by a supporting-hyperplane scan or by
 Caratheodory subsets, lattice points by a bounding-box scan, pulling by
 coning over every proper face (De Loera-Rambau-Santos, *Triangulations*,
 2010), the eps-halving pull that threads a witness through one pulling
-step at a time, and the all-pairs certificate check evaluated in
-Fractions.  None of this is on the production path;
-``witness.pull_sweep`` is the library's only pulling code.
+step at a time, the all-pairs certificate check evaluated in Fractions,
+and the quadratic common-face check between every pair of cells.  None
+of this is on the production path: ``witness.pull_sweep`` is the
+library's only pulling code, and ``subdivision.verify``'s facet join its
+only structural check.
 """
 
 from __future__ import annotations
@@ -294,6 +296,99 @@ def witness_pull(
         ):
             return s_after, cand, eps
         eps /= 2
+
+
+def _is_face_of(verts: Sequence[Point], sub: frozenset[Point]) -> bool:
+    """Whether sub is a face of conv(verts) (verts full-dim in coords)."""
+    fns = polytope.inner_functionals(verts)
+    active = [fn for fn in fns if all(fn(p) == 0 for p in sub)]
+    if not active:
+        return sub == frozenset(verts)
+    zero = {v for v in verts if all(fn(v) == 0 for fn in active)}
+    return zero == set(sub)
+
+
+def common_face_ok(a_verts: Sequence[Point], b_verts: Sequence[Point]) -> bool:
+    """Exact check that conv(A) and conv(B) intersect in a common face.
+
+    Fast path: a facet hyperplane of either cell weakly separates the two
+    with the shared vertices on it.  Cells wrapped around a shared lower
+    face admit no such separator, so the fallback enumerates the vertices
+    of the intersection polytope exactly and demands each lie in the
+    convex hull of the shared vertex set.
+    """
+    A = tuple(sorted(set(a_verts)))
+    B = tuple(sorted(set(b_verts)))
+    if A == B:
+        return False  # duplicate cells
+    joint = polytope.affine_coordinates(list(A) + list(B))
+    A2, B2 = tuple(joint[: len(A)]), tuple(joint[len(A) :])
+    common = frozenset(A2) & frozenset(B2)
+    dim = len(A2[0])
+    if exact.affine_rank(A2) != dim or exact.affine_rank(B2) != dim:
+        raise DegenerateGeometry("common-face check expects full-dimensional cells")
+    if common and not (_is_face_of(A2, common) and _is_face_of(B2, common)):
+        return False
+    # quick accept: weak separator among facet hyperplanes of either cell
+    for verts, others in ((A2, B2), (B2, A2)):
+        for fn in polytope.inner_functionals(verts):
+            if all(fn(q) <= 0 for q in others) and all(
+                fn(p) == 0 for p in common
+            ):
+                return True
+    return _intersection_in_face(A2, B2, common)
+
+
+def _intersection_in_face(A: tuple, B: tuple, common: frozenset) -> bool:
+    """Whether conv(A) ∩ conv(B) equals conv(common), by vertex enumeration."""
+    from itertools import combinations
+
+    fns = polytope.inner_functionals(A) + polytope.inner_functionals(B)
+    # deduplicate coincident halfspaces (shared facets) to shrink the scan
+    seen: dict[tuple, exact.AffineFunctional] = {}
+    for fn in fns:
+        denom = next((c for c in fn.coeffs if c != 0), fn.constant)
+        key = tuple(c / denom for c in fn.coeffs) + (fn.constant / denom,)
+        seen.setdefault(key, fn)
+    fns = list(seen.values())
+    dim = len(A[0])
+    hull = list(common) if common else []
+    for idxs in combinations(range(len(fns)), dim):
+        rows = [list(fns[i].coeffs) for i in idxs]
+        rhs = [-fns[i].constant for i in idxs]
+        try:
+            x = exact.solve(rows, rhs)
+        except DegenerateGeometry:
+            continue
+        if any(fn(x) < 0 for fn in fns):
+            continue
+        if not common:
+            return False
+        if tuple(x) not in common and not polytope.in_hull_lp(tuple(x), hull):
+            return False
+    return True
+
+
+def pairwise_verdict(s: Subdivision) -> bool:
+    """Whether the cells of s subdivide conv(ambient), by all-pairs checks.
+
+    Every cell is full-dimensional with its vertices in the ambient
+    polytope, the normalized volumes sum to the ambient's, and every pair
+    of cells meets in a common face (common_face_ok).  Polytopal cells are
+    allowed.
+    """
+    d = s.ambient_dim
+    cells = [s.cell_points(c) for c in s.cells]
+    if exact.affine_rank(s.ambient) != d or any(
+        exact.affine_rank(v) != d for v in cells
+    ):
+        return False
+    fns = polytope.inner_functionals(s.ambient)
+    if any(fn(p) < 0 for p in {p for v in cells for p in v} for fn in fns):
+        return False
+    if sum(polytope.nvol_cell(v) for v in cells) != polytope.nvol_cell(s.ambient):
+        return False
+    return all(common_face_ok(a, b) for a, b in combinations(cells, 2))
 
 
 def random_polytope_subdivision(rng, dim: int) -> Subdivision:

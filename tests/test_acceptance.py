@@ -1,12 +1,15 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion."""
 
 import hashlib
+import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from sylvtri import (
+    cli,
     exact,
     family,
     invariants,
@@ -102,7 +105,7 @@ def test_criterion_04_triangulation_construction(dual_arts, _line):
     for n, expected in ((1, 2), (2, 6), (3, 42), (4, 1806)):
         tri = arts[n].triangulation
         ok &= len(tri.cells) == expected
-        rep = sd.verify(tri, pairwise="facets")
+        rep = sd.verify(tri)
         ok &= rep.valid and rep.unimodular
         ok &= rep.volume_checksum == family.sylvester(n) - 1
     elapsed = sum(times.values())
@@ -221,10 +224,10 @@ def test_criterion_10_pull_oracle_equivalence(_line):
             lit = oracles.pull_literal(lit, i)
         ok &= tri.cell_point_sets() == lit.cell_point_sets()
         ok &= wt.verify_regularity(tri, w_tri).regular
-        for pairwise in ("full", "facets"):
-            rep = sd.verify(tri, pairwise=pairwise)
-            ok &= rep.valid and rep.simplicial
-            ok &= rep.volume_checksum == polytope.nvol_cell(s.ambient)
+        rep = sd.verify(tri)
+        ok &= rep.valid and rep.simplicial
+        ok &= rep.volume_checksum == polytope.nvol_cell(s.ambient)
+        ok &= oracles.pairwise_verdict(tri)
     _line(10, "pulling oracle equivalence (100 random)", ok)
     assert ok
 
@@ -258,3 +261,34 @@ def test_artifacts_byte_identical(dual_arts, p2_arts, p1_arts, tmp_path):
         pipeline.save(art, str(path))
         got[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == ARTIFACT_SHA256
+
+
+def test_cli_verify_default_finishes_at_level4(dual_arts, tmp_path, capsys):
+    # the default `sylvtri verify` runs the linear facet join, so it takes
+    # a level-4 artifact; no flag, --mode full and --mode local give the
+    # same exit code, stdout and stderr on a valid level-3 artifact and on
+    # a tampered one (one height raised, one cell vertex moved outside)
+    arts, _ = dual_arts
+    level4 = tmp_path / "p2dual_4.json"
+    pipeline.save(arts[4], str(level4))
+    assert cli.main(["verify", str(level4)]) == 0
+    assert capsys.readouterr() == (
+        "valid=true simplicial=true unimodular=true regular=true checksum=1806\n",
+        "",
+    )
+    good = tmp_path / "p2dual_3.json"
+    pipeline.save(arts[3], str(good))
+    data = pipeline.to_json_dict(arts[3])
+    data["witness"][5] = str(Fraction(data["witness"][5]) + 1000)
+    data["points"].append([2, 2, 2])  # sorts last: store index 24
+    data["witness"].append("0")
+    data["cells"][10] = sorted(data["cells"][10][:-1] + [24])
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(data))
+    for path, code in ((good, 0), (bad, 3)):
+        runs = []
+        for mode in ([], ["--mode", "full"], ["--mode", "local"]):
+            rc = cli.main(["verify", str(path), *mode])
+            runs.append((rc, *capsys.readouterr()))
+        assert runs[0][0] == code
+        assert runs[1] == runs[0] and runs[2] == runs[0]

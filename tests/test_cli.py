@@ -84,6 +84,23 @@ def test_verify_truncated_file(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_verify_malformed_store_is_a_parse_error(tmp_path, capsys):
+    # a point with the wrong number of coordinates, and a cell whose
+    # indices are not strictly increasing
+    good = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    bad_point = json.loads(json.dumps(good))
+    bad_point["points"].append(["5"])
+    bad_point["witness"].append("0")
+    bad_cell = json.loads(json.dumps(good))
+    bad_cell["cells"][0] = bad_cell["cells"][0][::-1]
+    for data in (bad_point, bad_cell):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for mode in ([], ["--mode", "local"]):
+            assert cli.main(["verify", str(path), *mode]) == 4
+            assert "parse error" in capsys.readouterr().err
+
+
 def test_fan_p2(tmp_path, capsys):
     src = tmp_path / "p2_2.json"
     pipeline.save(pipeline.triangulate_p2(2), str(src))

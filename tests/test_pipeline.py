@@ -9,6 +9,7 @@ from sylvtri.errors import (
     ArtifactFormatError,
     FeasibilityLimit,
     UnsupportedVersion,
+    VerificationFailure,
 )
 from sylvtri.family import Family, FamilySpec
 
@@ -27,7 +28,7 @@ def test_p2dual_counts_and_certificates():
         assert len(art.triangulation.points) == len(
             family.lattice_points_p2dual(n)
         )
-        rep = sd.verify(art.triangulation, pairwise="facets")
+        rep = sd.verify(art.triangulation)
         assert rep.valid and rep.unimodular
         assert wt.verify_regularity(art.triangulation, art.witness).regular
 
@@ -63,7 +64,7 @@ def test_p2_transport():
         assert set(art.triangulation.ambient) == set(
             family.build(FamilySpec(Family.P2, n)).vertices
         )
-        rep = sd.verify(art.triangulation, pairwise="facets")
+        rep = sd.verify(art.triangulation)
         assert rep.valid and rep.unimodular
         assert wt.verify_regularity(art.triangulation, art.witness).regular
 
@@ -74,7 +75,7 @@ def test_p1_counts_and_apex_structure():
         art = pipeline.triangulate_p1(n_plus_1)
         tri = art.triangulation
         assert len(tri.cells) == 2 * (family.sylvester(n) - 1)
-        rep = sd.verify(tri, pairwise="facets")
+        rep = sd.verify(tri)
         assert rep.valid and rep.unimodular
         assert wt.verify_regularity(tri, art.witness).regular
         # each cell contains exactly one of the two cone apexes
@@ -104,12 +105,28 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_tampered_cells(tmp_path):
-    art = pipeline.triangulate_p2dual(2)
-    data = pipeline.to_json_dict(art)
-    data["cells"][0] = [0, 99]
+    # an out-of-range index, and a reversed cell: facets are keyed by
+    # sorted index tuples, so cells must be strictly increasing
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    first = data["cells"][0]
+    for cell, match in (
+        ([0, 99], "out-of-range"),
+        (first[::-1], "not strictly increasing"),
+    ):
+        data["cells"][0] = cell
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ArtifactFormatError, match=match):
+            pipeline.load(str(path))
+
+
+def test_load_rejects_point_of_wrong_dimension(tmp_path):
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    data["points"].append(["5"])  # sorts last
+    data["witness"].append("0")
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ArtifactFormatError):
+    with pytest.raises(ArtifactFormatError, match=r"point \(5,\) has 1 coordinates"):
         pipeline.load(str(path))
 
 
@@ -134,6 +151,31 @@ def test_cache_refuses_mislabelled_entry(tmp_path):
     pipeline.clear_cache()
     with pytest.raises(ArtifactFormatError):
         pipeline.triangulate_p2(3, cache_dir=str(tmp_path))
+
+
+def test_cache_verifies_entries_on_load(tmp_path):
+    # a disk entry is checked before it is served: an edited witness value
+    # fails the regularity check, a dropped cell the cell count, and the
+    # last cell overwritten by the first (count and checksum kept) the
+    # structural proof
+    cache = str(tmp_path)
+    pipeline.triangulate_p2dual(2, cache_dir=cache)
+    path = tmp_path / "p2dual_2.json"
+    edited = json.loads(path.read_text())
+    edited["witness"][1] = "50/1"
+    dropped = json.loads(path.read_text())
+    dropped["cells"].pop()
+    doubled = json.loads(path.read_text())
+    doubled["cells"][-1] = doubled["cells"][0]
+    for data, match in (
+        (edited, "regularity violation: cell"),
+        (dropped, "cell count 5 != expected 6"),
+        (doubled, r"facet \(1, 5\) shared by 3 cells"),
+    ):
+        path.write_text(json.dumps(data))
+        pipeline.clear_cache()
+        with pytest.raises(VerificationFailure, match=rf"p2dual_2\.json: {match}"):
+            pipeline.triangulate_p2dual(2, cache_dir=cache)
 
 
 def test_load_rejects_truncated_file(tmp_path):

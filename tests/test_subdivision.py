@@ -1,10 +1,11 @@
 """Subdivision engine tests: constructors, pulling, structural verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from sylvtri import family, subdivision as sd, witness as wt
+from sylvtri import exact, family, pipeline, subdivision as sd, witness as wt
 from sylvtri.errors import (
     DegenerateGeometry,
     DomainError,
@@ -93,9 +94,13 @@ def test_cone_apex_must_leave_hyperplane():
 def test_glue_level2():
     _, _, glued = build_level2()
     assert len(glued.cells) == 4
-    rep = sd.verify(glued, pairwise="full")
-    assert rep.valid and not rep.simplicial
+    # the facet join proves only simplices: the polytopal cells are
+    # refused, and the all-pairs oracle checks what they do form
+    rep = sd.verify(glued)
+    assert not rep.valid and not rep.simplicial
+    assert rep.failures == ["cell (0, 2, 4, 5) is not a simplex"]
     assert rep.volume_checksum == 6
+    assert oracles.pairwise_verdict(glued)
 
 
 def test_glue_rejects_mismatched_interfaces():
@@ -160,6 +165,7 @@ def test_verify_detects_gap_and_overlap():
     pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
     gap = sd.make_subdivision(pts, pts, [[(0, 0), (1, 0), (0, 1)]])
     assert not sd.verify(gap).valid
+    assert not oracles.pairwise_verdict(gap)
     overlap = sd.make_subdivision(
         pts,
         pts,
@@ -169,10 +175,8 @@ def test_verify_detects_gap_and_overlap():
             [(0, 0), (1, 0), (1, 1)],
         ],
     )
-    rep = sd.verify(overlap, pairwise="full")
-    assert not rep.valid
-    rep_facets = sd.verify(overlap, pairwise="facets")
-    assert not rep_facets.valid
+    assert not sd.verify(overlap).valid
+    assert not oracles.pairwise_verdict(overlap)
 
 
 def test_verify_reports_cell_vertex_outside_ambient():
@@ -182,24 +186,24 @@ def test_verify_reports_cell_vertex_outside_ambient():
     s = sd.make_subdivision(
         pts, pts[:3], [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
     )
-    for mode in ("full", "facets"):
-        rep = sd.verify(s, pairwise=mode)
-        assert rep.failures[:2] == [
-            "volume checksum 2 != ambient nvol 1",
-            "cell vertex (1, 1) outside ambient",
-        ]
+    rep = sd.verify(s)
+    assert rep.failures[:2] == [
+        "volume checksum 2 != ambient nvol 1",
+        "cell vertex (1, 1) outside ambient",
+    ]
+    assert not oracles.pairwise_verdict(s)
 
 
 def test_common_face_ok_cases():
     a = ((0, 0), (1, 0), (0, 1))
     b = ((1, 0), (0, 1), (1, 1))
-    assert sd.common_face_ok(a, b)
+    assert oracles.common_face_ok(a, b)
     c = ((0, 0), (1, 1), (2, 0))  # cuts through the interior of a
-    assert not sd.common_face_ok(a, c)
-    assert not sd.common_face_ok(a, a)
+    assert not oracles.common_face_ok(a, c)
+    assert not oracles.common_face_ok(a, a)
     # shared vertex only
     d = ((1, 0), (2, 0), (2, 1))
-    assert sd.common_face_ok(a, d)
+    assert oracles.common_face_ok(a, d)
 
 
 def test_common_face_wraparound_fan():
@@ -213,16 +217,20 @@ def test_common_face_wraparound_fan():
     ]
     for i in range(4):
         for j in range(i + 1, 4):
-            assert sd.common_face_ok(cells[i], cells[j])
+            assert oracles.common_face_ok(cells[i], cells[j])
     # overlapping wedge pair must fail
-    assert not sd.common_face_ok(cells[0], ((0, 0), (1, 1), (1, -1)))
+    assert not oracles.common_face_ok(cells[0], ((0, 0), (1, 1), (1, -1)))
 
 
-def test_verify_facets_rejects_cells_folded_onto_one_side():
-    # [0,1], [0,2], [1,2] in [0,4]: every facet is shared by two cells and
-    # the volumes sum to nvol 4, so facet counts and the checksum pass, but
-    # [0,2] folds back over [0,1] and [1,2] and (2, 4) is left uncovered;
-    # the boundary facet 0 is shared by two cells on its one inner side
+def fold_cases():
+    """Folded configurations with matched facet counts and checksum nvol 4.
+
+    [0,1], [0,2], [1,2] in [0,4]: every facet is shared by two cells and
+    the volumes sum to nvol 4, so facet counts and the checksum pass, but
+    [0,2] folds back over [0,1] and [1,2] and (2, 4) is left uncovered;
+    the boundary facet 0 is shared by two cells on its one inner side.
+    Each case comes with the two (cell, cell, facet) triples on one side.
+    """
     pts = [(x,) for x in range(5)]
     fold = sd.make_subdivision(
         pts, [(0,), (4,)], [[(0,), (1,)], [(0,), (2,)], [(1,), (2,)]], simplicial=True
@@ -235,25 +243,118 @@ def test_verify_facets_rejects_cells_folded_onto_one_side():
         [[(a, 0), (b, 0), z] for a, b in ((0, 1), (0, 2), (1, 2))],
         simplicial=True,
     )
-    for s, pair_a, pair_b in (
+    return [
         (fold, ((0, 1), (0, 2), (0,)), ((0, 2), (1, 2), (2,))),
         (cone, ((0, 1, 5), (0, 2, 5), (0, 5)), ((0, 2, 5), (1, 2, 5), (2, 5))),
-    ):
-        rep = sd.verify(s, pairwise="facets")
+    ]
+
+
+def test_verify_facets_rejects_cells_folded_onto_one_side():
+    for s, pair_a, pair_b in fold_cases():
+        rep = sd.verify(s)
         assert rep.volume_checksum == 4
         assert rep.failures == [
             f"cells {a} and {b} lie on one side of their common facet {key}"
             for a, b, key in (pair_a, pair_b)
         ]
         assert not rep.valid and not rep.unimodular
-        assert not sd.verify(s, pairwise="full").valid
+        assert not oracles.pairwise_verdict(s)
 
 
 def test_verify_unimodular_reads_signed_volumes():
-    # a valid triangulation with a cell of volume 2 is not unimodular, in
-    # both modes: the unimodularity pass reads the checksum's volumes
+    # a valid triangulation with a cell of volume 2 is not unimodular: the
+    # unimodularity pass reads the checksum's volumes
     pts = [(0, 0), (0, 1), (2, 0)]
     bumped = sd.make_subdivision(pts, pts, [pts], simplicial=True)
-    for mode in ("full", "facets"):
-        rep = sd.verify(bumped, pairwise=mode)
-        assert rep.valid and not rep.unimodular and rep.volume_checksum == 2
+    rep = sd.verify(bumped)
+    assert rep.valid and not rep.unimodular and rep.volume_checksum == 2
+    assert oracles.pairwise_verdict(bumped)
+
+
+def test_verify_refuses_polytopal_cells():
+    # two copies of one unit square in the 2x1 rectangle: checksum 2 + 2 =
+    # nvol 4, and the facet join cannot prove polytopal cells, so the first
+    # one is named instead of the pair passing
+    sq = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    rect = [(0, 0), (0, 1), (2, 0), (2, 1)]
+    s = sd.Subdivision(
+        ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)),
+        tuple(rect),
+        ((0, 1, 2, 3), (0, 1, 2, 3)),
+    )
+    assert [s.cell_points(c) for c in s.cells] == [tuple(sq)] * 2
+    rep = sd.verify(s)
+    assert rep.volume_checksum == 4
+    assert rep.failures == ["cell (0, 1, 2, 3) is not a simplex"]
+    assert not rep.valid and not rep.simplicial
+    assert not oracles.pairwise_verdict(s)
+
+
+def test_verify_refuses_lower_dimensional_ambient():
+    # a segment subdivided inside the plane: not full-dimensional, so the
+    # first cell is named
+    s = sd.make_subdivision(
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0), (2, 2)],
+        [[(0, 0), (1, 1)], [(1, 1), (2, 2)]],
+        simplicial=True,
+    )
+    rep = sd.verify(s)
+    assert rep.failures == [
+        "cell (0, 1) is not full-dimensional: the ambient spans dimension 1 of 2"
+    ]
+    assert not rep.valid and not rep.unimodular and rep.volume_checksum is None
+
+
+AGREEMENT_BUILDS = (
+    [(pipeline.triangulate_p2dual, n) for n in (1, 2, 3)]
+    + [(pipeline.triangulate_p2, n) for n in (1, 2, 3)]
+    + [(pipeline.triangulate_p1, n) for n in (2, 3)]
+)
+
+
+def perturbed(t: sd.Triangulation, rng) -> sd.Triangulation:
+    """t with one cell vertex replaced, one cell duplicated or one dropped."""
+    cells = list(t.cells)
+    k = rng.randrange(len(cells))
+    kind = rng.choice(("replace", "duplicate", "drop"))
+    if kind == "replace":
+        # prefer a new vertex that keeps the cell's volume, so the checksum
+        # still passes and the facet join has to find the fault
+        c = cells[k]
+        j = rng.randrange(len(c))
+        vol = lambda cell: abs(exact.det_int([list(t.points[i]) + [1] for i in cell]))
+        options = [
+            tuple(sorted(c[:j] + c[j + 1 :] + (i,)))
+            for i in range(len(t.points))
+            if i not in c
+        ]
+        same = [o for o in options if vol(o) == vol(c)]
+        cells[k] = rng.choice(same or options)
+    elif kind == "duplicate":
+        cells.insert(k, cells[k])
+    else:
+        del cells[k]
+    return sd.Triangulation(t.points, t.ambient, tuple(cells))
+
+
+def test_verify_agrees_with_pairwise_oracle():
+    # the facet join against all-pairs common_face_ok + checksum + ambient
+    # membership: on levels 1-3 of every family, on seeded perturbations of
+    # the ones with fewer than 42 cells and of level-3 p2dual, and on the
+    # fold cases
+    rng = random.Random(20261018)
+    verdicts = []
+    for build, n in AGREEMENT_BUILDS:
+        t = build(n).triangulation
+        cases = [t] + [perturbed(t, rng) for _ in range(6 if len(t.cells) < 42 else 0)]
+        for s in cases:
+            verdicts.append(oracles.pairwise_verdict(s))
+            assert sd.verify(s).valid == verdicts[-1], (build.__name__, n, s.cells)
+    t3 = pipeline.triangulate_p2dual(3).triangulation
+    for _ in range(12):
+        s = perturbed(t3, rng)
+        assert sd.verify(s).valid == oracles.pairwise_verdict(s), s.cells
+    for s, _, _ in fold_cases():
+        assert not sd.verify(s).valid and not oracles.pairwise_verdict(s)
+    assert True in verdicts and False in verdicts
