@@ -218,20 +218,23 @@ def affine_coordinates(points: Sequence[Point]) -> list[tuple[int, ...]]:
 def _hyperplane_functional(coords: Sequence[tuple[int, ...]], idxs: Sequence[int]):
     """Integer affine functional vanishing on the chosen points, or None.
 
-    coords live in full-rank k-space; idxs must have affine rank k-1.
+    coords live in full-rank k-space; idxs must have affine rank k-1.  For
+    exactly k points the coefficients are the k cofactors of their k-1
+    difference rows, which all vanish iff the points are affinely
+    dependent; a longer list first picks k-1 independent difference rows.
     """
     k = len(coords[0])
-    pts = [coords[i] for i in idxs]
-    base = pts[0]
-    rows: list[list[int]] = []
-    for p in pts[1:]:
-        d = [x - y for x, y in zip(p, base)]
-        if exact.rank(rows + [d]) == len(rows) + 1:
-            rows.append(d)
-        if len(rows) == k - 1:
-            break
+    base = coords[idxs[0]]
+    rows = [[x - y for x, y in zip(coords[i], base)] for i in idxs[1:]]
     if len(rows) != k - 1:
-        return None
+        diffs, rows = rows, []
+        for d in diffs:
+            if exact.rank(rows + [d]) == len(rows) + 1:
+                rows.append(d)
+            if len(rows) == k - 1:
+                break
+        if len(rows) != k - 1:
+            return None
     # coefficient j = cofactor determinant with e_j replacing the free row
     coeffs = []
     for j in range(k):
@@ -243,22 +246,27 @@ def _hyperplane_functional(coords: Sequence[tuple[int, ...]], idxs: Sequence[int
     return coeffs, const
 
 
-def _facet_index_sets(coords: Sequence[tuple[int, ...]]) -> list[frozenset[int]]:
-    """Facets (as point-index sets) of conv(coords) in full-rank k-space."""
+def _facet_index_sets(coords: Sequence[tuple[int, ...]]) -> dict[frozenset[int], tuple]:
+    """Facets (as point-index sets) of conv(coords) in full-rank k-space.
+
+    Each maps to the (coeffs, const) of the first k-subset found to span
+    it; subsets inside a facet already found are skipped.
+    """
     k = len(coords[0])
-    n = len(coords)
+    facets: dict[frozenset[int], tuple] = {}
     if k == 0:
-        return []
-    facets: set[frozenset[int]] = set()
-    for idxs in combinations(range(n), k):
+        return facets
+    for idxs in combinations(range(len(coords)), k):
+        if any(fs.issuperset(idxs) for fs in facets):
+            continue
         fn = _hyperplane_functional(coords, idxs)
         if fn is None:
             continue
         coeffs, const = fn
         vals = [sum(c * x for c, x in zip(coeffs, p)) + const for p in coords]
         if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-            facets.add(frozenset(i for i, v in enumerate(vals) if v == 0))
-    return sorted(facets, key=sorted)
+            facets[frozenset(i for i, v in enumerate(vals) if v == 0)] = fn
+    return facets
 
 
 def facet_vertex_sets(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
@@ -280,10 +288,10 @@ def inner_functionals(vertices: Sequence[Point]) -> list[exact.AffineFunctional]
     if len(vertices) == dim + 1:
         return barycentric_functionals(vertices)
     coords = list(map(tuple, vertices))
+    facets = _facet_index_sets(coords)
     fns = []
-    for fs in _facet_index_sets(coords):
-        fn = _hyperplane_functional(coords, sorted(fs))
-        coeffs, const = fn
+    for fs in sorted(facets, key=sorted):
+        coeffs, const = facets[fs]
         inside = next(i for i in range(len(vertices)) if i not in fs)
         val = sum(c * x for c, x in zip(coeffs, vertices[inside])) + const
         if val < 0:

@@ -155,8 +155,9 @@ def restrict_to_hyperplane(
             face_sets.add(on)
     if not face_sets:
         raise IncompatibleSubdivision("hyperplane misses the subdivision")
-    max_rank = max(exact.affine_rank(f) for f in face_sets)
-    cells = [f for f in face_sets if exact.affine_rank(f) == max_rank]
+    ranks = {f: exact.affine_rank(f) for f in face_sets}
+    max_rank = max(ranks.values())
+    cells = [f for f, r in ranks.items() if r == max_rank]
     on_points = [p for p in s.points if h.eval(p) == 0]
     if ambient is None:
         ambient = polytope.vertex_filter({v for f in cells for v in f})
@@ -226,11 +227,10 @@ def apply_lattice_map(
             sum(r * x for r, x in zip(row, p)) + c for row, c in zip(matrix, t)
         )
 
-    cell_lists = [tuple(img(p) for p in s.cell_points(c)) for c in s.cells]
+    images = [img(p) for p in s.points]
+    cell_lists = [tuple(images[i] for i in c) for c in s.cells]
     ambient = tuple(img(p) for p in s.ambient)
-    return make_subdivision(
-        [img(p) for p in s.points], ambient, cell_lists, isinstance(s, Triangulation)
-    )
+    return make_subdivision(images, ambient, cell_lists, isinstance(s, Triangulation))
 
 
 @dataclass

@@ -9,11 +9,12 @@ operation so regularity is certified, never assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import (
@@ -255,20 +256,84 @@ def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
     return tuple(x // g for x in row), den // g
 
 
-def _pull_cell(pts: Sequence[Point], cell: Cell, m_index: int) -> list[Cell]:
-    """The pulling refinement of one polytopal cell at a store point m in it.
+# A facet of a polytopal cell: the store indices of its vertices and an
+# integer row, >= 0 on the cell and 0 on the facet (read with _row_at)
+Facet = tuple[frozenset[int], Sequence[int]]
 
-    One pyramid from m over each facet that does not contain m.  Every
-    inner facet functional is >= 0 at m, and it is 0 exactly on the facets
-    through m, so one facet enumeration gives both the facets and the test.
+
+def _split_numerators(
+    nu: Sequence[int], lam: Sequence[int], d: int, j: int
+) -> tuple[int, ...] | None:
+    """A point's numerators in the simplex with vertex j replaced by m.
+
+    nu are its barycentric numerators over d, lam are m's.  By the Cramer
+    identity of _pyramid_inverse they are nu[j] at m's position and
+    (lam[j] nu[k] - lam[k] nu[j]) / d at every other vertex k, over lam[j]:
+    no dot product over coordinates.  None if the point lies outside.
     """
+    out = [(lam[j] * nk - lk * nu[j]) // d for lk, nk in zip(lam, nu)]
+    out[j] = nu[j]
+    return tuple(out) if min(out) >= 0 else None
+
+
+def _pyramid_facets(
+    pts: Sequence[Point], facets: Sequence[Facet], f: int, m_index: int
+) -> list[Facet]:
+    """Facets of the pyramid from a store point m (f_F(m) > 0) over facet F.
+
+    They are F and, for each facet G of the cell meeting F in a ridge
+    (affine rank d - 2), conv((F & G) + m), whose row f_F(m) f_G - f_G(m)
+    f_F, divided by its gcd, vanishes at m and on F & G and is positive on
+    F - G.  The ridges in F are its maximal proper faces, each F & H for
+    one facet H, so F & G is one iff no other F & H strictly contains it.
+    """
+    fset, frow = facets[f]
     m = pts[m_index]
-    out = []
-    for fn in polytope.inner_functionals([pts[i] for i in cell]):
-        if fn.numerator(m) != 0:
-            facet = [i for i in cell if fn.numerator(pts[i]) == 0]
-            out.append(tuple(sorted(facet + [m_index])))
+    fm = _row_at(frow, m)
+    meets = [fset & gset for gset, _ in facets]
+    out: list[Facet] = [(fset, frow)]
+    for g, (gset, grow) in enumerate(facets):
+        ridge = meets[g]
+        if g == f or any(ridge < other for h, other in enumerate(meets) if h != f):
+            continue
+        gm = _row_at(grow, m)
+        row = [fm * y - gm * x for x, y in zip(frow, grow)]
+        k = gcd(*row)
+        out.append((ridge | {m_index}, tuple([x // k for x in row])))
     return out
+
+
+def _columns(pts: Sequence[Point]) -> dict[Point, tuple[int, list[int]]]:
+    """Each vertical line of the sorted store: its first store index and
+    its points' last coordinates, which come consecutive and ascending."""
+    cols: dict[Point, tuple[int, list[int]]] = {}
+    for i, p in enumerate(pts):
+        cols.setdefault(p[:-1], (i, []))[1].append(p[-1])
+    return cols
+
+
+def _candidates(cols, verts: Sequence[Point], rows) -> Iterator[int]:
+    """Store indices of the points of a cell, read off the vertical lines.
+
+    rows are >= 0 exactly on the cell.  On a line in the cell's box each
+    row cuts an exact integer interval of last coordinates t; bisection
+    finds the store points in all of them.
+    """
+    lo = [min(x) for x in zip(*verts)]
+    hi = [max(x) for x in zip(*verts)]
+    for y, (start, ts) in cols.items():
+        if any(x < a or x > b for a, x, b in zip(lo, y, hi)):
+            continue
+        tlo, thi = lo[-1], hi[-1]
+        for row in rows:
+            a, b = row[-2], _row_at(row, y)
+            if a > 0:
+                tlo = max(tlo, -(b // a))
+            elif a < 0:
+                thi = min(thi, b // -a)
+            elif b < 0:
+                thi = tlo - 1
+        yield from range(start + bisect_left(ts, tlo), start + bisect_right(ts, thi))
 
 
 def pull_sweep(
@@ -279,20 +344,37 @@ def pull_sweep(
     This is the library's only pulling code.  It gives the cells, witness
     and drops of pulling one store point at a time and halving each drop
     from 1 until the witness certifies the refinement (the test oracle
-    witness_pull in tests/oracles.py, which pulls by the literal
-    face-based definition), made tractable for large sweeps by three
-    exact shortcuts: a maintained point-location map (which cells contain
-    each not-yet-pulled point), interpolant caching, and the convexity
-    fact that the tightest upper bound on the drop from cells not touching
-    the pulled point is attained among facet-neighbors of the cells that
-    do contain it.
+    witness_pull in tests/oracles.py), touching only the cells around the
+    pulled point.
 
-    The sweep runs on integers: each simplex cell keeps the integer
-    inverse of its homogenised vertex matrix (derived from its parent's
-    when a pull splits it), points are located by their integer
-    barycentric numerators, interpolants are integer forms in lowest
-    terms, and drop bounds are compared by cross-multiplication.  Only
-    witness values and drops are Fractions.
+    Precondition, checked in one pass before the first pull: the cells
+    subdivide a convex polytope, the heights are affine on each cell (else
+    DegenerateGeometry), the interpolants are strictly convex across every
+    interior facet (a vertex of one cell off it lies strictly above the
+    other's interpolant) and each store point that is no vertex lies at or
+    above every cell containing it (else DomainError).  This is complete,
+    as local convexity implies convexity on a convex domain (the wall
+    inequalities of De Loera-Rambau-Santos, *Triangulations*, 2010,
+    ch. 5): the function g of the interpolants is then strictly convex
+    with the cells as its domains of linearity, so A_c(p) < g(p) <= w(p)
+    for every store point p off a cell c, as the oracle check_intermediate
+    asks.  After the last pull every store point is a vertex, so the facet
+    check, run once more, proves the output witness.
+
+    A pull at m lowers g, so the precondition holds after it iff the walls
+    of the new cells, all through m, are strict.  Such a cell's
+    interpolant is A0 - eps * Lam, Lam the barycentric coordinate of m,
+    and its wall with a facet-neighbour is strict iff eps * -Lam(q) <
+    w(q) - A0(q) at the neighbour's vertices q off it.  The least such
+    bound is the supremum of the feasible drops, so it equals witness_pull's
+    whole-store bound, whose constraints follow from convexity.
+
+    The sweep runs on integers.  A simplex keeps the integer inverse of
+    its homogenised vertex matrix and a polytopal cell its facet rows; a
+    split derives its children's, and their points' numerators, from the
+    parent's.  Interpolants are integer forms in lowest terms and drop
+    bounds are compared by cross-multiplication; only witness values and
+    drops are Fractions.
     """
     pts = s.points
     npts = len(pts)
@@ -301,63 +383,41 @@ def pull_sweep(
     if len(vals) != npts:
         raise DimensionMismatch("witness length does not match the point store")
 
-    cells: set[Cell] = set(s.cells)
+    cells: set[Cell] = set()
     vert_inc: list[set[Cell]] = [set() for _ in range(npts)]
     loc: list[set[Cell]] = [set() for _ in range(npts)]  # non-vertex containment
     # forward map of loc, for cells holding points: each point with its
     # barycentric numerators in a simplex cell, None in a polytopal one
     located: dict[Cell, dict[int, tuple[int, ...] | None]] = {}
     inv: dict[Cell, tuple[Sequence[tuple[int, ...]], int]] = {}  # simplex_inverse
+    facets: dict[Cell, list[Facet]] = {}  # of polytopal cells
     cache: dict[Cell, Form] = {}  # interpolants
 
-    def interpolant(c: Cell) -> Form:
-        form = cache.get(c)
-        if form is None:
-            verts = [pts[i] for i in c]
-            cvals = [vals[i] for i in c]
-            if len(verts) == dim + 1:
-                fn = exact.affine_interpolant(verts, cvals)
-            else:
-                fn = exact.functional_on_affine_basis(verts, cvals)
-            cache[c] = form = (fn.row, fn.denominator)
-        return form
-
-    def register(c: Cell, candidates) -> None:
-        """Locate candidate points in a cell.
-
-        A simplex cell's point test is one integer dot product per vertex
-        against its inverse, computed here unless a split derived it.
-        """
-        cells.add(c)
+    def rows_of(c: Cell) -> Sequence[Sequence[int]]:
+        """A cell's inverse or facet rows, computed unless a split derived them."""
         verts = [pts[i] for i in c]
-        simplex = len(verts) == dim + 1
-        lo = [min(v[k] for v in verts) for k in range(dim)]
-        hi = [max(v[k] for v in verts) for k in range(dim)]
-        cset = set(c)
-        for i in c:
-            vert_inc[i].add(c)
-        if simplex:
+        if len(c) == dim + 1:
             if c not in inv:
                 inv[c] = polytope.simplex_inverse(verts)
-            adj = inv[c][0]
-        else:
-            fns = polytope.inner_functionals(verts)
-        found: dict[int, tuple[int, ...] | None] = {}
-        for pi in candidates:
-            if pi in cset:
-                continue
-            p = pts[pi]
-            if any(p[k] < lo[k] or p[k] > hi[k] for k in range(dim)):
-                continue
-            if simplex:
-                nums = tuple(_row_at(row, p) for row in adj)
-                inside = min(nums) >= 0
-            else:
-                nums = None
-                inside = all(fn.numerator(p) >= 0 for fn in fns)
-            if inside:
-                found[pi] = nums
-                loc[pi].add(c)
+            return inv[c][0]
+        if c not in facets:
+            facets[c] = [
+                (frozenset(i for i in c if fn.numerator(pts[i]) == 0), fn.row)
+                for fn in polytope.inner_functionals(verts)
+            ]
+        return [row for _, row in facets[c]]
+
+    def facet_sets(c: Cell) -> list[frozenset[int]]:
+        if len(c) == dim + 1:
+            return [frozenset(c[:k] + c[k + 1 :]) for k in range(len(c))]
+        return [fs for fs, _ in facets[c]]
+
+    def add(c: Cell, found: dict[int, tuple[int, ...] | None]) -> None:
+        cells.add(c)
+        for i in c:
+            vert_inc[i].add(c)
+        for pi in found:
+            loc[pi].add(c)
         if found:
             located[c] = found
 
@@ -365,14 +425,55 @@ def pull_sweep(
         cells.discard(c)
         cache.pop(c, None)
         inv.pop(c, None)
+        facets.pop(c, None)
         for i in c:
             vert_inc[i].discard(c)
         for pi in located.pop(c, ()):
             loc[pi].discard(c)
 
-    # initial point location over the starting cells
+    def check_convex(when: str) -> None:
+        """Strict convexity of the interpolants across every interior facet."""
+        walls: dict[frozenset[int], Cell] = {}
+        for c in cells:
+            for fs in facet_sets(c):
+                other = walls.setdefault(fs, c)
+                if other is c:
+                    continue
+                q = next(i for i in other if i not in fs)
+                row, den = cache[c]
+                if vals[q] * den <= _row_at(row, pts[q]):
+                    raise DomainError(
+                        f"witness is not convex {when} the pull: cells {c} and "
+                        f"{other} across facet {sorted(fs)}"
+                    )
+
+    # the certificate pass before the first pull: every interpolant, then
+    # each starting cell's points, found on vertical lines (exactly, so
+    # only a simplex computes their numerators) and checked to lie at or
+    # above the cell, then the walls
     for c in s.cells:
-        register(c, range(npts))
+        fn = exact.functional_on_affine_basis(
+            [pts[i] for i in c], [vals[i] for i in c]
+        )
+        cache[c] = (fn.row, fn.denominator)
+    cols = _columns(pts)
+    for c in s.cells:
+        row, den = cache[c]
+        rows = rows_of(c)
+        simplex = len(c) == dim + 1
+        found: dict[int, tuple[int, ...] | None] = {}
+        for pi in _candidates(cols, [pts[i] for i in c], rows):
+            if pi in c:
+                continue
+            p, v = pts[pi], vals[pi]
+            if v.numerator * den < _row_at(row, p) * v.denominator:
+                raise DomainError(
+                    f"witness is not convex before the pull: store point {p} "
+                    f"lies below cell {c}"
+                )
+            found[pi] = tuple([_row_at(r, p) for r in rows]) if simplex else None
+        add(c, found)
+    check_convex("before")
 
     log: list[tuple[Point, Fraction]] = []
     for m_index in range(npts):
@@ -381,109 +482,81 @@ def pull_sweep(
         if not incident:
             raise DomainError(f"store point {m} is not covered by any cell")
         phi_m = min(
-            Fraction(_row_at(row, m), den) for row, den in map(interpolant, incident)
+            Fraction(_row_at(row, m), den) for row, den in map(cache.get, incident)
         )
-
-        # one-ring upper bound: cells meeting the incident cells but not m
-        ring: set[Cell] = set()
-        for c in incident:
-            for i in c:
-                ring |= vert_inc[i]
-        ring -= incident
-        # the drop stays below every bound found: the least so far is
-        # bn / bd (bd > 0, None while unbounded), an unreduced integer pair
-        # compared by cross-multiplication.  The ring bound is phi_m minus
-        # the largest ring interpolant at m, found the same way.
-        bn: int | None = None
-        bd = 1
-        top_n: int | None = None
-        top_d = 1
-        for c in ring:
-            row, den = interpolant(c)
-            n = _row_at(row, m)
-            if top_n is None or n * top_d > top_n * den:
-                top_n, top_d = n, den
-        if top_n is not None:
-            pd = phi_m.denominator
-            bn, bd = phi_m.numerator * top_d - top_n * pd, pd * top_d
-            if bn <= 0:
-                raise DomainError("witness is not convex before the pull")
 
         # cells keeping m as a vertex have an eps-dependent interpolant
         # A0 - eps * Lam, with Lam the barycentric coordinate of m; collect
         # (cell, A0, Lam) triples while replacing the cells containing m.
-        # Simplices with m as a vertex are the only fixed points of a pull.
-        eps_cells: list[tuple[Cell, Form, Form, bool]] = []
+        # Simplices with m as a vertex are the only fixed points of a pull;
+        # a child's A0 is its parent's interpolant, which is phi_m at m.
+        eps_cells: list[tuple[Cell, Form, Form]] = []
         for c in vert_inc[m_index]:
             if len(c) == dim + 1:
                 adj, d = inv[c]
-                eps_cells.append((c, interpolant(c), (adj[c.index(m_index)], d), True))
+                eps_cells.append((c, cache[c], (adj[c.index(m_index)], d)))
 
         replaced = list(loc[m_index]) + [
             c for c in vert_inc[m_index] if len(c) != dim + 1
         ]
         for parent in replaced:
-            carried = located.get(parent, {}).keys() - {m_index}
+            a0 = cache[parent]
+            carried = located.get(parent, {})
             if len(parent) == dim + 1:
                 # split off the pyramids over the facets m sees, deriving
-                # each child's inverse from the parent's
-                a0 = interpolant(parent)
+                # each child's inverse and numerators from the parent's
                 adj, d = inv[parent]
-                lam = located[parent][m_index]
+                lam = carried[m_index]
                 unregister(parent)
                 for j, lj in enumerate(lam):
                     if lj <= 0:
                         continue
                     child = parent[:j] + (m_index,) + parent[j + 1 :]
-                    rows = dict(zip(child, _pyramid_inverse(adj, d, lam, j)))
                     key = tuple(sorted(child))
-                    inv[key] = (tuple([rows[i] for i in key]), lj)
-                    register(key, carried)
-                    eps_cells.append((key, a0, (adj[j], lj), True))
+                    order = sorted(range(dim + 1), key=child.__getitem__)
+                    rows = _pyramid_inverse(adj, d, lam, j)
+                    inv[key] = (tuple([rows[k] for k in order]), lj)
+                    found = {}
+                    for pi, nu in carried.items():
+                        nums = _split_numerators(nu, lam, d, j)
+                        if nums is not None and pi != m_index:
+                            found[pi] = tuple([nums[k] for k in order])
+                    add(key, found)
+                    eps_cells.append((key, a0, (adj[j], lj)))
             else:
-                children = _pull_cell(pts, parent, m_index)
+                # one pyramid from m over each facet not through m, with
+                # Lam = f_F / f_F(m) and facets derived from the parent's
+                pf = facets[parent]
                 unregister(parent)
-                saved, vals[m_index] = vals[m_index], phi_m
-                for key in children:
-                    register(key, carried)
-                    cache.pop(key, None)
-                    a0 = interpolant(key)
-                    cache.pop(key, None)
-                    if len(key) == dim + 1:
-                        adj, d = inv[key]
-                        lam = (adj[key.index(m_index)], d)
-                    else:
-                        fn = exact.functional_on_affine_basis(
-                            [pts[i] for i in key],
-                            [1 if i == m_index else 0 for i in key],
-                        )
-                        lam = (fn.row, fn.denominator)
-                    eps_cells.append((key, a0, lam, False))
-                vals[m_index] = saved
+                for f, (fset, frow) in enumerate(pf):
+                    fm = _row_at(frow, m)
+                    if fm == 0:
+                        continue
+                    key = tuple(sorted(fset | {m_index}))
+                    if len(key) != dim + 1:
+                        facets[key] = _pyramid_facets(pts, pf, f, m_index)
+                    rows = rows_of(key)
+                    found = {}
+                    for pi in carried.keys() - key:
+                        nums = tuple([_row_at(row, pts[pi]) for row in rows])
+                        if min(nums) >= 0:
+                            found[pi] = nums if len(key) == dim + 1 else None
+                    add(key, found)
+                    eps_cells.append((key, a0, (frow, fm)))
 
-        # bound eps: convexity of a piecewise-affine function is a local
-        # condition across interior facets, so for simplices only vertices
-        # of facet-neighbors can bind; constraints with Lam >= 0 relax as
-        # eps grows and are already covered by the pre-pull certificate
-        for c, (arow, ad), (lrow, ld), local_ok in eps_cells:
-            cset = set(c)
-            if local_ok:
-                targets: set[int] = set()
-                for drop in c:
-                    shared: set[Cell] | None = None
-                    for i in c:
-                        if i == drop:
-                            continue
-                        shared = (
-                            set(vert_inc[i])
-                            if shared is None
-                            else shared & vert_inc[i]
-                        )
-                    for other in shared or ():
-                        if other != c:
-                            targets.update(v for v in other if v not in cset)
-            else:
-                targets = set(range(npts)) - cset
+        # bound eps by the walls of the cells through m: the targets are
+        # their facet-neighbours' vertices, and constraints with Lam >= 0
+        # relax as eps grows.  The least bound so far is bn / bd (bd > 0,
+        # None while unbounded), an unreduced integer pair compared by
+        # cross-multiplication.
+        bn: int | None = None
+        bd = 1
+        for c, (arow, ad), (lrow, ld) in eps_cells:
+            targets: set[int] = set()
+            for fs in facet_sets(c):
+                for other in set.intersection(*[vert_inc[i] for i in fs]):
+                    targets.update(other)
+            targets.difference_update(c)
             for pi in targets:
                 p = pts[pi]
                 ln = _row_at(lrow, p)
@@ -501,10 +574,11 @@ def pull_sweep(
 
         eps = _largest_power_drop(None if bn is None else Fraction(bn, bd))
         vals[m_index] = phi_m - eps
-        for c, a0, lam, _ in eps_cells:
+        for c, a0, lam in eps_cells:
             cache[c] = _drop(a0, lam, eps)
         log.append((m, eps))
 
+    check_convex("after")
     out = RegularityWitness(tuple(vals))
     tri = subdivision.make_subdivision(
         pts, s.ambient, [tuple(pts[i] for i in c) for c in cells], simplicial=True

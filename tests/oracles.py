@@ -5,8 +5,9 @@ is slow on purpose: membership by a supporting-hyperplane scan or by
 Caratheodory subsets, lattice points by a bounding-box scan, pulling by
 coning over every proper face (De Loera-Rambau-Santos, *Triangulations*,
 2010), the eps-halving pull that threads a witness through one pulling
-step at a time, the all-pairs certificate check evaluated in Fractions,
-and the quadratic common-face check between every pair of cells.  None
+step at a time and the exact supremum of its drop, the all-pairs
+certificate check evaluated in Fractions, and the quadratic common-face
+check between every pair of cells.  None
 of this is on the production path: ``witness.pull_sweep`` is the
 library's only pulling code, and ``subdivision.verify``'s facet join its
 only structural check.
@@ -262,6 +263,21 @@ def check_intermediate(s: Subdivision, w: RegularityWitness) -> CertificateRepor
     return _check_nonstrict(s, w)
 
 
+def _phi(s: Subdivision, w: RegularityWitness, m_index: int) -> Fraction:
+    """The induced piecewise-affine value at store point m.
+
+    The minimum of the interpolants at m of the cells containing m; equal
+    to the stored value when m is already a vertex.
+    """
+    m = s.points[m_index]
+    return min(
+        cell_interpolant(s, c, w)(m)
+        for c in s.cells
+        if m_index in c
+        or contains(CellPolytope(s.cell_points(c)), m) is not Membership.OUTSIDE
+    )
+
+
 def witness_pull(
     w: RegularityWitness,
     s_before: Subdivision,
@@ -269,22 +285,14 @@ def witness_pull(
 ) -> tuple[Subdivision, RegularityWitness, Fraction]:
     """Pull at store point m and drop its height epsilon below the hull.
 
-    The new height is phi(m) - epsilon, where phi(m) is the induced
-    piecewise-affine value at m (the minimum of the incident cells'
-    interpolants; equal to the stored value when m is already a vertex).
-    Starting from epsilon = 1, the drop is halved until the convexity
-    check restricted to the affected region passes: the cells now
-    incident to m against every point, and every cell against m.
+    The new height is phi(m) - epsilon (see _phi).  Starting from
+    epsilon = 1, the drop is halved until the convexity check restricted
+    to the affected region passes: the cells now incident to m against
+    every point, and every cell against m.
     """
-    m = s_before.points[m_index]
     s_after = pull_literal(s_before, m_index)
     local_cells = [c for c in s_after.cells if m_index in c]
-    phi_m = min(
-        cell_interpolant(s_before, c, w)(m)
-        for c in s_before.cells
-        if m_index in c
-        or contains(CellPolytope(s_before.cell_points(c)), m) is not Membership.OUTSIDE
-    )
+    phi_m = _phi(s_before, w, m_index)
     eps = Fraction(1)
     while True:
         vals = list(w.values)
@@ -296,6 +304,45 @@ def witness_pull(
         ):
             return s_after, cand, eps
         eps /= 2
+
+
+def drop_bound(
+    s: Subdivision,
+    w: RegularityWitness,
+    m_index: int,
+    s_after: Subdivision | None = None,
+) -> Fraction | None:
+    """Supremum of the drops witness_pull accepts at m; None if unbounded.
+
+    Brute force in Fractions on the literal pull, for a witness that is
+    convex before it.  A new cell's interpolant after a drop eps is
+    A0 - eps * Lam, with A0 its interpolant under phi(m) at m and Lam the
+    one that is 1 at m and 0 at its other vertices.  It must lie strictly
+    below every store point p off the cell, so eps < (w(p) - A0(p)) /
+    -Lam(p) wherever Lam(p) < 0 (where Lam(p) >= 0 the constraint relaxes
+    as eps grows); and every old cell c must lie strictly below m, so
+    eps < phi(m) - A_c(m).  The supremum is the least of these bounds.
+    s_after, when given, is the literal pull pull_literal(s, m_index).
+    """
+    m = s.points[m_index]
+    if s_after is None:
+        s_after = pull_literal(s, m_index)
+    phi_m = _phi(s, w, m_index)
+    at_m = list(w.values)
+    at_m[m_index] = phi_m
+    at_m = RegularityWitness(tuple(at_m))
+    unit = RegularityWitness(tuple(int(i == m_index) for i in range(len(s.points))))
+    bounds = []
+    for c in s_after.cells:
+        if m_index not in c:
+            bounds.append(phi_m - cell_interpolant(s_after, c, w)(m))
+            continue
+        a0 = cell_interpolant(s_after, c, at_m)
+        lam = cell_interpolant(s_after, c, unit)
+        for pi, p in enumerate(s.points):
+            if pi not in c and lam(p) < 0:
+                bounds.append((w.values[pi] - a0(p)) / -lam(p))
+    return min(bounds, default=None)
 
 
 def _is_face_of(verts: Sequence[Point], sub: frozenset[Point]) -> bool:

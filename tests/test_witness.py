@@ -1,5 +1,6 @@
 """Regularity witness tests: certificates through every constructor."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -374,3 +375,212 @@ def test_verify_regularity_rejects_degenerate_cell():
     for check in (wt.verify_regularity, oracles.verify_regularity_fraction):
         with pytest.raises(DegenerateGeometry):
             check(flat, w)
+
+
+def _criterion10_configs():
+    """Acceptance criterion 10's random polytopes under the placing witness."""
+    rng = random.Random(20260823)
+    for _ in range(100):
+        s = oracles.random_polytope_subdivision(rng, rng.randint(1, 3))
+        corners = set(s.ambient)
+        yield s, RegularityWitness(tuple(0 if p in corners else 1 for p in s.points))
+
+
+def _level2_glue():
+    pb, _, glued = build_level2()
+    w = RegularityWitness((1, 0, 1))
+    w_pb = wt.witness_pullback(w, segment_triangulation(), pb)
+    return glued, wt.witness_glue(w_pb, pb, glued, (-1, 2))[0]
+
+
+def _level3_start():
+    pb, w_pb, glued, z = _level3_glue()
+    return glued, wt.witness_glue(w_pb, pb, glued, z)[0]
+
+
+def test_pull_sweep_rejects_exactly_where_oracle_rejects(monkeypatch):
+    # every store point of the level-3 glue, its height moved both ways by
+    # three sizes: the pass before the first pull rejects exactly the
+    # inputs the non-strict certificate oracle rejects, with its exception
+    # type
+    glued, w = _level3_start()
+    pulls = []
+    power_drop = wt._largest_power_drop
+    monkeypatch.setattr(
+        wt, "_largest_power_drop", lambda up: pulls.append(up) or power_drop(up)
+    )
+    rejected = 0
+    for pi in range(len(glued.points)):
+        for delta in (10**6, Fraction(1, 3), Fraction(1, 2**20)):
+            for sign in (1, -1):
+                vals = list(w.values)
+                vals[pi] += sign * delta
+                w2 = RegularityWitness(tuple(vals))
+                try:
+                    ok = oracles.check_intermediate(glued, w2).regular
+                    want = None if ok else DomainError
+                except DegenerateGeometry:
+                    want = DegenerateGeometry
+                pulls.clear()
+                if want is None:
+                    tri, w_tri, _ = wt.pull_sweep(glued, w2)
+                    assert wt.verify_regularity(tri, w_tri).regular
+                else:
+                    rejected += 1
+                    with pytest.raises(want):
+                        wt.pull_sweep(glued, w2)
+                    assert not pulls
+    assert 0 < rejected < 6 * len(glued.points)
+
+
+@pytest.mark.parametrize("start", [_level2_glue, _level3_start])
+@pytest.mark.parametrize("last_only", [False, True])
+def test_pull_sweep_rejects_drops_at_the_bound(start, last_only, monkeypatch):
+    # a drop equal to its bound leaves a flat wall, which a later pull or
+    # the pass after the last pull must catch; a flat wall left by the
+    # last pull only the pass after it can catch
+    s, w = start()
+    calls = []
+    power_drop = wt._largest_power_drop
+
+    def at_bound(upper):
+        calls.append(upper)
+        if upper is None or last_only and len(calls) < len(s.points):
+            return power_drop(upper)
+        return upper
+
+    monkeypatch.setattr(wt, "_largest_power_drop", at_bound)
+    with pytest.raises(DomainError):
+        wt.pull_sweep(s, w)
+
+
+def _sweep_bounds(s, w, monkeypatch):
+    """The bound pull_sweep passes to _largest_power_drop at each pull."""
+    bounds = []
+    power_drop = wt._largest_power_drop
+
+    def record(upper):
+        bounds.append(upper)
+        return power_drop(upper)
+
+    monkeypatch.setattr(wt, "_largest_power_drop", record)
+    wt.pull_sweep(s, w)
+    return bounds
+
+
+def _assert_bounds_match_oracle(s, w, monkeypatch):
+    bounds = _sweep_bounds(s, w, monkeypatch)
+    cur, wcur = s, w
+    for i in range(len(s.points)):
+        nxt, wnxt, _ = oracles.witness_pull(wcur, cur, i)
+        assert bounds[i] == oracles.drop_bound(cur, wcur, i, nxt)
+        cur, wcur = nxt, wnxt
+    return bounds
+
+
+def test_pull_sweep_drop_bounds_equal_oracle_supremum(monkeypatch):
+    # the facet-local bound equals the whole-store supremum at every pull,
+    # not merely the eps it rounds to
+    for start in (_level2_glue, _level3_start):
+        bounds = _assert_bounds_match_oracle(*start(), monkeypatch)
+        assert any(b is not None for b in bounds)
+    for s, w in _criterion10_configs():
+        _assert_bounds_match_oracle(s, w, monkeypatch)
+
+
+def _facets_of(verts, idx):
+    """Facets of a cell from inner_functionals: vertex indices and rows."""
+    return [
+        (frozenset(i for i, v in zip(idx, verts) if fn.numerator(v) == 0), fn.row)
+        for fn in polytope.inner_functionals(verts)
+    ]
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return tuple(x // g for x in row)
+
+
+def _polytopal_starts():
+    """Polytopal cells of the level-3 glue and of criterion 10's configurations."""
+    for s, _ in [_level3_start()] + list(_criterion10_configs()):
+        for c in s.cells:
+            if len(c) > s.ambient_dim + 1:
+                yield s, c
+
+
+def test_pyramid_facets_match_inner_functionals():
+    # pyramids from every store point of a polytopal cell over every facet
+    # it sees, and pyramids inside those: derived facets equal the child's
+    # facets found by search, rows up to a positive factor
+    checked = 0
+    for s, c in _polytopal_starts():
+        pts = s.points
+        todo = [(c, _facets_of(s.cell_points(c), c), 2)]
+        while todo:
+            cell, fs, depth = todo.pop()
+            inside = [
+                mi for mi, m in enumerate(pts)
+                if min(wt._row_at(row, m) for _, row in fs) >= 0
+            ]
+            for mi in inside:
+                for f, (fset, row) in enumerate(fs):
+                    if wt._row_at(row, pts[mi]) == 0:
+                        continue
+                    got = wt._pyramid_facets(pts, fs, f, mi)
+                    child = tuple(sorted(fset | {mi}))
+                    want = _facets_of([pts[i] for i in child], child)
+                    assert {k: _primitive(r) for k, r in got} == {
+                        k: _primitive(r) for k, r in want
+                    }
+                    checked += 1
+                    if depth > 1 and len(child) > s.ambient_dim + 1:
+                        todo.append((child, got, depth - 1))
+    assert checked > 100
+
+
+def test_split_numerators_match_derived_inverse():
+    # splitting a simplex at a store point m: the ratio test's numerators
+    # for every store point equal the derived child inverse's, and it
+    # returns None exactly where one of those is negative
+    checked = 0
+    for s, _ in [_level3_start()] + list(_criterion10_configs()):
+        pts, dim = s.points, s.ambient_dim
+        rng = random.Random(len(pts))
+        for _ in range(5):
+            verts = rng.sample(pts, dim + 1)
+            if exact.affine_rank(verts) != dim:
+                continue
+            adj, d = polytope.simplex_inverse(verts)
+            for m in pts:
+                lam = [wt._row_at(row, m) for row in adj]
+                for j, lj in enumerate(lam):
+                    if lj <= 0:
+                        continue
+                    rows = wt._pyramid_inverse(adj, d, lam, j)
+                    for p in pts:
+                        nu = [wt._row_at(row, p) for row in adj]
+                        want = tuple(wt._row_at(row, p) for row in rows)
+                        got = wt._split_numerators(nu, lam, d, j)
+                        assert got == (want if min(want) >= 0 else None)
+                        checked += 1
+    assert checked > 1000
+
+
+def test_vertical_location_matches_store_scan():
+    # the store points each starting cell finds on vertical lines are the
+    # store points the membership oracle puts in the cell
+    for s, _ in [_level3_start()] + list(_criterion10_configs()):
+        cols = wt._columns(s.points)
+        for c in s.cells:
+            verts = s.cell_points(c)
+            if len(c) == s.ambient_dim + 1:
+                rows = polytope.simplex_inverse(verts)[0]
+            else:
+                rows = [fn.row for fn in polytope.inner_functionals(verts)]
+            geom = oracles.CellPolytope(verts)
+            want = [
+                i for i, p in enumerate(s.points)
+                if oracles.contains(geom, p) is not oracles.Membership.OUTSIDE
+            ]
+            assert list(wt._candidates(cols, verts, rows)) == want
