@@ -289,62 +289,3 @@ def functional_on_affine_basis(
         if fn(p) != Fraction(v):
             raise DegenerateGeometry("values are not affine on the given points")
     return fn
-
-
-def feasible_nonneg_combination(
-    columns: Sequence[Row], target: Row
-) -> bool:
-    """Whether target = sum x_j columns[j] has a solution with all x_j >= 0.
-
-    Exact phase-one simplex over Fraction with Bland's rule, so the answer
-    is certified and the iteration always terminates.
-    """
-    m = len(target)
-    n = len(columns)
-    a = [[Fraction(col[i]) for col in columns] for i in range(m)]
-    b = [Fraction(t) for t in target]
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    # artificial basis; tableau rows end with the rhs column
-    rows = [
-        a[i]
-        + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        + [b[i]]
-        for i in range(m)
-    ]
-    basis = list(range(n, n + m))
-    # reduced costs for minimizing the artificial sum
-    red = [sum(rows[i][j] for i in range(m)) for j in range(n)]
-    red += [Fraction(0)] * m
-    red.append(sum(b))
-    while True:
-        enter = next((j for j in range(n + m) if red[j] > 0), -1)
-        if enter < 0:
-            break
-        leave = -1
-        best = None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return False
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            f = rows[i][enter]
-            if i != leave and f != 0:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        f = red[enter]
-        if f != 0:
-            red = [x - f * y for x, y in zip(red, rows[leave])]
-        basis[leave] = enter
-    return red[-1] == 0

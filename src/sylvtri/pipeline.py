@@ -136,15 +136,8 @@ def triangulate_p2dual(
     w_pb = witness.witness_pullback(w_prev, t_prev, pb)
     prov.append({"step": "pullback", "level": n})
 
-    half = _clip_hyperplane(n)
     z = (-1,) * (n - 1) + (family.sylvester(n - 1) - 1,)
-    cone = subdivision.cone_subdivision(
-        z,
-        subdivision.restrict_to_hyperplane(
-            pb, half, [v for v in pb.ambient if half.eval(v) == 0]
-        ),
-    )
-    glued = subdivision.glue(pb, cone)
+    glued = subdivision.glue_cone(pb, _clip_hyperplane(n), z, build_vertices(spec))
     w_glued, omega = witness.witness_glue(w_pb, pb, glued, z)
     prov.append({"step": "glue", "apex": list(z), "omega": _frac_str(omega)})
 
@@ -203,8 +196,9 @@ def triangulate_p1(
     """Triangulation of the level-(n+1) first-family simplex.
 
     The second-family triangulation is embedded at last coordinate 0 and
-    coned twice: first to the last basis vector (free apex height 0), then
-    glued to the cone at the weight vertex (constrained apex height).
+    coned to the last basis vector (free apex height 0); that cone is then
+    glued, along {x_{n+1} = 0}, to the cone at the weight vertex
+    (constrained apex height).
     """
     spec = FamilySpec(Family.P1, n_plus_1)
     _require_feasible(n_plus_1 - 1, max_cells)
@@ -229,7 +223,8 @@ def triangulate_p1(
     w_minus = witness.witness_cone(w_emb, emb, minus, e_last, omega=0)
 
     w1 = family.weight_vertex_w1(n_plus_1)
-    glued = subdivision.glue(minus, subdivision.cone_subdivision(w1, emb))
+    last = HalfSpace(tuple(Fraction(int(i == n)) for i in range(n_plus_1)), Fraction(0))
+    glued = subdivision.glue_cone(minus, last, w1, build_vertices(spec))
     w_glued, omega = witness.witness_glue(w_minus, minus, glued, w1)
     if not isinstance(glued, Triangulation):
         raise VerificationFailure("cone gluing did not yield simplices")

@@ -1,4 +1,4 @@
-"""Lattice polytopes and simplices: volumes, duality, facets, hull membership.
+"""Lattice polytopes and simplices: volumes, duality, facets.
 
 Points are plain tuples of ints (lattice) or Fractions (rational).  All cells
 appearing in this project are low-dimensional with few vertices, so face
@@ -12,17 +12,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import exact
 from .errors import DegenerateGeometry, DimensionMismatch, DomainError
 
 Point = tuple[int, ...]
 RatPoint = tuple[Fraction, ...]
-
-
-def as_fraction_point(p: Sequence[Fraction | int]) -> RatPoint:
-    return tuple(Fraction(x) for x in p)
 
 
 @dataclass(frozen=True)
@@ -216,25 +212,15 @@ def affine_coordinates(points: Sequence[Point]) -> list[tuple[int, ...]]:
 
 
 def _hyperplane_functional(coords: Sequence[tuple[int, ...]], idxs: Sequence[int]):
-    """Integer affine functional vanishing on the chosen points, or None.
+    """Integer affine functional vanishing on k chosen points, or None.
 
-    coords live in full-rank k-space; idxs must have affine rank k-1.  For
-    exactly k points the coefficients are the k cofactors of their k-1
-    difference rows, which all vanish iff the points are affinely
-    dependent; a longer list first picks k-1 independent difference rows.
+    coords live in full-rank k-space and idxs names exactly k of them.  The
+    coefficients are the k cofactors of their k-1 difference rows, which
+    all vanish iff the points are affinely dependent (then None).
     """
     k = len(coords[0])
     base = coords[idxs[0]]
     rows = [[x - y for x, y in zip(coords[i], base)] for i in idxs[1:]]
-    if len(rows) != k - 1:
-        diffs, rows = rows, []
-        for d in diffs:
-            if exact.rank(rows + [d]) == len(rows) + 1:
-                rows.append(d)
-            if len(rows) == k - 1:
-                break
-        if len(rows) != k - 1:
-            return None
     # coefficient j = cofactor determinant with e_j replacing the free row
     coeffs = []
     for j in range(k):
@@ -300,27 +286,6 @@ def inner_functionals(vertices: Sequence[Point]) -> list[exact.AffineFunctional]
             exact.AffineFunctional(tuple(Fraction(c) for c in coeffs), Fraction(const))
         )
     return fns
-
-
-def in_hull_lp(p: Sequence[Fraction | int], points: Sequence[Point]) -> bool:
-    """Whether p is a convex combination of points, by exact linear programming.
-
-    Polynomial in the number of points, so it serves large point sets.
-    """
-    pf = as_fraction_point(p)
-    cols = [list(q) + [1] for q in points]
-    return exact.feasible_nonneg_combination(cols, list(pf) + [1])
-
-
-def vertex_filter(points: Iterable[Point]) -> tuple[Point, ...]:
-    """Extreme points of a finite point set (vertices of its convex hull)."""
-    pts = sorted(set(points))
-    out = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not others or not in_hull_lp(p, others):
-            out.append(p)
-    return tuple(out)
 
 
 def triangulate_cell(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:

@@ -2,15 +2,15 @@
 
 A Subdivision holds a lexicographically sorted point store plus maximal
 cells as sorted index tuples into that store.  Constructors (column
-pullback, restriction, cone, glue, lattice map) are pure: each returns a
-new Subdivision.  The pulling refinement is witness.pull_sweep.
+pullback, restriction, cone, cone gluing along a facet, lattice map) are
+pure: each returns a new Subdivision, its ambient vertices given or
+derived in closed form.  The pulling refinement is witness.pull_sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from fractions import Fraction
 from operator import and_
 from typing import Callable, Iterable, Sequence
 
@@ -105,7 +105,6 @@ def pullback_restricted(
     s: Subdivision,
     top_height: Callable[[Point], int],
     all_points: Sequence[Point],
-    ambient: Sequence[Point] | None = None,
 ) -> Subdivision:
     """Clipped column subdivision over a base subdivision.
 
@@ -113,6 +112,14 @@ def pullback_restricted(
     Conv{(v_j, -1), (v_j, top_height(v_j))}, degenerate pairs merged.
     ``all_points`` must list every lattice point of the clipped region.
     Column tops must be integral; a fractional top is an invariant violation.
+
+    The ambient is the set of distinct points (v, -1) and (v, top_height(v))
+    over the vertices v of s.ambient, for any base.  The ambient polytope is
+    the hull of these segment ends, so its vertices are among them.  Each is one:
+    a convex combination that lands over an extreme point v of the base
+    projects to a convex combination landing on v, so it can use only
+    points over v, and those are the segment {v} x [-1, top_height(v)],
+    whose two ends are extreme.
     """
     cell_lists = []
     for c in s.cells:
@@ -125,24 +132,19 @@ def pullback_restricted(
             col.add((*v, -1))
             col.add((*v, h))
         cell_lists.append(tuple(sorted(col)))
-    if ambient is None:
-        cand = set()
-        for v in s.ambient:
-            cand.add((*v, -1))
-            cand.add((*v, top_height(v)))
-        ambient = polytope.vertex_filter(cand)
-    return make_subdivision(all_points, ambient, cell_lists, simplicial=False)
+    ambient = {(*v, t) for v in s.ambient for t in (-1, top_height(v))}
+    return make_subdivision(all_points, sorted(ambient), cell_lists, simplicial=False)
 
 
 def restrict_to_hyperplane(
-    s: Subdivision, h: HalfSpace, ambient: Sequence[Point] | None = None
+    s: Subdivision, h: HalfSpace, ambient: Sequence[Point]
 ) -> Subdivision:
     """Induced subdivision on the slice of the ambient polytope by h's boundary.
 
     Every cell must meet the hyperplane in a face of itself (in particular no
-    cell may have vertices strictly on both sides).  When the slice is a
-    facet of the ambient polytope its vertices are the ambient vertices on
-    the hyperplane and may be passed in to skip the hull computation.
+    cell may have vertices strictly on both sides).  ``ambient`` lists the
+    slice's vertices: when the slice is a facet of the ambient polytope,
+    they are the ambient vertices on the hyperplane.
     """
     face_sets: set[tuple[Point, ...]] = set()
     for c in s.cells:
@@ -159,52 +161,45 @@ def restrict_to_hyperplane(
     max_rank = max(ranks.values())
     cells = [f for f, r in ranks.items() if r == max_rank]
     on_points = [p for p in s.points if h.eval(p) == 0]
-    if ambient is None:
-        ambient = polytope.vertex_filter({v for f in cells for v in f})
     simplicial = all(len(f) == max_rank + 1 for f in cells)
     return make_subdivision(on_points, ambient, cells, simplicial)
 
 
-def _interface_halfspace(a: Subdivision, b: Subdivision) -> HalfSpace:
-    common = sorted(set(a.ambient) & set(b.ambient))
-    d = exact.affine_rank(a.ambient)
-    if not common or exact.affine_rank(common) != d - 1:
-        raise GluingMismatch("shared ambient vertices do not span a common facet")
-    coords = [tuple(p) for p in common]
-    fn = polytope._hyperplane_functional(coords, list(range(len(coords))))
-    if fn is None:
-        raise GluingMismatch("degenerate interface")
-    coeffs, const = fn
-    half = HalfSpace(tuple(Fraction(c) for c in coeffs), Fraction(const))
-    a_vals = [half.eval(v) for v in a.ambient]
-    b_vals = [half.eval(v) for v in b.ambient]
-    if all(v <= 0 for v in a_vals) and all(v >= 0 for v in b_vals):
-        return half
-    if all(v >= 0 for v in a_vals) and all(v <= 0 for v in b_vals):
-        return half
-    raise GluingMismatch("parts are not on opposite sides of the interface")
+def glue_cone(
+    s: Subdivision, half: HalfSpace, z: Point, ambient: Sequence[Point]
+) -> Subdivision:
+    """Union of s with the cone from apex z over s's facet slice.
 
+    The interface is the part of s.ambient on the boundary of ``half``.
+    It must span a facet of s's ambient polytope, with s.ambient on one
+    closed side and z strictly on the other; else GluingMismatch.
+    ``ambient`` is the vertex list of the union, conv(s.ambient + z),
+    which every caller knows in closed form.
 
-def glue(a: Subdivision, b: Subdivision) -> Subdivision:
-    """Union of two subdivisions along a common facet.
-
-    The two parts must induce the identical subdivision on the interface;
-    this is verified, not assumed.
+    The two parts agree on the interface by construction: the cone is
+    built on the slice of s itself, so its cells there are exactly the
+    cells s induces, and comparing the two restrictions would have nothing
+    left to catch.  Each cone cell lies on z's side of the hyperplane and
+    each cell of s on the other, so no two interiors meet.  The union
+    covers conv(ambient) when z lies beneath every other facet of s's
+    polytope, as the pipeline's apices do; verify proves the final result.
     """
-    half = _interface_halfspace(a, b)
-    interface = [v for v in a.ambient if half.eval(v) == 0]
-    ra = restrict_to_hyperplane(a, half, interface)
-    rb = restrict_to_hyperplane(b, half, interface)
-    if ra.cell_point_sets() != rb.cell_point_sets():
-        raise GluingMismatch("interface subdivisions disagree")
-    cell_lists = [a.cell_points(c) for c in a.cells] + [
-        b.cell_points(c) for c in b.cells
+    vals = [half.eval(v) for v in s.ambient]
+    interface = [v for v, val in zip(s.ambient, vals) if val == 0]
+    if not interface or exact.affine_rank(interface) != s.dim - 1:
+        raise GluingMismatch("shared ambient vertices do not span a common facet")
+    zval = half.eval(z)
+    if not (
+        (zval > 0 and all(v <= 0 for v in vals))
+        or (zval < 0 and all(v >= 0 for v in vals))
+    ):
+        raise GluingMismatch("parts are not on opposite sides of the interface")
+    cone = cone_subdivision(z, restrict_to_hyperplane(s, half, interface))
+    cell_lists = [s.cell_points(c) for c in s.cells] + [
+        cone.cell_points(c) for c in cone.cells
     ]
-    ambient = polytope.vertex_filter(tuple(a.ambient) + tuple(b.ambient))
-    simplicial = isinstance(a, Triangulation) and isinstance(b, Triangulation)
-    return make_subdivision(
-        list(a.points) + list(b.points), ambient, cell_lists, simplicial
-    )
+    simplicial = isinstance(s, Triangulation) and isinstance(cone, Triangulation)
+    return make_subdivision(list(s.points) + [z], ambient, cell_lists, simplicial)
 
 
 def apply_lattice_map(

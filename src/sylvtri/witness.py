@@ -37,14 +37,6 @@ class RegularityWitness:
             self, "values", tuple(Fraction(v) for v in self.values)
         )
 
-    def value_at(self, s: Subdivision, p: Point) -> Fraction:
-        return self.values[s.index[p]]
-
-    def scaled(self, factor: int) -> "RegularityWitness":
-        if factor <= 0:
-            raise DomainError("witness scaling factor must be positive")
-        return RegularityWitness(tuple(v * factor for v in self.values))
-
 
 @dataclass
 class CertificateReport:

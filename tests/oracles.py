@@ -1,16 +1,18 @@
 """Brute-force oracles the tests check the library against.
 
 Each oracle follows its textbook definition as literally as possible and
-is slow on purpose: membership by a supporting-hyperplane scan or by
-Caratheodory subsets, lattice points by a bounding-box scan, pulling by
-coning over every proper face (De Loera-Rambau-Santos, *Triangulations*,
-2010), the eps-halving pull that threads a witness through one pulling
-step at a time and the exact supremum of its drop, the all-pairs
-certificate check evaluated in Fractions, and the quadratic common-face
-check between every pair of cells.  None
-of this is on the production path: ``witness.pull_sweep`` is the
-library's only pulling code, and ``subdivision.verify``'s facet join its
-only structural check.
+is slow on purpose: membership by a supporting-hyperplane scan, by
+Caratheodory subsets or by an exact phase-one simplex (the hull LP, and
+through it the extreme points of a point set), lattice points by a
+bounding-box scan, pulling by coning over every proper face (De
+Loera-Rambau-Santos, *Triangulations*, 2010), the eps-halving pull that
+threads a witness through one pulling step at a time and the exact
+supremum of its drop, the all-pairs certificate check evaluated in
+Fractions, and the quadratic common-face check between every pair of
+cells.  None of this is on the production path: ``witness.pull_sweep``
+is the library's only pulling code, ``subdivision.verify``'s facet join
+its only structural check, and every ambient the pipeline builds is
+known in closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from sylvtri import exact, polytope, subdivision as sd
 from sylvtri.errors import BoxLimitExceeded, DegenerateGeometry, DimensionMismatch
@@ -78,7 +80,7 @@ def contains(
     k = exact.affine_rank(verts)
     if k < len(verts[0]):
         # point must lie in the affine hull first
-        if exact.affine_rank(list(verts) + [polytope.as_fraction_point(p)]) > k:
+        if exact.affine_rank(list(verts) + [as_fraction_point(p)]) > k:
             return Membership.OUTSIDE
         aug = polytope.affine_coordinates(list(verts) + [tuple(p)])
         cverts, cp = aug[:-1], aug[-1]
@@ -99,7 +101,7 @@ def in_hull_caratheodory(p: Sequence[Fraction | int], points: Sequence[Point]) -
     Checks all affinely independent subsets of size <= dim+1 (Caratheodory),
     solving each small system exactly.
     """
-    pf = polytope.as_fraction_point(p)
+    pf = as_fraction_point(p)
     k = exact.affine_rank(points)
     for size in range(1, k + 2):
         for subset in combinations(points, size):
@@ -129,6 +131,90 @@ def in_hull_caratheodory(p: Sequence[Fraction | int], points: Sequence[Point]) -
             ):
                 return True
     return False
+
+
+def as_fraction_point(p: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x) for x in p)
+
+
+def feasible_nonneg_combination(
+    columns: Sequence[exact.Row], target: exact.Row
+) -> bool:
+    """Whether target = sum x_j columns[j] has a solution with all x_j >= 0.
+
+    Exact phase-one simplex over Fraction with Bland's rule, so the answer
+    is certified and the iteration always terminates.
+    """
+    m = len(target)
+    n = len(columns)
+    a = [[Fraction(col[i]) for col in columns] for i in range(m)]
+    b = [Fraction(t) for t in target]
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+    # artificial basis; tableau rows end with the rhs column
+    rows = [
+        a[i]
+        + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        + [b[i]]
+        for i in range(m)
+    ]
+    basis = list(range(n, n + m))
+    # reduced costs for minimizing the artificial sum
+    red = [sum(rows[i][j] for i in range(m)) for j in range(n)]
+    red += [Fraction(0)] * m
+    red.append(sum(b))
+    while True:
+        enter = next((j for j in range(n + m) if red[j] > 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][-1] / rows[i][enter]
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return False
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            f = rows[i][enter]
+            if i != leave and f != 0:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        f = red[enter]
+        if f != 0:
+            red = [x - f * y for x, y in zip(red, rows[leave])]
+        basis[leave] = enter
+    return red[-1] == 0
+
+
+def in_hull_lp(p: Sequence[Fraction | int], points: Sequence[Point]) -> bool:
+    """Whether p is a convex combination of points, by exact linear programming.
+
+    Polynomial in the number of points, so it serves large point sets.
+    """
+    pf = as_fraction_point(p)
+    cols = [list(q) + [1] for q in points]
+    return feasible_nonneg_combination(cols, list(pf) + [1])
+
+
+def vertex_filter(points: Iterable[Point]) -> tuple[Point, ...]:
+    """Extreme points of a finite point set (vertices of its convex hull)."""
+    pts = sorted(set(points))
+    out = []
+    for i, p in enumerate(pts):
+        others = pts[:i] + pts[i + 1 :]
+        if not others or not in_hull_lp(p, others):
+            out.append(p)
+    return tuple(out)
 
 
 def lattice_points_bruteforce(
@@ -411,7 +497,7 @@ def _intersection_in_face(A: tuple, B: tuple, common: frozenset) -> bool:
             continue
         if not common:
             return False
-        if tuple(x) not in common and not polytope.in_hull_lp(tuple(x), hull):
+        if tuple(x) not in common and not in_hull_lp(tuple(x), hull):
             return False
     return True
 
@@ -449,7 +535,7 @@ def random_polytope_subdivision(rng, dim: int) -> Subdivision:
             tuple(rng.randint(-span, span) for _ in range(dim))
             for _ in range(rng.randint(dim + 1, 8))
         }
-        verts = polytope.vertex_filter(pts)
+        verts = vertex_filter(pts)
         if exact.affine_rank(verts) == dim:
             return sd.make_subdivision(
                 lattice_points_bruteforce(CellPolytope(verts)), verts, [verts]

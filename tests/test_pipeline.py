@@ -13,6 +13,8 @@ from sylvtri.errors import (
 )
 from sylvtri.family import Family, FamilySpec
 
+import oracles
+
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
@@ -83,6 +85,31 @@ def test_p1_counts_and_apex_structure():
         apexes = {tri.index[e_last], tri.index[family.weight_vertex_w1(n_plus_1)]}
         for c in tri.cells:
             assert len(apexes & set(c)) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_p2dual_ambients_match_hull_oracle(n):
+    # the pullback's and the glue's closed-form ambients equal the extreme
+    # points of the candidate sets they were once filtered from
+    prev = pipeline.triangulate_p2dual(n - 1).triangulation
+    h = lambda y: family.hyperplane_height(n, y)
+    clipped = [p for p in family.lattice_points_p2dual(n) if p[-1] <= h(p[:-1])]
+    pb = sd.pullback_restricted(prev, h, clipped)
+    columns = {(*v, t) for v in prev.ambient for t in (-1, h(v))}
+    assert pb.ambient == oracles.vertex_filter(columns)
+    z = (-1,) * (n - 1) + (family.sylvester(n - 1) - 1,)
+    glued = pipeline.triangulate_p2dual(n).triangulation.ambient
+    assert tuple(sorted(glued)) == oracles.vertex_filter(pb.ambient + (z,))
+
+
+@pytest.mark.parametrize("n_plus_1", [3, 4, 5])
+def test_p1_ambient_matches_hull_oracle(n_plus_1):
+    n = n_plus_1 - 1
+    t2 = pipeline.triangulate_p2(n).triangulation
+    e_last = tuple(int(i == n) for i in range(n_plus_1))
+    cand = [(*v, 0) for v in t2.ambient] + [e_last, family.weight_vertex_w1(n_plus_1)]
+    glued = pipeline.triangulate_p1(n_plus_1).triangulation.ambient
+    assert tuple(sorted(glued)) == oracles.vertex_filter(cand)
 
 
 def test_determinism():

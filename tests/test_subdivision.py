@@ -27,15 +27,17 @@ def segment_triangulation():
     )
 
 
+LEVEL2_HALF = HalfSpace((Fraction(1), Fraction(1)), Fraction(0))
+LEVEL2_VERTICES = ((-1, -1), (1, -1), (-1, 2))
+
+
 def build_level2():
-    """The clipped-column / cone / glue trace from level 1 to level 2."""
+    """The column pullback and cone glue from level 1 to level 2."""
     base = segment_triangulation()
     h = lambda y: family.hyperplane_height(2, y)
     clipped = [p for p in family.lattice_points_p2dual(2) if p[1] <= h(p[:1])]
     pb = sd.pullback_restricted(base, h, clipped)
-    half = HalfSpace((Fraction(1), Fraction(1)), Fraction(0))
-    cone = sd.cone_subdivision((-1, 2), sd.restrict_to_hyperplane(pb, half))
-    return pb, cone, sd.glue(pb, cone)
+    return pb, sd.glue_cone(pb, LEVEL2_HALF, (-1, 2), LEVEL2_VERTICES)
 
 
 def test_store_must_be_sorted_unique():
@@ -53,7 +55,7 @@ def test_triangulation_rejects_non_simplex_cells():
 
 
 def test_pullback_columns():
-    pb, _, _ = build_level2()
+    pb, _ = build_level2()
     assert pb.cell_point_sets() == {
         frozenset({(-1, -1), (0, -1), (-1, 1), (0, 0)}),
         frozenset({(0, -1), (1, -1), (0, 0)}),
@@ -62,13 +64,13 @@ def test_pullback_columns():
 
 
 def test_restrict_to_hyperplane():
-    pb, _, _ = build_level2()
-    half = HalfSpace((Fraction(1), Fraction(1)), Fraction(0))
-    s = sd.restrict_to_hyperplane(pb, half)
+    pb, _ = build_level2()
+    s = sd.restrict_to_hyperplane(pb, LEVEL2_HALF, [(-1, 1), (1, -1)])
     assert s.cell_point_sets() == {
         frozenset({(-1, 1), (0, 0)}),
         frozenset({(0, 0), (1, -1)}),
     }
+    assert s.ambient == ((-1, 1), (1, -1))
 
 
 def test_restrict_rejects_crossing_cells():
@@ -78,7 +80,9 @@ def test_restrict_rejects_crossing_cells():
         [[(0, 0), (2, 0), (0, 2), (2, 2)]],
     )
     with pytest.raises(IncompatibleSubdivision):
-        sd.restrict_to_hyperplane(quad, HalfSpace((Fraction(1), Fraction(0)), Fraction(-1)))
+        sd.restrict_to_hyperplane(
+            quad, HalfSpace((Fraction(1), Fraction(0)), Fraction(-1)), [(1, 0), (1, 2)]
+        )
 
 
 def test_cone_apex_must_leave_hyperplane():
@@ -92,7 +96,7 @@ def test_cone_apex_must_leave_hyperplane():
 
 
 def test_glue_level2():
-    _, _, glued = build_level2()
+    _, glued = build_level2()
     assert len(glued.cells) == 4
     # the facet join proves only simplices: the polytopal cells are
     # refused, and the all-pairs oracle checks what they do form
@@ -103,33 +107,41 @@ def test_glue_level2():
     assert oracles.pairwise_verdict(glued)
 
 
-def test_glue_rejects_mismatched_interfaces():
-    # refine one side's interface only: the edge [(-1,1),(0,0)] is split
-    base = sd.make_subdivision(
-        [(-1, 1), (1, -1)], [(-1, 1), (1, -1)], [[(-1, 1), (1, -1)]],
-        simplicial=True,
-    )
-    top = sd.cone_subdivision((-1, 2), base)
-    split = sd.make_subdivision(
-        [(-1, 1), (0, 0), (1, -1)],
-        [(-1, 1), (1, -1)],
-        [[(-1, 1), (0, 0)], [(0, 0), (1, -1)]],
-        simplicial=True,
-    )
-    bottom = sd.cone_subdivision((-1, -1), split)
-    with pytest.raises(GluingMismatch):
-        sd.glue(top, bottom)
+@pytest.mark.parametrize("apex", [(-2, 0), (-2, 2)], ids=["base_side", "on_plane"])
+def test_glue_cone_rejects_apex_off_the_far_side(apex):
+    pb, _ = build_level2()
+    with pytest.raises(GluingMismatch, match="not on opposite sides"):
+        sd.glue_cone(pb, LEVEL2_HALF, apex, LEVEL2_VERTICES)
 
 
 def test_glue_rejects_non_facet_overlap():
-    a = sd.make_subdivision([(0,), (1,)], [(0,), (1,)], [[(0,), (1,)]])
-    b = sd.make_subdivision([(5,), (6,)], [(5,), (6,)], [[(5,), (6,)]])
-    with pytest.raises(GluingMismatch):
-        sd.glue(a, b)
+    # a hyperplane missing the ambient vertices, or meeting them only in
+    # a vertex of the level-2 columns' triangle
+    seg = sd.make_subdivision([(0,), (1,)], [(0,), (1,)], [[(0,), (1,)]])
+    pb, _ = build_level2()
+    for s, half, apex in [
+        (seg, HalfSpace((Fraction(1),), Fraction(-5)), (6,)),
+        (pb, HalfSpace((Fraction(1), Fraction(0)), Fraction(-1)), (2, -1)),
+        (pb, HalfSpace((Fraction(1), Fraction(0)), Fraction(-2)), (3, -1)),
+    ]:
+        with pytest.raises(GluingMismatch, match="do not span a common facet"):
+            sd.glue_cone(s, half, apex, s.ambient + (apex,))
+
+
+def test_glue_cone_rejects_cell_crossing_the_interface():
+    # the store reaches below the triangle its ambient declares
+    s = sd.make_subdivision(
+        [(0, 0), (2, 0), (0, 2), (1, -1)],
+        [(0, 0), (2, 0), (0, 2)],
+        [[(0, 0), (2, 0), (0, 2)], [(1, -1), (2, 0), (0, 2)]],
+    )
+    half = HalfSpace((Fraction(0), Fraction(1)), Fraction(0))
+    with pytest.raises(IncompatibleSubdivision, match="crosses"):
+        sd.glue_cone(s, half, (1, -2), [(0, 2), (1, -2), (2, 0), (0, 0)])
 
 
 def test_pull_matches_literal_definition_on_trace():
-    pb, _, glued = build_level2()
+    pb, glued = build_level2()
     base = segment_triangulation()
     w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
     w_glued, _ = wt.witness_glue(w_pb, pb, glued, (-1, 2))
