@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DegenerateGeometry, DimensionMismatch
 
@@ -241,51 +241,3 @@ class AffineFunctional:
             raise DimensionMismatch("point dimension does not match functional")
         # map stops at the point's end, so row[-1] is the constant term
         return sum(map(mul, self.row, point)) + self.row[-1]
-
-    def scaled(self, factor: Fraction | int) -> "AffineFunctional":
-        f = Fraction(factor)
-        return AffineFunctional(tuple(c * f for c in self.coeffs), self.constant * f)
-
-
-def affine_interpolant(
-    vertices: Sequence[Sequence[Fraction | int]],
-    values: Sequence[Fraction | int],
-) -> AffineFunctional:
-    """Unique affine function through (vertex_i, value_i).
-
-    Requires d+1 affinely independent vertices spanning dimension d.
-    """
-    if not vertices:
-        raise DimensionMismatch("no vertices given")
-    dim = len(vertices[0])
-    if len(vertices) != dim + 1 or len(values) != dim + 1:
-        raise DimensionMismatch("need exactly d+1 vertices and values in dimension d")
-    rows = [list(v) + [1] for v in vertices]
-    sol = solve(rows, values)
-    return AffineFunctional(tuple(sol[:dim]), sol[dim])
-
-
-def functional_on_affine_basis(
-    points: Sequence[Sequence[Fraction | int]],
-    values: Sequence[Fraction | int],
-) -> AffineFunctional:
-    """Affine interpolant through a (possibly redundant) point/value list.
-
-    Picks an affinely independent spanning subset, interpolates there, and
-    checks the remaining points for consistency.  The point set must span the
-    full ambient dimension.
-    """
-    dim = len(points[0])
-    chosen: list[int] = [0]
-    for i in range(1, len(points)):
-        if len(chosen) == dim + 1:
-            break
-        if affine_rank([points[j] for j in chosen] + [points[i]]) == len(chosen):
-            chosen.append(i)
-    if len(chosen) != dim + 1:
-        raise DegenerateGeometry("points do not affinely span the ambient space")
-    fn = affine_interpolant([points[i] for i in chosen], [values[i] for i in chosen])
-    for p, v in zip(points, values):
-        if fn(p) != Fraction(v):
-            raise DegenerateGeometry("values are not affine on the given points")
-    return fn

@@ -54,9 +54,6 @@ class Subdivision:
     def cell_points(self, cell: Cell) -> tuple[Point, ...]:
         return tuple(self.points[i] for i in cell)
 
-    def cell_point_sets(self) -> set[frozenset[Point]]:
-        return {frozenset(self.cell_points(c)) for c in self.cells}
-
 
 @dataclass(frozen=True)
 class Triangulation(Subdivision):
@@ -144,7 +141,10 @@ def restrict_to_hyperplane(
     Every cell must meet the hyperplane in a face of itself (in particular no
     cell may have vertices strictly on both sides).  ``ambient`` lists the
     slice's vertices: when the slice is a facet of the ambient polytope,
-    they are the ambient vertices on the hyperplane.
+    they are the ambient vertices on the hyperplane.  On a Triangulation,
+    whose simplices must be non-degenerate, a face on the hyperplane is a
+    vertex subset of a simplex, of affine rank its size minus one; only the
+    faces of polytopal cells are ranked.
     """
     face_sets: set[tuple[Point, ...]] = set()
     for c in s.cells:
@@ -157,7 +157,8 @@ def restrict_to_hyperplane(
             face_sets.add(on)
     if not face_sets:
         raise IncompatibleSubdivision("hyperplane misses the subdivision")
-    ranks = {f: exact.affine_rank(f) for f in face_sets}
+    simplices = isinstance(s, Triangulation)
+    ranks = {f: len(f) - 1 if simplices else exact.affine_rank(f) for f in face_sets}
     max_rank = max(ranks.values())
     cells = [f for f, r in ranks.items() if r == max_rank]
     on_points = [p for p in s.points if h.eval(p) == 0]

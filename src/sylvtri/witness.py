@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import (
+    DegenerateGeometry,
     DimensionMismatch,
     DomainError,
     UnsupportedStore,
@@ -66,45 +67,89 @@ def _common_scale(w: RegularityWitness) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in w.values], scale
 
 
-def _cell_form(s: Subdivision, cell: Cell, heights: Sequence[int]) -> Form:
+def _cell_form(
+    verts: Sequence[Point],
+    heights: Sequence[int],
+    inverse: tuple[Sequence[Sequence[int]], int] | None = None,
+) -> Form:
     """Integer form (row, den), den > 0, interpolating integer heights on a cell.
 
-    For a simplex with simplex_inverse (Y, D), Y[k] . (x, 1) / D is the
-    barycentric coordinate of x at vertex k, so the interpolant is
-    sum_k heights[c_k] Y[k] over D.  A polytopal cell takes the row and
-    denominator of its functional_on_affine_basis.  Raises
-    DegenerateGeometry on a degenerate cell.
+    It interpolates on the simplex, or on the first d + 1 affinely
+    independent vertices of a polytopal cell, whose other vertices must lie
+    on it.  With (Y, D) their simplex_inverse (``inverse`` if the caller
+    holds it), Y[k] . (x, 1) / D is the barycentric coordinate at vertex k,
+    so the form is sum_k heights[k] Y[k] over D.  Raises DegenerateGeometry
+    on a degenerate cell or non-affine heights.
     """
-    verts = s.cell_points(cell)
-    hs = [heights[i] for i in cell]
-    if len(verts) == len(verts[0]) + 1:
-        adj, d = polytope.simplex_inverse(verts)
-        return [sum(map(mul, hs, col)) for col in zip(*adj)], d
-    fn = exact.functional_on_affine_basis(verts, hs)
-    return fn.row, fn.denominator
+    dim = len(verts[0])
+    if len(verts) == dim + 1:
+        adj, den = inverse or polytope.simplex_inverse(verts)
+        return [sum(map(mul, heights, col)) for col in zip(*adj)], den
+    basis = [0]
+    for i in range(1, len(verts)):
+        if len(basis) == dim + 1:
+            break
+        if exact.affine_rank([verts[j] for j in basis] + [verts[i]]) == len(basis):
+            basis.append(i)
+    if len(basis) != dim + 1:
+        raise DegenerateGeometry("points do not affinely span the ambient space")
+    row, den = _cell_form([verts[i] for i in basis], [heights[i] for i in basis])
+    if any(_row_at(row, v) != h * den for v, h in zip(verts, heights)):
+        raise DegenerateGeometry("values are not affine on the given points")
+    return row, den
+
+
+def _bent_wall(
+    cells: Iterable[Cell],
+    facet_sets: Callable[[Cell], Iterable[frozenset[int]]],
+    form: Callable[[Cell], Form],
+    values: Sequence[Fraction | int],
+    pts: Sequence[Point],
+) -> tuple[Cell, Cell, frozenset[int]] | None:
+    """The first wall (c, c', facet) that is not strictly convex, or None.
+
+    A wall is a facet (store-index set) of two cells; with c the one met
+    second, it is strict when the vertex q of c' off it lies strictly above
+    form(c).  One side suffices when c and c' lie on opposite sides: A' - A
+    vanishes on the wall, so (A' - A)(q) = w(q) - A(q) and, at the vertex
+    p of c off it, (A' - A)(p) = A'(p) - w(p) have opposite signs.
+    """
+    walls: dict[frozenset[int], Cell] = {}  # facets met once so far
+    for c in cells:
+        row, den = form(c)
+        for fs in facet_sets(c):
+            other = walls.pop(fs, None)
+            if other is None:
+                walls[fs] = c
+                continue
+            q = next(i for i in other if i not in fs)
+            if values[q] * den <= _row_at(row, pts[q]):
+                return c, other, fs
+    return None
+
+
+def _simplex_facets(c: Cell) -> list[frozenset[int]]:
+    return [frozenset(c[:k] + c[k + 1 :]) for k in range(len(c))]
 
 
 def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateReport:
-    """Strict certificate check over every (cell, store point) pair.
+    """Regular iff A_c(p) < w(p) for every cell c and store point p off c.
 
-    Requires full-dimensional cells and a store holding all lattice points
-    of the ambient polytope; regular iff A_cell(p) < w(p) for every store
-    point p outside each cell (De Loera-Rambau-Santos, *Triangulations*,
-    2010).  Cells are visited in order, each against the store in order,
-    and the report stops after 51 violations.
-
-    The check runs on integers.  With L the lcm of the witness
-    denominators, W = L * w is integral, and _cell_form gives each cell an
-    integer form (row, den), den > 0, with L * A_cell(p) = _row_at(row, p)
-    / den.  Hence
-
-        w(p) - A_cell(p) = (W[p] * den - _row_at(row, p)) / (L * den),
-
-    and L * den > 0, so a pair passes iff that integer numerator is
-    positive: one integer dot product (taken axis by axis over the whole
-    store) and one comparison per pair.  Only a violation builds its
-    Fraction margin, which reduces to the same value as evaluating
-    w(p) - A_cell(p) in Fractions.
+    The report is that of the all-pairs scan (_all_pairs).  The walls
+    decide when subdivision.verify(t) is valid, every store point is a
+    cell vertex and no wall is bent (_bent_wall on the simplices' facets).
+    Then the cells triangulate the convex polytope P, meeting in common
+    faces, so g, equal to A_c on each cell c, is continuous and w at the
+    vertices.  On almost every segment in P the slope of g increases
+    strictly at each wall it crosses, so g is convex (the wall inequalities
+    of the secondary cone: De Loera-Rambau-Santos, *Triangulations*, 2010,
+    ch. 5).  A store point p off c lies outside c, or it would lie in the
+    common face of c and a cell it is a vertex of; a segment from almost
+    any interior point of c to p leaves c through a wall, after which
+    g - A_c, 0 until then, has a positive, non-decreasing slope: A_c(p) <
+    g(p) = w(p).  Every other case (a bent wall, which is a violating
+    pair, a store point that is no vertex, polytopal or unproven input)
+    runs the scan, so rejection stays quadratic in the worst case.
     """
     if t.dim != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")
@@ -114,10 +159,29 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     if any(len(p) != t.ambient_dim for p in pts):
         raise DimensionMismatch("point dimension does not match functional")
     heights, scale = _common_scale(w)
+    if len(set().union(*t.cells)) == len(pts) and subdivision.verify(t).valid:
+        form = lambda c: _cell_form(t.cell_points(c), [heights[i] for i in c])
+        if _bent_wall(t.cells, _simplex_facets, form, heights, pts) is None:
+            return CertificateReport(True)
+    return _all_pairs(t, heights, scale)
+
+
+def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> CertificateReport:
+    """The certificate check over every (cell, store point) pair.
+
+    Cells go in order, each against the store in order, and the report
+    stops after 51 violations.  With heights W = L * w (_common_scale) and
+    a cell's form (row, den), w(p) - A_cell(p) = (W[p] * den -
+    _row_at(row, p)) / (L * den), so a pair passes iff that integer
+    numerator is positive: one integer dot product (taken axis by axis
+    over the whole store) and one comparison.  Only a violation builds its
+    Fraction margin.
+    """
+    pts = t.points
     axes = list(zip(*pts))  # store coordinates, one tuple per axis
     violations: list[tuple[Cell, Point, Fraction]] = []
     for c in t.cells:
-        row, den = _cell_form(t, c, heights)
+        row, den = _cell_form(t.cell_points(c), [heights[i] for i in c])
         # gaps[i] = heights[i] * den - _row_at(row, pts[i]), one axis at a time
         gaps = [h * den - row[-1] for h in heights]
         for rk, xs in zip(row, axes):
@@ -185,30 +249,19 @@ def witness_glue(
 
     The apex height omega must exceed every cell interpolant of S⁻
     evaluated at z; the exact maximum plus one is used.  It is found on
-    the integer cell forms of L * w (see verify_regularity): each value at
+    the integer cell forms of L * w (see _all_pairs): each value at
     z is an integer over L * den, compared by cross-multiplication, so
     only omega itself is a Fraction.
     """
     heights, scale = _common_scale(w_minus)
     top_n, top_d = None, 1
     for c in s_minus.cells:
-        row, den = _cell_form(s_minus, c, heights)
+        row, den = _cell_form(s_minus.cell_points(c), [heights[i] for i in c])
         n = _row_at(row, z)
         if top_n is None or n * top_d > top_n * den:
             top_n, top_d = n, den
     omega = 1 + Fraction(top_n, top_d * scale)
-    idx = s_minus.index
-    vals = []
-    for p in glued.points:
-        if p == z:
-            vals.append(omega)
-        elif p in idx:
-            vals.append(w_minus.values[idx[p]])
-        else:
-            raise UnsupportedStore(
-                f"glued store point {p} is neither the apex nor an S- point"
-            )
-    return RegularityWitness(tuple(vals)), omega
+    return witness_cone(w_minus, s_minus, glued, z, omega), omega
 
 
 def _largest_power_drop(upper: Fraction | None) -> Fraction:
@@ -341,17 +394,13 @@ def pull_sweep(
 
     Precondition, checked in one pass before the first pull: the cells
     subdivide a convex polytope, the heights are affine on each cell (else
-    DegenerateGeometry), the interpolants are strictly convex across every
-    interior facet (a vertex of one cell off it lies strictly above the
-    other's interpolant) and each store point that is no vertex lies at or
-    above every cell containing it (else DomainError).  This is complete,
-    as local convexity implies convexity on a convex domain (the wall
-    inequalities of De Loera-Rambau-Santos, *Triangulations*, 2010,
-    ch. 5): the function g of the interpolants is then strictly convex
-    with the cells as its domains of linearity, so A_c(p) < g(p) <= w(p)
-    for every store point p off a cell c, as the oracle check_intermediate
-    asks.  After the last pull every store point is a vertex, so the facet
-    check, run once more, proves the output witness.
+    DegenerateGeometry), no wall is bent (_bent_wall) and each store point
+    that is no vertex lies at or above every cell containing it (else
+    DomainError).  By verify_regularity's argument the function g of the
+    interpolants is then strictly convex, so A_c(p) < g(p) <= w(p) for each
+    store point p off a cell c, as the oracle check_intermediate asks.
+    After the last pull every store point is a vertex, so the wall check,
+    run once more, proves the output witness.
 
     A pull at m lowers g, so the precondition holds after it iff the walls
     of the new cells, all through m, are strict.  Such a cell's
@@ -401,7 +450,7 @@ def pull_sweep(
 
     def facet_sets(c: Cell) -> list[frozenset[int]]:
         if len(c) == dim + 1:
-            return [frozenset(c[:k] + c[k + 1 :]) for k in range(len(c))]
+            return _simplex_facets(c)
         return [fs for fs, _ in facets[c]]
 
     def add(c: Cell, found: dict[int, tuple[int, ...] | None]) -> None:
@@ -424,30 +473,25 @@ def pull_sweep(
             loc[pi].discard(c)
 
     def check_convex(when: str) -> None:
-        """Strict convexity of the interpolants across every interior facet."""
-        walls: dict[frozenset[int], Cell] = {}
-        for c in cells:
-            for fs in facet_sets(c):
-                other = walls.setdefault(fs, c)
-                if other is c:
-                    continue
-                q = next(i for i in other if i not in fs)
-                row, den = cache[c]
-                if vals[q] * den <= _row_at(row, pts[q]):
-                    raise DomainError(
-                        f"witness is not convex {when} the pull: cells {c} and "
-                        f"{other} across facet {sorted(fs)}"
-                    )
+        bent = _bent_wall(cells, facet_sets, cache.__getitem__, vals, pts)
+        if bent is not None:
+            c, other, fs = bent
+            raise DomainError(
+                f"witness is not convex {when} the pull: cells {c} and "
+                f"{other} across facet {sorted(fs)}"
+            )
 
-    # the certificate pass before the first pull: every interpolant, then
-    # each starting cell's points, found on vertical lines (exactly, so
-    # only a simplex computes their numerators) and checked to lie at or
-    # above the cell, then the walls
+    # the certificate pass before the first pull: every interpolant, in
+    # lowest terms, then each starting cell's points, found on vertical
+    # lines (exactly, so only a simplex computes their numerators) and
+    # checked to lie at or above the cell, then the walls
+    heights, scale = _common_scale(w)
     for c in s.cells:
-        fn = exact.functional_on_affine_basis(
-            [pts[i] for i in c], [vals[i] for i in c]
-        )
-        cache[c] = (fn.row, fn.denominator)
+        if len(c) == dim + 1:
+            rows_of(c)  # keeps the inverse the interpolant reads
+        row, den = _cell_form([pts[i] for i in c], [heights[i] for i in c], inv.get(c))
+        g = gcd(den * scale, *row)
+        cache[c] = (tuple(x // g for x in row), den * scale // g)
     cols = _columns(pts)
     for c in s.cells:
         row, den = cache[c]

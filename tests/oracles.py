@@ -8,11 +8,12 @@ bounding-box scan, pulling by coning over every proper face (De
 Loera-Rambau-Santos, *Triangulations*, 2010), the eps-halving pull that
 threads a witness through one pulling step at a time and the exact
 supremum of its drop, the all-pairs certificate check evaluated in
-Fractions, and the quadratic common-face check between every pair of
-cells.  None of this is on the production path: ``witness.pull_sweep``
-is the library's only pulling code, ``subdivision.verify``'s facet join
-its only structural check, and every ambient the pipeline builds is
-known in closed form.
+Fractions on Fraction interpolants, and the quadratic common-face check
+between every pair of cells.  None of this is on the production path:
+``witness.pull_sweep`` is the library's only pulling code,
+``subdivision.verify``'s facet join its only structural check,
+``witness._cell_form`` its only interpolant, and every ambient the
+pipeline builds is known in closed form.
 """
 
 from __future__ import annotations
@@ -272,6 +273,55 @@ def pull_literal(s: Subdivision, m_index: int) -> Subdivision:
     return sd.make_subdivision(s.points, s.ambient, maximal, simplicial)
 
 
+def affine_interpolant(
+    vertices: Sequence[Sequence[Fraction | int]],
+    values: Sequence[Fraction | int],
+) -> exact.AffineFunctional:
+    """Unique affine function through (vertex_i, value_i).
+
+    Requires d+1 affinely independent vertices spanning dimension d.
+    """
+    if not vertices:
+        raise DimensionMismatch("no vertices given")
+    dim = len(vertices[0])
+    if len(vertices) != dim + 1 or len(values) != dim + 1:
+        raise DimensionMismatch("need exactly d+1 vertices and values in dimension d")
+    rows = [list(v) + [1] for v in vertices]
+    sol = exact.solve(rows, values)
+    return exact.AffineFunctional(tuple(sol[:dim]), sol[dim])
+
+
+def functional_on_affine_basis(
+    points: Sequence[Sequence[Fraction | int]],
+    values: Sequence[Fraction | int],
+) -> exact.AffineFunctional:
+    """Affine interpolant through a (possibly redundant) point/value list.
+
+    Picks an affinely independent spanning subset, interpolates there, and
+    checks the remaining points for consistency.  The point set must span the
+    full ambient dimension.
+    """
+    dim = len(points[0])
+    chosen: list[int] = [0]
+    for i in range(1, len(points)):
+        if len(chosen) == dim + 1:
+            break
+        if exact.affine_rank([points[j] for j in chosen] + [points[i]]) == len(chosen):
+            chosen.append(i)
+    if len(chosen) != dim + 1:
+        raise DegenerateGeometry("points do not affinely span the ambient space")
+    fn = affine_interpolant([points[i] for i in chosen], [values[i] for i in chosen])
+    for p, v in zip(points, values):
+        if fn(p) != Fraction(v):
+            raise DegenerateGeometry("values are not affine on the given points")
+    return fn
+
+
+def cell_point_sets(s: Subdivision) -> set[frozenset[Point]]:
+    """The cells of s as sets of points, independent of store order."""
+    return {frozenset(s.cell_points(c)) for c in s.cells}
+
+
 def cell_interpolant(
     s: Subdivision, cell: Cell, w: RegularityWitness
 ) -> exact.AffineFunctional:
@@ -279,8 +329,8 @@ def cell_interpolant(
     verts = s.cell_points(cell)
     vals = [w.values[i] for i in cell]
     if len(verts) == len(verts[0]) + 1:
-        return exact.affine_interpolant(verts, vals)
-    return exact.functional_on_affine_basis(verts, vals)
+        return affine_interpolant(verts, vals)
+    return functional_on_affine_basis(verts, vals)
 
 
 def verify_regularity_fraction(

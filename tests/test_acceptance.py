@@ -113,21 +113,42 @@ def test_criterion_04_triangulation_construction(dual_arts, _line):
     assert ok
 
 
+def _scan(t, w):
+    """The all-pairs scan verify_regularity falls back on, run directly."""
+    return wt._all_pairs(t, *wt._common_scale(w))
+
+
 def test_criterion_05_regularity_certificates(dual_arts, p2_arts, p1_arts, _line):
+    # the shipped check and its all-pairs scan, each with its own verdict
     arts, _ = dual_arts
     ok = True
     for n in range(1, 5):
         for art in (arts[n], p2_arts[n], p1_arts[n + 1]):
             ok &= wt.verify_regularity(art.triangulation, art.witness).regular
+            ok &= _scan(art.triangulation, art.witness).regular
     # perturbed witness must fail
     art = arts[2]
     bad = list(art.witness.values)
     bad[1] += 10
-    ok &= not wt.verify_regularity(
-        art.triangulation, RegularityWitness(tuple(bad))
-    ).regular
+    bad = RegularityWitness(tuple(bad))
+    ok &= not wt.verify_regularity(art.triangulation, bad).regular
+    ok &= not _scan(art.triangulation, bad).regular
     _line(5, "regularity certificates n=1..4 + negative", ok)
     assert ok
+
+
+def test_pipeline_artifacts_accepted_without_the_scan(
+    dual_arts, p2_arts, p1_arts, monkeypatch
+):
+    # every pipeline artifact at levels 1-4 is decided at the walls alone
+    def scan(*args):
+        raise AssertionError("the all-pairs scan ran on an accepted artifact")
+
+    monkeypatch.setattr(wt, "_all_pairs", scan)
+    arts, _ = dual_arts
+    for n in range(1, 5):
+        for art in (arts[n], p2_arts[n], p1_arts[n + 1]):
+            assert wt.verify_regularity(art.triangulation, art.witness).regular
 
 
 def test_criterion_06_extension_property(dual_arts, _line):
@@ -142,7 +163,7 @@ def test_criterion_06_extension_property(dual_arts, _line):
             face = tuple(v[:-1] for v in verts if v[-1] == -1)
             if len(face) == len(verts) - 1:
                 bottom.add(frozenset(face))
-        ok &= bottom == prev.cell_point_sets()
+        ok &= bottom == oracles.cell_point_sets(prev)
     _line(6, "extension property n=1..3", ok)
     assert ok
 
@@ -222,7 +243,7 @@ def test_criterion_10_pull_oracle_equivalence(_line):
         lit = s
         for i in range(len(s.points)):
             lit = oracles.pull_literal(lit, i)
-        ok &= tri.cell_point_sets() == lit.cell_point_sets()
+        ok &= oracles.cell_point_sets(tri) == oracles.cell_point_sets(lit)
         ok &= wt.verify_regularity(tri, w_tri).regular
         rep = sd.verify(tri)
         ok &= rep.valid and rep.simplicial

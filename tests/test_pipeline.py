@@ -47,7 +47,7 @@ def test_p2dual_extension_property():
             face = tuple(v[:-1] for v in verts if v[-1] == -1)
             if len(face) == len(verts) - 1:
                 bottom.add(frozenset(face))
-        assert bottom == prev.cell_point_sets()
+        assert bottom == oracles.cell_point_sets(prev)
 
 
 def test_p2dual_apex_cell_count():

@@ -79,7 +79,7 @@ def test_barycentric_functionals_match_interpolants():
     fns = polytope.barycentric_functionals(verts)
     for i, fn in enumerate(fns):
         unit = [1 if j == i else 0 for j in range(len(verts))]
-        assert fn == exact.affine_interpolant(verts, unit)
+        assert fn == oracles.affine_interpolant(verts, unit)
 
 
 def test_halfspaces_saturation():

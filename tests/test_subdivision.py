@@ -56,7 +56,7 @@ def test_triangulation_rejects_non_simplex_cells():
 
 def test_pullback_columns():
     pb, _ = build_level2()
-    assert pb.cell_point_sets() == {
+    assert oracles.cell_point_sets(pb) == {
         frozenset({(-1, -1), (0, -1), (-1, 1), (0, 0)}),
         frozenset({(0, -1), (1, -1), (0, 0)}),
     }
@@ -66,7 +66,7 @@ def test_pullback_columns():
 def test_restrict_to_hyperplane():
     pb, _ = build_level2()
     s = sd.restrict_to_hyperplane(pb, LEVEL2_HALF, [(-1, 1), (1, -1)])
-    assert s.cell_point_sets() == {
+    assert oracles.cell_point_sets(s) == {
         frozenset({(-1, 1), (0, 0)}),
         frozenset({(0, 0), (1, -1)}),
     }
@@ -90,7 +90,7 @@ def test_cone_apex_must_leave_hyperplane():
         [(0, 0), (1, 0)], [(0, 0), (1, 0)], [[(0, 0), (1, 0)]], simplicial=True
     )
     cone = sd.cone_subdivision((0, 1), base)
-    assert cone.cell_point_sets() == {frozenset({(0, 0), (1, 0), (0, 1)})}
+    assert oracles.cell_point_sets(cone) == {frozenset({(0, 0), (1, 0), (0, 1)})}
     with pytest.raises(DegenerateGeometry):
         sd.cone_subdivision((2, 0), base)
 
@@ -149,7 +149,7 @@ def test_pull_matches_literal_definition_on_trace():
     lit = glued
     for i in range(len(glued.points)):
         lit = oracles.pull_literal(lit, i)
-    assert tri.cell_point_sets() == lit.cell_point_sets()
+    assert oracles.cell_point_sets(tri) == oracles.cell_point_sets(lit)
 
 
 def test_pull_outside_point_rejected():

@@ -181,7 +181,7 @@ def test_pull_sweep_matches_iterated_witness_pull():
     for i in range(len(glued.points)):
         cur, wcur, eps = oracles.witness_pull(wcur, cur, i)
         assert eps == log[i][1]
-    assert cur.cell_point_sets() == tri.cell_point_sets()
+    assert oracles.cell_point_sets(cur) == oracles.cell_point_sets(tri)
     assert wcur.values == w_tri.values
 
 
@@ -355,6 +355,44 @@ def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
             for p in s.points
         ]
         _agree(s, RegularityWitness(tuple(vals)))
+
+
+def test_verify_regularity_needs_a_proven_structure():
+    # two overlapping segments: every store point is a vertex and no facet
+    # is shared, so no wall can bend, but the volumes sum to 4, not 3
+    s = sd.Triangulation(((0,), (1,), (2,), (3,)), ((0,), (3,)), ((0, 2), (1, 3)))
+    assert not sd.verify(s).valid
+    assert not _agree(s, RegularityWitness((0, 0, 0, 0))).regular
+
+
+@pytest.mark.parametrize("h, regular", [(1, True), (0, False), (-1, False)])
+def test_verify_regularity_needs_every_store_point_a_vertex(h, regular):
+    # one segment over a store point that is no vertex: a valid structure
+    # without walls, so only the scan sees the point
+    s = sd.Triangulation(((0,), (1,), (2,)), ((0,), (2,)), ((0, 2),))
+    assert sd.verify(s).valid
+    assert _agree(s, RegularityWitness((0, h, 0))).regular is regular
+
+
+def test_verify_regularity_rejects_flat_walls():
+    # a level-3 vertex v lowered to the largest value at v of the cells
+    # beyond its link (each cell across a facet of v's star opposite v):
+    # the walls that reach it become flat and no wall bends the other way,
+    # so only the strictness of the wall test rejects
+    art = pipeline.triangulate_p2dual(3)
+    t, w = art.triangulation, art.witness
+    v = t.index[(0, 0, -1)]
+    beyond = [
+        c for c in t.cells if v not in c
+        and any(len(set(c) & set(star)) == len(c) - 1 for star in t.cells if v in star)
+    ]
+    vals = list(w.values)
+    vals[v] = max(oracles.cell_interpolant(t, c, w)(t.points[v]) for c in beyond)
+    flat = RegularityWitness(tuple(vals))
+    report = oracles.verify_regularity_fraction(t, flat)
+    margins = {m for _, _, m in report.violating_pairs}
+    assert margins == {0}
+    assert not _agree(t, flat).regular
 
 
 def test_verify_regularity_rejects_degenerate_cell():
