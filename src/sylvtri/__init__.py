@@ -3,7 +3,6 @@ simplices, with crepant toric resolution fans and exact invariant tables."""
 
 from .errors import (
     ArtifactFormatError,
-    BoxLimitExceeded,
     DegenerateGeometry,
     DimensionMismatch,
     DomainError,
@@ -41,7 +40,6 @@ from .witness import CertificateReport, RegularityWitness, verify_regularity
 __all__ = [
     "AffineFunctional",
     "ArtifactFormatError",
-    "BoxLimitExceeded",
     "CertificateReport",
     "DegenerateGeometry",
     "DimensionMismatch",

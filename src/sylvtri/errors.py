@@ -17,10 +17,6 @@ class DomainError(SylvtriError, ValueError):
     """A point or parameter lies outside the operation's domain."""
 
 
-class BoxLimitExceeded(SylvtriError, RuntimeError):
-    """A brute-force oracle refused to scan an oversized bounding box."""
-
-
 class FeasibilityLimit(SylvtriError, RuntimeError):
     """A construction was refused because it exceeds configured size bounds."""
 

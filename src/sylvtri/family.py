@@ -142,10 +142,9 @@ def column_height(n_plus_1: int, y: Point) -> int:
         raise DomainError("column_height expects a point one dimension down")
     if any(fn(y) < 0 for fn in _dual_membership_functionals(n)):
         raise DomainError(f"{y} is not in the level-{n} dual polytope")
-    sn = sylvester(n)
     if y == (-1,) * n:
-        return sn - 1
-    return -sum(((sn - 1) // sylvester(i)) * y[i] for i in range(n))
+        return sylvester(n) - 1
+    return hyperplane_height(n_plus_1, y)
 
 
 def hyperplane_height(n_plus_1: int, y: Point) -> int:

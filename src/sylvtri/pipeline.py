@@ -18,6 +18,7 @@ from typing import Any
 from . import family, polytope, subdivision, witness
 from .errors import (
     ArtifactFormatError,
+    DegenerateGeometry,
     FeasibilityLimit,
     UnsupportedVersion,
     VerificationFailure,
@@ -114,7 +115,6 @@ def triangulate_p2dual(
             [(-1,), (0,), (1,)],
             build_vertices(spec),
             [[(-1,), (0,)], [(0,), (1,)]],
-            simplicial=True,
         )
         art = PipelineArtifact(
             spec,
@@ -214,7 +214,6 @@ def triangulate_p1(
         [embed(p) for p in t2.points],
         [embed(p) for p in t2.ambient],
         [tuple(embed(p) for p in t2.cell_points(c)) for c in t2.cells],
-        simplicial=True,
     )
     w_emb = witness.remap_witness(p2.witness, t2, emb, embed)
 
@@ -385,13 +384,15 @@ def _first_failure(art: PipelineArtifact) -> str | None:
     expected = _expected_cells(art.spec)
     if len(tri.cells) != expected:
         return f"cell count {len(tri.cells)} != expected {expected}"
-    rep = subdivision.verify(tri)
-    if rep.failures:
-        return rep.failures[0]
-    if not rep.unimodular:
+    try:
+        cert = witness.verify_regularity(tri, art.witness)
+    except DegenerateGeometry:  # the scan stops at a degenerate cell; name it
+        return subdivision.verify(tri).failures[0]
+    if cert.structure.failures:
+        return cert.structure.failures[0]
+    if not cert.structure.unimodular:
         c = next(c for c in tri.cells if polytope.nvol(tri.cell_points(c)) != 1)
         return f"cell {c} is not unimodular"
-    cert = witness.verify_regularity(tri, art.witness)
     if not cert.regular:
         c, p, margin = cert.violating_pairs[0]
         return f"regularity violation: cell {c} point {p} margin {margin}"

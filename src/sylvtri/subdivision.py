@@ -71,15 +71,16 @@ def make_subdivision(
     points: Iterable[Point],
     ambient: Sequence[Point],
     cell_point_lists: Iterable[Sequence[Point]],
-    simplicial: bool = False,
 ) -> Subdivision:
-    """Assemble a subdivision from explicit point data, sorting the store."""
+    """Assemble a subdivision from explicit point data, sorting the store;
+    it is a Triangulation exactly when every cell has dim + 1 points."""
     store = tuple(sorted(set(points)))
     idx = {p: i for i, p in enumerate(store)}
     cells = tuple(
         sorted(tuple(sorted(idx[p] for p in cp)) for cp in cell_point_lists)
     )
-    cls = Triangulation if simplicial else Subdivision
+    d = exact.affine_rank(ambient)
+    cls = Triangulation if all(len(c) == d + 1 for c in cells) else Subdivision
     return cls(store, tuple(ambient), cells)
 
 
@@ -92,10 +93,7 @@ def cone_subdivision(z: Point, s: Subdivision) -> Subdivision:
     if exact.affine_rank(list(s.points) + [z]) != base_rank + 1:
         raise DegenerateGeometry("cone apex lies in the base hyperplane")
     cell_lists = [s.cell_points(c) + (z,) for c in s.cells]
-    simplicial = isinstance(s, Triangulation)
-    return make_subdivision(
-        list(s.points) + [z], tuple(s.ambient) + (z,), cell_lists, simplicial
-    )
+    return make_subdivision(list(s.points) + [z], tuple(s.ambient) + (z,), cell_lists)
 
 
 def pullback_restricted(
@@ -130,7 +128,7 @@ def pullback_restricted(
             col.add((*v, h))
         cell_lists.append(tuple(sorted(col)))
     ambient = {(*v, t) for v in s.ambient for t in (-1, top_height(v))}
-    return make_subdivision(all_points, sorted(ambient), cell_lists, simplicial=False)
+    return make_subdivision(all_points, sorted(ambient), cell_lists)
 
 
 def restrict_to_hyperplane(
@@ -162,8 +160,7 @@ def restrict_to_hyperplane(
     max_rank = max(ranks.values())
     cells = [f for f, r in ranks.items() if r == max_rank]
     on_points = [p for p in s.points if h.eval(p) == 0]
-    simplicial = all(len(f) == max_rank + 1 for f in cells)
-    return make_subdivision(on_points, ambient, cells, simplicial)
+    return make_subdivision(on_points, ambient, cells)
 
 
 def glue_cone(
@@ -199,8 +196,7 @@ def glue_cone(
     cell_lists = [s.cell_points(c) for c in s.cells] + [
         cone.cell_points(c) for c in cone.cells
     ]
-    simplicial = isinstance(s, Triangulation) and isinstance(cone, Triangulation)
-    return make_subdivision(list(s.points) + [z], ambient, cell_lists, simplicial)
+    return make_subdivision(list(s.points) + [z], ambient, cell_lists)
 
 
 def apply_lattice_map(
@@ -226,7 +222,7 @@ def apply_lattice_map(
     images = [img(p) for p in s.points]
     cell_lists = [tuple(images[i] for i in c) for c in s.cells]
     ambient = tuple(img(p) for p in s.ambient)
-    return make_subdivision(images, ambient, cell_lists, isinstance(s, Triangulation))
+    return make_subdivision(images, ambient, cell_lists)
 
 
 @dataclass
@@ -243,7 +239,8 @@ def verify(s: Subdivision) -> VerifyReport:
 
     Checks the exact volume checksum against P, that every cell vertex
     lies in P, the facet join (pseudomanifold) with its orientation check,
-    and per-cell unimodularity.  Preconditions:
+    and per-cell unimodularity, which any failure clears, a non-simplex
+    cell included: unimodular implies valid and simplicial.  Preconditions:
 
     - every cell is a strictly increasing tuple of store indices: facets
       are keyed by sorted index tuples (pipeline.from_json_dict refuses

@@ -10,7 +10,7 @@ operation so regularity is certified, never assumed.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedStore,
 )
 from .polytope import Point
-from .subdivision import Cell, Subdivision, Triangulation
+from .subdivision import Cell, Subdivision, Triangulation, VerifyReport
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,14 @@ class RegularityWitness:
 
 @dataclass
 class CertificateReport:
-    """Outcome of a regularity check: violations are (cell, point, margin)."""
+    """Outcome of a regularity check: violations are (cell, point, margin);
+    structure, outside equality, is the structural proof it ran."""
 
     regular: bool
     violating_pairs: list[tuple[Cell, Point, Fraction]] = field(
         default_factory=list
     )
+    structure: VerifyReport | None = field(default=None, compare=False)
 
 
 # An integer affine form (row, den), den > 0, stands for the map
@@ -135,12 +137,12 @@ def _simplex_facets(c: Cell) -> list[frozenset[int]]:
 def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateReport:
     """Regular iff A_c(p) < w(p) for every cell c and store point p off c.
 
-    The report is that of the all-pairs scan (_all_pairs).  The walls
-    decide when subdivision.verify(t) is valid, every store point is a
-    cell vertex and no wall is bent (_bent_wall on the simplices' facets).
-    Then the cells triangulate the convex polytope P, meeting in common
-    faces, so g, equal to A_c on each cell c, is continuous and w at the
-    vertices.  On almost every segment in P the slope of g increases
+    The report is that of the all-pairs scan (_all_pairs); its structure
+    is subdivision.verify(t), run once here.  The walls decide when that
+    proof is valid, every store point is a cell vertex and no wall is bent
+    (_bent_wall on the simplices' facets).  Then the cells triangulate the
+    convex polytope P, meeting in common faces, so g, equal to A_c on each
+    cell c, is continuous and w at the vertices.  On almost every segment in P the slope of g increases
     strictly at each wall it crosses, so g is convex (the wall inequalities
     of the secondary cone: De Loera-Rambau-Santos, *Triangulations*, 2010,
     ch. 5).  A store point p off c lies outside c, or it would lie in the
@@ -159,11 +161,12 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     if any(len(p) != t.ambient_dim for p in pts):
         raise DimensionMismatch("point dimension does not match functional")
     heights, scale = _common_scale(w)
-    if len(set().union(*t.cells)) == len(pts) and subdivision.verify(t).valid:
+    structure = subdivision.verify(t)
+    if structure.valid and len(set().union(*t.cells)) == len(pts):
         form = lambda c: _cell_form(t.cell_points(c), [heights[i] for i in c])
         if _bent_wall(t.cells, _simplex_facets, form, heights, pts) is None:
-            return CertificateReport(True)
-    return _all_pairs(t, heights, scale)
+            return CertificateReport(True, structure=structure)
+    return replace(_all_pairs(t, heights, scale), structure=structure)
 
 
 def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> CertificateReport:
@@ -617,7 +620,7 @@ def pull_sweep(
     check_convex("after")
     out = RegularityWitness(tuple(vals))
     tri = subdivision.make_subdivision(
-        pts, s.ambient, [tuple(pts[i] for i in c) for c in cells], simplicial=True
+        pts, s.ambient, [tuple(pts[i] for i in c) for c in cells]
     )
     if not isinstance(tri, Triangulation):
         raise DomainError("pulling at all points did not yield simplices")

@@ -25,12 +25,16 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from sylvtri import exact, polytope, subdivision as sd
-from sylvtri.errors import BoxLimitExceeded, DegenerateGeometry, DimensionMismatch
+from sylvtri.errors import DegenerateGeometry, DimensionMismatch, SylvtriError
 from sylvtri.polytope import LatticeSimplex, Point
 from sylvtri.subdivision import Cell, Subdivision
 from sylvtri.witness import CertificateReport, RegularityWitness
 
 BRUTEFORCE_BOX_LIMIT = 10**7
+
+
+class BoxLimitExceeded(SylvtriError, RuntimeError):
+    """A brute-force oracle refused to scan an oversized bounding box."""
 
 
 @dataclass(frozen=True)
@@ -269,8 +273,7 @@ def pull_literal(s: Subdivision, m_index: int) -> Subdivision:
             if exact.affine_rank(cone) == d:
                 new_cells.append(cone)
     maximal = sorted({tuple(sorted(c)) for c in new_cells})
-    simplicial = all(len(c) == d + 1 for c in maximal)
-    return sd.make_subdivision(s.points, s.ambient, maximal, simplicial)
+    return sd.make_subdivision(s.points, s.ambient, maximal)
 
 
 def affine_interpolant(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sylvtri import cli, pipeline
+from sylvtri import cli, pipeline, subdivision as sd
 
 
 @pytest.fixture(autouse=True)
@@ -185,3 +185,56 @@ def test_verify_tampered_level3_lines(tmp_path, capsys):
         "regularity violation: cell (4, 5, 20, 22) point (-1, -1, 5) margin -127999/64",
         "regularity violation: cell (4, 5, 20, 22) point (-1, -1, 6) margin -11518057/3840",
     ]
+
+
+def test_verify_structural_failure_lines(tmp_path, capsys):
+    # the first cell listed twice fails the facet join and the orientation
+    # check; a coplanar first cell stops the regularity scan, which cannot
+    # interpolate on it
+    base = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
+    doubled = json.loads(json.dumps(base))
+    doubled["cells"].append(doubled["cells"][0])
+    coplanar = json.loads(json.dumps(base))
+    coplanar["cells"][0] = [0, 1, 2, 8]
+    for data, code, out, err in (
+        (
+            doubled,
+            3,
+            ["valid=false simplicial=true unimodular=false regular=true checksum=43"],
+            [
+                "failure: volume checksum 43 != ambient nvol 42",
+                "failure: facet (1, 12, 22) shared by 3 cells",
+                "failure: facet (0, 12, 22) shared by 3 cells",
+                "failure: facet (0, 1, 22) shared by 3 cells",
+                "failure: cells (0, 1, 12, 22) and (0, 1, 12, 22) lie on one "
+                "side of their common facet (0, 1, 12)",
+            ],
+        ),
+        (coplanar, 5, [], ["domain error: singular linear system"]),
+    ):
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["verify", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == out
+        assert captured.err.splitlines() == err
+
+
+def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
+    # verify_regularity returns the one structural proof the verdict reads,
+    # on the accept path and on the scan's
+    calls = []
+    proof = sd.verify
+    monkeypatch.setattr(sd, "verify", lambda s: calls.append(s) or proof(s))
+    path = tmp_path / "p2dual_2.json"
+    assert cli.main(
+        ["triangulate", "--family", "p2dual", "--n", "2", "--out", str(path)]
+    ) == 0
+    assert len(calls) == 1
+    assert cli.main(["verify", str(path)]) == 0
+    assert len(calls) == 2
+    data = json.loads(path.read_text())
+    data["cells"].append(data["cells"][0])
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 3
+    assert len(calls) == 3

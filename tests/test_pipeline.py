@@ -184,7 +184,8 @@ def test_cache_verifies_entries_on_load(tmp_path):
     # a disk entry is checked before it is served: an edited witness value
     # fails the regularity check, a dropped cell the cell count, and the
     # last cell overwritten by the first (count and checksum kept) the
-    # structural proof
+    # structural proof, which also names a collinear cell that stops the
+    # regularity scan
     cache = str(tmp_path)
     pipeline.triangulate_p2dual(2, cache_dir=cache)
     path = tmp_path / "p2dual_2.json"
@@ -194,15 +195,29 @@ def test_cache_verifies_entries_on_load(tmp_path):
     dropped["cells"].pop()
     doubled = json.loads(path.read_text())
     doubled["cells"][-1] = doubled["cells"][0]
+    collinear = json.loads(path.read_text())
+    collinear["cells"][0] = [0, 1, 2]
     for data, match in (
         (edited, "regularity violation: cell"),
         (dropped, "cell count 5 != expected 6"),
         (doubled, r"facet \(1, 5\) shared by 3 cells"),
+        (collinear, "degenerate cell: zero-volume simplex"),
     ):
         path.write_text(json.dumps(data))
         pipeline.clear_cache()
         with pytest.raises(VerificationFailure, match=rf"p2dual_2\.json: {match}"):
             pipeline.triangulate_p2dual(2, cache_dir=cache)
+
+
+def test_cache_load_runs_the_structural_proof_once(tmp_path, monkeypatch):
+    cache = str(tmp_path)
+    pipeline.triangulate_p2dual(2, cache_dir=cache)
+    pipeline.clear_cache()
+    calls = []
+    proof = sd.verify
+    monkeypatch.setattr(sd, "verify", lambda s: calls.append(s) or proof(s))
+    pipeline.triangulate_p2dual(2, cache_dir=cache)
+    assert len(calls) == 1
 
 
 def test_load_rejects_truncated_file(tmp_path):

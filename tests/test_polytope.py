@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylvtri import exact, polytope
-from sylvtri.errors import BoxLimitExceeded, DegenerateGeometry, DomainError
+from sylvtri.errors import DegenerateGeometry, DomainError
 from sylvtri.polytope import HalfSpace, LatticeSimplex, RationalSimplex
 
 import oracles
-from oracles import CellPolytope, Membership
+from oracles import BoxLimitExceeded, CellPolytope, Membership
 
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
 QUAD = ((0, 0), (1, 0), (0, 1), (1, 1))

@@ -23,7 +23,6 @@ def segment_triangulation():
         [(-1,), (0,), (1,)],
         [(-1,), (1,)],
         [[(-1,), (0,)], [(0,), (1,)]],
-        simplicial=True,
     )
 
 
@@ -38,6 +37,18 @@ def build_level2():
     clipped = [p for p in family.lattice_points_p2dual(2) if p[1] <= h(p[:1])]
     pb = sd.pullback_restricted(base, h, clipped)
     return pb, sd.glue_cone(pb, LEVEL2_HALF, (-1, 2), LEVEL2_VERTICES)
+
+
+def build_level3():
+    """The level-3 column pullback, its witness, the glue and its apex."""
+    prev = pipeline.triangulate_p2dual(2)
+    h = lambda y: family.hyperplane_height(3, y)
+    clipped = [p for p in family.lattice_points_p2dual(3) if p[-1] <= h(p[:-1])]
+    pb = sd.pullback_restricted(prev.triangulation, h, clipped)
+    w_pb = wt.witness_pullback(prev.witness, prev.triangulation, pb)
+    z = (-1, -1, family.sylvester(2) - 1)
+    ambient = pipeline.build_vertices(family.FamilySpec(family.Family.P2DUAL, 3))
+    return pb, w_pb, sd.glue_cone(pb, pipeline._clip_hyperplane(3), z, ambient), z
 
 
 def test_store_must_be_sorted_unique():
@@ -87,7 +98,7 @@ def test_restrict_rejects_crossing_cells():
 
 def test_cone_apex_must_leave_hyperplane():
     base = sd.make_subdivision(
-        [(0, 0), (1, 0)], [(0, 0), (1, 0)], [[(0, 0), (1, 0)]], simplicial=True
+        [(0, 0), (1, 0)], [(0, 0), (1, 0)], [[(0, 0), (1, 0)]]
     )
     cone = sd.cone_subdivision((0, 1), base)
     assert oracles.cell_point_sets(cone) == {frozenset({(0, 0), (1, 0), (0, 1)})}
@@ -245,7 +256,7 @@ def fold_cases():
     """
     pts = [(x,) for x in range(5)]
     fold = sd.make_subdivision(
-        pts, [(0,), (4,)], [[(0,), (1,)], [(0,), (2,)], [(1,), (2,)]], simplicial=True
+        pts, [(0,), (4,)], [[(0,), (1,)], [(0,), (2,)], [(1,), (2,)]]
     )
     # the same fold coned to an apex off the segment's line, in the plane
     z = (5, 1)
@@ -253,7 +264,6 @@ def fold_cases():
         [(x, 0) for x in range(5)] + [z],
         [(0, 0), (4, 0), z],
         [[(a, 0), (b, 0), z] for a, b in ((0, 1), (0, 2), (1, 2))],
-        simplicial=True,
     )
     return [
         (fold, ((0, 1), (0, 2), (0,)), ((0, 2), (1, 2), (2,))),
@@ -277,7 +287,7 @@ def test_verify_unimodular_reads_signed_volumes():
     # a valid triangulation with a cell of volume 2 is not unimodular: the
     # unimodularity pass reads the checksum's volumes
     pts = [(0, 0), (0, 1), (2, 0)]
-    bumped = sd.make_subdivision(pts, pts, [pts], simplicial=True)
+    bumped = sd.make_subdivision(pts, pts, [pts])
     rep = sd.verify(bumped)
     assert rep.valid and not rep.unimodular and rep.volume_checksum == 2
     assert oracles.pairwise_verdict(bumped)
@@ -309,7 +319,6 @@ def test_verify_refuses_lower_dimensional_ambient():
         [(0, 0), (1, 1), (2, 2)],
         [(0, 0), (2, 2)],
         [[(0, 0), (1, 1)], [(1, 1), (2, 2)]],
-        simplicial=True,
     )
     rep = sd.verify(s)
     assert rep.failures == [
@@ -370,3 +379,25 @@ def test_verify_agrees_with_pairwise_oracle():
     for s, _, _ in fold_cases():
         assert not sd.verify(s).valid and not oracles.pairwise_verdict(s)
     assert True in verdicts and False in verdicts
+
+
+def test_make_subdivision_is_a_triangulation_iff_its_cells_are_simplices():
+    # every constructor returns what make_subdivision derives from its
+    # cells: the level-3 column pullback and its glue hold polytopal
+    # columns, the slice, its cone and the images of a triangulation do not
+    pb, _, glued, z = build_level3()
+    half = pipeline._clip_hyperplane(3)
+    interface = [v for v in pb.ambient if half.eval(v) == 0]
+    slice_ = sd.restrict_to_hyperplane(pb, half, interface)
+    flip = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    cases = [
+        (pb, False),
+        (glued, False),
+        (slice_, True),
+        (sd.cone_subdivision(z, slice_), True),
+        (sd.apply_lattice_map(pb, flip), False),
+        (sd.apply_lattice_map(pipeline.triangulate_p2dual(3).triangulation, flip), True),
+    ]
+    for s, simplices in cases:
+        assert all(len(c) == s.dim + 1 for c in s.cells) is simplices
+        assert isinstance(s, sd.Triangulation) is simplices

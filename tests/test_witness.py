@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sylvtri import exact, family, pipeline, polytope, subdivision as sd, witness as wt
+from sylvtri import exact, pipeline, polytope, subdivision as sd, witness as wt
 from sylvtri.errors import (
     DegenerateGeometry,
     DimensionMismatch,
@@ -17,7 +17,7 @@ from sylvtri.polytope import HalfSpace
 from sylvtri.witness import RegularityWitness
 
 import oracles
-from test_subdivision import build_level2, segment_triangulation
+from test_subdivision import build_level2, build_level3, segment_triangulation
 
 
 def test_verify_regularity_1d():
@@ -86,7 +86,6 @@ def test_witness_cone_free_omega():
         [(-1, 0), (0, 0), (1, 0)],
         [(-1, 0), (1, 0)],
         [[(-1, 0), (0, 0)], [(0, 0), (1, 0)]],
-        simplicial=True,
     )
     w = RegularityWitness((1, 0, 1))
     cone = sd.cone_subdivision((0, 1), base)
@@ -99,7 +98,7 @@ def test_witness_cone_free_omega():
 
 def test_witness_cone_rejects_interior_store_points():
     base = sd.make_subdivision(
-        [(0, 0), (2, 0)], [(0, 0), (2, 0)], [[(0, 0), (2, 0)]], simplicial=True
+        [(0, 0), (2, 0)], [(0, 0), (2, 0)], [[(0, 0), (2, 0)]]
     )
     w = RegularityWitness((0, 0))
     apex = (0, 2)
@@ -231,23 +230,11 @@ def test_pull_sweep_point_location_matches_solve():
     assert located == sum(len(c) for c in tri.cells)
 
 
-def _level3_glue():
-    """The level-3 column pullback, its witness, the glue and its apex."""
-    prev = pipeline.triangulate_p2dual(2)
-    h = lambda y: family.hyperplane_height(3, y)
-    clipped = [p for p in family.lattice_points_p2dual(3) if p[-1] <= h(p[:-1])]
-    pb = sd.pullback_restricted(prev.triangulation, h, clipped)
-    w_pb = wt.witness_pullback(prev.witness, prev.triangulation, pb)
-    z = (-1, -1, family.sylvester(2) - 1)
-    ambient = pipeline.build_vertices(family.FamilySpec(family.Family.P2DUAL, 3))
-    return pb, w_pb, sd.glue_cone(pb, pipeline._clip_hyperplane(3), z, ambient), z
-
-
 def test_pyramid_inverse_matches_direct_inverse():
     # on the level-3 glued store the sweep starts from: replacing vertex j
     # of a simplex cell by any store point m with a positive coordinate
     # there, the derived inverse equals a fresh one
-    _, _, glued, _ = _level3_glue()
+    _, _, glued, _ = build_level3()
     checked = 0
     for c in glued.cells:
         verts = glued.cell_points(c)
@@ -284,9 +271,11 @@ def test_drop_matches_fraction_arithmetic():
 
 
 def _agree(s, w):
-    """The integer check's report equals the Fraction oracle's, exactly."""
+    """The integer check's report equals the Fraction oracle's, exactly,
+    and carries the structural proof of s."""
     got = wt.verify_regularity(s, w)
     assert got == oracles.verify_regularity_fraction(s, w)
+    assert got.structure == sd.verify(s)
     return got
 
 
@@ -332,7 +321,7 @@ def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
     # the level-3 glued store pull_sweep starts from: column cells and
     # simplices, with the glue witness and perturbations of it at points
     # that are vertices of no cell (so each cell stays affine)
-    pb, w_pb, glued, z = _level3_glue()
+    pb, w_pb, glued, z = build_level3()
     w_glued, _ = wt.witness_glue(w_pb, pb, glued, z)
     assert any(len(c) > glued.ambient_dim + 1 for c in glued.cells)
     _agree(pb, w_pb)
@@ -355,6 +344,19 @@ def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
             for p in s.points
         ]
         _agree(s, RegularityWitness(tuple(vals)))
+
+
+def test_verify_regularity_matches_fraction_oracle_on_tampered_level3():
+    # a height raised and a cell vertex replaced by a store point added
+    # outside the ambient: the structure fails and the scan reports
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
+    data["witness"][5] = str(Fraction(data["witness"][5]) + 1000)
+    data["points"].append([2, 2, 2])
+    data["witness"].append("0")
+    data["cells"][10] = sorted(data["cells"][10][:-1] + [24])
+    art = pipeline.from_json_dict(data)
+    got = _agree(art.triangulation, art.witness)
+    assert not got.regular and not got.structure.valid
 
 
 def test_verify_regularity_needs_a_proven_structure():
@@ -424,7 +426,7 @@ def _level2_glue():
 
 
 def _level3_start():
-    pb, w_pb, glued, z = _level3_glue()
+    pb, w_pb, glued, z = build_level3()
     return glued, wt.witness_glue(w_pb, pb, glued, z)[0]
 
 
