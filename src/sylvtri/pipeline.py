@@ -18,7 +18,6 @@ from typing import Any
 from . import family, polytope, subdivision, witness
 from .errors import (
     ArtifactFormatError,
-    DegenerateGeometry,
     FeasibilityLimit,
     UnsupportedVersion,
     VerificationFailure,
@@ -384,10 +383,7 @@ def _first_failure(art: PipelineArtifact) -> str | None:
     expected = _expected_cells(art.spec)
     if len(tri.cells) != expected:
         return f"cell count {len(tri.cells)} != expected {expected}"
-    try:
-        cert = witness.verify_regularity(tri, art.witness)
-    except DegenerateGeometry:  # the scan stops at a degenerate cell; name it
-        return subdivision.verify(tri).failures[0]
+    cert = witness.verify_regularity(tri, art.witness)
     if cert.structure.failures:
         return cert.structure.failures[0]
     if not cert.structure.unimodular:

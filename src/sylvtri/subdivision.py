@@ -303,6 +303,7 @@ def verify(s: Subdivision) -> VerifyReport:
                     f"volume checksum {checksum} != ambient nvol {ambient_nvol}"
                 )
         except DegenerateGeometry as e:
+            checksum = None
             failures.append(f"degenerate cell: {e}")
 
         try:

@@ -151,7 +151,8 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     g - A_c, 0 until then, has a positive, non-decreasing slope: A_c(p) <
     g(p) = w(p).  Every other case (a bent wall, which is a violating
     pair, a store point that is no vertex, polytopal or unproven input)
-    runs the scan, so rejection stays quadratic in the worst case.
+    runs the scan, so rejection stays quadratic in the worst case.  A
+    degenerate cell, which the structure names, stops it: not regular.
     """
     if t.dim != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")
@@ -166,7 +167,12 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
         form = lambda c: _cell_form(t.cell_points(c), [heights[i] for i in c])
         if _bent_wall(t.cells, _simplex_facets, form, heights, pts) is None:
             return CertificateReport(True, structure=structure)
-    return replace(_all_pairs(t, heights, scale), structure=structure)
+    try:
+        return replace(_all_pairs(t, heights, scale), structure=structure)
+    except DegenerateGeometry:  # a degenerate cell, which the proof refused
+        if structure.valid:
+            raise
+        return CertificateReport(False, structure=structure)
 
 
 def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> CertificateReport:
@@ -275,25 +281,6 @@ def _largest_power_drop(upper: Fraction | None) -> Fraction:
     return eps
 
 
-def _pyramid_inverse(
-    adj: Sequence[tuple[int, ...]], d: int, lam: Sequence[int], j: int
-) -> list[tuple[int, ...]]:
-    """Inverse rows of the simplex with vertex j replaced by a point m.
-
-    lam are m's barycentric numerators over d, with lam[j] > 0.  Since
-    m = sum lam_k v_k / d, Cramer's rule gives the new simplex volume
-    lam[j], and its barycentric coordinates over lam[j] are adj[j] . x for
-    m and (lam[j] adj[k] - lam[k] adj[j]) . x / d for every other vertex k.
-    The new inverse is integral over lam[j], so each ``//`` is exact.
-    Rows come in the old vertex order, with m's row at position j.
-    """
-    lj, aj = lam[j], adj[j]
-    return [
-        aj if k == j else tuple([(lj * a - lk * b) // d for a, b in zip(adj[k], aj)])
-        for k, lk in enumerate(lam)
-    ]
-
-
 def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
     """The form a - eps * lam in lowest terms."""
     (arow, ad), (lrow, ld) = a, lam
@@ -304,51 +291,59 @@ def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
     return tuple(x // g for x in row), den // g
 
 
-# A facet of a polytopal cell: the store indices of its vertices and an
-# integer row, >= 0 on the cell and 0 on the facet (read with _row_at)
-Facet = tuple[frozenset[int], Sequence[int]]
+def _pyramid(
+    sets: Sequence[frozenset[int]],
+    rows: Sequence[Sequence[int]],
+    lam: Sequence[int],
+    f: int,
+    m_index: int,
+    carried: dict[int, Sequence[int]],
+) -> tuple[list[frozenset[int]], list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """The pyramid from a store point m over facet F = sets[f] of a cell.
 
+    sets and rows are the cell's facets: store-index sets and integer rows,
+    >= 0 on the cell and 0 on the facet (read with _row_at).  lam are m's
+    values on the rows, lam[f] > 0.  The pyramid's facets are F and, for
+    each facet G meeting F in a ridge (affine rank d - 2), conv((F & G) + m),
+    whose row lam[f] f_G - lam[g] f_F, divided by its gcd k, vanishes at m
+    and on F & G and is positive on F - G.  The ridges in F are its maximal
+    proper faces, each F & H for one facet H, so F & G is one iff no other
+    F & H strictly contains it, as none can when it is one vertex short of
+    F.  The facets come sorted by their least vertex off them, so a
+    simplex's rows come in vertex order, as simplex_inverse's do.
 
-def _split_numerators(
-    nu: Sequence[int], lam: Sequence[int], d: int, j: int
-) -> tuple[int, ...] | None:
-    """A point's numerators in the simplex with vertex j replaced by m.
-
-    nu are its barycentric numerators over d, lam are m's.  By the Cramer
-    identity of _pyramid_inverse they are nu[j] at m's position and
-    (lam[j] nu[k] - lam[k] nu[j]) / d at every other vertex k, over lam[j]:
-    no dot product over coordinates.  None if the point lies outside.
+    carried maps points to their values on the cell's rows.  By the same
+    identity a point's value on the row from G is (lam[f] nu[g] - lam[g]
+    nu[f]) / k, so no coordinates are read; the pyramid holds the point
+    iff none is negative.  Returns the facet sets, their rows and the
+    carried points the pyramid holds, with their values on those rows.
     """
-    out = [(lam[j] * nk - lk * nu[j]) // d for lk, nk in zip(lam, nu)]
-    out[j] = nu[j]
-    return tuple(out) if min(out) >= 0 else None
-
-
-def _pyramid_facets(
-    pts: Sequence[Point], facets: Sequence[Facet], f: int, m_index: int
-) -> list[Facet]:
-    """Facets of the pyramid from a store point m (f_F(m) > 0) over facet F.
-
-    They are F and, for each facet G of the cell meeting F in a ridge
-    (affine rank d - 2), conv((F & G) + m), whose row f_F(m) f_G - f_G(m)
-    f_F, divided by its gcd, vanishes at m and on F & G and is positive on
-    F - G.  The ridges in F are its maximal proper faces, each F & H for
-    one facet H, so F & G is one iff no other F & H strictly contains it.
-    """
-    fset, frow = facets[f]
-    m = pts[m_index]
-    fm = _row_at(frow, m)
-    meets = [fset & gset for gset, _ in facets]
-    out: list[Facet] = [(fset, frow)]
-    for g, (gset, grow) in enumerate(facets):
-        ridge = meets[g]
-        if g == f or any(ridge < other for h, other in enumerate(meets) if h != f):
+    fset, frow, lf = sets[f], rows[f], lam[f]
+    meets = [fset & gset for gset in sets]
+    # (least vertex off, g, lam[g], k, row (lam[f] f_G - lam[g] f_F) / k);
+    # F's own row is f_F, which is that row with lam[g] read as 0, k as lam[f]
+    out = [(m_index, f, 0, lf, tuple(frow))]
+    for g, ridge in enumerate(meets):
+        if g == f or len(ridge) < len(fset) - 1 and any(
+            ridge < other for h, other in enumerate(meets) if h != f
+        ):
             continue
-        gm = _row_at(grow, m)
-        row = [fm * y - gm * x for x, y in zip(frow, grow)]
+        row = [lf * y - lam[g] * x for x, y in zip(frow, rows[g])]
         k = gcd(*row)
-        out.append((ridge | {m_index}, tuple([x // k for x in row])))
-    return out
+        out.append((min(fset - ridge), g, lam[g], k, tuple([x // k for x in row])))
+    out.sort()
+    found: dict[int, tuple[int, ...]] = {}
+    for pi, nu in carried.items():
+        nf, values = nu[f], []
+        for _, g, lg, k, _ in out:
+            x = (lf * nu[g] - lg * nf) // k
+            if x < 0:
+                break
+            values.append(x)
+        else:
+            found[pi] = tuple(values)
+    child_sets = [fset if g == f else meets[g] | {m_index} for _, g, *_ in out]
+    return child_sets, [facet[-1] for facet in out], found
 
 
 def _columns(pts: Sequence[Point]) -> dict[Point, tuple[int, list[int]]]:
@@ -413,12 +408,18 @@ def pull_sweep(
     bound is the supremum of the feasible drops, so it equals witness_pull's
     whole-store bound, whose constraints follow from convexity.
 
-    The sweep runs on integers.  A simplex keeps the integer inverse of
-    its homogenised vertex matrix and a polytopal cell its facet rows; a
-    split derives its children's, and their points' numerators, from the
-    parent's.  Interpolants are integer forms in lowest terms and drop
-    bounds are compared by cross-multiplication; only witness values and
-    drops are Fractions.
+    The sweep runs on integers.  Every cell keeps integer facet rows, >= 0
+    on it and 0 on one facet each: a simplex its simplex_inverse rows in
+    vertex order, up to positive factors, with its facets implicit; a
+    polytopal cell also its facets' vertex sets.  A cell holding m splits
+    into the pyramids from m over the facets F with lam_F = f_F(m) > 0.
+    Each pyramid's facets are F and one per ridge F & G, with row lam_F f_G
+    - lam_G f_F over its gcd, and its points' values follow from their
+    values on the parent by the same ratio identity (_pyramid), so no
+    coordinates are read; a simplex keeps those values, a polytopal cell
+    only which points it holds.  Interpolants are integer forms in lowest
+    terms and drop bounds are compared by cross-multiplication; only
+    witness values and drops are Fractions.
     """
     pts = s.points
     npts = len(pts)
@@ -431,30 +432,14 @@ def pull_sweep(
     vert_inc: list[set[Cell]] = [set() for _ in range(npts)]
     loc: list[set[Cell]] = [set() for _ in range(npts)]  # non-vertex containment
     # forward map of loc, for cells holding points: each point with its
-    # barycentric numerators in a simplex cell, None in a polytopal one
+    # values on the facet rows in a simplex cell, None in a polytopal one
     located: dict[Cell, dict[int, tuple[int, ...] | None]] = {}
-    inv: dict[Cell, tuple[Sequence[tuple[int, ...]], int]] = {}  # simplex_inverse
-    facets: dict[Cell, list[Facet]] = {}  # of polytopal cells
+    rows: dict[Cell, Sequence[Sequence[int]]] = {}  # facet rows
+    facets: dict[Cell, list[frozenset[int]]] = {}  # vertex sets, polytopal cells
     cache: dict[Cell, Form] = {}  # interpolants
 
-    def rows_of(c: Cell) -> Sequence[Sequence[int]]:
-        """A cell's inverse or facet rows, computed unless a split derived them."""
-        verts = [pts[i] for i in c]
-        if len(c) == dim + 1:
-            if c not in inv:
-                inv[c] = polytope.simplex_inverse(verts)
-            return inv[c][0]
-        if c not in facets:
-            facets[c] = [
-                (frozenset(i for i in c if fn.numerator(pts[i]) == 0), fn.row)
-                for fn in polytope.inner_functionals(verts)
-            ]
-        return [row for _, row in facets[c]]
-
     def facet_sets(c: Cell) -> list[frozenset[int]]:
-        if len(c) == dim + 1:
-            return _simplex_facets(c)
-        return [fs for fs, _ in facets[c]]
+        return facets.get(c) or _simplex_facets(c)
 
     def add(c: Cell, found: dict[int, tuple[int, ...] | None]) -> None:
         cells.add(c)
@@ -468,7 +453,7 @@ def pull_sweep(
     def unregister(c: Cell) -> None:
         cells.discard(c)
         cache.pop(c, None)
-        inv.pop(c, None)
+        rows.pop(c, None)
         facets.pop(c, None)
         for i in c:
             vert_inc[i].discard(c)
@@ -484,24 +469,31 @@ def pull_sweep(
                 f"{other} across facet {sorted(fs)}"
             )
 
-    # the certificate pass before the first pull: every interpolant, in
-    # lowest terms, then each starting cell's points, found on vertical
-    # lines (exactly, so only a simplex computes their numerators) and
-    # checked to lie at or above the cell, then the walls
+    # the certificate pass before the first pull: every facet row and
+    # interpolant, in lowest terms, then each starting cell's points, found
+    # on vertical lines (exactly, so only a simplex computes their values)
+    # and checked to lie at or above the cell, then the walls
     heights, scale = _common_scale(w)
     for c in s.cells:
+        verts = [pts[i] for i in c]
+        inverse = None
         if len(c) == dim + 1:
-            rows_of(c)  # keeps the inverse the interpolant reads
-        row, den = _cell_form([pts[i] for i in c], [heights[i] for i in c], inv.get(c))
+            inverse = polytope.simplex_inverse(verts)
+            rows[c] = inverse[0]
+        else:
+            fns = polytope.inner_functionals(verts)
+            rows[c] = [fn.row for fn in fns]
+            facets[c] = [
+                frozenset(i for i in c if fn.numerator(pts[i]) == 0) for fn in fns
+            ]
+        row, den = _cell_form(verts, [heights[i] for i in c], inverse)
         g = gcd(den * scale, *row)
         cache[c] = (tuple(x // g for x in row), den * scale // g)
     cols = _columns(pts)
     for c in s.cells:
         row, den = cache[c]
-        rows = rows_of(c)
-        simplex = len(c) == dim + 1
         found: dict[int, tuple[int, ...] | None] = {}
-        for pi in _candidates(cols, [pts[i] for i in c], rows):
+        for pi in _candidates(cols, [pts[i] for i in c], rows[c]):
             if pi in c:
                 continue
             p, v = pts[pi], vals[pi]
@@ -510,7 +502,7 @@ def pull_sweep(
                     f"witness is not convex before the pull: store point {p} "
                     f"lies below cell {c}"
                 )
-            found[pi] = tuple([_row_at(r, p) for r in rows]) if simplex else None
+            found[pi] = None if c in facets else tuple([_row_at(r, p) for r in rows[c]])
         add(c, found)
     check_convex("before")
 
@@ -525,63 +517,38 @@ def pull_sweep(
         )
 
         # cells keeping m as a vertex have an eps-dependent interpolant
-        # A0 - eps * Lam, with Lam the barycentric coordinate of m; collect
-        # (cell, A0, Lam) triples while replacing the cells containing m.
-        # Simplices with m as a vertex are the only fixed points of a pull;
-        # a child's A0 is its parent's interpolant, which is phi_m at m.
+        # A0 - eps * Lam, with Lam = f_F / lam_F for the one facet F that m
+        # sees; collect (cell, A0, Lam) triples while splitting the others.
+        # A pyramid with apex m, every simplex through m among them, is the
+        # only fixed point of a pull; a child's A0 is its parent's
+        # interpolant, which is phi_m at m.
         eps_cells: list[tuple[Cell, Form, Form]] = []
-        for c in vert_inc[m_index]:
-            if len(c) == dim + 1:
-                adj, d = inv[c]
-                eps_cells.append((c, cache[c], (adj[c.index(m_index)], d)))
-
-        replaced = list(loc[m_index]) + [
-            c for c in vert_inc[m_index] if len(c) != dim + 1
-        ]
-        for parent in replaced:
+        for parent in incident:
+            prows = rows[parent]
+            held = located.get(parent, {})
+            lam = held.get(m_index) or [_row_at(r, m) for r in prows]
+            seen = [f for f, x in enumerate(lam) if x > 0]
             a0 = cache[parent]
-            carried = located.get(parent, {})
-            if len(parent) == dim + 1:
-                # split off the pyramids over the facets m sees, deriving
-                # each child's inverse and numerators from the parent's
-                adj, d = inv[parent]
-                lam = carried[m_index]
-                unregister(parent)
-                for j, lj in enumerate(lam):
-                    if lj <= 0:
-                        continue
-                    child = parent[:j] + (m_index,) + parent[j + 1 :]
-                    key = tuple(sorted(child))
-                    order = sorted(range(dim + 1), key=child.__getitem__)
-                    rows = _pyramid_inverse(adj, d, lam, j)
-                    inv[key] = (tuple([rows[k] for k in order]), lj)
-                    found = {}
-                    for pi, nu in carried.items():
-                        nums = _split_numerators(nu, lam, d, j)
-                        if nums is not None and pi != m_index:
-                            found[pi] = tuple([nums[k] for k in order])
-                    add(key, found)
-                    eps_cells.append((key, a0, (adj[j], lj)))
-            else:
-                # one pyramid from m over each facet not through m, with
-                # Lam = f_F / f_F(m) and facets derived from the parent's
-                pf = facets[parent]
-                unregister(parent)
-                for f, (fset, frow) in enumerate(pf):
-                    fm = _row_at(frow, m)
-                    if fm == 0:
-                        continue
-                    key = tuple(sorted(fset | {m_index}))
-                    if len(key) != dim + 1:
-                        facets[key] = _pyramid_facets(pts, pf, f, m_index)
-                    rows = rows_of(key)
-                    found = {}
-                    for pi in carried.keys() - key:
-                        nums = tuple([_row_at(row, pts[pi]) for row in rows])
-                        if min(nums) >= 0:
-                            found[pi] = nums if len(key) == dim + 1 else None
-                    add(key, found)
-                    eps_cells.append((key, a0, (frow, fm)))
+            if len(seen) == 1 and m_index in parent:
+                eps_cells.append((parent, a0, (prows[seen[0]], lam[seen[0]])))
+                continue
+            sets = facet_sets(parent)
+            carried = {
+                pi: nu or [_row_at(r, pts[pi]) for r in prows]
+                for pi, nu in held.items()
+                if pi != m_index
+            }
+            unregister(parent)
+            for f in seen:
+                key = tuple(sorted(sets[f] | {m_index}))
+                child_sets, rows[key], found = _pyramid(
+                    sets, prows, lam, f, m_index, carried
+                )
+                if len(key) != dim + 1:
+                    facets[key] = child_sets
+                    found = dict.fromkeys(found)
+                add(key, found)
+                eps_cells.append((key, a0, (prows[f], lam[f])))
 
         # bound eps by the walls of the cells through m: the targets are
         # their facet-neighbours' vertices, and constraints with Lam >= 0

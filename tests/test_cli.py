@@ -189,8 +189,8 @@ def test_verify_tampered_level3_lines(tmp_path, capsys):
 
 def test_verify_structural_failure_lines(tmp_path, capsys):
     # the first cell listed twice fails the facet join and the orientation
-    # check; a coplanar first cell stops the regularity scan, which cannot
-    # interpolate on it
+    # check; a coplanar first cell stops the checksum and the regularity
+    # scan, so neither a checksum nor regular=true is claimed
     base = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
     doubled = json.loads(json.dumps(base))
     doubled["cells"].append(doubled["cells"][0])
@@ -210,7 +210,17 @@ def test_verify_structural_failure_lines(tmp_path, capsys):
                 "side of their common facet (0, 1, 12)",
             ],
         ),
-        (coplanar, 5, [], ["domain error: singular linear system"]),
+        (
+            coplanar,
+            3,
+            ["valid=false simplicial=true unimodular=false regular=false checksum=None"],
+            [
+                "failure: degenerate cell: zero-volume simplex",
+                "failure: facet (0, 1, 22) unmatched and not on the boundary",
+                "failure: facet (0, 12, 22) unmatched and not on the boundary",
+                "failure: facet (1, 12, 22) unmatched and not on the boundary",
+            ],
+        ),
     ):
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(data))

@@ -210,14 +210,24 @@ def test_cache_verifies_entries_on_load(tmp_path):
 
 
 def test_cache_load_runs_the_structural_proof_once(tmp_path, monkeypatch):
+    # a served entry and one refused for a collinear cell, which the
+    # regularity scan cannot interpolate on
     cache = str(tmp_path)
     pipeline.triangulate_p2dual(2, cache_dir=cache)
-    pipeline.clear_cache()
+    path = tmp_path / "p2dual_2.json"
+    collinear = json.loads(path.read_text())
+    collinear["cells"][0] = [0, 1, 2]
     calls = []
     proof = sd.verify
     monkeypatch.setattr(sd, "verify", lambda s: calls.append(s) or proof(s))
+    pipeline.clear_cache()
     pipeline.triangulate_p2dual(2, cache_dir=cache)
     assert len(calls) == 1
+    path.write_text(json.dumps(collinear))
+    pipeline.clear_cache()
+    with pytest.raises(VerificationFailure, match="degenerate cell: zero-volume"):
+        pipeline.triangulate_p2dual(2, cache_dir=cache)
+    assert len(calls) == 2
 
 
 def test_load_rejects_truncated_file(tmp_path):

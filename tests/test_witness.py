@@ -230,32 +230,6 @@ def test_pull_sweep_point_location_matches_solve():
     assert located == sum(len(c) for c in tri.cells)
 
 
-def test_pyramid_inverse_matches_direct_inverse():
-    # on the level-3 glued store the sweep starts from: replacing vertex j
-    # of a simplex cell by any store point m with a positive coordinate
-    # there, the derived inverse equals a fresh one
-    _, _, glued, _ = build_level3()
-    checked = 0
-    for c in glued.cells:
-        verts = glued.cell_points(c)
-        if len(verts) != len(verts[0]) + 1:
-            continue
-        adj, d = polytope.simplex_inverse(verts)
-        for m in glued.points:
-            if m in verts:
-                continue
-            lam = [wt._row_at(row, m) for row in adj]
-            assert [Fraction(x, d) for x in lam] == _solve_bary(verts, m)
-            for j, lj in enumerate(lam):
-                if lj > 0:
-                    child = verts[:j] + (m,) + verts[j + 1 :]
-                    assert (wt._pyramid_inverse(adj, d, lam, j), lj) == (
-                        polytope.simplex_inverse(child)
-                    )
-                    checked += 1
-    assert checked > 0
-
-
 def test_drop_matches_fraction_arithmetic():
     # the sweep's integer update A0 - eps * Lam lands in the lowest terms
     # AffineFunctional computes from its Fraction data
@@ -404,9 +378,14 @@ def test_verify_regularity_rejects_degenerate_cell():
         tuple(pts), tuple(pts[:2] + pts[3:]), ((0, 1, 3), (0, 2, 3))
     )
     w = RegularityWitness((0, 1, 0, 1))
-    for check in (wt.verify_regularity, oracles.verify_regularity_fraction):
-        with pytest.raises(DegenerateGeometry):
-            check(flat, w)
+    with pytest.raises(DegenerateGeometry):
+        oracles.verify_regularity_fraction(flat, w)
+    # the structural proof refuses the cell, so no regularity is claimed
+    rep = wt.verify_regularity(flat, w)
+    assert not rep.regular and not rep.violating_pairs
+    assert rep.structure == sd.verify(flat)
+    assert rep.structure.failures[0] == "degenerate cell: zero-volume simplex"
+    assert rep.structure.volume_checksum is None
 
 
 def _criterion10_configs():
@@ -518,6 +497,17 @@ def test_pull_sweep_drop_bounds_equal_oracle_supremum(monkeypatch):
         assert any(b is not None for b in bounds)
     for s, w in _criterion10_configs():
         _assert_bounds_match_oracle(s, w, monkeypatch)
+    # a square pyramid whose apex is the first store point: the first pull
+    # keeps the polytopal cell, a pyramid with apex m, as it is
+    pts = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+    s = sd.make_subdivision(pts, pts, [pts])
+    w = RegularityWitness((0,) * len(pts))
+    _assert_bounds_match_oracle(s, w, monkeypatch)
+    lit = s
+    for i in range(len(pts)):
+        lit = oracles.pull_literal(lit, i)
+    tri = wt.pull_sweep(s, w)[0]
+    assert oracles.cell_point_sets(tri) == oracles.cell_point_sets(lit)
 
 
 def _facets_of(verts, idx):
@@ -533,70 +523,77 @@ def _primitive(row):
     return tuple(x // g for x in row)
 
 
-def _polytopal_starts():
-    """Polytopal cells of the level-3 glue and of criterion 10's configurations."""
-    for s, _ in [_level3_start()] + list(_criterion10_configs()):
-        for c in s.cells:
-            if len(c) > s.ambient_dim + 1:
-                yield s, c
+def _cell_facets(pts, c):
+    """A cell's facet sets and rows, found directly: a simplex's inverse rows
+    in vertex order, a polytopal cell's inner functionals."""
+    verts = [pts[i] for i in c]
+    if len(c) == len(verts[0]) + 1:
+        return wt._simplex_facets(c), polytope.simplex_inverse(verts)[0]
+    facets = _facets_of(verts, c)
+    return [fs for fs, _ in facets], [row for _, row in facets]
 
 
-def test_pyramid_facets_match_inner_functionals():
-    # pyramids from every store point of a polytopal cell over every facet
-    # it sees, and pyramids inside those: derived facets equal the child's
-    # facets found by search, rows up to a positive factor
-    checked = 0
-    for s, c in _polytopal_starts():
-        pts = s.points
-        todo = [(c, _facets_of(s.cell_points(c), c), 2)]
-        while todo:
-            cell, fs, depth = todo.pop()
-            inside = [
-                mi for mi, m in enumerate(pts)
-                if min(wt._row_at(row, m) for _, row in fs) >= 0
-            ]
-            for mi in inside:
-                for f, (fset, row) in enumerate(fs):
-                    if wt._row_at(row, pts[mi]) == 0:
-                        continue
-                    got = wt._pyramid_facets(pts, fs, f, mi)
-                    child = tuple(sorted(fset | {mi}))
-                    want = _facets_of([pts[i] for i in child], child)
-                    assert {k: _primitive(r) for k, r in got} == {
-                        k: _primitive(r) for k, r in want
-                    }
-                    checked += 1
-                    if depth > 1 and len(child) > s.ambient_dim + 1:
-                        todo.append((child, got, depth - 1))
-    assert checked > 100
-
-
-def test_split_numerators_match_derived_inverse():
-    # splitting a simplex at a store point m: the ratio test's numerators
-    # for every store point equal the derived child inverse's, and it
-    # returns None exactly where one of those is negative
-    checked = 0
+def _pyramid_parents():
+    """Cells of the level-3 glue and of criterion 10's configurations, and
+    five simplices sampled from each store, each with its store."""
     for s, _ in [_level3_start()] + list(_criterion10_configs()):
         pts, dim = s.points, s.ambient_dim
         rng = random.Random(len(pts))
-        for _ in range(5):
-            verts = rng.sample(pts, dim + 1)
-            if exact.affine_rank(verts) != dim:
-                continue
+        sampled = [sorted(rng.sample(range(len(pts)), dim + 1)) for _ in range(5)]
+        for c in list(s.cells) + list(map(tuple, sampled)):
+            if exact.affine_rank([pts[i] for i in c]) == dim:
+                yield pts, c
+
+
+def test_pyramid_matches_direct_facets_and_values():
+    # the pyramid from a store point m over each facet it sees, of simplices
+    # and polytopal cells, and of the polytopal pyramids inside those:
+    # derived facet rows equal the child's simplex_inverse rows in vertex
+    # order, or its inner functionals, up to a positive factor, and every
+    # store point's derived values equal direct row evaluation, with
+    # rejection exactly where one of those is negative
+    simplices = polytopal = 0
+    for pts, c in _pyramid_parents():
+        dim = len(pts[0])
+        if len(c) == dim + 1:  # inverse rows over D: barycentric coordinates
+            verts = [pts[i] for i in c]
             adj, d = polytope.simplex_inverse(verts)
             for m in pts:
-                lam = [wt._row_at(row, m) for row in adj]
-                for j, lj in enumerate(lam):
-                    if lj <= 0:
+                want = _solve_bary(verts, m)
+                assert [Fraction(wt._row_at(row, m), d) for row in adj] == want
+        todo = [(c, *_cell_facets(pts, c), 2)]
+        while todo:
+            cell, sets, rows, depth = todo.pop()
+            values = {i: [wt._row_at(r, p) for r in rows] for i, p in enumerate(pts)}
+            for mi, lam in values.items():
+                if len(cell) > dim + 1 and min(lam) < 0:
+                    continue  # polytopal parents split at their own points
+                for f in range(len(rows)):
+                    if lam[f] <= 0:
                         continue
-                    rows = wt._pyramid_inverse(adj, d, lam, j)
-                    for p in pts:
-                        nu = [wt._row_at(row, p) for row in adj]
-                        want = tuple(wt._row_at(row, p) for row in rows)
-                        got = wt._split_numerators(nu, lam, d, j)
-                        assert got == (want if min(want) >= 0 else None)
-                        checked += 1
-    assert checked > 1000
+                    got = wt._pyramid(sets, rows, lam, f, mi, values)
+                    got_sets, got_rows, found = got
+                    child = tuple(sorted(sets[f] | {mi}))
+                    want_sets, want_rows = _cell_facets(pts, child)
+                    off = [min(set(child) - fs) for fs in got_sets]
+                    assert off == sorted(off)
+                    if len(child) == dim + 1:
+                        assert got_sets == want_sets
+                        assert list(map(_primitive, got_rows)) == [
+                            _primitive(row) for row in want_rows
+                        ]
+                        simplices += 1
+                    else:
+                        assert dict(zip(got_sets, map(_primitive, got_rows))) == dict(
+                            zip(want_sets, map(_primitive, want_rows))
+                        )
+                        polytopal += 1
+                        if depth > 1:
+                            todo.append((child, got_sets, got_rows, depth - 1))
+                    for pi, p in enumerate(pts):
+                        want = tuple(wt._row_at(row, p) for row in got_rows)
+                        assert found.get(pi) == (want if min(want) >= 0 else None)
+    assert simplices > 1000 and polytopal > 100
 
 
 def test_vertical_location_matches_store_scan():
