@@ -533,67 +533,104 @@ def _cell_facets(pts, c):
     return [fs for fs, _ in facets], [row for _, row in facets]
 
 
-def _pyramid_parents():
-    """Cells of the level-3 glue and of criterion 10's configurations, and
-    five simplices sampled from each store, each with its store."""
-    for s, _ in [_level3_start()] + list(_criterion10_configs()):
+def _pyramid_stores():
+    """The level-3 glue and criterion 10's configurations."""
+    return [_level3_start()[0]] + [s for s, _ in _criterion10_configs()]
+
+
+def _check_pyramids(pts, c, depth):
+    """Split cell c of store pts at each store point m over each facet m
+    sees, and the polytopal pyramids inside those depth - 1 levels deeper,
+    checking every pyramid against a direct computation: its facets come
+    sorted by their least vertex off them; a simplex's rows equal its
+    simplex_inverse rows in vertex order, a polytopal cell's its inner
+    functionals, up to a positive factor; every store point's derived
+    values equal direct row evaluation, with rejection exactly where one of
+    those is negative.  A simplex c's inverse rows over D are checked
+    against exact.solve first.  Returns the simplex and polytopal pyramids
+    checked."""
+    dim = len(pts[0])
+    if len(c) == dim + 1:  # inverse rows over D: barycentric coordinates
+        verts = [pts[i] for i in c]
+        adj, d = polytope.simplex_inverse(verts)
+        for m in pts:
+            want = _solve_bary(verts, m)
+            assert [Fraction(wt._row_at(row, m), d) for row in adj] == want
+    simplices = polytopal = 0
+    todo = [(c, *_cell_facets(pts, c), depth)]
+    while todo:
+        cell, sets, rows, depth = todo.pop()
+        values = {i: [wt._row_at(r, p) for r in rows] for i, p in enumerate(pts)}
+        for mi, lam in values.items():
+            if len(cell) > dim + 1 and min(lam) < 0:
+                continue  # polytopal parents split at their own points
+            for f in range(len(rows)):
+                if lam[f] <= 0:
+                    continue
+                got_sets, got_rows, found = wt._pyramid(sets, rows, lam, f, mi, values)
+                child = tuple(sorted(sets[f] | {mi}))
+                want_sets, want_rows = _cell_facets(pts, child)
+                off = [min(set(child) - fs) for fs in got_sets]
+                assert off == sorted(off)
+                if len(child) == dim + 1:
+                    assert got_sets == want_sets
+                    assert list(map(_primitive, got_rows)) == [
+                        _primitive(row) for row in want_rows
+                    ]
+                    simplices += 1
+                else:
+                    assert dict(zip(got_sets, map(_primitive, got_rows))) == dict(
+                        zip(want_sets, map(_primitive, want_rows))
+                    )
+                    polytopal += 1
+                    if depth > 1:
+                        todo.append((child, got_sets, got_rows, depth - 1))
+                for pi, p in enumerate(pts):
+                    want = tuple(wt._row_at(row, p) for row in got_rows)
+                    assert found.get(pi) == (want if min(want) >= 0 else None)
+    return simplices, polytopal
+
+
+def test_pyramid_inverse_matches_direct_inverse():
+    # the simplex cells of the level-3 glue and of criterion 10's
+    # configurations, split at each store point m over each facet m sees:
+    # the inverse rows give exact.solve's barycentric coordinates, and the
+    # pyramid's rows equal the child's simplex_inverse rows in vertex order
+    checked = 0
+    for s in _pyramid_stores():
+        for c in s.cells:
+            if len(c) == s.ambient_dim + 1:
+                checked += _check_pyramids(s.points, c, 1)[0]
+    assert checked > 100
+
+
+def test_pyramid_facets_match_inner_functionals():
+    # the polytopal cells of the level-3 glue and of criterion 10's
+    # configurations, split at each of their store points over each facet
+    # it sees, and the polytopal pyramids inside those: the pyramid's facets
+    # equal the child's inner functionals up to a positive factor
+    checked = 0
+    for s in _pyramid_stores():
+        for c in s.cells:
+            if len(c) > s.ambient_dim + 1:
+                checked += _check_pyramids(s.points, c, 2)[1]
+    assert checked > 100
+
+
+def test_split_numerators_match_derived_inverse():
+    # five simplices sampled from each store, split at every store point
+    # with a positive coordinate: each store point's values on the child,
+    # derived from its values on the parent, equal direct row evaluation,
+    # with rejection exactly where one of those is negative
+    checked = 0
+    for s in _pyramid_stores():
         pts, dim = s.points, s.ambient_dim
         rng = random.Random(len(pts))
-        sampled = [sorted(rng.sample(range(len(pts)), dim + 1)) for _ in range(5)]
-        for c in list(s.cells) + list(map(tuple, sampled)):
+        for _ in range(5):
+            c = tuple(sorted(rng.sample(range(len(pts)), dim + 1)))
             if exact.affine_rank([pts[i] for i in c]) == dim:
-                yield pts, c
-
-
-def test_pyramid_matches_direct_facets_and_values():
-    # the pyramid from a store point m over each facet it sees, of simplices
-    # and polytopal cells, and of the polytopal pyramids inside those:
-    # derived facet rows equal the child's simplex_inverse rows in vertex
-    # order, or its inner functionals, up to a positive factor, and every
-    # store point's derived values equal direct row evaluation, with
-    # rejection exactly where one of those is negative
-    simplices = polytopal = 0
-    for pts, c in _pyramid_parents():
-        dim = len(pts[0])
-        if len(c) == dim + 1:  # inverse rows over D: barycentric coordinates
-            verts = [pts[i] for i in c]
-            adj, d = polytope.simplex_inverse(verts)
-            for m in pts:
-                want = _solve_bary(verts, m)
-                assert [Fraction(wt._row_at(row, m), d) for row in adj] == want
-        todo = [(c, *_cell_facets(pts, c), 2)]
-        while todo:
-            cell, sets, rows, depth = todo.pop()
-            values = {i: [wt._row_at(r, p) for r in rows] for i, p in enumerate(pts)}
-            for mi, lam in values.items():
-                if len(cell) > dim + 1 and min(lam) < 0:
-                    continue  # polytopal parents split at their own points
-                for f in range(len(rows)):
-                    if lam[f] <= 0:
-                        continue
-                    got = wt._pyramid(sets, rows, lam, f, mi, values)
-                    got_sets, got_rows, found = got
-                    child = tuple(sorted(sets[f] | {mi}))
-                    want_sets, want_rows = _cell_facets(pts, child)
-                    off = [min(set(child) - fs) for fs in got_sets]
-                    assert off == sorted(off)
-                    if len(child) == dim + 1:
-                        assert got_sets == want_sets
-                        assert list(map(_primitive, got_rows)) == [
-                            _primitive(row) for row in want_rows
-                        ]
-                        simplices += 1
-                    else:
-                        assert dict(zip(got_sets, map(_primitive, got_rows))) == dict(
-                            zip(want_sets, map(_primitive, want_rows))
-                        )
-                        polytopal += 1
-                        if depth > 1:
-                            todo.append((child, got_sets, got_rows, depth - 1))
-                    for pi, p in enumerate(pts):
-                        want = tuple(wt._row_at(row, p) for row in got_rows)
-                        assert found.get(pi) == (want if min(want) >= 0 else None)
-    assert simplices > 1000 and polytopal > 100
+                checked += _check_pyramids(pts, c, 1)[0] * len(pts)
+    assert checked > 1000
 
 
 def test_vertical_location_matches_store_scan():
