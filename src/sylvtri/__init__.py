@@ -7,8 +7,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     FeasibilityLimit,
-    GluingMismatch,
-    IncompatibleSubdivision,
     SylvtriError,
     UnsupportedStore,
     UnsupportedVersion,
@@ -48,9 +46,7 @@ __all__ = [
     "Family",
     "FamilySpec",
     "FeasibilityLimit",
-    "GluingMismatch",
     "HalfSpace",
-    "IncompatibleSubdivision",
     "InvariantReport",
     "LatticeSimplex",
     "PipelineArtifact",

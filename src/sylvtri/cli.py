@@ -13,7 +13,7 @@ import csv
 import sys
 import time
 
-from . import invariants, pipeline, witness
+from . import invariants, pipeline
 from .errors import (
     ArtifactFormatError,
     DomainError,
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True, help="artifact output path")
-    p.add_argument("--max-cells", type=int, default=5_000_000)
+    p.add_argument("--max-cells", type=int, default=pipeline.MAX_CELLS)
     p.add_argument("--cache-dir", default=None)
     _add_common(p)
 
@@ -93,7 +93,7 @@ def cmd_triangulate(args) -> int:
         Family(args.family), args.n, args.max_cells, args.cache_dir
     )
     pipeline.save(art, args.out)
-    cert = witness.verify_regularity(art.triangulation, art.witness)
+    cert = art.certificate
     line = (
         f"{args.family} {args.n} cells={len(art.triangulation.cells)} "
         f"points={len(art.triangulation.points)} "
@@ -111,7 +111,7 @@ def cmd_triangulate(args) -> int:
 
 def cmd_verify(args) -> int:
     art = pipeline.load(args.path)
-    cert = witness.verify_regularity(art.triangulation, art.witness)
+    cert = art.certificate
     rep = cert.structure
     print(
         f"valid={str(rep.valid).lower()} "

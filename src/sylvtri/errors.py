@@ -21,14 +21,6 @@ class FeasibilityLimit(SylvtriError, RuntimeError):
     """A construction was refused because it exceeds configured size bounds."""
 
 
-class IncompatibleSubdivision(SylvtriError, ValueError):
-    """A cell meets a hyperplane in a set that is not a face of the cell."""
-
-
-class GluingMismatch(SylvtriError, ValueError):
-    """Two subdivisions disagree on the interface along which they are glued."""
-
-
 class UnsupportedStore(SylvtriError, ValueError):
     """A point store violates a structural assumption of the operation."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Any
 
@@ -23,11 +24,12 @@ from .errors import (
     VerificationFailure,
 )
 from .family import Family, FamilySpec
-from .polytope import HalfSpace, Point
-from .subdivision import Subdivision, Triangulation
-from .witness import RegularityWitness
+from .polytope import Point
+from .subdivision import Triangulation
+from .witness import CertificateReport, RegularityWitness
 
 FORMAT_VERSION = 1
+MAX_CELLS = 5_000_000  # default cell limit of every build and of the loader
 
 ProvenanceStep = dict[str, Any]
 
@@ -40,6 +42,11 @@ class PipelineArtifact:
     triangulation: Triangulation
     witness: RegularityWitness
     provenance: tuple[ProvenanceStep, ...]
+
+    @cached_property
+    def certificate(self) -> CertificateReport:
+        """The regularity check with its structural proof, run once."""
+        return witness.verify_regularity(self.triangulation, self.witness)
 
 
 _CACHE: dict[tuple[Family, int], PipelineArtifact] = {}
@@ -82,26 +89,29 @@ def _require_feasible(n: int, max_cells: int) -> None:
         )
 
 
-def _clip_hyperplane(n_plus_1: int) -> HalfSpace:
-    """The slanted hyperplane sum((s_n - 1)/s_i) x_i + x_n = 0."""
-    n = n_plus_1 - 1
-    sn = family.sylvester(n)
-    coeffs = [Fraction((sn - 1) // family.sylvester(i)) for i in range(n)]
-    coeffs.append(Fraction(1))
-    return HalfSpace(tuple(coeffs), Fraction(0))
-
-
 def triangulate_p2dual(
     n: int,
-    max_cells: int = 5_000_000,
+    max_cells: int = MAX_CELLS,
     cache_dir: str | None = None,
 ) -> PipelineArtifact:
     """Certified unimodular triangulation of the level-n dual simplex.
 
     Base case n = 1 is the segment [-1, 1] split at 0; each higher level
-    clips along the slanted hyperplane, lifts the previous triangulation
-    into columns below it, cones the slice to the apex, glues, and pulls
-    at every lattice point in lexicographic order.
+    clips along the slanted hyperplane t = h(y), lifts the previous
+    triangulation into columns below it, cones the slice to the apex
+    z = (y0, s_{n-1} - 1) with y0 = (-1, ..., -1), glues, and pulls at
+    every lattice point in lexicographic order.  The slice is the previous
+    level's cells lifted by y -> (y, h(y)), the columns' top faces.
+
+    The apex height omega must exceed, at z, the interpolant of every
+    column cell under the pulled-back witness w(y, t) = w_prev(y).  A
+    column over sigma has height w_prev(v) at both ends (v, -1) and
+    (v, h(v)), so its interpolant is A_sigma(y), the previous level's cell
+    interpolant.  Each A_sigma lies below the convex function g that
+    w_prev certifies and equals it on sigma (De Loera-Rambau-Santos,
+    *Triangulations*, 2010, ch. 5), so the largest A_sigma(y0) is g(y0) =
+    w_prev(y0), y0 being a vertex of the previous polytope; omega =
+    1 + w_prev(y0).
     """
     spec = FamilySpec(Family.P2DUAL, n)
     _require_feasible(n, max_cells)
@@ -135,9 +145,14 @@ def triangulate_p2dual(
     w_pb = witness.witness_pullback(w_prev, t_prev, pb)
     prov.append({"step": "pullback", "level": n})
 
-    z = (-1,) * (n - 1) + (family.sylvester(n - 1) - 1,)
-    glued = subdivision.glue_cone(pb, _clip_hyperplane(n), z, build_vertices(spec))
-    w_glued, omega = witness.witness_glue(w_pb, pb, glued, z)
+    y0 = (-1,) * (n - 1)
+    z = (*y0, family.sylvester(n - 1) - 1)
+    top = [
+        tuple((*v, h(v)) for v in t_prev.cell_points(c)) for c in t_prev.cells
+    ]
+    glued = subdivision.glue_cone(pb, top, z, build_vertices(spec))
+    omega = 1 + w_prev.values[t_prev.index[y0]]
+    w_glued = witness.witness_cone(w_pb, pb, glued, z, omega)
     prov.append({"step": "glue", "apex": list(z), "omega": _frac_str(omega)})
 
     tri, w_tri, pulls = witness.pull_sweep(glued, w_glued)
@@ -158,7 +173,7 @@ def triangulate_p2dual(
 
 def triangulate_p2(
     n: int,
-    max_cells: int = 5_000_000,
+    max_cells: int = MAX_CELLS,
     cache_dir: str | None = None,
 ) -> PipelineArtifact:
     """Triangulation of the level-n second-family simplex.
@@ -189,15 +204,26 @@ def triangulate_p2(
 
 def triangulate_p1(
     n_plus_1: int,
-    max_cells: int = 5_000_000,
+    max_cells: int = MAX_CELLS,
     cache_dir: str | None = None,
 ) -> PipelineArtifact:
     """Triangulation of the level-(n+1) first-family simplex.
 
     The second-family triangulation is embedded at last coordinate 0 and
-    coned to the last basis vector (free apex height 0); that cone is then
-    glued, along {x_{n+1} = 0}, to the cone at the weight vertex
-    (constrained apex height).
+    coned to the last basis vector e_last (free apex height 0); that cone
+    is then glued, along {x_{n+1} = 0}, to the cone at the weight vertex
+    w1 = (2 w2, -1), w2 the second family's weight vertex, over the
+    embedded cells.
+
+    The apex height omega must exceed, at w1, the interpolant of every
+    cell of the first cone.  The cell over sigma is 0 at e_last and
+    A_sigma(y) = a_sigma . y + b_sigma at (y, 0), A_sigma being the
+    second family's cell interpolant, so its interpolant is
+    a_sigma . y + b_sigma (1 - t), which at w1 is 2 A_sigma(w2).  Each
+    A_sigma lies below the convex function g that w_p2 certifies and
+    equals it on sigma (De Loera-Rambau-Santos, *Triangulations*, 2010,
+    ch. 5), so the largest of these is 2 g(w2) = 2 w_p2(w2), w2 being a
+    vertex of the second family's simplex; omega = 1 + 2 w_p2(w2).
     """
     spec = FamilySpec(Family.P1, n_plus_1)
     _require_feasible(n_plus_1 - 1, max_cells)
@@ -221,9 +247,10 @@ def triangulate_p1(
     w_minus = witness.witness_cone(w_emb, emb, minus, e_last, omega=0)
 
     w1 = family.weight_vertex_w1(n_plus_1)
-    last = HalfSpace(tuple(Fraction(int(i == n)) for i in range(n_plus_1)), Fraction(0))
-    glued = subdivision.glue_cone(minus, last, w1, build_vertices(spec))
-    w_glued, omega = witness.witness_glue(w_minus, minus, glued, w1)
+    base = [emb.cell_points(c) for c in emb.cells]
+    glued = subdivision.glue_cone(minus, base, w1, build_vertices(spec))
+    omega = 1 + 2 * p2.witness.values[t2.index[family.weight_vertex_w2(n)]]
+    w_glued = witness.witness_cone(w_minus, minus, glued, w1, omega)
     if not isinstance(glued, Triangulation):
         raise VerificationFailure("cone gluing did not yield simplices")
 
@@ -239,7 +266,7 @@ def triangulate_p1(
 def triangulate(
     fam: Family,
     n: int,
-    max_cells: int = 5_000_000,
+    max_cells: int = MAX_CELLS,
     cache_dir: str | None = None,
 ) -> PipelineArtifact:
     """Dispatch to the family-specific construction."""
@@ -307,16 +334,18 @@ def from_json_dict(data: dict) -> PipelineArtifact:
         cells = tuple(tuple(int(i) for i in c) for c in data["cells"])
         wvals = tuple(Fraction(v) for v in data["witness"])
         prov = tuple(data["provenance"])
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ArtifactFormatError(f"malformed artifact field: {e}") from e
     spec = FamilySpec(fam, n)
-    ambient = build_vertices(spec)
+    # refuse a level triangulate would refuse before building its ambient,
+    # whose coordinates grow like the Sylvester numbers
+    _require_feasible(n - 1 if fam is Family.P1 else n, MAX_CELLS)
     if list(points) != sorted(set(points)):
         raise ArtifactFormatError("point store is not sorted and deduplicated")
-    for p in points:
-        if len(p) != len(ambient[0]):
+    for p in points:  # every family's level-n simplex spans R^n
+        if len(p) != n:
             raise ArtifactFormatError(
-                f"point {p} has {len(p)} coordinates, expected {len(ambient[0])}"
+                f"point {p} has {len(p)} coordinates, expected {n}"
             )
     if len(wvals) != len(points):
         raise ArtifactFormatError("witness length does not match point store")
@@ -325,7 +354,11 @@ def from_json_dict(data: dict) -> PipelineArtifact:
             raise ArtifactFormatError(f"cell {c} has out-of-range indices")
         if any(a >= b for a, b in zip(c, c[1:])):
             raise ArtifactFormatError(f"cell {c} indices are not strictly increasing")
-    tri = Triangulation(points, ambient, cells)
+        if len(c) != n + 1:
+            raise ArtifactFormatError(
+                f"cell {c} has {len(c)} vertices, expected {n + 1}"
+            )
+    tri = Triangulation(points, build_vertices(spec), cells)
     return PipelineArtifact(spec, tri, RegularityWitness(wvals), prov)
 
 
@@ -383,7 +416,7 @@ def _first_failure(art: PipelineArtifact) -> str | None:
     expected = _expected_cells(art.spec)
     if len(tri.cells) != expected:
         return f"cell count {len(tri.cells)} != expected {expected}"
-    cert = witness.verify_regularity(tri, art.witness)
+    cert = art.certificate
     if cert.structure.failures:
         return cert.structure.failures[0]
     if not cert.structure.unimodular:

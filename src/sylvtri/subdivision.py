@@ -2,7 +2,7 @@
 
 A Subdivision holds a lexicographically sorted point store plus maximal
 cells as sorted index tuples into that store.  Constructors (column
-pullback, restriction, cone, cone gluing along a facet, lattice map) are
+pullback, cone, cone gluing over a given interface, lattice map) are
 pure: each returns a new Subdivision, its ambient vertices given or
 derived in closed form.  The pulling refinement is witness.pull_sweep.
 """
@@ -15,13 +15,8 @@ from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from . import exact, polytope
-from .errors import (
-    DegenerateGeometry,
-    DomainError,
-    GluingMismatch,
-    IncompatibleSubdivision,
-)
-from .polytope import HalfSpace, Point
+from .errors import DegenerateGeometry, DomainError
+from .polytope import Point
 
 Cell = tuple[int, ...]
 
@@ -131,93 +126,44 @@ def pullback_restricted(
     return make_subdivision(all_points, sorted(ambient), cell_lists)
 
 
-def restrict_to_hyperplane(
-    s: Subdivision, h: HalfSpace, ambient: Sequence[Point]
-) -> Subdivision:
-    """Induced subdivision on the slice of the ambient polytope by h's boundary.
-
-    Every cell must meet the hyperplane in a face of itself (in particular no
-    cell may have vertices strictly on both sides).  ``ambient`` lists the
-    slice's vertices: when the slice is a facet of the ambient polytope,
-    they are the ambient vertices on the hyperplane.  On a Triangulation,
-    whose simplices must be non-degenerate, a face on the hyperplane is a
-    vertex subset of a simplex, of affine rank its size minus one; only the
-    faces of polytopal cells are ranked.
-    """
-    face_sets: set[tuple[Point, ...]] = set()
-    for c in s.cells:
-        verts = s.cell_points(c)
-        vals = [h.eval(v) for v in verts]
-        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-            raise IncompatibleSubdivision("a cell crosses the hyperplane")
-        on = tuple(sorted(v for v, val in zip(verts, vals) if val == 0))
-        if on:
-            face_sets.add(on)
-    if not face_sets:
-        raise IncompatibleSubdivision("hyperplane misses the subdivision")
-    simplices = isinstance(s, Triangulation)
-    ranks = {f: len(f) - 1 if simplices else exact.affine_rank(f) for f in face_sets}
-    max_rank = max(ranks.values())
-    cells = [f for f, r in ranks.items() if r == max_rank]
-    on_points = [p for p in s.points if h.eval(p) == 0]
-    return make_subdivision(on_points, ambient, cells)
-
-
 def glue_cone(
-    s: Subdivision, half: HalfSpace, z: Point, ambient: Sequence[Point]
+    s: Subdivision,
+    interface: Iterable[Sequence[Point]],
+    z: Point,
+    ambient: Sequence[Point],
 ) -> Subdivision:
-    """Union of s with the cone from apex z over s's facet slice.
+    """Union of s with the cone from apex z over the interface cells.
 
-    The interface is the part of s.ambient on the boundary of ``half``.
-    It must span a facet of s's ambient polytope, with s.ambient on one
-    closed side and z strictly on the other; else GluingMismatch.
-    ``ambient`` is the vertex list of the union, conv(s.ambient + z),
-    which every caller knows in closed form.
+    ``interface`` lists the cells (as point tuples) that s induces on a
+    facet hyperplane of its polytope, which every caller already holds:
+    the top faces of the columns, or the base of a cone.  ``ambient`` is
+    the vertex list of the union, conv(s.ambient + z), which every caller
+    knows in closed form.  Precondition, the caller's: s lies on one
+    closed side of the interface hyperplane and z strictly on the other.
 
-    The two parts agree on the interface by construction: the cone is
-    built on the slice of s itself, so its cells there are exactly the
-    cells s induces, and comparing the two restrictions would have nothing
-    left to catch.  Each cone cell lies on z's side of the hyperplane and
-    each cell of s on the other, so no two interiors meet.  The union
-    covers conv(ambient) when z lies beneath every other facet of s's
-    polytope, as the pipeline's apices do; verify proves the final result.
+    The two parts then agree on the interface by construction, since the
+    cone is built on the cells s induces there.  Each cone cell lies on
+    z's side of the hyperplane and each cell of s on the other, so no two
+    interiors meet.  The union covers conv(ambient) when z lies beneath
+    every other facet of s's polytope, as the pipeline's apices do;
+    verify proves the final result.
     """
-    vals = [half.eval(v) for v in s.ambient]
-    interface = [v for v, val in zip(s.ambient, vals) if val == 0]
-    if not interface or exact.affine_rank(interface) != s.dim - 1:
-        raise GluingMismatch("shared ambient vertices do not span a common facet")
-    zval = half.eval(z)
-    if not (
-        (zval > 0 and all(v <= 0 for v in vals))
-        or (zval < 0 and all(v >= 0 for v in vals))
-    ):
-        raise GluingMismatch("parts are not on opposite sides of the interface")
-    cone = cone_subdivision(z, restrict_to_hyperplane(s, half, interface))
-    cell_lists = [s.cell_points(c) for c in s.cells] + [
-        cone.cell_points(c) for c in cone.cells
-    ]
+    cell_lists = [s.cell_points(c) for c in s.cells]
+    cell_lists += [(*cell, z) for cell in interface]
     return make_subdivision(list(s.points) + [z], ambient, cell_lists)
 
 
 def apply_lattice_map(
-    s: Subdivision,
-    matrix: Sequence[Sequence[int]],
-    translation: Sequence[int] | None = None,
+    s: Subdivision, matrix: Sequence[Sequence[int]]
 ) -> Subdivision:
-    """Pointwise image under a unimodular affine lattice map."""
-    n = len(matrix)
-    t = tuple(translation) if translation is not None else (0,) * n
-    if any(not isinstance(x, int) for row in matrix for x in row) or any(
-        not isinstance(x, int) for x in t
-    ):
+    """Pointwise image under a unimodular linear lattice map."""
+    if any(not isinstance(x, int) for row in matrix for x in row):
         raise DomainError("lattice map must have integer entries")
     if abs(exact.det_int([list(r) for r in matrix])) != 1:
         raise DomainError("lattice map must have determinant +-1")
 
     def img(p: Point) -> Point:
-        return tuple(
-            sum(r * x for r, x in zip(row, p)) + c for row, c in zip(matrix, t)
-        )
+        return tuple(sum(r * x for r, x in zip(row, p)) for row in matrix)
 
     images = [img(p) for p in s.points]
     cell_lists = [tuple(images[i] for i in c) for c in s.cells]

@@ -228,9 +228,10 @@ def witness_cone(
     z: Point,
     omega: Fraction | int = 0,
 ) -> RegularityWitness:
-    """Witness on a cone: base values retained, free value omega at the apex.
+    """Witness on a cone, or on a cone glued to base: base values
+    retained, value omega at the apex z.
 
-    The cone store must consist of the base store plus z alone; interior
+    The store must consist of the base store plus z alone; interior
     lattice points would need interpolated heights this pipeline never has
     to produce, so such stores are rejected.
     """
@@ -246,31 +247,6 @@ def witness_cone(
                 f"cone store point {p} is neither the apex nor a base point"
             )
     return RegularityWitness(tuple(vals))
-
-
-def witness_glue(
-    w_minus: RegularityWitness,
-    s_minus: Subdivision,
-    glued: Subdivision,
-    z: Point,
-) -> tuple[RegularityWitness, Fraction]:
-    """Witness on a glue of S⁻ with the cone from z over their interface.
-
-    The apex height omega must exceed every cell interpolant of S⁻
-    evaluated at z; the exact maximum plus one is used.  It is found on
-    the integer cell forms of L * w (see _all_pairs): each value at
-    z is an integer over L * den, compared by cross-multiplication, so
-    only omega itself is a Fraction.
-    """
-    heights, scale = _common_scale(w_minus)
-    top_n, top_d = None, 1
-    for c in s_minus.cells:
-        row, den = _cell_form(s_minus.cell_points(c), [heights[i] for i in c])
-        n = _row_at(row, z)
-        if top_n is None or n * top_d > top_n * den:
-            top_n, top_d = n, den
-    omega = 1 + Fraction(top_n, top_d * scale)
-    return witness_cone(w_minus, s_minus, glued, z, omega), omega
 
 
 def _largest_power_drop(upper: Fraction | None) -> Fraction:

@@ -5,15 +5,16 @@ is slow on purpose: membership by a supporting-hyperplane scan, by
 Caratheodory subsets or by an exact phase-one simplex (the hull LP, and
 through it the extreme points of a point set), lattice points by a
 bounding-box scan, pulling by coning over every proper face (De
-Loera-Rambau-Santos, *Triangulations*, 2010), the eps-halving pull that
+Loera-Rambau-Santos, *Triangulations*, 2010), the slice a hyperplane
+cuts from a subdivision by a half-space scan, the eps-halving pull that
 threads a witness through one pulling step at a time and the exact
 supremum of its drop, the all-pairs certificate check evaluated in
 Fractions on Fraction interpolants, and the quadratic common-face check
 between every pair of cells.  None of this is on the production path:
 ``witness.pull_sweep`` is the library's only pulling code,
 ``subdivision.verify``'s facet join its only structural check,
-``witness._cell_form`` its only interpolant, and every ambient the
-pipeline builds is known in closed form.
+``witness._cell_form`` its only interpolant, and every ambient, glue
+interface and glue apex height the pipeline uses is known in closed form.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Iterable, Sequence
 
 from sylvtri import exact, polytope, subdivision as sd
 from sylvtri.errors import DegenerateGeometry, DimensionMismatch, SylvtriError
-from sylvtri.polytope import LatticeSimplex, Point
-from sylvtri.subdivision import Cell, Subdivision
+from sylvtri.polytope import HalfSpace, LatticeSimplex, Point
+from sylvtri.subdivision import Cell, Subdivision, Triangulation
 from sylvtri.witness import CertificateReport, RegularityWitness
 
 BRUTEFORCE_BOX_LIMIT = 10**7
@@ -35,6 +36,10 @@ BRUTEFORCE_BOX_LIMIT = 10**7
 
 class BoxLimitExceeded(SylvtriError, RuntimeError):
     """A brute-force oracle refused to scan an oversized bounding box."""
+
+
+class IncompatibleSubdivision(SylvtriError, ValueError):
+    """A cell meets a hyperplane in a set that is not a face of the cell."""
 
 
 @dataclass(frozen=True)
@@ -274,6 +279,38 @@ def pull_literal(s: Subdivision, m_index: int) -> Subdivision:
                 new_cells.append(cone)
     maximal = sorted({tuple(sorted(c)) for c in new_cells})
     return sd.make_subdivision(s.points, s.ambient, maximal)
+
+
+def restrict_to_hyperplane(
+    s: Subdivision, h: HalfSpace, ambient: Sequence[Point]
+) -> Subdivision:
+    """Induced subdivision on the slice of the ambient polytope by h's boundary.
+
+    Every cell must meet the hyperplane in a face of itself (in particular no
+    cell may have vertices strictly on both sides).  ``ambient`` lists the
+    slice's vertices: when the slice is a facet of the ambient polytope,
+    they are the ambient vertices on the hyperplane.  On a Triangulation,
+    whose simplices must be non-degenerate, a face on the hyperplane is a
+    vertex subset of a simplex, of affine rank its size minus one; only the
+    faces of polytopal cells are ranked.
+    """
+    face_sets: set[tuple[Point, ...]] = set()
+    for c in s.cells:
+        verts = s.cell_points(c)
+        vals = [h.eval(v) for v in verts]
+        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+            raise IncompatibleSubdivision("a cell crosses the hyperplane")
+        on = tuple(sorted(v for v, val in zip(verts, vals) if val == 0))
+        if on:
+            face_sets.add(on)
+    if not face_sets:
+        raise IncompatibleSubdivision("hyperplane misses the subdivision")
+    simplices = isinstance(s, Triangulation)
+    ranks = {f: len(f) - 1 if simplices else exact.affine_rank(f) for f in face_sets}
+    max_rank = max(ranks.values())
+    cells = [f for f, r in ranks.items() if r == max_rank]
+    on_points = [p for p in s.points if h.eval(p) == 0]
+    return sd.make_subdivision(on_points, ambient, cells)
 
 
 def affine_interpolant(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sylvtri import cli, pipeline, subdivision as sd
+from sylvtri import cli, family, pipeline, subdivision as sd
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +99,44 @@ def test_verify_malformed_store_is_a_parse_error(tmp_path, capsys):
         for mode in ([], ["--mode", "local"]):
             assert cli.main(["verify", str(path), *mode]) == 4
             assert "parse error" in capsys.readouterr().err
+
+
+def test_verify_zero_denominator_witness_is_a_parse_error(tmp_path, capsys):
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    data["witness"][0] = "1/0"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_verify_cell_of_wrong_size_is_a_parse_error(tmp_path, capsys):
+    # in range and increasing, but two vertices in the plane
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    data["cells"][0] = data["cells"][0][:2]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_loader_refuses_an_unbuildable_level_before_building_it(
+    tmp_path, capsys, monkeypatch
+):
+    # a level-2 artifact relabelled n = 40: the loader refuses the level as
+    # triangulate would, before building its ambient
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    data["n"] = 40
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+
+    def build(spec):
+        raise AssertionError(f"built the ambient of level {spec.n}")
+
+    monkeypatch.setattr(family, "build", build)
+    for argv in (["verify"], ["fan", "--out", str(tmp_path / "fan.json")], ["stats"]):
+        assert cli.main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("feasibility refusal: ")
 
 
 def test_fan_p2(tmp_path, capsys):
@@ -248,3 +286,13 @@ def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
     path.write_text(json.dumps(data))
     assert cli.main(["verify", str(path)]) == 3
     assert len(calls) == 3
+    # a disk-cache hit: the certificate the cache check ran is the one
+    # triangulate prints
+    argv = ["triangulate", "--family", "p2dual", "--n", "2", "--out", str(path),
+            "--cache-dir", str(tmp_path / "cache")]
+    pipeline.clear_cache()
+    assert cli.main(argv) == 0
+    pipeline.clear_cache()
+    calls.clear()
+    assert cli.main(argv) == 0
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 """Pipeline tests: recursive construction, artifacts, caching."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +13,10 @@ from sylvtri.errors import (
     VerificationFailure,
 )
 from sylvtri.family import Family, FamilySpec
+from sylvtri.polytope import HalfSpace
 
 import oracles
+from test_subdivision import clip_halfspace
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +113,53 @@ def test_p1_ambient_matches_hull_oracle(n_plus_1):
     cand = [(*v, 0) for v in t2.ambient] + [e_last, family.weight_vertex_w1(n_plus_1)]
     glued = pipeline.triangulate_p1(n_plus_1).triangulation.ambient
     assert tuple(sorted(glued)) == oracles.vertex_filter(cand)
+
+
+def test_glue_closed_forms_match_oracles(monkeypatch):
+    # each glue's interface is the slice the half-space oracle cuts from
+    # the side it is glued onto, S-: the column subdivision by the clip
+    # hyperplane (p2dual 2-4), the first cone by x_{n+1} = 0 (p1 2-5); its
+    # apex height, as the provenance records it, is 1 + the largest
+    # interpolant of S- at the apex; the glued p2dual levels 2-3 pass the
+    # all-pairs oracle
+    glues, heights = {}, {}
+    glue, cone = sd.glue_cone, wt.witness_cone
+
+    def spy_glue(s, interface, z, ambient):
+        glues[z] = (s, list(interface), glue(s, interface, z, ambient))
+        return glues[z][2]
+
+    def spy_cone(w, base, c, z, omega=0):
+        heights[z] = w
+        return cone(w, base, c, z, omega)
+
+    monkeypatch.setattr(sd, "glue_cone", spy_glue)
+    monkeypatch.setattr(wt, "witness_cone", spy_cone)
+    arts = [pipeline.triangulate_p2dual(4)]
+    arts += [pipeline.triangulate_p1(n) for n in (2, 3, 4, 5)]
+    omegas = {
+        tuple(step["apex"]): Fraction(step["omega"])
+        for art in arts
+        for step in art.provenance
+        if step["step"] == "glue"
+    }
+    assert sorted(map(len, glues)) == [2, 2, 3, 3, 4, 4, 5]
+    assert omegas.keys() == glues.keys()
+    for z, (s, interface, glued) in glues.items():
+        n = len(z)
+        if z[-1] == -1:  # p1: w1 ends in -1
+            normal = [Fraction(int(i == n - 1)) for i in range(n)]
+            half = HalfSpace(tuple(normal), Fraction(0))
+        else:
+            half = clip_halfspace(n)
+            if n <= 3:
+                assert oracles.pairwise_verdict(glued)
+        facet = [v for v in s.ambient if half.eval(v) == 0]
+        slice_ = oracles.restrict_to_hyperplane(s, half, facet)
+        assert len(interface) == len(slice_.cells)
+        assert set(map(frozenset, interface)) == oracles.cell_point_sets(slice_)
+        top = max(oracles.cell_interpolant(s, c, heights[z])(z) for c in s.cells)
+        assert omegas[z] == 1 + top
 
 
 def test_determinism():

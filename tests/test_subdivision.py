@@ -6,16 +6,12 @@ from fractions import Fraction
 import pytest
 
 from sylvtri import exact, family, pipeline, subdivision as sd, witness as wt
-from sylvtri.errors import (
-    DegenerateGeometry,
-    DomainError,
-    GluingMismatch,
-    IncompatibleSubdivision,
-)
+from sylvtri.errors import DegenerateGeometry, DomainError
 from sylvtri.polytope import HalfSpace
 from sylvtri.witness import RegularityWitness
 
 import oracles
+from oracles import IncompatibleSubdivision
 
 
 def segment_triangulation():
@@ -26,8 +22,28 @@ def segment_triangulation():
     )
 
 
+def clip_halfspace(n):
+    """The level-n clip hyperplane sum((s_{n-1} - 1)/s_i) y_i + t = 0,
+    t = h(y) on it, as a half-space."""
+    sn = family.sylvester(n - 1)
+    coeffs = [Fraction((sn - 1) // family.sylvester(i)) for i in range(n - 1)]
+    return HalfSpace((*coeffs, Fraction(1)), Fraction(0))
+
+
 LEVEL2_HALF = HalfSpace((Fraction(1), Fraction(1)), Fraction(0))
 LEVEL2_VERTICES = ((-1, -1), (1, -1), (-1, 2))
+
+
+def column_tops(prev, h):
+    """The interface of a level's glue: prev's cells lifted by y -> (y, h(y))."""
+    return [tuple((*v, h(v)) for v in prev.cell_points(c)) for c in prev.cells]
+
+
+def glue_witness(w_pb, pb, glued, z):
+    """The pipeline's glue witness and apex height 1 + w_prev(y0), read at
+    the column bottom (y0, -1) under z = (y0, s_{n-1} - 1)."""
+    omega = 1 + w_pb.values[pb.index[(*z[:-1], -1)]]
+    return wt.witness_cone(w_pb, pb, glued, z, omega), omega
 
 
 def build_level2():
@@ -36,7 +52,7 @@ def build_level2():
     h = lambda y: family.hyperplane_height(2, y)
     clipped = [p for p in family.lattice_points_p2dual(2) if p[1] <= h(p[:1])]
     pb = sd.pullback_restricted(base, h, clipped)
-    return pb, sd.glue_cone(pb, LEVEL2_HALF, (-1, 2), LEVEL2_VERTICES)
+    return pb, sd.glue_cone(pb, column_tops(base, h), (-1, 2), LEVEL2_VERTICES)
 
 
 def build_level3():
@@ -48,7 +64,8 @@ def build_level3():
     w_pb = wt.witness_pullback(prev.witness, prev.triangulation, pb)
     z = (-1, -1, family.sylvester(2) - 1)
     ambient = pipeline.build_vertices(family.FamilySpec(family.Family.P2DUAL, 3))
-    return pb, w_pb, sd.glue_cone(pb, pipeline._clip_hyperplane(3), z, ambient), z
+    glued = sd.glue_cone(pb, column_tops(prev.triangulation, h), z, ambient)
+    return pb, w_pb, glued, z
 
 
 def test_store_must_be_sorted_unique():
@@ -76,7 +93,7 @@ def test_pullback_columns():
 
 def test_restrict_to_hyperplane():
     pb, _ = build_level2()
-    s = sd.restrict_to_hyperplane(pb, LEVEL2_HALF, [(-1, 1), (1, -1)])
+    s = oracles.restrict_to_hyperplane(pb, LEVEL2_HALF, [(-1, 1), (1, -1)])
     assert oracles.cell_point_sets(s) == {
         frozenset({(-1, 1), (0, 0)}),
         frozenset({(0, 0), (1, -1)}),
@@ -91,7 +108,7 @@ def test_restrict_rejects_crossing_cells():
         [[(0, 0), (2, 0), (0, 2), (2, 2)]],
     )
     with pytest.raises(IncompatibleSubdivision):
-        sd.restrict_to_hyperplane(
+        oracles.restrict_to_hyperplane(
             quad, HalfSpace((Fraction(1), Fraction(0)), Fraction(-1)), [(1, 0), (1, 2)]
         )
 
@@ -118,44 +135,11 @@ def test_glue_level2():
     assert oracles.pairwise_verdict(glued)
 
 
-@pytest.mark.parametrize("apex", [(-2, 0), (-2, 2)], ids=["base_side", "on_plane"])
-def test_glue_cone_rejects_apex_off_the_far_side(apex):
-    pb, _ = build_level2()
-    with pytest.raises(GluingMismatch, match="not on opposite sides"):
-        sd.glue_cone(pb, LEVEL2_HALF, apex, LEVEL2_VERTICES)
-
-
-def test_glue_rejects_non_facet_overlap():
-    # a hyperplane missing the ambient vertices, or meeting them only in
-    # a vertex of the level-2 columns' triangle
-    seg = sd.make_subdivision([(0,), (1,)], [(0,), (1,)], [[(0,), (1,)]])
-    pb, _ = build_level2()
-    for s, half, apex in [
-        (seg, HalfSpace((Fraction(1),), Fraction(-5)), (6,)),
-        (pb, HalfSpace((Fraction(1), Fraction(0)), Fraction(-1)), (2, -1)),
-        (pb, HalfSpace((Fraction(1), Fraction(0)), Fraction(-2)), (3, -1)),
-    ]:
-        with pytest.raises(GluingMismatch, match="do not span a common facet"):
-            sd.glue_cone(s, half, apex, s.ambient + (apex,))
-
-
-def test_glue_cone_rejects_cell_crossing_the_interface():
-    # the store reaches below the triangle its ambient declares
-    s = sd.make_subdivision(
-        [(0, 0), (2, 0), (0, 2), (1, -1)],
-        [(0, 0), (2, 0), (0, 2)],
-        [[(0, 0), (2, 0), (0, 2)], [(1, -1), (2, 0), (0, 2)]],
-    )
-    half = HalfSpace((Fraction(0), Fraction(1)), Fraction(0))
-    with pytest.raises(IncompatibleSubdivision, match="crosses"):
-        sd.glue_cone(s, half, (1, -2), [(0, 2), (1, -2), (2, 0), (0, 0)])
-
-
 def test_pull_matches_literal_definition_on_trace():
     pb, glued = build_level2()
     base = segment_triangulation()
     w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
-    w_glued, _ = wt.witness_glue(w_pb, pb, glued, (-1, 2))
+    w_glued, _ = glue_witness(w_pb, pb, glued, (-1, 2))
     tri, _, _ = wt.pull_sweep(glued, w_glued)
     lit = glued
     for i in range(len(glued.points)):
@@ -176,12 +160,21 @@ def test_pull_at_vertex_is_identity():
     assert wt.pull_sweep(s, RegularityWitness((1, 0, 1)))[0].cells == s.cells
 
 
+SHEAR = [[1, 0], [1, 1]]  # (x, y) -> (x, x + y)
+
+
 def test_apply_lattice_map():
-    s = segment_triangulation()
-    out = sd.apply_lattice_map(s, [[-1]], [3])
-    assert out.points == ((2,), (3,), (4,))
+    t = pipeline.triangulate_p2dual(2).triangulation
+    out = sd.apply_lattice_map(t, SHEAR)
+    assert out.points == (
+        (-1, -2), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (1, 0)
+    )
+    shear = lambda p: (p[0], p[0] + p[1])
+    assert oracles.cell_point_sets(out) == {
+        frozenset(map(shear, cell)) for cell in oracles.cell_point_sets(t)
+    }
     with pytest.raises(DomainError):
-        sd.apply_lattice_map(s, [[2]])
+        sd.apply_lattice_map(t, [[2, 0], [0, 1]])
 
 
 def test_verify_detects_gap_and_overlap():
@@ -386,9 +379,9 @@ def test_make_subdivision_is_a_triangulation_iff_its_cells_are_simplices():
     # cells: the level-3 column pullback and its glue hold polytopal
     # columns, the slice, its cone and the images of a triangulation do not
     pb, _, glued, z = build_level3()
-    half = pipeline._clip_hyperplane(3)
+    half = clip_halfspace(3)
     interface = [v for v in pb.ambient if half.eval(v) == 0]
-    slice_ = sd.restrict_to_hyperplane(pb, half, interface)
+    slice_ = oracles.restrict_to_hyperplane(pb, half, interface)
     flip = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     cases = [
         (pb, False),

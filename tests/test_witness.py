@@ -13,11 +13,16 @@ from sylvtri.errors import (
     DomainError,
     UnsupportedStore,
 )
-from sylvtri.polytope import HalfSpace
 from sylvtri.witness import RegularityWitness
 
 import oracles
-from test_subdivision import build_level2, build_level3, segment_triangulation
+from test_subdivision import (
+    SHEAR,
+    build_level2,
+    build_level3,
+    glue_witness,
+    segment_triangulation,
+)
 
 
 def test_verify_regularity_1d():
@@ -112,15 +117,18 @@ def test_witness_cone_rejects_interior_store_points():
 
 
 def test_witness_glue_omega_exceeds_all_interpolants():
+    # the closed-form apex height 1 + w_prev(y0) is one more than the
+    # largest column interpolant at the apex, and certifies the glue
     pb, glued = build_level2()
     base = segment_triangulation()
     w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
-    z = (-1, 2)
-    w_glued, omega = wt.witness_glue(w_pb, pb, glued, z)
-    assert omega == 1 + max(
-        oracles.cell_interpolant(pb, c, w_pb)(z) for c in pb.cells
-    )
-    assert oracles.check_intermediate(glued, w_glued).regular
+    pb3, w_pb3, glued3, z3 = build_level3()
+    for pb, w_pb, glued, z in ((pb, w_pb, glued, (-1, 2)), (pb3, w_pb3, glued3, z3)):
+        w_glued, omega = glue_witness(w_pb, pb, glued, z)
+        assert omega == 1 + max(
+            oracles.cell_interpolant(pb, c, w_pb)(z) for c in pb.cells
+        )
+        assert oracles.check_intermediate(glued, w_glued).regular
 
 
 def test_witness_glue_too_small_omega_fails():
@@ -128,7 +136,7 @@ def test_witness_glue_too_small_omega_fails():
     base = segment_triangulation()
     w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
     z = (-1, 2)
-    w_glued, omega = wt.witness_glue(w_pb, pb, glued, z)
+    w_glued, omega = glue_witness(w_pb, pb, glued, z)
     low = list(w_glued.values)
     low[glued.index[z]] = omega - 2  # below the max of the cell interpolants
     assert not oracles.check_intermediate(glued, RegularityWitness(tuple(low))).regular
@@ -162,7 +170,7 @@ def test_pull_sweep_certifies_level2():
     w_pb = wt.witness_pullback(
         RegularityWitness((1, 0, 1)), base, build_level2()[0]
     )
-    w_glued, _ = wt.witness_glue(w_pb, build_level2()[0], glued, (-1, 2))
+    w_glued, _ = glue_witness(w_pb, build_level2()[0], glued, (-1, 2))
     tri, w_tri, log = wt.pull_sweep(glued, w_glued)
     assert len(tri.cells) == 6
     assert wt.verify_regularity(tri, w_tri).regular
@@ -174,7 +182,7 @@ def test_pull_sweep_matches_iterated_witness_pull():
     base = segment_triangulation()
     pb = build_level2()[0]
     w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
-    w_glued, _ = wt.witness_glue(w_pb, pb, glued, (-1, 2))
+    w_glued, _ = glue_witness(w_pb, pb, glued, (-1, 2))
     tri, w_tri, log = wt.pull_sweep(glued, w_glued)
     cur, wcur = glued, w_glued
     for i in range(len(glued.points)):
@@ -198,10 +206,10 @@ def test_negative_monotonicity_detected():
 
 
 def test_transport_through_lattice_map():
-    tri = segment_triangulation()
-    w = RegularityWitness((1, 0, 1))
-    mapped = sd.apply_lattice_map(tri, [[-1]], [3])
-    w2 = wt.remap_witness(w, tri, mapped, lambda p: (3 - p[0],))
+    art = pipeline.triangulate_p2dual(2)
+    tri = art.triangulation
+    mapped = sd.apply_lattice_map(tri, SHEAR)
+    w2 = wt.remap_witness(art.witness, tri, mapped, lambda p: (p[0], p[0] + p[1]))
     assert wt.verify_regularity(mapped, w2).regular
 
 
@@ -296,7 +304,7 @@ def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
     # simplices, with the glue witness and perturbations of it at points
     # that are vertices of no cell (so each cell stays affine)
     pb, w_pb, glued, z = build_level3()
-    w_glued, _ = wt.witness_glue(w_pb, pb, glued, z)
+    w_glued, _ = glue_witness(w_pb, pb, glued, z)
     assert any(len(c) > glued.ambient_dim + 1 for c in glued.cells)
     _agree(pb, w_pb)
     _agree(glued, w_glued)
@@ -401,12 +409,12 @@ def _level2_glue():
     pb, glued = build_level2()
     w = RegularityWitness((1, 0, 1))
     w_pb = wt.witness_pullback(w, segment_triangulation(), pb)
-    return glued, wt.witness_glue(w_pb, pb, glued, (-1, 2))[0]
+    return glued, glue_witness(w_pb, pb, glued, (-1, 2))[0]
 
 
 def _level3_start():
     pb, w_pb, glued, z = build_level3()
-    return glued, wt.witness_glue(w_pb, pb, glued, z)[0]
+    return glued, glue_witness(w_pb, pb, glued, z)[0]
 
 
 def test_pull_sweep_rejects_exactly_where_oracle_rejects(monkeypatch):
