@@ -339,7 +339,10 @@ def from_json_dict(data: dict) -> PipelineArtifact:
     spec = FamilySpec(fam, n)
     # refuse a level triangulate would refuse before building its ambient,
     # whose coordinates grow like the Sylvester numbers
-    _require_feasible(n - 1 if fam is Family.P1 else n, MAX_CELLS)
+    if _cells_exceed(n - 1 if fam is Family.P1 else n, MAX_CELLS):
+        raise FeasibilityLimit(
+            f"artifact level {n} needs more than {MAX_CELLS} cells (loader limit)"
+        )
     if list(points) != sorted(set(points)):
         raise ArtifactFormatError("point store is not sorted and deduplicated")
     for p in points:  # every family's level-n simplex spans R^n

@@ -99,12 +99,16 @@ def signed_nvol(verts: Sequence[Point]) -> int:
     """det of the rows (v, 1) of a full-dimensional simplex, never 0.
 
     Its absolute value is nvol; its sign is the orientation of the vertex
-    order.
+    order.  Subtracting row 0 from the others leaves (v_i - v_0, 0), so
+    expanding along the last column gives (-1)^d times the det of the d x d
+    differences v_i - v_0.
     """
     dim = len(verts[0])
     if len(verts) != dim + 1:
         raise DegenerateGeometry("nvol requires a full-dimensional simplex")
-    d = exact.det_int([list(v) + [1] for v in verts])
+    v0 = verts[0]
+    d = exact.det_int([[x - y for x, y in zip(v, v0)] for v in verts[1:]])
+    d = -d if dim % 2 else d
     if d == 0:
         raise DegenerateGeometry("zero-volume simplex")
     return d

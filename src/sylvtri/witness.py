@@ -250,11 +250,18 @@ def witness_cone(
 
 
 def _largest_power_drop(upper: Fraction | None) -> Fraction:
-    """Largest 2^-k (k >= 0) strictly below the upper bound (1 if unbounded)."""
-    eps = Fraction(1)
-    while upper is not None and eps >= upper:
-        eps /= 2
-    return eps
+    """Largest 2^-k (k >= 0) strictly below the upper bound p/q > 0 (1 if
+    unbounded).
+
+    The least k with 2^k p > q: for p <= q, k = len(q) - len(p) in bits
+    gives 2^(len(q) - 1) <= 2^k p < 2^len(q), so k works unless 2^k p <= q,
+    and then k + 1 does, while k - 1 never does.
+    """
+    if upper is None or upper > 1:
+        return Fraction(1)
+    p, q = upper.numerator, upper.denominator
+    k = q.bit_length() - p.bit_length()
+    return Fraction(1, 1 << (k + ((p << k) <= q)))
 
 
 def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
@@ -384,6 +391,25 @@ def pull_sweep(
     bound is the supremum of the feasible drops, so it equals witness_pull's
     whole-store bound, whose constraints follow from convexity.
 
+    The cells through m after a pull are pyramids with apex m.  Each has
+    one facet opposite m, whose neighbour lies off m and is looked up once,
+    by intersecting the vertex stars of its vertices.  Its other facets are
+    walls through m, each shared with another cell through m or on the
+    boundary of P.  A dict that lives for one pull pairs them, and each
+    wall is bounded once, from the cell c met second, at the vertices of
+    the other cell c' off it, as _bent_wall does.  One side is exact: the
+    two interpolants A and A' are w at the wall's vertices other than m and
+    phi_m - eps at m, so A' - A vanishes on the wall for every eps and is
+    (a0 - eps a1) h, with h affine, 0 on the wall and > 0 on the side of
+    c'.  At a vertex q' of c' off the wall, w(q') - A(q') = (a0 - eps a1)
+    h(q'), and at a vertex q of c off it, w(q) - A'(q) = -(a0 - eps a1)
+    h(q).  Both give the bound eps < a0 / a1, binding iff a1 > 0, as the
+    same number, not merely the same power of two.  A simplex that keeps m
+    as a vertex reads only m's row, since its rows come in vertex order and
+    the others vanish at m.  No map outlives a pull: the pass after the
+    last pull derives the simplices' facets from the cells again, so the
+    final proof does not rest on the sweep's bookkeeping.
+
     The sweep runs on integers.  Every cell keeps integer facet rows, >= 0
     on it and 0 on one facet each: a simplex its simplex_inverse rows in
     vertex order, up to positive factors, with its facets implicit; a
@@ -394,8 +420,8 @@ def pull_sweep(
     values on the parent by the same ratio identity (_pyramid), so no
     coordinates are read; a simplex keeps those values, a polytopal cell
     only which points it holds.  Interpolants are integer forms in lowest
-    terms and drop bounds are compared by cross-multiplication; only
-    witness values and drops are Fractions.
+    terms, phi_m and drop bounds are compared by cross-multiplication, and
+    only witness values and drops are Fractions.
     """
     pts = s.points
     npts = len(pts)
@@ -488,9 +514,12 @@ def pull_sweep(
         incident = vert_inc[m_index] | loc[m_index]
         if not incident:
             raise DomainError(f"store point {m} is not covered by any cell")
-        phi_m = min(
-            Fraction(_row_at(row, m), den) for row, den in map(cache.get, incident)
-        )
+        pn, pd = None, 1  # phi_m = pn / pd, the least interpolant at m
+        for row, den in map(cache.get, incident):
+            x = _row_at(row, m)
+            if pn is None or x * pd < pn * den:
+                pn, pd = x, den
+        phi_m = Fraction(pn, pd)
 
         # cells keeping m as a vertex have an eps-dependent interpolant
         # A0 - eps * Lam, with Lam = f_F / lam_F for the one facet F that m
@@ -501,6 +530,11 @@ def pull_sweep(
         eps_cells: list[tuple[Cell, Form, Form]] = []
         for parent in incident:
             prows = rows[parent]
+            if len(parent) == dim + 1 and m_index in parent:
+                k = parent.index(m_index)  # the one row not vanishing at m
+                lam_k = _row_at(prows[k], m)
+                eps_cells.append((parent, cache[parent], (prows[k], lam_k)))
+                continue
             held = located.get(parent, {})
             lam = held.get(m_index) or [_row_at(r, m) for r in prows]
             seen = [f for f, x in enumerate(lam) if x > 0]
@@ -527,18 +561,27 @@ def pull_sweep(
                 eps_cells.append((key, a0, (prows[f], lam[f])))
 
         # bound eps by the walls of the cells through m: the targets are
-        # their facet-neighbours' vertices, and constraints with Lam >= 0
-        # relax as eps grows.  The least bound so far is bn / bd (bd > 0,
-        # None while unbounded), an unreduced integer pair compared by
-        # cross-multiplication.
+        # the vertices of a wall's other cell off it, each wall through m
+        # bounded from the cell that meets it second, and constraints with
+        # Lam >= 0 relax as eps grows.  The least bound so far is bn / bd
+        # (bd > 0, None while unbounded), an unreduced integer pair compared
+        # by cross-multiplication.
         bn: int | None = None
         bd = 1
+        walls: dict[frozenset[int], Cell] = {}  # walls through m met once
         for c, (arow, ad), (lrow, ld) in eps_cells:
-            targets: set[int] = set()
+            targets: list[int] = []
             for fs in facet_sets(c):
-                for other in set.intersection(*[vert_inc[i] for i in fs]):
-                    targets.update(other)
-            targets.difference_update(c)
+                if m_index not in fs:  # the facet opposite m
+                    others = set.intersection(*[vert_inc[i] for i in fs])
+                    others.discard(c)
+                elif fs in walls:
+                    others = (walls.pop(fs),)
+                else:
+                    walls[fs] = c
+                    continue
+                for other in others:
+                    targets.extend(i for i in other if i not in fs)
             for pi in targets:
                 p = pts[pi]
                 ln = _row_at(lrow, p)

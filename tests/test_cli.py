@@ -124,7 +124,8 @@ def test_loader_refuses_an_unbuildable_level_before_building_it(
     tmp_path, capsys, monkeypatch
 ):
     # a level-2 artifact relabelled n = 40: the loader refuses the level as
-    # triangulate would, before building its ambient
+    # triangulate would, before building its ambient, naming its own limit
+    # (these commands have no --max-cells)
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
     data["n"] = 40
     path = tmp_path / "bad.json"
@@ -136,7 +137,17 @@ def test_loader_refuses_an_unbuildable_level_before_building_it(
     monkeypatch.setattr(family, "build", build)
     for argv in (["verify"], ["fan", "--out", str(tmp_path / "fan.json")], ["stats"]):
         assert cli.main([*argv, str(path)]) == 2
-        assert capsys.readouterr().err.startswith("feasibility refusal: ")
+        assert capsys.readouterr().err == (
+            "feasibility refusal: artifact level 40 needs more than 5000000 "
+            "cells (loader limit)\n"
+        )
+    out = tmp_path / "big.json"
+    argv = ["triangulate", "--family", "p2dual", "--n", "40", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "feasibility refusal: level 40 needs more than 5000000 cells "
+        "(limit --max-cells)\n"
+    )
 
 
 def test_fan_p2(tmp_path, capsys):

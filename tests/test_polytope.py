@@ -26,6 +26,37 @@ def test_nvol_examples():
         polytope.nvol(((0, 0), (1, 0)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.tuples(
+            st.lists(
+                st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                min_size=d + 1,
+                max_size=d + 1,
+            ),
+            st.integers(-3, 3),
+        )
+    )
+)
+def test_signed_nvol_equals_homogenised_det(case):
+    # the d x d difference determinant times (-1)^d is the det of the
+    # rows (v, 1), sign included; zero volume still raises
+    verts, k = case
+    d = len(verts[0])
+    want = exact.det_int([v + [1] for v in verts])
+    if want:
+        assert polytope.signed_nvol(verts) == want
+    else:
+        with pytest.raises(DegenerateGeometry):
+            polytope.signed_nvol(verts)
+    # the last vertex moved onto the line through v_0 and v_(d-1), inside
+    # the affine hull of the others
+    flat = verts[:-1] + [[b + k * (b - a) for a, b in zip(verts[0], verts[d - 1])]]
+    with pytest.raises(DegenerateGeometry):
+        polytope.signed_nvol(flat)
+
+
 def _random_unimodular(rng, dim):
     # product of elementary shears and coordinate swaps has det +-1
     m = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]

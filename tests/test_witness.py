@@ -1,10 +1,13 @@
 """Regularity witness tests: certificates through every constructor."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylvtri import exact, pipeline, polytope, subdivision as sd, witness as wt
 from sylvtri.errors import (
@@ -13,6 +16,7 @@ from sylvtri.errors import (
     DomainError,
     UnsupportedStore,
 )
+from sylvtri.family import Family
 from sylvtri.witness import RegularityWitness
 
 import oracles
@@ -485,6 +489,57 @@ def _sweep_bounds(s, w, monkeypatch):
     monkeypatch.setattr(wt, "_largest_power_drop", record)
     wt.pull_sweep(s, w)
     return bounds
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_pull_sweep_level4_bounds_pinned(monkeypatch):
+    # the 353 bounds of the level-4 sweep, pinned by digest: a bound that
+    # moved but rounds to the same power of two leaves every eps unchanged
+    pipeline.triangulate_p2dual(3)
+    starts = []
+
+    def capture(s, w):
+        starts.append((s, w))
+        raise _Captured
+
+    monkeypatch.delitem(pipeline._CACHE, (Family.P2DUAL, 4), raising=False)
+    monkeypatch.setattr(wt, "pull_sweep", capture)
+    with pytest.raises(_Captured):
+        pipeline.triangulate_p2dual(4)
+    monkeypatch.undo()
+    bounds = _sweep_bounds(*starts[0], monkeypatch)
+    assert len(bounds) == 353
+    digest = hashlib.sha256("\n".join(map(str, bounds)).encode()).hexdigest()
+    assert digest == "a825d68ed3f5e5113d18f2f58b4adbe301377ed32d41c67240876c1b3f86b05c"
+
+
+def _power_drop_loop(upper):
+    """The halving loop _largest_power_drop replaced, kept as reference."""
+    eps = Fraction(1)
+    while upper is not None and eps >= upper:
+        eps /= 2
+    return eps
+
+
+def test_largest_power_drop_examples():
+    for upper in (None, Fraction(7, 2), Fraction(1), Fraction(1, 2), Fraction(1, 2**40),
+                  Fraction(2, 3), Fraction(3, 2**80 + 1)):
+        assert wt._largest_power_drop(upper) == _power_drop_loop(upper)
+    assert wt._largest_power_drop(Fraction(1)) == Fraction(1, 2)
+    assert wt._largest_power_drop(Fraction(1, 8)) == Fraction(1, 16)
+    assert wt._largest_power_drop(Fraction(9, 8)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**64), st.integers(1, 2**64), st.integers(0, 200))
+def test_largest_power_drop_matches_halving_loop(num, den, shift):
+    # positive bounds from above 1 down past 2^-200, and the power of two
+    # 2^-shift itself, where the drop must stay strictly below
+    for upper in (Fraction(num, den << shift), Fraction(1, 1 << shift)):
+        assert wt._largest_power_drop(upper) == _power_drop_loop(upper)
 
 
 def _assert_bounds_match_oracle(s, w, monkeypatch):
