@@ -141,15 +141,16 @@ def rank(rows: Sequence[Row]) -> int:
     return r
 
 
-def solve(rows: Sequence[Row], rhs: Row) -> list[Fraction]:
-    """Solve a square exact linear system by fraction-free elimination.
+def integer_solve(rows: Sequence[Row], rhs: Row) -> tuple[list[int], int]:
+    """Solve a square exact linear system as integers over D > 0.
 
-    Each equation is first multiplied by the lcm of its denominators, which
-    leaves the solution unchanged and yields an integer system A x = b.
-    Bareiss elimination of [A | b] stays in the integers (every ``//`` in
-    the forward pass divides a minor by a minor it is a multiple of), and
-    back substitution computes y = D x with D = +-det A, which Cramer's rule
-    makes integral (see _solve_int).  The answer is y_i / D.
+    Returns (y, D) with y = D * x for the solution x.  Each equation is
+    first multiplied by the lcm of its denominators, which leaves x
+    unchanged and yields an integer system A x = b.  Bareiss elimination
+    of [A | b] stays in the integers (every ``//`` in the forward pass
+    divides a minor by a minor it is a multiple of), and back substitution
+    computes y = D x with D = +-det A, which Cramer's rule makes integral
+    (see _solve_int).  Negating y and D together makes D > 0.
 
     Raises DegenerateGeometry if the matrix is singular.
     """
@@ -157,10 +158,21 @@ def solve(rows: Sequence[Row], rhs: Row) -> list[Fraction]:
     if len(rhs) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("solve requires a square system")
     if n == 0:
-        return []
+        return [], 1
     m, _ = _int_rows([[*row, b] for row, b in zip(rows, rhs)])
     y, d = _solve_int(m, n)
-    return [Fraction(yi, d) for (yi,) in y]
+    if d < 0:
+        return [-yi for (yi,) in y], -d
+    return [yi for (yi,) in y], d
+
+
+def solve(rows: Sequence[Row], rhs: Row) -> list[Fraction]:
+    """Solve a square exact linear system: x_i = y_i / D (integer_solve).
+
+    Raises DegenerateGeometry if the matrix is singular.
+    """
+    y, d = integer_solve(rows, rhs)
+    return [Fraction(yi, d) for yi in y]
 
 
 def integer_inverse(rows: Sequence[Row]) -> tuple[list[tuple[int, ...]], int]:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import and_, mul
 
 from . import exact, family, polytope
 from .errors import DomainError
@@ -47,30 +49,38 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     of the ambient polytope contributes the cone over that facet.  The
     origin must be strictly interior; non-primitive boundary rays are a
     flag-level failure (smoothness), never silently dropped.
+
+    Every test is a sign test on the ambient simplex's integer rows
+    (Y, D) = polytope.simplex_inverse, D > 0: Y[k] . (x, 1) / D is the
+    barycentric coordinate of x at vertex k, so row k is >= 0 on the
+    simplex and 0 exactly on its facet opposite vertex k.  Its canonical
+    half-space (polytope.halfspaces) is the same functional times a
+    positive factor, so each sign agrees with the half-space's.  The origin
+    is strictly interior iff every row's constant Y[k][-1] is > 0.  Bit k
+    of a store point's mask says it lies on facet k; a cell facet lies in
+    one boundary facet of the polytope iff the AND of its vertices' masks
+    is nonzero.  A ray is crepant iff every row is >= 0 at it and one is 0.
     """
     t = art.triangulation
     ambient = t.ambient
-    d = t.ambient_dim
-    facets = polytope.halfspaces(polytope.LatticeSimplex(tuple(ambient)))
-    for hs in facets:
-        if hs.eval((0,) * d) <= 0:
-            raise DomainError("origin is not strictly interior to the polytope")
+    rows, _ = polytope.simplex_inverse(ambient)
+    if any(row[-1] <= 0 for row in rows):
+        raise DomainError("origin is not strictly interior to the polytope")
 
-    def on_boundary(p: Point) -> bool:
-        return any(hs.eval(p) == 0 for hs in facets)
+    def values(p: Point) -> list[int]:
+        # map stops at p's end, so row[-1] is the homogenising term
+        return [sum(map(mul, row, p)) + row[-1] for row in rows]
 
-    boundary_flags = [on_boundary(p) for p in t.points]
+    masks = [
+        sum(1 << k for k, x in enumerate(values(p)) if x == 0) for p in t.points
+    ]
     ray_index: dict[int, int] = {}
     rays: list[Point] = []
     cones: set[tuple[int, ...]] = set()
     for c in t.cells:
         for k in range(len(c)):
             facet = c[:k] + c[k + 1 :]
-            if not all(boundary_flags[i] for i in facet):
-                continue
-            pts = [t.points[i] for i in facet]
-            # the facet must lie in a single boundary facet of the polytope
-            if not any(all(hs.eval(p) == 0 for p in pts) for hs in facets):
+            if not reduce(and_, [masks[i] for i in facet]):
                 continue
             for i in facet:
                 if i not in ray_index:
@@ -86,10 +96,7 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
         gcd(*map(abs, r)) == 1 for r in rays
     )
     complete = sum(dets) == polytope.nvol_cell(ambient)
-    crepant = all(
-        min(hs.eval(r) for hs in facets) == 0 and all(hs.eval(r) >= 0 for hs in facets)
-        for r in rays
-    )
+    crepant = all(min(vs) == 0 for vs in map(values, rays))
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)
 
 
@@ -103,8 +110,7 @@ def fan_to_json_dict(fan: ResolutionFan) -> dict:
 
 def save_fan(fan: ResolutionFan, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(fan_to_json_dict(fan), fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(fan_to_json_dict(fan), separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------

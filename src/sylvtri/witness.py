@@ -53,7 +53,8 @@ class CertificateReport:
 
 # An integer affine form (row, den), den > 0, stands for the map
 # x -> (row[:-1] . x + row[-1]) / den: a row of polytope.simplex_inverse
-# over its D, or AffineFunctional.row over its denominator.
+# over its D, exact.integer_solve's (y, D), or AffineFunctional.row over
+# its denominator.
 Form = tuple[Sequence[int], int]
 
 
@@ -69,24 +70,23 @@ def _common_scale(w: RegularityWitness) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in w.values], scale
 
 
-def _cell_form(
-    verts: Sequence[Point],
-    heights: Sequence[int],
-    inverse: tuple[Sequence[Sequence[int]], int] | None = None,
-) -> Form:
+def _cell_form(verts: Sequence[Point], heights: Sequence[int]) -> Form:
     """Integer form (row, den), den > 0, interpolating integer heights on a cell.
 
     It interpolates on the simplex, or on the first d + 1 affinely
     independent vertices of a polytopal cell, whose other vertices must lie
-    on it.  With (Y, D) their simplex_inverse (``inverse`` if the caller
-    holds it), Y[k] . (x, 1) / D is the barycentric coordinate at vertex k,
-    so the form is sum_k heights[k] Y[k] over D.  Raises DegenerateGeometry
-    on a degenerate cell or non-affine heights.
+    on it.  On a simplex the form's coefficients r solve the one system
+    (v_k, 1) . r = heights[k], k = 0..d, and exact.integer_solve returns
+    them as (y, D) with y = D r.  By Cramer's rule y is integral and D =
+    +-det of the rows (v_k, 1), made positive by negating y and D together.
+    That is the pair sum_k heights[k] Y[k] over D that simplex_inverse's
+    (Y, D) gives, since D = |det| there too and its rows over D are the
+    barycentric coordinates, the columns of the inverse of those rows.
+    Raises DegenerateGeometry on a degenerate cell or non-affine heights.
     """
     dim = len(verts[0])
     if len(verts) == dim + 1:
-        adj, den = inverse or polytope.simplex_inverse(verts)
-        return [sum(map(mul, heights, col)) for col in zip(*adj)], den
+        return exact.integer_solve([(*v, 1) for v in verts], heights)
     basis = [0]
     for i in range(1, len(verts)):
         if len(basis) == dim + 1:
@@ -391,24 +391,24 @@ def pull_sweep(
     bound is the supremum of the feasible drops, so it equals witness_pull's
     whole-store bound, whose constraints follow from convexity.
 
-    The cells through m after a pull are pyramids with apex m.  Each has
-    one facet opposite m, whose neighbour lies off m and is looked up once,
-    by intersecting the vertex stars of its vertices.  Its other facets are
-    walls through m, each shared with another cell through m or on the
-    boundary of P.  A dict that lives for one pull pairs them, and each
-    wall is bounded once, from the cell c met second, at the vertices of
-    the other cell c' off it, as _bent_wall does.  One side is exact: the
-    two interpolants A and A' are w at the wall's vertices other than m and
-    phi_m - eps at m, so A' - A vanishes on the wall for every eps and is
-    (a0 - eps a1) h, with h affine, 0 on the wall and > 0 on the side of
-    c'.  At a vertex q' of c' off the wall, w(q') - A(q') = (a0 - eps a1)
-    h(q'), and at a vertex q of c off it, w(q) - A'(q) = -(a0 - eps a1)
-    h(q).  Both give the bound eps < a0 / a1, binding iff a1 > 0, as the
-    same number, not merely the same power of two.  A simplex that keeps m
-    as a vertex reads only m's row, since its rows come in vertex order and
-    the others vanish at m.  No map outlives a pull: the pass after the
-    last pull derives the simplices' facets from the cells again, so the
-    final proof does not rest on the sweep's bookkeeping.
+    The cells through m after a pull are pyramids with apex m, and only
+    the facet F opposite m bounds eps.  Its neighbour b lies off m and is
+    looked up once, by intersecting the vertex stars of F's vertices.  For
+    a store point q beyond F (Lam(q) < 0) let H be the affine function
+    through the points (v, w(v)) of F's vertices v and (q, w(q)).  The
+    pyramid's interpolant A = A0 - eps * Lam agrees with H on F and is
+    phi_m - eps at m, so A - H = (phi_m - eps - H(m)) Lam, and q bounds
+    eps < phi_m - H(m).  At a vertex of b off F, H is b's
+    interpolant B, so F bounds eps < phi_m - B(m).  No other q bounds it
+    lower: H - B vanishes on F too, so H(m) - B(m) = (w(q) - B(q)) /
+    Lam(q) <= 0, as B(q) <= g(q) <= w(q) by convexity.  A wall through m
+    therefore never binds: its neighbour's vertex off it lies beyond F or
+    bounds nothing (Lam >= 0), and when F lies on the boundary of P no
+    store point lies beyond it.  A simplex that keeps m as a vertex reads
+    only m's row, since its rows come in vertex order and the others
+    vanish at m.  No map outlives a pull: the pass after the last pull
+    derives the simplices' facets from the cells again, so the final proof
+    does not rest on the sweep's bookkeeping.
 
     The sweep runs on integers.  Every cell keeps integer facet rows, >= 0
     on it and 0 on one facet each: a simplex its simplex_inverse rows in
@@ -478,17 +478,15 @@ def pull_sweep(
     heights, scale = _common_scale(w)
     for c in s.cells:
         verts = [pts[i] for i in c]
-        inverse = None
         if len(c) == dim + 1:
-            inverse = polytope.simplex_inverse(verts)
-            rows[c] = inverse[0]
+            rows[c] = polytope.simplex_inverse(verts)[0]
         else:
             fns = polytope.inner_functionals(verts)
             rows[c] = [fn.row for fn in fns]
             facets[c] = [
                 frozenset(i for i in c if fn.numerator(pts[i]) == 0) for fn in fns
             ]
-        row, den = _cell_form(verts, [heights[i] for i in c], inverse)
+        row, den = _cell_form(verts, [heights[i] for i in c])
         g = gcd(den * scale, *row)
         cache[c] = (tuple(x // g for x in row), den * scale // g)
     cols = _columns(pts)
@@ -560,26 +558,20 @@ def pull_sweep(
                 add(key, found)
                 eps_cells.append((key, a0, (prows[f], lam[f])))
 
-        # bound eps by the walls of the cells through m: the targets are
-        # the vertices of a wall's other cell off it, each wall through m
-        # bounded from the cell that meets it second, and constraints with
-        # Lam >= 0 relax as eps grows.  The least bound so far is bn / bd
-        # (bd > 0, None while unbounded), an unreduced integer pair compared
-        # by cross-multiplication.
+        # bound eps by the walls opposite m of the cells through m: the
+        # targets are the vertices of a wall's other cell off it, and
+        # constraints with Lam >= 0 relax as eps grows.  The least bound so
+        # far is bn / bd (bd > 0, None while unbounded), an unreduced
+        # integer pair compared by cross-multiplication.
         bn: int | None = None
         bd = 1
-        walls: dict[frozenset[int], Cell] = {}  # walls through m met once
         for c, (arow, ad), (lrow, ld) in eps_cells:
             targets: list[int] = []
             for fs in facet_sets(c):
-                if m_index not in fs:  # the facet opposite m
-                    others = set.intersection(*[vert_inc[i] for i in fs])
-                    others.discard(c)
-                elif fs in walls:
-                    others = (walls.pop(fs),)
-                else:
-                    walls[fs] = c
+                if m_index in fs:  # a wall through m never binds
                     continue
+                others = set.intersection(*[vert_inc[i] for i in fs])
+                others.discard(c)
                 for other in others:
                     targets.extend(i for i in other if i not in fs)
             for pi in targets:

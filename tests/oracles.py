@@ -9,8 +9,9 @@ Loera-Rambau-Santos, *Triangulations*, 2010), the slice a hyperplane
 cuts from a subdivision by a half-space scan, the eps-halving pull that
 threads a witness through one pulling step at a time and the exact
 supremum of its drop, the all-pairs certificate check evaluated in
-Fractions on Fraction interpolants, and the quadratic common-face check
-between every pair of cells.  None of this is on the production path:
+Fractions on Fraction interpolants, the quadratic common-face check
+between every pair of cells, and the resolution fan's flags evaluated on
+Fraction half-spaces.  None of this is on the production path:
 ``witness.pull_sweep`` is the library's only pulling code,
 ``subdivision.verify``'s facet join its only structural check,
 ``witness._cell_form`` its only interpolant, and every ambient, glue
@@ -23,10 +24,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from typing import Iterable, Sequence
 
 from sylvtri import exact, polytope, subdivision as sd
-from sylvtri.errors import DegenerateGeometry, DimensionMismatch, SylvtriError
+from sylvtri.errors import (
+    DegenerateGeometry,
+    DimensionMismatch,
+    DomainError,
+    SylvtriError,
+)
+from sylvtri.invariants import ResolutionFan
 from sylvtri.polytope import HalfSpace, LatticeSimplex, Point
 from sylvtri.subdivision import Cell, Subdivision, Triangulation
 from sylvtri.witness import CertificateReport, RegularityWitness
@@ -630,3 +638,55 @@ def random_polytope_subdivision(rng, dim: int) -> Subdivision:
             return sd.make_subdivision(
                 lattice_points_bruteforce(CellPolytope(verts)), verts, [verts]
             )
+
+
+def fan_fraction(art) -> ResolutionFan:
+    """The resolution fan with every flag evaluated on Fraction half-spaces.
+
+    Same contract as invariants.fan_from_triangulation: the cones over the
+    cell facets lying in one boundary facet of the ambient simplex, each
+    facet tested point by point on polytope.halfspaces.
+    """
+    t = art.triangulation
+    ambient = t.ambient
+    d = t.ambient_dim
+    facets = polytope.halfspaces(polytope.LatticeSimplex(tuple(ambient)))
+    for hs in facets:
+        if hs.eval((0,) * d) <= 0:
+            raise DomainError("origin is not strictly interior to the polytope")
+
+    def on_boundary(p: Point) -> bool:
+        return any(hs.eval(p) == 0 for hs in facets)
+
+    boundary_flags = [on_boundary(p) for p in t.points]
+    ray_index: dict[int, int] = {}
+    rays: list[Point] = []
+    cones: set[tuple[int, ...]] = set()
+    for c in t.cells:
+        for k in range(len(c)):
+            facet = c[:k] + c[k + 1 :]
+            if not all(boundary_flags[i] for i in facet):
+                continue
+            pts = [t.points[i] for i in facet]
+            # the facet must lie in a single boundary facet of the polytope
+            if not any(all(hs.eval(p) == 0 for p in pts) for hs in facets):
+                continue
+            for i in facet:
+                if i not in ray_index:
+                    ray_index[i] = len(rays)
+                    rays.append(t.points[i])
+            cones.add(tuple(sorted(ray_index[i] for i in facet)))
+
+    cone_list = tuple(sorted(cones))
+    dets = [
+        abs(exact.det_int([list(rays[i]) for i in cone])) for cone in cone_list
+    ]
+    smooth = all(dv == 1 for dv in dets) and all(
+        gcd(*map(abs, r)) == 1 for r in rays
+    )
+    complete = sum(dets) == polytope.nvol_cell(ambient)
+    crepant = all(
+        min(hs.eval(r) for hs in facets) == 0 and all(hs.eval(r) >= 0 for hs in facets)
+        for r in rays
+    )
+    return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)

@@ -269,6 +269,41 @@ def test_integer_inverse_scales_identity(system):
         assert d == abs(cofactor_det(rows))
 
 
+def check_integer_solve(rows, rhs):
+    want = gauss_jordan(rows, rhs)
+    if want is None:
+        with pytest.raises(DegenerateGeometry):
+            exact.integer_solve(rows, rhs)
+        return
+    y, d = exact.integer_solve(rows, rhs)
+    assert d > 0 and all(type(x) is int for x in y)
+    assert [Fraction(x, d) for x in y] == want
+    # round trip: rows . y = D * rhs
+    for row, b in zip(rows, rhs):
+        assert sum(Fraction(a) * x for a, x in zip(row, y)) == d * b
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(small_int))
+def test_integer_solve_round_trips_on_integer_systems(system):
+    check_integer_solve(*system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(st.one_of(small_int, small_frac)), st.data())
+def test_integer_solve_round_trips_on_fraction_systems(system, data):
+    rows, rhs = system
+    check_integer_solve(rows, rhs)
+    # zero the top-left entries so elimination must swap rows
+    n = len(rows)
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    for i in range(k):
+        rows[i][0] = 0
+    if n > 1:
+        rows[0][1] = 0
+    check_integer_solve(rows, rhs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_affine_functional_matches_direct_sum(data):

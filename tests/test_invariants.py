@@ -1,11 +1,16 @@
 """Invariant tables and resolution fan tests."""
 
+from dataclasses import replace
+from itertools import combinations
 from math import gcd
 
 import pytest
 
-from sylvtri import family, invariants, pipeline, polytope
+from sylvtri import exact, family, invariants, pipeline, polytope
+from sylvtri import subdivision as sd
 from sylvtri.errors import DomainError
+
+import oracles
 
 
 @pytest.fixture(autouse=True)
@@ -123,6 +128,20 @@ def test_fan_rejects_origin_on_boundary():
     # the dual simplex does contain the origin strictly, so this one works
     fan = invariants.fan_from_triangulation(shifted)
     assert fan.complete and fan.smooth and fan.crepant
+    # translated so that the origin is an ambient vertex, or lies beyond one
+    t = art.triangulation
+    v = t.ambient[0]
+    for k in (1, 2):
+        move = lambda p: tuple(x - k * y for x, y in zip(p, v))
+        moved = replace(
+            art,
+            triangulation=sd.Triangulation(
+                tuple(map(move, t.points)), tuple(map(move, t.ambient)), t.cells
+            ),
+        )
+        for fan_of in (invariants.fan_from_triangulation, oracles.fan_fraction):
+            with pytest.raises(DomainError):
+                fan_of(moved)
 
 
 def test_fan_json_shape():
@@ -131,3 +150,86 @@ def test_fan_json_shape():
     assert set(data) == {"rays", "cones", "flags"}
     assert all(isinstance(x, str) for r in data["rays"] for x in r)
     assert data["flags"] == {"complete": True, "smooth": True, "crepant": True}
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(pipeline.triangulate_p2dual, n) for n in (1, 2, 3, 4)]
+    + [(pipeline.triangulate_p2, n) for n in (1, 2, 3)]
+    + [(pipeline.triangulate_p1, n) for n in (2, 3)],
+)
+def test_fan_matches_fraction_oracle(build, n):
+    art = build(n)
+    fan = invariants.fan_from_triangulation(art)
+    assert fan == oracles.fan_fraction(art)
+    assert fan.complete and fan.smooth and fan.crepant
+
+
+def _with_cells(art, cells):
+    t = art.triangulation
+    return replace(art, triangulation=sd.Triangulation(t.points, t.ambient, cells))
+
+
+def _boundary_facet(art, cell):
+    """A cell's facet lying in one ambient facet, as store indices, with
+    that facet's half-space; None for an interior cell."""
+    t = art.triangulation
+    hs = polytope.halfspaces(polytope.LatticeSimplex(tuple(t.ambient)))
+    for h in hs:
+        on = [i for i in cell if h.eval(t.points[i]) == 0]
+        if len(on) == len(cell) - 1:
+            return on, h
+    return None
+
+
+def test_fan_dropped_boundary_cell_is_incomplete():
+    art = pipeline.triangulate_p2dual(3)
+    cells = art.triangulation.cells
+    drop = next(c for c in cells if _boundary_facet(art, c) is not None)
+    holed = _with_cells(art, tuple(c for c in cells if c != drop))
+    fan = invariants.fan_from_triangulation(holed)
+    assert fan == oracles.fan_fraction(holed)
+    assert not fan.complete and fan.smooth and fan.crepant
+    assert len(fan.cones) == len(invariants.fan_from_triangulation(art).cones) - 1
+
+
+def test_fan_non_unimodular_boundary_cell_is_not_smooth():
+    # swap a boundary cell's facet for lattice points of the same ambient
+    # facet spanning a cone of determinant > 1, keeping its apex
+    art = pipeline.triangulate_p2dual(3)
+    t = art.triangulation
+    cell = next(c for c in t.cells if _boundary_facet(art, c) is not None)
+    facet, h = _boundary_facet(art, cell)
+    apex = [i for i in cell if i not in facet]
+    on_h = [i for i, p in enumerate(t.points) if h.eval(p) == 0]
+    wide = next(
+        g
+        for g in combinations(on_h, len(facet))
+        if abs(exact.det_int([list(t.points[i]) for i in g])) > 1
+    )
+    swapped = _with_cells(
+        art, tuple(sorted({*t.cells, tuple(sorted(wide + tuple(apex)))} - {cell}))
+    )
+    fan = invariants.fan_from_triangulation(swapped)
+    assert fan == oracles.fan_fraction(swapped)
+    assert not fan.smooth and fan.crepant
+
+
+def test_fan_ray_outside_the_polytope_is_not_crepant():
+    # a boundary cell's vertex moved far along its facet's hyperplane:
+    # still in one ambient facet, but outside the polytope
+    art = pipeline.triangulate_p2dual(3)
+    t = art.triangulation
+    cell = next(c for c in t.cells if _boundary_facet(art, c) is not None)
+    facet, h = _boundary_facet(art, cell)
+    a, b = (t.points[i] for i in facet[:2])
+    q = tuple(x + 100 * (x - y) for x, y in zip(a, b))
+    assert h.eval(q) == 0
+    cells = [t.cell_points(c) for c in t.cells if c != cell]
+    cells.append(tuple(q if p == b else p for p in t.cell_points(cell)))
+    bad = replace(
+        art, triangulation=sd.make_subdivision([*t.points, q], t.ambient, cells)
+    )
+    fan = invariants.fan_from_triangulation(bad)
+    assert fan == oracles.fan_fraction(bad)
+    assert not fan.crepant

@@ -52,6 +52,45 @@ def test_verify_regularity_report_pinned():
     )
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_cell_form_matches_fraction_interpolant(data):
+    # random integer simplices in dimensions 1-5, in both orientations
+    dim = data.draw(st.integers(min_value=1, max_value=5))
+    coord = st.integers(min_value=-4, max_value=4)
+    verts = [
+        tuple(data.draw(st.lists(coord, min_size=dim, max_size=dim)))
+        for _ in range(dim + 1)
+    ]
+    heights = data.draw(
+        st.lists(st.integers(-50, 50), min_size=dim + 1, max_size=dim + 1)
+    )
+    flipped = [verts[1], verts[0], *verts[2:]]
+    flipped_heights = [heights[1], heights[0], *heights[2:]]
+    if exact.affine_rank(verts) < dim:
+        for vs, hs in ((verts, heights), (flipped, flipped_heights)):
+            with pytest.raises(DegenerateGeometry):
+                wt._cell_form(vs, hs)
+        return
+    store = tuple(sorted(verts))
+    s = sd.Subdivision(store, store, (tuple(range(dim + 1)),))
+    w = RegularityWitness(tuple(heights[verts.index(p)] for p in store))
+    fn = oracles.cell_interpolant(s, s.cells[0], w)
+    for vs, hs in ((verts, heights), (flipped, flipped_heights)):
+        row, den = wt._cell_form(vs, hs)
+        assert den > 0 and all(type(x) is int for x in row)
+        assert tuple(Fraction(x, den) for x in row[:-1]) == fn.coeffs
+        assert Fraction(row[-1], den) == fn.constant
+    # the last vertex moved onto the first, or onto the line through the
+    # first two
+    moved = [verts[0]]
+    if dim > 1:
+        moved.append(tuple(2 * b - a for a, b in zip(verts[0], verts[1])))
+    for last in moved:
+        with pytest.raises(DegenerateGeometry):
+            wt._cell_form([*verts[:-1], last], heights)
+
+
 def test_witness_length_mismatch():
     s = segment_triangulation()
     with pytest.raises(DimensionMismatch):
