@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     FeasibilityLimit,
     SylvtriError,
-    UnsupportedStore,
     UnsupportedVersion,
     VerificationFailure,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "Subdivision",
     "SylvtriError",
     "Triangulation",
-    "UnsupportedStore",
     "UnsupportedVersion",
     "VerificationFailure",
     "VerifyReport",

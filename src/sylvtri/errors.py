@@ -21,10 +21,6 @@ class FeasibilityLimit(SylvtriError, RuntimeError):
     """A construction was refused because it exceeds configured size bounds."""
 
 
-class UnsupportedStore(SylvtriError, ValueError):
-    """A point store violates a structural assumption of the operation."""
-
-
 class ArtifactFormatError(SylvtriError, ValueError):
     """An artifact file is malformed or fails load-time validation."""
 

@@ -1,9 +1,10 @@
 """End-to-end construction of certified unimodular triangulations.
 
-Builds the triangulation of the dual simplex family recursively (pullback,
-cone, glue, then pulling at every lattice point), transports it to the
-second family through the duality map, and extends it to the first family
-by a pair of cones.  Every artifact carries its regularity witness and an
+Builds the triangulation of the dual simplex family recursively (columns
+over the previous level and one cone over their tops, assembled at once,
+then pulling at every lattice point), transports it to the second family
+through the duality map, and extends it to the first family by a pair of
+cones.  Every artifact carries its regularity witness and an
 ordered provenance log sufficient to replay the construction.
 """
 
@@ -19,6 +20,7 @@ from typing import Any
 from . import family, polytope, subdivision, witness
 from .errors import (
     ArtifactFormatError,
+    DomainError,
     FeasibilityLimit,
     UnsupportedVersion,
     VerificationFailure,
@@ -67,25 +69,27 @@ def _expected_cells(spec: FamilySpec) -> int:
     return family.sylvester(spec.n) - 1
 
 
-def _cells_exceed(n: int, limit: int) -> bool:
-    """Whether s_n - 1 > limit, without materializing huge terms."""
+def _cells_exceed(spec: FamilySpec, limit: int) -> bool:
+    """Whether the level-m dual triangulation a build of spec rests on has
+    s_m - 1 > limit cells, without materializing huge terms: m = n, or
+    n - 1 for p1, which cones over p2 at level n - 1."""
     prod = 1
-    for k in range(n):
+    for k in range(spec.n - 1 if spec.family is Family.P1 else spec.n):
         prod *= family.sylvester(k)
         if prod > limit:
             return True
     return False
 
 
-def _require_feasible(n: int, max_cells: int) -> None:
-    """Refuse a build on the level-n dual triangulation above max_cells.
+def _require_feasible(spec: FamilySpec, max_cells: int) -> None:
+    """Refuse a build above max_cells cells of its dual triangulation.
 
     Runs before any cache lookup, so a cached artifact is refused exactly
     when building it would be.
     """
-    if _cells_exceed(n, max_cells):
+    if _cells_exceed(spec, max_cells):
         raise FeasibilityLimit(
-            f"level {n} needs more than {max_cells} cells (limit --max-cells)"
+            f"level {spec.n} needs more than {max_cells} cells (limit --max-cells)"
         )
 
 
@@ -96,25 +100,28 @@ def triangulate_p2dual(
 ) -> PipelineArtifact:
     """Certified unimodular triangulation of the level-n dual simplex.
 
-    Base case n = 1 is the segment [-1, 1] split at 0; each higher level
-    clips along the slanted hyperplane t = h(y), lifts the previous
-    triangulation into columns below it, cones the slice to the apex
-    z = (y0, s_{n-1} - 1) with y0 = (-1, ..., -1), glues, and pulls at
-    every lattice point in lexicographic order.  The slice is the previous
-    level's cells lifted by y -> (y, h(y)), the columns' top faces.
+    Base case n = 1 is the segment [-1, 1] split at 0.  Level n is
+    assembled in one subdivision of the lattice points on or below the
+    slanted hyperplane t = h(y), plus the apex z = (y0, s_{n-1} - 1) with
+    y0 = (-1, ..., -1): the column over each previous cell, with ends
+    (v, -1) and (v, h(v)) at its vertices v, and the cone from z over the
+    column's top, the cell lifted by y -> (y, h(y)).  Pulling at every
+    lattice point in lexicographic order then triangulates it.  The cone
+    cells lie on z's side of the hyperplane and the columns on the other,
+    and the two parts agree on it by construction, since each cone is
+    built on a column top; verify proves the final result.
 
-    The apex height omega must exceed, at z, the interpolant of every
-    column cell under the pulled-back witness w(y, t) = w_prev(y).  A
-    column over sigma has height w_prev(v) at both ends (v, -1) and
-    (v, h(v)), so its interpolant is A_sigma(y), the previous level's cell
-    interpolant.  Each A_sigma lies below the convex function g that
-    w_prev certifies and equals it on sigma (De Loera-Rambau-Santos,
-    *Triangulations*, 2010, ch. 5), so the largest A_sigma(y0) is g(y0) =
-    w_prev(y0), y0 being a vertex of the previous polytope; omega =
-    1 + w_prev(y0).
+    The witness is w(y, t) = w_prev(y) on the columns and omega at z,
+    which must exceed, at z, the interpolant of every column.  A column
+    over sigma has height w_prev(v) at both ends of each vertical edge, so
+    its interpolant is A_sigma(y), the previous level's cell interpolant.
+    Each A_sigma lies below the convex function g that w_prev certifies
+    and equals it on sigma (De Loera-Rambau-Santos, *Triangulations*,
+    2010, ch. 5), so the largest A_sigma(y0) is g(y0) = w_prev(y0), y0
+    being a vertex of the previous polytope; omega = 1 + w_prev(y0).
     """
     spec = FamilySpec(Family.P2DUAL, n)
-    _require_feasible(n, max_cells)
+    _require_feasible(spec, max_cells)
     cached = _load_cached(spec, cache_dir)
     if cached is not None:
         return cached
@@ -141,21 +148,23 @@ def triangulate_p2dual(
     clipped = [
         p for p in family.lattice_points_p2dual(n) if p[-1] <= h(p[:-1])
     ]
-    pb = subdivision.pullback_restricted(t_prev, h, clipped)
-    w_pb = witness.witness_pullback(w_prev, t_prev, pb)
-    prov.append({"step": "pullback", "level": n})
-
     y0 = (-1,) * (n - 1)
     z = (*y0, family.sylvester(n - 1) - 1)
-    top = [
-        tuple((*v, h(v)) for v in t_prev.cell_points(c)) for c in t_prev.cells
-    ]
-    glued = subdivision.glue_cone(pb, top, z, build_vertices(spec))
+    cell_lists = []
+    for c in t_prev.cells:
+        verts = t_prev.cell_points(c)
+        cell_lists.append(sorted({(*v, t) for v in verts for t in (-1, h(v))}))
+        cell_lists.append([(*v, h(v)) for v in verts] + [z])
+    glued = subdivision.make_subdivision(
+        clipped + [z], build_vertices(spec), cell_lists
+    )
     omega = 1 + w_prev.values[t_prev.index[y0]]
-    w_glued = witness.witness_cone(w_pb, pb, glued, z, omega)
+    heights = [w_prev.values[t_prev.index[p[:-1]]] for p in glued.points]
+    heights[glued.index[z]] = omega
+    prov.append({"step": "pullback", "level": n})
     prov.append({"step": "glue", "apex": list(z), "omega": _frac_str(omega)})
 
-    tri, w_tri, pulls = witness.pull_sweep(glued, w_glued)
+    tri, w_tri, pulls = witness.pull_sweep(glued, RegularityWitness(heights))
     prov.append(
         {
             "step": "pull_all",
@@ -179,22 +188,23 @@ def triangulate_p2(
     """Triangulation of the level-n second-family simplex.
 
     Transport of the dual triangulation through the inverse duality map
-    (a unimodular lattice map, so all certificates carry over).
+    (a unimodular lattice map, so all certificates carry over): the
+    height at q is the dual witness at its preimage, the duality map's
+    image of q.
     """
     spec = FamilySpec(Family.P2, n)
-    _require_feasible(n, max_cells)
+    _require_feasible(spec, max_cells)
     cached = _load_cached(spec, cache_dir)
     if cached is not None:
         return cached
     dual = triangulate_p2dual(n, max_cells, cache_dir)
-    inv = family.duality_map(n).inverse()
-    matrix = [[int(x) for x in row] for row in inv.matrix]
+    dmap = family.duality_map(n)
+    matrix = [list(row) for row in dmap.inverse().matrix]
     tri = subdivision.apply_lattice_map(dual.triangulation, matrix)
     if not isinstance(tri, Triangulation):
         raise VerificationFailure("lattice map did not preserve simpliciality")
-    w = witness.remap_witness(
-        dual.witness, dual.triangulation, tri, inv.apply
-    )
+    w_dual, index = dual.witness.values, dual.triangulation.index
+    w = RegularityWitness(tuple(w_dual[index[dmap.apply(q)]] for q in tri.points))
     prov = dual.provenance + (
         {"step": "lattice_map", "matrix": matrix},
     )
@@ -207,15 +217,17 @@ def triangulate_p1(
     max_cells: int = MAX_CELLS,
     cache_dir: str | None = None,
 ) -> PipelineArtifact:
-    """Triangulation of the level-(n+1) first-family simplex.
+    """Triangulation of the level-(n+1) first-family simplex, n >= 1.
 
-    The second-family triangulation is embedded at last coordinate 0 and
-    coned to the last basis vector e_last (free apex height 0); that cone
-    is then glued, along {x_{n+1} = 0}, to the cone at the weight vertex
-    w1 = (2 w2, -1), w2 the second family's weight vertex, over the
-    embedded cells.
+    The second-family triangulation is embedded at last coordinate 0, and
+    each embedded cell is coned both to the last basis vector e_last
+    (height 0) and to the weight vertex w1 = (2 w2, -1), w2 the second
+    family's weight vertex, in one subdivision.  The cones to w1 lie on
+    its side of {x_{n+1} = 0} and those to e_last on the other, and the
+    two parts agree on the hyperplane by construction, since both are
+    built on the embedded cells; verify proves the final result.
 
-    The apex height omega must exceed, at w1, the interpolant of every
+    The height omega at w1 must exceed the interpolant at w1 of every
     cell of the first cone.  The cell over sigma is 0 at e_last and
     A_sigma(y) = a_sigma . y + b_sigma at (y, 0), A_sigma being the
     second family's cell interpolant, so its interpolant is
@@ -226,7 +238,9 @@ def triangulate_p1(
     vertex of the second family's simplex; omega = 1 + 2 w_p2(w2).
     """
     spec = FamilySpec(Family.P1, n_plus_1)
-    _require_feasible(n_plus_1 - 1, max_cells)
+    if n_plus_1 < 2:
+        raise DomainError("family p1 needs n >= 2")
+    _require_feasible(spec, max_cells)
     cached = _load_cached(spec, cache_dir)
     if cached is not None:
         return cached
@@ -234,32 +248,27 @@ def triangulate_p1(
     p2 = triangulate_p2(n, max_cells, cache_dir)
     t2 = p2.triangulation
 
-    embed = lambda p: (*p, 0)
-    emb = subdivision.make_subdivision(
-        [embed(p) for p in t2.points],
-        [embed(p) for p in t2.ambient],
-        [tuple(embed(p) for p in t2.cell_points(c)) for c in t2.cells],
-    )
-    w_emb = witness.remap_witness(p2.witness, t2, emb, embed)
-
     e_last = tuple(1 if i == n else 0 for i in range(n_plus_1))
-    minus = subdivision.cone_subdivision(e_last, emb)
-    w_minus = witness.witness_cone(w_emb, emb, minus, e_last, omega=0)
-
     w1 = family.weight_vertex_w1(n_plus_1)
-    base = [emb.cell_points(c) for c in emb.cells]
-    glued = subdivision.glue_cone(minus, base, w1, build_vertices(spec))
     omega = 1 + 2 * p2.witness.values[t2.index[family.weight_vertex_w2(n)]]
-    w_glued = witness.witness_cone(w_minus, minus, glued, w1, omega)
-    if not isinstance(glued, Triangulation):
+    heights = {(*p, 0): v for p, v in zip(t2.points, p2.witness.values)}
+    heights[e_last], heights[w1] = 0, omega
+    base = [tuple((*p, 0) for p in t2.cell_points(c)) for c in t2.cells]
+    tri = subdivision.make_subdivision(
+        heights.keys(),
+        build_vertices(spec),
+        [(*cell, apex) for apex in (e_last, w1) for cell in base],
+    )
+    if not isinstance(tri, Triangulation):
         raise VerificationFailure("cone gluing did not yield simplices")
 
     prov = p2.provenance + (
         {"step": "cone", "apex": list(e_last), "omega": "0/1"},
         {"step": "glue", "apex": list(w1), "omega": _frac_str(omega)},
     )
-    _internal_check(glued, _expected_cells(spec), list(prov))
-    art = PipelineArtifact(spec, glued, w_glued, prov)
+    _internal_check(tri, _expected_cells(spec), list(prov))
+    w = RegularityWitness(tuple(heights[p] for p in tri.points))
+    art = PipelineArtifact(spec, tri, w, prov)
     return _store_cached(art, cache_dir)
 
 
@@ -319,6 +328,17 @@ def save(art: PipelineArtifact, path: str) -> None:
         fh.write("\n")
 
 
+def _integer(x: Any) -> int:
+    """An integer field, a JSON integer or a string of one, as int; a JSON
+    float or boolean is refused, not truncated (int(3.9) == 3,
+    int(True) == 1)."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        return int(x)
+    raise TypeError(f"{x!r} is not an integer")
+
+
 def from_json_dict(data: dict) -> PipelineArtifact:
     if not isinstance(data, dict):
         raise ArtifactFormatError("artifact must be a JSON object")
@@ -329,9 +349,9 @@ def from_json_dict(data: dict) -> PipelineArtifact:
         )
     try:
         fam = Family(data["family"])
-        n = int(data["n"])
-        points = tuple(tuple(int(x) for x in p) for p in data["points"])
-        cells = tuple(tuple(int(i) for i in c) for c in data["cells"])
+        n = _integer(data["n"])
+        points = tuple(tuple(map(_integer, p)) for p in data["points"])
+        cells = tuple(tuple(map(_integer, c)) for c in data["cells"])
         wvals = tuple(Fraction(v) for v in data["witness"])
         prov = tuple(data["provenance"])
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
@@ -339,7 +359,7 @@ def from_json_dict(data: dict) -> PipelineArtifact:
     spec = FamilySpec(fam, n)
     # refuse a level triangulate would refuse before building its ambient,
     # whose coordinates grow like the Sylvester numbers
-    if _cells_exceed(n - 1 if fam is Family.P1 else n, MAX_CELLS):
+    if _cells_exceed(spec, MAX_CELLS):
         raise FeasibilityLimit(
             f"artifact level {n} needs more than {MAX_CELLS} cells (loader limit)"
         )

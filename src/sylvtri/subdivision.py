@@ -1,10 +1,11 @@
 """Subdivision calculus: point stores, cells, constructors, structural checks.
 
 A Subdivision holds a lexicographically sorted point store plus maximal
-cells as sorted index tuples into that store.  Constructors (column
-pullback, cone, cone gluing over a given interface, lattice map) are
-pure: each returns a new Subdivision, its ambient vertices given or
-derived in closed form.  The pulling refinement is witness.pull_sweep.
+cells as sorted index tuples into that store.  The constructors
+(make_subdivision from explicit point data, apply_lattice_map) are pure:
+each returns a new Subdivision over the ambient vertices it is given or
+maps.  The pipeline assembles each level's columns and cones in one
+make_subdivision call; the pulling refinement is witness.pull_sweep.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import exact, polytope
 from .errors import DegenerateGeometry, DomainError
@@ -77,80 +78,6 @@ def make_subdivision(
     d = exact.affine_rank(ambient)
     cls = Triangulation if all(len(c) == d + 1 for c in cells) else Subdivision
     return cls(store, tuple(ambient), cells)
-
-
-def cone_subdivision(z: Point, s: Subdivision) -> Subdivision:
-    """Pyramids from apex z over the cells of a subdivision in a hyperplane.
-
-    Requires all of s to lie in a hyperplane not containing z.
-    """
-    base_rank = exact.affine_rank(s.points)
-    if exact.affine_rank(list(s.points) + [z]) != base_rank + 1:
-        raise DegenerateGeometry("cone apex lies in the base hyperplane")
-    cell_lists = [s.cell_points(c) + (z,) for c in s.cells]
-    return make_subdivision(list(s.points) + [z], tuple(s.ambient) + (z,), cell_lists)
-
-
-def pullback_restricted(
-    s: Subdivision,
-    top_height: Callable[[Point], int],
-    all_points: Sequence[Point],
-) -> Subdivision:
-    """Clipped column subdivision over a base subdivision.
-
-    Each base cell with vertices v_j becomes the column cell
-    Conv{(v_j, -1), (v_j, top_height(v_j))}, degenerate pairs merged.
-    ``all_points`` must list every lattice point of the clipped region.
-    Column tops must be integral; a fractional top is an invariant violation.
-
-    The ambient is the set of distinct points (v, -1) and (v, top_height(v))
-    over the vertices v of s.ambient, for any base.  The ambient polytope is
-    the hull of these segment ends, so its vertices are among them.  Each is one:
-    a convex combination that lands over an extreme point v of the base
-    projects to a convex combination landing on v, so it can use only
-    points over v, and those are the segment {v} x [-1, top_height(v)],
-    whose two ends are extreme.
-    """
-    cell_lists = []
-    for c in s.cells:
-        verts = s.cell_points(c)
-        col: set[Point] = set()
-        for v in verts:
-            h = top_height(v)
-            if not isinstance(h, int):
-                raise DegenerateGeometry(f"non-lattice column top over {v}")
-            col.add((*v, -1))
-            col.add((*v, h))
-        cell_lists.append(tuple(sorted(col)))
-    ambient = {(*v, t) for v in s.ambient for t in (-1, top_height(v))}
-    return make_subdivision(all_points, sorted(ambient), cell_lists)
-
-
-def glue_cone(
-    s: Subdivision,
-    interface: Iterable[Sequence[Point]],
-    z: Point,
-    ambient: Sequence[Point],
-) -> Subdivision:
-    """Union of s with the cone from apex z over the interface cells.
-
-    ``interface`` lists the cells (as point tuples) that s induces on a
-    facet hyperplane of its polytope, which every caller already holds:
-    the top faces of the columns, or the base of a cone.  ``ambient`` is
-    the vertex list of the union, conv(s.ambient + z), which every caller
-    knows in closed form.  Precondition, the caller's: s lies on one
-    closed side of the interface hyperplane and z strictly on the other.
-
-    The two parts then agree on the interface by construction, since the
-    cone is built on the cells s induces there.  Each cone cell lies on
-    z's side of the hyperplane and each cell of s on the other, so no two
-    interiors meet.  The union covers conv(ambient) when z lies beneath
-    every other facet of s's polytope, as the pipeline's apices do;
-    verify proves the final result.
-    """
-    cell_lists = [s.cell_points(c) for c in s.cells]
-    cell_lists += [(*cell, z) for cell in interface]
-    return make_subdivision(list(s.points) + [z], ambient, cell_lists)
 
 
 def apply_lattice_map(

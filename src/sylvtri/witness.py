@@ -3,8 +3,10 @@
 A witness assigns one exact rational height to every point-store entry;
 a subdivision is regular when the piecewise-affine function induced by
 those heights is strictly convex with the cells as its domains of
-linearity.  Constructors here thread a witness through every subdivision
-operation so regularity is certified, never assumed.
+linearity.  The pipeline gives each level's starting subdivision its
+heights in closed form; pull_sweep threads them through the pulling
+refinement and verify_regularity certifies the result, so regularity is
+certified, never assumed.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exact, polytope, subdivision
-from .errors import (
-    DegenerateGeometry,
-    DimensionMismatch,
-    DomainError,
-    UnsupportedStore,
-)
+from .errors import DegenerateGeometry, DimensionMismatch, DomainError
 from .polytope import Point
 from .subdivision import Cell, Subdivision, Triangulation, VerifyReport
 
@@ -203,50 +200,6 @@ def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> Certificat
             if len(violations) > 50:
                 return CertificateReport(False, violations)
     return CertificateReport(not violations, violations)
-
-
-def witness_pullback(
-    w_base: RegularityWitness,
-    base: Subdivision,
-    pulled: Subdivision,
-) -> RegularityWitness:
-    """Lift a base witness to a column subdivision: value at (y, t) is w(y)."""
-    idx = base.index
-    vals = []
-    for p in pulled.points:
-        y = p[:-1]
-        if y not in idx:
-            raise DomainError(f"projected point {y} missing from the base store")
-        vals.append(w_base.values[idx[y]])
-    return RegularityWitness(tuple(vals))
-
-
-def witness_cone(
-    w_base: RegularityWitness,
-    base: Subdivision,
-    cone: Subdivision,
-    z: Point,
-    omega: Fraction | int = 0,
-) -> RegularityWitness:
-    """Witness on a cone, or on a cone glued to base: base values
-    retained, value omega at the apex z.
-
-    The store must consist of the base store plus z alone; interior
-    lattice points would need interpolated heights this pipeline never has
-    to produce, so such stores are rejected.
-    """
-    idx = base.index
-    vals = []
-    for p in cone.points:
-        if p == z:
-            vals.append(Fraction(omega))
-        elif p in idx:
-            vals.append(w_base.values[idx[p]])
-        else:
-            raise UnsupportedStore(
-                f"cone store point {p} is neither the apex nor a base point"
-            )
-    return RegularityWitness(tuple(vals))
 
 
 def _largest_power_drop(upper: Fraction | None) -> Fraction:
@@ -604,17 +557,3 @@ def pull_sweep(
         raise DomainError("pulling at all points did not yield simplices")
     return tri, out, log
 
-
-def remap_witness(
-    w: RegularityWitness,
-    s_from: Subdivision,
-    s_to: Subdivision,
-    point_map: Callable[[Point], Point],
-) -> RegularityWitness:
-    """Transport a witness along a point bijection onto another store."""
-    vals: dict[Point, Fraction] = {}
-    for p, v in zip(s_from.points, w.values):
-        vals[point_map(p)] = v
-    if set(vals) != set(s_to.points):
-        raise DomainError("point map does not carry the store onto the target")
-    return RegularityWitness(tuple(vals[p] for p in s_to.points))

@@ -53,6 +53,20 @@ def test_triangulate_invalid_n(tmp_path):
     ) == 5
 
 
+def test_triangulate_p1_refusals_name_its_level(tmp_path, capsys):
+    # p1 at level n rests on p2 at level n - 1: n = 1 is outside the
+    # family, and the feasibility line names the requested level
+    out = str(tmp_path / "x.json")
+    base = ["triangulate", "--family", "p1", "--out", out]
+    assert cli.main([*base, "--n", "1"]) == 5
+    assert capsys.readouterr().err == "domain error: family p1 needs n >= 2\n"
+    assert cli.main([*base, "--n", "40"]) == 2
+    assert capsys.readouterr().err == (
+        "feasibility refusal: level 40 needs more than 5000000 cells "
+        "(limit --max-cells)\n"
+    )
+
+
 def test_verify_good_artifact(tmp_path, capsys):
     path = tmp_path / "p1_3.json"
     pipeline.save(pipeline.triangulate_p1(3), str(path))
@@ -104,6 +118,28 @@ def test_verify_malformed_store_is_a_parse_error(tmp_path, capsys):
 def test_verify_zero_denominator_witness_is_a_parse_error(tmp_path, capsys):
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
     data["witness"][0] = "1/0"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(n=3.9),
+        lambda d: d["cells"][0].__setitem__(1, d["cells"][0][1] + 0.25),
+        lambda d: d["points"][0].__setitem__(0, -1.5),
+        lambda d: d["cells"][0].__setitem__(0, False),
+    ],
+    ids=["n", "cell index", "coordinate", "boolean"],
+)
+def test_verify_non_integer_field_is_a_parse_error(tmp_path, capsys, edit):
+    # a float or boolean where the format stores an integer is refused:
+    # int() would truncate each of these to the level-3 artifact itself
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
+    assert data["cells"][0][0] == 0 and data["points"][0][0] == "-1"
+    edit(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert cli.main(["verify", str(path)]) == 4

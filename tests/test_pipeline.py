@@ -16,7 +16,7 @@ from sylvtri.family import Family, FamilySpec
 from sylvtri.polytope import HalfSpace
 
 import oracles
-from test_subdivision import clip_halfspace
+from test_subdivision import apex, clip_halfspace, off_apex
 
 
 @pytest.fixture(autouse=True)
@@ -92,17 +92,13 @@ def test_p1_counts_and_apex_structure():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_p2dual_ambients_match_hull_oracle(n):
-    # the pullback's and the glue's closed-form ambients equal the extreme
-    # points of the candidate sets they were once filtered from
+    # the closed-form ambient equals the extreme points of the columns'
+    # ends over the previous simplex's vertices and the apex
     prev = pipeline.triangulate_p2dual(n - 1).triangulation
     h = lambda y: family.hyperplane_height(n, y)
-    clipped = [p for p in family.lattice_points_p2dual(n) if p[-1] <= h(p[:-1])]
-    pb = sd.pullback_restricted(prev, h, clipped)
     columns = {(*v, t) for v in prev.ambient for t in (-1, h(v))}
-    assert pb.ambient == oracles.vertex_filter(columns)
-    z = (-1,) * (n - 1) + (family.sylvester(n - 1) - 1,)
     glued = pipeline.triangulate_p2dual(n).triangulation.ambient
-    assert tuple(sorted(glued)) == oracles.vertex_filter(pb.ambient + (z,))
+    assert tuple(sorted(glued)) == oracles.vertex_filter(columns | {apex(n)})
 
 
 @pytest.mark.parametrize("n_plus_1", [3, 4, 5])
@@ -116,25 +112,16 @@ def test_p1_ambient_matches_hull_oracle(n_plus_1):
 
 
 def test_glue_closed_forms_match_oracles(monkeypatch):
-    # each glue's interface is the slice the half-space oracle cuts from
-    # the side it is glued onto, S-: the column subdivision by the clip
-    # hyperplane (p2dual 2-4), the first cone by x_{n+1} = 0 (p1 2-5); its
-    # apex height, as the provenance records it, is 1 + the largest
-    # interpolant of S- at the apex; the glued p2dual levels 2-3 pass the
+    # each level cones to an apex z over an interface: the clip hyperplane
+    # for p2dual 2-4, read off the subdivision pull_sweep starts from, and
+    # x_{n+1} = 0 for p1 2-5.  The cone cells' bases are the slice the
+    # half-space oracle cuts from the cells without z, and z's height, as
+    # the provenance records it and the witness holds it, is 1 + their
+    # largest interpolant at z; the glued p2dual levels 2-3 pass the
     # all-pairs oracle
-    glues, heights = {}, {}
-    glue, cone = sd.glue_cone, wt.witness_cone
-
-    def spy_glue(s, interface, z, ambient):
-        glues[z] = (s, list(interface), glue(s, interface, z, ambient))
-        return glues[z][2]
-
-    def spy_cone(w, base, c, z, omega=0):
-        heights[z] = w
-        return cone(w, base, c, z, omega)
-
-    monkeypatch.setattr(sd, "glue_cone", spy_glue)
-    monkeypatch.setattr(wt, "witness_cone", spy_cone)
+    starts = []
+    sweep = wt.pull_sweep
+    monkeypatch.setattr(wt, "pull_sweep", lambda s, w: starts.append((s, w)) or sweep(s, w))
     arts = [pipeline.triangulate_p2dual(4)]
     arts += [pipeline.triangulate_p1(n) for n in (2, 3, 4, 5)]
     omegas = {
@@ -143,23 +130,33 @@ def test_glue_closed_forms_match_oracles(monkeypatch):
         for step in art.provenance
         if step["step"] == "glue"
     }
-    assert sorted(map(len, glues)) == [2, 2, 3, 3, 4, 4, 5]
-    assert omegas.keys() == glues.keys()
-    for z, (s, interface, glued) in glues.items():
-        n = len(z)
-        if z[-1] == -1:  # p1: w1 ends in -1
-            normal = [Fraction(int(i == n - 1)) for i in range(n)]
-            half = HalfSpace(tuple(normal), Fraction(0))
-        else:
-            half = clip_halfspace(n)
-            if n <= 3:
-                assert oracles.pairwise_verdict(glued)
-        facet = [v for v in s.ambient if half.eval(v) == 0]
-        slice_ = oracles.restrict_to_hyperplane(s, half, facet)
-        assert len(interface) == len(slice_.cells)
-        assert set(map(frozenset, interface)) == oracles.cell_point_sets(slice_)
-        top = max(oracles.cell_interpolant(s, c, heights[z])(z) for c in s.cells)
-        assert omegas[z] == 1 + top
+    # each glue with its apex, interface half-space and the interface's
+    # vertices: the previous simplex's, lifted or embedded
+    glues = []
+    for s, w in starts:
+        n = s.ambient_dim
+        prev = pipeline.triangulate_p2dual(n - 1).triangulation.ambient
+        facet = [(*v, family.hyperplane_height(n, v)) for v in prev]
+        glues.append((s, w, apex(n), clip_halfspace(n), facet))
+    for art in arts[1:]:
+        n = art.spec.n
+        normal = tuple(Fraction(int(i == n - 1)) for i in range(n))
+        facet = [(*v, 0) for v in pipeline.triangulate_p2(n - 1).triangulation.ambient]
+        z = family.weight_vertex_w1(n)
+        glues.append((art.triangulation, art.witness, z, HalfSpace(normal, Fraction(0)), facet))
+    assert sorted(len(z) for _, _, z, _, _ in glues) == [2, 2, 3, 3, 4, 4, 5]
+    assert omegas.keys() == {z for _, _, z, _, _ in glues}
+    for s, w, z, half, facet in glues:
+        if z[-1] != -1 and len(z) <= 3:  # p2dual: w1 ends in -1
+            assert oracles.pairwise_verdict(s)
+        zi = s.index[z]
+        minus = off_apex(s, z)
+        slice_ = oracles.restrict_to_hyperplane(minus, half, facet)
+        bases = [frozenset(s.cell_points(c)) - {z} for c in s.cells if zi in c]
+        assert len(bases) == len(slice_.cells)
+        assert set(bases) == oracles.cell_point_sets(slice_)
+        top = max(oracles.cell_interpolant(minus, c, w)(z) for c in minus.cells)
+        assert omegas[z] == 1 + top == w.values[zi]
 
 
 def test_determinism():

@@ -34,38 +34,37 @@ LEVEL2_HALF = HalfSpace((Fraction(1), Fraction(1)), Fraction(0))
 LEVEL2_VERTICES = ((-1, -1), (1, -1), (-1, 2))
 
 
-def column_tops(prev, h):
-    """The interface of a level's glue: prev's cells lifted by y -> (y, h(y))."""
-    return [tuple((*v, h(v)) for v in prev.cell_points(c)) for c in prev.cells]
+def apex(n):
+    """The apex z = (-1, ..., -1, s_{n-1} - 1) that level n cones to."""
+    return (-1,) * (n - 1) + (family.sylvester(n - 1) - 1,)
 
 
-def glue_witness(w_pb, pb, glued, z):
-    """The pipeline's glue witness and apex height 1 + w_prev(y0), read at
-    the column bottom (y0, -1) under z = (y0, s_{n-1} - 1)."""
-    omega = 1 + w_pb.values[pb.index[(*z[:-1], -1)]]
-    return wt.witness_cone(w_pb, pb, glued, z, omega), omega
+class _Captured(Exception):
+    pass
 
 
-def build_level2():
-    """The column pullback and cone glue from level 1 to level 2."""
-    base = segment_triangulation()
-    h = lambda y: family.hyperplane_height(2, y)
-    clipped = [p for p in family.lattice_points_p2dual(2) if p[1] <= h(p[:1])]
-    pb = sd.pullback_restricted(base, h, clipped)
-    return pb, sd.glue_cone(pb, column_tops(base, h), (-1, 2), LEVEL2_VERTICES)
+def pre_sweep(n):
+    """The level-n p2dual subdivision and witness pull_sweep starts from:
+    the columns over level n - 1 and the cone over their tops."""
+    pipeline.triangulate_p2dual(n - 1)
+    starts = []
+
+    def capture(s, w):
+        starts.append((s, w))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delitem(pipeline._CACHE, (family.Family.P2DUAL, n), raising=False)
+        mp.setattr(wt, "pull_sweep", capture)
+        with pytest.raises(_Captured):
+            pipeline.triangulate_p2dual(n)
+    return starts[0]
 
 
-def build_level3():
-    """The level-3 column pullback, its witness, the glue and its apex."""
-    prev = pipeline.triangulate_p2dual(2)
-    h = lambda y: family.hyperplane_height(3, y)
-    clipped = [p for p in family.lattice_points_p2dual(3) if p[-1] <= h(p[:-1])]
-    pb = sd.pullback_restricted(prev.triangulation, h, clipped)
-    w_pb = wt.witness_pullback(prev.witness, prev.triangulation, pb)
-    z = (-1, -1, family.sylvester(2) - 1)
-    ambient = pipeline.build_vertices(family.FamilySpec(family.Family.P2DUAL, 3))
-    glued = sd.glue_cone(pb, column_tops(prev.triangulation, h), z, ambient)
-    return pb, w_pb, glued, z
+def off_apex(s, z):
+    """The cells of s without the vertex z, over s's store and ambient."""
+    zi = s.index[z]
+    return sd.Subdivision(s.points, s.ambient, tuple(c for c in s.cells if zi not in c))
 
 
 def test_store_must_be_sorted_unique():
@@ -83,17 +82,19 @@ def test_triangulation_rejects_non_simplex_cells():
 
 
 def test_pullback_columns():
-    pb, _ = build_level2()
-    assert oracles.cell_point_sets(pb) == {
+    # the level-2 columns over the segment's two cells, in the closed-form
+    # ambient of the level-2 simplex
+    glued, _ = pre_sweep(2)
+    assert oracles.cell_point_sets(off_apex(glued, apex(2))) == {
         frozenset({(-1, -1), (0, -1), (-1, 1), (0, 0)}),
         frozenset({(0, -1), (1, -1), (0, 0)}),
     }
-    assert set(pb.ambient) == {(-1, -1), (1, -1), (-1, 1)}
+    assert glued.ambient == LEVEL2_VERTICES
 
 
 def test_restrict_to_hyperplane():
-    pb, _ = build_level2()
-    s = oracles.restrict_to_hyperplane(pb, LEVEL2_HALF, [(-1, 1), (1, -1)])
+    glued, _ = pre_sweep(2)
+    s = oracles.restrict_to_hyperplane(glued, LEVEL2_HALF, [(-1, 1), (1, -1)])
     assert oracles.cell_point_sets(s) == {
         frozenset({(-1, 1), (0, 0)}),
         frozenset({(0, 0), (1, -1)}),
@@ -113,18 +114,8 @@ def test_restrict_rejects_crossing_cells():
         )
 
 
-def test_cone_apex_must_leave_hyperplane():
-    base = sd.make_subdivision(
-        [(0, 0), (1, 0)], [(0, 0), (1, 0)], [[(0, 0), (1, 0)]]
-    )
-    cone = sd.cone_subdivision((0, 1), base)
-    assert oracles.cell_point_sets(cone) == {frozenset({(0, 0), (1, 0), (0, 1)})}
-    with pytest.raises(DegenerateGeometry):
-        sd.cone_subdivision((2, 0), base)
-
-
 def test_glue_level2():
-    _, glued = build_level2()
+    glued, _ = pre_sweep(2)
     assert len(glued.cells) == 4
     # the facet join proves only simplices: the polytopal cells are
     # refused, and the all-pairs oracle checks what they do form
@@ -136,10 +127,7 @@ def test_glue_level2():
 
 
 def test_pull_matches_literal_definition_on_trace():
-    pb, glued = build_level2()
-    base = segment_triangulation()
-    w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
-    w_glued, _ = glue_witness(w_pb, pb, glued, (-1, 2))
+    glued, w_glued = pre_sweep(2)
     tri, _, _ = wt.pull_sweep(glued, w_glued)
     lit = glued
     for i in range(len(glued.points)):
@@ -376,19 +364,24 @@ def test_verify_agrees_with_pairwise_oracle():
 
 def test_make_subdivision_is_a_triangulation_iff_its_cells_are_simplices():
     # every constructor returns what make_subdivision derives from its
-    # cells: the level-3 column pullback and its glue hold polytopal
-    # columns, the slice, its cone and the images of a triangulation do not
-    pb, _, glued, z = build_level3()
+    # cells: the level-3 glue holds polytopal columns, the slice, a cone
+    # over it and the images of a triangulation do not
+    glued, _ = pre_sweep(3)
+    z = apex(3)
     half = clip_halfspace(3)
-    interface = [v for v in pb.ambient if half.eval(v) == 0]
-    slice_ = oracles.restrict_to_hyperplane(pb, half, interface)
+    interface = oracles.vertex_filter(p for p in glued.points if half.eval(p) == 0)
+    slice_ = oracles.restrict_to_hyperplane(glued, half, interface)
+    cone = sd.make_subdivision(
+        slice_.points + (z,),
+        interface + (z,),
+        [slice_.cell_points(c) + (z,) for c in slice_.cells],
+    )
     flip = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     cases = [
-        (pb, False),
         (glued, False),
         (slice_, True),
-        (sd.cone_subdivision(z, slice_), True),
-        (sd.apply_lattice_map(pb, flip), False),
+        (cone, True),
+        (sd.apply_lattice_map(glued, flip), False),
         (sd.apply_lattice_map(pipeline.triangulate_p2dual(3).triangulation, flip), True),
     ]
     for s, simplices in cases:

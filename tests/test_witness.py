@@ -10,23 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylvtri import exact, pipeline, polytope, subdivision as sd, witness as wt
-from sylvtri.errors import (
-    DegenerateGeometry,
-    DimensionMismatch,
-    DomainError,
-    UnsupportedStore,
-)
-from sylvtri.family import Family
+from sylvtri.errors import DegenerateGeometry, DimensionMismatch, DomainError
 from sylvtri.witness import RegularityWitness
 
 import oracles
-from test_subdivision import (
-    SHEAR,
-    build_level2,
-    build_level3,
-    glue_witness,
-    segment_triangulation,
-)
+from test_subdivision import SHEAR, apex, off_apex, pre_sweep, segment_triangulation
 
 
 def test_verify_regularity_1d():
@@ -104,84 +92,33 @@ def test_scaling_preserves_verdict():
 
 
 def test_witness_pullback_column_constancy():
-    base = segment_triangulation()
-    w = RegularityWitness((1, 0, 1))
-    pb, _ = build_level2()
-    lifted = wt.witness_pullback(w, base, pb)
-    by_column = {}
-    for p, v in zip(pb.points, lifted.values):
-        by_column.setdefault(p[0], set()).add(v)
-    assert all(len(vals) == 1 for vals in by_column.values())
-    # bottom-face values equal base values
-    idx = pb.index
-    assert lifted.values[idx[(-1, -1)]] == 1
-    assert lifted.values[idx[(0, -1)]] == 0
-    assert oracles.check_intermediate(pb, lifted).regular
-
-
-def test_witness_pullback_missing_base_point():
-    base = segment_triangulation()
-    w = RegularityWitness((1, 0, 1))
-    stray = sd.make_subdivision(
-        [(5, 0), (5, 1)], [(5, 0), (5, 1)], [[(5, 0), (5, 1)]]
-    )
-    with pytest.raises(DomainError):
-        wt.witness_pullback(w, base, stray)
-
-
-def test_witness_cone_free_omega():
-    base = sd.make_subdivision(
-        [(-1, 0), (0, 0), (1, 0)],
-        [(-1, 0), (1, 0)],
-        [[(-1, 0), (0, 0)], [(0, 0), (1, 0)]],
-    )
-    w = RegularityWitness((1, 0, 1))
-    cone = sd.cone_subdivision((0, 1), base)
-    for omega in (-5, 0, 7):
-        wc = wt.witness_cone(w, base, cone, (0, 1), omega)
-        assert len(wc.values) == 4
-        assert wc.values[cone.index[(0, 1)]] == omega
-        assert oracles.check_intermediate(cone, wc).regular
-
-
-def test_witness_cone_rejects_interior_store_points():
-    base = sd.make_subdivision(
-        [(0, 0), (2, 0)], [(0, 0), (2, 0)], [[(0, 0), (2, 0)]]
-    )
-    w = RegularityWitness((0, 0))
-    apex = (0, 2)
-    bloated = sd.make_subdivision(
-        [(0, 0), (2, 0), (0, 2), (1, 1)],
-        [(0, 0), (2, 0), (0, 2)],
-        [[(0, 0), (2, 0), (0, 2)]],
-    )
-    with pytest.raises(UnsupportedStore):
-        wt.witness_cone(w, base, bloated, apex)
+    # a level's starting witness is w_prev(y) at every column point (y, t)
+    for n in (2, 3):
+        glued, w = pre_sweep(n)
+        prev = pipeline.triangulate_p2dual(n - 1)
+        for p, v in zip(glued.points, w.values):
+            if p != apex(n):
+                assert v == prev.witness.values[prev.triangulation.index[p[:-1]]]
+        assert oracles.check_intermediate(glued, w).regular
 
 
 def test_witness_glue_omega_exceeds_all_interpolants():
     # the closed-form apex height 1 + w_prev(y0) is one more than the
     # largest column interpolant at the apex, and certifies the glue
-    pb, glued = build_level2()
-    base = segment_triangulation()
-    w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
-    pb3, w_pb3, glued3, z3 = build_level3()
-    for pb, w_pb, glued, z in ((pb, w_pb, glued, (-1, 2)), (pb3, w_pb3, glued3, z3)):
-        w_glued, omega = glue_witness(w_pb, pb, glued, z)
-        assert omega == 1 + max(
-            oracles.cell_interpolant(pb, c, w_pb)(z) for c in pb.cells
+    for n in (2, 3):
+        glued, w = pre_sweep(n)
+        z = apex(n)
+        columns = off_apex(glued, z)
+        assert w.values[glued.index[z]] == 1 + max(
+            oracles.cell_interpolant(columns, c, w)(z) for c in columns.cells
         )
-        assert oracles.check_intermediate(glued, w_glued).regular
+        assert oracles.check_intermediate(glued, w).regular
 
 
 def test_witness_glue_too_small_omega_fails():
-    pb, glued = build_level2()
-    base = segment_triangulation()
-    w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
-    z = (-1, 2)
-    w_glued, omega = glue_witness(w_pb, pb, glued, z)
-    low = list(w_glued.values)
-    low[glued.index[z]] = omega - 2  # below the max of the cell interpolants
+    glued, w = pre_sweep(2)
+    low = list(w.values)
+    low[glued.index[apex(2)]] -= 2  # below the max of the cell interpolants
     assert not oracles.check_intermediate(glued, RegularityWitness(tuple(low))).regular
 
 
@@ -208,12 +145,7 @@ def test_witness_pull_at_vertex_preserves_regularity():
 
 
 def test_pull_sweep_certifies_level2():
-    _, glued = build_level2()
-    base = segment_triangulation()
-    w_pb = wt.witness_pullback(
-        RegularityWitness((1, 0, 1)), base, build_level2()[0]
-    )
-    w_glued, _ = glue_witness(w_pb, build_level2()[0], glued, (-1, 2))
+    glued, w_glued = pre_sweep(2)
     tri, w_tri, log = wt.pull_sweep(glued, w_glued)
     assert len(tri.cells) == 6
     assert wt.verify_regularity(tri, w_tri).regular
@@ -221,11 +153,7 @@ def test_pull_sweep_certifies_level2():
 
 
 def test_pull_sweep_matches_iterated_witness_pull():
-    _, glued = build_level2()
-    base = segment_triangulation()
-    pb = build_level2()[0]
-    w_pb = wt.witness_pullback(RegularityWitness((1, 0, 1)), base, pb)
-    w_glued, _ = glue_witness(w_pb, pb, glued, (-1, 2))
+    glued, w_glued = pre_sweep(2)
     tri, w_tri, log = wt.pull_sweep(glued, w_glued)
     cur, wcur = glued, w_glued
     for i in range(len(glued.points)):
@@ -252,7 +180,10 @@ def test_transport_through_lattice_map():
     art = pipeline.triangulate_p2dual(2)
     tri = art.triangulation
     mapped = sd.apply_lattice_map(tri, SHEAR)
-    w2 = wt.remap_witness(art.witness, tri, mapped, lambda p: (p[0], p[0] + p[1]))
+    # each image q = (x, x + y) keeps the height of its preimage (x, y)
+    w2 = RegularityWitness(
+        tuple(art.witness.values[tri.index[(q[0], q[1] - q[0])]] for q in mapped.points)
+    )
     assert wt.verify_regularity(mapped, w2).regular
 
 
@@ -346,10 +277,9 @@ def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
     # the level-3 glued store pull_sweep starts from: column cells and
     # simplices, with the glue witness and perturbations of it at points
     # that are vertices of no cell (so each cell stays affine)
-    pb, w_pb, glued, z = build_level3()
-    w_glued, _ = glue_witness(w_pb, pb, glued, z)
+    glued, w_glued = pre_sweep(3)
     assert any(len(c) > glued.ambient_dim + 1 for c in glued.cells)
-    _agree(pb, w_pb)
+    _agree(off_apex(glued, apex(3)), w_glued)
     _agree(glued, w_glued)
     free = sorted(set(range(len(glued.points))) - {i for c in glued.cells for i in c})
     assert free
@@ -449,15 +379,11 @@ def _criterion10_configs():
 
 
 def _level2_glue():
-    pb, glued = build_level2()
-    w = RegularityWitness((1, 0, 1))
-    w_pb = wt.witness_pullback(w, segment_triangulation(), pb)
-    return glued, glue_witness(w_pb, pb, glued, (-1, 2))[0]
+    return pre_sweep(2)
 
 
 def _level3_start():
-    pb, w_pb, glued, z = build_level3()
-    return glued, glue_witness(w_pb, pb, glued, z)[0]
+    return pre_sweep(3)
 
 
 def test_pull_sweep_rejects_exactly_where_oracle_rejects(monkeypatch):
@@ -530,26 +456,10 @@ def _sweep_bounds(s, w, monkeypatch):
     return bounds
 
 
-class _Captured(Exception):
-    pass
-
-
 def test_pull_sweep_level4_bounds_pinned(monkeypatch):
     # the 353 bounds of the level-4 sweep, pinned by digest: a bound that
     # moved but rounds to the same power of two leaves every eps unchanged
-    pipeline.triangulate_p2dual(3)
-    starts = []
-
-    def capture(s, w):
-        starts.append((s, w))
-        raise _Captured
-
-    monkeypatch.delitem(pipeline._CACHE, (Family.P2DUAL, 4), raising=False)
-    monkeypatch.setattr(wt, "pull_sweep", capture)
-    with pytest.raises(_Captured):
-        pipeline.triangulate_p2dual(4)
-    monkeypatch.undo()
-    bounds = _sweep_bounds(*starts[0], monkeypatch)
+    bounds = _sweep_bounds(*pre_sweep(4), monkeypatch)
     assert len(bounds) == 353
     digest = hashlib.sha256("\n".join(map(str, bounds)).encode()).hexdigest()
     assert digest == "a825d68ed3f5e5113d18f2f58b4adbe301377ed32d41c67240876c1b3f86b05c"
