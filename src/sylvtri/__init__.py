@@ -11,7 +11,6 @@ from .errors import (
     UnsupportedVersion,
     VerificationFailure,
 )
-from .exact import AffineFunctional
 from .family import Family, FamilySpec, DualityMap, build, degrees, duality_map, sylvester
 from .invariants import (
     InvariantReport,
@@ -35,7 +34,6 @@ from .subdivision import Subdivision, Triangulation, VerifyReport, verify
 from .witness import CertificateReport, RegularityWitness, verify_regularity
 
 __all__ = [
-    "AffineFunctional",
     "ArtifactFormatError",
     "CertificateReport",
     "DegenerateGeometry",

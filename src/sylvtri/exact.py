@@ -8,10 +8,8 @@ lists of rows of ``Fraction``/``int`` entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Sequence
 
 from .errors import DegenerateGeometry, DimensionMismatch
@@ -215,41 +213,3 @@ def affine_rank(points: Sequence[Sequence[Fraction | int]]) -> int:
         raise DimensionMismatch("points of mixed dimension")
     base = points[0]
     return rank([[x - y for x, y in zip(p, base)] for p in points[1:]])
-
-
-@dataclass(frozen=True)
-class AffineFunctional:
-    """Affine map x -> <coeffs, x> + constant with exact rational data.
-
-    ``__post_init__`` puts the data over one common denominator D, the lcm
-    of the denominators of coeffs and constant: row holds the integers
-    c.numerator * (D // c.denominator), where each ``//`` is exact because
-    D is a common multiple, so row = D * (coeffs, constant).  Evaluation is
-    then one dot product (row[:-1] . x + row[-1]) / D, an integer over D for
-    an integral point and equal to <coeffs, x> + constant for any point.
-    """
-
-    coeffs: tuple[Fraction, ...]
-    constant: Fraction
-    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        data = (*self.coeffs, self.constant)
-        den = lcm(*(x.denominator for x in data))
-        row = tuple(x.numerator * (den // x.denominator) for x in data)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "denominator", den)
-
-    def __call__(self, point: Sequence[Fraction | int]) -> Fraction:
-        return Fraction(self.numerator(point), self.denominator)
-
-    def numerator(self, point: Sequence[Fraction | int]) -> Fraction | int:
-        """D times the value at point: an int for an integral point.
-
-        D > 0, so its sign is the sign of the value, with no division.
-        """
-        if len(point) != len(self.coeffs):
-            raise DimensionMismatch("point dimension does not match functional")
-        # map stops at the point's end, so row[-1] is the constant term
-        return sum(map(mul, self.row, point)) + self.row[-1]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from . import exact, polytope
@@ -126,8 +125,12 @@ def duality_map(n: int) -> DualityMap:
     return DualityMap(rows)
 
 
-def _dual_membership_functionals(n: int):
-    return polytope.inner_functionals(build(FamilySpec(Family.P2DUAL, n)).vertices)
+@lru_cache(maxsize=None)
+def _dual_facet_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Integer facet rows of the level-n dual simplex, >= 0 on it."""
+    return tuple(
+        polytope.inner_functionals(build(FamilySpec(Family.P2DUAL, n)).vertices)
+    )
 
 
 def column_height(n_plus_1: int, y: Point) -> int:
@@ -140,7 +143,7 @@ def column_height(n_plus_1: int, y: Point) -> int:
     n = n_plus_1 - 1
     if n < 1 or len(y) != n:
         raise DomainError("column_height expects a point one dimension down")
-    if any(fn(y) < 0 for fn in _dual_membership_functionals(n)):
+    if any(polytope.row_at(row, y) < 0 for row in _dual_facet_rows(n)):
         raise DomainError(f"{y} is not in the level-{n} dual polytope")
     if y == (-1,) * n:
         return sylvester(n) - 1
@@ -156,26 +159,26 @@ def hyperplane_height(n_plus_1: int, y: Point) -> int:
 
 
 @lru_cache(maxsize=None)
-def lattice_points_p2dual(
-    n: int, limit: int = MAX_ENUMERATION_POINTS
-) -> tuple[Point, ...]:
+def lattice_points_p2dual(n: int) -> tuple[Point, ...]:
     """All lattice points of the level-n dual polytope, sorted lex.
 
     Recursive column enumeration: base {-1, 0, 1} for n = 1; each level-n
     point y carries the column (y, t) for t from -1 to its column height.
+    Refuses (FeasibilityLimit) beyond MAX_ENUMERATION_POINTS points.
     """
     if n < 1:
         raise DomainError("lattice_points_p2dual requires n >= 1")
     if n == 1:
         return ((-1,), (0,), (1,))
-    below = lattice_points_p2dual(n - 1, limit)
+    below = lattice_points_p2dual(n - 1)
     out: list[Point] = []
     for y in below:
         top = column_height(n, y)
         out.extend((*y, t) for t in range(-1, top + 1))
-        if len(out) > limit:
+        if len(out) > MAX_ENUMERATION_POINTS:
             raise FeasibilityLimit(
-                f"point enumeration exceeds configured limit {limit}"
+                "point enumeration exceeds configured limit "
+                f"{MAX_ENUMERATION_POINTS}"
             )
     return tuple(sorted(out))
 

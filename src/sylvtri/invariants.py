@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from operator import and_, mul
+from operator import and_
 
 from . import exact, family, polytope
 from .errors import DomainError
@@ -67,13 +67,7 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     if any(row[-1] <= 0 for row in rows):
         raise DomainError("origin is not strictly interior to the polytope")
 
-    def values(p: Point) -> list[int]:
-        # map stops at p's end, so row[-1] is the homogenising term
-        return [sum(map(mul, row, p)) + row[-1] for row in rows]
-
-    masks = [
-        sum(1 << k for k, x in enumerate(values(p)) if x == 0) for p in t.points
-    ]
+    masks = [polytope.facet_mask(rows, p) for p in t.points]
     ray_index: dict[int, int] = {}
     rays: list[Point] = []
     cones: set[tuple[int, ...]] = set()
@@ -96,7 +90,7 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
         gcd(*map(abs, r)) == 1 for r in rays
     )
     complete = sum(dets) == polytope.nvol_cell(ambient)
-    crepant = all(min(vs) == 0 for vs in map(values, rays))
+    crepant = all(min(polytope.row_at(row, r) for row in rows) == 0 for r in rays)
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)
 
 

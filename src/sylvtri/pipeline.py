@@ -324,8 +324,7 @@ def to_json_dict(art: PipelineArtifact) -> dict:
 def save(art: PipelineArtifact, path: str) -> None:
     """Write an artifact as versioned JSON (big integers as strings)."""
     with open(path, "w") as fh:
-        json.dump(to_json_dict(art), fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(to_json_dict(art), separators=(",", ":")) + "\n")
 
 
 def _integer(x: Any) -> int:
@@ -337,6 +336,15 @@ def _integer(x: Any) -> int:
     if isinstance(x, str):
         return int(x)
     raise TypeError(f"{x!r} is not an integer")
+
+
+def _rational(x: Any) -> Fraction:
+    """A witness entry, a string as save writes it ("p/q"), as Fraction; a
+    JSON number or boolean is refused (Fraction(True) == 1, and a float
+    would load as its binary expansion)."""
+    if isinstance(x, str):
+        return Fraction(x)
+    raise TypeError(f"{x!r} is not a rational string")
 
 
 def from_json_dict(data: dict) -> PipelineArtifact:
@@ -352,7 +360,7 @@ def from_json_dict(data: dict) -> PipelineArtifact:
         n = _integer(data["n"])
         points = tuple(tuple(map(_integer, p)) for p in data["points"])
         cells = tuple(tuple(map(_integer, c)) for c in data["cells"])
-        wvals = tuple(Fraction(v) for v in data["witness"])
+        wvals = tuple(map(_rational, data["witness"]))
         prov = tuple(data["provenance"])
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ArtifactFormatError(f"malformed artifact field: {e}") from e

@@ -1,9 +1,11 @@
 """Lattice polytopes and simplices: volumes, duality, facets.
 
-Points are plain tuples of ints (lattice) or Fractions (rational).  All cells
-appearing in this project are low-dimensional with few vertices, so face
-enumeration is a brute-force supporting-hyperplane scan, which is trivial to
-audit for exactness.
+Points are plain tuples of ints (lattice) or Fractions (rational).  A facet
+of a full-dimensional cell is one integer row (coeffs..., const), >= 0 on
+the cell and 0 on that facet.  All cells appearing in this project are
+low-dimensional with few vertices, so facet enumeration is a brute-force
+supporting-hyperplane scan, which is trivial to audit for exactness, and
+lower faces follow from facet incidences.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from . import exact
@@ -66,12 +69,11 @@ class HalfSpace:
     def __post_init__(self):
         if all(c == 0 for c in self.normal):
             raise DegenerateGeometry("half-space normal must be nonzero")
-        object.__setattr__(
-            self, "_fn", exact.AffineFunctional(self.normal, self.offset)
-        )
 
     def eval(self, p: Sequence[Fraction | int]) -> Fraction:
-        return self._fn(p)
+        if len(p) != len(self.normal):
+            raise DimensionMismatch("point dimension does not match half-space")
+        return sum(map(mul, self.normal, p)) + self.offset
 
     def canonical(self) -> "HalfSpace":
         """Offset-1 form when offset > 0, else primitive integer form."""
@@ -128,17 +130,6 @@ def simplex_inverse(verts: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]
     return exact.integer_inverse(rows)
 
 
-def barycentric_functionals(verts: Sequence[Point]) -> list[exact.AffineFunctional]:
-    """Affine barycentric coordinates of a full-dimensional simplex."""
-    y, d = simplex_inverse(verts)
-    return [
-        exact.AffineFunctional(
-            tuple(Fraction(x, d) for x in row[:-1]), Fraction(row[-1], d)
-        )
-        for row in y
-    ]
-
-
 def halfspaces(s: LatticeSimplex) -> list[HalfSpace]:
     """The d+1 half-spaces cutting out a full-dimensional simplex.
 
@@ -148,9 +139,12 @@ def halfspaces(s: LatticeSimplex) -> list[HalfSpace]:
     """
     if not s.is_full_dim:
         raise DegenerateGeometry("halfspaces requires a full-dimensional simplex")
+    y, d = simplex_inverse(s.vertices)
     return [
-        HalfSpace(fn.coeffs, fn.constant).canonical()
-        for fn in barycentric_functionals(s.vertices)
+        HalfSpace(
+            tuple(Fraction(x, d) for x in row[:-1]), Fraction(row[-1], d)
+        ).canonical()
+        for row in y
     ]
 
 
@@ -178,53 +172,27 @@ def polar_dual(s: LatticeSimplex) -> LatticeSimplex | RationalSimplex:
     return RationalSimplex(tuple(duals))
 
 
-def _independent_columns(basis_rows: list[list[Fraction]]) -> list[int]:
-    """Column indices on which the row space has full rank."""
-    k = len(basis_rows)
-    cols: list[int] = []
-    for j in range(len(basis_rows[0])):
-        trial = cols + [j]
-        sub = [[row[c] for c in trial] for row in basis_rows]
-        if exact.rank(sub) == len(trial):
-            cols = trial
-        if len(cols) == k:
-            break
-    return cols
+def row_at(row: Sequence[int], p: Point) -> int:
+    """row[:-1] . p + row[-1], an integer for an integral point."""
+    # map stops at p's end, so row[-1] is the homogenising term
+    return sum(map(mul, row, p)) + row[-1]
 
 
-def affine_coordinates(points: Sequence[Point]) -> list[tuple[int, ...]]:
-    """Exact full-rank integer coordinates for a point set in its affine hull.
+def facet_mask(rows: Sequence[Sequence[int]], p: Point) -> int:
+    """Bit j set where p lies on facet j, the zero set of rows[j]."""
+    return sum(1 << j for j, row in enumerate(rows) if row_at(row, p) == 0)
 
-    The map is an injective affine transformation, so all convexity and face
-    combinatorics are preserved.  (It need not preserve volume.)
+
+def _hyperplane_functional(verts: Sequence[Point], idxs: Sequence[int]):
+    """Integer row (coeffs..., const) vanishing on d chosen vertices, or None.
+
+    verts span R^d and idxs names exactly d of them.  The coefficients are
+    the d cofactors of their d-1 difference rows, which all vanish iff the
+    points are affinely dependent (then None).
     """
-    k = exact.affine_rank(points)
-    if k == 0:
-        return [() for _ in points]
-    base = points[0]
-    diffs = [[Fraction(x - y) for x, y in zip(p, base)] for p in points[1:]]
-    basis: list[list[Fraction]] = []
-    for d in diffs:
-        if exact.rank(basis + [d]) == len(basis) + 1:
-            basis.append(d)
-        if len(basis) == k:
-            break
-    cols = _independent_columns(basis)
-    raw = [tuple(Fraction(p[c] - base[c]) for c in cols) for p in points]
-    denom = math.lcm(*(x.denominator for pt in raw for x in pt)) if raw else 1
-    return [tuple(int(x * denom) for x in pt) for pt in raw]
-
-
-def _hyperplane_functional(coords: Sequence[tuple[int, ...]], idxs: Sequence[int]):
-    """Integer affine functional vanishing on k chosen points, or None.
-
-    coords live in full-rank k-space and idxs names exactly k of them.  The
-    coefficients are the k cofactors of their k-1 difference rows, which
-    all vanish iff the points are affinely dependent (then None).
-    """
-    k = len(coords[0])
-    base = coords[idxs[0]]
-    rows = [[x - y for x, y in zip(coords[i], base)] for i in idxs[1:]]
+    k = len(verts[0])
+    base = verts[idxs[0]]
+    rows = [[x - y for x, y in zip(verts[i], base)] for i in idxs[1:]]
     # coefficient j = cofactor determinant with e_j replacing the free row
     coeffs = []
     for j in range(k):
@@ -232,83 +200,80 @@ def _hyperplane_functional(coords: Sequence[tuple[int, ...]], idxs: Sequence[int
         coeffs.append(exact.det_int(m))
     if all(c == 0 for c in coeffs):
         return None
-    const = -sum(c * x for c, x in zip(coeffs, base))
-    return coeffs, const
+    return (*coeffs, -sum(c * x for c, x in zip(coeffs, base)))
 
 
-def _facet_index_sets(coords: Sequence[tuple[int, ...]]) -> dict[frozenset[int], tuple]:
-    """Facets (as point-index sets) of conv(coords) in full-rank k-space.
+def _facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int, ...]]:
+    """Facets (as point-index sets) of a full-dimensional conv(verts).
 
-    Each maps to the (coeffs, const) of the first k-subset found to span
-    it; subsets inside a facet already found are skipped.
+    Each maps to the row of the first d-subset found to span it, oriented
+    >= 0 on the cell; subsets inside a facet already found are skipped.
     """
-    k = len(coords[0])
-    facets: dict[frozenset[int], tuple] = {}
-    if k == 0:
-        return facets
-    for idxs in combinations(range(len(coords)), k):
+    facets: dict[frozenset[int], tuple[int, ...]] = {}
+    for idxs in combinations(range(len(verts)), len(verts[0])):
         if any(fs.issuperset(idxs) for fs in facets):
             continue
-        fn = _hyperplane_functional(coords, idxs)
-        if fn is None:
+        row = _hyperplane_functional(verts, idxs)
+        if row is None:
             continue
-        coeffs, const = fn
-        vals = [sum(c * x for c, x in zip(coeffs, p)) + const for p in coords]
-        if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-            facets[frozenset(i for i, v in enumerate(vals) if v == 0)] = fn
+        vals = [row_at(row, p) for p in verts]
+        if min(vals) < 0 < max(vals):
+            continue
+        if min(vals) < 0:
+            row = tuple(-x for x in row)
+        facets[frozenset(i for i, v in enumerate(vals) if v == 0)] = row
     return facets
 
 
-def facet_vertex_sets(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
-    """Facets of conv(vertices), each as a sorted vertex tuple."""
-    if len(vertices) <= 1:
-        return []
-    coords = affine_coordinates(vertices)
-    out = []
-    for fs in _facet_index_sets(coords):
-        out.append(tuple(sorted(vertices[i] for i in fs)))
-    return sorted(out)
+def inner_functionals(vertices: Sequence[Point]) -> list[tuple[int, ...]]:
+    """Integer facet rows (coeffs..., const) of a full-dimensional cell.
 
-
-def inner_functionals(vertices: Sequence[Point]) -> list[exact.AffineFunctional]:
-    """Facet functionals of a full-dimensional cell, oriented >= 0 inside."""
+    Each row is >= 0 on the cell and 0 on exactly one facet (read with
+    row_at): a simplex's simplex_inverse rows, in vertex order, or a
+    polytopal cell's cofactor rows, ordered by their facets' sorted index
+    sets.
+    """
     dim = len(vertices[0])
     if exact.affine_rank(vertices) != dim:
         raise DegenerateGeometry("inner_functionals requires a full-dimensional cell")
     if len(vertices) == dim + 1:
-        return barycentric_functionals(vertices)
-    coords = list(map(tuple, vertices))
-    facets = _facet_index_sets(coords)
-    fns = []
-    for fs in sorted(facets, key=sorted):
-        coeffs, const = facets[fs]
-        inside = next(i for i in range(len(vertices)) if i not in fs)
-        val = sum(c * x for c, x in zip(coeffs, vertices[inside])) + const
-        if val < 0:
-            coeffs, const = [-c for c in coeffs], -const
-        fns.append(
-            exact.AffineFunctional(tuple(Fraction(c) for c in coeffs), Fraction(const))
-        )
-    return fns
+        return simplex_inverse(vertices)[0]
+    facets = _facet_index_sets(vertices)
+    return [facets[fs] for fs in sorted(facets, key=sorted)]
 
 
 def triangulate_cell(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
-    """Simplicial decomposition of a cell by placing from its first vertex.
+    """Simplicial decomposition of a full-dimensional cell by placing from
+    the least vertex of each face.
 
-    Used only as volume plumbing (no new points are introduced).
+    Used only as volume plumbing (no new points are introduced).  Faces are
+    index sets into the sorted vertices, found by incidence from the cell's
+    facets alone: the facets of a face F are the maximal proper sets F & G,
+    G a facet of the cell, since every face of F is a face of the cell, an
+    intersection of its facets.  A k-face with k + 1 points is a simplex.
     """
     verts = tuple(sorted(vertices))
-    k = exact.affine_rank(verts)
-    if len(verts) == k + 1:
+    dim = len(verts[0])
+    if exact.affine_rank(verts) != dim:
+        raise DegenerateGeometry("triangulate_cell requires a full-dimensional cell")
+    if len(verts) == dim + 1:
         return [verts]
-    v0 = verts[0]
-    out = []
-    for facet in facet_vertex_sets(verts):
-        if v0 in facet:
-            continue
-        for piece in triangulate_cell(facet):
-            out.append((v0,) + piece)
-    return out
+    facets = list(_facet_index_sets(verts))
+
+    def place(face: frozenset[int], k: int) -> list[tuple[Point, ...]]:
+        idx = sorted(face)
+        if len(idx) == k + 1:
+            return [tuple(verts[i] for i in idx)]
+        meets = {face & g for g in facets} - {face}
+        apex = verts[idx[0]]
+        return [
+            (apex,) + piece
+            for sub in sorted(meets, key=sorted)
+            if idx[0] not in sub and not any(sub < other for other in meets)
+            for piece in place(sub, k - 1)
+        ]
+
+    return place(frozenset(range(len(verts))), dim)
 
 
 def nvol_cell(vertices: Sequence[Point]) -> int:

@@ -158,7 +158,7 @@ def verify(s: Subdivision) -> VerifyReport:
 
     checksum = None
     dets: list[int] = []  # signed volume of each simplex cell, in cell order
-    ambient_fns: list[exact.AffineFunctional] = []
+    ambient_rows: list[tuple[int, ...]] = []
     used = {i for c in s.cells for i in c}  # store indices of cell vertices
     if full_dim:
         try:
@@ -180,14 +180,14 @@ def verify(s: Subdivision) -> VerifyReport:
             failures.append(f"degenerate cell: {e}")
 
         try:
-            ambient_fns = polytope.inner_functionals(s.ambient)
+            ambient_rows = polytope.inner_functionals(s.ambient)
         except DegenerateGeometry:
             failures.append("ambient polytope is degenerate")
         else:
             outside = {
                 i
                 for i in used
-                if any(fn.numerator(s.points[i]) < 0 for fn in ambient_fns)
+                if any(polytope.row_at(row, s.points[i]) < 0 for row in ambient_rows)
             }
             for c in s.cells:
                 i = next((i for i in c if i in outside), None)
@@ -213,14 +213,7 @@ def verify(s: Subdivision) -> VerifyReport:
                     (c, -sign if (d - k) % 2 else sign)
                 )
         # bit j set where a cell vertex lies on the j-th facet of P
-        on_facets = {
-            i: sum(
-                1 << j
-                for j, fn in enumerate(ambient_fns)
-                if fn.numerator(s.points[i]) == 0
-            )
-            for i in used
-        }
+        on_facets = {i: polytope.facet_mask(ambient_rows, s.points[i]) for i in used}
         for key, on in sides.items():
             if len(on) > 2:
                 failures.append(f"facet {key} shared by {len(on)} cells")

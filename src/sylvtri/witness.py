@@ -15,12 +15,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import DegenerateGeometry, DimensionMismatch, DomainError
-from .polytope import Point
+from .polytope import Point, row_at
 from .subdivision import Cell, Subdivision, Triangulation, VerifyReport
 
 
@@ -49,16 +48,9 @@ class CertificateReport:
 
 
 # An integer affine form (row, den), den > 0, stands for the map
-# x -> (row[:-1] . x + row[-1]) / den: a row of polytope.simplex_inverse
-# over its D, exact.integer_solve's (y, D), or AffineFunctional.row over
-# its denominator.
+# x -> row_at(row, x) / den: a row of polytope.simplex_inverse over its D,
+# or exact.integer_solve's (y, D).
 Form = tuple[Sequence[int], int]
-
-
-def _row_at(row: Sequence[int], p: Point) -> int:
-    """row[:-1] . p + row[-1], an integer for an integral point."""
-    # map stops at p's end, so row[-1] is the homogenising term
-    return sum(map(mul, row, p)) + row[-1]
 
 
 def _common_scale(w: RegularityWitness) -> tuple[list[int], int]:
@@ -93,7 +85,7 @@ def _cell_form(verts: Sequence[Point], heights: Sequence[int]) -> Form:
     if len(basis) != dim + 1:
         raise DegenerateGeometry("points do not affinely span the ambient space")
     row, den = _cell_form([verts[i] for i in basis], [heights[i] for i in basis])
-    if any(_row_at(row, v) != h * den for v, h in zip(verts, heights)):
+    if any(row_at(row, v) != h * den for v, h in zip(verts, heights)):
         raise DegenerateGeometry("values are not affine on the given points")
     return row, den
 
@@ -122,7 +114,7 @@ def _bent_wall(
                 walls[fs] = c
                 continue
             q = next(i for i in other if i not in fs)
-            if values[q] * den <= _row_at(row, pts[q]):
+            if values[q] * den <= row_at(row, pts[q]):
                 return c, other, fs
     return None
 
@@ -178,7 +170,7 @@ def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> Certificat
     Cells go in order, each against the store in order, and the report
     stops after 51 violations.  With heights W = L * w (_common_scale) and
     a cell's form (row, den), w(p) - A_cell(p) = (W[p] * den -
-    _row_at(row, p)) / (L * den), so a pair passes iff that integer
+    row_at(row, p)) / (L * den), so a pair passes iff that integer
     numerator is positive: one integer dot product (taken axis by axis
     over the whole store) and one comparison.  Only a violation builds its
     Fraction margin.
@@ -188,7 +180,7 @@ def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> Certificat
     violations: list[tuple[Cell, Point, Fraction]] = []
     for c in t.cells:
         row, den = _cell_form(t.cell_points(c), [heights[i] for i in c])
-        # gaps[i] = heights[i] * den - _row_at(row, pts[i]), one axis at a time
+        # gaps[i] = heights[i] * den - row_at(row, pts[i]), one axis at a time
         gaps = [h * den - row[-1] for h in heights]
         for rk, xs in zip(row, axes):
             if rk:
@@ -238,7 +230,7 @@ def _pyramid(
     """The pyramid from a store point m over facet F = sets[f] of a cell.
 
     sets and rows are the cell's facets: store-index sets and integer rows,
-    >= 0 on the cell and 0 on the facet (read with _row_at).  lam are m's
+    >= 0 on the cell and 0 on the facet (read with row_at).  lam are m's
     values on the rows, lam[f] > 0.  The pyramid's facets are F and, for
     each facet G meeting F in a ridge (affine rank d - 2), conv((F & G) + m),
     whose row lam[f] f_G - lam[g] f_F, divided by its gcd k, vanishes at m
@@ -305,7 +297,7 @@ def _candidates(cols, verts: Sequence[Point], rows) -> Iterator[int]:
             continue
         tlo, thi = lo[-1], hi[-1]
         for row in rows:
-            a, b = row[-2], _row_at(row, y)
+            a, b = row[-2], row_at(row, y)
             if a > 0:
                 tlo = max(tlo, -(b // a))
             elif a < 0:
@@ -434,10 +426,10 @@ def pull_sweep(
         if len(c) == dim + 1:
             rows[c] = polytope.simplex_inverse(verts)[0]
         else:
-            fns = polytope.inner_functionals(verts)
-            rows[c] = [fn.row for fn in fns]
+            rows[c] = polytope.inner_functionals(verts)
             facets[c] = [
-                frozenset(i for i in c if fn.numerator(pts[i]) == 0) for fn in fns
+                frozenset(i for i in c if row_at(row, pts[i]) == 0)
+                for row in rows[c]
             ]
         row, den = _cell_form(verts, [heights[i] for i in c])
         g = gcd(den * scale, *row)
@@ -450,12 +442,12 @@ def pull_sweep(
             if pi in c:
                 continue
             p, v = pts[pi], vals[pi]
-            if v.numerator * den < _row_at(row, p) * v.denominator:
+            if v.numerator * den < row_at(row, p) * v.denominator:
                 raise DomainError(
                     f"witness is not convex before the pull: store point {p} "
                     f"lies below cell {c}"
                 )
-            found[pi] = None if c in facets else tuple([_row_at(r, p) for r in rows[c]])
+            found[pi] = None if c in facets else tuple([row_at(r, p) for r in rows[c]])
         add(c, found)
     check_convex("before")
 
@@ -467,7 +459,7 @@ def pull_sweep(
             raise DomainError(f"store point {m} is not covered by any cell")
         pn, pd = None, 1  # phi_m = pn / pd, the least interpolant at m
         for row, den in map(cache.get, incident):
-            x = _row_at(row, m)
+            x = row_at(row, m)
             if pn is None or x * pd < pn * den:
                 pn, pd = x, den
         phi_m = Fraction(pn, pd)
@@ -483,11 +475,11 @@ def pull_sweep(
             prows = rows[parent]
             if len(parent) == dim + 1 and m_index in parent:
                 k = parent.index(m_index)  # the one row not vanishing at m
-                lam_k = _row_at(prows[k], m)
+                lam_k = row_at(prows[k], m)
                 eps_cells.append((parent, cache[parent], (prows[k], lam_k)))
                 continue
             held = located.get(parent, {})
-            lam = held.get(m_index) or [_row_at(r, m) for r in prows]
+            lam = held.get(m_index) or [row_at(r, m) for r in prows]
             seen = [f for f, x in enumerate(lam) if x > 0]
             a0 = cache[parent]
             if len(seen) == 1 and m_index in parent:
@@ -495,7 +487,7 @@ def pull_sweep(
                 continue
             sets = facet_sets(parent)
             carried = {
-                pi: nu or [_row_at(r, pts[pi]) for r in prows]
+                pi: nu or [row_at(r, pts[pi]) for r in prows]
                 for pi, nu in held.items()
                 if pi != m_index
             }
@@ -529,13 +521,13 @@ def pull_sweep(
                     targets.extend(i for i in other if i not in fs)
             for pi in targets:
                 p = pts[pi]
-                ln = _row_at(lrow, p)
+                ln = row_at(lrow, p)
                 if ln >= 0:
                     continue
                 # bound = (vals[pi] - A0(p)) / -Lam(p) = c0n ld / (vd ad -ln)
                 v = vals[pi]
                 vd = v.denominator
-                c0n = v.numerator * ad - _row_at(arow, p) * vd
+                c0n = v.numerator * ad - row_at(arow, p) * vd
                 if c0n <= 0:
                     raise DomainError("witness is not convex before the pull")
                 num, den = c0n * ld, vd * ad * -ln

@@ -1,7 +1,8 @@
 """Brute-force oracles the tests check the library against.
 
 Each oracle follows its textbook definition as literally as possible and
-is slow on purpose: membership by a supporting-hyperplane scan, by
+is slow on purpose: membership and faces by supporting-hyperplane scans
+in affine coordinates, with Fraction affine functionals, membership by
 Caratheodory subsets or by an exact phase-one simplex (the hull LP, and
 through it the extreme points of a point set), lattice points by a
 bounding-box scan, pulling by coning over every proper face (De
@@ -20,11 +21,12 @@ interface and glue apex height the pipeline uses is known in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from sylvtri import exact, polytope, subdivision as sd
@@ -67,6 +69,133 @@ class Membership(Enum):
     OUTSIDE = "outside"
 
 
+@dataclass(frozen=True)
+class AffineFunctional:
+    """Affine map x -> <coeffs, x> + constant with exact rational data.
+
+    ``__post_init__`` puts the data over one common denominator D, the lcm
+    of the denominators of coeffs and constant: row holds the integers
+    c.numerator * (D // c.denominator), where each ``//`` is exact because
+    D is a common multiple, so row = D * (coeffs, constant).  Evaluation is
+    then one dot product (row[:-1] . x + row[-1]) / D, an integer over D for
+    an integral point and equal to <coeffs, x> + constant for any point.
+    """
+
+    coeffs: tuple[Fraction, ...]
+    constant: Fraction
+    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        data = (*self.coeffs, self.constant)
+        den = lcm(*(x.denominator for x in data))
+        row = tuple(x.numerator * (den // x.denominator) for x in data)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "denominator", den)
+
+    def __call__(self, point: Sequence[Fraction | int]) -> Fraction:
+        return Fraction(self.numerator(point), self.denominator)
+
+    def numerator(self, point: Sequence[Fraction | int]) -> Fraction | int:
+        """D times the value at point: an int for an integral point.
+
+        D > 0, so its sign is the sign of the value, with no division.
+        """
+        if len(point) != len(self.coeffs):
+            raise DimensionMismatch("point dimension does not match functional")
+        # map stops at the point's end, so row[-1] is the constant term
+        return sum(map(mul, self.row, point)) + self.row[-1]
+
+
+def functionals(verts: Sequence[Point]) -> list[AffineFunctional]:
+    """A full-dimensional cell's facet rows (polytope.inner_functionals) as
+    Fraction functionals, >= 0 on the cell."""
+    return [
+        AffineFunctional(tuple(map(Fraction, row[:-1])), Fraction(row[-1]))
+        for row in polytope.inner_functionals(verts)
+    ]
+
+
+def _independent_columns(basis_rows: list[list[Fraction]]) -> list[int]:
+    """Column indices on which the row space has full rank."""
+    k = len(basis_rows)
+    cols: list[int] = []
+    for j in range(len(basis_rows[0])):
+        trial = cols + [j]
+        sub = [[row[c] for c in trial] for row in basis_rows]
+        if exact.rank(sub) == len(trial):
+            cols = trial
+        if len(cols) == k:
+            break
+    return cols
+
+
+def affine_coordinates(points: Sequence[Point]) -> list[tuple[int, ...]]:
+    """Exact full-rank integer coordinates for a point set in its affine hull.
+
+    The map is an injective affine transformation, so all convexity and face
+    combinatorics are preserved.  (It need not preserve volume.)
+    """
+    k = exact.affine_rank(points)
+    if k == 0:
+        return [() for _ in points]
+    base = points[0]
+    diffs = [[Fraction(x - y) for x, y in zip(p, base)] for p in points[1:]]
+    basis: list[list[Fraction]] = []
+    for d in diffs:
+        if exact.rank(basis + [d]) == len(basis) + 1:
+            basis.append(d)
+        if len(basis) == k:
+            break
+    cols = _independent_columns(basis)
+    raw = [tuple(Fraction(p[c] - base[c]) for c in cols) for p in points]
+    denom = lcm(*(x.denominator for pt in raw for x in pt)) if raw else 1
+    return [tuple(int(x * denom) for x in pt) for pt in raw]
+
+
+def facet_vertex_sets(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
+    """Facets of conv(vertices), each as a sorted vertex tuple.
+
+    Supporting-hyperplane scan over every k-subset of the points in their
+    affine coordinates (k the affine rank): the hyperplane through k
+    affinely independent points has as normal the cofactors of their k - 1
+    difference rows, and it is a facet hyperplane iff every point lies
+    weakly on one side of it.
+    """
+    if len(set(vertices)) <= 1:
+        return []
+    coords = affine_coordinates(vertices)
+    k = len(coords[0])
+    out: set[tuple[Point, ...]] = set()
+    for idxs in combinations(range(len(coords)), k):
+        base = coords[idxs[0]]
+        diffs = [[x - y for x, y in zip(coords[i], base)] for i in idxs[1:]]
+        normal = [
+            exact.det([[int(c == j) for c in range(k)]] + diffs) for j in range(k)
+        ]
+        if not any(normal):
+            continue
+        vals = [sum(a * (x - y) for a, x, y in zip(normal, p, base)) for p in coords]
+        if min(vals) >= 0 or max(vals) <= 0:
+            out.add(tuple(sorted(v for v, x in zip(vertices, vals) if x == 0)))
+    return sorted(out)
+
+
+def placing_triangulation(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
+    """Placing triangulation of a cell from its least vertex, each face
+    triangulated recursively over its facets in affine coordinates."""
+    verts = tuple(sorted(vertices))
+    if len(verts) == exact.affine_rank(verts) + 1:
+        return [verts]
+    v0 = verts[0]
+    return [
+        (v0,) + piece
+        for facet in facet_vertex_sets(verts)
+        if v0 not in facet
+        for piece in placing_triangulation(facet)
+    ]
+
+
 def faces(c: CellPolytope) -> list[CellPolytope]:
     """All proper faces of a cell, each exactly once, graded by dimension.
 
@@ -75,7 +204,7 @@ def faces(c: CellPolytope) -> list[CellPolytope]:
     seen: set[tuple[Point, ...]] = set()
 
     def walk(verts: tuple[Point, ...]):
-        for fverts in polytope.facet_vertex_sets(verts):
+        for fverts in facet_vertex_sets(verts):
             if fverts not in seen:
                 seen.add(fverts)
                 walk(fverts)
@@ -100,12 +229,12 @@ def contains(
         # point must lie in the affine hull first
         if exact.affine_rank(list(verts) + [as_fraction_point(p)]) > k:
             return Membership.OUTSIDE
-        aug = polytope.affine_coordinates(list(verts) + [tuple(p)])
+        aug = affine_coordinates(list(verts) + [tuple(p)])
         cverts, cp = aug[:-1], aug[-1]
         if k == 0:
             return Membership.INTERIOR
         return contains(CellPolytope(tuple(cverts)), cp)
-    vals = [fn(p) for fn in polytope.inner_functionals(verts)]
+    vals = [fn(p) for fn in functionals(verts)]
     if any(v < 0 for v in vals):
         return Membership.OUTSIDE
     if any(v == 0 for v in vals):
@@ -253,7 +382,7 @@ def lattice_points_bruteforce(
         raise BoxLimitExceeded(f"bounding box has {count} candidates (limit {limit})")
     k = exact.affine_rank(verts)
     if k == dim:
-        fns = polytope.inner_functionals(verts)
+        fns = functionals(verts)
         test = lambda p: all(fn(p) >= 0 for fn in fns)
     else:
         test = lambda p: in_hull_caratheodory(p, verts)
@@ -324,7 +453,7 @@ def restrict_to_hyperplane(
 def affine_interpolant(
     vertices: Sequence[Sequence[Fraction | int]],
     values: Sequence[Fraction | int],
-) -> exact.AffineFunctional:
+) -> AffineFunctional:
     """Unique affine function through (vertex_i, value_i).
 
     Requires d+1 affinely independent vertices spanning dimension d.
@@ -336,13 +465,13 @@ def affine_interpolant(
         raise DimensionMismatch("need exactly d+1 vertices and values in dimension d")
     rows = [list(v) + [1] for v in vertices]
     sol = exact.solve(rows, values)
-    return exact.AffineFunctional(tuple(sol[:dim]), sol[dim])
+    return AffineFunctional(tuple(sol[:dim]), sol[dim])
 
 
 def functional_on_affine_basis(
     points: Sequence[Sequence[Fraction | int]],
     values: Sequence[Fraction | int],
-) -> exact.AffineFunctional:
+) -> AffineFunctional:
     """Affine interpolant through a (possibly redundant) point/value list.
 
     Picks an affinely independent spanning subset, interpolates there, and
@@ -372,7 +501,7 @@ def cell_point_sets(s: Subdivision) -> set[frozenset[Point]]:
 
 def cell_interpolant(
     s: Subdivision, cell: Cell, w: RegularityWitness
-) -> exact.AffineFunctional:
+) -> AffineFunctional:
     """Fraction affine function matching the witness on a full-dimensional cell."""
     verts = s.cell_points(cell)
     vals = [w.values[i] for i in cell]
@@ -531,7 +660,7 @@ def drop_bound(
 
 def _is_face_of(verts: Sequence[Point], sub: frozenset[Point]) -> bool:
     """Whether sub is a face of conv(verts) (verts full-dim in coords)."""
-    fns = polytope.inner_functionals(verts)
+    fns = functionals(verts)
     active = [fn for fn in fns if all(fn(p) == 0 for p in sub)]
     if not active:
         return sub == frozenset(verts)
@@ -552,7 +681,7 @@ def common_face_ok(a_verts: Sequence[Point], b_verts: Sequence[Point]) -> bool:
     B = tuple(sorted(set(b_verts)))
     if A == B:
         return False  # duplicate cells
-    joint = polytope.affine_coordinates(list(A) + list(B))
+    joint = affine_coordinates(list(A) + list(B))
     A2, B2 = tuple(joint[: len(A)]), tuple(joint[len(A) :])
     common = frozenset(A2) & frozenset(B2)
     dim = len(A2[0])
@@ -562,7 +691,7 @@ def common_face_ok(a_verts: Sequence[Point], b_verts: Sequence[Point]) -> bool:
         return False
     # quick accept: weak separator among facet hyperplanes of either cell
     for verts, others in ((A2, B2), (B2, A2)):
-        for fn in polytope.inner_functionals(verts):
+        for fn in functionals(verts):
             if all(fn(q) <= 0 for q in others) and all(
                 fn(p) == 0 for p in common
             ):
@@ -574,9 +703,9 @@ def _intersection_in_face(A: tuple, B: tuple, common: frozenset) -> bool:
     """Whether conv(A) ∩ conv(B) equals conv(common), by vertex enumeration."""
     from itertools import combinations
 
-    fns = polytope.inner_functionals(A) + polytope.inner_functionals(B)
+    fns = functionals(A) + functionals(B)
     # deduplicate coincident halfspaces (shared facets) to shrink the scan
-    seen: dict[tuple, exact.AffineFunctional] = {}
+    seen: dict[tuple, AffineFunctional] = {}
     for fn in fns:
         denom = next((c for c in fn.coeffs if c != 0), fn.constant)
         key = tuple(c / denom for c in fn.coeffs) + (fn.constant / denom,)
@@ -614,7 +743,7 @@ def pairwise_verdict(s: Subdivision) -> bool:
         exact.affine_rank(v) != d for v in cells
     ):
         return False
-    fns = polytope.inner_functionals(s.ambient)
+    fns = functionals(s.ambient)
     if any(fn(p) < 0 for p in {p for v in cells for p in v} for fn in fns):
         return False
     if sum(polytope.nvol_cell(v) for v in cells) != polytope.nvol_cell(s.ambient):

@@ -131,12 +131,25 @@ def test_verify_zero_denominator_witness_is_a_parse_error(tmp_path, capsys):
         lambda d: d["cells"][0].__setitem__(1, d["cells"][0][1] + 0.25),
         lambda d: d["points"][0].__setitem__(0, -1.5),
         lambda d: d["cells"][0].__setitem__(0, False),
+        lambda d: d["witness"].__setitem__(0, True),
+        lambda d: d["witness"].__setitem__(0, 0.5),
+        lambda d: d["witness"].__setitem__(0, 1),
     ],
-    ids=["n", "cell index", "coordinate", "boolean"],
+    ids=[
+        "n",
+        "cell index",
+        "coordinate",
+        "boolean",
+        "witness boolean",
+        "witness float",
+        "witness integer",
+    ],
 )
 def test_verify_non_integer_field_is_a_parse_error(tmp_path, capsys, edit):
     # a float or boolean where the format stores an integer is refused:
-    # int() would truncate each of these to the level-3 artifact itself
+    # int() would truncate each of these to the level-3 artifact itself;
+    # so is a JSON number or boolean where it stores a "p/q" witness string,
+    # which Fraction() would read
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
     assert data["cells"][0][0] == 0 and data["points"][0][0] == "-1"
     edit(data)

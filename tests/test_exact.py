@@ -120,7 +120,7 @@ def test_affine_rank():
 
 
 def test_affine_functional_eval_and_scaling():
-    fn = exact.AffineFunctional((Fraction(2), Fraction(-1)), Fraction(3))
+    fn = oracles.AffineFunctional((Fraction(2), Fraction(-1)), Fraction(3))
     assert fn((1, 1)) == 4
     with pytest.raises(DimensionMismatch):
         fn((1,))
@@ -312,7 +312,7 @@ def test_affine_functional_matches_direct_sum(data):
         st.lists(st.one_of(small_int, small_frac), min_size=dim, max_size=dim)
     )
     constant = data.draw(st.one_of(small_int, small_frac))
-    fn = exact.AffineFunctional(tuple(coeffs), constant)
+    fn = oracles.AffineFunctional(tuple(coeffs), constant)
     for entries in (small_int, st.one_of(small_int, small_frac)):
         p = data.draw(st.lists(entries, min_size=dim, max_size=dim))
         want = sum((Fraction(c) * x for c, x in zip(coeffs, p)), Fraction(constant))

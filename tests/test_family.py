@@ -117,6 +117,8 @@ def test_lattice_points_p1_structure():
         assert set(pts) == embedded | apexes
 
 
-def test_enumeration_limit_refusal():
+def test_enumeration_limit_refusal(monkeypatch):
+    monkeypatch.setattr(family, "MAX_ENUMERATION_POINTS", 10)
+    family.lattice_points_p2dual.cache_clear()  # levels enumerated earlier
     with pytest.raises(FeasibilityLimit):
-        family.lattice_points_p2dual(5, limit=10)
+        family.lattice_points_p2dual(5)

@@ -13,6 +13,7 @@ from sylvtri.polytope import HalfSpace, LatticeSimplex, RationalSimplex
 
 import oracles
 from oracles import BoxLimitExceeded, CellPolytope, Membership
+from test_subdivision import pre_sweep
 
 UNIT_TRIANGLE = ((0, 0), (1, 0), (0, 1))
 QUAD = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -106,10 +107,14 @@ def test_halfspace_eval_int_and_fraction_points():
 
 
 def test_barycentric_functionals_match_interpolants():
+    # the simplex's inverse rows over D are its barycentric coordinates
     verts = ((0, 0, 0), (3, 1, 0), (1, -2, 5), (-1, 4, 2))
-    fns = polytope.barycentric_functionals(verts)
-    for i, fn in enumerate(fns):
+    rows, d = polytope.simplex_inverse(verts)
+    for i, row in enumerate(rows):
         unit = [1 if j == i else 0 for j in range(len(verts))]
+        fn = oracles.AffineFunctional(
+            tuple(Fraction(x, d) for x in row[:-1]), Fraction(row[-1], d)
+        )
         assert fn == oracles.affine_interpolant(verts, unit)
 
 
@@ -156,13 +161,13 @@ def test_faces_of_triangle_and_quad():
 
 def test_inner_functionals_orientation():
     for verts in (UNIT_TRIANGLE, QUAD):
-        fns = polytope.inner_functionals(verts)
+        rows = polytope.inner_functionals(verts)
         interior = tuple(
             Fraction(sum(v[i] for v in verts), len(verts))
             for i in range(2)
         )
-        assert all(fn(interior) > 0 for fn in fns)
-        assert all(min(fn(v) for v in verts) == 0 for fn in fns)
+        assert all(polytope.row_at(row, interior) > 0 for row in rows)
+        assert all(min(polytope.row_at(row, v) for v in verts) == 0 for row in rows)
 
 
 def test_contains_classifications():
@@ -218,11 +223,46 @@ def test_triangulate_cell_and_nvol_cell():
     assert sum(polytope.nvol(p) for p in pieces) == polytope.nvol_cell(QUAD) == 2
     hexagon = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
     assert polytope.nvol_cell(hexagon) == 6
+    # a 3-D cell whose facets are squares: placing recurses into them
+    cube = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+    pieces = polytope.triangulate_cell(cube)
+    assert len(pieces) == 6 and all(polytope.nvol(p) == 1 for p in pieces)
+    assert polytope.nvol_cell(cube) == 6
+
+
+def test_incidence_faces_match_oracle_faces():
+    # facet rows, and the placing triangulation on facet incidences, agree
+    # with the supporting-hyperplane scan in affine coordinates, on random
+    # polytopes of dimension 1-4 and the polytopal starting columns of
+    # p2dual levels 2-4
+    rng = random.Random(15)
+    polytopes = [
+        oracles.random_polytope_subdivision(rng, dim).ambient
+        for dim in (1, 2, 3, 4)
+        for _ in range(20)
+    ]
+    columns = []
+    for n in (2, 3, 4):
+        s, _ = pre_sweep(n)
+        columns += [s.cell_points(c) for c in s.cells if len(c) > n + 1]
+    assert len(columns) == 47
+    for verts in polytopes + columns:
+        facets = oracles.facet_vertex_sets(verts)
+        rows = polytope.inner_functionals(verts)
+        assert all(polytope.row_at(row, v) >= 0 for row in rows for v in verts)
+        zeros = [
+            tuple(sorted(v for v in verts if polytope.row_at(row, v) == 0))
+            for row in rows
+        ]
+        assert sorted(zeros) == facets
+        pieces = oracles.placing_triangulation(verts)
+        assert sorted(polytope.triangulate_cell(verts)) == sorted(pieces)
+        assert polytope.nvol_cell(verts) == sum(map(polytope.nvol, pieces))
 
 
 def test_affine_coordinates_preserve_combinatorics():
     pts = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 0)]
-    mapped = polytope.affine_coordinates(pts)
+    mapped = oracles.affine_coordinates(pts)
     assert exact.affine_rank(mapped) == len(mapped[0]) == 2
     # midpoint relations survive the map
     assert all(

@@ -204,7 +204,7 @@ def test_pull_sweep_point_location_matches_solve():
         assert d == 1  # unimodular cells
         for p in tri.points:
             want = _solve_bary(verts, p)
-            nums = [wt._row_at(row, p) for row in adj]
+            nums = [polytope.row_at(row, p) for row in adj]
             assert [Fraction(x, d) for x in nums] == want
             if min(nums) >= 0:
                 located += 1
@@ -215,10 +215,10 @@ def test_pull_sweep_point_location_matches_solve():
 def test_drop_matches_fraction_arithmetic():
     # the sweep's integer update A0 - eps * Lam lands in the lowest terms
     # AffineFunctional computes from its Fraction data
-    a0 = exact.AffineFunctional((Fraction(3, 4), Fraction(-5, 6)), Fraction(7, 10))
-    lam = exact.AffineFunctional((Fraction(2, 5), Fraction(-1, 5)), Fraction(3, 5))
+    a0 = oracles.AffineFunctional((Fraction(3, 4), Fraction(-5, 6)), Fraction(7, 10))
+    lam = oracles.AffineFunctional((Fraction(2, 5), Fraction(-1, 5)), Fraction(3, 5))
     for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 2**40), Fraction(3, 7)):
-        want = exact.AffineFunctional(
+        want = oracles.AffineFunctional(
             tuple(a - eps * b for a, b in zip(a0.coeffs, lam.coeffs)),
             a0.constant - eps * lam.constant,
         )
@@ -525,8 +525,8 @@ def test_pull_sweep_drop_bounds_equal_oracle_supremum(monkeypatch):
 def _facets_of(verts, idx):
     """Facets of a cell from inner_functionals: vertex indices and rows."""
     return [
-        (frozenset(i for i, v in zip(idx, verts) if fn.numerator(v) == 0), fn.row)
-        for fn in polytope.inner_functionals(verts)
+        (frozenset(i for i, v in zip(idx, verts) if polytope.row_at(row, v) == 0), row)
+        for row in polytope.inner_functionals(verts)
     ]
 
 
@@ -567,12 +567,12 @@ def _check_pyramids(pts, c, depth):
         adj, d = polytope.simplex_inverse(verts)
         for m in pts:
             want = _solve_bary(verts, m)
-            assert [Fraction(wt._row_at(row, m), d) for row in adj] == want
+            assert [Fraction(polytope.row_at(row, m), d) for row in adj] == want
     simplices = polytopal = 0
     todo = [(c, *_cell_facets(pts, c), depth)]
     while todo:
         cell, sets, rows, depth = todo.pop()
-        values = {i: [wt._row_at(r, p) for r in rows] for i, p in enumerate(pts)}
+        values = {i: [polytope.row_at(r, p) for r in rows] for i, p in enumerate(pts)}
         for mi, lam in values.items():
             if len(cell) > dim + 1 and min(lam) < 0:
                 continue  # polytopal parents split at their own points
@@ -598,7 +598,7 @@ def _check_pyramids(pts, c, depth):
                     if depth > 1:
                         todo.append((child, got_sets, got_rows, depth - 1))
                 for pi, p in enumerate(pts):
-                    want = tuple(wt._row_at(row, p) for row in got_rows)
+                    want = tuple(polytope.row_at(row, p) for row in got_rows)
                     assert found.get(pi) == (want if min(want) >= 0 else None)
     return simplices, polytopal
 
@@ -655,7 +655,7 @@ def test_vertical_location_matches_store_scan():
             if len(c) == s.ambient_dim + 1:
                 rows = polytope.simplex_inverse(verts)[0]
             else:
-                rows = [fn.row for fn in polytope.inner_functionals(verts)]
+                rows = polytope.inner_functionals(verts)
             geom = oracles.CellPolytope(verts)
             want = [
                 i for i, p in enumerate(s.points)
