@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="print the invariant tables")
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
-    _add_common(p)
 
     p = sub.add_parser("stats", help="summarize a stored artifact")
     p.add_argument("path")

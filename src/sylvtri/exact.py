@@ -1,43 +1,18 @@
-"""Exact arbitrary-precision linear algebra kernel.
+"""Exact integer linear algebra kernel.
 
-Integers are plain Python ``int`` and rationals are ``fractions.Fraction``
-(always reduced, positive denominator, structural equality), so every
-operation here is exact by construction.  Matrices are small and dense:
-lists of rows of ``Fraction``/``int`` entries.
+Entries are plain Python ``int`` (arbitrary precision) and elimination
+is fraction-free, so every operation here is exact by construction and
+a rational result comes back as integer numerators over one common
+positive denominator D.  Matrices are small and dense: lists of rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import DegenerateGeometry, DimensionMismatch
 
-Row = Sequence[Fraction | int]
-
-
-def _clear_row(row: Row) -> tuple[list[int], int]:
-    """Integer row and the positive scale d (lcm of denominators) with row * d."""
-    if all(type(x) is int for x in row):
-        return list(row), 1
-    fracs = [Fraction(x) for x in row]
-    d = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [f.numerator * (d // f.denominator) for f in fracs], d
-
-
-def _int_rows(rows: Sequence[Row]) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; return integer rows and the scale product.
-
-    Always returns fresh lists, so the caller may destroy them.
-    """
-    out = []
-    scale = 1
-    for row in rows:
-        ints, d = _clear_row(row)
-        out.append(ints)
-        scale *= d
-    return out, scale
+Row = Sequence[int]
 
 
 def _eliminate(m: list[list[int]], n: int) -> int:
@@ -74,8 +49,10 @@ def _eliminate(m: list[list[int]], n: int) -> int:
 
 
 def det_int(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix. Destroys m."""
+    """Bareiss determinant of a square integer matrix. Destroys m."""
     n = len(m)
+    if any(len(r) != n for r in m):
+        raise DimensionMismatch("determinant requires a square matrix")
     if n == 0:
         return 1
     return _eliminate(m, n) * m[-1][-1]
@@ -107,20 +84,11 @@ def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
     return y, d
 
 
-def det(rows: Sequence[Row]) -> Fraction:
-    """Exact determinant of a square matrix via fraction-free elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("determinant requires a square matrix")
-    m, scale = _int_rows(rows)
-    return Fraction(det_int(m), scale)
-
-
 def rank(rows: Sequence[Row]) -> int:
-    """Rank of a rectangular exact matrix (fraction-free row elimination)."""
+    """Rank of a rectangular integer matrix (fraction-free row elimination)."""
     if not rows:
         return 0
-    m, _ = _int_rows(rows)
+    m = [list(row) for row in rows]
     nrows, ncols = len(m), len(m[0])
     r = 0
     for col in range(ncols):
@@ -140,11 +108,9 @@ def rank(rows: Sequence[Row]) -> int:
 
 
 def integer_solve(rows: Sequence[Row], rhs: Row) -> tuple[list[int], int]:
-    """Solve a square exact linear system as integers over D > 0.
+    """Solve a square integer linear system A x = b as integers over D > 0.
 
-    Returns (y, D) with y = D * x for the solution x.  Each equation is
-    first multiplied by the lcm of its denominators, which leaves x
-    unchanged and yields an integer system A x = b.  Bareiss elimination
+    Returns (y, D) with y = D * x for the solution x.  Bareiss elimination
     of [A | b] stays in the integers (every ``//`` in the forward pass
     divides a minor by a minor it is a multiple of), and back substitution
     computes y = D x with D = +-det A, which Cramer's rule makes integral
@@ -157,29 +123,17 @@ def integer_solve(rows: Sequence[Row], rhs: Row) -> tuple[list[int], int]:
         raise DimensionMismatch("solve requires a square system")
     if n == 0:
         return [], 1
-    m, _ = _int_rows([[*row, b] for row, b in zip(rows, rhs)])
-    y, d = _solve_int(m, n)
+    y, d = _solve_int([[*row, b] for row, b in zip(rows, rhs)], n)
     if d < 0:
         return [-yi for (yi,) in y], -d
     return [yi for (yi,) in y], d
 
 
-def solve(rows: Sequence[Row], rhs: Row) -> list[Fraction]:
-    """Solve a square exact linear system: x_i = y_i / D (integer_solve).
-
-    Raises DegenerateGeometry if the matrix is singular.
-    """
-    y, d = integer_solve(rows, rhs)
-    return [Fraction(yi, d) for yi in y]
-
-
 def integer_inverse(rows: Sequence[Row]) -> tuple[list[tuple[int, ...]], int]:
-    """Inverse of a square exact matrix as an integer matrix over D > 0.
+    """Inverse of a square integer matrix as an integer matrix over D > 0.
 
-    Returns (Y, D) with rows * Y = D * I.  For an integer matrix D is
-    |det| and Y is the adjugate up to the sign of det.  Row i is cleared of
-    denominators by its scale s_i, so the eliminated system is
-    [S A | S] with solution A^-1, integral after scaling by D (_solve_int).
+    Returns (Y, D) with rows * Y = D * I: D is |det| and Y is the adjugate
+    up to the sign of det, the solution of [A | I] scaled by D (_solve_int).
     Raises DegenerateGeometry if the matrix is singular.
     """
     n = len(rows)
@@ -187,24 +141,14 @@ def integer_inverse(rows: Sequence[Row]) -> tuple[list[tuple[int, ...]], int]:
         raise DimensionMismatch("inverse requires a square matrix")
     if n == 0:
         return [], 1
-    m = []
-    for i, row in enumerate(rows):
-        ints, s = _clear_row(row)
-        ints.extend(s if j == i else 0 for j in range(n))
-        m.append(ints)
+    m = [[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(rows)]
     y, d = _solve_int(m, n)
     if d < 0:
         y, d = [tuple([-x for x in row]) for row in y], -d
     return y, d
 
 
-def inverse(rows: Sequence[Row]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix."""
-    y, d = integer_inverse(rows)
-    return [[Fraction(x, d) for x in row] for row in y]
-
-
-def affine_rank(points: Sequence[Sequence[Fraction | int]]) -> int:
+def affine_rank(points: Sequence[Row]) -> int:
     """Dimension of the affine hull of a nonempty point list (0 for one point)."""
     if not points:
         raise DimensionMismatch("affine_rank of an empty point list")

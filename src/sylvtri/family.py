@@ -107,8 +107,11 @@ class DualityMap:
         return tuple(sum(r * x for r, x in zip(row, p)) for row in self.matrix)
 
     def inverse(self) -> "DualityMap":
-        inv = exact.inverse([list(row) for row in self.matrix])
-        return DualityMap(tuple(tuple(int(x) for x in row) for row in inv))
+        """The inverse map; a matrix with |det| != 1 has no integer inverse."""
+        inv, d = exact.integer_inverse(self.matrix)
+        if d != 1:
+            raise DomainError(f"duality map has |det| {d}, expected 1")
+        return DualityMap(tuple(inv))
 
 
 @lru_cache(maxsize=None)

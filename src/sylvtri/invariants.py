@@ -60,10 +60,12 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     of a store point's mask says it lies on facet k; a cell facet lies in
     one boundary facet of the polytope iff the AND of its vertices' masks
     is nonzero.  A ray is crepant iff every row is >= 0 at it and one is 0.
+    The fan is complete when the cones' |det|s sum to D, the ambient's
+    normalized volume.
     """
     t = art.triangulation
     ambient = t.ambient
-    rows, _ = polytope.simplex_inverse(ambient)
+    rows, nvol = polytope.simplex_inverse(ambient)
     if any(row[-1] <= 0 for row in rows):
         raise DomainError("origin is not strictly interior to the polytope")
 
@@ -89,7 +91,7 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     smooth = all(dv == 1 for dv in dets) and all(
         gcd(*map(abs, r)) == 1 for r in rays
     )
-    complete = sum(dets) == polytope.nvol_cell(ambient)
+    complete = sum(dets) == nvol
     crepant = all(min(polytope.row_at(row, r) for row in rows) == 0 for r in rays)
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)
 

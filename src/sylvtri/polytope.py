@@ -151,22 +151,27 @@ def halfspaces(s: LatticeSimplex) -> list[HalfSpace]:
 def polar_dual(s: LatticeSimplex) -> LatticeSimplex | RationalSimplex:
     """Polar dual of a full-dimensional simplex with 0 strictly interior.
 
+    Dual vertex i solves <u, v_j> = -1 for every j != i.  Row i of
+    (Y, D) = simplex_inverse(s.vertices) vanishes at those v_j and has
+    Y[i] . (v_i, 1) = D, so u = Y[i][:-1] / Y[i][-1] and
+    <u, v_i> + 1 = D / Y[i][-1].  Y[i][-1], row i at the origin, is 0 iff
+    the origin lies on facet i's hyperplane (the system is singular); as
+    D > 0, the origin is strictly inside iff every Y[i][-1] > 0.  Facets
+    are checked in vertex order.
+
     Returns a LatticeSimplex when every dual vertex is integral (reflexive
     case), otherwise a RationalSimplex; never rounds.
     """
     if not s.is_full_dim:
         raise DegenerateGeometry("polar dual requires a full-dimensional simplex")
+    y, _ = simplex_inverse(s.vertices)
     duals = []
-    for i in range(len(s.vertices)):
-        others = [v for j, v in enumerate(s.vertices) if j != i]
-        try:
-            u = exact.solve([list(v) for v in others], [-1] * len(others))
-        except DegenerateGeometry as e:
-            raise DomainError("origin lies on a facet hyperplane") from e
-        inner = sum(c * x for c, x in zip(u, s.vertices[i])) + 1
-        if inner <= 0:
+    for row in y:
+        if row[-1] == 0:
+            raise DomainError("origin lies on a facet hyperplane")
+        if row[-1] < 0:
             raise DomainError("origin is not strictly interior")
-        duals.append(tuple(u))
+        duals.append(tuple(Fraction(x, row[-1]) for x in row[:-1]))
     if all(c.denominator == 1 for v in duals for c in v):
         return LatticeSimplex(tuple(tuple(int(c) for c in v) for v in duals))
     return RationalSimplex(tuple(duals))

@@ -116,6 +116,51 @@ def functionals(verts: Sequence[Point]) -> list[AffineFunctional]:
     ]
 
 
+def integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
+    """Each row of ints and Fractions times the lcm of its denominators.
+
+    A positive scale per row changes neither the row space nor the
+    solutions of an augmented system [A | b], so exact's integer kernels
+    take the result in place of the rational rows.
+    """
+    out = []
+    for row in rows:
+        d = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * d) for x in row])
+    return out
+
+
+def solve(
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> list[Fraction]:
+    """Solution of a square rational system: x = y / D (exact.integer_solve).
+
+    Raises DegenerateGeometry if the matrix is singular.
+    """
+    if len(rhs) != len(rows):
+        raise DimensionMismatch("solve requires a square system")
+    m = integer_rows([*row, b] for row, b in zip(rows, rhs))
+    y, d = exact.integer_solve([r[:-1] for r in m], [r[-1] for r in m])
+    return [Fraction(v, d) for v in y]
+
+
+def gauss_jordan(rows, rhs):
+    """Independent solve oracle: plain Fraction Gauss-Jordan, or None if singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [a[i][n] for i in range(n)]
+
+
 def _independent_columns(basis_rows: list[list[Fraction]]) -> list[int]:
     """Column indices on which the row space has full rank."""
     k = len(basis_rows)
@@ -123,7 +168,7 @@ def _independent_columns(basis_rows: list[list[Fraction]]) -> list[int]:
     for j in range(len(basis_rows[0])):
         trial = cols + [j]
         sub = [[row[c] for c in trial] for row in basis_rows]
-        if exact.rank(sub) == len(trial):
+        if exact.rank(integer_rows(sub)) == len(trial):
             cols = trial
         if len(cols) == k:
             break
@@ -143,7 +188,7 @@ def affine_coordinates(points: Sequence[Point]) -> list[tuple[int, ...]]:
     diffs = [[Fraction(x - y) for x, y in zip(p, base)] for p in points[1:]]
     basis: list[list[Fraction]] = []
     for d in diffs:
-        if exact.rank(basis + [d]) == len(basis) + 1:
+        if exact.rank(integer_rows(basis + [d])) == len(basis) + 1:
             basis.append(d)
         if len(basis) == k:
             break
@@ -171,7 +216,8 @@ def facet_vertex_sets(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
         base = coords[idxs[0]]
         diffs = [[x - y for x, y in zip(coords[i], base)] for i in idxs[1:]]
         normal = [
-            exact.det([[int(c == j) for c in range(k)]] + diffs) for j in range(k)
+            exact.det_int([[int(c == j) for c in range(k)]] + [r[:] for r in diffs])
+            for j in range(k)
         ]
         if not any(normal):
             continue
@@ -227,7 +273,8 @@ def contains(
     k = exact.affine_rank(verts)
     if k < len(verts[0]):
         # point must lie in the affine hull first
-        if exact.affine_rank(list(verts) + [as_fraction_point(p)]) > k:
+        diffs = [[x - y for x, y in zip(q, verts[0])] for q in [*verts[1:], p]]
+        if exact.rank(integer_rows(diffs)) > k:
             return Membership.OUTSIDE
         aug = affine_coordinates(list(verts) + [tuple(p)])
         cverts, cp = aug[:-1], aug[-1]
@@ -261,14 +308,14 @@ def in_hull_caratheodory(p: Sequence[Fraction | int], points: Sequence[Point]) -
             ridx: list[int] = []
             for i in range(len(rows)):
                 trial = [rows[j] for j in ridx] + [rows[i]]
-                if exact.rank(trial) == len(ridx) + 1:
+                if exact.rank(integer_rows(trial)) == len(ridx) + 1:
                     ridx.append(i)
                 if len(ridx) == size:
                     break
             if len(ridx) < size:
                 continue
             try:
-                lam = exact.solve([rows[i] for i in ridx], [rhs[i] for i in ridx])
+                lam = solve([rows[i] for i in ridx], [rhs[i] for i in ridx])
             except DegenerateGeometry:
                 continue
             if any(l < 0 for l in lam):
@@ -285,7 +332,7 @@ def as_fraction_point(p: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
 
 
 def feasible_nonneg_combination(
-    columns: Sequence[exact.Row], target: exact.Row
+    columns: Sequence[Sequence[Fraction | int]], target: Sequence[Fraction | int]
 ) -> bool:
     """Whether target = sum x_j columns[j] has a solution with all x_j >= 0.
 
@@ -464,7 +511,7 @@ def affine_interpolant(
     if len(vertices) != dim + 1 or len(values) != dim + 1:
         raise DimensionMismatch("need exactly d+1 vertices and values in dimension d")
     rows = [list(v) + [1] for v in vertices]
-    sol = exact.solve(rows, values)
+    sol = solve(rows, values)
     return AffineFunctional(tuple(sol[:dim]), sol[dim])
 
 
@@ -717,7 +764,7 @@ def _intersection_in_face(A: tuple, B: tuple, common: frozenset) -> bool:
         rows = [list(fns[i].coeffs) for i in idxs]
         rhs = [-fns[i].constant for i in idxs]
         try:
-            x = exact.solve(rows, rhs)
+            x = solve(rows, rhs)
         except DegenerateGeometry:
             continue
         if any(fn(x) < 0 for fn in fns):

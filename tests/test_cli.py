@@ -238,6 +238,13 @@ def test_invariants_csv(capsys):
     assert rows[3][:5] == ["3", "66", "1008", "-960", "0"]
 
 
+def test_invariants_refuses_quiet():
+    # invariants prints no timing, so it takes no --quiet (usage error)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["invariants", "--quiet"])
+    assert e.value.code == 2
+
+
 def test_stats(tmp_path, capsys):
     path = tmp_path / "d2.json"
     pipeline.save(pipeline.triangulate_p2dual(2), str(path))

@@ -70,6 +70,12 @@ def test_duality_map_inverse_round_trip():
             assert inv.apply(t.apply(v)) == v
 
 
+def test_duality_map_inverse_refuses_non_unimodular():
+    # |det| 2: the inverse is not integral, and no map may round it
+    with pytest.raises(DomainError):
+        family.DualityMap(((2, 0), (0, 1))).inverse()
+
+
 def test_column_height_examples():
     # level 1 -> 2 columns over -1, 0, 1
     assert [family.column_height(2, (y,)) for y in (-1, 0, 1)] == [2, 0, -1]

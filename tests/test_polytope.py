@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sylvtri import exact, polytope
@@ -150,6 +150,48 @@ def test_polar_dual_involution():
     s = LatticeSimplex(((1, 0), (0, 1), (-3, -2)))
     dd = polytope.polar_dual(polytope.polar_dual(s))
     assert set(dd.vertices) == set(s.vertices)
+
+
+@st.composite
+def lattice_simplices(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    coord = st.integers(min_value=-3, max_value=3)
+    point = st.tuples(*[coord] * dim)
+    verts = draw(st.lists(point, min_size=dim + 1, max_size=dim + 1))
+    assume(exact.affine_rank(verts) == dim)
+    return LatticeSimplex(tuple(verts))
+
+
+@settings(max_examples=200, deadline=None)
+@example(LatticeSimplex(((1, 0), (0, 1), (-3, -2))))  # reflexive
+@example(LatticeSimplex(((2, 0), (0, 2), (-2, -2))))  # rational dual
+@example(LatticeSimplex(((-2, -2), (-2, 0), (-1, -1))))  # outside, then on
+@example(LatticeSimplex(((-2, -2), (-2, 0), (-1, 0))))  # on, then outside
+@given(lattice_simplices())
+def test_polar_dual_matches_gauss_jordan(s):
+    # dual vertex i solves <u, v_j> = -1 for every j != i; facets are taken
+    # in vertex order, and the first whose system is singular, or whose
+    # vertex has <u, v_i> + 1 <= 0, names the refusal
+    want, error = [], None
+    for i, vi in enumerate(s.vertices):
+        others = [v for j, v in enumerate(s.vertices) if j != i]
+        u = oracles.gauss_jordan(others, [-1] * len(others))
+        if u is None:
+            error = "origin lies on a facet hyperplane"
+            break
+        if sum(c * x for c, x in zip(u, vi)) + 1 <= 0:
+            error = "origin is not strictly interior"
+            break
+        want.append(tuple(u))
+    if error is not None:
+        with pytest.raises(DomainError) as e:
+            polytope.polar_dual(s)
+        assert str(e.value) == error
+        return
+    got = polytope.polar_dual(s)
+    assert got.vertices == tuple(want)
+    integral = all(c.denominator == 1 for u in want for c in u)
+    assert isinstance(got, LatticeSimplex if integral else RationalSimplex)
 
 
 def test_faces_of_triangle_and_quad():

@@ -190,12 +190,12 @@ def test_transport_through_lattice_map():
 def _solve_bary(verts, p):
     """Oracle barycentric coordinates of p by one exact solve."""
     rows = [[v[k] for v in verts] for k in range(len(p))] + [[1] * len(verts)]
-    return exact.solve(rows, list(p) + [1])
+    return oracles.solve(rows, list(p) + [1])
 
 
 def test_pull_sweep_point_location_matches_solve():
     # on a level-3 store: the sweep's integer inverse locates every store
-    # point exactly where barycentric coordinates from exact.solve do
+    # point exactly where barycentric coordinates from one exact solve do
     tri = pipeline.triangulate_p2dual(3).triangulation
     located = 0
     for c in tri.cells:
@@ -559,7 +559,7 @@ def _check_pyramids(pts, c, depth):
     functionals, up to a positive factor; every store point's derived
     values equal direct row evaluation, with rejection exactly where one of
     those is negative.  A simplex c's inverse rows over D are checked
-    against exact.solve first.  Returns the simplex and polytopal pyramids
+    against an exact solve first.  Returns the simplex and polytopal pyramids
     checked."""
     dim = len(pts[0])
     if len(c) == dim + 1:  # inverse rows over D: barycentric coordinates
@@ -606,7 +606,7 @@ def _check_pyramids(pts, c, depth):
 def test_pyramid_inverse_matches_direct_inverse():
     # the simplex cells of the level-3 glue and of criterion 10's
     # configurations, split at each store point m over each facet m sees:
-    # the inverse rows give exact.solve's barycentric coordinates, and the
+    # the inverse rows give an exact solve's barycentric coordinates, and the
     # pyramid's rows equal the child's simplex_inverse rows in vertex order
     checked = 0
     for s in _pyramid_stores():
