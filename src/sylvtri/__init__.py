@@ -29,7 +29,7 @@ from .pipeline import (
     triangulate_p2,
     triangulate_p2dual,
 )
-from .polytope import HalfSpace, LatticeSimplex, nvol, polar_dual
+from .polytope import LatticeSimplex, nvol, polar_dual
 from .subdivision import Subdivision, Triangulation, VerifyReport, verify
 from .witness import CertificateReport, RegularityWitness, verify_regularity
 
@@ -43,7 +43,6 @@ __all__ = [
     "Family",
     "FamilySpec",
     "FeasibilityLimit",
-    "HalfSpace",
     "InvariantReport",
     "LatticeSimplex",
     "PipelineArtifact",

@@ -79,7 +79,7 @@ def weight_vertex_w2(n: int) -> Point:
 
 
 def build(spec: FamilySpec) -> LatticeSimplex:
-    """Construct a family member with canonical vertex order.
+    """Construct a family member with a fixed vertex order.
 
     Order is e_0, ..., e_{n-1}, apex for P1/P2; for the dual family the
     all-(-1) vertex comes first, then the images of the basis vectors.

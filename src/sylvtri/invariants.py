@@ -17,7 +17,7 @@ from math import gcd
 from operator import and_
 
 from . import exact, family, polytope
-from .errors import DomainError
+from .errors import DomainError, FeasibilityLimit
 from .family import Family, sylvester
 from .pipeline import PipelineArtifact
 from .polytope import Point
@@ -53,9 +53,7 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     Every test is a sign test on the ambient simplex's integer rows
     (Y, D) = polytope.simplex_inverse, D > 0: Y[k] . (x, 1) / D is the
     barycentric coordinate of x at vertex k, so row k is >= 0 on the
-    simplex and 0 exactly on its facet opposite vertex k.  Its canonical
-    half-space (polytope.halfspaces) is the same functional times a
-    positive factor, so each sign agrees with the half-space's.  The origin
+    simplex and 0 exactly on its facet opposite vertex k.  The origin
     is strictly interior iff every row's constant Y[k][-1] is > 0.  Bit k
     of a store point's mask says it lies on facet k; a cell facet lies in
     one boundary facet of the polytope iff the AND of its vertices' masks
@@ -236,5 +234,16 @@ def hodge_diamond(n: int, i: int) -> tuple[tuple[int, ...], ...]:
     return diamond
 
 
+# The table's entries grow doubly exponentially: the level-13 Betti sum has
+# 3,335 decimal digits, the level-14 one 6,670, above the 4,300-digit limit
+# Python puts on int-to-str conversion, so no table past level 13 prints.
+MAX_TABLE_N = 13
+
+
 def invariant_table(n_max: int) -> list[InvariantReport]:
+    if n_max > MAX_TABLE_N:
+        raise FeasibilityLimit(
+            f"invariant tables stop at n = {MAX_TABLE_N}: past it the Betti sum "
+            "has more digits than Python's 4,300-digit int-to-str limit"
+        )
     return [betti_euler(n) for n in range(1, n_max + 1)]

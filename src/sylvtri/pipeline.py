@@ -338,6 +338,15 @@ def _integer(x: Any) -> int:
     raise TypeError(f"{x!r} is not an integer")
 
 
+def _array(x: Any) -> list:
+    """A JSON array field as list; a string or object is refused, not
+    iterated (tuple("015") reads its characters, tuple({"a": 1}) its
+    keys)."""
+    if type(x) is list:
+        return x
+    raise TypeError(f"{x!r:.40} is not a JSON array")
+
+
 def _rational(x: Any) -> Fraction:
     """A witness entry, a string as save writes it ("p/q"), as Fraction; a
     JSON number or boolean is refused (Fraction(True) == 1, and a float
@@ -351,17 +360,21 @@ def from_json_dict(data: dict) -> PipelineArtifact:
     if not isinstance(data, dict):
         raise ArtifactFormatError("artifact must be a JSON object")
     version = data.get("version")
-    if version != FORMAT_VERSION:
+    # True == 1 and 1.0 == 1 in Python, so the type is checked first
+    if type(version) is not int or version != FORMAT_VERSION:
         raise UnsupportedVersion(
             f"unsupported artifact version {version!r}, expected {FORMAT_VERSION}"
         )
     try:
         fam = Family(data["family"])
         n = _integer(data["n"])
-        points = tuple(tuple(map(_integer, p)) for p in data["points"])
-        cells = tuple(tuple(map(_integer, c)) for c in data["cells"])
-        wvals = tuple(map(_rational, data["witness"]))
-        prov = tuple(data["provenance"])
+        points = tuple(tuple(map(_integer, _array(p))) for p in _array(data["points"]))
+        cells = tuple(tuple(map(_integer, _array(c))) for c in _array(data["cells"]))
+        wvals = tuple(map(_rational, _array(data["witness"])))
+        prov = tuple(_array(data["provenance"]))
+        for step in prov:
+            if type(step) is not dict:
+                raise TypeError(f"provenance step {step!r:.40} is not a JSON object")
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ArtifactFormatError(f"malformed artifact field: {e}") from e
     spec = FamilySpec(fam, n)

@@ -10,7 +10,6 @@ lower faces follow from facet incidences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -59,35 +58,6 @@ class RationalSimplex:
     vertices: tuple[RatPoint, ...]
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """Closed half-space {x : <normal, x> + offset >= 0}."""
-
-    normal: tuple[Fraction, ...]
-    offset: Fraction
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.normal):
-            raise DegenerateGeometry("half-space normal must be nonzero")
-
-    def eval(self, p: Sequence[Fraction | int]) -> Fraction:
-        if len(p) != len(self.normal):
-            raise DimensionMismatch("point dimension does not match half-space")
-        return sum(map(mul, self.normal, p)) + self.offset
-
-    def canonical(self) -> "HalfSpace":
-        """Offset-1 form when offset > 0, else primitive integer form."""
-        if self.offset > 0:
-            f = 1 / self.offset
-            return HalfSpace(tuple(c * f for c in self.normal), Fraction(1))
-        entries = list(self.normal) + [self.offset]
-        d = math.lcm(*(e.denominator for e in entries))
-        ints = [int(e * d) for e in entries]
-        g = math.gcd(*ints)
-        ints = [x // g for x in ints]
-        return HalfSpace(tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1]))
-
-
 def nvol(s: LatticeSimplex | Sequence[Point]) -> int:
     """Normalized volume of a full-dimensional lattice simplex.
 
@@ -128,24 +98,6 @@ def simplex_inverse(verts: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]
         raise DimensionMismatch("need exactly d+1 vertices in dimension d")
     rows = [[v[k] for v in verts] for k in range(dim)] + [[1] * len(verts)]
     return exact.integer_inverse(rows)
-
-
-def halfspaces(s: LatticeSimplex) -> list[HalfSpace]:
-    """The d+1 half-spaces cutting out a full-dimensional simplex.
-
-    The half-space at index i is saturated by every vertex except vertex i.
-    Offset-1 normalization is used whenever the facet hyperplane has the
-    origin strictly on the inner side.
-    """
-    if not s.is_full_dim:
-        raise DegenerateGeometry("halfspaces requires a full-dimensional simplex")
-    y, d = simplex_inverse(s.vertices)
-    return [
-        HalfSpace(
-            tuple(Fraction(x, d) for x in row[:-1]), Fraction(row[-1], d)
-        ).canonical()
-        for row in y
-    ]
 
 
 def polar_dual(s: LatticeSimplex) -> LatticeSimplex | RationalSimplex:

@@ -12,7 +12,7 @@ threads a witness through one pulling step at a time and the exact
 supremum of its drop, the all-pairs certificate check evaluated in
 Fractions on Fraction interpolants, the quadratic common-face check
 between every pair of cells, and the resolution fan's flags evaluated on
-Fraction half-spaces.  None of this is on the production path:
+Fraction functionals.  None of this is on the production path:
 ``witness.pull_sweep`` is the library's only pulling code,
 ``subdivision.verify``'s facet join its only structural check,
 ``witness._cell_form`` its only interpolant, and every ambient, glue
@@ -37,7 +37,7 @@ from sylvtri.errors import (
     SylvtriError,
 )
 from sylvtri.invariants import ResolutionFan
-from sylvtri.polytope import HalfSpace, LatticeSimplex, Point
+from sylvtri.polytope import LatticeSimplex, Point
 from sylvtri.subdivision import Cell, Subdivision, Triangulation
 from sylvtri.witness import CertificateReport, RegularityWitness
 
@@ -466,7 +466,7 @@ def pull_literal(s: Subdivision, m_index: int) -> Subdivision:
 
 
 def restrict_to_hyperplane(
-    s: Subdivision, h: HalfSpace, ambient: Sequence[Point]
+    s: Subdivision, h: AffineFunctional, ambient: Sequence[Point]
 ) -> Subdivision:
     """Induced subdivision on the slice of the ambient polytope by h's boundary.
 
@@ -481,7 +481,7 @@ def restrict_to_hyperplane(
     face_sets: set[tuple[Point, ...]] = set()
     for c in s.cells:
         verts = s.cell_points(c)
-        vals = [h.eval(v) for v in verts]
+        vals = [h(v) for v in verts]
         if any(v > 0 for v in vals) and any(v < 0 for v in vals):
             raise IncompatibleSubdivision("a cell crosses the hyperplane")
         on = tuple(sorted(v for v, val in zip(verts, vals) if val == 0))
@@ -493,7 +493,7 @@ def restrict_to_hyperplane(
     ranks = {f: len(f) - 1 if simplices else exact.affine_rank(f) for f in face_sets}
     max_rank = max(ranks.values())
     cells = [f for f, r in ranks.items() if r == max_rank]
-    on_points = [p for p in s.points if h.eval(p) == 0]
+    on_points = [p for p in s.points if h(p) == 0]
     return sd.make_subdivision(on_points, ambient, cells)
 
 
@@ -817,22 +817,22 @@ def random_polytope_subdivision(rng, dim: int) -> Subdivision:
 
 
 def fan_fraction(art) -> ResolutionFan:
-    """The resolution fan with every flag evaluated on Fraction half-spaces.
+    """The resolution fan with every flag evaluated on Fraction functionals.
 
     Same contract as invariants.fan_from_triangulation: the cones over the
     cell facets lying in one boundary facet of the ambient simplex, each
-    facet tested point by point on polytope.halfspaces.
+    facet tested point by point on the ambient's functionals.
     """
     t = art.triangulation
     ambient = t.ambient
     d = t.ambient_dim
-    facets = polytope.halfspaces(polytope.LatticeSimplex(tuple(ambient)))
+    facets = functionals(ambient)
     for hs in facets:
-        if hs.eval((0,) * d) <= 0:
+        if hs((0,) * d) <= 0:
             raise DomainError("origin is not strictly interior to the polytope")
 
     def on_boundary(p: Point) -> bool:
-        return any(hs.eval(p) == 0 for hs in facets)
+        return any(hs(p) == 0 for hs in facets)
 
     boundary_flags = [on_boundary(p) for p in t.points]
     ray_index: dict[int, int] = {}
@@ -845,7 +845,7 @@ def fan_fraction(art) -> ResolutionFan:
                 continue
             pts = [t.points[i] for i in facet]
             # the facet must lie in a single boundary facet of the polytope
-            if not any(all(hs.eval(p) == 0 for p in pts) for hs in facets):
+            if not any(all(hs(p) == 0 for p in pts) for hs in facets):
                 continue
             for i in facet:
                 if i not in ray_index:
@@ -862,7 +862,7 @@ def fan_fraction(art) -> ResolutionFan:
     )
     complete = sum(dets) == polytope.nvol_cell(ambient)
     crepant = all(
-        min(hs.eval(r) for hs in facets) == 0 and all(hs.eval(r) >= 0 for hs in facets)
+        min(hs(r) for hs in facets) == 0 and all(hs(r) >= 0 for hs in facets)
         for r in rays
     )
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sylvtri import cli, family, pipeline, subdivision as sd
+from sylvtri import cli, family, invariants, pipeline, subdivision as sd
 
 
 @pytest.fixture(autouse=True)
@@ -124,6 +124,14 @@ def test_verify_zero_denominator_witness_is_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: ")
 
 
+def _level2_digit_string_cells(d):
+    """The level-2 artifact, whose cell indices are single digits, with
+    each cell written as a digit string ("015")."""
+    d.clear()
+    d.update(pipeline.to_json_dict(pipeline.triangulate_p2dual(2)))
+    d["cells"] = ["".join(map(str, c)) for c in d["cells"]]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -134,6 +142,14 @@ def test_verify_zero_denominator_witness_is_a_parse_error(tmp_path, capsys):
         lambda d: d["witness"].__setitem__(0, True),
         lambda d: d["witness"].__setitem__(0, 0.5),
         lambda d: d["witness"].__setitem__(0, 1),
+        lambda d: d.update(version=True),
+        lambda d: d.update(version=1.0),
+        _level2_digit_string_cells,
+        lambda d: d["points"].__setitem__(d["points"].index(["0", "0", "0"]), "000"),
+        lambda d: d.update(witness="0" * len(d["points"])),
+        lambda d: d.update(provenance="abc"),
+        lambda d: d.update(provenance={"a": 1}),
+        lambda d: d.update(provenance=[1, "x"]),
     ],
     ids=[
         "n",
@@ -143,13 +159,23 @@ def test_verify_zero_denominator_witness_is_a_parse_error(tmp_path, capsys):
         "witness boolean",
         "witness float",
         "witness integer",
+        "version boolean",
+        "version float",
+        "cell digit string",
+        "point digit string",
+        "witness string",
+        "provenance string",
+        "provenance object",
+        "provenance non-objects",
     ],
 )
 def test_verify_non_integer_field_is_a_parse_error(tmp_path, capsys, edit):
     # a float or boolean where the format stores an integer is refused:
     # int() would truncate each of these to the level-3 artifact itself;
     # so is a JSON number or boolean where it stores a "p/q" witness string,
-    # which Fraction() would read
+    # which Fraction() would read, a version that only compares equal to 1,
+    # a string where it stores a list, whose characters would be read as
+    # its entries, and provenance that is not a list of JSON objects
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
     assert data["cells"][0][0] == 0 and data["points"][0][0] == "-1"
     edit(data)
@@ -236,6 +262,28 @@ def test_invariants_csv(capsys):
     rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()]
     assert rows[1] == ["1", "1", "4", "0", "0", "2", "2"]
     assert rows[3][:5] == ["3", "66", "1008", "-960", "0"]
+
+
+def test_invariants_refuses_a_table_too_large_to_print(capsys):
+    # the level-14 Betti sum is past Python's int-to-str digit limit
+    assert cli.main(["invariants", "--n-max", "14"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("feasibility refusal: ")
+
+
+def test_invariants_refuses_before_computing(capsys, monkeypatch):
+    real = invariants.betti_euler
+
+    def capped(n):
+        if n > 13:
+            raise AssertionError(f"betti_euler({n}) ran")
+        return real(n)
+
+    monkeypatch.setattr(invariants, "betti_euler", capped)
+    assert cli.main(["invariants", "--n-max", "1000000"]) == 2
+    assert capsys.readouterr().err.startswith("feasibility refusal: ")
+    assert cli.main(["invariants", "--n-max", "13"]) == 0
 
 
 def test_invariants_refuses_quiet():

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from sylvtri import exact, family, invariants, pipeline, polytope
+from sylvtri import exact, family, invariants, pipeline
 from sylvtri import subdivision as sd
 from sylvtri.errors import DomainError
 
@@ -109,12 +109,10 @@ def test_fan_rays_primitive_and_on_boundary():
     art = pipeline.triangulate_p2(3)
     fan = invariants.fan_from_triangulation(art)
     assert fan.complete and fan.smooth and fan.crepant
-    hs = polytope.halfspaces(
-        polytope.LatticeSimplex(tuple(art.triangulation.ambient))
-    )
+    hs = oracles.functionals(art.triangulation.ambient)
     for r in fan.rays:
         assert gcd(*map(abs, r)) == 1
-        assert min(h.eval(r) for h in hs) == 0
+        assert min(h(r) for h in hs) == 0
 
 
 def test_fan_rejects_origin_on_boundary():
@@ -172,11 +170,11 @@ def _with_cells(art, cells):
 
 def _boundary_facet(art, cell):
     """A cell's facet lying in one ambient facet, as store indices, with
-    that facet's half-space; None for an interior cell."""
+    that facet's functional; None for an interior cell."""
     t = art.triangulation
-    hs = polytope.halfspaces(polytope.LatticeSimplex(tuple(t.ambient)))
+    hs = oracles.functionals(t.ambient)
     for h in hs:
-        on = [i for i in cell if h.eval(t.points[i]) == 0]
+        on = [i for i in cell if h(t.points[i]) == 0]
         if len(on) == len(cell) - 1:
             return on, h
     return None
@@ -201,7 +199,7 @@ def test_fan_non_unimodular_boundary_cell_is_not_smooth():
     cell = next(c for c in t.cells if _boundary_facet(art, c) is not None)
     facet, h = _boundary_facet(art, cell)
     apex = [i for i in cell if i not in facet]
-    on_h = [i for i, p in enumerate(t.points) if h.eval(p) == 0]
+    on_h = [i for i, p in enumerate(t.points) if h(p) == 0]
     wide = next(
         g
         for g in combinations(on_h, len(facet))
@@ -224,7 +222,7 @@ def test_fan_ray_outside_the_polytope_is_not_crepant():
     facet, h = _boundary_facet(art, cell)
     a, b = (t.points[i] for i in facet[:2])
     q = tuple(x + 100 * (x - y) for x, y in zip(a, b))
-    assert h.eval(q) == 0
+    assert h(q) == 0
     cells = [t.cell_points(c) for c in t.cells if c != cell]
     cells.append(tuple(q if p == b else p for p in t.cell_points(cell)))
     bad = replace(

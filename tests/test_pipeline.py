@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sylvtri import family, pipeline, polytope, subdivision as sd, witness as wt
+from sylvtri import family, pipeline, subdivision as sd, witness as wt
 from sylvtri.errors import (
     ArtifactFormatError,
     FeasibilityLimit,
@@ -13,7 +13,6 @@ from sylvtri.errors import (
     VerificationFailure,
 )
 from sylvtri.family import Family, FamilySpec
-from sylvtri.polytope import HalfSpace
 
 import oracles
 from test_subdivision import apex, clip_halfspace, off_apex
@@ -143,7 +142,7 @@ def test_glue_closed_forms_match_oracles(monkeypatch):
         normal = tuple(Fraction(int(i == n - 1)) for i in range(n))
         facet = [(*v, 0) for v in pipeline.triangulate_p2(n - 1).triangulation.ambient]
         z = family.weight_vertex_w1(n)
-        glues.append((art.triangulation, art.witness, z, HalfSpace(normal, Fraction(0)), facet))
+        glues.append((art.triangulation, art.witness, z, oracles.AffineFunctional(normal, Fraction(0)), facet))
     assert sorted(len(z) for _, _, z, _, _ in glues) == [2, 2, 3, 3, 4, 4, 5]
     assert omegas.keys() == {z for _, _, z, _, _ in glues}
     for s, w, z, half, facet in glues:
@@ -157,6 +156,14 @@ def test_glue_closed_forms_match_oracles(monkeypatch):
         assert set(bases) == oracles.cell_point_sets(slice_)
         top = max(oracles.cell_interpolant(minus, c, w)(z) for c in minus.cells)
         assert omegas[z] == 1 + top == w.values[zi]
+
+
+def test_package_exports_resolve():
+    import sylvtri
+
+    assert len(set(sylvtri.__all__)) == len(sylvtri.__all__)
+    for name in sylvtri.__all__:
+        assert hasattr(sylvtri, name), name
 
 
 def test_determinism():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sylvtri import exact, polytope
 from sylvtri.errors import DegenerateGeometry, DomainError
-from sylvtri.polytope import HalfSpace, LatticeSimplex, RationalSimplex
+from sylvtri.polytope import LatticeSimplex, RationalSimplex
 
 import oracles
 from oracles import BoxLimitExceeded, CellPolytope, Membership
@@ -89,23 +89,6 @@ def test_lattice_simplex_validation():
     assert s.dim == 2 and s.is_full_dim
 
 
-def test_halfspace_eval_and_canonical():
-    h = HalfSpace((Fraction(2), Fraction(0)), Fraction(4))
-    c = h.canonical()
-    assert c.offset == 1 and c.normal == (Fraction(1, 2), Fraction(0))
-    h0 = HalfSpace((Fraction(2), Fraction(-4)), Fraction(0)).canonical()
-    assert h0.normal == (1, -2) and h0.offset == 0
-    with pytest.raises(DegenerateGeometry):
-        HalfSpace((Fraction(0), Fraction(0)), Fraction(1))
-
-
-def test_halfspace_eval_int_and_fraction_points():
-    h = HalfSpace((Fraction(1, 3), Fraction(-2)), Fraction(5, 6))
-    for p in ((3, 1), (Fraction(1, 2), 4), (0, Fraction(-5, 7))):
-        want = sum(c * Fraction(x) for c, x in zip(h.normal, p)) + h.offset
-        assert h.eval(p) == want
-
-
 def test_barycentric_functionals_match_interpolants():
     # the simplex's inverse rows over D are its barycentric coordinates
     verts = ((0, 0, 0), (3, 1, 0), (1, -2, 5), (-1, 4, 2))
@@ -120,10 +103,10 @@ def test_barycentric_functionals_match_interpolants():
 
 def test_halfspaces_saturation():
     s = LatticeSimplex(((1, 0), (0, 1), (-1, -1)))
-    hs = polytope.halfspaces(s)
-    for i, h in enumerate(hs):
+    rows = polytope.inner_functionals(s.vertices)
+    for i, row in enumerate(rows):
         for j, v in enumerate(s.vertices):
-            val = h.eval(v)
+            val = polytope.row_at(row, v)
             assert (val == 0) == (i != j)
             assert val >= 0
 

@@ -7,7 +7,6 @@ import pytest
 
 from sylvtri import exact, family, pipeline, subdivision as sd, witness as wt
 from sylvtri.errors import DegenerateGeometry, DomainError
-from sylvtri.polytope import HalfSpace
 from sylvtri.witness import RegularityWitness
 
 import oracles
@@ -24,13 +23,13 @@ def segment_triangulation():
 
 def clip_halfspace(n):
     """The level-n clip hyperplane sum((s_{n-1} - 1)/s_i) y_i + t = 0,
-    t = h(y) on it, as a half-space."""
+    t = h(y) on it, as an affine functional."""
     sn = family.sylvester(n - 1)
     coeffs = [Fraction((sn - 1) // family.sylvester(i)) for i in range(n - 1)]
-    return HalfSpace((*coeffs, Fraction(1)), Fraction(0))
+    return oracles.AffineFunctional((*coeffs, Fraction(1)), Fraction(0))
 
 
-LEVEL2_HALF = HalfSpace((Fraction(1), Fraction(1)), Fraction(0))
+LEVEL2_HALF = oracles.AffineFunctional((Fraction(1), Fraction(1)), Fraction(0))
 LEVEL2_VERTICES = ((-1, -1), (1, -1), (-1, 2))
 
 
@@ -110,7 +109,9 @@ def test_restrict_rejects_crossing_cells():
     )
     with pytest.raises(IncompatibleSubdivision):
         oracles.restrict_to_hyperplane(
-            quad, HalfSpace((Fraction(1), Fraction(0)), Fraction(-1)), [(1, 0), (1, 2)]
+            quad,
+            oracles.AffineFunctional((Fraction(1), Fraction(0)), Fraction(-1)),
+            [(1, 0), (1, 2)],
         )
 
 
@@ -369,7 +370,7 @@ def test_make_subdivision_is_a_triangulation_iff_its_cells_are_simplices():
     glued, _ = pre_sweep(3)
     z = apex(3)
     half = clip_halfspace(3)
-    interface = oracles.vertex_filter(p for p in glued.points if half.eval(p) == 0)
+    interface = oracles.vertex_filter(p for p in glued.points if half(p) == 0)
     slice_ = oracles.restrict_to_hyperplane(glued, half, interface)
     cone = sd.make_subdivision(
         slice_.points + (z,),
