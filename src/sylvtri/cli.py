@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 
@@ -139,14 +140,10 @@ def cmd_fan(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    rows = invariants.invariant_table(args.n_max)
-    header = ["n", "index", "betti_sum", "euler_i1", "euler_i2",
-              "middle_hodge_i1", "middle_hodge_i2"]
+    header = [f.name for f in dataclasses.fields(invariants.InvariantReport)]
     table = [
-        [r.n, r.index, r.betti_sum, r.euler_i1, r.euler_i2,
-         "" if r.middle_hodge_i1 is None else r.middle_hodge_i1,
-         "" if r.middle_hodge_i2 is None else r.middle_hodge_i2]
-        for r in rows
+        ["" if x is None else x for x in dataclasses.astuple(r)]
+        for r in invariants.invariant_table(args.n_max)
     ]
     if args.csv:
         writer = csv.writer(sys.stdout)

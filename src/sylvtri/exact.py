@@ -15,37 +15,44 @@ from .errors import DegenerateGeometry, DimensionMismatch
 Row = Sequence[int]
 
 
-def _eliminate(m: list[list[int]], n: int) -> int:
-    """Bareiss forward pass over the first n columns of the n-row matrix m.
-
-    Works in place on rows of any width >= n.  After step k every entry of
-    rows k+1.. is a (k+2)-by-(k+2) minor of the input (Sylvester's
-    identity), so each division by the previous pivot is exact.  Returns
-    the sign of the row permutation used, or 0 when one of the first n-1
-    columns has no pivot (the leading n-by-n block is singular).
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Bareiss reduction of m, in place, to row echelon form on its first
+    ncols columns (rows may be wider); returns (rank, sign of the row
+    permutation).  A column with no nonzero entry at or below the current
+    row is skipped.  Every ``//`` is exact: with pivot columns K on rows
+    0..r-1, each entry of a later row i and column j is the minor of the
+    permuted input on rows 0..r-1, i and columns K + j, and the last pivot
+    the minor on rows 0..r-1 and columns K.  Skipped columns enter no
+    update, so these are plain Bareiss steps on columns K + j, whose new
+    entries Sylvester's identity makes minors of the next order.
     """
+    last = len(m) - 1
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
+    r = 0
+    for k in range(ncols):
+        if m[r][k] == 0:
+            for i in range(r + 1, last + 1):
                 if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+                    m[r], m[i] = m[i], m[r]
                     sign = -sign
                     break
             else:
-                return 0
-        rk = m[k]
-        pivot = rk[k]
-        width = len(rk)
-        for i in range(k + 1, n):
+                continue
+        if r == last:  # a pivot in the last row: nothing below it
+            return r + 1, sign
+        rr = m[r]
+        pivot = rr[k]
+        width = len(rr)
+        for i in range(r + 1, last + 1):
             ri = m[i]
             mik = ri[k]
             for j in range(k + 1, width):
-                ri[j] = (ri[j] * pivot - mik * rk[j]) // prev
+                ri[j] = (ri[j] * pivot - mik * rr[j]) // prev
             ri[k] = 0
         prev = pivot
-    return sign
+        r += 1
+    return r, sign
 
 
 def det_int(m: list[list[int]]) -> int:
@@ -55,7 +62,8 @@ def det_int(m: list[list[int]]) -> int:
         raise DimensionMismatch("determinant requires a square matrix")
     if n == 0:
         return 1
-    return _eliminate(m, n) * m[-1][-1]
+    r, sign = _eliminate(m, n)
+    return sign * m[-1][-1] if r == n else 0
 
 
 def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
@@ -66,9 +74,9 @@ def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
     is +-det of A with one column replaced by a column of B, an integer, so
     the back substitution u_ii y_i = D b'_i - sum_{j>i} u_ij y_j on the
     eliminated triangular system has an integral quotient and each ``//``
-    is exact.  Raises DegenerateGeometry when A is singular.
+    is exact.  Raises DegenerateGeometry when A's n columns have rank < n.
     """
-    if _eliminate(m, n) == 0 or m[n - 1][n - 1] == 0:
+    if _eliminate(m, n)[0] < n:
         raise DegenerateGeometry("singular linear system")
     d = m[n - 1][n - 1]
     y: list[tuple[int, ...]] = [()] * n
@@ -85,26 +93,10 @@ def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
 
 
 def rank(rows: Sequence[Row]) -> int:
-    """Rank of a rectangular integer matrix (fraction-free row elimination)."""
+    """Rank of a rectangular integer matrix: _eliminate's pivot count."""
     if not rows:
         return 0
-    m = [list(row) for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pr = m[r]
-        for i in range(r + 1, nrows):
-            if m[i][col] != 0:
-                a, b = pr[col], m[i][col]
-                m[i] = [a * x - b * y for x, y in zip(m[i], pr)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return _eliminate([list(row) for row in rows], len(rows[0]))[0]
 
 
 def integer_solve(rows: Sequence[Row], rhs: Row) -> tuple[list[int], int]:

@@ -328,14 +328,18 @@ def save(art: PipelineArtifact, path: str) -> None:
 
 
 def _integer(x: Any) -> int:
-    """An integer field, a JSON integer or a string of one, as int; a JSON
-    float or boolean is refused, not truncated (int(3.9) == 3,
-    int(True) == 1)."""
+    """A JSON integer field (n, a cell index) as int; a float, boolean or
+    string is refused, not truncated or parsed (int(3.9) == 3,
+    int(True) == 1), since save writes these fields as JSON integers."""
     if type(x) is int:
         return x
-    if isinstance(x, str):
-        return int(x)
-    raise TypeError(f"{x!r} is not an integer")
+    raise TypeError(f"{x!r} is not a JSON integer")
+
+
+def _coordinate(x: Any) -> int:
+    """A point coordinate, a string of an integer as save writes it or a
+    JSON integer, as int."""
+    return int(x) if isinstance(x, str) else _integer(x)
 
 
 def _array(x: Any) -> list:
@@ -368,13 +372,15 @@ def from_json_dict(data: dict) -> PipelineArtifact:
     try:
         fam = Family(data["family"])
         n = _integer(data["n"])
-        points = tuple(tuple(map(_integer, _array(p))) for p in _array(data["points"]))
+        points = tuple(
+            tuple(map(_coordinate, _array(p))) for p in _array(data["points"])
+        )
         cells = tuple(tuple(map(_integer, _array(c))) for c in _array(data["cells"]))
         wvals = tuple(map(_rational, _array(data["witness"])))
         prov = tuple(_array(data["provenance"]))
         for step in prov:
-            if type(step) is not dict:
-                raise TypeError(f"provenance step {step!r:.40} is not a JSON object")
+            if type(step) is not dict or not isinstance(step.get("step"), str):
+                raise TypeError(f"provenance step {step!r:.40} has no string 'step'")
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ArtifactFormatError(f"malformed artifact field: {e}") from e
     spec = FamilySpec(fam, n)

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import DegenerateGeometry, DimensionMismatch, DomainError
@@ -336,14 +336,23 @@ def pull_sweep(
     bound is the supremum of the feasible drops, so it equals witness_pull's
     whole-store bound, whose constraints follow from convexity.
 
+    One map, star[i], holds the cells that contain store point i.  In a
+    polyhedral subdivision a point that is a vertex of c and lies in c'
+    lies in the common face c & c', so it is a vertex of that face and
+    hence of c': every point is a vertex of all the cells containing it or
+    of none, and pulling keeps the cells a subdivision.  A pull at m visits
+    a snapshot of star[m], taken before any split changes it.
+
     The cells through m after a pull are pyramids with apex m, and only
-    the facet F opposite m bounds eps.  Its neighbour b lies off m and is
-    looked up once, by intersecting the vertex stars of F's vertices.  For
-    a store point q beyond F (Lam(q) < 0) let H be the affine function
-    through the points (v, w(v)) of F's vertices v and (q, w(q)).  The
-    pyramid's interpolant A = A0 - eps * Lam agrees with H on F and is
-    phi_m - eps at m, so A - H = (phi_m - eps - H(m)) Lam, and q bounds
-    eps < phi_m - H(m).  At a vertex of b off F, H is b's
+    the facet F opposite m bounds eps, so each carries F: a simplex that
+    keeps m, itself without m; a polytopal pyramid with apex m, the one
+    facet m sees; a split child, the parent's facet it cones over.  F's
+    neighbour b lies off m, found by intersecting the stars of F's
+    vertices.  For a store point q beyond F (Lam(q) < 0) let H be the
+    affine function through the points (v, w(v)) of F's vertices v and
+    (q, w(q)).  The pyramid's interpolant A = A0 - eps * Lam agrees with H
+    on F and is phi_m - eps at m, so A - H = (phi_m - eps - H(m)) Lam, and
+    q bounds eps < phi_m - H(m).  At a vertex of b off F, H is b's
     interpolant B, so F bounds eps < phi_m - B(m).  No other q bounds it
     lower: H - B vanishes on F too, so H(m) - B(m) = (w(q) - B(q)) /
     Lam(q) <= 0, as B(q) <= g(q) <= w(q) by convexity.  A wall through m
@@ -351,9 +360,9 @@ def pull_sweep(
     bounds nothing (Lam >= 0), and when F lies on the boundary of P no
     store point lies beyond it.  A simplex that keeps m as a vertex reads
     only m's row, since its rows come in vertex order and the others
-    vanish at m.  No map outlives a pull: the pass after the last pull
-    derives the simplices' facets from the cells again, so the final proof
-    does not rest on the sweep's bookkeeping.
+    vanish at m.  The pass after the last pull derives the simplices'
+    facets from the cells again, so the final proof does not rest on the
+    sweep's bookkeeping.
 
     The sweep runs on integers.  Every cell keeps integer facet rows, >= 0
     on it and 0 on one facet each: a simplex its simplex_inverse rows in
@@ -375,40 +384,25 @@ def pull_sweep(
     if len(vals) != npts:
         raise DimensionMismatch("witness length does not match the point store")
 
-    cells: set[Cell] = set()
-    vert_inc: list[set[Cell]] = [set() for _ in range(npts)]
-    loc: list[set[Cell]] = [set() for _ in range(npts)]  # non-vertex containment
-    # forward map of loc, for cells holding points: each point with its
-    # values on the facet rows in a simplex cell, None in a polytopal one
-    located: dict[Cell, dict[int, tuple[int, ...] | None]] = {}
-    rows: dict[Cell, Sequence[Sequence[int]]] = {}  # facet rows
+    rows: dict[Cell, Sequence[Sequence[int]]] = {}  # facet rows; keys: live cells
     facets: dict[Cell, list[frozenset[int]]] = {}  # vertex sets, polytopal cells
     cache: dict[Cell, Form] = {}  # interpolants
+    star: list[set[Cell]] = [set() for _ in range(npts)]  # cells containing i
+    # the points a cell holds off its vertices: their values on its facet
+    # rows in a simplex, None in a polytopal cell
+    located: dict[Cell, dict[int, tuple[int, ...] | None]] = {}
 
     def facet_sets(c: Cell) -> list[frozenset[int]]:
         return facets.get(c) or _simplex_facets(c)
 
     def add(c: Cell, found: dict[int, tuple[int, ...] | None]) -> None:
-        cells.add(c)
-        for i in c:
-            vert_inc[i].add(c)
-        for pi in found:
-            loc[pi].add(c)
+        for i in (*c, *found):
+            star[i].add(c)
         if found:
             located[c] = found
 
-    def unregister(c: Cell) -> None:
-        cells.discard(c)
-        cache.pop(c, None)
-        rows.pop(c, None)
-        facets.pop(c, None)
-        for i in c:
-            vert_inc[i].discard(c)
-        for pi in located.pop(c, ()):
-            loc[pi].discard(c)
-
     def check_convex(when: str) -> None:
-        bent = _bent_wall(cells, facet_sets, cache.__getitem__, vals, pts)
+        bent = _bent_wall(rows, facet_sets, cache.__getitem__, vals, pts)
         if bent is not None:
             c, other, fs = bent
             raise DomainError(
@@ -454,7 +448,7 @@ def pull_sweep(
     log: list[tuple[Point, Fraction]] = []
     for m_index in range(npts):
         m = pts[m_index]
-        incident = vert_inc[m_index] | loc[m_index]
+        incident = tuple(star[m_index])  # before any split changes it
         if not incident:
             raise DomainError(f"store point {m} is not covered by any cell")
         pn, pd = None, 1  # phi_m = pn / pd, the least interpolant at m
@@ -466,32 +460,37 @@ def pull_sweep(
 
         # cells keeping m as a vertex have an eps-dependent interpolant
         # A0 - eps * Lam, with Lam = f_F / lam_F for the one facet F that m
-        # sees; collect (cell, A0, Lam) triples while splitting the others.
+        # sees; collect (cell, A0, Lam, F) while splitting the others.
         # A pyramid with apex m, every simplex through m among them, is the
         # only fixed point of a pull; a child's A0 is its parent's
         # interpolant, which is phi_m at m.
-        eps_cells: list[tuple[Cell, Form, Form]] = []
+        eps_cells: list[tuple[Cell, Form, Form, Collection[int]]] = []
         for parent in incident:
             prows = rows[parent]
             if len(parent) == dim + 1 and m_index in parent:
                 k = parent.index(m_index)  # the one row not vanishing at m
                 lam_k = row_at(prows[k], m)
-                eps_cells.append((parent, cache[parent], (prows[k], lam_k)))
+                fk = parent[:k] + parent[k + 1 :]
+                eps_cells.append((parent, cache[parent], (prows[k], lam_k), fk))
                 continue
             held = located.get(parent, {})
             lam = held.get(m_index) or [row_at(r, m) for r in prows]
             seen = [f for f, x in enumerate(lam) if x > 0]
             a0 = cache[parent]
-            if len(seen) == 1 and m_index in parent:
-                eps_cells.append((parent, a0, (prows[seen[0]], lam[seen[0]])))
-                continue
             sets = facet_sets(parent)
+            if len(seen) == 1 and m_index in parent:
+                f = seen[0]
+                eps_cells.append((parent, a0, (prows[f], lam[f]), sets[f]))
+                continue
             carried = {
                 pi: nu or [row_at(r, pts[pi]) for r in prows]
                 for pi, nu in held.items()
                 if pi != m_index
             }
-            unregister(parent)
+            del rows[parent], cache[parent]
+            facets.pop(parent, None)
+            for i in (*parent, *located.pop(parent, ())):
+                star[i].discard(parent)
             for f in seen:
                 key = tuple(sorted(sets[f] | {m_index}))
                 child_sets, rows[key], found = _pyramid(
@@ -501,25 +500,18 @@ def pull_sweep(
                     facets[key] = child_sets
                     found = dict.fromkeys(found)
                 add(key, found)
-                eps_cells.append((key, a0, (prows[f], lam[f])))
+                eps_cells.append((key, a0, (prows[f], lam[f]), sets[f]))
 
-        # bound eps by the walls opposite m of the cells through m: the
-        # targets are the vertices of a wall's other cell off it, and
+        # bound eps by the facet F opposite m of each cell through m: the
+        # targets are the vertices off F of the cell across it, and
         # constraints with Lam >= 0 relax as eps grows.  The least bound so
         # far is bn / bd (bd > 0, None while unbounded), an unreduced
         # integer pair compared by cross-multiplication.
         bn: int | None = None
         bd = 1
-        for c, (arow, ad), (lrow, ld) in eps_cells:
-            targets: list[int] = []
-            for fs in facet_sets(c):
-                if m_index in fs:  # a wall through m never binds
-                    continue
-                others = set.intersection(*[vert_inc[i] for i in fs])
-                others.discard(c)
-                for other in others:
-                    targets.extend(i for i in other if i not in fs)
-            for pi in targets:
+        for c, (arow, ad), (lrow, ld), fs in eps_cells:
+            others = set.intersection(*[star[i] for i in fs]) - {c}
+            for pi in [i for other in others for i in other if i not in fs]:
                 p = pts[pi]
                 ln = row_at(lrow, p)
                 if ln >= 0:
@@ -536,16 +528,12 @@ def pull_sweep(
 
         eps = _largest_power_drop(None if bn is None else Fraction(bn, bd))
         vals[m_index] = phi_m - eps
-        for c, a0, lam in eps_cells:
+        for c, a0, lam, _ in eps_cells:
             cache[c] = _drop(a0, lam, eps)
         log.append((m, eps))
 
     check_convex("after")
-    out = RegularityWitness(tuple(vals))
-    tri = subdivision.make_subdivision(
-        pts, s.ambient, [tuple(pts[i] for i in c) for c in cells]
-    )
-    if not isinstance(tri, Triangulation):
+    if any(len(c) != s.dim + 1 for c in rows):
         raise DomainError("pulling at all points did not yield simplices")
-    return tri, out, log
-
+    tri = Triangulation(pts, s.ambient, tuple(sorted(rows)))
+    return tri, RegularityWitness(tuple(vals)), log

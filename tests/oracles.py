@@ -11,8 +11,9 @@ cuts from a subdivision by a half-space scan, the eps-halving pull that
 threads a witness through one pulling step at a time and the exact
 supremum of its drop, the all-pairs certificate check evaluated in
 Fractions on Fraction interpolants, the quadratic common-face check
-between every pair of cells, and the resolution fan's flags evaluated on
-Fraction functionals.  None of this is on the production path:
+between every pair of cells, the resolution fan's flags evaluated on
+Fraction functionals from a cofactor facet scan, and rank by Fraction
+row reduction.  None of this is on the production path:
 ``witness.pull_sweep`` is the library's only pulling code,
 ``subdivision.verify``'s facet join its only structural check,
 ``witness._cell_form`` its only interpolant, and every ambient, glue
@@ -159,6 +160,22 @@ def gauss_jordan(rows, rhs):
                 f = a[i][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return [a[i][n] for i in range(n)]
+
+
+def fraction_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Independent rank oracle: Fraction row reduction, one pivot per column."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for k in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(r, len(a)) if a[i][k] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][k] / a[r][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
 
 
 def _independent_columns(basis_rows: list[list[Fraction]]) -> list[int]:
@@ -816,17 +833,44 @@ def random_polytope_subdivision(rng, dim: int) -> Subdivision:
             )
 
 
+def simplex_facet_functionals(vertices: Sequence[Point]) -> list[AffineFunctional]:
+    """The facets of a full-dimensional simplex as Fraction functionals,
+    >= 0 on it, found by facet_vertex_sets' cofactor scan, not read off
+    polytope.simplex_inverse.
+
+    A facet's d vertices span its hyperplane, whose normal is the
+    cofactor vector of their d - 1 difference rows; it is negated when a
+    vertex of the simplex lies on its negative side.
+    """
+    d = len(vertices[0])
+    out = []
+    for facet in facet_vertex_sets(vertices):
+        base = facet[0]
+        diffs = [[x - y for x, y in zip(v, base)] for v in facet[1:]]
+        normal = [
+            exact.det_int([[int(c == j) for c in range(d)]] + [r[:] for r in diffs])
+            for j in range(d)
+        ]
+        const = -sum(map(mul, normal, base))
+        if any(sum(map(mul, normal, v)) + const < 0 for v in vertices):
+            normal, const = [-x for x in normal], -const
+        out.append(AffineFunctional(tuple(map(Fraction, normal)), Fraction(const)))
+    return out
+
+
 def fan_fraction(art) -> ResolutionFan:
     """The resolution fan with every flag evaluated on Fraction functionals.
 
     Same contract as invariants.fan_from_triangulation: the cones over the
     cell facets lying in one boundary facet of the ambient simplex, each
-    facet tested point by point on the ambient's functionals.
+    facet tested point by point on the ambient's facet functionals, which
+    come from a cofactor scan (simplex_facet_functionals), independent of
+    the simplex_inverse rows the fan reads.
     """
     t = art.triangulation
     ambient = t.ambient
     d = t.ambient_dim
-    facets = functionals(ambient)
+    facets = simplex_facet_functionals(ambient)
     for hs in facets:
         if hs((0,) * d) <= 0:
             raise DomainError("origin is not strictly interior to the polytope")

@@ -150,6 +150,10 @@ def _level2_digit_string_cells(d):
         lambda d: d.update(provenance="abc"),
         lambda d: d.update(provenance={"a": 1}),
         lambda d: d.update(provenance=[1, "x"]),
+        lambda d: d["cells"][0].__setitem__(0, "0"),
+        lambda d: d.update(n="3"),
+        lambda d: d.update(provenance=[{}]),
+        lambda d: d.update(provenance=[{"step": 1}]),
     ],
     ids=[
         "n",
@@ -167,6 +171,10 @@ def _level2_digit_string_cells(d):
         "provenance string",
         "provenance object",
         "provenance non-objects",
+        "cell entry digit string",
+        "n digit string",
+        "provenance step without step",
+        "provenance step non-string step",
     ],
 )
 def test_verify_non_integer_field_is_a_parse_error(tmp_path, capsys, edit):
@@ -175,7 +183,9 @@ def test_verify_non_integer_field_is_a_parse_error(tmp_path, capsys, edit):
     # so is a JSON number or boolean where it stores a "p/q" witness string,
     # which Fraction() would read, a version that only compares equal to 1,
     # a string where it stores a list, whose characters would be read as
-    # its entries, and provenance that is not a list of JSON objects
+    # its entries, a digit string where it stores a JSON integer (n, a cell
+    # index; only coordinates are written as strings), and provenance that
+    # is not a list of JSON objects, each with a "step" string
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
     assert data["cells"][0][0] == 0 and data["points"][0][0] == "-1"
     edit(data)

@@ -51,6 +51,11 @@ def test_det_examples():
     assert det([[2, 0], [0, 3]]) == 6
     assert det([[1, 2], [2, 4]]) == 0
     assert det([]) == 1
+    # singular, with the leading column zero below the top row
+    assert det([[2, 1, 3], [0, 4, 5], [0, 8, 10]]) == 0
+    assert det([[1, 2, 3], [0, 0, 1], [0, 0, 2]]) == 0
+    assert det([[0, 1], [0, 2]]) == 0
+    assert det([[5, 7], [0, 0]]) == 0
 
 
 def test_det_int_destructive_bareiss():
@@ -92,6 +97,37 @@ def test_rank_examples():
     assert exact.rank([[0, 0], [0, 0]]) == 0
     assert exact.rank([]) == 0
     assert exact.rank([[1, 2, 3]]) == 1
+
+
+@st.composite
+def rank_matrices(draw):
+    """1-5 rows by 1-6 columns in -3..3, with forced zero columns and
+    repeated rows, so rank-deficient shapes are common."""
+    nrows = draw(st.integers(min_value=1, max_value=5))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-3, max_value=3)
+    rows = draw(
+        st.lists(
+            st.lists(entry, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    for j in draw(st.sets(st.integers(min_value=0, max_value=ncols - 1))):
+        for row in rows:
+            row[j] = 0
+    index = st.integers(min_value=0, max_value=nrows - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        rows[j] = list(rows[i])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_matrices())
+def test_rank_matches_fraction_oracle(rows):
+    before = [list(row) for row in rows]
+    assert exact.rank(rows) == oracles.fraction_rank(rows)
+    assert rows == before  # rank works on a copy
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from sylvtri import exact, family, invariants, pipeline
+from sylvtri import exact, family, invariants, pipeline, polytope
 from sylvtri import subdivision as sd
 from sylvtri.errors import DomainError
 
@@ -161,6 +161,26 @@ def test_fan_matches_fraction_oracle(build, n):
     fan = invariants.fan_from_triangulation(art)
     assert fan == oracles.fan_fraction(art)
     assert fan.complete and fan.smooth and fan.crepant
+
+
+def test_fan_oracle_disagrees_with_a_wrong_facet_row(monkeypatch):
+    # the oracle finds the ambient's facets by a cofactor scan, so a wrong
+    # simplex_inverse row (facet 0 shifted off its lattice points) shows
+    art = pipeline.triangulate_p2dual(3)
+    ambient = art.triangulation.ambient
+    simplex_inverse = polytope.simplex_inverse
+
+    def shifted(verts):
+        y, d = simplex_inverse(verts)
+        if tuple(verts) == ambient:
+            y = [(*y[0][:-1], y[0][-1] + 1), *y[1:]]
+        return y, d
+
+    monkeypatch.setattr(polytope, "simplex_inverse", shifted)
+    fan = invariants.fan_from_triangulation(art)
+    want = oracles.fan_fraction(art)
+    assert want.complete and not fan.complete
+    assert fan != want
 
 
 def _with_cells(art, cells):
