@@ -67,18 +67,23 @@ def det_int(m: list[list[int]]) -> int:
 
 
 def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
-    """Solve the integer system [A | B] (n rows, A square) fraction-free.
+    """Solve the integer system [A | B], A with n columns and k >= n rows.
 
-    Destroys m.  Returns (Y, D) with D the last Bareiss pivot, which is
-    +-det A, and Y = D * A^-1 B.  By Cramer's rule every entry of D * A^-1 B
-    is +-det of A with one column replaced by a column of B, an integer, so
-    the back substitution u_ii y_i = D b'_i - sum_{j>i} u_ij y_j on the
-    eliminated triangular system has an integral quotient and each ``//``
-    is exact.  Raises DegenerateGeometry when A's n columns have rank < n.
+    Destroys m.  Returns (Y, D) with D the last Bareiss pivot, +-the minor
+    on the pivot rows (+-det A when k = n), and Y = D X for the X with
+    A X = B.  After elimination a row past the pivots is zero on A's
+    columns, and each of its B entries is the minor on the pivot rows plus
+    that row and the pivot columns plus that B column (_eliminate); as the
+    pivot minor is nonzero, all vanish iff that equation follows from the
+    pivot rows.  By Cramer's rule on the pivot rows Y is integral, so each
+    ``//`` of the back substitution is exact.  Raises DegenerateGeometry
+    when A has rank < n or the equations are inconsistent.
     """
     if _eliminate(m, n)[0] < n:
         raise DegenerateGeometry("singular linear system")
-    d = m[n - 1][n - 1]
+    if any(x for row in m[n:] for x in row[n:]):
+        raise DegenerateGeometry("inconsistent linear system")
+    d = m[n - 1][n - 1] if n else 1
     y: list[tuple[int, ...]] = [()] * n
     for i in range(n - 1, -1, -1):
         ri = m[i]
@@ -100,21 +105,17 @@ def rank(rows: Sequence[Row]) -> int:
 
 
 def integer_solve(rows: Sequence[Row], rhs: Row) -> tuple[list[int], int]:
-    """Solve a square integer linear system A x = b as integers over D > 0.
+    """Solve k >= n integer equations A x = b in n unknowns over D > 0.
 
-    Returns (y, D) with y = D * x for the solution x.  Bareiss elimination
-    of [A | b] stays in the integers (every ``//`` in the forward pass
-    divides a minor by a minor it is a multiple of), and back substitution
-    computes y = D x with D = +-det A, which Cramer's rule makes integral
-    (see _solve_int).  Negating y and D together makes D > 0.
-
-    Raises DegenerateGeometry if the matrix is singular.
+    Returns (y, D) with y = D * x for the unique solution x, computed
+    fraction-free by _solve_int: D = +-the pivot minor (|det A| when
+    k = n), made positive by negating y and D together.  Raises
+    DegenerateGeometry if A has rank < n or the equations are
+    inconsistent, DimensionMismatch if k < n or the rows are ragged.
     """
-    n = len(rows)
-    if len(rhs) != n or any(len(r) != n for r in rows):
-        raise DimensionMismatch("solve requires a square system")
-    if n == 0:
-        return [], 1
+    n = len(rows[0]) if rows else 0
+    if len(rhs) != len(rows) or len(rows) < n or any(len(r) != n for r in rows):
+        raise DimensionMismatch("solve requires k >= n equations in n unknowns")
     y, d = _solve_int([[*row, b] for row, b in zip(rows, rhs)], n)
     if d < 0:
         return [-yi for (yi,) in y], -d
@@ -131,8 +132,6 @@ def integer_inverse(rows: Sequence[Row]) -> tuple[list[tuple[int, ...]], int]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("inverse requires a square matrix")
-    if n == 0:
-        return [], 1
     m = [[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(rows)]
     y, d = _solve_int(m, n)
     if d < 0:

@@ -165,9 +165,12 @@ def hyperplane_height(n_plus_1: int, y: Point) -> int:
 def lattice_points_p2dual(n: int) -> tuple[Point, ...]:
     """All lattice points of the level-n dual polytope, sorted lex.
 
-    Recursive column enumeration: base {-1, 0, 1} for n = 1; each level-n
-    point y carries the column (y, t) for t from -1 to its column height.
-    Refuses (FeasibilityLimit) beyond MAX_ENUMERATION_POINTS points.
+    Recursive column enumeration: base {-1, 0, 1} for n = 1; each
+    level-(n-1) point y carries the column (y, t) for t from -1 to its
+    column height.  The output comes strictly increasing without a sort:
+    the points below do (by induction), so the columns come in lex order
+    of y, and each column's t ascends.  Refuses (FeasibilityLimit) beyond
+    MAX_ENUMERATION_POINTS points.
     """
     if n < 1:
         raise DomainError("lattice_points_p2dual requires n >= 1")
@@ -183,7 +186,7 @@ def lattice_points_p2dual(n: int) -> tuple[Point, ...]:
                 "point enumeration exceeds configured limit "
                 f"{MAX_ENUMERATION_POINTS}"
             )
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def lattice_points_p2(n: int) -> tuple[Point, ...]:

@@ -101,15 +101,19 @@ def triangulate_p2dual(
     """Certified unimodular triangulation of the level-n dual simplex.
 
     Base case n = 1 is the segment [-1, 1] split at 0.  Level n is
-    assembled in one subdivision of the lattice points on or below the
-    slanted hyperplane t = h(y), plus the apex z = (y0, s_{n-1} - 1) with
-    y0 = (-1, ..., -1): the column over each previous cell, with ends
-    (v, -1) and (v, h(v)) at its vertices v, and the cone from z over the
-    column's top, the cell lifted by y -> (y, h(y)).  Pulling at every
-    lattice point in lexicographic order then triangulates it.  The cone
-    cells lie on z's side of the hyperplane and the columns on the other,
-    and the two parts agree on it by construction, since each cone is
-    built on a column top; verify proves the final result.
+    assembled in one subdivision of the level-n lattice points: the column
+    over each previous cell, with ends (v, -1) and (v, h(v)) at its
+    vertices v, and the cone from the apex z = (y0, s_{n-1} - 1),
+    y0 = (-1, ..., -1), over the column's top, the cell lifted by
+    y -> (y, h(y)).  The store is family.lattice_points_p2dual(n) as it
+    comes, since z is the only lattice point above the slanted hyperplane
+    t = h(y): sum_{i<k} 1/s_i = 1 - 1/(s_k - 1) gives h(y0) = s_{n-1} - 2,
+    the y0 column tops out at z (column_height), and every other column
+    at h(y).  Pulling at every lattice point in lexicographic order then
+    triangulates it.  The cone cells lie on z's side of the hyperplane and
+    the columns on the other, and the two parts agree on it by
+    construction, since each cone is built on a column top; verify proves
+    the final result.
 
     The witness is w(y, t) = w_prev(y) on the columns and omega at z,
     which must exceed, at z, the interpolant of every column.  A column
@@ -145,9 +149,6 @@ def triangulate_p2dual(
     prov: list[ProvenanceStep] = list(prev.provenance)
 
     h = lambda y: family.hyperplane_height(n, y)
-    clipped = [
-        p for p in family.lattice_points_p2dual(n) if p[-1] <= h(p[:-1])
-    ]
     y0 = (-1,) * (n - 1)
     z = (*y0, family.sylvester(n - 1) - 1)
     cell_lists = []
@@ -156,7 +157,7 @@ def triangulate_p2dual(
         cell_lists.append(sorted({(*v, t) for v in verts for t in (-1, h(v))}))
         cell_lists.append([(*v, h(v)) for v in verts] + [z])
     glued = subdivision.make_subdivision(
-        clipped + [z], build_vertices(spec), cell_lists
+        family.lattice_points_p2dual(n), build_vertices(spec), cell_lists
     )
     omega = 1 + w_prev.values[t_prev.index[y0]]
     heights = [w_prev.values[t_prev.index[p[:-1]]] for p in glued.points]
@@ -337,9 +338,14 @@ def _integer(x: Any) -> int:
 
 
 def _coordinate(x: Any) -> int:
-    """A point coordinate, a string of an integer as save writes it or a
-    JSON integer, as int."""
-    return int(x) if isinstance(x, str) else _integer(x)
+    """A point coordinate, a JSON integer or the str of an integer as save
+    writes it, as int (int() also reads " -1 ", "+1" and "-0_1")."""
+    if not isinstance(x, str):
+        return _integer(x)
+    v = int(x)
+    if str(v) != x:
+        raise ValueError(f"{x!r} is not a canonical integer string")
+    return v
 
 
 def _array(x: Any) -> list:
@@ -352,12 +358,16 @@ def _array(x: Any) -> list:
 
 
 def _rational(x: Any) -> Fraction:
-    """A witness entry, a string as save writes it ("p/q"), as Fraction; a
-    JSON number or boolean is refused (Fraction(True) == 1, and a float
-    would load as its binary expansion)."""
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"{x!r} is not a rational string")
+    """A witness entry, "p/q" as save writes it or a Fraction's str, as
+    Fraction; a JSON number or boolean (Fraction(True) == 1, a float reads
+    as its binary expansion) and any other string Fraction() reads
+    (" -1/8 ", "-0.125", "1_0/3") are refused."""
+    if not isinstance(x, str):
+        raise TypeError(f"{x!r} is not a rational string")
+    v = Fraction(x)
+    if x != _frac_str(v) and x != str(v):
+        raise ValueError(f"{x!r} is not a canonical rational string")
+    return v
 
 
 def from_json_dict(data: dict) -> PipelineArtifact:
@@ -390,6 +400,8 @@ def from_json_dict(data: dict) -> PipelineArtifact:
         raise FeasibilityLimit(
             f"artifact level {n} needs more than {MAX_CELLS} cells (loader limit)"
         )
+    if not points:
+        raise ArtifactFormatError("point store is empty")
     if list(points) != sorted(set(points)):
         raise ArtifactFormatError("point store is not sorted and deduplicated")
     for p in points:  # every family's level-n simplex spans R^n

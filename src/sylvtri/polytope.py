@@ -234,8 +234,6 @@ def triangulate_cell(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
 
 
 def nvol_cell(vertices: Sequence[Point]) -> int:
-    """Normalized volume of a full-dimensional polytopal cell."""
-    dim = len(vertices[0])
-    if exact.affine_rank(vertices) != dim:
-        raise DegenerateGeometry("nvol_cell requires a full-dimensional cell")
+    """Normalized volume of a full-dimensional polytopal cell (triangulate_cell
+    refuses any other)."""
     return sum(nvol(piece) for piece in triangulate_cell(vertices))

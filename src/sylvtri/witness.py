@@ -62,32 +62,15 @@ def _common_scale(w: RegularityWitness) -> tuple[list[int], int]:
 def _cell_form(verts: Sequence[Point], heights: Sequence[int]) -> Form:
     """Integer form (row, den), den > 0, interpolating integer heights on a cell.
 
-    It interpolates on the simplex, or on the first d + 1 affinely
-    independent vertices of a polytopal cell, whose other vertices must lie
-    on it.  On a simplex the form's coefficients r solve the one system
-    (v_k, 1) . r = heights[k], k = 0..d, and exact.integer_solve returns
-    them as (y, D) with y = D r.  By Cramer's rule y is integral and D =
-    +-det of the rows (v_k, 1), made positive by negating y and D together.
-    That is the pair sum_k heights[k] Y[k] over D that simplex_inverse's
-    (Y, D) gives, since D = |det| there too and its rows over D are the
-    barycentric coordinates, the columns of the inverse of those rows.
+    One exact.integer_solve of (v_k, 1) . r = heights[k], an equation per
+    vertex of a simplex or polytopal cell, decides rank, consistency and
+    the solution y = D r.  On a simplex D = |det| of the rows (v_k, 1), so
+    this is the pair sum_k heights[k] Y[k] over D of simplex_inverse's
+    (Y, D), whose rows over D are the barycentric coordinates.  On a
+    polytopal cell D depends on the pivot rows, row / den does not.
     Raises DegenerateGeometry on a degenerate cell or non-affine heights.
     """
-    dim = len(verts[0])
-    if len(verts) == dim + 1:
-        return exact.integer_solve([(*v, 1) for v in verts], heights)
-    basis = [0]
-    for i in range(1, len(verts)):
-        if len(basis) == dim + 1:
-            break
-        if exact.affine_rank([verts[j] for j in basis] + [verts[i]]) == len(basis):
-            basis.append(i)
-    if len(basis) != dim + 1:
-        raise DegenerateGeometry("points do not affinely span the ambient space")
-    row, den = _cell_form([verts[i] for i in basis], [heights[i] for i in basis])
-    if any(row_at(row, v) != h * den for v, h in zip(verts, heights)):
-        raise DegenerateGeometry("values are not affine on the given points")
-    return row, den
+    return exact.integer_solve([(*v, 1) for v in verts], heights)
 
 
 def _bent_wall(

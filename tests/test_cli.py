@@ -154,6 +154,12 @@ def _level2_digit_string_cells(d):
         lambda d: d.update(n="3"),
         lambda d: d.update(provenance=[{}]),
         lambda d: d.update(provenance=[{"step": 1}]),
+        lambda d: d["points"][0].__setitem__(0, " -1 "),
+        lambda d: d["points"][0].__setitem__(0, "-0_1"),
+        lambda d: d["points"][2].__setitem__(2, "+1"),
+        lambda d: d["witness"].__setitem__(0, " -1/8 "),
+        lambda d: d["witness"].__setitem__(0, "-0.125"),
+        lambda d: d.update(points=[], witness=[], cells=[]),
     ],
     ids=[
         "n",
@@ -175,6 +181,12 @@ def _level2_digit_string_cells(d):
         "n digit string",
         "provenance step without step",
         "provenance step non-string step",
+        "coordinate padded",
+        "coordinate underscore",
+        "coordinate plus sign",
+        "witness padded",
+        "witness decimal",
+        "empty store",
     ],
 )
 def test_verify_non_integer_field_is_a_parse_error(tmp_path, capsys, edit):
@@ -184,15 +196,19 @@ def test_verify_non_integer_field_is_a_parse_error(tmp_path, capsys, edit):
     # which Fraction() would read, a version that only compares equal to 1,
     # a string where it stores a list, whose characters would be read as
     # its entries, a digit string where it stores a JSON integer (n, a cell
-    # index; only coordinates are written as strings), and provenance that
-    # is not a list of JSON objects, each with a "step" string
+    # index; only coordinates are written as strings), provenance that is
+    # not a list of JSON objects, each with a "step" string, a coordinate or
+    # witness string that int() or Fraction() reads but save never writes,
+    # and an empty point store
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
     assert data["cells"][0][0] == 0 and data["points"][0][0] == "-1"
+    assert data["points"][2][2] == "1" and data["witness"][0] == "-1/8"
     edit(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    assert cli.main(["verify", str(path)]) == 4
-    assert capsys.readouterr().err.startswith("parse error: ")
+    for command in ("verify", "stats"):
+        assert cli.main([command, str(path)]) == 4
+        assert capsys.readouterr().err.startswith("parse error: ")
 
 
 def test_verify_cell_of_wrong_size_is_a_parse_error(tmp_path, capsys):

@@ -330,6 +330,49 @@ def test_integer_solve_round_trips_on_fraction_systems(system, data):
 
 
 @settings(max_examples=150, deadline=None)
+@given(systems(small_int), st.data())
+def test_integer_solve_on_tall_systems(system, data):
+    # k = n..n+3 equations: the extra ones integer combinations of the
+    # first n, all shuffled so that a redundant row may come before a
+    # pivot row
+    rows, rhs = system
+    n = len(rows)
+    want = oracles.gauss_jordan(rows, rhs)
+    extra = data.draw(st.integers(min_value=0, max_value=3))
+    for _ in range(extra):
+        cs = data.draw(st.lists(small_int, min_size=n, max_size=n))
+        rows.append([sum(c * r[j] for c, r in zip(cs, rows[:n])) for j in range(n)])
+        rhs.append(sum(c * b for c, b in zip(cs, rhs[:n])))
+    order = data.draw(st.permutations(range(n + extra)))
+    redundant = [order.index(i) for i in range(n, n + extra)]
+    rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
+    if want is None:
+        with pytest.raises(DegenerateGeometry):
+            exact.integer_solve(rows, rhs)
+        return
+    y, d = exact.integer_solve(rows, rhs)
+    assert d > 0 and all(type(x) is int for x in y)
+    assert [Fraction(x, d) for x in y] == want
+    for row, b in zip(rows, rhs):
+        assert sum(a * x for a, x in zip(row, y)) == d * b
+    # the other rows keep rank n, so a redundant row's equation breaks
+    if redundant:
+        bad = list(rhs)
+        bad[data.draw(st.sampled_from(redundant))] += data.draw(st.integers(1, 5))
+        with pytest.raises(DegenerateGeometry):
+            exact.integer_solve(rows, bad)
+    # column j zeroed, or repeating column k, drops A's rank below n
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    k = data.draw(st.sampled_from([None, *(k for k in range(n) if k != j)]))
+    flat = [r[:j] + [0 if k is None else r[k]] + r[j + 1 :] for r in rows]
+    with pytest.raises(DegenerateGeometry):
+        exact.integer_solve(flat, rhs)
+    if n > 1:
+        with pytest.raises(DimensionMismatch):
+            exact.integer_solve(rows[: n - 1], rhs[: n - 1])
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_affine_functional_matches_direct_sum(data):
     dim = data.draw(st.integers(min_value=1, max_value=5))

@@ -93,6 +93,17 @@ def test_column_height_apex_column():
             family.column_height(n_plus_1, (-1,) * n)
             == family.sylvester(n) - 1
         )
+    # sum_{i<k} 1/s_i = 1 - 1/(s_k - 1): the apex column's only point above
+    # the slanted hyperplane is its top
+    for n_plus_1 in range(2, 9):
+        n = n_plus_1 - 1
+        assert family.hyperplane_height(n_plus_1, (-1,) * n) == family.sylvester(n) - 2
+
+
+def test_lattice_points_p2dual_strictly_increasing():
+    for n in (1, 2, 3, 4):
+        pts = family.lattice_points_p2dual(n)
+        assert all(a < b for a, b in zip(pts, pts[1:]))
 
 
 def test_lattice_points_match_bruteforce():

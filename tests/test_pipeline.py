@@ -117,7 +117,8 @@ def test_glue_closed_forms_match_oracles(monkeypatch):
     # half-space oracle cuts from the cells without z, and z's height, as
     # the provenance records it and the witness holds it, is 1 + their
     # largest interpolant at z; the glued p2dual levels 2-3 pass the
-    # all-pairs oracle
+    # all-pairs oracle, and each glued p2dual level's store is the level's
+    # lattice points as enumerated
     starts = []
     sweep = wt.pull_sweep
     monkeypatch.setattr(wt, "pull_sweep", lambda s, w: starts.append((s, w)) or sweep(s, w))
@@ -134,6 +135,7 @@ def test_glue_closed_forms_match_oracles(monkeypatch):
     glues = []
     for s, w in starts:
         n = s.ambient_dim
+        assert s.points == family.lattice_points_p2dual(n)
         prev = pipeline.triangulate_p2dual(n - 1).triangulation.ambient
         facet = [(*v, family.hyperplane_height(n, v)) for v in prev]
         glues.append((s, w, apex(n), clip_halfspace(n), facet))

@@ -40,11 +40,48 @@ def test_verify_regularity_report_pinned():
     )
 
 
+def check_polytopal_cell_form(data, dim):
+    """d + 2 to 2d distinct points with affine integer heights: the form
+    is the oracle's; a height moved off it, or the points flattened onto
+    a hyperplane, is refused."""
+    coord = st.integers(min_value=-4, max_value=4)
+    k = data.draw(st.integers(min_value=dim + 2, max_value=2 * dim))
+    point = st.tuples(*[coord] * dim)
+    verts = data.draw(st.lists(point, min_size=k, max_size=k, unique=True))
+    affine = data.draw(st.lists(st.integers(-5, 5), min_size=dim + 1, max_size=dim + 1))
+    heights = [polytope.row_at(affine, v) for v in verts]
+    c = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    flat = [(*v[:-1], polytope.row_at(c, v[:-1])) for v in verts]
+    with pytest.raises(DegenerateGeometry):
+        wt._cell_form(flat, heights)
+    if exact.affine_rank(verts) < dim:
+        with pytest.raises(DegenerateGeometry):
+            wt._cell_form(verts, heights)
+        return
+    store = tuple(sorted(verts))
+    s = sd.Subdivision(store, store, (tuple(range(k)),))
+    w = RegularityWitness(tuple(heights[verts.index(p)] for p in store))
+    fn = oracles.cell_interpolant(s, s.cells[0], w)
+    row, den = wt._cell_form(verts, heights)
+    assert den > 0 and all(type(x) is int for x in row)
+    assert tuple(Fraction(x, den) for x in row[:-1]) == fn.coeffs
+    assert Fraction(row[-1], den) == fn.constant
+    i = data.draw(st.integers(min_value=0, max_value=k - 1))
+    if exact.affine_rank(verts[:i] + verts[i + 1 :]) == dim:  # the others fix it
+        bent = list(heights)
+        bent[i] += data.draw(st.integers(min_value=1, max_value=5))
+        with pytest.raises(DegenerateGeometry):
+            wt._cell_form(verts, bent)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_cell_form_matches_fraction_interpolant(data):
-    # random integer simplices in dimensions 1-5, in both orientations
+    # random integer simplices in dimensions 1-5, in both orientations, and
+    # in dimensions 2-4 random polytopal point sets
     dim = data.draw(st.integers(min_value=1, max_value=5))
+    if 2 <= dim <= 4:
+        check_polytopal_cell_form(data, dim)
     coord = st.integers(min_value=-4, max_value=4)
     verts = [
         tuple(data.draw(st.lists(coord, min_size=dim, max_size=dim)))
