@@ -122,6 +122,9 @@ def cmd_verify(args) -> int:
     )
     for f in rep.failures[:10]:
         print("failure:", f, file=sys.stderr)
+    if rep.first_non_unimodular is not None:
+        c, vol = rep.first_non_unimodular
+        print(f"not unimodular: cell {c} normalized volume {vol}", file=sys.stderr)
     for c, p, margin in cert.violating_pairs[:10]:
         print(f"regularity violation: cell {c} point {p} margin {margin}",
               file=sys.stderr)

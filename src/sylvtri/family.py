@@ -188,27 +188,3 @@ def lattice_points_p2dual(n: int) -> tuple[Point, ...]:
             )
     return tuple(out)
 
-
-def lattice_points_p2(n: int) -> tuple[Point, ...]:
-    """Lattice points of the level-n second-family simplex.
-
-    Computed by pulling the dual enumeration back through the (unimodular)
-    duality map rather than scanning boxes.
-    """
-    inv = duality_map(n).inverse()
-    return tuple(sorted(inv.apply(p) for p in lattice_points_p2dual(n)))
-
-
-def lattice_points_p1(n_plus_1: int) -> tuple[Point, ...]:
-    """Lattice points of the level-(n+1) first-family simplex.
-
-    These are exactly the level-n second-family points embedded at last
-    coordinate 0, plus the two apexes e_n and w1.
-    """
-    n = n_plus_1 - 1
-    if n < 1:
-        raise DomainError("lattice_points_p1 requires n+1 >= 2")
-    pts = [(*p, 0) for p in lattice_points_p2(n)]
-    pts.append(_basis_vector(n, n_plus_1))
-    pts.append(weight_vertex_w1(n_plus_1))
-    return tuple(sorted(pts))

@@ -58,8 +58,26 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     of a store point's mask says it lies on facet k; a cell facet lies in
     one boundary facet of the polytope iff the AND of its vertices' masks
     is nonzero.  A ray is crepant iff every row is >= 0 at it and one is 0.
-    The fan is complete when the cones' |det|s sum to D, the ambient's
-    normalized volume.
+
+    The fan is complete when every ridge (a cone minus one ray, as sorted
+    ray indices) lies in exactly two cones, with their off-ridge rays on
+    opposite sides of it, and the cones' |det|s sum to D, the ambient's
+    normalized volume.  A cone's side of its ridge opposite ray k is
+    sign(det) * (-1)^(d-1-k), det the signed determinant of its rays in
+    index order: moving row k last takes d - 1 - k transpositions (the
+    parity rule subdivision.verify uses for cells).  Why this proves the
+    cones cover R^d without overlap: let m(x) count the cones containing
+    x.  A path crossing ridges only in their relative interiors, away
+    from the lower-dimensional intersections of ridges in different
+    hyperplanes, leaves one cone and enters another at each ridge it
+    crosses, so m is constant almost everywhere.  No cone is flat (a zero
+    det gives its ridges side 0, which fails), so m >= 1.
+    The rays of a cone over the cell facet G lie on the hyperplane of one
+    ambient facet, whose row is 0 there and > 0 at the origin, so the
+    cone meets that row's half-space, which contains P, in conv(0, G), of
+    normalized volume |det|.  Summing over the cones, m * D <= sum |det|,
+    and a sum of D makes m = 1.  The volume sum alone proves nothing: two
+    overlapping cones can make up for a gap.
     """
     t = art.triangulation
     ambient = t.ambient
@@ -83,13 +101,20 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
             cones.add(tuple(sorted(ray_index[i] for i in facet)))
 
     cone_list = tuple(sorted(cones))
-    dets = [
-        abs(exact.det_int([list(rays[i]) for i in cone])) for cone in cone_list
-    ]
-    smooth = all(dv == 1 for dv in dets) and all(
+    dets = [exact.det_int([list(rays[i]) for i in cone]) for cone in cone_list]
+    smooth = all(abs(dv) == 1 for dv in dets) and all(
         gcd(*map(abs, r)) == 1 for r in rays
     )
-    complete = sum(dets) == nvol
+    sides: dict[tuple[int, ...], list[int]] = {}
+    for cone, dv in zip(cone_list, dets):
+        sign = (dv > 0) - (dv < 0)
+        for k in range(len(cone)):
+            sides.setdefault(cone[:k] + cone[k + 1 :], []).append(
+                -sign if (len(cone) - 1 - k) % 2 else sign
+            )
+    complete = sum(map(abs, dets)) == nvol and all(
+        len(on) == 2 and on[0] == -on[1] != 0 for on in sides.values()
+    )
     crepant = all(min(polytope.row_at(row, r) for row in rows) == 0 for r in rays)
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)
 

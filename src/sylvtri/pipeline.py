@@ -81,18 +81,6 @@ def _cells_exceed(spec: FamilySpec, limit: int) -> bool:
     return False
 
 
-def _require_feasible(spec: FamilySpec, max_cells: int) -> None:
-    """Refuse a build above max_cells cells of its dual triangulation.
-
-    Runs before any cache lookup, so a cached artifact is refused exactly
-    when building it would be.
-    """
-    if _cells_exceed(spec, max_cells):
-        raise FeasibilityLimit(
-            f"level {spec.n} needs more than {max_cells} cells (limit --max-cells)"
-        )
-
-
 def triangulate_p2dual(
     n: int,
     max_cells: int = MAX_CELLS,
@@ -125,8 +113,7 @@ def triangulate_p2dual(
     being a vertex of the previous polytope; omega = 1 + w_prev(y0).
     """
     spec = FamilySpec(Family.P2DUAL, n)
-    _require_feasible(spec, max_cells)
-    cached = _load_cached(spec, cache_dir)
+    cached = _load_cached(spec, max_cells, cache_dir)
     if cached is not None:
         return cached
 
@@ -194,8 +181,7 @@ def triangulate_p2(
     image of q.
     """
     spec = FamilySpec(Family.P2, n)
-    _require_feasible(spec, max_cells)
-    cached = _load_cached(spec, cache_dir)
+    cached = _load_cached(spec, max_cells, cache_dir)
     if cached is not None:
         return cached
     dual = triangulate_p2dual(n, max_cells, cache_dir)
@@ -241,8 +227,7 @@ def triangulate_p1(
     spec = FamilySpec(Family.P1, n_plus_1)
     if n_plus_1 < 2:
         raise DomainError("family p1 needs n >= 2")
-    _require_feasible(spec, max_cells)
-    cached = _load_cached(spec, cache_dir)
+    cached = _load_cached(spec, max_cells, cache_dir)
     if cached is not None:
         return cached
     n = n_plus_1 - 1
@@ -443,14 +428,23 @@ def _cache_path(spec: FamilySpec, cache_dir: str) -> str:
 
 
 def _load_cached(
-    spec: FamilySpec, cache_dir: str | None
+    spec: FamilySpec, max_cells: int, cache_dir: str | None
 ) -> PipelineArtifact | None:
     """The artifact for spec from memory or cache_dir, or None if absent.
+
+    Every build asks here first, so the feasibility refusal lives here: a
+    spec whose dual triangulation has more than max_cells cells is refused
+    (FeasibilityLimit) before any memory or disk lookup, and a cached
+    artifact is refused exactly when building it would be.
 
     A disk entry is untrusted: it must hold the family and level it is
     filed under, and pass the structural proof, the regularity check and
     the expected cell count before it is served.
     """
+    if _cells_exceed(spec, max_cells):
+        raise FeasibilityLimit(
+            f"level {spec.n} needs more than {max_cells} cells (limit --max-cells)"
+        )
     key = (spec.family, spec.n)
     if key in _CACHE:
         return _CACHE[key]
@@ -482,7 +476,7 @@ def _first_failure(art: PipelineArtifact) -> str | None:
     if cert.structure.failures:
         return cert.structure.failures[0]
     if not cert.structure.unimodular:
-        c = next(c for c in tri.cells if polytope.nvol(tri.cell_points(c)) != 1)
+        c, _ = cert.structure.first_non_unimodular
         return f"cell {c} is not unimodular"
     if not cert.regular:
         c, p, margin = cert.violating_pairs[0]

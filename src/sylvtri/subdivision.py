@@ -100,11 +100,18 @@ def apply_lattice_map(
 
 @dataclass
 class VerifyReport:
+    """The structural proof's verdict.  When the proof has no failure but a
+    cell has |det| != 1, first_non_unimodular names the first such cell
+    with its normalized volume (outside equality); otherwise it is None."""
+
     valid: bool
     simplicial: bool
     unimodular: bool
     volume_checksum: int | None
     failures: list[str] = field(default_factory=list)
+    first_non_unimodular: tuple[Cell, int] | None = field(
+        default=None, compare=False
+    )
 
 
 def verify(s: Subdivision) -> VerifyReport:
@@ -226,12 +233,16 @@ def verify(s: Subdivision) -> VerifyReport:
                     f"their common facet {key}"
                 )
 
-    unimodular = not failures and all(abs(x) == 1 for x in dets)
+    # without a failure every cell is a simplex with its volume in dets
+    first_non_unimodular = None if failures else next(
+        ((c, abs(x)) for c, x in zip(s.cells, dets) if abs(x) != 1), None
+    )
 
     return VerifyReport(
         valid=not failures,
         simplicial=simplicial,
-        unimodular=unimodular,
+        unimodular=not failures and first_non_unimodular is None,
         volume_checksum=checksum,
         failures=failures,
+        first_non_unimodular=first_non_unimodular,
     )

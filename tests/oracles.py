@@ -858,6 +858,33 @@ def simplex_facet_functionals(vertices: Sequence[Point]) -> list[AffineFunctiona
     return out
 
 
+def _ridge_normal(rays: Sequence[Point], d: int) -> list[Fraction] | None:
+    """A normal of the hyperplane through 0 and d - 1 rays in R^d, read off
+    a plain Fraction row reduction; None if the rays are dependent."""
+    a = [[Fraction(x) for x in r] for r in rays]
+    pivots: list[int] = []
+    for k in range(d):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][k] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [x / a[r][k] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(k)
+    if len(pivots) != len(a):
+        return None
+    free = next(k for k in range(d) if k not in pivots)
+    normal = [Fraction(0)] * d
+    normal[free] = Fraction(1)
+    for row, k in zip(a, pivots):
+        normal[k] = -row[free]
+    return normal
+
+
 def fan_fraction(art) -> ResolutionFan:
     """The resolution fan with every flag evaluated on Fraction functionals.
 
@@ -865,7 +892,11 @@ def fan_fraction(art) -> ResolutionFan:
     cell facets lying in one boundary facet of the ambient simplex, each
     facet tested point by point on the ambient's facet functionals, which
     come from a cofactor scan (simplex_facet_functionals), independent of
-    the simplex_inverse rows the fan reads.
+    the simplex_inverse rows the fan reads.  Complete needs the volume
+    sum and, at every ridge (a cone minus one ray), exactly two cones whose
+    off-ridge rays lie strictly on opposite sides of the hyperplane through
+    0 and the ridge's rays (_ridge_normal), not the fan's determinant
+    parity rule.
     """
     t = art.triangulation
     ambient = t.ambient
@@ -904,7 +935,23 @@ def fan_fraction(art) -> ResolutionFan:
     smooth = all(dv == 1 for dv in dets) and all(
         gcd(*map(abs, r)) == 1 for r in rays
     )
-    complete = sum(dets) == polytope.nvol_cell(ambient)
+    off_ridge: dict[tuple[int, ...], list[int]] = {}
+    for cone in cone_list:
+        for i in cone:
+            off_ridge.setdefault(tuple(j for j in cone if j != i), []).append(i)
+
+    def splits(ridge: tuple[int, ...], off: list[int]) -> bool:
+        if len(off) != 2:
+            return False
+        normal = _ridge_normal([rays[j] for j in ridge], d)
+        if normal is None:
+            return False
+        a, b = (sum(map(mul, normal, rays[i])) for i in off)
+        return a * b < 0
+
+    complete = sum(dets) == polytope.nvol_cell(ambient) and all(
+        splits(ridge, off) for ridge, off in off_ridge.items()
+    )
     crepant = all(
         min(hs(r) for hs in facets) == 0 and all(hs(r) >= 0 for hs in facets)
         for r in rays

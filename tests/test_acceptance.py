@@ -168,7 +168,7 @@ def test_criterion_06_extension_property(dual_arts, _line):
     assert ok
 
 
-def test_criterion_07_p1_artifacts(p1_arts, _line):
+def test_criterion_07_p1_artifacts(p2_arts, p1_arts, _line):
     ok = True
     for n_plus_1 in range(2, 6):
         n = n_plus_1 - 1
@@ -176,7 +176,7 @@ def test_criterion_07_p1_artifacts(p1_arts, _line):
         ok &= len(tri.cells) == 2 * (family.sylvester(n) - 1)
         e_last = tuple(1 if i == n else 0 for i in range(n_plus_1))
         w1 = family.weight_vertex_w1(n_plus_1)
-        embedded = {(*p, 0) for p in family.lattice_points_p2(n)}
+        embedded = {(*p, 0) for p in p2_arts[n].triangulation.points}
         ok &= set(tri.points) == embedded | {e_last, w1}
         if n_plus_1 <= 3:
             simplex = family.build(FamilySpec(Family.P1, n_plus_1))

@@ -409,6 +409,24 @@ def test_verify_structural_failure_lines(tmp_path, capsys):
         assert captured.err.splitlines() == err
 
 
+def test_verify_names_a_non_unimodular_cell(tmp_path, capsys):
+    # level-2 p2dual as one cell, the whole triangle: a valid, regular
+    # triangulation whose cell has normalized volume 6
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    data["cells"] = [[0, 3, 6]]
+    data["witness"] = ["0/1" if i in (0, 3, 6) else "1/1" for i in range(7)]
+    path = tmp_path / "one_cell.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "valid=true simplicial=true unimodular=false regular=true checksum=6"
+    ]
+    assert captured.err.splitlines() == [
+        "not unimodular: cell (0, 3, 6) normalized volume 6"
+    ]
+
+
 def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
     # verify_regularity returns the one structural proof the verdict reads,
     # on the accept path and on the scan's

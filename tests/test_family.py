@@ -2,7 +2,7 @@
 
 import pytest
 
-from sylvtri import family, polytope
+from sylvtri import family, pipeline, polytope
 from sylvtri.errors import DomainError, FeasibilityLimit
 from sylvtri.family import Family, FamilySpec
 
@@ -114,19 +114,23 @@ def test_lattice_points_match_bruteforce():
 
 
 def test_lattice_points_p2_via_duality():
+    # the shipped store: the p2dual store mapped through the inverse duality map
     for n in (1, 2, 3):
         simplex = family.build(FamilySpec(Family.P2, n))
         oracle = oracles.lattice_points_bruteforce(simplex)
-        assert list(family.lattice_points_p2(n)) == oracle
+        assert list(pipeline.triangulate_p2(n).triangulation.points) == oracle
 
 
-def test_lattice_points_p1_structure():
+def test_p1_store_structure():
+    # the shipped store: the p2 store embedded at last coordinate 0, plus
+    # the two apexes e_last and w1
     for n_plus_1 in (2, 3):
-        pts = family.lattice_points_p1(n_plus_1)
+        pts = pipeline.triangulate_p1(n_plus_1).triangulation.points
         simplex = family.build(FamilySpec(Family.P1, n_plus_1))
         assert list(pts) == oracles.lattice_points_bruteforce(simplex)
         n = n_plus_1 - 1
-        embedded = {(*p, 0) for p in family.lattice_points_p2(n)}
+        p2 = pipeline.triangulate_p2(n).triangulation.points
+        embedded = {(*p, 0) for p in p2}
         apexes = {
             tuple(1 if i == n else 0 for i in range(n_plus_1)),
             family.weight_vertex_w1(n_plus_1),

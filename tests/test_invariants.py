@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from sylvtri import exact, family, invariants, pipeline, polytope
+from sylvtri import cli, exact, family, invariants, pipeline, polytope
 from sylvtri import subdivision as sd
 from sylvtri.errors import DomainError
 
@@ -251,3 +251,50 @@ def test_fan_ray_outside_the_polytope_is_not_crepant():
     fan = invariants.fan_from_triangulation(bad)
     assert fan == oracles.fan_fraction(bad)
     assert not fan.crepant
+
+
+def test_fan_overlap_and_gap_is_not_complete(tmp_path, capsys):
+    # level-2 p2dual with cells (1, 2, 5) -> (0, 2, 5) and (4, 5, 6) ->
+    # (1, 4, 5): the cone over (-1, -1), (-1, 0) lies inside the one over
+    # (-1, -1), (-1, 1), none covers the sector between (0, -1) and
+    # (1, -1), and the |det|s still sum to D = 6
+    art = pipeline.triangulate_p2dual(2)
+    swap = {(1, 2, 5): (0, 2, 5), (4, 5, 6): (1, 4, 5)}
+    bad = _with_cells(art, tuple(swap.get(c, c) for c in art.triangulation.cells))
+    fan = invariants.fan_from_triangulation(bad)
+    assert fan == oracles.fan_fraction(bad)
+    assert not fan.complete and not fan.smooth and fan.crepant
+    assert sum(
+        abs(exact.det_int([list(fan.rays[i]) for i in c])) for c in fan.cones
+    ) == 6
+    path = tmp_path / "swapped.json"
+    pipeline.save(bad, str(path))
+    assert cli.main(["fan", str(path), "--out", str(tmp_path / "fan.json")]) == 3
+    assert capsys.readouterr().out == "crepant rays=6 cones=5\n"
+
+
+def test_fan_folded_cones_are_not_complete():
+    # in the triangle (-1, -1), (3, -1), (-1, 3), of D = 16: the bottom
+    # edge's rays b0..b4 joined b0 b2 b4 b3 b1 b0 cover its sector twice,
+    # the hypotenuse's h1, h2, h3 joined in a triangle cover theirs twice,
+    # and the rest is bare; every ray lies in exactly two cones and the
+    # |det|s sum to 16, so only the sides of the ridges tell
+    b = [(i - 1, -1) for i in range(5)]
+    h1, h2, h3 = (2, 0), (1, 1), (0, 2)
+    cones = [(b[0], b[2]), (b[2], b[4]), (b[4], b[3]), (b[3], b[1]), (b[1], b[0])]
+    cones += [(h1, h2), (h2, h3), (h1, h3)]
+    cells = [(*c, (0, 0)) for c in cones]
+    folded = replace(
+        pipeline.triangulate_p2dual(2),
+        triangulation=sd.make_subdivision(
+            {p for c in cells for p in c}, ((-1, -1), (3, -1), (-1, 3)), cells
+        ),
+    )
+    fan = invariants.fan_from_triangulation(folded)
+    assert fan == oracles.fan_fraction(folded)
+    assert not fan.complete and fan.crepant
+    assert len(fan.cones) == 8
+    assert all(sum(i in c for c in fan.cones) == 2 for i in range(len(fan.rays)))
+    assert sum(
+        abs(exact.det_int([list(fan.rays[i]) for i in c])) for c in fan.cones
+    ) == 16
