@@ -15,6 +15,8 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
+from operator import lt
 from typing import Any
 
 from . import family, polytope, subdivision, witness
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .family import Family, FamilySpec
 from .polytope import Point
-from .subdivision import Triangulation
+from .subdivision import Cell, Triangulation
 from .witness import CertificateReport, RegularityWitness
 
 FORMAT_VERSION = 1
@@ -342,6 +344,35 @@ def _array(x: Any) -> list:
     raise TypeError(f"{x!r:.40} is not a JSON array")
 
 
+def _cells(x: Any) -> tuple[Cell, ...]:
+    """The cells field as index tuples.  The types are checked in bulk, a
+    set of the entries' types and one of the indices'; only a bad entry
+    runs the per-entry checks (_array, _integer), which name the first."""
+    cells = _array(x)
+    if set(map(type, cells)) <= {list} and set(
+        map(type, chain.from_iterable(cells))
+    ) <= {int}:
+        return tuple(map(tuple, cells))
+    return tuple(tuple(map(_integer, _array(c))) for c in cells)
+
+
+def _cells_fit(cells: tuple[Cell, ...], npts: int, size: int) -> bool:
+    """Whether every cell has size indices in range(npts), strictly
+    increasing, decided by C-level passes over all cells at once: min and
+    max of the indices, the set of lengths, and, once every cell has size
+    entries, the k-th index of every cell against its (k+1)-th, read as
+    strided slices of the flattened indices."""
+    flat = list(chain.from_iterable(cells))
+    return (
+        (not flat or 0 <= min(flat) and max(flat) < npts)
+        and set(map(len, cells)) <= {size}
+        and all(
+            all(map(lt, flat[k::size], flat[k + 1 :: size]))
+            for k in range(size - 1)
+        )
+    )
+
+
 def _rational(x: Any) -> Fraction:
     """A witness entry, "p/q" as save writes it or a Fraction's str, as
     Fraction; a JSON number or boolean (Fraction(True) == 1, a float reads
@@ -370,7 +401,7 @@ def from_json_dict(data: dict) -> PipelineArtifact:
         points = tuple(
             tuple(map(_coordinate, _array(p))) for p in _array(data["points"])
         )
-        cells = tuple(tuple(map(_integer, _array(c))) for c in _array(data["cells"]))
+        cells = _cells(data["cells"])
         wvals = tuple(map(_rational, _array(data["witness"])))
         prov = tuple(_array(data["provenance"]))
         for step in prov:
@@ -396,15 +427,18 @@ def from_json_dict(data: dict) -> PipelineArtifact:
             )
     if len(wvals) != len(points):
         raise ArtifactFormatError("witness length does not match point store")
-    for c in cells:
-        if any(i < 0 or i >= len(points) for i in c):
-            raise ArtifactFormatError(f"cell {c} has out-of-range indices")
-        if any(a >= b for a, b in zip(c, c[1:])):
-            raise ArtifactFormatError(f"cell {c} indices are not strictly increasing")
-        if len(c) != n + 1:
-            raise ArtifactFormatError(
-                f"cell {c} has {len(c)} vertices, expected {n + 1}"
-            )
+    if not _cells_fit(cells, len(points), n + 1):
+        for c in cells:  # name the first bad cell
+            if any(i < 0 or i >= len(points) for i in c):
+                raise ArtifactFormatError(f"cell {c} has out-of-range indices")
+            if any(a >= b for a, b in zip(c, c[1:])):
+                raise ArtifactFormatError(
+                    f"cell {c} indices are not strictly increasing"
+                )
+            if len(c) != n + 1:
+                raise ArtifactFormatError(
+                    f"cell {c} has {len(c)} vertices, expected {n + 1}"
+                )
     tri = Triangulation(points, build_vertices(spec), cells)
     return PipelineArtifact(spec, tri, RegularityWitness(wvals), prov)
 
@@ -475,9 +509,9 @@ def _first_failure(art: PipelineArtifact) -> str | None:
     cert = art.certificate
     if cert.structure.failures:
         return cert.structure.failures[0]
-    if not cert.structure.unimodular:
-        c, _ = cert.structure.first_non_unimodular
-        return f"cell {c} is not unimodular"
+    # now every cell is unimodular: a valid triangulation's normalized
+    # volumes are integers >= 1 summing to nvol(P), and the expected count
+    # is nvol(P) (s_n - 1, or 2 (s_{n-1} - 1) for p1), so each is 1
     if not cert.regular:
         c, p, margin = cert.violating_pairs[0]
         return f"regularity violation: cell {c} point {p} margin {margin}"

@@ -14,7 +14,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul, sub
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import exact, polytope, subdivision
@@ -154,20 +156,38 @@ def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> Certificat
     stops after 51 violations.  With heights W = L * w (_common_scale) and
     a cell's form (row, den), w(p) - A_cell(p) = (W[p] * den -
     row_at(row, p)) / (L * den), so a pair passes iff that integer
-    numerator is positive: one integer dot product (taken axis by axis
-    over the whole store) and one comparison.  Only a violation builds its
-    Fraction margin.
+    numerator, its gap, is positive.  Only a violation builds its Fraction
+    margin.
+
+    The numerators A(p) = row_at(row, p) come as exact integer prefix
+    sums along the store: A is affine, so A(p_{i+1}) = A(p_i) + row .
+    (p_{i+1} - p_i), with the constant term cancelled.  A sorted lattice
+    store has few distinct steps p_{i+1} - p_i (24-35 at level 4), so
+    they are interned once per scan and each cell takes one dot product
+    per distinct step; the running sum, the gaps and their minimum are
+    C-level passes.  The form interpolates the heights, so a cell's own
+    vertices have gap 0; a cell whose gaps are >= 0 with no more zeros
+    than it has distinct vertices has none elsewhere, so no violation, and
+    is passed at once.
     """
     pts = t.points
-    axes = list(zip(*pts))  # store coordinates, one tuple per axis
+    # one id per step between consecutive store points, ids in order met
+    kinds: dict[Point, int] = {}
+    step_id = [
+        kinds.setdefault(tuple(map(sub, q, p)), len(kinds))
+        for p, q in zip(pts, pts[1:])
+    ]
     violations: list[tuple[Cell, Point, Fraction]] = []
     for c in t.cells:
         row, den = _cell_form(t.cell_points(c), [heights[i] for i in c])
-        # gaps[i] = heights[i] * den - row_at(row, pts[i]), one axis at a time
-        gaps = [h * den - row[-1] for h in heights]
-        for rk, xs in zip(row, axes):
-            if rk:
-                gaps = [g - rk * x for g, x in zip(gaps, xs)]
+        dots = [sum(map(mul, row, s)) for s in kinds]
+        values = accumulate(
+            map(dots.__getitem__, step_id), initial=row_at(row, pts[0])
+        )
+        scaled = heights if den == 1 else [h * den for h in heights]
+        gaps = list(map(sub, scaled, values))
+        if min(gaps) >= 0 and gaps.count(0) == len(set(c)):
+            continue
         for pi in [pi for pi, gap in enumerate(gaps) if gap <= 0]:
             if pi in c:
                 continue

@@ -298,3 +298,24 @@ def test_fan_folded_cones_are_not_complete():
     assert sum(
         abs(exact.det_int([list(fan.rays[i]) for i in c])) for c in fan.cones
     ) == 16
+
+
+def test_fan_flat_cones_are_not_complete():
+    # level-3 p2dual plus a zero-volume cell on four points of the ambient
+    # edge x = y = -1, every other one: its four facets are boundary cones
+    # of three collinear rays, det 0, and each of their ridges lies in two
+    # of them and in no cone of the fan.  The |det|s still sum to D and
+    # every ridge lies in exactly two cones, so only the flat cones' zero
+    # sides tell
+    art = pipeline.triangulate_p2dual(3)
+    t = art.triangulation
+    edge = tuple(t.index[(-1, -1, z)] for z in (-1, 1, 3, 5))
+    flat = _with_cells(art, t.cells + (edge,))
+    fan = invariants.fan_from_triangulation(flat)
+    assert fan == oracles.fan_fraction(flat)
+    assert not fan.complete and not fan.smooth and fan.crepant
+    dets = [exact.det_int([list(fan.rays[i]) for i in c]) for c in fan.cones]
+    assert dets.count(0) == 4
+    assert sum(map(abs, dets)) == family.sylvester(3) - 1
+    clean = invariants.fan_from_triangulation(art)
+    assert clean.complete and len(fan.cones) == len(clean.cones) + 4

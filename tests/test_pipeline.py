@@ -203,6 +203,38 @@ def test_load_rejects_tampered_cells(tmp_path):
             pipeline.load(str(path))
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # the first bad cell is named, whatever is wrong with a later one
+        ({3: [0, 1, 2, 24], 7: [3, 2, 1, 0]}, r"cell \(0, 1, 2, 24\) has out-of-range"),
+        ({3: [3, 2, 1, 0], 7: [0, 1, 2, 24]}, r"cell \(3, 2, 1, 0\) indices are not"),
+        ({5: [-1, 0, 1, 2]}, r"cell \(-1, 0, 1, 2\) has out-of-range"),
+        ({5: [0, 1, 1, 2]}, r"cell \(0, 1, 1, 2\) indices are not strictly"),
+        ({5: [1, 0, 2, 3]}, r"cell \(1, 0, 2, 3\) indices are not strictly"),
+        ({5: [0, 1, 3, 2]}, r"cell \(0, 1, 3, 2\) indices are not strictly"),
+        ({5: [0, 1, 2], 9: [4, 3, 2, 1]}, r"cell \(0, 1, 2\) has 3 vertices, expected 4"),
+        ({41: [0, 1, 2, 3, 4]}, r"cell \(0, 1, 2, 3, 4\) has 5 vertices, expected 4"),
+        # within one cell, range before order before length
+        ({2: [30, 2, 1]}, "out-of-range"),
+        ({2: [2, 1]}, "not strictly increasing"),
+        # types: the first bad entry, in order
+        ({4: [0, 1, 2, 0.5], 8: [True, 1, 2, 3]}, "0.5 is not a JSON integer"),
+        ({4: [True, 1, 2, 3], 8: "0123"}, "True is not a JSON integer"),
+        ({4: "0123", 8: [0, 1, 2, 0.5]}, "'0123' is not a JSON array"),
+        ({6: {"0": 1}}, r"\{'0': 1\} is not a JSON array"),
+    ],
+)
+def test_load_names_the_first_bad_cell(edits, message):
+    # the loader checks all cells at once and names the first failure
+    # as the per-cell checks in cell order would
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
+    for k, cell in edits.items():
+        data["cells"][k] = cell
+    with pytest.raises(ArtifactFormatError, match=message):
+        pipeline.from_json_dict(data)
+
+
 def test_load_rejects_point_of_wrong_dimension(tmp_path):
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
     data["points"].append(["5"])  # sorts last
@@ -238,7 +270,8 @@ def test_cache_refuses_mislabelled_entry(tmp_path):
 
 def test_cache_verifies_entries_on_load(tmp_path):
     # a disk entry is checked before it is served: an edited witness value
-    # fails the regularity check, a dropped cell the cell count, and the
+    # fails the regularity check, a dropped cell or one non-unimodular
+    # cell the cell count, and the
     # last cell overwritten by the first (count and checksum kept) the
     # structural proof, which also names a collinear cell that stops the
     # regularity scan
@@ -253,9 +286,16 @@ def test_cache_verifies_entries_on_load(tmp_path):
     doubled["cells"][-1] = doubled["cells"][0]
     collinear = json.loads(path.read_text())
     collinear["cells"][0] = [0, 1, 2]
+    # the whole triangle as one cell of normalized volume 6, with a witness
+    # it certifies: a valid, regular triangulation whose one cell is not
+    # unimodular, refused by its count before any other check
+    one_cell = json.loads(path.read_text())
+    one_cell["cells"] = [[0, 3, 6]]
+    one_cell["witness"] = ["0/1" if i in (0, 3, 6) else "1/1" for i in range(7)]
     for data, match in (
         (edited, "regularity violation: cell"),
         (dropped, "cell count 5 != expected 6"),
+        (one_cell, "cell count 1 != expected 6$"),
         (doubled, r"facet \(1, 5\) shared by 3 cells"),
         (collinear, "degenerate cell: zero-volume simplex"),
     ):

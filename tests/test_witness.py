@@ -327,7 +327,9 @@ def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
         vals[pi] += Fraction(rng.randint(-50, 50), rng.choice((1, 7, 64)))
         _agree(glued, RegularityWitness(tuple(vals)))
     # one random polytope as a single cell, heights affine on its vertices
-    for dim in (1, 2, 3):
+    # and moved at the other store points, some onto the form: the
+    # structure is unproven, so the all-pairs scan reports
+    for dim in (1, 2, 3) * 10:
         s = oracles.random_polytope_subdivision(rng, dim)
         coeffs = [rng.randint(-3, 3) for _ in range(dim)]
         vals = [
@@ -404,6 +406,85 @@ def test_verify_regularity_rejects_degenerate_cell():
     assert rep.structure == sd.verify(flat)
     assert rep.structure.failures[0] == "degenerate cell: zero-volume simplex"
     assert rep.structure.volume_checksum is None
+
+
+def _scan_agrees(s, w):
+    """The all-pairs scan's report, run directly, equals the Fraction
+    oracle's: the same pairs in the same order, exact margins, the stop
+    after 51 violations and the verdict."""
+    got = wt._all_pairs(s, *wt._common_scale(w))
+    assert got == oracles.verify_regularity_fraction(s, w)
+    return got
+
+
+@pytest.mark.parametrize(
+    "build, n, stops",
+    [
+        (pipeline.triangulate_p2dual, 2, False),
+        (pipeline.triangulate_p2dual, 3, True),
+        (pipeline.triangulate_p2, 2, False),
+        (pipeline.triangulate_p2, 3, True),
+        (pipeline.triangulate_p1, 3, False),
+        (pipeline.triangulate_p1, 4, True),
+    ],
+)
+def test_all_pairs_matches_fraction_oracle_on_tampered_copies(build, n, stops):
+    # each store point's height raised by a small and a large amount, and
+    # each cell with one vertex swapped for another store point (a cell of
+    # volume > 1, so its form has den > 1); from level 3 on (p1: 4) some
+    # copy reaches the stop after 51 violations
+    art = build(n)
+    t, w = art.triangulation, art.witness
+    assert _scan_agrees(t, w).regular
+    rng = random.Random(n)
+    counts = set()
+    for pi in range(len(t.points)):
+        for delta in (Fraction(1, 3), Fraction(10**6)):
+            vals = list(w.values)
+            vals[pi] += delta
+            got = _scan_agrees(t, RegularityWitness(tuple(vals)))
+            counts.add(len(got.violating_pairs))
+    dens = set()
+    for k, cell in enumerate(t.cells):
+        j = rng.randrange(len(cell))
+        q = rng.choice([i for i in range(len(t.points)) if i not in cell])
+        swapped = tuple(sorted(cell[:j] + (q,) + cell[j + 1 :]))
+        cells = t.cells[:k] + (swapped,) + t.cells[k + 1 :]
+        s = sd.Triangulation(t.points, t.ambient, cells)
+        verts = s.cell_points(swapped)
+        if exact.affine_rank(verts) < s.ambient_dim:
+            continue
+        dens.add(wt._cell_form(verts, [1] * len(verts))[1])
+        counts.add(len(_scan_agrees(s, w).violating_pairs))
+    assert 0 in counts and (51 in counts) is stops and len(counts) > 2
+    assert max(dens) > 1
+
+
+@pytest.mark.parametrize("h", [2, 1, Fraction(1, 2), 0, -1])
+def test_all_pairs_reports_store_points_off_the_vertices(h):
+    # d = 1: one segment over store points that are no vertex, its form 0;
+    # at h = 0 point 1 lies on the form, a zero gap off the vertices
+    s = sd.Subdivision(((0,), (1,), (2,), (3,)), ((0,), (3,)), ((0, 3),))
+    got = _scan_agrees(s, RegularityWitness((0, h, 3, 0)))
+    assert got.regular is (h > 0)
+    # the same cell with vertex 0 listed twice has two zero gaps at its
+    # vertices, not three
+    twice = sd.Subdivision(s.points, s.ambient, ((0, 0, 3),))
+    assert _scan_agrees(twice, RegularityWitness((0, h, 3, 0))).regular is (h > 0)
+
+
+def test_all_pairs_matches_fraction_oracle_on_a_wide_simplex():
+    # level-2 p2dual as its one cell (0, 3, 6) of normalized volume 6: the
+    # form has den 6, and points at, above and below it
+    t = pipeline.triangulate_p2dual(2).triangulation
+    one = sd.Triangulation(t.points, t.ambient, ((0, 3, 6),))
+    assert wt._cell_form(one.cell_points((0, 3, 6)), [0, 0, 0])[1] == 6
+    rng = random.Random(6)
+    verdicts = set()
+    for _ in range(20):
+        vals = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in t.points]
+        verdicts.add(_scan_agrees(one, RegularityWitness(tuple(vals))).regular)
+    assert verdicts == {True, False}
 
 
 def _criterion10_configs():
