@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from operator import lt
 from typing import Any
 
@@ -281,15 +282,22 @@ def build_vertices(spec: FamilySpec) -> tuple[Point, ...]:
 def _internal_check(
     tri: Triangulation, expected_cells: int, prov: list[ProvenanceStep]
 ) -> None:
+    """Refuse a build whose cell count is not expected_cells or which has
+    a cell of normalized volume other than 1, naming the first such cell
+    as verify does and the provenance by its step names."""
+    steps = ", ".join(step["step"] for step in prov)
     if len(tri.cells) != expected_cells:
         raise VerificationFailure(
             f"cell count {len(tri.cells)} != expected {expected_cells}; "
-            f"provenance: {prov}"
+            f"provenance steps: {steps}"
         )
     for c in tri.cells:
-        if polytope.nvol(tri.cell_points(c)) != 1:
+        verts = tri.cell_points(c)
+        vol = polytope.nvol(verts)
+        if vol != 1:
             raise VerificationFailure(
-                f"cell {c} is not unimodular; provenance: {prov}"
+                f"not unimodular: cell {c} points {verts} normalized volume "
+                f"{vol}; provenance steps: {steps}"
             )
 
 
@@ -377,13 +385,30 @@ def _rational(x: Any) -> Fraction:
     """A witness entry, "p/q" as save writes it or a Fraction's str, as
     Fraction; a JSON number or boolean (Fraction(True) == 1, a float reads
     as its binary expansion) and any other string Fraction() reads
-    (" -1/8 ", "-0.125", "1_0/3") are refused."""
+    (" -1/8 ", "-0.125", "1_0/3") are refused.
+
+    "p" or "p/q" is read directly: p and q canonical integer strings (the
+    rule of _coordinate), q >= 1 and gcd(p, q) = 1, which are exactly the
+    strings _frac_str or str write.  Any other string is refused through
+    Fraction(x), which raises ValueError or ZeroDivisionError on the ones
+    it cannot read."""
     if not isinstance(x, str):
         raise TypeError(f"{x!r} is not a rational string")
-    v = Fraction(x)
-    if x != _frac_str(v) and x != str(v):
-        raise ValueError(f"{x!r} is not a canonical rational string")
-    return v
+    num, slash, den = x.partition("/")
+    p, q = _int_or_none(num), _int_or_none(den) if slash else 1
+    if p is not None and q is not None and q >= 1 and gcd(p, q) == 1:
+        return Fraction(p, q)
+    Fraction(x)
+    raise ValueError(f"{x!r} is not a canonical rational string")
+
+
+def _int_or_none(x: str) -> int | None:
+    """The int x is the canonical str of, or None."""
+    try:
+        v = int(x)
+    except ValueError:
+        return None
+    return v if str(v) == x else None
 
 
 def from_json_dict(data: dict) -> PipelineArtifact:

@@ -2,17 +2,18 @@
 
 Points are plain tuples of ints (lattice) or Fractions (rational).  A facet
 of a full-dimensional cell is one integer row (coeffs..., const), >= 0 on
-the cell and 0 on that facet.  All cells appearing in this project are
-low-dimensional with few vertices, so facet enumeration is a brute-force
-supporting-hyperplane scan, which is trivial to audit for exactness, and
-lower faces follow from facet incidences.
+the cell and 0 on that facet.  A simplex's facet rows are its integer
+inverse's; a polytopal cell's grow by the beneath-beyond step from those
+of a simplex on its points, one point at a time, each new row read off two
+old ones through a ridge (ridge_row), so no point subset is searched.
+Lower faces follow from facet incidences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -140,46 +141,88 @@ def facet_mask(rows: Sequence[Sequence[int]], p: Point) -> int:
     return sum(1 << j for j, row in enumerate(rows) if row_at(row, p) == 0)
 
 
-def _hyperplane_functional(verts: Sequence[Point], idxs: Sequence[int]):
-    """Integer row (coeffs..., const) vanishing on d chosen vertices, or None.
+def ridges(sets: Sequence[frozenset[int]], f: int) -> dict[int, frozenset[int]]:
+    """{g: F & G} for the facets G = sets[g] meeting F = sets[f] in a ridge.
 
-    verts span R^d and idxs names exactly d of them.  The coefficients are
-    the d cofactors of their d-1 difference rows, which all vanish iff the
-    points are affinely dependent (then None).
+    sets are the facets of a full-dimensional polytope, each the set of
+    the indexed points on it, its vertices among them, so two faces are
+    equal iff their sets are.  The ridges in F are its maximal proper
+    faces, each F & H for one facet H, so F & G is one iff no other F & H
+    strictly contains it, as none can when it is one point short of F.
     """
-    k = len(verts[0])
-    base = verts[idxs[0]]
-    rows = [[x - y for x, y in zip(verts[i], base)] for i in idxs[1:]]
-    # coefficient j = cofactor determinant with e_j replacing the free row
-    coeffs = []
-    for j in range(k):
-        m = [[1 if c == j else 0 for c in range(k)]] + [list(r) for r in rows]
-        coeffs.append(exact.det_int(m))
-    if all(c == 0 for c in coeffs):
-        return None
-    return (*coeffs, -sum(c * x for c, x in zip(coeffs, base)))
+    fset = sets[f]
+    meets = [fset & gset for gset in sets]
+    return {
+        g: ridge
+        for g, ridge in enumerate(meets)
+        if g != f
+        and (
+            len(ridge) == len(fset) - 1
+            or not any(ridge < other for h, other in enumerate(meets) if h != f)
+        )
+    }
+
+
+def ridge_row(
+    lam_a: int, row_a: Sequence[int], lam_b: int, row_b: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """(lam_a row_b - lam_b row_a) / k, k its gcd, and k.
+
+    With lam_a and lam_b the values of facet rows row_a and row_b at a
+    point x, the row vanishes at x and on the ridge A & B, so it is the
+    hyperplane through x and that ridge; where lam_a > 0 >= lam_b it is
+    >= 0 on the polytope.
+    """
+    row = [lam_a * y - lam_b * x for x, y in zip(row_a, row_b)]
+    k = gcd(*row)
+    return tuple([x // k for x in row]), k
 
 
 def _facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int, ...]]:
     """Facets (as point-index sets) of a full-dimensional conv(verts).
 
-    Each maps to the row of the first d-subset found to span it, oriented
-    >= 0 on the cell; subsets inside a facet already found are skipped.
+    Each maps to an integer row, >= 0 on the cell and 0 exactly at the
+    facet's points.  Beneath-beyond (Seidel 1981; Edelsbrunner,
+    *Algorithms in Combinatorial Geometry*, 1987): the facets of the
+    simplex on the first d + 1 affinely independent points are its
+    simplex_inverse rows; each further point x, in order, replaces the
+    hull P of the points before it by conv(P + x).  A facet F with row
+    f_F(x) < 0 is seen from x and goes; one with f_G(x) >= 0 stays a facet,
+    gaining x when f_G(x) = 0.  The new facets are conv((F & G) + x) for
+    the ridges F & G of P with f_F(x) < 0 < f_G(x), the horizon; their rows
+    ridge_row(f_G(x), f_G, f_F(x), f_F) vanish at x and on F & G and are
+    >= 0 on P, and an earlier point on one lies on F and G, so in F & G.
+    A ridge whose G has f_G(x) = 0 lies in G's hyperplane, part of G's
+    grown facet.  Raises DegenerateGeometry if the points do not span R^d.
     """
-    facets: dict[frozenset[int], tuple[int, ...]] = {}
-    for idxs in combinations(range(len(verts)), len(verts[0])):
-        if any(fs.issuperset(idxs) for fs in facets):
+    base = verts[0]
+    simplex, diffs = [0], []
+    for i in range(1, len(verts)):
+        if len(diffs) == len(base):
+            break
+        diff = [x - y for x, y in zip(verts[i], base)]
+        if exact.rank(diffs + [diff]) > len(diffs):
+            simplex.append(i)
+            diffs.append(diff)
+    if len(diffs) != len(base):
+        raise DegenerateGeometry("facets require a full-dimensional cell")
+    rows = simplex_inverse([verts[i] for i in simplex])[0]
+    sets = [frozenset(simplex) - {i} for i in simplex]
+    for i in range(1, len(verts)):
+        if i in simplex:
             continue
-        row = _hyperplane_functional(verts, idxs)
-        if row is None:
-            continue
-        vals = [row_at(row, p) for p in verts]
-        if min(vals) < 0 < max(vals):
-            continue
-        if min(vals) < 0:
-            row = tuple(-x for x in row)
-        facets[frozenset(i for i, v in enumerate(vals) if v == 0)] = row
-    return facets
+        lam = [row_at(row, verts[i]) for row in rows]
+        new_sets, new_rows = [], []
+        for f, lf in enumerate(lam):
+            if lf < 0:
+                for g, ridge in ridges(sets, f).items():
+                    if lam[g] > 0:
+                        new_sets.append(ridge | {i})
+                        new_rows.append(ridge_row(lam[g], rows[g], lf, rows[f])[0])
+        kept = [f for f, x in enumerate(lam) if x >= 0]
+        sets = [sets[f] | {i} if lam[f] == 0 else sets[f] for f in kept] + new_sets
+        rows = [rows[f] for f in kept] + new_rows
+    return dict(zip(sets, rows))
 
 
 def inner_functionals(vertices: Sequence[Point]) -> list[tuple[int, ...]]:
@@ -187,8 +230,8 @@ def inner_functionals(vertices: Sequence[Point]) -> list[tuple[int, ...]]:
 
     Each row is >= 0 on the cell and 0 on exactly one facet (read with
     row_at): a simplex's simplex_inverse rows, in vertex order, or a
-    polytopal cell's cofactor rows, ordered by their facets' sorted index
-    sets.
+    polytopal cell's beneath-beyond rows (_facet_index_sets), ordered by
+    their facets' sorted index sets.
     """
     dim = len(vertices[0])
     if exact.affine_rank(vertices) != dim:

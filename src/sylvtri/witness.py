@@ -21,7 +21,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import DegenerateGeometry, DimensionMismatch, DomainError
-from .polytope import Point, row_at
+from .polytope import Point, ridge_row, ridges, row_at
 from .subdivision import Cell, Subdivision, Triangulation, VerifyReport
 
 
@@ -235,12 +235,10 @@ def _pyramid(
     sets and rows are the cell's facets: store-index sets and integer rows,
     >= 0 on the cell and 0 on the facet (read with row_at).  lam are m's
     values on the rows, lam[f] > 0.  The pyramid's facets are F and, for
-    each facet G meeting F in a ridge (affine rank d - 2), conv((F & G) + m),
-    whose row lam[f] f_G - lam[g] f_F, divided by its gcd k, vanishes at m
-    and on F & G and is positive on F - G.  The ridges in F are its maximal
-    proper faces, each F & H for one facet H, so F & G is one iff no other
-    F & H strictly contains it, as none can when it is one vertex short of
-    F.  The facets come sorted by their least vertex off them, so a
+    each facet G meeting F in a ridge (polytope.ridges), conv((F & G) + m),
+    whose row lam[f] f_G - lam[g] f_F, divided by its gcd k
+    (polytope.ridge_row), vanishes at m and on F & G and is positive on
+    F - G.  The facets come sorted by their least vertex off them, so a
     simplex's rows come in vertex order, as simplex_inverse's do.
 
     carried maps points to their values on the cell's rows.  By the same
@@ -250,18 +248,13 @@ def _pyramid(
     carried points the pyramid holds, with their values on those rows.
     """
     fset, frow, lf = sets[f], rows[f], lam[f]
-    meets = [fset & gset for gset in sets]
+    meets = ridges(sets, f)
     # (least vertex off, g, lam[g], k, row (lam[f] f_G - lam[g] f_F) / k);
     # F's own row is f_F, which is that row with lam[g] read as 0, k as lam[f]
     out = [(m_index, f, 0, lf, tuple(frow))]
-    for g, ridge in enumerate(meets):
-        if g == f or len(ridge) < len(fset) - 1 and any(
-            ridge < other for h, other in enumerate(meets) if h != f
-        ):
-            continue
-        row = [lf * y - lam[g] * x for x, y in zip(frow, rows[g])]
-        k = gcd(*row)
-        out.append((min(fset - ridge), g, lam[g], k, tuple([x // k for x in row])))
+    for g, ridge in meets.items():
+        row, k = ridge_row(lf, frow, lam[g], rows[g])
+        out.append((min(fset - ridge), g, lam[g], k, row))
     out.sort()
     found: dict[int, tuple[int, ...]] = {}
     for pi, nu in carried.items():

@@ -2,10 +2,13 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sylvtri import family, pipeline, subdivision as sd, witness as wt
+from sylvtri import exact, family, pipeline, subdivision as sd, witness as wt
 from sylvtri.errors import (
     ArtifactFormatError,
     FeasibilityLimit,
@@ -394,3 +397,111 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
         "p2dual_2.json",
     ]
     assert (tmp_path / "p2dual_2.json").read_bytes() == good
+
+
+def _rational_reference(x):
+    """The witness-entry rule through Fraction(x): a string it reads, equal
+    to the "p/q" or the str of what it reads."""
+    if not isinstance(x, str):
+        raise TypeError(f"{x!r} is not a rational string")
+    v = Fraction(x)
+    if x != f"{v.numerator}/{v.denominator}" and x != str(v):
+        raise ValueError(f"{x!r} is not a canonical rational string")
+    return v
+
+
+def _outcome(parse, x):
+    """What parse makes of x: the value with its type, or the refusal."""
+    try:
+        v = parse(x)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+    return type(v), v
+
+
+RATIONAL_TABLE = [
+    # accepted: what save writes, and a Fraction's str for an integer
+    "-1/8", "0/1", "12/35", "-7/3", "3", "3/1", "0", "-3", str(2**200) + "/3",
+    # refused with ValueError
+    "-0/1", "-0", "2/4", "0/5", "+1/2", "1/-2", "01/2", "1/02", " -1/8 ",
+    "-0.125", "1_0/3", "1/", "/2", "/", "", "1//2", "1/2/3", "abc", "1e3",
+    "nan", "inf", "\u0663", "\u0663/1", "1" * 5000,
+    # refused with ZeroDivisionError
+    "1/0", "0/0", "-1/0", "1/0 ", "+1/0", "01/00",
+    # refused with TypeError
+    True, 0.5, 1, None, ["1/2"],
+]
+
+
+@pytest.mark.parametrize("x", RATIONAL_TABLE)
+def test_rational_matches_fraction_reference(x):
+    # read directly, a witness entry is accepted or refused exactly as
+    # through Fraction(x), with the same exception type and message
+    assert _outcome(pipeline._rational, x) == _outcome(_rational_reference, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="0123456789-+/_ .e", max_size=8),
+        st.fractions().map(str),
+        st.tuples(st.integers(-40, 40), st.integers(-3, 40)).map(
+            lambda pq: f"{pq[0]}/{pq[1]}"
+        ),
+    )
+)
+def test_rational_sweep_matches_fraction_reference(x):
+    assert _outcome(pipeline._rational, x) == _outcome(_rational_reference, x)
+
+
+def _swept_with(monkeypatch, edit):
+    """Make the pulling sweep of every build pass its triangulation
+    through edit(tri) before the pipeline's internal check."""
+    sweep = wt.pull_sweep
+
+    def edited(s, w):
+        tri, w_out, log = sweep(s, w)
+        return edit(tri), w_out, log
+
+    monkeypatch.setattr(wt, "pull_sweep", edited)
+
+
+def test_build_refuses_a_wrong_cell_count(monkeypatch):
+    # a sweep that drops a cell: the count is named, and the provenance by
+    # its step names only
+    _swept_with(
+        monkeypatch, lambda t: sd.Triangulation(t.points, t.ambient, t.cells[:-1])
+    )
+    with pytest.raises(
+        VerificationFailure,
+        match=r"^cell count 5 != expected 6; "
+        r"provenance steps: base, pullback, glue, pull_all$",
+    ):
+        pipeline.triangulate_p2dual(2)
+
+
+def test_build_names_the_first_non_unimodular_cell(monkeypatch):
+    # a sweep whose third and fifth cells are replaced by a simplex of
+    # normalized volume 2: the count holds, and the third is named with
+    # its store points and volume, as verify's "not unimodular:" line does
+    pts = pipeline.triangulate_p2dual(2).triangulation.points
+    pipeline.clear_cache()
+    big = next(
+        c
+        for c in combinations(range(len(pts)), 3)
+        if abs(exact.det_int([[*pts[i], 1] for i in c])) == 2
+    )
+
+    def edit(t):
+        cells = list(t.cells)
+        cells[2] = cells[4] = big
+        return sd.Triangulation(t.points, t.ambient, tuple(cells))
+
+    _swept_with(monkeypatch, edit)
+    verts = tuple(pts[i] for i in big)
+    with pytest.raises(VerificationFailure) as e:
+        pipeline.triangulate_p2dual(2)
+    assert str(e.value) == (
+        f"not unimodular: cell {big} points {verts} normalized volume 2; "
+        "provenance steps: base, pullback, glue, pull_all"
+    )

@@ -1,5 +1,6 @@
 """Polytope core tests: volumes, duality, faces, membership oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -294,3 +295,95 @@ def test_affine_coordinates_preserve_combinatorics():
         2 * m == a + b
         for m, a, b in zip(mapped[1], mapped[0], mapped[2])
     )
+
+
+@st.composite
+def degenerate_point_sets(draw):
+    # lattice points of dimension 1-5, doubled, with the midpoints of random
+    # pairs: points that are not vertices, on edges, on facets and inside,
+    # and repeated points
+    dim = draw(st.integers(1, 5))
+    coord = st.integers(-2, 2)
+    base = draw(
+        st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 4)
+    )
+    pts = [tuple(2 * x for x in p) for p in base]
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)),
+                              max_size=4)):
+        pts.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+    return draw(st.permutations(pts))
+
+
+def _facet_points(verts):
+    """Facets of conv(verts) from _facet_index_sets: sorted point tuples
+    mapped to primitive rows, checking each row against its set."""
+    out = {}
+    for fs, row in polytope._facet_index_sets(verts).items():
+        vals = [polytope.row_at(row, v) for v in verts]
+        assert min(vals) >= 0
+        assert fs == {i for i, x in enumerate(vals) if x == 0}
+        g = math.gcd(*row)
+        out[tuple(sorted(verts[i] for i in fs))] = tuple(x // g for x in row)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@example([(0,), (2,), (1,), (0,), (2,)], 0)  # a segment, its midpoint, repeats
+@example([(0, 0), (2, 0), (0, 2), (2, 2), (1, 0), (1, 1), (2, 1)], 1)
+@example([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 0, 0)], 2)
+@given(degenerate_point_sets(), st.integers(0, 2**16))
+def test_facets_match_cofactor_scan(verts, seed):
+    # beneath-beyond facets equal the cofactor scan in affine coordinates,
+    # points off the vertices included; shuffled input gives the same facet
+    # sets with rows equal up to a positive factor; input that does not
+    # span R^d is refused
+    dim = len(verts[0])
+    if exact.affine_rank(verts) < dim:
+        with pytest.raises(DegenerateGeometry):
+            polytope._facet_index_sets(verts)
+        return
+    facets = _facet_points(verts)
+    assert sorted(facets) == oracles.facet_vertex_sets(verts)
+    shuffled = list(verts)
+    random.Random(seed).shuffle(shuffled)
+    assert _facet_points(shuffled) == facets
+
+
+def test_facets_refuse_lower_dimensional_input():
+    for verts in (
+        [(0, 0), (1, 1), (2, 2), (1, 1)],  # collinear in the plane
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],  # coplanar
+        [(1, 2, 3)] * 5,  # one point, repeated
+    ):
+        for fn in (
+            polytope._facet_index_sets,
+            polytope.inner_functionals,
+            polytope.triangulate_cell,
+            polytope.nvol_cell,
+        ):
+            with pytest.raises(DegenerateGeometry):
+                fn(verts)
+
+
+def test_nvol_cell_matches_placing_oracle_in_dimension_5():
+    # random 5-polytopes, points off their vertices included, columns over
+    # 4-simplices from t = -1 to a top that may be -1 too (the level-5
+    # starting columns: prisms, and columns with collapsed edges), and
+    # prisms with one more point above them
+    rng = random.Random(22)
+    cells = []
+    while len(cells) < 12:
+        pts = list({tuple(rng.randint(-1, 1) for _ in range(5)) for _ in range(9)})
+        if exact.affine_rank(pts) == 5:
+            cells.append(pts)
+    while len(cells) < 28:
+        base = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(5)]
+        tops = [rng.randint(-1, 2) for _ in base]
+        column = sorted({(*v, t) for v, top in zip(base, tops) for t in (-1, top)})
+        if exact.affine_rank(base) == 4 and len(column) > 6:
+            cells.append(column)
+            cells.append(sorted({(*v, t) for v in base for t in (-1, 0)} | {(0,) * 4 + (3,)}))
+    for verts in cells:
+        pieces = oracles.placing_triangulation(verts)
+        assert sorted(polytope.triangulate_cell(verts)) == sorted(pieces)
+        assert polytope.nvol_cell(verts) == sum(map(polytope.nvol, pieces))
