@@ -15,22 +15,23 @@ from .errors import DegenerateGeometry, DimensionMismatch
 Row = Sequence[int]
 
 
-def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int]:
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Bareiss reduction of m, in place, to row echelon form on its first
-    ncols columns (rows may be wider); returns (rank, sign of the row
-    permutation).  A column with no nonzero entry at or below the current
-    row is skipped.  Every ``//`` is exact: with pivot columns K on rows
-    0..r-1, each entry of a later row i and column j is the minor of the
-    permuted input on rows 0..r-1, i and columns K + j, and the last pivot
-    the minor on rows 0..r-1 and columns K.  Skipped columns enter no
-    update, so these are plain Bareiss steps on columns K + j, whose new
-    entries Sylvester's identity makes minors of the next order.
+    ncols columns (rows may be wider); returns (pivot columns, sign of the
+    row permutation).  A column with no nonzero entry at or below the
+    current row is skipped.  Every ``//`` is exact: with pivot columns K
+    on rows 0..r-1, each entry of a later row i and column j is the minor
+    of the permuted input on rows 0..r-1, i and columns K + j, and the
+    last pivot the minor on rows 0..r-1 and columns K.  Skipped columns
+    enter no update, so these are plain Bareiss steps on columns K + j,
+    whose new entries Sylvester's identity makes minors of the next order.
     """
     last = len(m) - 1
     sign = 1
     prev = 1
-    r = 0
+    pivots: list[int] = []
     for k in range(ncols):
+        r = len(pivots)
         if m[r][k] == 0:
             for i in range(r + 1, last + 1):
                 if m[i][k] != 0:
@@ -39,8 +40,9 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int]:
                     break
             else:
                 continue
+        pivots.append(k)
         if r == last:  # a pivot in the last row: nothing below it
-            return r + 1, sign
+            return pivots, sign
         rr = m[r]
         pivot = rr[k]
         width = len(rr)
@@ -51,8 +53,7 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int]:
                 ri[j] = (ri[j] * pivot - mik * rr[j]) // prev
             ri[k] = 0
         prev = pivot
-        r += 1
-    return r, sign
+    return pivots, sign
 
 
 def det_int(m: list[list[int]]) -> int:
@@ -62,8 +63,8 @@ def det_int(m: list[list[int]]) -> int:
         raise DimensionMismatch("determinant requires a square matrix")
     if n == 0:
         return 1
-    r, sign = _eliminate(m, n)
-    return sign * m[-1][-1] if r == n else 0
+    pivots, sign = _eliminate(m, n)
+    return sign * m[-1][-1] if len(pivots) == n else 0
 
 
 def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
@@ -79,7 +80,7 @@ def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
     ``//`` of the back substitution is exact.  Raises DegenerateGeometry
     when A has rank < n or the equations are inconsistent.
     """
-    if _eliminate(m, n)[0] < n:
+    if len(_eliminate(m, n)[0]) < n:
         raise DegenerateGeometry("singular linear system")
     if any(x for row in m[n:] for x in row[n:]):
         raise DegenerateGeometry("inconsistent linear system")
@@ -97,11 +98,18 @@ def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
     return y, d
 
 
-def rank(rows: Sequence[Row]) -> int:
-    """Rank of a rectangular integer matrix: _eliminate's pivot count."""
+def pivot_columns(rows: Sequence[Row]) -> list[int]:
+    """Pivot columns of a rectangular integer matrix (_eliminate's): the
+    columns outside the span of those before them, as row operations keep
+    the linear relations among columns."""
     if not rows:
-        return 0
+        return []
     return _eliminate([list(row) for row in rows], len(rows[0]))[0]
+
+
+def rank(rows: Sequence[Row]) -> int:
+    """Rank of a rectangular integer matrix: its pivot column count."""
+    return len(pivot_columns(rows))
 
 
 def integer_solve(rows: Sequence[Row], rhs: Row) -> tuple[list[int], int]:

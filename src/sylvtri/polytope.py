@@ -184,7 +184,8 @@ def _facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int,
     Each maps to an integer row, >= 0 on the cell and 0 exactly at the
     facet's points.  Beneath-beyond (Seidel 1981; Edelsbrunner,
     *Algorithms in Combinatorial Geometry*, 1987): the facets of the
-    simplex on the first d + 1 affinely independent points are its
+    simplex on the first d + 1 affinely independent points (verts[0] and
+    those at the pivot columns of the differences v - verts[0]) are its
     simplex_inverse rows; each further point x, in order, replaces the
     hull P of the points before it by conv(P + x).  A facet F with row
     f_F(x) < 0 is seen from x and goes; one with f_G(x) >= 0 stays a facet,
@@ -196,15 +197,9 @@ def _facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int,
     grown facet.  Raises DegenerateGeometry if the points do not span R^d.
     """
     base = verts[0]
-    simplex, diffs = [0], []
-    for i in range(1, len(verts)):
-        if len(diffs) == len(base):
-            break
-        diff = [x - y for x, y in zip(verts[i], base)]
-        if exact.rank(diffs + [diff]) > len(diffs):
-            simplex.append(i)
-            diffs.append(diff)
-    if len(diffs) != len(base):
+    columns = [[v[k] - base[k] for v in verts[1:]] for k in range(len(base))]
+    simplex = [0] + [j + 1 for j in exact.pivot_columns(columns)]
+    if len(simplex) != len(base) + 1:
         raise DegenerateGeometry("facets require a full-dimensional cell")
     rows = simplex_inverse([verts[i] for i in simplex])[0]
     sets = [frozenset(simplex) - {i} for i in simplex]

@@ -1,11 +1,12 @@
-"""Subdivision calculus: point stores, cells, constructors, structural checks.
+"""Subdivision calculus: point stores, cells, one constructor, structural checks.
 
 A Subdivision holds a lexicographically sorted point store plus maximal
-cells as sorted index tuples into that store.  The constructors
-(make_subdivision from explicit point data, apply_lattice_map) are pure:
-each returns a new Subdivision over the ambient vertices it is given or
-maps.  The pipeline assembles each level's columns and cones in one
-make_subdivision call; the pulling refinement is witness.pull_sweep.
+cells as sorted index tuples into that store.  Its constructor,
+make_subdivision, is pure: it assembles a new Subdivision from explicit
+point data over the ambient vertices it is given.  The pipeline builds
+every level in one make_subdivision call (each p2dual level's columns
+and cone, p2's images of the p2dual cells, p1's two cones); the pulling
+refinement is witness.pull_sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import and_
 from typing import Iterable, Sequence
 
 from . import exact, polytope
-from .errors import DegenerateGeometry, DomainError
+from .errors import DegenerateGeometry
 from .polytope import Point
 
 Cell = tuple[int, ...]
@@ -78,24 +79,6 @@ def make_subdivision(
     d = exact.affine_rank(ambient)
     cls = Triangulation if all(len(c) == d + 1 for c in cells) else Subdivision
     return cls(store, tuple(ambient), cells)
-
-
-def apply_lattice_map(
-    s: Subdivision, matrix: Sequence[Sequence[int]]
-) -> Subdivision:
-    """Pointwise image under a unimodular linear lattice map."""
-    if any(not isinstance(x, int) for row in matrix for x in row):
-        raise DomainError("lattice map must have integer entries")
-    if abs(exact.det_int([list(r) for r in matrix])) != 1:
-        raise DomainError("lattice map must have determinant +-1")
-
-    def img(p: Point) -> Point:
-        return tuple(sum(r * x for r, x in zip(row, p)) for row in matrix)
-
-    images = [img(p) for p in s.points]
-    cell_lists = [tuple(images[i] for i in c) for c in s.cells]
-    ambient = tuple(img(p) for p in s.ambient)
-    return make_subdivision(images, ambient, cell_lists)
 
 
 @dataclass

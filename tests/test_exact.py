@@ -127,7 +127,16 @@ def rank_matrices(draw):
 def test_rank_matches_fraction_oracle(rows):
     before = [list(row) for row in rows]
     assert exact.rank(rows) == oracles.fraction_rank(rows)
-    assert rows == before  # rank works on a copy
+    # the pivots are the greedy column basis: the oracle's rank grows one
+    # column at a time exactly at them
+    greedy, r = [], 0
+    for j in range(len(rows[0])):
+        grown = oracles.fraction_rank([row[: j + 1] for row in rows])
+        if grown > r:
+            greedy.append(j)
+            r = grown
+    assert exact.pivot_columns(rows) == greedy
+    assert rows == before  # rank and pivot_columns work on a copy
 
 
 @settings(max_examples=40, deadline=None)

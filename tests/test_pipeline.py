@@ -1,6 +1,7 @@
 """Pipeline tests: recursive construction, artifacts, caching."""
 
 import json
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -401,11 +402,17 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
 
 def _rational_reference(x):
     """The witness-entry rule through Fraction(x): a string it reads, equal
-    to the "p/q" or the str of what it reads."""
+    to the "p/q" or the str of what it reads.  A value whose str passes
+    Python's int-to-str digit limit has no canonical string, since int()
+    refuses one that long, so it is refused as non-canonical."""
     if not isinstance(x, str):
         raise TypeError(f"{x!r} is not a rational string")
     v = Fraction(x)
-    if x != f"{v.numerator}/{v.denominator}" and x != str(v):
+    try:
+        canonical = (f"{v.numerator}/{v.denominator}", str(v))
+    except ValueError:
+        canonical = ()
+    if x not in canonical:
         raise ValueError(f"{x!r} is not a canonical rational string")
     return v
 
@@ -430,6 +437,8 @@ RATIONAL_TABLE = [
     "1/0", "0/0", "-1/0", "1/0 ", "+1/0", "01/00",
     # refused with TypeError
     True, 0.5, 1, None, ["1/2"],
+    # refused with ValueError: a value no canonical string can hold
+    "1e4300",
 ]
 
 
@@ -452,6 +461,14 @@ def test_rational_matches_fraction_reference(x):
 )
 def test_rational_sweep_matches_fraction_reference(x):
     assert _outcome(pipeline._rational, x) == _outcome(_rational_reference, x)
+
+
+def test_rational_refuses_a_huge_exponent_without_evaluating_it():
+    # Fraction("1e999999999") would build a billion-digit power first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a canonical rational string"):
+        pipeline._rational("1e999999999")
+    assert time.perf_counter() - start < 1
 
 
 def _swept_with(monkeypatch, edit):

@@ -152,18 +152,33 @@ def test_pull_at_vertex_is_identity():
 SHEAR = [[1, 0], [1, 1]]  # (x, y) -> (x, x + y)
 
 
-def test_apply_lattice_map():
-    t = pipeline.triangulate_p2dual(2).triangulation
-    out = sd.apply_lattice_map(t, SHEAR)
-    assert out.points == (
-        (-1, -2), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (1, 0)
+def lattice_image(s, matrix):
+    """The image of s under the linear lattice map with these rows, built
+    by make_subdivision from the mapped store, ambient and cells."""
+    img = lambda p: tuple(sum(r * x for r, x in zip(row, p)) for row in matrix)
+    return sd.make_subdivision(
+        map(img, s.points),
+        [img(p) for p in s.ambient],
+        [[img(p) for p in s.cell_points(c)] for c in s.cells],
     )
-    shear = lambda p: (p[0], p[0] + p[1])
-    assert oracles.cell_point_sets(out) == {
-        frozenset(map(shear, cell)) for cell in oracles.cell_point_sets(t)
-    }
-    with pytest.raises(DomainError):
-        sd.apply_lattice_map(t, [[2, 0], [0, 1]])
+
+
+def test_triangulate_p2_transports_the_dual_level():
+    # at levels 1-4, every p2 cell is the image of a p2dual cell under the
+    # inverse duality map, one for one, and every p2 point q keeps the
+    # p2dual height at its preimage, the duality map's image of q
+    for n in (1, 2, 3, 4):
+        dual, p2 = pipeline.triangulate_p2dual(n), pipeline.triangulate_p2(n)
+        dmap = family.duality_map(n)
+        inverse = dmap.inverse().apply
+        t_dual, t2 = dual.triangulation, p2.triangulation
+        assert len(t2.cells) == len(t_dual.cells)
+        assert oracles.cell_point_sets(t2) == {
+            frozenset(map(inverse, cell))
+            for cell in oracles.cell_point_sets(t_dual)
+        }
+        for q, w in zip(t2.points, p2.witness.values):
+            assert w == dual.witness.values[t_dual.index[dmap.apply(q)]]
 
 
 def test_verify_detects_gap_and_overlap():
@@ -364,9 +379,9 @@ def test_verify_agrees_with_pairwise_oracle():
 
 
 def test_make_subdivision_is_a_triangulation_iff_its_cells_are_simplices():
-    # every constructor returns what make_subdivision derives from its
-    # cells: the level-3 glue holds polytopal columns, the slice, a cone
-    # over it and the images of a triangulation do not
+    # make_subdivision derives the class from the cells: the level-3 glue
+    # holds polytopal columns (as does its image under a lattice map), the
+    # slice, a cone over it and the image of a triangulation do not
     glued, _ = pre_sweep(3)
     z = apex(3)
     half = clip_halfspace(3)
@@ -382,8 +397,8 @@ def test_make_subdivision_is_a_triangulation_iff_its_cells_are_simplices():
         (glued, False),
         (slice_, True),
         (cone, True),
-        (sd.apply_lattice_map(glued, flip), False),
-        (sd.apply_lattice_map(pipeline.triangulate_p2dual(3).triangulation, flip), True),
+        (lattice_image(glued, flip), False),
+        (lattice_image(pipeline.triangulate_p2dual(3).triangulation, flip), True),
     ]
     for s, simplices in cases:
         assert all(len(c) == s.dim + 1 for c in s.cells) is simplices

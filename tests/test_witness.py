@@ -14,7 +14,14 @@ from sylvtri.errors import DegenerateGeometry, DimensionMismatch, DomainError
 from sylvtri.witness import RegularityWitness
 
 import oracles
-from test_subdivision import SHEAR, apex, off_apex, pre_sweep, segment_triangulation
+from test_subdivision import (
+    SHEAR,
+    apex,
+    lattice_image,
+    off_apex,
+    pre_sweep,
+    segment_triangulation,
+)
 
 
 def test_verify_regularity_1d():
@@ -216,7 +223,7 @@ def test_negative_monotonicity_detected():
 def test_transport_through_lattice_map():
     art = pipeline.triangulate_p2dual(2)
     tri = art.triangulation
-    mapped = sd.apply_lattice_map(tri, SHEAR)
+    mapped = lattice_image(tri, SHEAR)
     # each image q = (x, x + y) keeps the height of its preimage (x, y)
     w2 = RegularityWitness(
         tuple(art.witness.values[tri.index[(q[0], q[1] - q[0])]] for q in mapped.points)
