@@ -226,12 +226,10 @@ def inner_functionals(vertices: Sequence[Point]) -> list[tuple[int, ...]]:
     Each row is >= 0 on the cell and 0 on exactly one facet (read with
     row_at): a simplex's simplex_inverse rows, in vertex order, or a
     polytopal cell's beneath-beyond rows (_facet_index_sets), ordered by
-    their facets' sorted index sets.
+    their facets' sorted index sets.  Both raise DegenerateGeometry on a
+    cell that does not span R^d: a flat simplex's matrix is singular.
     """
-    dim = len(vertices[0])
-    if exact.affine_rank(vertices) != dim:
-        raise DegenerateGeometry("inner_functionals requires a full-dimensional cell")
-    if len(vertices) == dim + 1:
+    if len(vertices) == len(vertices[0]) + 1:
         return simplex_inverse(vertices)[0]
     facets = _facet_index_sets(vertices)
     return [facets[fs] for fs in sorted(facets, key=sorted)]
@@ -246,12 +244,14 @@ def triangulate_cell(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
     facets alone: the facets of a face F are the maximal proper sets F & G,
     G a facet of the cell, since every face of F is a face of the cell, an
     intersection of its facets.  A k-face with k + 1 points is a simplex.
+    Raises DegenerateGeometry on a cell that does not span R^d: the
+    simplex shortcut checks it, _facet_index_sets any other cell.
     """
     verts = tuple(sorted(vertices))
     dim = len(verts[0])
-    if exact.affine_rank(verts) != dim:
-        raise DegenerateGeometry("triangulate_cell requires a full-dimensional cell")
     if len(verts) == dim + 1:
+        if exact.affine_rank(verts) != dim:
+            raise DegenerateGeometry("triangulate_cell requires a full-dimensional cell")
         return [verts]
     facets = list(_facet_index_sets(verts))
 

@@ -88,7 +88,9 @@ def _bent_wall(
     second, it is strict when the vertex q of c' off it lies strictly above
     form(c).  One side suffices when c and c' lie on opposite sides: A' - A
     vanishes on the wall, so (A' - A)(q) = w(q) - A(q) and, at the vertex
-    p of c off it, (A' - A)(p) = A'(p) - w(p) have opposite signs.
+    p of c off it, (A' - A)(p) = A'(p) - w(p) have opposite signs.  Both
+    sides of w(q) * den <= row_at(row, q) are scaled by w(q)'s denominator,
+    so the test stays in integers.
     """
     walls: dict[frozenset[int], Cell] = {}  # facets met once so far
     for c in cells:
@@ -99,7 +101,8 @@ def _bent_wall(
                 walls[fs] = c
                 continue
             q = next(i for i in other if i not in fs)
-            if values[q] * den <= row_at(row, pts[q]):
+            v = values[q]
+            if v.numerator * den <= row_at(row, pts[q]) * v.denominator:
                 return c, other, fs
     return None
 
@@ -222,52 +225,41 @@ def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
     return tuple(x // g for x in row), den // g
 
 
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer row divided by its gcd, a positive factor."""
+    g = gcd(*row)
+    return tuple([x // g for x in row])
+
+
 def _pyramid(
     sets: Sequence[frozenset[int]],
     rows: Sequence[Sequence[int]],
     lam: Sequence[int],
     f: int,
     m_index: int,
-    carried: dict[int, Sequence[int]],
-) -> tuple[list[frozenset[int]], list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
+) -> tuple[list[frozenset[int]], list[Sequence[int]]]:
     """The pyramid from a store point m over facet F = sets[f] of a cell.
 
-    sets and rows are the cell's facets: store-index sets and integer rows,
-    >= 0 on the cell and 0 on the facet (read with row_at).  lam are m's
-    values on the rows, lam[f] > 0.  The pyramid's facets are F and, for
-    each facet G meeting F in a ridge (polytope.ridges), conv((F & G) + m),
-    whose row lam[f] f_G - lam[g] f_F, divided by its gcd k
-    (polytope.ridge_row), vanishes at m and on F & G and is positive on
-    F - G.  The facets come sorted by their least vertex off them, so a
-    simplex's rows come in vertex order, as simplex_inverse's do.
-
-    carried maps points to their values on the cell's rows.  By the same
-    identity a point's value on the row from G is (lam[f] nu[g] - lam[g]
-    nu[f]) / k, so no coordinates are read; the pyramid holds the point
-    iff none is negative.  Returns the facet sets, their rows and the
-    carried points the pyramid holds, with their values on those rows.
+    sets and rows are the cell's facets: store-index sets and primitive
+    integer rows, >= 0 on the cell and 0 on the facet (read with row_at).
+    lam are m's values on the rows, lam[f] > 0.  The pyramid's facets are
+    F and, for each facet G meeting F in a ridge (polytope.ridges),
+    conv((F & G) + m), whose row lam[f] f_G - lam[g] f_F over its gcd
+    (polytope.ridge_row) vanishes at m and on F & G and is positive on
+    F - G.  Where lam[g] = 0 that row is f_G itself, as f_G is primitive,
+    so it is kept.  The facets come sorted by their least vertex off them,
+    so a simplex's rows come in vertex order, as simplex_inverse's do.
+    Returns the facet sets and their rows, again primitive.
     """
     fset, frow, lf = sets[f], rows[f], lam[f]
     meets = ridges(sets, f)
-    # (least vertex off, g, lam[g], k, row (lam[f] f_G - lam[g] f_F) / k);
-    # F's own row is f_F, which is that row with lam[g] read as 0, k as lam[f]
-    out = [(m_index, f, 0, lf, tuple(frow))]
+    out = [(m_index, f, frow)]  # (least vertex off, g, row)
     for g, ridge in meets.items():
-        row, k = ridge_row(lf, frow, lam[g], rows[g])
-        out.append((min(fset - ridge), g, lam[g], k, row))
-    out.sort()
-    found: dict[int, tuple[int, ...]] = {}
-    for pi, nu in carried.items():
-        nf, values = nu[f], []
-        for _, g, lg, k, _ in out:
-            x = (lf * nu[g] - lg * nf) // k
-            if x < 0:
-                break
-            values.append(x)
-        else:
-            found[pi] = tuple(values)
-    child_sets = [fset if g == f else meets[g] | {m_index} for _, g, *_ in out]
-    return child_sets, [facet[-1] for facet in out], found
+        row = rows[g] if lam[g] == 0 else ridge_row(lf, frow, lam[g], rows[g])[0]
+        out.append((min(fset - ridge), g, row))
+    out.sort()  # (least vertex off, g) is unique, so rows are not compared
+    child_sets = [fset if g == f else meets[g] | {m_index} for _, g, _ in out]
+    return child_sets, [row for *_, row in out]
 
 
 def _columns(pts: Sequence[Point]) -> dict[Point, tuple[int, list[int]]]:
@@ -303,6 +295,43 @@ def _candidates(cols, verts: Sequence[Point], rows) -> Iterator[int]:
         yield from range(start + bisect_left(ts, tlo), start + bisect_right(ts, thi))
 
 
+def _cells_on(star: Sequence[set[Cell]], face: Iterable[int]) -> set[Cell]:
+    """The cells with every point of face as a vertex (star[i]: those with
+    vertex i), so the cells containing the face.  The smallest star goes
+    first, since set.intersection copies its first argument."""
+    return set.intersection(*sorted([star[i] for i in face], key=len))
+
+
+def _walk(
+    m: Point,
+    c: Cell,
+    rows: dict[Cell, Sequence[Sequence[int]]],
+    facet_sets: Callable[[Cell], Sequence[frozenset[int]]],
+    star: Sequence[set[Cell]],
+) -> set[Cell]:
+    """The cells containing m, by a walk from cell c (see pull_sweep).
+
+    rows holds each live cell's facet rows, >= 0 on it, in the order of
+    its facet_sets; star[i] holds the cells with vertex i.  Raises
+    DomainError when the walk leaves the cells or passes len(rows) of them.
+    """
+    for _ in range(len(rows)):
+        lam = [row_at(r, m) for r in rows[c]]
+        sets = facet_sets(c)
+        beyond = next((f for f, x in enumerate(lam) if x < 0), None)
+        if beyond is None:
+            through = [sets[f] for f, x in enumerate(lam) if x == 0]
+            return _cells_on(star, set(c).intersection(*through))
+        across = _cells_on(star, sets[beyond]) - {c}
+        if not across:
+            raise DomainError(
+                f"store point {m} is not covered by any cell: the walk "
+                f"leaves cell {c} across facet {sorted(sets[beyond])}"
+            )
+        c = across.pop()
+    raise DomainError(f"the walk to store point {m} passed {len(rows)} cells")
+
+
 def pull_sweep(
     s: Subdivision, w: RegularityWitness
 ) -> tuple[Triangulation, RegularityWitness, list[tuple[Point, Fraction]]]:
@@ -332,12 +361,31 @@ def pull_sweep(
     bound is the supremum of the feasible drops, so it equals witness_pull's
     whole-store bound, whose constraints follow from convexity.
 
-    One map, star[i], holds the cells that contain store point i.  In a
-    polyhedral subdivision a point that is a vertex of c and lies in c'
-    lies in the common face c & c', so it is a vertex of that face and
-    hence of c': every point is a vertex of all the cells containing it or
-    of none, and pulling keeps the cells a subdivision.  A pull at m visits
-    a snapshot of star[m], taken before any split changes it.
+    One map, star[i], holds the cells with vertex i.  In a polyhedral
+    subdivision a point that is a vertex of c and lies in c' lies in the
+    common face c & c', so it is a vertex of that face and hence of c':
+    every point is a vertex of all the cells containing it or of none, and
+    pulling keeps the cells a subdivision.  So star[m], when not empty,
+    holds every cell containing m.  Otherwise a walk locates m
+    (Devillers-Pion-Teillaud, "Walking in a triangulation", 2002).  It
+    starts at a cell through the previously pulled point, m's neighbour in
+    the store's order, and while some facet row of its cell is negative at
+    m it crosses the first such facet to the cell across it, found by
+    intersecting the stars of the facet's vertices.  The cells are the
+    domains of linearity of the convex g, so the subdivision is regular,
+    and in a regular subdivision the relation "c' lies across a facet of c
+    that separates c from m" is acyclic (Edelsbrunner, "An acyclicity
+    theorem for cell complexes in d dimensions", Combinatorica 1990): the
+    walk visits no cell twice and ends within as many steps as there are
+    live cells.  It raises DomainError past that cap, and at a facet with
+    no cell across it, which lies on the boundary of the convex P, so m
+    lies outside P.  In the cell c it reaches, the vertices on every facet
+    through m span the face of c that holds m in its relative interior,
+    and a cell contains m iff it contains that face: c & c' is a face of c
+    through m, so it contains the least one.  The cells containing m are
+    thus the intersection of the stars of that face's vertices, as the
+    cell across a facet is in the bound phase below.  A pull at m visits a
+    snapshot of those cells, taken before any split changes them.
 
     The cells through m after a pull are pyramids with apex m, and only
     the facet F opposite m bounds eps, so each carries F: a simplex that
@@ -360,18 +408,16 @@ def pull_sweep(
     facets from the cells again, so the final proof does not rest on the
     sweep's bookkeeping.
 
-    The sweep runs on integers.  Every cell keeps integer facet rows, >= 0
-    on it and 0 on one facet each: a simplex its simplex_inverse rows in
-    vertex order, up to positive factors, with its facets implicit; a
-    polytopal cell also its facets' vertex sets.  A cell holding m splits
+    The sweep runs on integers.  Every cell keeps primitive integer facet
+    rows, >= 0 on it and 0 on one facet each: a simplex its simplex_inverse
+    rows in vertex order, up to positive factors, with its facets implicit;
+    a polytopal cell also its facets' vertex sets.  A cell holding m splits
     into the pyramids from m over the facets F with lam_F = f_F(m) > 0.
     Each pyramid's facets are F and one per ridge F & G, with row lam_F f_G
-    - lam_G f_F over its gcd, and its points' values follow from their
-    values on the parent by the same ratio identity (_pyramid), so no
-    coordinates are read; a simplex keeps those values, a polytopal cell
-    only which points it holds.  Interpolants are integer forms in lowest
-    terms, phi_m and drop bounds are compared by cross-multiplication, and
-    only witness values and drops are Fractions.
+    - lam_G f_F over its gcd, which is f_G where lam_G = 0 (_pyramid), so
+    no coordinates but m's are read.  Interpolants are integer forms in
+    lowest terms, phi_m and drop bounds are compared by cross-multiplication,
+    and only witness values and drops are Fractions.
     """
     pts = s.points
     npts = len(pts)
@@ -383,19 +429,14 @@ def pull_sweep(
     rows: dict[Cell, Sequence[Sequence[int]]] = {}  # facet rows; keys: live cells
     facets: dict[Cell, list[frozenset[int]]] = {}  # vertex sets, polytopal cells
     cache: dict[Cell, Form] = {}  # interpolants
-    star: list[set[Cell]] = [set() for _ in range(npts)]  # cells containing i
-    # the points a cell holds off its vertices: their values on its facet
-    # rows in a simplex, None in a polytopal cell
-    located: dict[Cell, dict[int, tuple[int, ...] | None]] = {}
+    star: list[set[Cell]] = [set() for _ in range(npts)]  # cells with vertex i
 
     def facet_sets(c: Cell) -> list[frozenset[int]]:
         return facets.get(c) or _simplex_facets(c)
 
-    def add(c: Cell, found: dict[int, tuple[int, ...] | None]) -> None:
-        for i in (*c, *found):
+    def add(c: Cell) -> None:
+        for i in c:
             star[i].add(c)
-        if found:
-            located[c] = found
 
     def check_convex(when: str) -> None:
         bent = _bent_wall(rows, facet_sets, cache.__getitem__, vals, pts)
@@ -406,17 +447,15 @@ def pull_sweep(
                 f"{other} across facet {sorted(fs)}"
             )
 
-    # the certificate pass before the first pull: every facet row and
-    # interpolant, in lowest terms, then each starting cell's points, found
-    # on vertical lines (exactly, so only a simplex computes their values)
-    # and checked to lie at or above the cell, then the walls
+    # the certificate pass before the first pull: every facet row, made
+    # primitive, and interpolant, in lowest terms, then each starting
+    # cell's points, found on vertical lines, checked to lie at or above
+    # the cell, then the walls
     heights, scale = _common_scale(w)
     for c in s.cells:
         verts = [pts[i] for i in c]
-        if len(c) == dim + 1:
-            rows[c] = polytope.simplex_inverse(verts)[0]
-        else:
-            rows[c] = polytope.inner_functionals(verts)
+        rows[c] = list(map(_primitive, polytope.inner_functionals(verts)))
+        if len(c) != dim + 1:
             facets[c] = [
                 frozenset(i for i in c if row_at(row, pts[i]) == 0)
                 for row in rows[c]
@@ -424,29 +463,27 @@ def pull_sweep(
         row, den = _cell_form(verts, [heights[i] for i in c])
         g = gcd(den * scale, *row)
         cache[c] = (tuple(x // g for x in row), den * scale // g)
+        add(c)
     cols = _columns(pts)
     for c in s.cells:
         row, den = cache[c]
-        found: dict[int, tuple[int, ...] | None] = {}
         for pi in _candidates(cols, [pts[i] for i in c], rows[c]):
-            if pi in c:
-                continue
             p, v = pts[pi], vals[pi]
-            if v.numerator * den < row_at(row, p) * v.denominator:
+            if pi not in c and v.numerator * den < row_at(row, p) * v.denominator:
                 raise DomainError(
                     f"witness is not convex before the pull: store point {p} "
                     f"lies below cell {c}"
                 )
-            found[pi] = None if c in facets else tuple([row_at(r, p) for r in rows[c]])
-        add(c, found)
     check_convex("before")
 
     log: list[tuple[Point, Fraction]] = []
     for m_index in range(npts):
         m = pts[m_index]
-        incident = tuple(star[m_index])  # before any split changes it
-        if not incident:
-            raise DomainError(f"store point {m} is not covered by any cell")
+        if star[m_index]:
+            incident = tuple(star[m_index])  # before any split changes it
+        else:
+            start = star[m_index - 1] if m_index else rows
+            incident = tuple(_walk(m, next(iter(start)), rows, facet_sets, star))
         pn, pd = None, 1  # phi_m = pn / pd, the least interpolant at m
         for row, den in map(cache.get, incident):
             x = row_at(row, m)
@@ -469,8 +506,7 @@ def pull_sweep(
                 fk = parent[:k] + parent[k + 1 :]
                 eps_cells.append((parent, cache[parent], (prows[k], lam_k), fk))
                 continue
-            held = located.get(parent, {})
-            lam = held.get(m_index) or [row_at(r, m) for r in prows]
+            lam = [row_at(r, m) for r in prows]
             seen = [f for f, x in enumerate(lam) if x > 0]
             a0 = cache[parent]
             sets = facet_sets(parent)
@@ -478,24 +514,16 @@ def pull_sweep(
                 f = seen[0]
                 eps_cells.append((parent, a0, (prows[f], lam[f]), sets[f]))
                 continue
-            carried = {
-                pi: nu or [row_at(r, pts[pi]) for r in prows]
-                for pi, nu in held.items()
-                if pi != m_index
-            }
             del rows[parent], cache[parent]
             facets.pop(parent, None)
-            for i in (*parent, *located.pop(parent, ())):
+            for i in parent:
                 star[i].discard(parent)
             for f in seen:
                 key = tuple(sorted(sets[f] | {m_index}))
-                child_sets, rows[key], found = _pyramid(
-                    sets, prows, lam, f, m_index, carried
-                )
+                child_sets, rows[key] = _pyramid(sets, prows, lam, f, m_index)
                 if len(key) != dim + 1:
                     facets[key] = child_sets
-                    found = dict.fromkeys(found)
-                add(key, found)
+                add(key)
                 eps_cells.append((key, a0, (prows[f], lam[f]), sets[f]))
 
         # bound eps by the facet F opposite m of each cell through m: the
@@ -506,7 +534,7 @@ def pull_sweep(
         bn: int | None = None
         bd = 1
         for c, (arow, ad), (lrow, ld), fs in eps_cells:
-            others = set.intersection(*[star[i] for i in fs]) - {c}
+            others = _cells_on(star, fs) - {c}
             for pi in [i for other in others for i in other if i not in fs]:
                 p = pts[pi]
                 ln = row_at(lrow, p)

@@ -350,10 +350,16 @@ def test_facets_match_cofactor_scan(verts, seed):
 
 
 def test_facets_refuse_lower_dimensional_input():
+    # no rank check runs first: simplex_inverse refuses a flat simplex,
+    # _facet_index_sets a flat polytopal cell, and triangulate_cell's
+    # simplex shortcut keeps its own check
     for verts in (
         [(0, 0), (1, 1), (2, 2), (1, 1)],  # collinear in the plane
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],  # coplanar
         [(1, 2, 3)] * 5,  # one point, repeated
+        [(0, 0), (1, 1), (3, 3)],  # a flat triangle
+        [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],  # a flat tetrahedron
+        [(0, 0, 0), (1, 2, 0), (2, 4, 0)],  # too few points to span R^3
     ):
         for fn in (
             polytope._facet_index_sets,

@@ -679,13 +679,11 @@ def _check_pyramids(pts, c, depth):
     """Split cell c of store pts at each store point m over each facet m
     sees, and the polytopal pyramids inside those depth - 1 levels deeper,
     checking every pyramid against a direct computation: its facets come
-    sorted by their least vertex off them; a simplex's rows equal its
-    simplex_inverse rows in vertex order, a polytopal cell's its inner
-    functionals, up to a positive factor; every store point's derived
-    values equal direct row evaluation, with rejection exactly where one of
-    those is negative.  A simplex c's inverse rows over D are checked
-    against an exact solve first.  Returns the simplex and polytopal pyramids
-    checked."""
+    sorted by their least vertex off them; its rows are primitive and equal
+    a simplex's simplex_inverse rows in vertex order, or a polytopal cell's
+    inner functionals, up to a positive factor.  A simplex c's inverse rows
+    over D are checked against an exact solve first.  Returns the simplex
+    and polytopal pyramids checked."""
     dim = len(pts[0])
     if len(c) == dim + 1:  # inverse rows over D: barycentric coordinates
         verts = [pts[i] for i in c]
@@ -694,37 +692,35 @@ def _check_pyramids(pts, c, depth):
             want = _solve_bary(verts, m)
             assert [Fraction(polytope.row_at(row, m), d) for row in adj] == want
     simplices = polytopal = 0
-    todo = [(c, *_cell_facets(pts, c), depth)]
+    sets, rows = _cell_facets(pts, c)
+    todo = [(c, sets, list(map(_primitive, rows)), depth)]
     while todo:
         cell, sets, rows, depth = todo.pop()
-        values = {i: [polytope.row_at(r, p) for r in rows] for i, p in enumerate(pts)}
-        for mi, lam in values.items():
+        for mi, m in enumerate(pts):
+            lam = [polytope.row_at(r, m) for r in rows]
             if len(cell) > dim + 1 and min(lam) < 0:
                 continue  # polytopal parents split at their own points
             for f in range(len(rows)):
                 if lam[f] <= 0:
                     continue
-                got_sets, got_rows, found = wt._pyramid(sets, rows, lam, f, mi, values)
+                got_sets, got_rows = wt._pyramid(sets, rows, lam, f, mi)
+                got_rows = list(map(tuple, got_rows))
                 child = tuple(sorted(sets[f] | {mi}))
                 want_sets, want_rows = _cell_facets(pts, child)
                 off = [min(set(child) - fs) for fs in got_sets]
                 assert off == sorted(off)
+                assert got_rows == list(map(_primitive, got_rows))
                 if len(child) == dim + 1:
                     assert got_sets == want_sets
-                    assert list(map(_primitive, got_rows)) == [
-                        _primitive(row) for row in want_rows
-                    ]
+                    assert got_rows == list(map(_primitive, want_rows))
                     simplices += 1
                 else:
-                    assert dict(zip(got_sets, map(_primitive, got_rows))) == dict(
+                    assert dict(zip(got_sets, got_rows)) == dict(
                         zip(want_sets, map(_primitive, want_rows))
                     )
                     polytopal += 1
                     if depth > 1:
                         todo.append((child, got_sets, got_rows, depth - 1))
-                for pi, p in enumerate(pts):
-                    want = tuple(polytope.row_at(row, p) for row in got_rows)
-                    assert found.get(pi) == (want if min(want) >= 0 else None)
     return simplices, polytopal
 
 
@@ -754,20 +750,53 @@ def test_pyramid_facets_match_inner_functionals():
     assert checked > 100
 
 
-def test_split_numerators_match_derived_inverse():
-    # five simplices sampled from each store, split at every store point
-    # with a positive coordinate: each store point's values on the child,
-    # derived from its values on the parent, equal direct row evaluation,
-    # with rejection exactly where one of those is negative
-    checked = 0
-    for s in _pyramid_stores():
-        pts, dim = s.points, s.ambient_dim
-        rng = random.Random(len(pts))
-        for _ in range(5):
-            c = tuple(sorted(rng.sample(range(len(pts)), dim + 1)))
-            if exact.affine_rank([pts[i] for i in c]) == dim:
-                checked += _check_pyramids(pts, c, 1)[0] * len(pts)
-    assert checked > 1000
+def _walk_state(s):
+    """The rows, facet sets and vertex stars of a subdivision's cells, as
+    pull_sweep keeps them, found directly."""
+    rows, sets = {}, {}
+    star = [set() for _ in s.points]
+    for c in s.cells:
+        sets[c], rows[c] = _cell_facets(s.points, c)
+        for i in c:
+            star[i].add(c)
+    return rows, sets, star
+
+
+def test_walk_finds_the_cells_containing_each_point():
+    # from every cell of the level-2 and level-3 glue, of the level-3
+    # triangulation and of criterion 10's configurations, the walk to each
+    # store point ends at exactly the cells the membership oracle puts it in
+    starts = [_level2_glue()[0], _level3_start()[0]]
+    starts.append(pipeline.triangulate_p2dual(3).triangulation)
+    starts += [s for s, _ in _criterion10_configs()]
+    walks = 0
+    for s in starts:
+        rows, sets, star = _walk_state(s)
+        geoms = {c: oracles.CellPolytope(s.cell_points(c)) for c in s.cells}
+        for p in s.points:
+            want = {
+                c for c, geom in geoms.items()
+                if oracles.contains(geom, p) is not oracles.Membership.OUTSIDE
+            }
+            for c in s.cells:
+                assert wt._walk(p, c, rows, sets.__getitem__, star) == want
+                walks += 1
+    assert walks > 2000
+
+
+def test_walk_refuses_a_point_outside_the_cells():
+    # a point outside P leaves the cells through a boundary facet; pull_sweep
+    # refuses a store point that no cell covers the same way
+    s, _ = _level3_start()
+    rows, sets, star = _walk_state(s)
+    for p in [(5, 0, 0), (-2, -1, -1), (0, 0, 9)]:
+        for c in s.cells:
+            with pytest.raises(DomainError, match="not covered by any cell"):
+                wt._walk(p, c, rows, sets.__getitem__, star)
+    pts = [(0, 0), (0, 1), (1, 0), (3, 3)]
+    uncovered = sd.make_subdivision(pts, pts[:3], [pts[:3]])
+    with pytest.raises(DomainError, match=r"store point \(3, 3\) is not covered"):
+        wt.pull_sweep(uncovered, RegularityWitness((0, 0, 0, 1)))
 
 
 def test_vertical_location_matches_store_scan():
