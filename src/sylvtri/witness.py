@@ -11,13 +11,12 @@ certified, never assumed.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import DegenerateGeometry, DimensionMismatch, DomainError
@@ -262,39 +261,6 @@ def _pyramid(
     return child_sets, [row for *_, row in out]
 
 
-def _columns(pts: Sequence[Point]) -> dict[Point, tuple[int, list[int]]]:
-    """Each vertical line of the sorted store: its first store index and
-    its points' last coordinates, which come consecutive and ascending."""
-    cols: dict[Point, tuple[int, list[int]]] = {}
-    for i, p in enumerate(pts):
-        cols.setdefault(p[:-1], (i, []))[1].append(p[-1])
-    return cols
-
-
-def _candidates(cols, verts: Sequence[Point], rows) -> Iterator[int]:
-    """Store indices of the points of a cell, read off the vertical lines.
-
-    rows are >= 0 exactly on the cell.  On a line in the cell's box each
-    row cuts an exact integer interval of last coordinates t; bisection
-    finds the store points in all of them.
-    """
-    lo = [min(x) for x in zip(*verts)]
-    hi = [max(x) for x in zip(*verts)]
-    for y, (start, ts) in cols.items():
-        if any(x < a or x > b for a, x, b in zip(lo, y, hi)):
-            continue
-        tlo, thi = lo[-1], hi[-1]
-        for row in rows:
-            a, b = row[-2], row_at(row, y)
-            if a > 0:
-                tlo = max(tlo, -(b // a))
-            elif a < 0:
-                thi = min(thi, b // -a)
-            elif b < 0:
-                thi = tlo - 1
-        yield from range(start + bisect_left(ts, tlo), start + bisect_right(ts, thi))
-
-
 def _cells_on(star: Sequence[set[Cell]], face: Iterable[int]) -> set[Cell]:
     """The cells with every point of face as a vertex (star[i]: those with
     vertex i), so the cells containing the face.  The smallest star goes
@@ -352,6 +318,16 @@ def pull_sweep(
     store point p off a cell c, as the oracle check_intermediate asks.
     After the last pull every store point is a vertex, so the wall check,
     run once more, proves the output witness.
+
+    The pass checks the walls first.  Once none is bent, the cells are the
+    domains of linearity of the convex g, so the walk below, whose end
+    rests on that, locates each store point p that is no vertex, in store
+    order, each from a cell found for the one before.  One cell holding p
+    then decides it: every cell containing p contains the face that holds
+    p in its relative interior, each interpolant on that face is the
+    affine interpolation of the same vertex heights, and the face's
+    vertices span it, so every such cell gives p the same value g(p).  The
+    pass compares w(p) with the least of them, which an error names.
 
     A pull at m lowers g, so the precondition holds after it iff the walls
     of the new cells, all through m, are strict.  Such a cell's
@@ -422,7 +398,7 @@ def pull_sweep(
     pts = s.points
     npts = len(pts)
     dim = len(pts[0])
-    vals = [Fraction(v) for v in w.values]
+    vals = list(w.values)
     if len(vals) != npts:
         raise DimensionMismatch("witness length does not match the point store")
 
@@ -448,9 +424,9 @@ def pull_sweep(
             )
 
     # the certificate pass before the first pull: every facet row, made
-    # primitive, and interpolant, in lowest terms, then each starting
-    # cell's points, found on vertical lines, checked to lie at or above
-    # the cell, then the walls
+    # primitive, and interpolant, in lowest terms, then the walls, then
+    # each store point that is no vertex, found by a walk from the one
+    # before it, checked to lie at or above one cell holding it
     heights, scale = _common_scale(w)
     for c in s.cells:
         verts = [pts[i] for i in c]
@@ -464,17 +440,19 @@ def pull_sweep(
         g = gcd(den * scale, *row)
         cache[c] = (tuple(x // g for x in row), den * scale // g)
         add(c)
-    cols = _columns(pts)
-    for c in s.cells:
-        row, den = cache[c]
-        for pi in _candidates(cols, [pts[i] for i in c], rows[c]):
-            p, v = pts[pi], vals[pi]
-            if pi not in c and v.numerator * den < row_at(row, p) * v.denominator:
-                raise DomainError(
-                    f"witness is not convex before the pull: store point {p} "
-                    f"lies below cell {c}"
-                )
     check_convex("before")
+    at = next(iter(rows), None)  # the cell found for the last point located
+    for pi in range(npts):
+        if star[pi]:
+            continue
+        p, v = pts[pi], vals[pi]
+        at = min(_walk(p, at, rows, facet_sets, star))
+        row, den = cache[at]
+        if v.numerator * den < row_at(row, p) * v.denominator:
+            raise DomainError(
+                f"witness is not convex before the pull: store point {p} "
+                f"lies below cell {at}"
+            )
 
     log: list[tuple[Point, Fraction]] = []
     for m_index in range(npts):
@@ -557,7 +535,7 @@ def pull_sweep(
         log.append((m, eps))
 
     check_convex("after")
-    if any(len(c) != s.dim + 1 for c in rows):
+    if any(len(c) != dim + 1 for c in rows):
         raise DomainError("pulling at all points did not yield simplices")
     tri = Triangulation(pts, s.ambient, tuple(sorted(rows)))
     return tri, RegularityWitness(tuple(vals)), log

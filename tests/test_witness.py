@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -799,20 +800,47 @@ def test_walk_refuses_a_point_outside_the_cells():
         wt.pull_sweep(uncovered, RegularityWitness((0, 0, 0, 1)))
 
 
-def test_vertical_location_matches_store_scan():
-    # the store points each starting cell finds on vertical lines are the
-    # store points the membership oracle puts in the cell
-    for s, _ in [_level3_start()] + list(_criterion10_configs()):
-        cols = wt._columns(s.points)
-        for c in s.cells:
-            verts = s.cell_points(c)
-            if len(c) == s.ambient_dim + 1:
-                rows = polytope.simplex_inverse(verts)[0]
-            else:
-                rows = polytope.inner_functionals(verts)
-            geom = oracles.CellPolytope(verts)
-            want = [
-                i for i, p in enumerate(s.points)
-                if oracles.contains(geom, p) is not oracles.Membership.OUTSIDE
+def test_pull_sweep_checks_each_point_against_one_cell(monkeypatch):
+    # the non-vertex points of the level-3 and level-4 starts, each in two
+    # or more cells (up to 11 at level 4): every cell holding p gives the
+    # same value g(p), so the pass before the first pull checks p against
+    # one of them.  Heights at g(p) are accepted; one lowered by 2^-60 is
+    # refused before any pull, naming the least cell holding p
+    pulls = []
+    power_drop = wt._largest_power_drop
+    monkeypatch.setattr(
+        wt, "_largest_power_drop", lambda up: pulls.append(up) or power_drop(up)
+    )
+    most = 0
+    for n in (3, 4):
+        s, w = pre_sweep(n)
+        boxes = {c: list(zip(*s.cell_points(c))) for c in s.cells}
+        interpolants = {c: oracles.cell_interpolant(s, c, w) for c in s.cells}
+        vertices = set().union(*s.cells)
+        at_g = list(w.values)
+        lowered = []
+        for pi, p in enumerate(s.points):
+            if pi in vertices:
+                continue
+            cells = [  # a point outside a cell's box is outside the cell
+                c for c, box in boxes.items()
+                if all(min(xs) <= x <= max(xs) for x, xs in zip(p, box))
+                and oracles.contains(oracles.CellPolytope(s.cell_points(c)), p)
+                is not oracles.Membership.OUTSIDE
             ]
-            assert list(wt._candidates(cols, verts, rows)) == want
+            values = {interpolants[c](p) for c in cells}
+            assert len(cells) >= 2 and len(values) == 1
+            most = max(most, len(cells))
+            at_g[pi] = values.pop()
+            lowered.append((pi, at_g[pi] - Fraction(1, 2**60), min(cells)))
+        tri, w_tri, _ = wt.pull_sweep(s, RegularityWitness(tuple(at_g)))
+        assert wt.verify_regularity(tri, w_tri).regular
+        for pi, v, c in lowered:
+            vals = list(at_g)
+            vals[pi] = v
+            pulls.clear()
+            below = re.escape(f"store point {s.points[pi]} lies below cell {c}")
+            with pytest.raises(DomainError, match=below):
+                wt.pull_sweep(s, RegularityWitness(tuple(vals)))
+            assert not pulls
+    assert most == 11
