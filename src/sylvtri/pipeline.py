@@ -5,7 +5,10 @@ over the previous level and one cone over their tops, assembled at once,
 then pulling at every lattice point), transports it to the second family
 through the duality map, and extends it to the first family by a pair of
 cones.  Every artifact carries its regularity witness and an
-ordered provenance log sufficient to replay the construction.
+ordered provenance log of the steps that built it: each level's
+pullback, the glue and cone apexes with their heights, the lattice map,
+and every pulled point with its drop.  No command replays the log yet:
+verify checks the cells and the witness, not the steps.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ certified, never assumed.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -249,6 +250,10 @@ def _pyramid(
     so it is kept.  The facets come sorted by their least vertex off them,
     so a simplex's rows come in vertex order, as simplex_inverse's do.
     Returns the facet sets and their rows, again primitive.
+
+    pull_sweep splits its polytopal cells here.  It splits a simplex by
+    position (_split_simplex), which the tests hold to this function over
+    _simplex_facets.
     """
     fset, frow, lf = sets[f], rows[f], lam[f]
     meets = ridges(sets, f)
@@ -259,6 +264,39 @@ def _pyramid(
     out.sort()  # (least vertex off, g) is unique, so rows are not compared
     child_sets = [fset if g == f else meets[g] | {m_index} for _, g, _ in out]
     return child_sets, [row for *_, row in out]
+
+
+def _split_simplex(
+    parent: Cell,
+    rows: Sequence[Sequence[int]],
+    lam: Sequence[int],
+    k: int,
+    m_index: int,
+) -> tuple[Cell, list[Sequence[int]], Cell]:
+    """The pyramid from store point m over facet F of a simplex, F the
+    facet opposite vertex k.
+
+    The same pyramid as _pyramid's, read off positions: rows are the
+    simplex's primitive rows in vertex order, row j vanishing on the facet
+    G_j without parent[j], and lam m's values on them, lam[k] > 0.  In a
+    simplex every two facets meet in a ridge, so no ridge search is needed:
+    the child replaces vertex k by m, its facet opposite m is F with
+    rows[k], and its facet opposite each other vertex parent[j] is
+    conv((F & G_j) + m), with row ridge_row(lam[k], rows[k], lam[j],
+    rows[j]), or rows[j] itself where lam[j] = 0.  Returns the child's
+    sorted vertex tuple, its rows in that vertex order and F, the parent
+    without vertex k.
+    """
+    fk = parent[:k] + parent[k + 1 :]
+    lk, rk = lam[k], rows[k]
+    child_rows = [
+        rows[j] if lam[j] == 0 else ridge_row(lk, rk, lam[j], rows[j])[0]
+        for j in range(len(parent))
+        if j != k
+    ]
+    at = bisect(fk, m_index)
+    child_rows.insert(at, rk)
+    return fk[:at] + (m_index,) + fk[at:], child_rows, fk
 
 
 def _cells_on(star: Sequence[set[Cell]], face: Iterable[int]) -> set[Cell]:
@@ -277,22 +315,32 @@ def _walk(
 ) -> set[Cell]:
     """The cells containing m, by a walk from cell c (see pull_sweep).
 
-    rows holds each live cell's facet rows, >= 0 on it, in the order of
-    its facet_sets; star[i] holds the cells with vertex i.  Raises
-    DomainError when the walk leaves the cells or passes len(rows) of them.
+    rows holds each live cell's facet rows, >= 0 on it; star[i] holds the
+    cells with vertex i.  A simplex, a cell with dim + 1 vertices, is read
+    by position: its rows come in vertex order, row b vanishing on the
+    facet without vertex b, and m lies in the face of the vertices whose
+    rows are not 0 at m.  No facet sets are needed for it, since any d of
+    its vertices span a facet.  A polytopal cell's rows come in the order
+    of its facet_sets.  Raises DomainError when the walk leaves the cells
+    or passes len(rows) of them.
     """
+    dim = len(m)
     for _ in range(len(rows)):
         lam = [row_at(r, m) for r in rows[c]]
-        sets = facet_sets(c)
+        simplex = len(c) == dim + 1
         beyond = next((f for f, x in enumerate(lam) if x < 0), None)
         if beyond is None:
+            if simplex:
+                return _cells_on(star, [i for i, x in zip(c, lam) if x])
+            sets = facet_sets(c)
             through = [sets[f] for f, x in enumerate(lam) if x == 0]
             return _cells_on(star, set(c).intersection(*through))
-        across = _cells_on(star, sets[beyond]) - {c}
+        wall = c[:beyond] + c[beyond + 1 :] if simplex else facet_sets(c)[beyond]
+        across = _cells_on(star, wall) - {c}
         if not across:
             raise DomainError(
                 f"store point {m} is not covered by any cell: the walk "
-                f"leaves cell {c} across facet {sorted(sets[beyond])}"
+                f"leaves cell {c} across facet {sorted(wall)}"
             )
         c = across.pop()
     raise DomainError(f"the walk to store point {m} passed {len(rows)} cells")
@@ -356,7 +404,8 @@ def pull_sweep(
     live cells.  It raises DomainError past that cap, and at a facet with
     no cell across it, which lies on the boundary of the convex P, so m
     lies outside P.  In the cell c it reaches, the vertices on every facet
-    through m span the face of c that holds m in its relative interior,
+    through m span the face of c that holds m in its relative interior (in
+    a simplex, the vertices whose rows are not 0 at m, read by position),
     and a cell contains m iff it contains that face: c & c' is a face of c
     through m, so it contains the least one.  The cells containing m are
     thus the intersection of the stars of that face's vertices, as the
@@ -390,10 +439,17 @@ def pull_sweep(
     a polytopal cell also its facets' vertex sets.  A cell holding m splits
     into the pyramids from m over the facets F with lam_F = f_F(m) > 0.
     Each pyramid's facets are F and one per ridge F & G, with row lam_F f_G
-    - lam_G f_F over its gcd, which is f_G where lam_G = 0 (_pyramid), so
-    no coordinates but m's are read.  Interpolants are integer forms in
-    lowest terms, phi_m and drop bounds are compared by cross-multiplication,
-    and only witness values and drops are Fractions.
+    - lam_G f_F over its gcd, which is f_G where lam_G = 0, so no
+    coordinates but m's are read.  A polytopal cell finds its ridges by
+    intersecting its facet sets (_pyramid).  A simplex needs no search and
+    no sets: any two of its facets meet in a ridge, and the facet opposite
+    vertex k is the cell without it, so the pyramid over it replaces vertex
+    k by m and takes its rows by position (_split_simplex).  A cell is a
+    simplex iff it has d + 1 vertices; counting rows would not tell, as a
+    pyramid over a quadrilateral in R^3 has five vertices and five facets.
+    Interpolants are integer forms in lowest terms, phi_m and drop bounds
+    are compared by cross-multiplication, and only witness values and drops
+    are Fractions.
     """
     pts = s.points
     npts = len(pts)
@@ -478,7 +534,8 @@ def pull_sweep(
         eps_cells: list[tuple[Cell, Form, Form, Collection[int]]] = []
         for parent in incident:
             prows = rows[parent]
-            if len(parent) == dim + 1 and m_index in parent:
+            simplex = len(parent) == dim + 1
+            if simplex and m_index in parent:
                 k = parent.index(m_index)  # the one row not vanishing at m
                 lam_k = row_at(prows[k], m)
                 fk = parent[:k] + parent[k + 1 :]
@@ -487,8 +544,8 @@ def pull_sweep(
             lam = [row_at(r, m) for r in prows]
             seen = [f for f, x in enumerate(lam) if x > 0]
             a0 = cache[parent]
-            sets = facet_sets(parent)
-            if len(seen) == 1 and m_index in parent:
+            sets = None if simplex else facets[parent]
+            if not simplex and len(seen) == 1 and m_index in parent:
                 f = seen[0]
                 eps_cells.append((parent, a0, (prows[f], lam[f]), sets[f]))
                 continue
@@ -497,12 +554,16 @@ def pull_sweep(
             for i in parent:
                 star[i].discard(parent)
             for f in seen:
-                key = tuple(sorted(sets[f] | {m_index}))
-                child_sets, rows[key] = _pyramid(sets, prows, lam, f, m_index)
-                if len(key) != dim + 1:
-                    facets[key] = child_sets
+                if simplex:
+                    key, rows[key], fs = _split_simplex(parent, prows, lam, f, m_index)
+                else:
+                    fs = sets[f]
+                    key = tuple(sorted(fs | {m_index}))
+                    child_sets, rows[key] = _pyramid(sets, prows, lam, f, m_index)
+                    if len(key) != dim + 1:
+                        facets[key] = child_sets
                 add(key)
-                eps_cells.append((key, a0, (prows[f], lam[f]), sets[f]))
+                eps_cells.append((key, a0, (prows[f], lam[f]), fs))
 
         # bound eps by the facet F opposite m of each cell through m: the
         # targets are the vertices off F of the cell across it, and

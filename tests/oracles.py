@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
@@ -115,6 +116,13 @@ def functionals(verts: Sequence[Point]) -> list[AffineFunctional]:
         AffineFunctional(tuple(map(Fraction, row[:-1])), Fraction(row[-1]))
         for row in polytope.inner_functionals(verts)
     ]
+
+
+@lru_cache(maxsize=4096)
+def _cell_functionals(verts: tuple[Point, ...]) -> tuple[AffineFunctional, ...]:
+    """functionals(verts), derived once per vertex tuple: contains meets the
+    same cells again and again, one store point at a time."""
+    return tuple(functionals(verts))
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
@@ -298,7 +306,7 @@ def contains(
         if k == 0:
             return Membership.INTERIOR
         return contains(CellPolytope(tuple(cverts)), cp)
-    vals = [fn(p) for fn in functionals(verts)]
+    vals = [fn(p) for fn in _cell_functionals(tuple(verts))]
     if any(v < 0 for v in vals):
         return Membership.OUTSIDE
     if any(v == 0 for v in vals):

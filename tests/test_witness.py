@@ -751,6 +751,36 @@ def test_pyramid_facets_match_inner_functionals():
     assert checked > 100
 
 
+def test_split_simplex_matches_pyramid(monkeypatch):
+    # every simplex split of the level-3 and level-4 sweeps: the split by
+    # position gives _pyramid's child over _simplex_facets, its rows in
+    # vertex order and the facet F the bound phase reads; a parent with
+    # more than dim + 1 vertices (a pyramid over a quadrilateral in R^3 has
+    # as many facets as vertices) is never split this way
+    split = wt._split_simplex
+    checked = []
+
+    def compared(parent, rows, lam, k, m_index):
+        key, child_rows, fk = split(parent, rows, lam, k, m_index)
+        assert len(parent) == dim + 1
+        sets = wt._simplex_facets(parent)
+        want_sets, want_rows = wt._pyramid(sets, rows, lam, k, m_index)
+        assert key == tuple(sorted(sets[k] | {m_index}))
+        assert want_sets == wt._simplex_facets(key)
+        assert list(child_rows) == list(want_rows)
+        assert fk == tuple(sorted(sets[k]))
+        checked.append(parent)
+        return key, child_rows, fk
+
+    starts = {n: pre_sweep(n) for n in (3, 4)}
+    monkeypatch.setattr(wt, "_split_simplex", compared)
+    for n, (s, w) in starts.items():
+        dim = s.ambient_dim
+        del checked[:]
+        wt.pull_sweep(s, w)
+        assert len(checked) > {3: 40, 4: 3000}[n]
+
+
 def _walk_state(s):
     """The rows, facet sets and vertex stars of a subdivision's cells, as
     pull_sweep keeps them, found directly."""
