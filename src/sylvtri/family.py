@@ -64,11 +64,11 @@ def _basis_vector(i: int, dim: int) -> Point:
 
 
 def weight_vertex_w1(n: int) -> Point:
-    """Apex vertex of the first family: (-d1/s_0, ..., -d1/s_{n-2}, -1)."""
+    """Apex vertex of the first family: (-d1/s_0, ..., -d1/s_{n-2}, -1),
+    integral as d1 = 2 (s_{n-1} - 1) = 2 s_0 ... s_{n-2}: each s_i with
+    i < n - 1 divides it."""
     d1, _ = degrees(n)
     coords = [-(d1 // sylvester(i)) for i in range(n - 1)]
-    if any(d1 % sylvester(i) != 0 for i in range(n - 1)):
-        raise DomainError("divisibility failure in w1")  # cannot happen
     return tuple(coords + [-1])
 
 

@@ -410,14 +410,14 @@ def pull_sweep(
     through m, so it contains the least one.  The cells containing m are
     thus the intersection of the stars of that face's vertices, as the
     cell across a facet is in the bound phase below.  A pull at m visits a
-    snapshot of those cells, taken before any split changes them.
+    snapshot of those cells, taken before any split changes them, and reads
+    phi_m = g(m) off any one of them, by the face argument above.
 
     The cells through m after a pull are pyramids with apex m, and only
     the facet F opposite m bounds eps, so each carries F: a simplex that
-    keeps m, itself without m; a polytopal pyramid with apex m, the one
-    facet m sees; a split child, the parent's facet it cones over.  F's
-    neighbour b lies off m, found by intersecting the stars of F's
-    vertices.  For a store point q beyond F (Lam(q) < 0) let H be the
+    keeps m, itself without m; a split child, the parent's facet it cones
+    over.  F's neighbour b lies off m, found by intersecting the stars of
+    F's vertices.  For a store point q beyond F (Lam(q) < 0) let H be the
     affine function through the points (v, w(v)) of F's vertices v and
     (q, w(q)).  The pyramid's interpolant A = A0 - eps * Lam agrees with H
     on F and is phi_m - eps at m, so A - H = (phi_m - eps - H(m)) Lam, and
@@ -427,11 +427,12 @@ def pull_sweep(
     Lam(q) <= 0, as B(q) <= g(q) <= w(q) by convexity.  A wall through m
     therefore never binds: its neighbour's vertex off it lies beyond F or
     bounds nothing (Lam >= 0), and when F lies on the boundary of P no
-    store point lies beyond it.  A simplex that keeps m as a vertex reads
-    only m's row, since its rows come in vertex order and the others
-    vanish at m.  The pass after the last pull derives the simplices'
-    facets from the cells again, so the final proof does not rest on the
-    sweep's bookkeeping.
+    store point lies beyond it.  The pass after the last pull derives the
+    simplices' facets from the cells again, so the final proof does not
+    rest on the sweep's bookkeeping.  Its cells are simplices, as
+    Triangulation checks: from m's pull on, a cell holding m is a pyramid
+    with apex m, as are a pyramid's children through its apex, and a
+    pyramid with apex each of its vertices is a simplex.
 
     The sweep runs on integers.  Every cell keeps primitive integer facet
     rows, >= 0 on it and 0 on one facet each: a simplex its simplex_inverse
@@ -447,9 +448,12 @@ def pull_sweep(
     k by m and takes its rows by position (_split_simplex).  A cell is a
     simplex iff it has d + 1 vertices; counting rows would not tell, as a
     pyramid over a quadrilateral in R^3 has five vertices and five facets.
-    Interpolants are integer forms in lowest terms, phi_m and drop bounds
-    are compared by cross-multiplication, and only witness values and drops
-    are Fractions.
+    A pyramid with apex m is its own one child, over the facet F opposite
+    m: every other facet G is (F & G) + m and keeps f_G (lam_G = 0).  A
+    simplex with vertex m stays on a fast path that reads only m's row.
+    Forms stay as solved, over the common scale, until _drop writes them in
+    lowest terms; drop bounds are compared by cross-multiplication, and
+    only witness values, phi_m and drops are Fractions.
     """
     pts = s.points
     npts = len(pts)
@@ -480,7 +484,7 @@ def pull_sweep(
             )
 
     # the certificate pass before the first pull: every facet row, made
-    # primitive, and interpolant, in lowest terms, then the walls, then
+    # primitive, and interpolant, as solved, then the walls, then
     # each store point that is no vertex, found by a walk from the one
     # before it, checked to lie at or above one cell holding it
     heights, scale = _common_scale(w)
@@ -493,8 +497,7 @@ def pull_sweep(
                 for row in rows[c]
             ]
         row, den = _cell_form(verts, [heights[i] for i in c])
-        g = gcd(den * scale, *row)
-        cache[c] = (tuple(x // g for x in row), den * scale // g)
+        cache[c] = row, den * scale
         add(c)
     check_convex("before")
     at = next(iter(rows), None)  # the cell found for the last point located
@@ -518,24 +521,18 @@ def pull_sweep(
         else:
             start = star[m_index - 1] if m_index else rows
             incident = tuple(_walk(m, next(iter(start)), rows, facet_sets, star))
-        pn, pd = None, 1  # phi_m = pn / pd, the least interpolant at m
-        for row, den in map(cache.get, incident):
-            x = row_at(row, m)
-            if pn is None or x * pd < pn * den:
-                pn, pd = x, den
-        phi_m = Fraction(pn, pd)
+        row, den = cache[incident[0]]  # every cell holding m agrees at m
+        phi_m = Fraction(row_at(row, m), den)
 
-        # cells keeping m as a vertex have an eps-dependent interpolant
-        # A0 - eps * Lam, with Lam = f_F / lam_F for the one facet F that m
-        # sees; collect (cell, A0, Lam, F) while splitting the others.
-        # A pyramid with apex m, every simplex through m among them, is the
-        # only fixed point of a pull; a child's A0 is its parent's
-        # interpolant, which is phi_m at m.
+        # every cell holding m ends as pyramids with apex m, interpolant
+        # A0 - eps * Lam, Lam = f_F / lam_F, F the facet opposite m; collect
+        # (cell, A0, Lam, F).  A child's A0 is its parent's interpolant,
+        # which is phi_m at m.
         eps_cells: list[tuple[Cell, Form, Form, Collection[int]]] = []
         for parent in incident:
             prows = rows[parent]
             simplex = len(parent) == dim + 1
-            if simplex and m_index in parent:
+            if simplex and m_index in parent:  # the fast path: kept as it is
                 k = parent.index(m_index)  # the one row not vanishing at m
                 lam_k = row_at(prows[k], m)
                 fk = parent[:k] + parent[k + 1 :]
@@ -543,17 +540,12 @@ def pull_sweep(
                 continue
             lam = [row_at(r, m) for r in prows]
             seen = [f for f, x in enumerate(lam) if x > 0]
-            a0 = cache[parent]
-            sets = None if simplex else facets[parent]
-            if not simplex and len(seen) == 1 and m_index in parent:
-                f = seen[0]
-                eps_cells.append((parent, a0, (prows[f], lam[f]), sets[f]))
-                continue
-            del rows[parent], cache[parent]
-            facets.pop(parent, None)
+            a0 = cache.pop(parent)
+            sets = facets.pop(parent, None)  # None for a simplex
+            del rows[parent]
             for i in parent:
                 star[i].discard(parent)
-            for f in seen:
+            for f in seen:  # a pyramid with apex m comes back as itself
                 if simplex:
                     key, rows[key], fs = _split_simplex(parent, prows, lam, f, m_index)
                 else:
@@ -596,7 +588,5 @@ def pull_sweep(
         log.append((m, eps))
 
     check_convex("after")
-    if any(len(c) != dim + 1 for c in rows):
-        raise DomainError("pulling at all points did not yield simplices")
     tri = Triangulation(pts, s.ambient, tuple(sorted(rows)))
     return tri, RegularityWitness(tuple(vals)), log

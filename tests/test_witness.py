@@ -197,11 +197,24 @@ def test_pull_sweep_certifies_level2():
     assert [p for p, _ in log] == list(glued.points)
 
 
-def test_pull_sweep_matches_iterated_witness_pull():
-    glued, w_glued = pre_sweep(2)
+@pytest.mark.parametrize("n", [2, 3])
+def test_pull_sweep_matches_iterated_witness_pull(n):
+    # before each pull every cell holding m gives it the same interpolant
+    # value, w(m) at a vertex, so pull_sweep may read phi_m off any one
+    glued, w_glued = pre_sweep(n)
     tri, w_tri, log = wt.pull_sweep(glued, w_glued)
     cur, wcur = glued, w_glued
-    for i in range(len(glued.points)):
+    for i, m in enumerate(glued.points):
+        values = {
+            oracles.cell_interpolant(cur, c, wcur)(m)
+            for c in cur.cells
+            if i in c
+            or oracles.contains(oracles.CellPolytope(cur.cell_points(c)), m)
+            is not oracles.Membership.OUTSIDE
+        }
+        assert len(values) == 1
+        if any(i in c for c in cur.cells):
+            assert values == {wcur.values[i]}
         cur, wcur, eps = oracles.witness_pull(wcur, cur, i)
         assert eps == log[i][1]
     assert oracles.cell_point_sets(cur) == oracles.cell_point_sets(tri)
@@ -779,6 +792,39 @@ def test_split_simplex_matches_pyramid(monkeypatch):
         del checked[:]
         wt.pull_sweep(s, w)
         assert len(checked) > {3: 40, 4: 3000}[n]
+
+
+def test_pyramid_with_apex_m_is_a_fixed_point(monkeypatch):
+    # pull_sweep splits a polytopal pyramid with apex m like any cell: m
+    # sees only its base, and _pyramid over it returns the parent's vertex
+    # set, facet sets and rows, the rows perhaps reordered.  Checked on a
+    # square pyramid in R^3 and on the level-4 sweep's calls whose child is
+    # its parent
+    pyramid = wt._pyramid
+    fixed = []
+
+    def compared(sets, rows, lam, f, m_index):
+        got_sets, got_rows = pyramid(sets, rows, lam, f, m_index)
+        if sets[f] | {m_index} == frozenset().union(*sets):
+            assert set(got_sets) == set(sets) and len(got_sets) == len(sets)
+            assert set(map(tuple, got_rows)) == set(map(tuple, rows))
+            fixed.append(m_index)
+        return got_sets, got_rows
+
+    pts = [(-1, -1, 0), (-1, 1, 0), (0, 0, 2), (1, -1, 0), (1, 1, 0)]
+    sets, rows = _cell_facets(pts, tuple(range(len(pts))))
+    rows = list(map(_primitive, rows))
+    lam = [polytope.row_at(r, pts[2]) for r in rows]
+    seen = [f for f, x in enumerate(lam) if x > 0]
+    assert len(sets) == 5 and len(seen) == 1
+    assert sets[seen[0]] == frozenset({0, 1, 3, 4})
+    compared(sets, rows, lam, seen[0], 2)
+    assert fixed == [2]
+
+    monkeypatch.setattr(wt, "_pyramid", compared)
+    del fixed[:]
+    wt.pull_sweep(*pre_sweep(4))
+    assert len(fixed) == 7
 
 
 def _walk_state(s):
