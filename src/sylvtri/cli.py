@@ -3,7 +3,7 @@
 Batch-oriented and deterministic: machine-readable output carries no
 timestamps, and identical flags produce identical files.  Exit codes are
 a stable contract: 0 success, 2 feasibility refusal, 3 verification
-failure, 4 parse error, 5 domain error.
+failure, 4 parse error, 5 domain error or a file that cannot be written.
 """
 
 from __future__ import annotations
@@ -197,6 +197,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except (DomainError, SylvtriError) as e:
         print(f"domain error: {e}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as e:  # an output or cache path that cannot be written
+        print(f"file error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd
 from operator import and_
 
 from . import exact, family, polytope
@@ -47,8 +46,9 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
 
     For each triangulation cell, each of its facets lying on the boundary
     of the ambient polytope contributes the cone over that facet.  The
-    origin must be strictly interior; non-primitive boundary rays are a
-    flag-level failure (smoothness), never silently dropped.
+    origin must be strictly interior.  The fan is smooth when every cone
+    has |det| = 1, which makes every ray primitive too: each ray lies in a
+    cone, and its gcd divides that cone's det.
 
     Every test is a sign test on the ambient simplex's integer rows
     (Y, D) = polytope.simplex_inverse, D > 0: Y[k] . (x, 1) / D is the
@@ -102,9 +102,7 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
 
     cone_list = tuple(sorted(cones))
     dets = [exact.det_int([list(rays[i]) for i in cone]) for cone in cone_list]
-    smooth = all(abs(dv) == 1 for dv in dets) and all(
-        gcd(*map(abs, r)) == 1 for r in rays
-    )
+    smooth = all(abs(dv) == 1 for dv in dets)
     sides: dict[tuple[int, ...], list[int]] = {}
     for cone, dv in zip(cone_list, dets):
         sign = (dv > 0) - (dv < 0)

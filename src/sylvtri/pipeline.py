@@ -445,9 +445,9 @@ def from_json_dict(data: dict) -> PipelineArtifact:
         for step in prov:
             if type(step) is not dict or not isinstance(step.get("step"), str):
                 raise TypeError(f"provenance step {step!r:.40} has no string 'step'")
+        spec = FamilySpec(fam, n)  # its DomainError (n < 1) is a ValueError
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ArtifactFormatError(f"malformed artifact field: {e}") from e
-    spec = FamilySpec(fam, n)
     # refuse a level triangulate would refuse before building its ambient,
     # whose coordinates grow like the Sylvester numbers
     if _cells_exceed(spec, MAX_CELLS):

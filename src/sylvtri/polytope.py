@@ -6,7 +6,6 @@ the cell and 0 on that facet.  A simplex's facet rows are its integer
 inverse's; a polytopal cell's grow by the beneath-beyond step from those
 of a simplex on its points, one point at a time, each new row read off two
 old ones through a ridge (ridge_row), so no point subset is searched.
-Lower faces follow from facet incidences.
 """
 
 from __future__ import annotations
@@ -234,44 +233,3 @@ def inner_functionals(vertices: Sequence[Point]) -> list[tuple[int, ...]]:
     facets = _facet_index_sets(vertices)
     return [facets[fs] for fs in sorted(facets, key=sorted)]
 
-
-def triangulate_cell(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
-    """Simplicial decomposition of a full-dimensional cell by placing from
-    the least vertex of each face.
-
-    Used only as volume plumbing (no new points are introduced).  Faces are
-    index sets into the sorted vertices, found by incidence from the cell's
-    facets alone: the facets of a face F are the maximal proper sets F & G,
-    G a facet of the cell, since every face of F is a face of the cell, an
-    intersection of its facets.  A k-face with k + 1 points is a simplex.
-    Raises DegenerateGeometry on a cell that does not span R^d: the
-    simplex shortcut checks it, _facet_index_sets any other cell.
-    """
-    verts = tuple(sorted(vertices))
-    dim = len(verts[0])
-    if len(verts) == dim + 1:
-        if exact.affine_rank(verts) != dim:
-            raise DegenerateGeometry("triangulate_cell requires a full-dimensional cell")
-        return [verts]
-    facets = list(_facet_index_sets(verts))
-
-    def place(face: frozenset[int], k: int) -> list[tuple[Point, ...]]:
-        idx = sorted(face)
-        if len(idx) == k + 1:
-            return [tuple(verts[i] for i in idx)]
-        meets = {face & g for g in facets} - {face}
-        apex = verts[idx[0]]
-        return [
-            (apex,) + piece
-            for sub in sorted(meets, key=sorted)
-            if idx[0] not in sub and not any(sub < other for other in meets)
-            for piece in place(sub, k - 1)
-        ]
-
-    return place(frozenset(range(len(verts))), dim)
-
-
-def nvol_cell(vertices: Sequence[Point]) -> int:
-    """Normalized volume of a full-dimensional polytopal cell (triangulate_cell
-    refuses any other)."""
-    return sum(nvol(piece) for piece in triangulate_cell(vertices))

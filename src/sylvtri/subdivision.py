@@ -98,20 +98,24 @@ class VerifyReport:
 
 
 def verify(s: Subdivision) -> VerifyReport:
-    """Structural proof that the cells of s triangulate P = conv(ambient).
+    """Structural proof that the cells of s triangulate the simplex
+    P = conv(ambient).
 
     Checks the exact volume checksum against P, that every cell vertex
     lies in P, the facet join (pseudomanifold) with its orientation check,
-    and per-cell unimodularity, which any failure clears, a non-simplex
-    cell included: unimodular implies valid and simplicial.  Preconditions:
+    and per-cell unimodularity, which any failure clears: unimodular
+    implies valid and simplicial.  Preconditions:
 
     - every cell is a strictly increasing tuple of store indices: facets
       are keyed by sorted index tuples (pipeline.from_json_dict refuses
       any other cell);
-    - every cell is a full-dimensional simplex.  Where one is not (a
-      polytopal cell, or an ambient of lower dimension than the store's
-      coordinates) nothing is proved: the report is invalid, with a
-      failure naming the first such cell.
+    - the ambient spans R^d, every cell has d + 1 vertices and the
+      ambient is a simplex, its d + 1 vertices.  Otherwise nothing is
+      proved: the report is invalid with one failure, naming the first
+      cell (not full-dimensional, or not a simplex) or the ambient, and
+      volume_checksum None.  The pipeline meets them: the loader and
+      Triangulation give d + 1-vertex cells, and every family's ambient
+      is its level's simplex.
 
     Why this proves a triangulation of P when every cell is a
     full-dimensional simplex.  It checks that every cell vertex
@@ -141,89 +145,83 @@ def verify(s: Subdivision) -> VerifyReport:
     vertices in sorted order above v_k, tells which side of the facet's
     hyperplane v_k lies on.
     """
-    failures: list[str] = []
     d = s.dim
-    full_dim = d == s.ambient_dim
     simplicial = all(len(c) == d + 1 for c in s.cells)
-
-    checksum = None
-    dets: list[int] = []  # signed volume of each simplex cell, in cell order
-    ambient_rows: list[tuple[int, ...]] = []
-    used = {i for c in s.cells for i in c}  # store indices of cell vertices
-    if full_dim:
-        try:
-            ambient_nvol = polytope.nvol_cell(s.ambient)
-            checksum = 0
-            for c in s.cells:
-                verts = s.cell_points(c)
-                if len(verts) == d + 1:
-                    dets.append(polytope.signed_nvol(verts))
-                    checksum += abs(dets[-1])
-                else:
-                    checksum += polytope.nvol_cell(verts)
-            if checksum != ambient_nvol:
-                failures.append(
-                    f"volume checksum {checksum} != ambient nvol {ambient_nvol}"
-                )
-        except DegenerateGeometry as e:
-            checksum = None
-            failures.append(f"degenerate cell: {e}")
-
-        try:
-            ambient_rows = polytope.inner_functionals(s.ambient)
-        except DegenerateGeometry:
-            failures.append("ambient polytope is degenerate")
-        else:
-            outside = {
-                i
-                for i in used
-                if any(polytope.row_at(row, s.points[i]) < 0 for row in ambient_rows)
-            }
-            for c in s.cells:
-                i = next((i for i in c if i in outside), None)
-                if i is not None:
-                    failures.append(f"cell vertex {s.points[i]} outside ambient")
-
-    bad = next((c for c in s.cells if not full_dim or len(c) != d + 1), None)
-    if not full_dim:
-        failures.append(
-            f"cell {bad} is not full-dimensional: the ambient spans "
-            f"dimension {d} of {s.ambient_dim}"
+    if d != s.ambient_dim:
+        refusal = (
+            f"cell {next(iter(s.cells), None)} is not full-dimensional: the "
+            f"ambient spans dimension {d} of {s.ambient_dim}"
         )
-    elif bad is not None:
-        failures.append(f"cell {bad} is not a simplex")
+    elif not simplicial:
+        refusal = f"cell {next(c for c in s.cells if len(c) != d + 1)} is not a simplex"
+    elif len(s.ambient) != d + 1:
+        refusal = (
+            f"ambient is not a simplex: {len(s.ambient)} points span "
+            f"dimension {d}"
+        )
     else:
-        # each facet with its cells and the side of it each cell lies on
-        # (0 where a degenerate cell stopped the signed volumes)
-        sides: dict[Cell, list[tuple[Cell, int]]] = {}
-        for ci, c in enumerate(s.cells):
-            sign = 0 if ci >= len(dets) else 1 if dets[ci] > 0 else -1
-            for k in range(len(c)):
-                sides.setdefault(c[:k] + c[k + 1 :], []).append(
-                    (c, -sign if (d - k) % 2 else sign)
-                )
-        # bit j set where a cell vertex lies on the j-th facet of P
-        on_facets = {i: polytope.facet_mask(ambient_rows, s.points[i]) for i in used}
-        for key, on in sides.items():
-            if len(on) > 2:
-                failures.append(f"facet {key} shared by {len(on)} cells")
-            elif len(on) == 1 and not reduce(and_, (on_facets[i] for i in key)):
-                failures.append(f"facet {key} unmatched and not on the boundary")
-        for key, on in sides.items():
-            if len(on) == 2 and on[0][1] == on[1][1] != 0:
-                failures.append(
-                    f"cells {on[0][0]} and {on[1][0]} lie on one side of "
-                    f"their common facet {key}"
-                )
+        refusal = None
+    if refusal is not None:
+        return VerifyReport(False, simplicial, False, None, [refusal])
 
-    # without a failure every cell is a simplex with its volume in dets
+    # the ambient's d + 1 vertices span R^d: facet rows and nvol(P) at once
+    ambient_rows, ambient_nvol = polytope.simplex_inverse(s.ambient)
+    failures: list[str] = []
+    dets: list[int] = []  # signed volume of each cell, in cell order
+    try:
+        for c in s.cells:
+            dets.append(polytope.signed_nvol(s.cell_points(c)))
+        checksum = sum(map(abs, dets))
+        if checksum != ambient_nvol:
+            failures.append(
+                f"volume checksum {checksum} != ambient nvol {ambient_nvol}"
+            )
+    except DegenerateGeometry as e:
+        checksum = None
+        failures.append(f"degenerate cell: {e}")
+
+    used = {i for c in s.cells for i in c}  # store indices of cell vertices
+    outside = {
+        i
+        for i in used
+        if any(polytope.row_at(row, s.points[i]) < 0 for row in ambient_rows)
+    }
+    for c in s.cells:
+        i = next((i for i in c if i in outside), None)
+        if i is not None:
+            failures.append(f"cell vertex {s.points[i]} outside ambient")
+
+    # each facet with its cells and the side of it each cell lies on
+    # (0 where a degenerate cell stopped the signed volumes)
+    sides: dict[Cell, list[tuple[Cell, int]]] = {}
+    for ci, c in enumerate(s.cells):
+        sign = 0 if ci >= len(dets) else 1 if dets[ci] > 0 else -1
+        for k in range(len(c)):
+            sides.setdefault(c[:k] + c[k + 1 :], []).append(
+                (c, -sign if (d - k) % 2 else sign)
+            )
+    # bit j set where a cell vertex lies on the j-th facet of P
+    on_facets = {i: polytope.facet_mask(ambient_rows, s.points[i]) for i in used}
+    for key, on in sides.items():
+        if len(on) > 2:
+            failures.append(f"facet {key} shared by {len(on)} cells")
+        elif len(on) == 1 and not reduce(and_, (on_facets[i] for i in key)):
+            failures.append(f"facet {key} unmatched and not on the boundary")
+    for key, on in sides.items():
+        if len(on) == 2 and on[0][1] == on[1][1] != 0:
+            failures.append(
+                f"cells {on[0][0]} and {on[1][0]} lie on one side of "
+                f"their common facet {key}"
+            )
+
+    # without a failure every cell's volume is in dets
     first_non_unimodular = None if failures else next(
         ((c, abs(x)) for c, x in zip(s.cells, dets) if abs(x) != 1), None
     )
 
     return VerifyReport(
         valid=not failures,
-        simplicial=simplicial,
+        simplicial=True,
         unimodular=not failures and first_non_unimodular is None,
         volume_checksum=checksum,
         failures=failures,

@@ -127,9 +127,10 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     any interior point of c to p leaves c through a wall, after which
     g - A_c, 0 until then, has a positive, non-decreasing slope: A_c(p) <
     g(p) = w(p).  Every other case (a bent wall, which is a violating
-    pair, a store point that is no vertex, polytopal or unproven input)
-    runs the scan, so rejection stays quadratic in the worst case.  A
-    degenerate cell, which the structure names, stops it: not regular.
+    pair, a store point that is no vertex, an ambient that is no simplex
+    or other unproven input) runs the scan, so rejection stays quadratic
+    in the worst case.  A degenerate cell, which the structure names,
+    stops it: not regular.
     """
     if t.dim != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")

@@ -267,6 +267,12 @@ def placing_triangulation(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
     ]
 
 
+def placing_nvol(vertices: Sequence[Point]) -> int:
+    """Normalized volume of a full-dimensional cell, summed over its
+    placing triangulation."""
+    return sum(map(polytope.nvol, placing_triangulation(vertices)))
+
+
 def faces(c: CellPolytope) -> list[CellPolytope]:
     """All proper faces of a cell, each exactly once, graded by dimension.
 
@@ -818,7 +824,7 @@ def pairwise_verdict(s: Subdivision) -> bool:
     fns = functionals(s.ambient)
     if any(fn(p) < 0 for p in {p for v in cells for p in v} for fn in fns):
         return False
-    if sum(polytope.nvol_cell(v) for v in cells) != polytope.nvol_cell(s.ambient):
+    if sum(map(placing_nvol, cells)) != placing_nvol(s.ambient):
         return False
     return all(common_face_ok(a, b) for a, b in combinations(cells, 2))
 
@@ -957,7 +963,7 @@ def fan_fraction(art) -> ResolutionFan:
         a, b = (sum(map(mul, normal, rays[i])) for i in off)
         return a * b < 0
 
-    complete = sum(dets) == polytope.nvol_cell(ambient) and all(
+    complete = sum(dets) == placing_nvol(ambient) and all(
         splits(ridge, off) for ridge, off in off_ridge.items()
     )
     crepant = all(

@@ -245,9 +245,17 @@ def test_criterion_10_pull_oracle_equivalence(_line):
             lit = oracles.pull_literal(lit, i)
         ok &= oracles.cell_point_sets(tri) == oracles.cell_point_sets(lit)
         ok &= wt.verify_regularity(tri, w_tri).regular
+        # the structural proof takes simplices over a simplex (55 of the
+        # 100) and refuses any other ambient; the oracle checks them all
         rep = sd.verify(tri)
-        ok &= rep.valid and rep.simplicial
-        ok &= rep.volume_checksum == polytope.nvol_cell(s.ambient)
+        if len(s.ambient) == dim + 1:
+            ok &= rep.valid and rep.simplicial
+            ok &= rep.volume_checksum == polytope.nvol(s.ambient)
+        else:
+            ok &= rep.volume_checksum is None and rep.failures == [
+                f"ambient is not a simplex: {len(s.ambient)} points span "
+                f"dimension {dim}"
+            ]
         ok &= oracles.pairwise_verdict(tri)
     _line(10, "pulling oracle equivalence (100 random)", ok)
     assert ok

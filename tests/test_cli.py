@@ -152,6 +152,8 @@ def _level2_digit_string_cells(d):
         lambda d: d.update(provenance=[1, "x"]),
         lambda d: d["cells"][0].__setitem__(0, "0"),
         lambda d: d.update(n="3"),
+        lambda d: d.update(n=0),
+        lambda d: d.update(n=-1),
         lambda d: d.update(provenance=[{}]),
         lambda d: d.update(provenance=[{"step": 1}]),
         lambda d: d["points"][0].__setitem__(0, " -1 "),
@@ -179,6 +181,8 @@ def _level2_digit_string_cells(d):
         "provenance non-objects",
         "cell entry digit string",
         "n digit string",
+        "n zero",
+        "n negative",
         "provenance step without step",
         "provenance step non-string step",
         "coordinate padded",
@@ -199,7 +203,8 @@ def test_verify_non_integer_field_is_a_parse_error(tmp_path, capsys, edit):
     # index; only coordinates are written as strings), provenance that is
     # not a list of JSON objects, each with a "step" string, a coordinate or
     # witness string that int() or Fraction() reads but save never writes,
-    # and an empty point store
+    # an empty point store, and a level n below 1, which the family spec
+    # refuses inside the loader's field checks
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
     assert data["cells"][0][0] == 0 and data["points"][0][0] == "-1"
     assert data["points"][2][2] == "1" and data["witness"][0] == "-1/8"
@@ -455,3 +460,25 @@ def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
     calls.clear()
     assert cli.main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", ["triangulate --out", "fan --out", "--cache-dir"])
+def test_unwritable_path_is_one_line_and_exit_5(tmp_path, capsys, case):
+    # an output file in a missing directory, and a --cache-dir naming a
+    # regular file, give one stderr line and exit 5, not a traceback
+    missing = str(tmp_path / "missing" / "x.json")
+    build = ["triangulate", "--family", "p2dual", "--n", "2"]
+    if case == "triangulate --out":
+        argv = [*build, "--out", missing]
+    elif case == "fan --out":
+        art = str(tmp_path / "p2dual_2.json")
+        assert cli.main([*build, "--out", art, "--quiet"]) == 0
+        capsys.readouterr()
+        argv = ["fan", art, "--out", missing]
+    else:
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [*build, "--out", str(tmp_path / "x.json"), "--cache-dir", str(blocker)]
+    assert cli.main(argv) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("file error: ") and err.count("\n") == 1

@@ -239,6 +239,16 @@ def test_load_names_the_first_bad_cell(edits, message):
         pipeline.from_json_dict(data)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_load_refuses_a_non_positive_level(n):
+    # FamilySpec refuses n < 1 inside the loader's field checks, so the
+    # level is a malformed field like "n": 3.5
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    data["n"] = n
+    with pytest.raises(ArtifactFormatError, match="family index n must be >= 1"):
+        pipeline.from_json_dict(data)
+
+
 def test_load_rejects_point_of_wrong_dimension(tmp_path):
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
     data["points"].append(["5"])  # sorts last

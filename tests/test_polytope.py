@@ -244,23 +244,22 @@ def test_lattice_points_bruteforce():
         oracles.lattice_points_bruteforce(big, limit=100)
 
 
-def test_triangulate_cell_and_nvol_cell():
-    pieces = polytope.triangulate_cell(QUAD)
-    assert sum(polytope.nvol(p) for p in pieces) == polytope.nvol_cell(QUAD) == 2
+def test_placing_triangulation_fixed_cases():
+    pieces = oracles.placing_triangulation(QUAD)
+    assert len(pieces) == 2 and oracles.placing_nvol(QUAD) == 2
     hexagon = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-    assert polytope.nvol_cell(hexagon) == 6
+    assert oracles.placing_nvol(hexagon) == 6
     # a 3-D cell whose facets are squares: placing recurses into them
     cube = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
-    pieces = polytope.triangulate_cell(cube)
+    pieces = oracles.placing_triangulation(cube)
     assert len(pieces) == 6 and all(polytope.nvol(p) == 1 for p in pieces)
-    assert polytope.nvol_cell(cube) == 6
+    assert oracles.placing_nvol(cube) == 6
 
 
 def test_incidence_faces_match_oracle_faces():
-    # facet rows, and the placing triangulation on facet incidences, agree
-    # with the supporting-hyperplane scan in affine coordinates, on random
-    # polytopes of dimension 1-4 and the polytopal starting columns of
-    # p2dual levels 2-4
+    # facet rows agree with the supporting-hyperplane scan in affine
+    # coordinates, on random polytopes of dimension 1-4 and the polytopal
+    # starting columns of p2dual levels 2-4
     rng = random.Random(15)
     polytopes = [
         oracles.random_polytope_subdivision(rng, dim).ambient
@@ -281,9 +280,6 @@ def test_incidence_faces_match_oracle_faces():
             for row in rows
         ]
         assert sorted(zeros) == facets
-        pieces = oracles.placing_triangulation(verts)
-        assert sorted(polytope.triangulate_cell(verts)) == sorted(pieces)
-        assert polytope.nvol_cell(verts) == sum(map(polytope.nvol, pieces))
 
 
 def test_affine_coordinates_preserve_combinatorics():
@@ -351,8 +347,7 @@ def test_facets_match_cofactor_scan(verts, seed):
 
 def test_facets_refuse_lower_dimensional_input():
     # no rank check runs first: simplex_inverse refuses a flat simplex,
-    # _facet_index_sets a flat polytopal cell, and triangulate_cell's
-    # simplex shortcut keeps its own check
+    # _facet_index_sets a flat polytopal cell
     for verts in (
         [(0, 0), (1, 1), (2, 2), (1, 1)],  # collinear in the plane
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],  # coplanar
@@ -361,18 +356,14 @@ def test_facets_refuse_lower_dimensional_input():
         [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],  # a flat tetrahedron
         [(0, 0, 0), (1, 2, 0), (2, 4, 0)],  # too few points to span R^3
     ):
-        for fn in (
-            polytope._facet_index_sets,
-            polytope.inner_functionals,
-            polytope.triangulate_cell,
-            polytope.nvol_cell,
-        ):
+        for fn in (polytope._facet_index_sets, polytope.inner_functionals):
             with pytest.raises(DegenerateGeometry):
                 fn(verts)
 
 
-def test_nvol_cell_matches_placing_oracle_in_dimension_5():
-    # random 5-polytopes, points off their vertices included, columns over
+def test_facet_rows_match_cofactor_scan_in_dimension_5():
+    # beneath-beyond facets against the cofactor scan on random
+    # 5-polytopes, points off their vertices included, columns over
     # 4-simplices from t = -1 to a top that may be -1 too (the level-5
     # starting columns: prisms, and columns with collapsed edges), and
     # prisms with one more point above them
@@ -390,6 +381,4 @@ def test_nvol_cell_matches_placing_oracle_in_dimension_5():
             cells.append(column)
             cells.append(sorted({(*v, t) for v in base for t in (-1, 0)} | {(0,) * 4 + (3,)}))
     for verts in cells:
-        pieces = oracles.placing_triangulation(verts)
-        assert sorted(polytope.triangulate_cell(verts)) == sorted(pieces)
-        assert polytope.nvol_cell(verts) == sum(map(polytope.nvol, pieces))
+        assert sorted(_facet_points(verts)) == oracles.facet_vertex_sets(verts)

@@ -119,11 +119,12 @@ def test_glue_level2():
     glued, _ = pre_sweep(2)
     assert len(glued.cells) == 4
     # the facet join proves only simplices: the polytopal cells are
-    # refused, and the all-pairs oracle checks what they do form
+    # refused before any volume is computed, and the all-pairs oracle
+    # checks what they do form
     rep = sd.verify(glued)
     assert not rep.valid and not rep.simplicial
     assert rep.failures == ["cell (0, 2, 4, 5) is not a simplex"]
-    assert rep.volume_checksum == 6
+    assert rep.volume_checksum is None
     assert oracles.pairwise_verdict(glued)
 
 
@@ -182,20 +183,33 @@ def test_triangulate_p2_transports_the_dual_level():
 
 
 def test_verify_detects_gap_and_overlap():
-    pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    gap = sd.make_subdivision(pts, pts, [[(0, 0), (1, 0), (0, 1)]])
-    assert not sd.verify(gap).valid
+    # the triangle of side 2 in its four unit triangles, with the middle
+    # one dropped (a gap), or with the triangle (0, 0), (2, 0), (1, 1)
+    # laid over two of them (an overlap); store indices: (0, 0) 0,
+    # (0, 1) 1, (0, 2) 2, (1, 0) 3, (1, 1) 4, (2, 0) 5
+    pts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
+    ambient = [(0, 0), (2, 0), (0, 2)]
+    cells = [
+        [(0, 0), (1, 0), (0, 1)],
+        [(1, 0), (2, 0), (1, 1)],
+        [(0, 1), (1, 1), (0, 2)],
+        [(1, 0), (1, 1), (0, 1)],
+    ]
+    assert sd.verify(sd.make_subdivision(pts, ambient, cells)).unimodular
+    gap = sd.make_subdivision(pts, ambient, cells[:3])
+    assert sd.verify(gap).failures == [
+        "volume checksum 3 != ambient nvol 4",
+        "facet (1, 3) unmatched and not on the boundary",
+        "facet (1, 4) unmatched and not on the boundary",
+        "facet (3, 4) unmatched and not on the boundary",
+    ]
     assert not oracles.pairwise_verdict(gap)
-    overlap = sd.make_subdivision(
-        pts,
-        pts,
-        [
-            [(0, 0), (1, 0), (0, 1)],
-            [(1, 0), (0, 1), (1, 1)],
-            [(0, 0), (1, 0), (1, 1)],
-        ],
-    )
-    assert not sd.verify(overlap).valid
+    overlap = sd.make_subdivision(pts, ambient, cells + [[(0, 0), (2, 0), (1, 1)]])
+    assert sd.verify(overlap).failures == [
+        "volume checksum 6 != ambient nvol 4",
+        "facet (0, 4) unmatched and not on the boundary",
+        "cells (0, 4, 5) and (3, 4, 5) lie on one side of their common facet (4, 5)",
+    ]
     assert not oracles.pairwise_verdict(overlap)
 
 
@@ -291,9 +305,9 @@ def test_verify_unimodular_reads_signed_volumes():
 
 
 def test_verify_refuses_polytopal_cells():
-    # two copies of one unit square in the 2x1 rectangle: checksum 2 + 2 =
-    # nvol 4, and the facet join cannot prove polytopal cells, so the first
-    # one is named instead of the pair passing
+    # two copies of one unit square in the 2x1 rectangle, whose volumes
+    # would sum to the rectangle's: the proof takes simplices only, so the
+    # first cell is named before any volume is computed
     sq = [(0, 0), (0, 1), (1, 0), (1, 1)]
     rect = [(0, 0), (0, 1), (2, 0), (2, 1)]
     s = sd.Subdivision(
@@ -303,10 +317,20 @@ def test_verify_refuses_polytopal_cells():
     )
     assert [s.cell_points(c) for c in s.cells] == [tuple(sq)] * 2
     rep = sd.verify(s)
-    assert rep.volume_checksum == 4
+    assert rep.volume_checksum is None
     assert rep.failures == ["cell (0, 1, 2, 3) is not a simplex"]
     assert not rep.valid and not rep.simplicial
     assert not oracles.pairwise_verdict(s)
+    # triangle cells under a square ambient: a triangulation, but the
+    # ambient is no simplex, so it is refused with nothing computed
+    square = sd.make_subdivision(
+        sq, sq, [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
+    )
+    rep = sd.verify(square)
+    assert rep.failures == ["ambient is not a simplex: 4 points span dimension 2"]
+    assert rep.volume_checksum is None and rep.simplicial
+    assert not rep.valid and not rep.unimodular
+    assert oracles.pairwise_verdict(square)
 
 
 def test_verify_refuses_lower_dimensional_ambient():
