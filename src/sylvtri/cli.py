@@ -14,7 +14,7 @@ import dataclasses
 import sys
 import time
 
-from . import invariants, pipeline
+from . import exact, invariants, pipeline
 from .errors import (
     ArtifactFormatError,
     DomainError,
@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
         f"simplicial={str(rep.simplicial).lower()} "
         f"unimodular={str(rep.unimodular).lower()} "
         f"regular={str(cert.regular).lower()} "
-        f"checksum={rep.volume_checksum}"
+        f"checksum={exact.number_str(rep.volume_checksum)}"
     )
     for f in rep.failures[:10]:
         print("failure:", f, file=sys.stderr)
@@ -126,8 +126,8 @@ def cmd_verify(args) -> int:
         c, vol = rep.first_non_unimodular
         print(f"not unimodular: cell {c} normalized volume {vol}", file=sys.stderr)
     for c, p, margin in cert.violating_pairs[:10]:
-        print(f"regularity violation: cell {c} point {p} margin {margin}",
-              file=sys.stderr)
+        print(f"regularity violation: cell {c} point {p} margin "
+              f"{exact.number_str(margin)}", file=sys.stderr)
     return EXIT_OK if rep.unimodular and cert.regular else EXIT_VERIFICATION
 
 

@@ -8,6 +8,7 @@ positive denominator D.  Matrices are small and dense: lists of rows.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateGeometry, DimensionMismatch
@@ -156,3 +157,15 @@ def affine_rank(points: Sequence[Row]) -> int:
         raise DimensionMismatch("points of mixed dimension")
     base = points[0]
     return rank([[x - y for x, y in zip(p, base)] for p in points[1:]])
+
+
+def number_str(x: int | Fraction | None) -> str:
+    """str(x) for a message, or, when the number's str would pass Python's
+    digit limit for int-to-str conversion, its sign and the bit lengths
+    of its numerator and denominator, as in -<14001 bits>/<4652 bits>."""
+    try:
+        return str(x)
+    except ValueError:
+        num, den = x.as_integer_ratio()
+        out = f"{'-' if num < 0 else ''}<{abs(num).bit_length()} bits>"
+        return out if den == 1 else f"{out}/<{den.bit_length()} bits>"

@@ -32,6 +32,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("family index n must be >= 1")
+        if self.family is Family.P1 and self.n < 2:
+            raise DomainError("family p1 needs n >= 2")
 
 
 @lru_cache(maxsize=None)
@@ -57,6 +59,20 @@ def degrees(n: int) -> tuple[int, int]:
     if n < 1:
         raise DomainError("degrees requires n >= 1")
     return 2 * sylvester(n - 1) - 2, sylvester(n) - 1
+
+
+def cell_count(spec: FamilySpec, limit: int) -> int | None:
+    """The number of cells of any unimodular triangulation of spec's
+    simplex, its normalized volume: s_0 ... s_{n-1} = s_n - 1 for p2dual
+    and p2, twice s_0 ... s_{n-2} for p1.  None once the running product
+    passes limit, so a huge level builds no huge term."""
+    p1 = spec.family is Family.P1
+    count = 2 if p1 else 1
+    for k in range(spec.n - 1 if p1 else spec.n):
+        count *= sylvester(k)
+        if count > limit:
+            return None
+    return count
 
 
 def _basis_vector(i: int, dim: int) -> Point:

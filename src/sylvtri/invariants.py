@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from . import exact, family, polytope
+from . import exact, family, polytope, subdivision
 from .errors import DomainError, FeasibilityLimit
 from .family import Family, sylvester
 from .pipeline import PipelineArtifact
@@ -62,16 +62,15 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     The fan is complete when every ridge (a cone minus one ray, as sorted
     ray indices) lies in exactly two cones, with their off-ridge rays on
     opposite sides of it, and the cones' |det|s sum to D, the ambient's
-    normalized volume.  A cone's side of its ridge opposite ray k is
-    sign(det) * (-1)^(d-1-k), det the signed determinant of its rays in
-    index order: moving row k last takes d - 1 - k transpositions (the
-    parity rule subdivision.verify uses for cells).  Why this proves the
-    cones cover R^d without overlap: let m(x) count the cones containing
-    x.  A path crossing ridges only in their relative interiors, away
-    from the lower-dimensional intersections of ridges in different
-    hyperplanes, leaves one cone and enters another at each ridge it
-    crosses, so m is constant almost everywhere.  No cone is flat (a zero
-    det gives its ridges side 0, which fails), so m >= 1.
+    normalized volume.  The cones' sides of their ridges come from
+    subdivision.facet_sides, with the determinant of each cone's rays in
+    index order, as the cells' sides in subdivision.verify do.  Why this
+    proves the cones cover R^d without overlap: let m(x) count the cones
+    containing x.  A path crossing ridges only in their relative
+    interiors, away from the lower-dimensional intersections of ridges in
+    different hyperplanes, leaves one cone and enters another at each
+    ridge it crosses, so m is constant almost everywhere.  No cone is
+    flat (a zero det gives its ridges side 0, which fails), so m >= 1.
     The rays of a cone over the cell facet G lie on the hyperplane of one
     ambient facet, whose row is 0 there and > 0 at the origin, so the
     cone meets that row's half-space, which contains P, in conv(0, G), of
@@ -103,15 +102,9 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     cone_list = tuple(sorted(cones))
     dets = [exact.det_int([list(rays[i]) for i in cone]) for cone in cone_list]
     smooth = all(abs(dv) == 1 for dv in dets)
-    sides: dict[tuple[int, ...], list[int]] = {}
-    for cone, dv in zip(cone_list, dets):
-        sign = (dv > 0) - (dv < 0)
-        for k in range(len(cone)):
-            sides.setdefault(cone[:k] + cone[k + 1 :], []).append(
-                -sign if (len(cone) - 1 - k) % 2 else sign
-            )
+    sides = subdivision.facet_sides(cone_list, dets)
     complete = sum(map(abs, dets)) == nvol and all(
-        len(on) == 2 and on[0] == -on[1] != 0 for on in sides.values()
+        len(on) == 2 and on[0][1] == -on[1][1] != 0 for on in sides.values()
     )
     crepant = all(min(polytope.row_at(row, r) for row in rows) == 0 for r in rays)
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)

@@ -24,16 +24,14 @@ from math import gcd
 from operator import lt
 from typing import Any
 
-from . import family, polytope, subdivision, witness
+from . import exact, family, polytope, subdivision, witness
 from .errors import (
     ArtifactFormatError,
-    DomainError,
     FeasibilityLimit,
     UnsupportedVersion,
     VerificationFailure,
 )
 from .family import Family, FamilySpec
-from .polytope import Point
 from .subdivision import Cell, Triangulation
 from .witness import CertificateReport, RegularityWitness
 
@@ -67,25 +65,6 @@ def clear_cache() -> None:
 
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def _expected_cells(spec: FamilySpec) -> int:
-    """s_n - 1 cells at level n of p2dual and p2, 2 (s_{n-1} - 1) for p1."""
-    if spec.family is Family.P1:
-        return 2 * (family.sylvester(spec.n - 1) - 1)
-    return family.sylvester(spec.n) - 1
-
-
-def _cells_exceed(spec: FamilySpec, limit: int) -> bool:
-    """Whether the level-m dual triangulation a build of spec rests on has
-    s_m - 1 > limit cells, without materializing huge terms: m = n, or
-    n - 1 for p1, which cones over p2 at level n - 1."""
-    prod = 1
-    for k in range(spec.n - 1 if spec.family is Family.P1 else spec.n):
-        prod *= family.sylvester(k)
-        if prod > limit:
-            return True
-    return False
 
 
 def triangulate_p2dual(
@@ -127,7 +106,7 @@ def triangulate_p2dual(
     if n == 1:
         tri = subdivision.make_subdivision(
             [(-1,), (0,), (1,)],
-            build_vertices(spec),
+            family.build(spec).vertices,
             [[(-1,), (0,)], [(0,), (1,)]],
         )
         art = PipelineArtifact(
@@ -151,7 +130,7 @@ def triangulate_p2dual(
         cell_lists.append(sorted({(*v, t) for v in verts for t in (-1, h(v))}))
         cell_lists.append([(*v, h(v)) for v in verts] + [z])
     glued = subdivision.make_subdivision(
-        family.lattice_points_p2dual(n), build_vertices(spec), cell_lists
+        family.lattice_points_p2dual(n), family.build(spec).vertices, cell_lists
     )
     omega = 1 + w_prev.values[t_prev.index[y0]]
     heights = [w_prev.values[t_prev.index[p[:-1]]] for p in glued.points]
@@ -170,7 +149,7 @@ def triangulate_p2dual(
         }
     )
 
-    _internal_check(tri, _expected_cells(spec), prov)
+    _internal_check(tri, family.cell_count(spec, max_cells), prov)
     art = PipelineArtifact(spec, tri, w_tri, tuple(prov))
     return _store_cached(art, cache_dir)
 
@@ -196,7 +175,7 @@ def triangulate_p2(
     images = [inverse.apply(q) for q in dual.triangulation.points]
     heights = dict(zip(images, dual.witness.values))
     cells = [[images[i] for i in c] for c in dual.triangulation.cells]
-    tri = subdivision.make_subdivision(images, build_vertices(spec), cells)
+    tri = subdivision.make_subdivision(images, family.build(spec).vertices, cells)
     w = RegularityWitness(tuple(heights[p] for p in tri.points))
     matrix = [list(row) for row in inverse.matrix]
     prov = dual.provenance + ({"step": "lattice_map", "matrix": matrix},)
@@ -239,8 +218,6 @@ def triangulate_p1(
     vertex of the second family's simplex; omega = 1 + 2 w_p2(w2).
     """
     spec = FamilySpec(Family.P1, n_plus_1)
-    if n_plus_1 < 2:
-        raise DomainError("family p1 needs n >= 2")
     cached = _load_cached(spec, max_cells, cache_dir)
     if cached is not None:
         return cached
@@ -256,7 +233,7 @@ def triangulate_p1(
     base = [tuple((*p, 0) for p in t2.cell_points(c)) for c in t2.cells]
     tri = subdivision.make_subdivision(
         heights.keys(),
-        build_vertices(spec),
+        family.build(spec).vertices,
         [(*cell, apex) for apex in (e_last, w1) for cell in base],
     )
 
@@ -281,10 +258,6 @@ def triangulate(
     if fam is Family.P2:
         return triangulate_p2(n, max_cells, cache_dir)
     return triangulate_p1(n, max_cells, cache_dir)
-
-
-def build_vertices(spec: FamilySpec) -> tuple[Point, ...]:
-    return family.build(spec).vertices
 
 
 def _internal_check(
@@ -445,12 +418,12 @@ def from_json_dict(data: dict) -> PipelineArtifact:
         for step in prov:
             if type(step) is not dict or not isinstance(step.get("step"), str):
                 raise TypeError(f"provenance step {step!r:.40} has no string 'step'")
-        spec = FamilySpec(fam, n)  # its DomainError (n < 1) is a ValueError
+        spec = FamilySpec(fam, n)  # DomainError (n < 1, p1 n < 2) is a ValueError
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise ArtifactFormatError(f"malformed artifact field: {e}") from e
     # refuse a level triangulate would refuse before building its ambient,
     # whose coordinates grow like the Sylvester numbers
-    if _cells_exceed(spec, MAX_CELLS):
+    if family.cell_count(spec, MAX_CELLS) is None:
         raise FeasibilityLimit(
             f"artifact level {n} needs more than {MAX_CELLS} cells (loader limit)"
         )
@@ -477,7 +450,7 @@ def from_json_dict(data: dict) -> PipelineArtifact:
                 raise ArtifactFormatError(
                     f"cell {c} has {len(c)} vertices, expected {n + 1}"
                 )
-    tri = Triangulation(points, build_vertices(spec), cells)
+    tri = Triangulation(points, family.build(spec).vertices, cells)
     return PipelineArtifact(spec, tri, RegularityWitness(wvals), prov)
 
 
@@ -486,7 +459,9 @@ def load(path: str) -> PipelineArtifact:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
+        # JSONDecodeError, UnicodeDecodeError and the error of a JSON
+        # integer past Python's digit limit for int() are ValueErrors
         raise ArtifactFormatError(f"cannot read artifact {path}: {e}") from e
     return from_json_dict(data)
 
@@ -505,15 +480,16 @@ def _load_cached(
     """The artifact for spec from memory or cache_dir, or None if absent.
 
     Every build asks here first, so the feasibility refusal lives here: a
-    spec whose dual triangulation has more than max_cells cells is refused
-    (FeasibilityLimit) before any memory or disk lookup, and a cached
-    artifact is refused exactly when building it would be.
+    spec whose own triangulation has more than max_cells cells
+    (family.cell_count) is refused (FeasibilityLimit) before any memory or
+    disk lookup, and a cached artifact is refused exactly when building it
+    would be.
 
     A disk entry is untrusted: it must hold the family and level it is
     filed under, and pass the structural proof, the regularity check and
     the expected cell count before it is served.
     """
-    if _cells_exceed(spec, max_cells):
+    if family.cell_count(spec, max_cells) is None:
         raise FeasibilityLimit(
             f"level {spec.n} needs more than {max_cells} cells (limit --max-cells)"
         )
@@ -541,7 +517,7 @@ def _load_cached(
 def _first_failure(art: PipelineArtifact) -> str | None:
     """The first reason art is not a certified triangulation, or None."""
     tri = art.triangulation
-    expected = _expected_cells(art.spec)
+    expected = family.cell_count(art.spec, MAX_CELLS)
     if len(tri.cells) != expected:
         return f"cell count {len(tri.cells)} != expected {expected}"
     cert = art.certificate
@@ -549,10 +525,13 @@ def _first_failure(art: PipelineArtifact) -> str | None:
         return cert.structure.failures[0]
     # now every cell is unimodular: a valid triangulation's normalized
     # volumes are integers >= 1 summing to nvol(P), and the expected count
-    # is nvol(P) (s_n - 1, or 2 (s_{n-1} - 1) for p1), so each is 1
+    # is nvol(P) (family.cell_count), so each is 1
     if not cert.regular:
         c, p, margin = cert.violating_pairs[0]
-        return f"regularity violation: cell {c} point {p} margin {margin}"
+        return (
+            f"regularity violation: cell {c} point {p} "
+            f"margin {exact.number_str(margin)}"
+        )
     return None
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import zip_longest
 from operator import and_
 from typing import Iterable, Sequence
 
@@ -97,6 +98,31 @@ class VerifyReport:
     )
 
 
+def facet_sides(
+    simplices: Sequence[Cell], dets: Sequence[int]
+) -> dict[Cell, list[tuple[Cell, int]]]:
+    """Each facet of the simplices (a simplex minus its entry k) with the
+    simplices on it and the side of it each lies on: sign(det) *
+    (-1)^(m - 1 - k), det the determinant of the simplex's m rows in
+    entry order, or side 0 for a simplex past the end of dets.
+
+    Why: moving row k last takes m - 1 - k transpositions, and the sign
+    of the determinant with the facet's rows in entry order above row k
+    tells on which side of the linear span of the facet's rows row k
+    lies: for rows (v, 1), the side of the facet's affine hyperplane.  So
+    two simplices on one facet lie on opposite sides of it iff their
+    sides are opposite and non-zero.
+    """
+    sides: dict[Cell, list[tuple[Cell, int]]] = {}
+    for c, det in zip_longest(simplices, dets, fillvalue=0):
+        sign = (det > 0) - (det < 0)
+        side = sign if len(c) % 2 else -sign  # at k = 0
+        for k in range(len(c)):
+            sides.setdefault(c[:k] + c[k + 1 :], []).append((c, side))
+            side = -side
+    return sides
+
+
 def verify(s: Subdivision) -> VerifyReport:
     """Structural proof that the cells of s triangulate the simplex
     P = conv(ambient).
@@ -138,12 +164,9 @@ def verify(s: Subdivision) -> VerifyReport:
 
     Without the orientation check, two cells folded onto one side of a
     shared facet (or of a facet of P) pass both the count and the
-    checksum.  A simplex's side of its facet opposite vertex k is
-    sign(det) * (-1)^(d-k), with det the signed determinant of its rows
-    (v, 1) (polytope.signed_nvol): moving row k last takes d - k
-    transpositions, and the sign of that determinant, with the facet's
-    vertices in sorted order above v_k, tells which side of the facet's
-    hyperplane v_k lies on.
+    checksum.  The orientation check reads each cell's sides of its
+    facets from facet_sides, with the signed determinant of its rows
+    (v, 1) (polytope.signed_nvol).
     """
     d = s.dim
     simplicial = all(len(c) == d + 1 for c in s.cells)
@@ -174,7 +197,8 @@ def verify(s: Subdivision) -> VerifyReport:
         checksum = sum(map(abs, dets))
         if checksum != ambient_nvol:
             failures.append(
-                f"volume checksum {checksum} != ambient nvol {ambient_nvol}"
+                f"volume checksum {exact.number_str(checksum)} != ambient "
+                f"nvol {ambient_nvol}"
             )
     except DegenerateGeometry as e:
         checksum = None
@@ -191,15 +215,8 @@ def verify(s: Subdivision) -> VerifyReport:
         if i is not None:
             failures.append(f"cell vertex {s.points[i]} outside ambient")
 
-    # each facet with its cells and the side of it each cell lies on
-    # (0 where a degenerate cell stopped the signed volumes)
-    sides: dict[Cell, list[tuple[Cell, int]]] = {}
-    for ci, c in enumerate(s.cells):
-        sign = 0 if ci >= len(dets) else 1 if dets[ci] > 0 else -1
-        for k in range(len(c)):
-            sides.setdefault(c[:k] + c[k + 1 :], []).append(
-                (c, -sign if (d - k) % 2 else sign)
-            )
+    # side 0 for the cells from a degenerate one on, which stopped dets
+    sides = facet_sides(s.cells, dets)
     # bit j set where a cell vertex lies on the j-th facet of P
     on_facets = {i: polytope.facet_mask(ambient_rows, s.points[i]) for i in used}
     for key, on in sides.items():

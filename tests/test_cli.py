@@ -67,6 +67,19 @@ def test_triangulate_p1_refusals_name_its_level(tmp_path, capsys):
     )
 
 
+def test_triangulate_p1_limit_counts_its_own_cells(tmp_path, capsys):
+    # p1 at level 5 has 3,612 cells: a limit of 2,000 refuses it, although
+    # the p2 level it rests on has 1,806
+    out = tmp_path / "x.json"
+    argv = ["triangulate", "--family", "p1", "--n", "5", "--max-cells", "2000"]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "feasibility refusal: level 5 needs more than 2000 cells "
+        "(limit --max-cells)\n"
+    )
+    assert not out.exists()
+
+
 def test_verify_good_artifact(tmp_path, capsys):
     path = tmp_path / "p1_3.json"
     pipeline.save(pipeline.triangulate_p1(3), str(path))
@@ -254,6 +267,81 @@ def test_loader_refuses_an_unbuildable_level_before_building_it(
         "feasibility refusal: level 40 needs more than 5000000 cells "
         "(limit --max-cells)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "n, code, err",
+    [
+        (1, 4, "parse error: malformed artifact field: family p1 needs n >= 2"),
+        (
+            6,
+            2,
+            "feasibility refusal: artifact level 6 needs more than 5000000 "
+            "cells (loader limit)",
+        ),
+    ],
+    ids=["level 1", "level 6"],
+)
+def test_loader_applies_the_p1_rules(tmp_path, capsys, n, code, err):
+    # level-3 data relabelled p1: level 1 is outside the family, and level
+    # 6 has 2 (s_5 - 1) = 6,526,884 cells, above the loader's limit
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
+    data.update(family="p1", n=n)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for command in ("verify", "stats"):
+        assert cli.main([command, str(path)]) == code
+        assert capsys.readouterr().err == err + "\n"
+
+
+def _huge_margin(data):
+    """Entry i of the witness raised by 1/(10^1400 + 7 i + 1), entry 3
+    lowered by 1000: some violation margins pass the int-to-str limit."""
+    witness = [
+        str(Fraction(x) + Fraction(1, 10**1400 + 7 * i + 1))
+        for i, x in enumerate(data["witness"])
+    ]
+    witness[3] = str(Fraction(witness[3]) - 1000)
+    data["witness"] = witness
+
+
+def _huge_points(data):
+    """The two lex-largest points replaced by (10^3000, 1) and (10^3000,
+    10^3000): the volume checksum passes the int-to-str limit."""
+    huge = str(10**3000)
+    data["points"][-2:] = [[huge, "1"], [huge, huge]]
+
+
+@pytest.mark.parametrize(
+    "edit, out, line",
+    [
+        (
+            _huge_margin,
+            "valid=true simplicial=true unimodular=true regular=false checksum=6",
+            "regularity violation: cell (0, 4, 5) point (-1, 2) "
+            "margin -<18612 bits>/<18602 bits>",
+        ),
+        (
+            _huge_points,
+            "valid=false simplicial=true unimodular=false regular=false "
+            "checksum=<19933 bits>",
+            "failure: volume checksum <19933 bits> != ambient nvol 6",
+        ),
+    ],
+    ids=["margin", "checksum"],
+)
+def test_verify_shortens_numbers_past_the_digit_limit(
+    tmp_path, capsys, edit, out, line
+):
+    # the level-2 artifact with a number in its report that str() refuses
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == out + "\n"
+    assert line in captured.err.splitlines()
 
 
 def test_fan_p2(tmp_path, capsys):

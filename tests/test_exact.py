@@ -47,6 +47,19 @@ def matrix(n):
     )
 
 
+def test_number_str_shortens_only_what_str_refuses():
+    # str(x) where it succeeds; past Python's int-to-str digit limit, the
+    # sign and bit lengths
+    big = 10**5000
+    assert exact.number_str(None) == "None"
+    assert exact.number_str(-(10**4000)) == str(-(10**4000))
+    assert exact.number_str(Fraction(-7, 10**4000)) == f"-7/{10**4000}"
+    assert exact.number_str(big) == "<16610 bits>"
+    assert exact.number_str(-big) == "-<16610 bits>"
+    assert exact.number_str(Fraction(-big, 3)) == "-<16610 bits>/<2 bits>"
+    assert exact.number_str(Fraction(1, big + 1)) == "<1 bits>/<16610 bits>"
+
+
 def test_det_examples():
     assert det([[2, 0], [0, 3]]) == 6
     assert det([[1, 2], [2, 4]]) == 0

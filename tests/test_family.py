@@ -45,6 +45,22 @@ def test_build_vertex_order():
     assert dual.vertices == ((-1, -1), (1, -1), (-1, 2))
     with pytest.raises(DomainError):
         FamilySpec(Family.P1, 0)
+    # p1 at level n cones over p2 at level n - 1, so it starts at level 2
+    with pytest.raises(DomainError, match="^family p1 needs n >= 2$"):
+        FamilySpec(Family.P1, 1)
+
+
+@pytest.mark.parametrize("fam", list(Family))
+def test_cell_count_is_the_normalized_volume(fam):
+    # the closed form against the simplex's determinant, and the limit:
+    # the count itself passes, one less refuses, and a huge level is
+    # refused after a few factors
+    for n in range(2, 7):
+        spec = FamilySpec(fam, n)
+        count = polytope.nvol(family.build(spec).vertices)
+        assert family.cell_count(spec, count) == count
+        assert family.cell_count(spec, count - 1) is None
+    assert family.cell_count(FamilySpec(fam, 10**6), 10**6) is None
 
 
 def test_volumes_small():

@@ -249,6 +249,42 @@ def test_load_refuses_a_non_positive_level(n):
         pipeline.from_json_dict(data)
 
 
+def test_load_refuses_p1_below_level_2():
+    # FamilySpec refuses p1 at level 1, which triangulate refuses too
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
+    data.update(family="p1", n=1)
+    with pytest.raises(ArtifactFormatError, match="family p1 needs n >= 2$"):
+        pipeline.from_json_dict(data)
+
+
+def test_load_refuses_p1_past_the_cell_limit():
+    # p1 at level 6 has 2 (s_5 - 1) = 6,526,884 cells, above MAX_CELLS,
+    # although p2 at level 5, which it cones over, has fewer
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
+    data.update(family="p1", n=6)
+    with pytest.raises(
+        FeasibilityLimit,
+        match=r"^artifact level 6 needs more than 5000000 cells \(loader limit\)$",
+    ):
+        pipeline.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe\x80{}",
+        b'{"version": 1, "n": ' + b"9" * 5000 + b"}",
+        b"[" * 100000 + b"]" * 100000,
+    ],
+    ids=["not utf-8", "integer past the digit limit", "nested too deep"],
+)
+def test_load_refuses_undecodable_files(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ArtifactFormatError, match="^cannot read artifact "):
+        pipeline.load(str(path))
+
+
 def test_load_rejects_point_of_wrong_dimension(tmp_path):
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
     data["points"].append(["5"])  # sorts last
@@ -350,6 +386,49 @@ def test_load_rejects_truncated_file(tmp_path):
 def test_feasibility_limit():
     with pytest.raises(FeasibilityLimit):
         pipeline.triangulate_p2dual(99, max_cells=10**6)
+
+
+def test_p1_limit_counts_its_own_cells(monkeypatch):
+    # p1 at level 5 has 3,612 cells, twice the 1,806 of the p2 level it
+    # rests on; at level 6 its 6,526,884 pass the default limit.  Both are
+    # refused before the p2 level is built.
+    def build(n, max_cells, cache_dir):
+        raise AssertionError(f"built p2 at level {n}")
+
+    monkeypatch.setattr(pipeline, "triangulate_p2", build)
+    with pytest.raises(
+        FeasibilityLimit, match=r"^level 5 needs more than 2000 cells"
+    ):
+        pipeline.triangulate_p1(5, max_cells=2000)
+    with pytest.raises(
+        FeasibilityLimit, match=r"^level 6 needs more than 5000000 cells"
+    ):
+        pipeline.triangulate_p1(6)
+
+
+def test_cache_entry_failures_shorten_huge_numbers(tmp_path):
+    # a cache entry whose first failure holds a number past Python's
+    # int-to-str digit limit: the volume checksum of two huge points, or
+    # the margin of a witness whose entries have ~1500-digit denominators
+    cache = str(tmp_path)
+    pipeline.triangulate_p2dual(2, cache_dir=cache)
+    path = tmp_path / "p2dual_2.json"
+    good = json.loads(path.read_text())
+    huge = 10**3000
+    points = good["points"][:-2] + [[str(huge), "1"], [str(huge), str(huge)]]
+    witness = [
+        str(Fraction(x) + Fraction(1, 10**1500 + 7 * i + 1))
+        for i, x in enumerate(good["witness"])
+    ]
+    witness[3] = str(Fraction(witness[3]) - 1000)
+    for edit, message in (
+        ({"points": points}, r"volume checksum <19933 bits> != ambient nvol 6$"),
+        ({"witness": witness}, r"margin -<\d+ bits>/<\d+ bits>$"),
+    ):
+        path.write_text(json.dumps(dict(good, **edit)))
+        pipeline.clear_cache()
+        with pytest.raises(VerificationFailure, match=message):
+            pipeline.triangulate_p2dual(2, cache_dir=cache)
 
 
 def test_cache_dir_reuse(tmp_path):

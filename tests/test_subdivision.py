@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sylvtri import exact, family, pipeline, subdivision as sd, witness as wt
+from sylvtri import exact, family, pipeline, polytope, subdivision as sd, witness as wt
 from sylvtri.errors import DegenerateGeometry, DomainError
 from sylvtri.witness import RegularityWitness
 
@@ -292,6 +292,24 @@ def test_verify_facets_rejects_cells_folded_onto_one_side():
         ]
         assert not rep.valid and not rep.unimodular
         assert not oracles.pairwise_verdict(s)
+
+
+def test_facet_sides_reads_the_parity_rule():
+    # points (0, 0), (1, 0), (0, 1), (1, 1), (-1, 1): the edge (1, 2) is
+    # entry 0 of (0, 1, 2) and entry 2 of (1, 2, 3) and (1, 2, 4); the
+    # square's two triangles lie on opposite sides of it, the fold (0, 1, 2)
+    # and (1, 2, 4) on one side.  A simplex past the end of dets gets 0.
+    pts = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)]
+    cells = [(0, 1, 2), (1, 2, 3), (1, 2, 4)]
+    dets = [polytope.signed_nvol([pts[i] for i in c]) for c in cells]
+    assert dets == [1, -1, 1]
+    assert sd.facet_sides(cells, dets)[(1, 2)] == [
+        ((0, 1, 2), 1),
+        ((1, 2, 3), -1),
+        ((1, 2, 4), 1),
+    ]
+    short = sd.facet_sides(cells, dets[:1])
+    assert [side for on in short.values() for c, side in on if c != (0, 1, 2)] == [0] * 6
 
 
 def test_verify_unimodular_reads_signed_volumes():
