@@ -397,7 +397,7 @@ def _int_or_none(x: str) -> int | None:
     return v if str(v) == x else None
 
 
-def from_json_dict(data: dict) -> PipelineArtifact:
+def from_json_dict(data: dict, max_cells: int | None = None) -> PipelineArtifact:
     if not isinstance(data, dict):
         raise ArtifactFormatError("artifact must be a JSON object")
     version = data.get("version")
@@ -423,9 +423,10 @@ def from_json_dict(data: dict) -> PipelineArtifact:
         raise ArtifactFormatError(f"malformed artifact field: {e}") from e
     # refuse a level triangulate would refuse before building its ambient,
     # whose coordinates grow like the Sylvester numbers
-    if family.cell_count(spec, MAX_CELLS) is None:
+    limit = MAX_CELLS if max_cells is None else max_cells
+    if family.cell_count(spec, limit) is None:
         raise FeasibilityLimit(
-            f"artifact level {n} needs more than {MAX_CELLS} cells (loader limit)"
+            f"artifact level {n} needs more than {limit} cells (loader limit)"
         )
     if not points:
         raise ArtifactFormatError("point store is empty")
@@ -454,8 +455,9 @@ def from_json_dict(data: dict) -> PipelineArtifact:
     return PipelineArtifact(spec, tri, RegularityWitness(wvals), prov)
 
 
-def load(path: str) -> PipelineArtifact:
-    """Read and validate an artifact file."""
+def load(path: str, max_cells: int | None = None) -> PipelineArtifact:
+    """Read and validate an artifact file of at most max_cells cells
+    (MAX_CELLS if None)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -463,7 +465,7 @@ def load(path: str) -> PipelineArtifact:
         # JSONDecodeError, UnicodeDecodeError and the error of a JSON
         # integer past Python's digit limit for int() are ValueErrors
         raise ArtifactFormatError(f"cannot read artifact {path}: {e}") from e
-    return from_json_dict(data)
+    return from_json_dict(data, max_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +487,12 @@ def _load_cached(
     disk lookup, and a cached artifact is refused exactly when building it
     would be.
 
-    A disk entry is untrusted: it must hold the family and level it is
-    filed under, and pass the structural proof, the regularity check and
-    the expected cell count before it is served.
+    A disk entry is untrusted: read under the same max_cells, it must hold
+    the family and level it is filed under, and pass the structural proof,
+    the regularity check and the expected cell count before it is served.
     """
-    if family.cell_count(spec, max_cells) is None:
+    expected = family.cell_count(spec, max_cells)
+    if expected is None:
         raise FeasibilityLimit(
             f"level {spec.n} needs more than {max_cells} cells (limit --max-cells)"
         )
@@ -499,14 +502,14 @@ def _load_cached(
     if cache_dir is not None:
         path = _cache_path(spec, cache_dir)
         if os.path.exists(path):
-            art = load(path)
+            art = load(path, max_cells)
             if art.spec != spec:
                 raise ArtifactFormatError(
                     f"cache entry {path} holds {art.spec.family.value} "
                     f"n={art.spec.n}, not the requested "
                     f"{spec.family.value} n={spec.n}"
                 )
-            failure = _first_failure(art)
+            failure = _first_failure(art, expected)
             if failure is not None:
                 raise VerificationFailure(f"cache entry {path}: {failure}")
             _CACHE[key] = art
@@ -514,10 +517,10 @@ def _load_cached(
     return None
 
 
-def _first_failure(art: PipelineArtifact) -> str | None:
-    """The first reason art is not a certified triangulation, or None."""
+def _first_failure(art: PipelineArtifact, expected: int) -> str | None:
+    """The first reason art, of expected cells, is not a certified
+    triangulation, or None."""
     tri = art.triangulation
-    expected = family.cell_count(art.spec, MAX_CELLS)
     if len(tri.cells) != expected:
         return f"cell count {len(tri.cells)} != expected {expected}"
     cert = art.certificate

@@ -164,8 +164,8 @@ def ridges(sets: Sequence[frozenset[int]], f: int) -> dict[int, frozenset[int]]:
 
 def ridge_row(
     lam_a: int, row_a: Sequence[int], lam_b: int, row_b: Sequence[int]
-) -> tuple[tuple[int, ...], int]:
-    """(lam_a row_b - lam_b row_a) / k, k its gcd, and k.
+) -> tuple[int, ...]:
+    """(lam_a row_b - lam_b row_a) over its gcd.
 
     With lam_a and lam_b the values of facet rows row_a and row_b at a
     point x, the row vanishes at x and on the ridge A & B, so it is the
@@ -174,7 +174,7 @@ def ridge_row(
     """
     row = [lam_a * y - lam_b * x for x, y in zip(row_a, row_b)]
     k = gcd(*row)
-    return tuple([x // k for x in row]), k
+    return tuple([x // k for x in row])
 
 
 def _facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int, ...]]:
@@ -212,7 +212,7 @@ def _facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int,
                 for g, ridge in ridges(sets, f).items():
                     if lam[g] > 0:
                         new_sets.append(ridge | {i})
-                        new_rows.append(ridge_row(lam[g], rows[g], lf, rows[f])[0])
+                        new_rows.append(ridge_row(lam[g], rows[g], lf, rows[f]))
         kept = [f for f, x in enumerate(lam) if x >= 0]
         sets = [sets[f] | {i} if lam[f] == 0 else sets[f] for f in kept] + new_sets
         rows = [rows[f] for f in kept] + new_rows

@@ -260,7 +260,7 @@ def _pyramid(
     meets = ridges(sets, f)
     out = [(m_index, f, frow)]  # (least vertex off, g, row)
     for g, ridge in meets.items():
-        row = rows[g] if lam[g] == 0 else ridge_row(lf, frow, lam[g], rows[g])[0]
+        row = rows[g] if lam[g] == 0 else ridge_row(lf, frow, lam[g], rows[g])
         out.append((min(fset - ridge), g, row))
     out.sort()  # (least vertex off, g) is unique, so rows are not compared
     child_sets = [fset if g == f else meets[g] | {m_index} for _, g, _ in out]
@@ -291,7 +291,7 @@ def _split_simplex(
     fk = parent[:k] + parent[k + 1 :]
     lk, rk = lam[k], rows[k]
     child_rows = [
-        rows[j] if lam[j] == 0 else ridge_row(lk, rk, lam[j], rows[j])[0]
+        rows[j] if lam[j] == 0 else ridge_row(lk, rk, lam[j], rows[j])
         for j in range(len(parent))
         if j != k
     ]
@@ -423,17 +423,21 @@ def pull_sweep(
     (q, w(q)).  The pyramid's interpolant A = A0 - eps * Lam agrees with H
     on F and is phi_m - eps at m, so A - H = (phi_m - eps - H(m)) Lam, and
     q bounds eps < phi_m - H(m).  At a vertex of b off F, H is b's
-    interpolant B, so F bounds eps < phi_m - B(m).  No other q bounds it
-    lower: H - B vanishes on F too, so H(m) - B(m) = (w(q) - B(q)) /
-    Lam(q) <= 0, as B(q) <= g(q) <= w(q) by convexity.  A wall through m
-    therefore never binds: its neighbour's vertex off it lies beyond F or
-    bounds nothing (Lam >= 0), and when F lies on the boundary of P no
-    store point lies beyond it.  The pass after the last pull derives the
-    simplices' facets from the cells again, so the final proof does not
-    rest on the sweep's bookkeeping.  Its cells are simplices, as
-    Triangulation checks: from m's pull on, a cell holding m is a pyramid
-    with apex m, as are a pyramid's children through its apex, and a
-    pyramid with apex each of its vertices is a simplex.
+    interpolant B, so F bounds eps < phi_m - B(m), which the code reads
+    off b's kept form at m.  Every vertex q of b off F gives that value:
+    it lies beyond F, as b and the pyramid lie on F's two sides, and A0 -
+    B, 0 on F, is (phi_m - B(m)) Lam, so (w(q) - A0(q)) / -Lam(q) equals
+    phi_m - B(m).  No other q bounds it lower: H - B vanishes on F too, so
+    H(m) - B(m) = (w(q) - B(q)) / Lam(q) <= 0, as B(q) <= g(q) <= w(q) by
+    convexity.  A wall through m therefore never binds: its neighbour's
+    vertex off it lies beyond F or bounds nothing (Lam >= 0), and when F
+    lies on the boundary of P no store point lies beyond it.  The pass
+    after the last pull derives the simplices' facets from the cells
+    again, so the final proof does not rest on the sweep's bookkeeping.
+    Its cells are simplices, as Triangulation checks: from m's pull on, a
+    cell holding m is a pyramid with apex m, as are a pyramid's children
+    through its apex, and a pyramid with apex each of its vertices is a
+    simplex.
 
     The sweep runs on integers.  Every cell keeps primitive integer facet
     rows, >= 0 on it and 0 on one facet each: a simplex its simplex_inverse
@@ -453,8 +457,8 @@ def pull_sweep(
     m: every other facet G is (F & G) + m and keeps f_G (lam_G = 0).  A
     simplex with vertex m stays on a fast path that reads only m's row.
     Forms stay as solved, over the common scale, until _drop writes them in
-    lowest terms; drop bounds are compared by cross-multiplication, and
-    only witness values, phi_m and drops are Fractions.
+    lowest terms; drop bounds compare values B(m) by cross-multiplication,
+    and only witness values, phi_m, the least bound and drops are Fractions.
     """
     pts = s.points
     npts = len(pts)
@@ -558,31 +562,26 @@ def pull_sweep(
                 add(key)
                 eps_cells.append((key, a0, (prows[f], lam[f]), fs))
 
-        # bound eps by the facet F opposite m of each cell through m: the
-        # targets are the vertices off F of the cell across it, and
-        # constraints with Lam >= 0 relax as eps grows.  The least bound so
-        # far is bn / bd (bd > 0, None while unbounded), an unreduced
-        # integer pair compared by cross-multiplication.
+        # the cell b across the facet F opposite m of each cell through m
+        # bounds eps by phi_m - B(m), B b's kept form.  The greatest B(m) so
+        # far is bn / bd (None while unbounded), compared unreduced.
         bn: int | None = None
         bd = 1
-        for c, (arow, ad), (lrow, ld), fs in eps_cells:
-            others = _cells_on(star, fs) - {c}
-            for pi in [i for other in others for i in other if i not in fs]:
-                p = pts[pi]
-                ln = row_at(lrow, p)
-                if ln >= 0:
-                    continue
-                # bound = (vals[pi] - A0(p)) / -Lam(p) = c0n ld / (vd ad -ln)
-                v = vals[pi]
-                vd = v.denominator
-                c0n = v.numerator * ad - row_at(arow, p) * vd
-                if c0n <= 0:
-                    raise DomainError("witness is not convex before the pull")
-                num, den = c0n * ld, vd * ad * -ln
-                if bn is None or num * bd < bn * den:
-                    bn, bd = num, den
+        for c, _, _, fs in eps_cells:
+            for b in _cells_on(star, fs) - {c}:
+                brow, bden = cache[b]
+                num = row_at(brow, m)
+                if bn is None or num * bd > bn * bden:
+                    bn, bd, across = num, bden, (b, fs)
+        upper = None if bn is None else phi_m - Fraction(bn, bd)
+        if upper is not None and upper <= 0:
+            raise DomainError(
+                f"witness is not convex before the pull at store point {m}: "
+                f"cell {across[0]} across facet {sorted(across[1])} has "
+                f"margin {exact.number_str(upper)}"
+            )
 
-        eps = _largest_power_drop(None if bn is None else Fraction(bn, bd))
+        eps = _largest_power_drop(upper)
         vals[m_index] = phi_m - eps
         for c, a0, lam, _ in eps_cells:
             cache[c] = _drop(a0, lam, eps)

@@ -581,6 +581,22 @@ def test_pull_sweep_rejects_drops_at_the_bound(start, last_only, monkeypatch):
         wt.pull_sweep(s, w)
 
 
+def test_pull_sweep_bound_failure_names_point_cell_and_facet(monkeypatch):
+    # the level-2 drop at its bound leaves the wall [2, 5] flat, which the
+    # second pull's bound phase finds: margin phi_m - B(m) = 0
+    s, w = _level2_glue()
+    power_drop = wt._largest_power_drop
+    monkeypatch.setattr(
+        wt, "_largest_power_drop", lambda up: power_drop(up) if up is None else up
+    )
+    with pytest.raises(DomainError) as err:
+        wt.pull_sweep(s, w)
+    assert str(err.value) == (
+        "witness is not convex before the pull at store point (-1, 0): "
+        "cell (2, 3, 5) across facet [2, 5] has margin 0"
+    )
+
+
 def _sweep_bounds(s, w, monkeypatch):
     """The bound pull_sweep passes to _largest_power_drop at each pull."""
     bounds = []
