@@ -62,9 +62,10 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     The fan is complete when every ridge (a cone minus one ray, as sorted
     ray indices) lies in exactly two cones, with their off-ridge rays on
     opposite sides of it, and the cones' |det|s sum to D, the ambient's
-    normalized volume.  The cones' sides of their ridges come from
-    subdivision.facet_sides, with the determinant of each cone's rays in
-    index order, as the cells' sides in subdivision.verify do.  Why this
+    normalized volume.  The cones' sides of their ridges are read off the
+    cones' facet join (subdivision.facet_join, subdivision.sides), with
+    the determinant of each cone's rays in index order, as the cells'
+    sides in subdivision.verify are.  Why this
     proves the cones cover R^d without overlap: let m(x) count the cones
     containing x.  A path crossing ridges only in their relative
     interiors, away from the lower-dimensional intersections of ridges in
@@ -102,9 +103,11 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     cone_list = tuple(sorted(cones))
     dets = [exact.det_int([list(rays[i]) for i in cone]) for cone in cone_list]
     smooth = all(abs(dv) == 1 for dv in dets)
-    sides = subdivision.facet_sides(cone_list, dets)
+    signs = [(dv > 0) - (dv < 0) for dv in dets]
+    ridges = subdivision.facet_join(cone_list).values()
     complete = sum(map(abs, dets)) == nvol and all(
-        len(on) == 2 and on[0][1] == -on[1][1] != 0 for on in sides.values()
+        len(ab) == 2 and ab[0] == -ab[1] != 0
+        for ab in (subdivision.sides(on, signs) for on in ridges)
     )
     crepant = all(min(polytope.row_at(row, r) for row in rows) == 0 for r in rays)
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from . import exact
@@ -73,17 +73,53 @@ def signed_nvol(verts: Sequence[Point]) -> int:
     Its absolute value is nvol; its sign is the orientation of the vertex
     order.  Subtracting row 0 from the others leaves (v_i - v_0, 0), so
     expanding along the last column gives (-1)^d times the det of the d x d
-    differences v_i - v_0.
+    differences v_i - v_0: one Bareiss run (exact._eliminate), the sign of
+    its row permutation times its last pivot.
     """
     dim = len(verts[0])
     if len(verts) != dim + 1:
         raise DegenerateGeometry("nvol requires a full-dimensional simplex")
     v0 = verts[0]
-    d = exact.det_int([[x - y for x, y in zip(v, v0)] for v in verts[1:]])
-    d = -d if dim % 2 else d
-    if d == 0:
+    m = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
+    pivots, sign = exact._eliminate(m, dim)
+    if len(pivots) < dim:
         raise DegenerateGeometry("zero-volume simplex")
-    return d
+    d = sign * m[-1][-1] if dim else 1
+    return -d if dim % 2 else d
+
+
+def volume_form(
+    verts: Sequence[Point], heights: Sequence[int]
+) -> tuple[int, tuple[list[int], int]]:
+    """signed_nvol of a simplex and the integer affine form (y, D), D > 0,
+    whose row_at(y, x) / D interpolates integer heights at its vertices.
+
+    The form (a, b) solves (v_k, 1) . (a, b) = h_k, so (v_k - v_0) . a =
+    h_k - h_0 for k >= 1 and b = h_0 - a . v_0.  One Bareiss run of the
+    d x (d + 1) system [v_k - v_0 | h_k - h_0] (exact._eliminate) gives
+    the det of the differences, its row sign times its last pivot P, as
+    signed_nvol reads it, and back substitution gives P a, integral by
+    Cramer's rule as in exact._solve_int.  With D = |P| the form is
+    (D a, D h_0 - D a . v_0) over D: exactly exact.integer_solve's (y, D)
+    on (v_k, 1) . r = h_k, since the solution is unique and D = |det| of
+    the rows (v_k, 1).  Raises DegenerateGeometry on a flat simplex.
+    """
+    v0, h0 = verts[0], heights[0]
+    dim = len(v0)
+    m = [[*map(sub, v, v0), h - h0] for v, h in zip(verts[1:], heights[1:])]
+    pivots, sign = exact._eliminate(m, dim)
+    if len(pivots) < dim:
+        raise DegenerateGeometry("zero-volume simplex")
+    last = m[-1][-2] if dim else 1
+    det = sign * last
+    y = [0] * dim
+    for i in range(dim - 1, -1, -1):
+        ri = m[i]
+        y[i] = (last * ri[dim] - sum(map(mul, ri[i + 1 : dim], y[i + 1 :]))) // ri[i]
+    if last < 0:
+        last, y = -last, [-x for x in y]
+    y.append(last * h0 - sum(map(mul, y, v0)))
+    return -det if dim % 2 else det, (y, last)
 
 
 def simplex_inverse(verts: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import zip_longest
 from operator import and_
 from typing import Iterable, Sequence
 
@@ -22,6 +21,9 @@ from .errors import DegenerateGeometry
 from .polytope import Point
 
 Cell = tuple[int, ...]
+# each facet of a list of simplices with the (cell index, entry) of each
+# simplex on it (facet_join)
+Join = dict[Cell, list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,21 @@ class VerifyReport:
     )
 
 
-def facet_sides(
-    simplices: Sequence[Cell], dets: Sequence[int]
-) -> dict[Cell, list[tuple[Cell, int]]]:
-    """Each facet of the simplices (a simplex minus its entry k) with the
-    simplices on it and the side of it each lies on: sign(det) *
-    (-1)^(m - 1 - k), det the determinant of the simplex's m rows in
-    entry order, or side 0 for a simplex past the end of dets.
+def facet_join(cells: Sequence[Cell]) -> Join:
+    """Each facet of the simplices, a cell without its entry k, with the
+    (cell index, k) of every cell on it, in cell order."""
+    join: Join = {}
+    for ci, c in enumerate(cells):
+        for k in range(len(c)):
+            join.setdefault(c[:k] + c[k + 1 :], []).append((ci, k))
+    return join
+
+
+def sides(on: Iterable[tuple[int, int]], signs: Sequence[int]) -> list[int]:
+    """The sides of their common facet on which the simplices on it lie,
+    each given as (cell index i, entry k) with signs[i] the sign of the
+    determinant of its m rows in entry order: signs[i] * (-1)^k, up to
+    the factor (-1)^(m - 1) that simplices of m rows share.
 
     Why: moving row k last takes m - 1 - k transpositions, and the sign
     of the determinant with the facet's rows in entry order above row k
@@ -113,24 +123,44 @@ def facet_sides(
     two simplices on one facet lie on opposite sides of it iff their
     sides are opposite and non-zero.
     """
-    sides: dict[Cell, list[tuple[Cell, int]]] = {}
-    for c, det in zip_longest(simplices, dets, fillvalue=0):
-        sign = (det > 0) - (det < 0)
-        side = sign if len(c) % 2 else -sign  # at k = 0
-        for k in range(len(c)):
-            sides.setdefault(c[:k] + c[k + 1 :], []).append((c, side))
-            side = -side
-    return sides
+    return [signs[i] if k % 2 == 0 else -signs[i] for i, k in on]
 
 
-def verify(s: Subdivision) -> VerifyReport:
+def _refusal(s: Subdivision) -> str | None:
+    """Why verify proves nothing about s, or None: the ambient does not
+    span R^d, a cell is not a simplex or the ambient is not one."""
+    d = s.dim
+    if d != s.ambient_dim:
+        return (
+            f"cell {next(iter(s.cells), None)} is not full-dimensional: the "
+            f"ambient spans dimension {d} of {s.ambient_dim}"
+        )
+    bad = next((c for c in s.cells if len(c) != d + 1), None)
+    if bad is not None:
+        return f"cell {bad} is not a simplex"
+    if len(s.ambient) != d + 1:
+        return (
+            f"ambient is not a simplex: {len(s.ambient)} points span "
+            f"dimension {d}"
+        )
+    return None
+
+
+def verify(
+    s: Subdivision,
+    dets: Sequence[int] | None = None,
+    join: Join | None = None,
+) -> VerifyReport:
     """Structural proof that the cells of s triangulate the simplex
     P = conv(ambient).
 
     Checks the exact volume checksum against P, that every cell vertex
     lies in P, the facet join (pseudomanifold) with its orientation check,
     and per-cell unimodularity, which any failure clears: unimodular
-    implies valid and simplicial.  Preconditions:
+    implies valid and simplicial.  dets and join, when given, are what
+    it would compute: the cells' signed volumes in cell order
+    (polytope.signed_nvol), up to and without the first degenerate cell,
+    and facet_join(s.cells).  Preconditions:
 
     - every cell is a strictly increasing tuple of store indices: facets
       are keyed by sorted index tuples (pipeline.from_json_dict refuses
@@ -164,45 +194,35 @@ def verify(s: Subdivision) -> VerifyReport:
 
     Without the orientation check, two cells folded onto one side of a
     shared facet (or of a facet of P) pass both the count and the
-    checksum.  The orientation check reads each cell's sides of its
-    facets from facet_sides, with the signed determinant of its rows
-    (v, 1) (polytope.signed_nvol).
+    checksum.  The orientation check reads each cell's side of its
+    facets off the join (sides), with the signed determinant of its rows
+    (v, 1).
     """
-    d = s.dim
-    simplicial = all(len(c) == d + 1 for c in s.cells)
-    if d != s.ambient_dim:
-        refusal = (
-            f"cell {next(iter(s.cells), None)} is not full-dimensional: the "
-            f"ambient spans dimension {d} of {s.ambient_dim}"
-        )
-    elif not simplicial:
-        refusal = f"cell {next(c for c in s.cells if len(c) != d + 1)} is not a simplex"
-    elif len(s.ambient) != d + 1:
-        refusal = (
-            f"ambient is not a simplex: {len(s.ambient)} points span "
-            f"dimension {d}"
-        )
-    else:
-        refusal = None
+    refusal = _refusal(s)
     if refusal is not None:
+        simplicial = all(len(c) == s.dim + 1 for c in s.cells)
         return VerifyReport(False, simplicial, False, None, [refusal])
 
     # the ambient's d + 1 vertices span R^d: facet rows and nvol(P) at once
     ambient_rows, ambient_nvol = polytope.simplex_inverse(s.ambient)
     failures: list[str] = []
-    dets: list[int] = []  # signed volume of each cell, in cell order
-    try:
-        for c in s.cells:
-            dets.append(polytope.signed_nvol(s.cell_points(c)))
+    if dets is None:
+        dets = []
+        try:
+            for c in s.cells:
+                dets.append(polytope.signed_nvol(s.cell_points(c)))
+        except DegenerateGeometry:
+            pass
+    if len(dets) < len(s.cells):
+        checksum = None
+        failures.append("degenerate cell: zero-volume simplex")
+    else:
         checksum = sum(map(abs, dets))
         if checksum != ambient_nvol:
             failures.append(
                 f"volume checksum {exact.number_str(checksum)} != ambient "
                 f"nvol {ambient_nvol}"
             )
-    except DegenerateGeometry as e:
-        checksum = None
-        failures.append(f"degenerate cell: {e}")
 
     used = {i for c in s.cells for i in c}  # store indices of cell vertices
     outside = {
@@ -215,21 +235,26 @@ def verify(s: Subdivision) -> VerifyReport:
         if i is not None:
             failures.append(f"cell vertex {s.points[i]} outside ambient")
 
-    # side 0 for the cells from a degenerate one on, which stopped dets
-    sides = facet_sides(s.cells, dets)
+    if join is None:
+        join = facet_join(s.cells)
     # bit j set where a cell vertex lies on the j-th facet of P
     on_facets = {i: polytope.facet_mask(ambient_rows, s.points[i]) for i in used}
-    for key, on in sides.items():
+    for key, on in join.items():
         if len(on) > 2:
             failures.append(f"facet {key} shared by {len(on)} cells")
         elif len(on) == 1 and not reduce(and_, (on_facets[i] for i in key)):
             failures.append(f"facet {key} unmatched and not on the boundary")
-    for key, on in sides.items():
-        if len(on) == 2 and on[0][1] == on[1][1] != 0:
-            failures.append(
-                f"cells {on[0][0]} and {on[1][0]} lie on one side of "
-                f"their common facet {key}"
-            )
+    # side 0 for the cells from a degenerate one on
+    signs = [(x > 0) - (x < 0) for x in dets]
+    signs += [0] * (len(s.cells) - len(signs))
+    for key, on in join.items():
+        if len(on) == 2:
+            a, b = sides(on, signs)
+            if a == b != 0:
+                failures.append(
+                    f"cells {s.cells[on[0][0]]} and {s.cells[on[1][0]]} lie on "
+                    f"one side of their common facet {key}"
+                )
 
     # without a failure every cell's volume is in dets
     first_non_unimodular = None if failures else next(

@@ -75,6 +75,21 @@ def _cell_form(verts: Sequence[Point], heights: Sequence[int]) -> Form:
     return exact.integer_solve([(*v, 1) for v in verts], heights)
 
 
+def _bent(form: Form, value: Fraction | int, q: Point) -> bool:
+    """Whether a wall is bent: the vertex q, at height value, of one cell
+    off the facet it shares with another lies at or below form, that
+    cell's interpolant.
+
+    One side suffices when the two cells lie on opposite sides of the
+    facet: A' - A vanishes on it, so (A' - A)(q) = w(q) - A(q) and, at the
+    vertex p of the other cell off it, (A' - A)(p) = A'(p) - w(p) have
+    opposite signs.  Both sides of w(q) * den <= row_at(row, q) are scaled
+    by w(q)'s denominator, so the test stays in integers.
+    """
+    row, den = form
+    return value.numerator * den <= row_at(row, q) * value.denominator
+
+
 def _bent_wall(
     cells: Iterable[Cell],
     facet_sets: Callable[[Cell], Iterable[frozenset[int]]],
@@ -85,24 +100,21 @@ def _bent_wall(
     """The first wall (c, c', facet) that is not strictly convex, or None.
 
     A wall is a facet (store-index set) of two cells; with c the one met
-    second, it is strict when the vertex q of c' off it lies strictly above
-    form(c).  One side suffices when c and c' lie on opposite sides: A' - A
-    vanishes on the wall, so (A' - A)(q) = w(q) - A(q) and, at the vertex
-    p of c off it, (A' - A)(p) = A'(p) - w(p) have opposite signs.  Both
-    sides of w(q) * den <= row_at(row, q) are scaled by w(q)'s denominator,
-    so the test stays in integers.
+    second, it is bent when the vertex q of c' off it lies at or below
+    form(c) (_bent).  Every key is a frozenset, a polytopal cell's facet
+    and a simplex's alike, so a wall between the two is met from both
+    sides.
     """
     walls: dict[frozenset[int], Cell] = {}  # facets met once so far
     for c in cells:
-        row, den = form(c)
+        fc = form(c)
         for fs in facet_sets(c):
             other = walls.pop(fs, None)
             if other is None:
                 walls[fs] = c
                 continue
             q = next(i for i in other if i not in fs)
-            v = values[q]
-            if v.numerator * den <= row_at(row, pts[q]) * v.denominator:
+            if _bent(fc, values[q], pts[q]):
                 return c, other, fs
     return None
 
@@ -111,26 +123,72 @@ def _simplex_facets(c: Cell) -> list[frozenset[int]]:
     return [frozenset(c[:k] + c[k + 1 :]) for k in range(len(c))]
 
 
+def _volumes_and_walls(
+    t: Triangulation, heights: Sequence[int], join: subdivision.Join
+) -> tuple[list[int], bool]:
+    """The cells' signed volumes, in cell order up to the first degenerate
+    cell, and whether a wall bends or a cell is degenerate.
+
+    Each cell's volume and form come from one polytope.volume_form.  A
+    wall is a facet of exactly two cells in join (subdivision.facet_join);
+    the cell that closes it, the later one, tests it when formed against
+    the other's vertex off it (_bent), so no form is kept.  Once a wall
+    bends only volumes are read (polytope.signed_nvol).
+    """
+    pts, cells = t.points, t.cells
+    dets: list[int] = []
+    bent = False
+    for ci, c in enumerate(cells):
+        verts = [pts[i] for i in c]
+        try:
+            if bent:  # the verdict is in: volumes only
+                dets.append(polytope.signed_nvol(verts))
+                continue
+            det, form = polytope.volume_form(verts, [heights[i] for i in c])
+        except DegenerateGeometry:
+            return dets, True
+        dets.append(det)
+        for k in range(len(c)):
+            on = join[c[:k] + c[k + 1 :]]
+            if len(on) == 2 and on[1][0] == ci:
+                oi, ok = on[0]
+                q = cells[oi][ok]
+                if _bent(form, heights[q], pts[q]):
+                    bent = True
+                    break
+    return dets, bent
+
+
 def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateReport:
     """Regular iff A_c(p) < w(p) for every cell c and store point p off c.
 
     The report is that of the all-pairs scan (_all_pairs); its structure
-    is subdivision.verify(t), run once here.  The walls decide when that
-    proof is valid, every store point is a cell vertex and no wall is bent
-    (_bent_wall on the simplices' facets).  Then the cells triangulate the
-    convex polytope P, meeting in common faces, so g, equal to A_c on each
-    cell c, is continuous and w at the vertices.  On almost every segment in P the slope of g increases
-    strictly at each wall it crosses, so g is convex (the wall inequalities
-    of the secondary cone: De Loera-Rambau-Santos, *Triangulations*, 2010,
-    ch. 5).  A store point p off c lies outside c, or it would lie in the
-    common face of c and a cell it is a vertex of; a segment from almost
-    any interior point of c to p leaves c through a wall, after which
-    g - A_c, 0 until then, has a positive, non-decreasing slope: A_c(p) <
-    g(p) = w(p).  Every other case (a bent wall, which is a violating
-    pair, a store point that is no vertex, an ambient that is no simplex
-    or other unproven input) runs the scan, so rejection stays quadratic
-    in the worst case.  A degenerate cell, which the structure names,
-    stops it: not regular.
+    is subdivision.verify(t), run once here on the volumes and facet join
+    (subdivision.facet_join) of one pass over the cells, which also tests
+    the walls (_volumes_and_walls).  The walls decide when that proof is
+    valid, every store point is a cell vertex and no wall is bent.  Then
+    the cells triangulate the convex polytope P, meeting in common faces,
+    so g, equal to A_c on each cell c, is continuous and w at the
+    vertices.  On almost every segment in P the slope of g increases
+    strictly at each wall it crosses, so g is convex (the wall
+    inequalities of the secondary cone: De Loera-Rambau-Santos,
+    *Triangulations*, 2010, ch. 5).  A store point p off c lies outside c,
+    or it would lie in the common face of c and a cell it is a vertex of;
+    a segment from almost any interior point of c to p leaves c through a
+    wall, after which g - A_c, 0 until then, has a positive,
+    non-decreasing slope: A_c(p) < g(p) = w(p).  Every other case (a bent
+    wall, which is a violating pair, a store point that is no vertex, an
+    ambient that is no simplex or other unproven input) runs the scan, so
+    rejection stays quadratic in the worst case.  A degenerate cell, which
+    the structure names, stops it: not regular.
+
+    The pass runs whenever verify does not refuse t (subdivision._refusal),
+    so every cell is a (d + 1)-simplex; its volumes are the ones verify
+    would read, stopping at the same degenerate cell.  It tests only the
+    facets of exactly two cells.  When the join is no pseudomanifold
+    bounded by the facets of P, verify names the facet, the structure is
+    not valid and the scan reports, whatever the pass found: that the
+    walls are read off a failed join changes no report.
     """
     if t.dim != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")
@@ -140,11 +198,13 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     if any(len(p) != t.ambient_dim for p in pts):
         raise DimensionMismatch("point dimension does not match functional")
     heights, scale = _common_scale(w)
-    structure = subdivision.verify(t)
-    if structure.valid and len(set().union(*t.cells)) == len(pts):
-        form = lambda c: _cell_form(t.cell_points(c), [heights[i] for i in c])
-        if _bent_wall(t.cells, _simplex_facets, form, heights, pts) is None:
-            return CertificateReport(True, structure=structure)
+    join = subdivision.facet_join(t.cells)
+    dets, bent = None, True
+    if subdivision._refusal(t) is None:
+        dets, bent = _volumes_and_walls(t, heights, join)
+    structure = subdivision.verify(t, dets, join)
+    if structure.valid and not bent and len(set().union(*t.cells)) == len(pts):
+        return CertificateReport(True, structure=structure)
     try:
         return replace(_all_pairs(t, heights, scale), structure=structure)
     except DegenerateGeometry:  # a degenerate cell, which the proof refused

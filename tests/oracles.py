@@ -16,7 +16,8 @@ Fraction functionals from a cofactor facet scan, and rank by Fraction
 row reduction.  None of this is on the production path:
 ``witness.pull_sweep`` is the library's only pulling code,
 ``subdivision.verify``'s facet join its only structural check,
-``witness._cell_form`` its only interpolant, and every ambient, glue
+``polytope.volume_form`` (simplices) and ``witness._cell_form`` its only
+interpolants, and every ambient, glue
 interface and glue apex height the pipeline uses is known in closed form.
 """
 

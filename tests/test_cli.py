@@ -525,7 +525,10 @@ def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
     # on the accept path and on the scan's
     calls = []
     proof = sd.verify
-    monkeypatch.setattr(sd, "verify", lambda s: calls.append(s) or proof(s))
+    # verify_regularity hands the proof the volumes and facet join it read
+    monkeypatch.setattr(
+        sd, "verify", lambda s, *rest: calls.append(s) or proof(s, *rest)
+    )
     path = tmp_path / "p2dual_2.json"
     assert cli.main(
         ["triangulate", "--family", "p2dual", "--n", "2", "--out", str(path)]

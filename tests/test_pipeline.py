@@ -365,7 +365,10 @@ def test_cache_load_runs_the_structural_proof_once(tmp_path, monkeypatch):
     collinear["cells"][0] = [0, 1, 2]
     calls = []
     proof = sd.verify
-    monkeypatch.setattr(sd, "verify", lambda s: calls.append(s) or proof(s))
+    # verify_regularity hands the proof the volumes and facet join it read
+    monkeypatch.setattr(
+        sd, "verify", lambda s, *rest: calls.append(s) or proof(s, *rest)
+    )
     pipeline.clear_cache()
     pipeline.triangulate_p2dual(2, cache_dir=cache)
     assert len(calls) == 1

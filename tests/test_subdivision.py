@@ -294,22 +294,23 @@ def test_verify_facets_rejects_cells_folded_onto_one_side():
         assert not oracles.pairwise_verdict(s)
 
 
-def test_facet_sides_reads_the_parity_rule():
+def test_facet_join_reads_the_parity_rule():
     # points (0, 0), (1, 0), (0, 1), (1, 1), (-1, 1): the edge (1, 2) is
     # entry 0 of (0, 1, 2) and entry 2 of (1, 2, 3) and (1, 2, 4); the
     # square's two triangles lie on opposite sides of it, the fold (0, 1, 2)
-    # and (1, 2, 4) on one side.  A simplex past the end of dets gets 0.
+    # and (1, 2, 4) on one side.  A cell whose sign is 0 gets side 0.
     pts = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)]
     cells = [(0, 1, 2), (1, 2, 3), (1, 2, 4)]
     dets = [polytope.signed_nvol([pts[i] for i in c]) for c in cells]
     assert dets == [1, -1, 1]
-    assert sd.facet_sides(cells, dets)[(1, 2)] == [
-        ((0, 1, 2), 1),
-        ((1, 2, 3), -1),
-        ((1, 2, 4), 1),
+    join = sd.facet_join(cells)
+    assert join[(1, 2)] == [(0, 0), (1, 2), (2, 2)]
+    assert sd.sides(join[(1, 2)], dets) == [1, -1, 1]
+    others = [
+        x for on in join.values()
+        for (i, _), x in zip(on, sd.sides(on, [1, 0, 0])) if i != 0
     ]
-    short = sd.facet_sides(cells, dets[:1])
-    assert [side for on in short.values() for c, side in on if c != (0, 1, 2)] == [0] * 6
+    assert others == [0] * 6
 
 
 def test_verify_unimodular_reads_signed_volumes():

@@ -124,6 +124,62 @@ def test_cell_form_matches_fraction_interpolant(data):
             wt._cell_form([*verts[:-1], last], heights)
 
 
+def _kernel_agrees(s, c, heights, scale, w):
+    """One cell's volume_form equals (signed_nvol, _cell_form) and, over
+    the common scale, the Fraction oracle's interpolant."""
+    verts, hs = s.cell_points(c), [heights[i] for i in c]
+    det, (row, den) = polytope.volume_form(verts, hs)
+    assert det == polytope.signed_nvol(verts)
+    assert (row, den) == wt._cell_form(verts, hs)
+    fn = oracles.cell_interpolant(s, c, w)
+    assert [Fraction(x, den * scale) for x in row] == [*fn.coeffs, fn.constant]
+
+
+def test_volume_form_matches_det_and_solve_on_artifacts():
+    # every cell of the twelve benchmark artifacts, dimensions 1-5
+    for fam, levels in (("p2dual", (1, 2, 3, 4)), ("p2", (1, 2, 3, 4)),
+                        ("p1", (2, 3, 4, 5))):
+        for n in levels:
+            art = pipeline.triangulate(pipeline.Family(fam), n)
+            t, w = art.triangulation, art.witness
+            heights, scale = wt._common_scale(w)
+            for c in t.cells:
+                _kernel_agrees(t, c, heights, scale, w)
+
+
+def test_volume_form_matches_det_and_solve_on_random_simplices():
+    # seeded integer simplices in dimensions 1-5 with ~300-bit heights, in
+    # two vertex orders; a flat one is refused by every side
+    rng = random.Random(31)
+    flat = 0
+    for trial in range(200):
+        dim = 1 + trial % 5
+        verts = [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(dim + 1)]
+        if trial % 7 == 6:
+            # the last vertex onto the first, or onto the line through the
+            # first two
+            a, b = verts[0], verts[1]
+            verts[-1] = a if dim == 1 else tuple(2 * y - x for x, y in zip(a, b))
+        heights = [rng.randrange(-(2**300), 2**300) for _ in verts]
+        if exact.affine_rank(verts) < dim:
+            flat += 1
+            for kernel in (
+                lambda: polytope.volume_form(verts, heights),
+                lambda: polytope.signed_nvol(verts),
+                lambda: wt._cell_form(verts, heights),
+            ):
+                with pytest.raises(DegenerateGeometry):
+                    kernel()
+            continue
+        store = tuple(sorted(verts))
+        s = sd.Subdivision(store, store, (tuple(range(dim + 1)),))
+        stored = [heights[verts.index(p)] for p in store]
+        _kernel_agrees(s, s.cells[0], stored, 1, RegularityWitness(tuple(stored)))
+        det, form = polytope.volume_form(verts, heights)
+        assert (det, form) == (polytope.signed_nvol(verts), wt._cell_form(verts, heights))
+    assert flat >= 28
+
+
 def test_witness_length_mismatch():
     s = segment_triangulation()
     with pytest.raises(DimensionMismatch):
@@ -165,6 +221,28 @@ def test_witness_glue_too_small_omega_fails():
     low = list(w.values)
     low[glued.index[apex(2)]] -= 2  # below the max of the cell interpolants
     assert not oracles.check_intermediate(glued, RegularityWitness(tuple(low))).regular
+
+
+TOO_SMALL_OMEGA = {
+    2: "cells (2, 3, 5) and (0, 2, 4, 5) across facet [2, 5]",
+    3: "cells (6, 7, 12, 22) and (0, 6, 8, 12, 21, 22) across facet [6, 12, 22]",
+    4: "cells (42, 43, 80, 261, 351) and (0, 42, 44, 80, 257, 261, 350, 351) "
+    "across facet [42, 80, 261, 351]",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TOO_SMALL_OMEGA))
+def test_pull_sweep_refuses_a_too_small_omega(n):
+    # the apex height lowered by 2 bends a wall between a cone simplex and a
+    # polytopal column: the wall check before the first pull matches the
+    # simplex's facet with the column's, and names both cells
+    glued, w = pre_sweep(n)
+    low = list(w.values)
+    low[glued.index[apex(n)]] -= 2
+    with pytest.raises(DomainError) as err:
+        wt.pull_sweep(glued, RegularityWitness(tuple(low)))
+    want = f"witness is not convex before the pull: {TOO_SMALL_OMEGA[n]}"
+    assert str(err.value) == want
 
 
 def test_witness_pull_1d_example():
@@ -329,6 +407,50 @@ def test_verify_regularity_matches_fraction_oracle_on_perturbations():
                 continue
         verdicts.add(_agree(s, RegularityWitness(tuple(vals))).regular)
     assert verdicts == {True, False}
+
+
+PERTURBATIONS = [
+    sign * x
+    for x in (Fraction(1, 2**60), Fraction(1, 2**20), Fraction(1, 3), 1, 10**6)
+    for sign in (1, -1)
+]
+
+
+def perturbed_reports(art, points):
+    """verify_regularity's (regular, violating_pairs) on the artifact with
+    the heights of `points` seeded store points moved, one at a time, by
+    each of PERTURBATIONS, and the witnesses it ran on."""
+    t, vals = art.triangulation, art.witness.values
+    rng = random.Random(len(t.points))
+    out = []
+    for pi in rng.sample(range(len(t.points)), points):
+        for delta in PERTURBATIONS:
+            moved = RegularityWitness(vals[:pi] + (vals[pi] + delta,) + vals[pi + 1 :])
+            rep = wt.verify_regularity(t, moved)
+            out.append((moved, rep.regular, rep.violating_pairs))
+    return out
+
+
+def test_wall_verdicts_match_fraction_oracle_on_perturbations():
+    # levels 2 and 3 against the Fraction oracle; level 4 and p1 at level
+    # 5, too large for it, against digests of the reports that the
+    # certificate gave with a determinant and a solve per cell
+    verdicts = set()
+    for art in (pipeline.triangulate_p2dual(2), pipeline.triangulate_p2dual(3)):
+        for w, regular, pairs in perturbed_reports(art, 4):
+            want = oracles.verify_regularity_fraction(art.triangulation, w)
+            assert (regular, pairs) == (want.regular, want.violating_pairs)
+            verdicts.add(regular)
+    assert verdicts == {True, False}
+    for art, want in (
+        (pipeline.triangulate_p2dual(4),
+         "d1d2b5c968d99d0a8495f5d318fdd17bde1502b77a6254bd4c230cc99781846f"),
+        (pipeline.triangulate_p1(5),
+         "b6f3ec27951d86d6f97e933f910935e55067bde55780154555339908292596c1"),
+    ):
+        reports = [(regular, pairs) for _, regular, pairs in perturbed_reports(art, 2)]
+        assert {regular for regular, _ in reports} == {True, False}
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == want
 
 
 def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
