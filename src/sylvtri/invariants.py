@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from itertools import accumulate
 from operator import and_
 
 from . import exact, family, polytope, subdivision
@@ -57,7 +57,9 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     is strictly interior iff every row's constant Y[k][-1] is > 0.  Bit k
     of a store point's mask says it lies on facet k; a cell facet lies in
     one boundary facet of the polytope iff the AND of its vertices' masks
-    is nonzero.  A ray is crepant iff every row is >= 0 at it and one is 0.
+    is nonzero, read for every facet of a cell at once off the running
+    ANDs of its masks from either end.  A ray is crepant iff every row is
+    >= 0 at it and one is 0.
 
     The fan is complete when every ridge (a cone minus one ray, as sorted
     ray indices) lies in exactly two cones, with their off-ridge rays on
@@ -90,10 +92,14 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     rays: list[Point] = []
     cones: set[tuple[int, ...]] = set()
     for c in t.cells:
+        # facet k is on the boundary iff the masks before and after k meet
+        ms = [masks[i] for i in c]
+        before = list(accumulate(ms, and_, initial=-1))
+        after = list(accumulate(reversed(ms), and_, initial=-1))[::-1]
         for k in range(len(c)):
-            facet = c[:k] + c[k + 1 :]
-            if not reduce(and_, [masks[i] for i in facet]):
+            if not before[k] & after[k + 1]:
                 continue
+            facet = c[:k] + c[k + 1 :]
             for i in facet:
                 if i not in ray_index:
                     ray_index[i] = len(rays)

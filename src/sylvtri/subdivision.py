@@ -102,7 +102,12 @@ class VerifyReport:
 
 def facet_join(cells: Sequence[Cell]) -> Join:
     """Each facet of the simplices, a cell without its entry k, with the
-    (cell index, k) of every cell on it, in cell order."""
+    (cell index, k) of every cell on it, in cell order.
+
+    verify builds it when not given one and the fan joins its cones with
+    it; verify_regularity's pass (witness._volumes_and_walls) builds the
+    same join in its own loop over the cells, so a certificate builds it
+    once."""
     join: Join = {}
     for ci, c in enumerate(cells):
         for k in range(len(c)):
@@ -196,7 +201,9 @@ def verify(
     shared facet (or of a facet of P) pass both the count and the
     checksum.  The orientation check reads each cell's side of its
     facets off the join (sides), with the signed determinant of its rows
-    (v, 1).
+    (v, 1).  One scan of the join finds the facets of more than two cells,
+    the unmatched ones off the boundary and the folds; the folds are
+    reported after the other two kinds.
     """
     refusal = _refusal(s)
     if refusal is not None:
@@ -239,22 +246,23 @@ def verify(
         join = facet_join(s.cells)
     # bit j set where a cell vertex lies on the j-th facet of P
     on_facets = {i: polytope.facet_mask(ambient_rows, s.points[i]) for i in used}
-    for key, on in join.items():
-        if len(on) > 2:
-            failures.append(f"facet {key} shared by {len(on)} cells")
-        elif len(on) == 1 and not reduce(and_, (on_facets[i] for i in key)):
-            failures.append(f"facet {key} unmatched and not on the boundary")
     # side 0 for the cells from a degenerate one on
     signs = [(x > 0) - (x < 0) for x in dets]
     signs += [0] * (len(s.cells) - len(signs))
+    folds: list[str] = []  # reported after the count failures
     for key, on in join.items():
         if len(on) == 2:
             a, b = sides(on, signs)
             if a == b != 0:
-                failures.append(
+                folds.append(
                     f"cells {s.cells[on[0][0]]} and {s.cells[on[1][0]]} lie on "
                     f"one side of their common facet {key}"
                 )
+        elif len(on) > 2:
+            failures.append(f"facet {key} shared by {len(on)} cells")
+        elif not reduce(and_, (on_facets[i] for i in key)):
+            failures.append(f"facet {key} unmatched and not on the boundary")
+    failures += folds
 
     # without a failure every cell's volume is in dets
     first_non_unimodular = None if failures else next(

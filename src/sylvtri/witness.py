@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul, sub
+from operator import ge, mul, sub
 from typing import Callable, Collection, Iterable, Sequence
 
 from . import exact, polytope, subdivision
@@ -51,7 +51,7 @@ class CertificateReport:
 
 # An integer affine form (row, den), den > 0, stands for the map
 # x -> row_at(row, x) / den: a row of polytope.simplex_inverse over its D,
-# or exact.integer_solve's (y, D).
+# or _cell_form's (y, D) with its constant term.
 Form = tuple[Sequence[int], int]
 
 
@@ -64,15 +64,28 @@ def _common_scale(w: RegularityWitness) -> tuple[list[int], int]:
 def _cell_form(verts: Sequence[Point], heights: Sequence[int]) -> Form:
     """Integer form (row, den), den > 0, interpolating integer heights on a cell.
 
-    One exact.integer_solve of (v_k, 1) . r = heights[k], an equation per
-    vertex of a simplex or polytopal cell, decides rank, consistency and
-    the solution y = D r.  On a simplex D = |det| of the rows (v_k, 1), so
-    this is the pair sum_k heights[k] Y[k] over D of simplex_inverse's
-    (Y, D), whose rows over D are the barycentric coordinates.  On a
-    polytopal cell D depends on the pivot rows, row / den does not.
-    Raises DegenerateGeometry on a degenerate cell or non-affine heights.
+    The form (a, b) solves (v_k, 1) . (a, b) = heights[k], so (v_k - v_0)
+    . a = heights[k] - heights[0] for k >= 1 and b = heights[0] - a . v_0,
+    as in polytope.volume_form.  One exact.integer_solve of that system
+    of differences, an equation per vertex but v_0 of a simplex or
+    polytopal cell, decides rank, consistency and y = D a; the constant
+    is then D heights[0] - y . v_0.  On a simplex D = |det| of the
+    differences, so (y, D) is exactly volume_form's, the pair sum_k
+    heights[k] Y[k] over D of simplex_inverse's (Y, D).  On a polytopal
+    cell D depends on the pivot rows, row / den does not, and every
+    reader takes the form scale-free: margins are normalised Fractions,
+    pull_sweep cross-multiplies its bounds and _drop writes lowest terms.
+    Raises DegenerateGeometry on a flat cell or non-affine heights and
+    DimensionMismatch on a cell with at most d vertices.
     """
-    return exact.integer_solve([(*v, 1) for v in verts], heights)
+    v0, h0 = verts[0], heights[0]
+    if len(verts) <= len(v0):
+        raise DimensionMismatch("solve requires k >= n equations in n unknowns")
+    y, den = exact.integer_solve(
+        [list(map(sub, v, v0)) for v in verts[1:]], [h - h0 for h in heights[1:]]
+    )
+    y.append(den * h0 - sum(map(mul, y, v0)))
+    return y, den
 
 
 def _bent(form: Form, value: Fraction | int, q: Point) -> bool:
@@ -124,48 +137,62 @@ def _simplex_facets(c: Cell) -> list[frozenset[int]]:
 
 
 def _volumes_and_walls(
-    t: Triangulation, heights: Sequence[int], join: subdivision.Join
-) -> tuple[list[int], bool]:
-    """The cells' signed volumes, in cell order up to the first degenerate
-    cell, and whether a wall bends or a cell is degenerate.
+    t: Triangulation, heights: Sequence[int]
+) -> tuple[subdivision.Join, list[int], bool]:
+    """One loop over the cells: their facet join, their signed volumes, in
+    cell order up to the first degenerate cell, and whether a wall bends
+    or a cell is degenerate.
 
-    Each cell's volume and form come from one polytope.volume_form.  A
-    wall is a facet of exactly two cells in join (subdivision.facet_join);
-    the cell that closes it, the later one, tests it when formed against
-    the other's vertex off it (_bent), so no form is kept.  Once a wall
-    bends only volumes are read (polytope.signed_nvol).
+    The join is subdivision.facet_join(t.cells), built here, cell by cell,
+    to the last cell whatever the verdict.  Each cell's volume and form
+    come from one polytope.volume_form.  A cell that meets a facet held by
+    exactly one earlier cell closes that wall and tests it when formed
+    against the other's vertex off it (_bent), so no form is kept.  Once a
+    wall bends only volumes are read (polytope.signed_nvol, the same
+    numbers), and from a degenerate cell on only the join is built.
+
+    A facet that a later cell gives a third cell has had its first two
+    tested.  That changes no report: verify then names the facet, the
+    structure is not valid and verify_regularity runs the scan whatever
+    bent says; and the volumes do not depend on bent, as signed_nvol and
+    volume_form give the same determinant.
     """
     pts, cells = t.points, t.cells
+    join: subdivision.Join = {}
     dets: list[int] = []
     bent = False
     for ci, c in enumerate(cells):
-        verts = [pts[i] for i in c]
-        try:
-            if bent:  # the verdict is in: volumes only
-                dets.append(polytope.signed_nvol(verts))
-                continue
-            det, form = polytope.volume_form(verts, [heights[i] for i in c])
-        except DegenerateGeometry:
-            return dets, True
-        dets.append(det)
+        form = None
+        if len(dets) == ci:  # no degenerate cell so far
+            verts = [pts[i] for i in c]
+            try:
+                if bent:  # the verdict is in: volumes only
+                    dets.append(polytope.signed_nvol(verts))
+                else:
+                    det, form = polytope.volume_form(verts, [heights[i] for i in c])
+                    dets.append(det)
+            except DegenerateGeometry:
+                bent = True
         for k in range(len(c)):
-            on = join[c[:k] + c[k + 1 :]]
-            if len(on) == 2 and on[1][0] == ci:
+            on = join.setdefault(c[:k] + c[k + 1 :], [])
+            on.append((ci, k))
+            if form is not None and len(on) == 2:
                 oi, ok = on[0]
                 q = cells[oi][ok]
                 if _bent(form, heights[q], pts[q]):
                     bent = True
-                    break
-    return dets, bent
+                    form = None
+    return join, dets, bent
 
 
 def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateReport:
     """Regular iff A_c(p) < w(p) for every cell c and store point p off c.
 
     The report is that of the all-pairs scan (_all_pairs); its structure
-    is subdivision.verify(t), run once here on the volumes and facet join
-    (subdivision.facet_join) of one pass over the cells, which also tests
-    the walls (_volumes_and_walls).  The walls decide when that proof is
+    is subdivision.verify(t), run once here on the facet join and volumes
+    that one loop over the cells builds while it tests the walls
+    (_volumes_and_walls), so each cell is eliminated once and the join is
+    built once.  The walls decide when that proof is
     valid, every store point is a cell vertex and no wall is bent.  Then
     the cells triangulate the convex polytope P, meeting in common faces,
     so g, equal to A_c on each cell c, is continuous and w at the
@@ -184,11 +211,12 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
 
     The pass runs whenever verify does not refuse t (subdivision._refusal),
     so every cell is a (d + 1)-simplex; its volumes are the ones verify
-    would read, stopping at the same degenerate cell.  It tests only the
-    facets of exactly two cells.  When the join is no pseudomanifold
-    bounded by the facets of P, verify names the facet, the structure is
-    not valid and the scan reports, whatever the pass found: that the
-    walls are read off a failed join changes no report.
+    would read, stopping at the same degenerate cell.  A refused input
+    builds no join.  The pass tests the first two cells of each facet.
+    When the join is no pseudomanifold bounded by the facets of P, verify
+    names the facet, the structure is not valid and the scan reports,
+    whatever the pass found: that the walls are read off a failed join
+    changes no report.
     """
     if t.dim != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")
@@ -198,10 +226,9 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     if any(len(p) != t.ambient_dim for p in pts):
         raise DimensionMismatch("point dimension does not match functional")
     heights, scale = _common_scale(w)
-    join = subdivision.facet_join(t.cells)
-    dets, bent = None, True
+    join, dets, bent = None, None, True
     if subdivision._refusal(t) is None:
-        dets, bent = _volumes_and_walls(t, heights, join)
+        join, dets, bent = _volumes_and_walls(t, heights)
     structure = subdivision.verify(t, dets, join)
     if structure.valid and not bent and len(set().union(*t.cells)) == len(pts):
         return CertificateReport(True, structure=structure)
@@ -228,11 +255,12 @@ def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> Certificat
     (p_{i+1} - p_i), with the constant term cancelled.  A sorted lattice
     store has few distinct steps p_{i+1} - p_i (24-35 at level 4), so
     they are interned once per scan and each cell takes one dot product
-    per distinct step; the running sum, the gaps and their minimum are
-    C-level passes.  The form interpolates the heights, so a cell's own
-    vertices have gap 0; a cell whose gaps are >= 0 with no more zeros
-    than it has distinct vertices has none elsewhere, so no violation, and
-    is passed at once.
+    per distinct step; the running sum and one count are C-level passes.
+    The form interpolates the heights, so at a cell's own vertices A(p) =
+    W[p] * den exactly, gap 0.  A cell with no more gaps <= 0 than it has
+    distinct vertices has none elsewhere, so no violation, and is passed
+    after that one count; only a cell that fails is read point by point
+    for its violations.
     """
     pts = t.points
     # one id per step between consecutive store points, ids in order met
@@ -245,17 +273,16 @@ def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> Certificat
     for c in t.cells:
         row, den = _cell_form(t.cell_points(c), [heights[i] for i in c])
         dots = [sum(map(mul, row, s)) for s in kinds]
-        values = accumulate(
-            map(dots.__getitem__, step_id), initial=row_at(row, pts[0])
+        values = list(
+            accumulate(map(dots.__getitem__, step_id), initial=row_at(row, pts[0]))
         )
         scaled = heights if den == 1 else [h * den for h in heights]
-        gaps = list(map(sub, scaled, values))
-        if min(gaps) >= 0 and gaps.count(0) == len(set(c)):
+        if sum(map(ge, values, scaled)) == len(set(c)):
             continue
-        for pi in [pi for pi, gap in enumerate(gaps) if gap <= 0]:
-            if pi in c:
+        for pi, a in enumerate(values):
+            if a < scaled[pi] or pi in c:
                 continue
-            violations.append((c, pts[pi], Fraction(gaps[pi], scale * den)))
+            violations.append((c, pts[pi], Fraction(scaled[pi] - a, scale * den)))
             if len(violations) > 50:
                 return CertificateReport(False, violations)
     return CertificateReport(not violations, violations)

@@ -502,6 +502,36 @@ def test_verify_structural_failure_lines(tmp_path, capsys):
         assert captured.err.splitlines() == err
 
 
+def test_verify_failure_order_with_every_join_kind(tmp_path, capsys):
+    # level 3 with its first cell listed twice and cell 5 dropped: three
+    # facets of three cells, three unmatched facets and a fold at once.
+    # The fold's facet comes before the unmatched ones in the join, but
+    # folds are reported after both count failures
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(3))
+    data["cells"].append(data["cells"][0])
+    assert data["cells"][5] == [0, 10, 11, 22]
+    del data["cells"][5]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    err = [
+        "facet (1, 12, 22) shared by 3 cells",
+        "facet (0, 12, 22) shared by 3 cells",
+        "facet (0, 1, 22) shared by 3 cells",
+        "facet (0, 10, 22) unmatched and not on the boundary",
+        "facet (0, 11, 22) unmatched and not on the boundary",
+        "facet (10, 11, 22) unmatched and not on the boundary",
+        "cells (0, 1, 12, 22) and (0, 1, 12, 22) lie on one side of their "
+        "common facet (0, 1, 12)",
+    ]
+    assert sd.verify(pipeline.load(str(path)).triangulation).failures == err
+    assert cli.main(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "valid=false simplicial=true unimodular=false regular=true checksum=42"
+    ]
+    assert captured.err.splitlines() == [f"failure: {f}" for f in err]
+
+
 def test_verify_names_a_non_unimodular_cell(tmp_path, capsys):
     # level-2 p2dual as one cell, the whole triangle: a valid, regular
     # triangulation whose cell has normalized volume 6

@@ -180,6 +180,131 @@ def test_volume_form_matches_det_and_solve_on_random_simplices():
     assert flat >= 28
 
 
+def _raised(call):
+    """(type, message) of what call raises, or None."""
+    try:
+        call()
+    except Exception as e:  # compared, not swallowed
+        return type(e), str(e)
+    return None
+
+
+def _homogeneous_solve(verts, heights):
+    """The form solved on the rows (v_k, 1), an equation per vertex."""
+    return exact.integer_solve([(*v, 1) for v in verts], heights)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cell_form_on_polytopal_glued_starts(n):
+    # the level-n start's columns are polytopal cells: the difference form
+    # is the Fraction interpolant at every store point, and a flat cell,
+    # a height moved off the affine map and too few vertices raise what
+    # the solve on the rows (v_k, 1) raises
+    s, w = pre_sweep(n)
+    heights, scale = wt._common_scale(w)
+    dim = s.ambient_dim
+    polytopal = 0
+    for c in s.cells:
+        verts, hs = s.cell_points(c), [heights[i] for i in c]
+        row, den = wt._cell_form(verts, hs)
+        assert den > 0 and all(type(x) is int for x in row)
+        fn = oracles.cell_interpolant(s, c, w)
+        for p in s.points:
+            assert Fraction(polytope.row_at(row, p), den * scale) == fn(p)
+        flat = [(*v[:-1], 0) for v in verts]
+        cases = [(flat, hs, DegenerateGeometry)]
+        if exact.affine_rank(verts[1:]) == dim:  # the others fix the form
+            polytopal += 1
+            cases.append((verts, [hs[0] + 1, *hs[1:]], DegenerateGeometry))
+        cases += [(verts[:k], hs[:k], DimensionMismatch) for k in (1, dim)]
+        for vs, xs, kind in cases:
+            got = _raised(lambda: wt._cell_form(vs, xs))
+            assert got is not None and got[0] is kind
+            assert got == _raised(lambda: _homogeneous_solve(vs, xs))
+    assert polytopal > 0
+
+
+def _volumes_until_flat(t):
+    """signed_nvol of each cell in order, up to the first flat one."""
+    dets = []
+    for c in t.cells:
+        try:
+            dets.append(polytope.signed_nvol(t.cell_points(c)))
+        except DegenerateGeometry:
+            break
+    return dets
+
+
+def _fused_pass(t, w):
+    """The pass's join is facet_join's, keys and pairs in the same order,
+    and its volumes are signed_nvol's up to the first flat cell."""
+    join, dets, bent = wt._volumes_and_walls(t, wt._common_scale(w)[0])
+    assert list(join.items()) == list(sd.facet_join(t.cells).items())
+    assert dets == _volumes_until_flat(t)
+    return dets, bent
+
+
+def test_fused_pass_on_artifacts():
+    # the twelve benchmark artifacts: every wall strictly convex
+    for fam, levels in (("p2dual", (1, 2, 3, 4)), ("p2", (1, 2, 3, 4)),
+                        ("p1", (2, 3, 4, 5))):
+        for n in levels:
+            art = pipeline.triangulate(pipeline.Family(fam), n)
+            t = art.triangulation
+            dets, bent = _fused_pass(t, art.witness)
+            assert len(dets) == len(t.cells) and not bent
+
+
+def test_fused_pass_on_tampered_level3():
+    art = pipeline.triangulate_p2dual(3)
+    t, w = art.triangulation, art.witness
+    # the first cell listed twice: three facets of three cells, the copy
+    # closing the first cell's boundary facet on its own side
+    doubled = sd.Triangulation(t.points, t.ambient, t.cells + t.cells[:1])
+    dets, bent = _fused_pass(doubled, w)
+    assert len(dets) == len(doubled.cells) and bent
+    assert max(map(len, sd.facet_join(doubled.cells).values())) == 3
+    _agree(doubled, w)
+    # a coplanar cell first or mid-list: the volumes stop there and the
+    # join is still complete
+    for at in (0, 20):
+        cells = list(t.cells)
+        cells[at] = (0, 1, 2, 8)
+        flat = sd.Triangulation(t.points, t.ambient, tuple(cells))
+        dets, bent = _fused_pass(flat, w)
+        assert len(dets) == at and bent
+        assert not wt.verify_regularity(flat, w).regular
+    # a raised height bends a wall; the volumes are read on to the end
+    vals = list(w.values)
+    vals[5] += 1000
+    raised = RegularityWitness(tuple(vals))
+    dets, bent = _fused_pass(t, raised)
+    assert len(dets) == len(t.cells) and bent
+    _agree(t, raised)
+
+
+def test_verify_regularity_builds_one_join(monkeypatch):
+    # the pass builds the join that verify reads, and an input verify
+    # refuses builds none
+    calls = []
+    join, fused = sd.facet_join, wt._volumes_and_walls
+    monkeypatch.setattr(sd, "facet_join", lambda cells: calls.append("join") or join(cells))
+    monkeypatch.setattr(
+        wt, "_volumes_and_walls", lambda *a: calls.append("pass") or fused(*a)
+    )
+    art = pipeline.triangulate_p2dual(3)
+    assert wt.verify_regularity(art.triangulation, art.witness).regular
+    assert calls == ["pass"]
+    calls.clear()
+    sq = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    square = sd.make_subdivision(
+        sq, sq, [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
+    )
+    rep = wt.verify_regularity(square, RegularityWitness((0, 0, 0, 1)))
+    assert rep.structure.failures == ["ambient is not a simplex: 4 points span dimension 2"]
+    assert rep.regular and calls == []
+
+
 def test_witness_length_mismatch():
     s = segment_triangulation()
     with pytest.raises(DimensionMismatch):
