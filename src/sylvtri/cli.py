@@ -4,6 +4,12 @@ Batch-oriented and deterministic: machine-readable output carries no
 timestamps, and identical flags produce identical files.  Exit codes are
 a stable contract: 0 success, 2 feasibility refusal, 3 verification
 failure, 4 parse error, 5 domain error or a file that cannot be written.
+
+Each command builds only its own subparser (COMMANDS is the one table of
+the five): a `sylvtri` process runs one command, and building the other
+four was most of its argument parsing.  Usage and error lines do not
+change, for the reasons given in build_parser.  Nothing is built at
+import or kept between calls.
 """
 
 from __future__ import annotations
@@ -35,15 +41,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress timing output")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sylvtri",
-        description="certified unimodular triangulations of Sylvester-weighted "
-        "simplices and their toric resolution fans",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("triangulate", help="construct a certified triangulation")
+def _triangulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family", required=True, choices=[f.value for f in Family]
     )
@@ -53,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None)
     _add_common(p)
 
-    p = sub.add_parser("verify", help="verify a stored artifact")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument(
         "--mode",
@@ -64,19 +63,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
 
-    p = sub.add_parser("fan", help="export the resolution fan of an artifact")
+
+def _fan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--out", required=True)
     _add_common(p)
 
-    p = sub.add_parser("invariants", help="print the invariant tables")
+
+def _invariants_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
 
-    p = sub.add_parser("stats", help="summarize a stored artifact")
+
+def _stats_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     _add_common(p)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `sylvtri` parser with every subcommand, or with `command`'s alone.
+
+    main passes the command when argv[0] names one, and so builds one
+    subparser instead of five.  Its output is the full parser's: argparse
+    hands everything after the command to that subparser, whose prog is
+    `sylvtri <command>` whatever its siblings are, and the top-level
+    parser then prints only its usage line (on unrecognized arguments),
+    which the metavar below makes the full parser's.  The full parser
+    keeps argparse's default metavar, since its errors name the argument
+    by it ("the following arguments are required: command").
+    """
+    parser = argparse.ArgumentParser(
+        prog="sylvtri",
+        description="certified unimodular triangulations of Sylvester-weighted "
+        "simplices and their toric resolution fans",
+    )
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
+    )
+    for name, (help_, add_arguments, _) in COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_))
     return parser
 
 
@@ -174,18 +202,26 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+# name -> (help line, argument adder, handler), in usage order
+COMMANDS = {
+    "triangulate": (
+        "construct a certified triangulation", _triangulate_args, cmd_triangulate
+    ),
+    "verify": ("verify a stored artifact", _verify_args, cmd_verify),
+    "fan": ("export the resolution fan of an artifact", _fan_args, cmd_fan),
+    "invariants": ("print the invariant tables", _invariants_args, cmd_invariants),
+    "stats": ("summarize a stored artifact", _stats_args, cmd_stats),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "triangulate": cmd_triangulate,
-        "verify": cmd_verify,
-        "fan": cmd_fan,
-        "invariants": cmd_invariants,
-        "stats": cmd_stats,
-    }
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _validate(args)
-        return handlers[args.command](args)
+        return COMMANDS[args.command][2](args)
     except FeasibilityLimit as e:
         print(f"feasibility refusal: {e}", file=sys.stderr)
         return EXIT_FEASIBILITY

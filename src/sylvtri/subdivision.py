@@ -231,12 +231,15 @@ def verify(
                 f"nvol {ambient_nvol}"
             )
 
-    used = {i for c in s.cells for i in c}  # store indices of cell vertices
-    outside = {
-        i
-        for i in used
-        if any(polytope.row_at(row, s.points[i]) < 0 for row in ambient_rows)
-    }
+    # each facet row of P at each cell vertex, once: a vertex is outside
+    # where one is negative, and on_facets[i] has bit j set where the j-th
+    # is zero (the vertex lies on the j-th facet of P)
+    on_facets, outside = {}, set()
+    for i in {i for c in s.cells for i in c}:
+        values = [polytope.row_at(row, s.points[i]) for row in ambient_rows]
+        if min(values) < 0:
+            outside.add(i)
+        on_facets[i] = sum(1 << j for j, x in enumerate(values) if x == 0)
     for c in s.cells:
         i = next((i for i in c if i in outside), None)
         if i is not None:
@@ -244,8 +247,6 @@ def verify(
 
     if join is None:
         join = facet_join(s.cells)
-    # bit j set where a cell vertex lies on the j-th facet of P
-    on_facets = {i: polytope.facet_mask(ambient_rows, s.points[i]) for i in used}
     # side 0 for the cells from a degenerate one on
     signs = [(x > 0) - (x < 0) for x in dets]
     signs += [0] * (len(s.cells) - len(signs))

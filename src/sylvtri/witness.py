@@ -27,13 +27,19 @@ from .subdivision import Cell, Subdivision, Triangulation, VerifyReport
 
 @dataclass(frozen=True)
 class RegularityWitness:
-    """Exact rational height per point-store entry, in store order."""
+    """Exact rational height per point-store entry, in store order.
+
+    Entries that are not yet a Fraction are converted; a Fraction is kept
+    as it is, since Fraction(v) would only copy it.
+    """
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(
-            self, "values", tuple(Fraction(v) for v in self.values)
+            self,
+            "values",
+            tuple(v if type(v) is Fraction else Fraction(v) for v in self.values),
         )
 
 

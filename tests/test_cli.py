@@ -1,6 +1,10 @@
 """Command-line interface tests: output lines and exit-code contract."""
 
+import contextlib
+import io
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -603,3 +607,152 @@ def test_unwritable_path_is_one_line_and_exit_5(tmp_path, capsys, case):
     assert cli.main(argv) == 5
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("file error: ") and err.count("\n") == 1
+
+
+class _Parsed(Exception):
+    """Raised in place of a command's run, carrying the parsed arguments."""
+
+
+def _outcome(parse, argv):
+    """vars(Namespace) of a parse, or the SystemExit code with stdout and
+    stderr of a parse that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+        except _Parsed as e:
+            return e.args[0]
+
+
+_WORDS = [
+    *cli.COMMANDS, "help", "tri", "-h", "--help", "--h", "--quiet", "--q",
+    "--family", "--fam", "--n", "--n-max", "--n-m", "--out", "--max-cells",
+    "--max", "--cache-dir", "--mode", "--mod", "--csv", "--", "-", "",
+    "---", "-x", "--bogus", "--n=2", "--family=p1", "--mod=local",
+    "p2dual", "p2", "p1", "p3", "full", "local", "3", "-1", "0", "x",
+    "a.json", "out.json", "verify=1",
+]
+
+_CORPUS = [
+    *([name, "-h"] for name in cli.COMMANDS),
+    [],
+    ["-h"],
+    ["frobnicate"],
+    ["--quiet", "verify", "a.json"],
+    ["verify", "a.json", "extra"],
+    ["stats", "a.json", "b.json", "c.json"],
+    ["fan", "a.json", "extra", "--out", "f.json"],
+    ["triangulate", "--family", "p3", "--n", "2", "--out", "x.json"],
+    ["triangulate", "--family", "p2dual", "--n", "two", "--out", "x.json"],
+    ["invariants", "--n-max", "six"],
+    ["triangulate", "--family", "p2dual", "--n", "2"],
+    ["fan", "a.json"],
+    ["verify"],
+    ["verify", "a.json", "--mod", "local"],
+    ["triangulate", "--fam", "p1", "--n", "3", "--out", "x.json", "--q"],
+    ["verify", "a.json", "--mode", "fast"],
+    ["invariants", "--quiet"],
+]
+
+
+def _random_argv(rng):
+    """A command line of one command, its option groups shuffled and long
+    options sometimes abbreviated, then 0-2 tokens replaced, inserted or
+    dropped; one in ten starts with a word that is no command."""
+    name = rng.choice(list(cli.COMMANDS))
+    path = [rng.choice(["a.json", "b.json"])]
+    groups = {
+        "triangulate": [
+            ["--family", rng.choice(["p2dual", "p2", "p1"])],
+            ["--n", rng.choice(["1", "2", "3", "0"])],
+            ["--out", "x.json"], ["--max-cells", "10"], ["--cache-dir", "c"],
+            ["--quiet"],
+        ],
+        "verify": [path, ["--mode", rng.choice(["full", "local"])], ["--quiet"]],
+        "fan": [path, ["--out", "f.json"], ["--quiet"]],
+        "invariants": [["--n-max", rng.choice(["3", "13"])], ["--csv"]],
+        "stats": [path, ["--quiet"]],
+    }[name]
+    rng.shuffle(groups)
+    argv = [name]
+    for group in groups:
+        if rng.random() < 0.85:
+            argv += group
+    argv = [
+        w[: rng.randrange(3, len(w))]
+        if w.startswith("--") and len(w) > 3 and rng.random() < 0.1
+        else w
+        for w in argv
+    ]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i = rng.randrange(len(argv) + 1)
+        edit = rng.choice(["replace", "insert", "drop"])
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, rng.choice(_WORDS))
+        elif edit == "replace":
+            argv[i] = rng.choice(_WORDS)
+        else:
+            del argv[i]
+    if rng.random() < 0.1:
+        argv.insert(0, rng.choice(_WORDS))
+    return argv
+
+
+def test_one_command_parser_matches_the_full_parser(monkeypatch):
+    # main parses with build_parser(argv[0]) when argv[0] names a command:
+    # its Namespace, or its exit code with stdout and stderr, must be the
+    # full parser's on a fixed corpus and on seeded random argvs
+    def stop(args):
+        raise _Parsed(vars(args))
+
+    monkeypatch.setattr(cli, "_validate", stop)
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(20261019)
+    argvs = _CORPUS + [_random_argv(rng) for _ in range(2000)]
+    exits = 0
+    for argv in argvs:
+        want = _outcome(lambda a: cli.build_parser().parse_args(a), argv)
+        assert _outcome(cli.main, argv) == want, argv
+        exits += isinstance(want, tuple)
+    # both kinds of outcome are well represented
+    assert 400 < exits < len(argvs) - 400, exits
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch):
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or full(*a))
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "a.json", "extra"])
+    with pytest.raises(SystemExit):
+        cli.main(["--quiet", "verify", "a.json"])
+    with pytest.raises(SystemExit):
+        cli.main([])
+    monkeypatch.setattr(sys, "argv", ["sylvtri", "stats", "a.json", "extra"])
+    with pytest.raises(SystemExit):
+        cli.main()
+    assert built == [("verify",), (None,), (None,), ("stats",)]
+    # the top-level help lists one line per subparser built
+    helps = [help_ for help_, _, _ in cli.COMMANDS.values()]
+    assert [h in full("verify").format_help() for h in helps] == [
+        h == "verify a stored artifact" for h in helps
+    ]
+    assert all(h in full().format_help() for h in helps)
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d2.json"
+    pipeline.save(pipeline.triangulate_p2dual(2), str(path))
+    monkeypatch.setattr(sys, "argv", ["sylvtri", "stats", str(path)])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith("p2dual n=2 points=7 cells=6 dim=2")
+    monkeypatch.setattr(sys, "argv", ["sylvtri", "verify", str(path), "extra"])
+    with pytest.raises(SystemExit) as e:
+        cli.main()
+    assert e.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: sylvtri [-h] {triangulate,verify,fan,invariants,stats} ...\n"
+        "sylvtri: error: unrecognized arguments: extra\n"
+    )

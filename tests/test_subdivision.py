@@ -215,15 +215,19 @@ def test_verify_detects_gap_and_overlap():
 
 def test_verify_reports_cell_vertex_outside_ambient():
     # (1, 1) is one lattice step outside the unit triangle; the ambient test
-    # names it once per cell that uses it, in cell order
+    # names it once per cell that uses it, in cell order.  It lies on no
+    # facet of the triangle (x + y <= 1 is -1 there, not 0), so the two
+    # facets through it are unmatched and off the boundary
     pts = [(0, 0), (0, 1), (1, 0), (1, 1)]
     s = sd.make_subdivision(
         pts, pts[:3], [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
     )
     rep = sd.verify(s)
-    assert rep.failures[:2] == [
+    assert rep.failures == [
         "volume checksum 2 != ambient nvol 1",
         "cell vertex (1, 1) outside ambient",
+        "facet (2, 3) unmatched and not on the boundary",
+        "facet (1, 3) unmatched and not on the boundary",
     ]
     assert not oracles.pairwise_verdict(s)
 

@@ -32,6 +32,14 @@ def test_verify_regularity_1d():
     assert not rep.regular and rep.violating_pairs
 
 
+def test_witness_keeps_fractions_and_converts_the_rest():
+    half = Fraction(1, 2)
+    w = RegularityWitness((half, 3, "-5/4"))
+    assert w.values == (half, Fraction(3), Fraction(-5, 4))
+    assert w.values[0] is half
+    assert all(type(v) is Fraction for v in w.values)
+
+
 def test_verify_regularity_report_pinned():
     # a raised corner breaks convexity at 51+ pairs; the report keeps the
     # first 51 in (cell, store point) order, with exact margins
