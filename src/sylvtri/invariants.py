@@ -67,7 +67,8 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     normalized volume.  The cones' sides of their ridges are read off the
     cones' facet join (subdivision.facet_join, subdivision.sides), with
     the determinant of each cone's rays in index order, as the cells'
-    sides in subdivision.verify are.  Why this
+    sides in subdivision.verify are off the same join, which verify
+    builds in its own loop over the cells.  Why this
     proves the cones cover R^d without overlap: let m(x) count the cones
     containing x.  A path crossing ridges only in their relative
     interiors, away from the lower-dimensional intersections of ridges in

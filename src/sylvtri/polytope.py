@@ -21,6 +21,10 @@ from .errors import DegenerateGeometry, DimensionMismatch, DomainError
 
 Point = tuple[int, ...]
 RatPoint = tuple[Fraction, ...]
+# An integer affine form (row, den), den > 0, stands for the map
+# x -> row_at(row, x) / den: a row of simplex_inverse over its D, or
+# volume_form's (y, D) with its constant term.
+Form = tuple[Sequence[int], int]
 
 
 @dataclass(frozen=True)
@@ -88,29 +92,38 @@ def signed_nvol(verts: Sequence[Point]) -> int:
     return -d if dim % 2 else d
 
 
-def volume_form(
-    verts: Sequence[Point], heights: Sequence[int]
-) -> tuple[int, tuple[list[int], int]]:
-    """signed_nvol of a simplex and the integer affine form (y, D), D > 0,
-    whose row_at(y, x) / D interpolates integer heights at its vertices.
+def volume_form(verts: Sequence[Point], heights: Sequence[int]) -> tuple[int, Form]:
+    """A cell's signed_nvol and the integer affine form (y, D), D > 0,
+    whose row_at(y, x) / D interpolates integer heights at its k >= d + 1
+    vertices.
 
     The form (a, b) solves (v_k, 1) . (a, b) = h_k, so (v_k - v_0) . a =
     h_k - h_0 for k >= 1 and b = h_0 - a . v_0.  One Bareiss run of the
-    d x (d + 1) system [v_k - v_0 | h_k - h_0] (exact._eliminate) gives
-    the det of the differences, its row sign times its last pivot P, as
-    signed_nvol reads it, and back substitution gives P a, integral by
-    Cramer's rule as in exact._solve_int.  With D = |P| the form is
-    (D a, D h_0 - D a . v_0) over D: exactly exact.integer_solve's (y, D)
-    on (v_k, 1) . r = h_k, since the solution is unique and D = |det| of
-    the rows (v_k, 1).  Raises DegenerateGeometry on a flat simplex.
+    (k - 1) x (d + 1) system [v_k - v_0 | h_k - h_0] (exact._eliminate)
+    decides rank and consistency, as in exact._solve_int: a row past the
+    d pivots is zero on the differences, and its height entry vanishes
+    iff its equation follows from the pivot rows.  Back substitution
+    gives P a, P the last pivot, integral by Cramer's rule; with D = |P|
+    the form is (D a, D h_0 - D a . v_0) over D.  On a simplex that is
+    exact.integer_solve's (y, D) on (v_k, 1) . r = h_k, as D = |det| of
+    the rows (v_k, 1), and the row sign times P is signed_nvol.  On a
+    polytopal cell that signed pivot minor is read by no caller, and D
+    depends on the pivot rows while row / D does not: every reader takes
+    the form scale-free.  Raises what that integer_solve raises:
+    DegenerateGeometry on a flat cell or heights not affine on it,
+    DimensionMismatch on at most d vertices.
     """
     v0, h0 = verts[0], heights[0]
     dim = len(v0)
+    if len(verts) <= dim:
+        raise DimensionMismatch("solve requires k >= n equations in n unknowns")
     m = [[*map(sub, v, v0), h - h0] for v, h in zip(verts[1:], heights[1:])]
     pivots, sign = exact._eliminate(m, dim)
     if len(pivots) < dim:
-        raise DegenerateGeometry("zero-volume simplex")
-    last = m[-1][-2] if dim else 1
+        raise DegenerateGeometry("singular linear system")
+    if any(row[dim] for row in m[dim:]):
+        raise DegenerateGeometry("inconsistent linear system")
+    last = m[dim - 1][dim - 1] if dim else 1
     det = sign * last
     y = [0] * dim
     for i in range(dim - 1, -1, -1):
@@ -120,6 +133,20 @@ def volume_form(
         last, y = -last, [-x for x in y]
     y.append(last * h0 - sum(map(mul, y, v0)))
     return -det if dim % 2 else det, (y, last)
+
+
+def on_or_below(form: Form, value: Fraction | int, q: Point) -> bool:
+    """Whether q at height value lies at or below form: value * den <=
+    row_at(row, q), scaled by value's denominator to stay in integers.
+
+    A wall, a facet of two cells, is bent when the vertex q of one cell
+    off it lies at or below the other's interpolant.  One side suffices
+    when the two cells lie on opposite sides of the facet: A' - A
+    vanishes on it, so (A' - A)(q) = w(q) - A(q) and, at the vertex p of
+    the other cell off it, (A' - A)(p) = A'(p) - w(p) have opposite signs.
+    """
+    row, den = form
+    return value.numerator * den <= row_at(row, q) * value.denominator
 
 
 def simplex_inverse(verts: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:

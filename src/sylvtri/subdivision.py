@@ -17,13 +17,10 @@ from operator import and_
 from typing import Iterable, Sequence
 
 from . import exact, polytope
-from .errors import DegenerateGeometry
+from .errors import DegenerateGeometry, DimensionMismatch
 from .polytope import Point
 
 Cell = tuple[int, ...]
-# each facet of a list of simplices with the (cell index, entry) of each
-# simplex on it (facet_join)
-Join = dict[Cell, list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,10 @@ def make_subdivision(
 class VerifyReport:
     """The structural proof's verdict.  When the proof has no failure but a
     cell has |det| != 1, first_non_unimodular names the first such cell
-    with its normalized volume (outside equality); otherwise it is None."""
+    with its normalized volume; otherwise it is None.  convex is verify's
+    wall verdict under the heights it was given: None without heights or
+    when it refuses the input, False once a wall bends or a cell is
+    degenerate.  Neither enters equality."""
 
     valid: bool
     simplicial: bool
@@ -98,17 +98,16 @@ class VerifyReport:
     first_non_unimodular: tuple[Cell, int] | None = field(
         default=None, compare=False
     )
+    convex: bool | None = field(default=None, compare=False)
 
 
-def facet_join(cells: Sequence[Cell]) -> Join:
+def facet_join(cells: Sequence[Cell]) -> dict[Cell, list[tuple[int, int]]]:
     """Each facet of the simplices, a cell without its entry k, with the
     (cell index, k) of every cell on it, in cell order.
 
-    verify builds it when not given one and the fan joins its cones with
-    it; verify_regularity's pass (witness._volumes_and_walls) builds the
-    same join in its own loop over the cells, so a certificate builds it
-    once."""
-    join: Join = {}
+    The fan joins its cones with it; verify builds the same join in its
+    own loop over the cells, with their volumes and walls."""
+    join: dict[Cell, list[tuple[int, int]]] = {}
     for ci, c in enumerate(cells):
         for k in range(len(c)):
             join.setdefault(c[:k] + c[k + 1 :], []).append((ci, k))
@@ -151,32 +150,36 @@ def _refusal(s: Subdivision) -> str | None:
     return None
 
 
-def verify(
-    s: Subdivision,
-    dets: Sequence[int] | None = None,
-    join: Join | None = None,
-) -> VerifyReport:
+def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport:
     """Structural proof that the cells of s triangulate the simplex
     P = conv(ambient).
 
     Checks the exact volume checksum against P, that every cell vertex
     lies in P, the facet join (pseudomanifold) with its orientation check,
     and per-cell unimodularity, which any failure clears: unimodular
-    implies valid and simplicial.  dets and join, when given, are what
-    it would compute: the cells' signed volumes in cell order
-    (polytope.signed_nvol), up to and without the first degenerate cell,
-    and facet_join(s.cells).  Preconditions:
+    implies valid and simplicial.  Preconditions:
 
     - every cell is a strictly increasing tuple of store indices: facets
       are keyed by sorted index tuples (pipeline.from_json_dict refuses
       any other cell);
     - the ambient spans R^d, every cell has d + 1 vertices and the
       ambient is a simplex, its d + 1 vertices.  Otherwise nothing is
-      proved: the report is invalid with one failure, naming the first
-      cell (not full-dimensional, or not a simplex) or the ambient, and
-      volume_checksum None.  The pipeline meets them: the loader and
-      Triangulation give d + 1-vertex cells, and every family's ambient
-      is its level's simplex.
+      proved or computed: the report is invalid with one failure, naming
+      the first cell (not full-dimensional, or not a simplex) or the
+      ambient, and volume_checksum None.  The pipeline meets them: the
+      loader and Triangulation give d + 1-vertex cells, and every
+      family's ambient is its level's simplex.
+
+    One loop over the cells builds everything the proof reads: the facet
+    join (facet_join's) and the signed volumes, up to the first
+    degenerate cell.  Given integer heights, one per store point (else
+    DimensionMismatch), each volume comes with the cell's interpolant
+    from one elimination (polytope.volume_form), and a cell that closes
+    a wall, a facet held by exactly one earlier cell, tests it against
+    the other's vertex off it (polytope.on_or_below), so no form is
+    kept; after a bent wall only volumes are read.  The verdict is the
+    report's convex, read only when the proof is valid, so a facet that
+    a third cell joins, which the proof names, changes no answer.
 
     Why this proves a triangulation of P when every cell is a
     full-dimensional simplex.  It checks that every cell vertex
@@ -205,22 +208,43 @@ def verify(
     the unmatched ones off the boundary and the folds; the folds are
     reported after the other two kinds.
     """
+    if heights is not None and len(heights) != len(s.points):
+        raise DimensionMismatch("heights length does not match the point store")
     refusal = _refusal(s)
     if refusal is not None:
         simplicial = all(len(c) == s.dim + 1 for c in s.cells)
         return VerifyReport(False, simplicial, False, None, [refusal])
 
+    pts, cells = s.points, s.cells
+    join: dict[Cell, list[tuple[int, int]]] = {}
+    dets: list[int] = []
+    convex = None if heights is None else True
+    for ci, c in enumerate(cells):
+        form = None
+        if len(dets) == ci:  # no degenerate cell so far
+            verts = [pts[i] for i in c]
+            try:
+                if convex:
+                    det, form = polytope.volume_form(verts, [heights[i] for i in c])
+                else:
+                    det = polytope.signed_nvol(verts)
+                dets.append(det)
+            except DegenerateGeometry:
+                if convex:  # no wall through a degenerate cell is proved
+                    convex = False
+        for k in range(len(c)):
+            on = join.setdefault(c[:k] + c[k + 1 :], [])
+            on.append((ci, k))
+            if form is not None and len(on) == 2:
+                oi, ok = on[0]
+                q = cells[oi][ok]
+                if polytope.on_or_below(form, heights[q], pts[q]):
+                    convex, form = False, None
+
     # the ambient's d + 1 vertices span R^d: facet rows and nvol(P) at once
     ambient_rows, ambient_nvol = polytope.simplex_inverse(s.ambient)
     failures: list[str] = []
-    if dets is None:
-        dets = []
-        try:
-            for c in s.cells:
-                dets.append(polytope.signed_nvol(s.cell_points(c)))
-        except DegenerateGeometry:
-            pass
-    if len(dets) < len(s.cells):
+    if len(dets) < len(cells):
         checksum = None
         failures.append("degenerate cell: zero-volume simplex")
     else:
@@ -235,28 +259,26 @@ def verify(
     # where one is negative, and on_facets[i] has bit j set where the j-th
     # is zero (the vertex lies on the j-th facet of P)
     on_facets, outside = {}, set()
-    for i in {i for c in s.cells for i in c}:
-        values = [polytope.row_at(row, s.points[i]) for row in ambient_rows]
+    for i in {i for c in cells for i in c}:
+        values = [polytope.row_at(row, pts[i]) for row in ambient_rows]
         if min(values) < 0:
             outside.add(i)
         on_facets[i] = sum(1 << j for j, x in enumerate(values) if x == 0)
-    for c in s.cells:
+    for c in cells:
         i = next((i for i in c if i in outside), None)
         if i is not None:
-            failures.append(f"cell vertex {s.points[i]} outside ambient")
+            failures.append(f"cell vertex {pts[i]} outside ambient")
 
-    if join is None:
-        join = facet_join(s.cells)
     # side 0 for the cells from a degenerate one on
     signs = [(x > 0) - (x < 0) for x in dets]
-    signs += [0] * (len(s.cells) - len(signs))
+    signs += [0] * (len(cells) - len(signs))
     folds: list[str] = []  # reported after the count failures
     for key, on in join.items():
         if len(on) == 2:
             a, b = sides(on, signs)
             if a == b != 0:
                 folds.append(
-                    f"cells {s.cells[on[0][0]]} and {s.cells[on[1][0]]} lie on "
+                    f"cells {cells[on[0][0]]} and {cells[on[1][0]]} lie on "
                     f"one side of their common facet {key}"
                 )
         elif len(on) > 2:
@@ -267,7 +289,7 @@ def verify(
 
     # without a failure every cell's volume is in dets
     first_non_unimodular = None if failures else next(
-        ((c, abs(x)) for c, x in zip(s.cells, dets) if abs(x) != 1), None
+        ((c, abs(x)) for c, x in zip(cells, dets) if abs(x) != 1), None
     )
 
     return VerifyReport(
@@ -277,4 +299,5 @@ def verify(
         volume_checksum=checksum,
         failures=failures,
         first_non_unimodular=first_non_unimodular,
+        convex=convex,
     )

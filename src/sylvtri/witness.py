@@ -21,7 +21,7 @@ from typing import Callable, Collection, Iterable, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import DegenerateGeometry, DimensionMismatch, DomainError
-from .polytope import Point, ridge_row, ridges, row_at
+from .polytope import Form, Point, ridge_row, ridges, row_at
 from .subdivision import Cell, Subdivision, Triangulation, VerifyReport
 
 
@@ -55,58 +55,10 @@ class CertificateReport:
     structure: VerifyReport | None = field(default=None, compare=False)
 
 
-# An integer affine form (row, den), den > 0, stands for the map
-# x -> row_at(row, x) / den: a row of polytope.simplex_inverse over its D,
-# or _cell_form's (y, D) with its constant term.
-Form = tuple[Sequence[int], int]
-
-
 def _common_scale(w: RegularityWitness) -> tuple[list[int], int]:
     """The witness over one common denominator: (W, L), W[i] = w_i * L."""
     scale = lcm(*(v.denominator for v in w.values))
     return [v.numerator * (scale // v.denominator) for v in w.values], scale
-
-
-def _cell_form(verts: Sequence[Point], heights: Sequence[int]) -> Form:
-    """Integer form (row, den), den > 0, interpolating integer heights on a cell.
-
-    The form (a, b) solves (v_k, 1) . (a, b) = heights[k], so (v_k - v_0)
-    . a = heights[k] - heights[0] for k >= 1 and b = heights[0] - a . v_0,
-    as in polytope.volume_form.  One exact.integer_solve of that system
-    of differences, an equation per vertex but v_0 of a simplex or
-    polytopal cell, decides rank, consistency and y = D a; the constant
-    is then D heights[0] - y . v_0.  On a simplex D = |det| of the
-    differences, so (y, D) is exactly volume_form's, the pair sum_k
-    heights[k] Y[k] over D of simplex_inverse's (Y, D).  On a polytopal
-    cell D depends on the pivot rows, row / den does not, and every
-    reader takes the form scale-free: margins are normalised Fractions,
-    pull_sweep cross-multiplies its bounds and _drop writes lowest terms.
-    Raises DegenerateGeometry on a flat cell or non-affine heights and
-    DimensionMismatch on a cell with at most d vertices.
-    """
-    v0, h0 = verts[0], heights[0]
-    if len(verts) <= len(v0):
-        raise DimensionMismatch("solve requires k >= n equations in n unknowns")
-    y, den = exact.integer_solve(
-        [list(map(sub, v, v0)) for v in verts[1:]], [h - h0 for h in heights[1:]]
-    )
-    y.append(den * h0 - sum(map(mul, y, v0)))
-    return y, den
-
-
-def _bent(form: Form, value: Fraction | int, q: Point) -> bool:
-    """Whether a wall is bent: the vertex q, at height value, of one cell
-    off the facet it shares with another lies at or below form, that
-    cell's interpolant.
-
-    One side suffices when the two cells lie on opposite sides of the
-    facet: A' - A vanishes on it, so (A' - A)(q) = w(q) - A(q) and, at the
-    vertex p of the other cell off it, (A' - A)(p) = A'(p) - w(p) have
-    opposite signs.  Both sides of w(q) * den <= row_at(row, q) are scaled
-    by w(q)'s denominator, so the test stays in integers.
-    """
-    row, den = form
-    return value.numerator * den <= row_at(row, q) * value.denominator
 
 
 def _bent_wall(
@@ -120,9 +72,9 @@ def _bent_wall(
 
     A wall is a facet (store-index set) of two cells; with c the one met
     second, it is bent when the vertex q of c' off it lies at or below
-    form(c) (_bent).  Every key is a frozenset, a polytopal cell's facet
-    and a simplex's alike, so a wall between the two is met from both
-    sides.
+    form(c) (polytope.on_or_below).  Every key is a frozenset, a polytopal
+    cell's facet and a simplex's alike, so a wall between the two is met
+    from both sides.
     """
     walls: dict[frozenset[int], Cell] = {}  # facets met once so far
     for c in cells:
@@ -133,7 +85,7 @@ def _bent_wall(
                 walls[fs] = c
                 continue
             q = next(i for i in other if i not in fs)
-            if _bent(fc, values[q], pts[q]):
+            if polytope.on_or_below(fc, values[q], pts[q]):
                 return c, other, fs
     return None
 
@@ -142,67 +94,17 @@ def _simplex_facets(c: Cell) -> list[frozenset[int]]:
     return [frozenset(c[:k] + c[k + 1 :]) for k in range(len(c))]
 
 
-def _volumes_and_walls(
-    t: Triangulation, heights: Sequence[int]
-) -> tuple[subdivision.Join, list[int], bool]:
-    """One loop over the cells: their facet join, their signed volumes, in
-    cell order up to the first degenerate cell, and whether a wall bends
-    or a cell is degenerate.
-
-    The join is subdivision.facet_join(t.cells), built here, cell by cell,
-    to the last cell whatever the verdict.  Each cell's volume and form
-    come from one polytope.volume_form.  A cell that meets a facet held by
-    exactly one earlier cell closes that wall and tests it when formed
-    against the other's vertex off it (_bent), so no form is kept.  Once a
-    wall bends only volumes are read (polytope.signed_nvol, the same
-    numbers), and from a degenerate cell on only the join is built.
-
-    A facet that a later cell gives a third cell has had its first two
-    tested.  That changes no report: verify then names the facet, the
-    structure is not valid and verify_regularity runs the scan whatever
-    bent says; and the volumes do not depend on bent, as signed_nvol and
-    volume_form give the same determinant.
-    """
-    pts, cells = t.points, t.cells
-    join: subdivision.Join = {}
-    dets: list[int] = []
-    bent = False
-    for ci, c in enumerate(cells):
-        form = None
-        if len(dets) == ci:  # no degenerate cell so far
-            verts = [pts[i] for i in c]
-            try:
-                if bent:  # the verdict is in: volumes only
-                    dets.append(polytope.signed_nvol(verts))
-                else:
-                    det, form = polytope.volume_form(verts, [heights[i] for i in c])
-                    dets.append(det)
-            except DegenerateGeometry:
-                bent = True
-        for k in range(len(c)):
-            on = join.setdefault(c[:k] + c[k + 1 :], [])
-            on.append((ci, k))
-            if form is not None and len(on) == 2:
-                oi, ok = on[0]
-                q = cells[oi][ok]
-                if _bent(form, heights[q], pts[q]):
-                    bent = True
-                    form = None
-    return join, dets, bent
-
-
 def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateReport:
     """Regular iff A_c(p) < w(p) for every cell c and store point p off c.
 
     The report is that of the all-pairs scan (_all_pairs); its structure
-    is subdivision.verify(t), run once here on the facet join and volumes
-    that one loop over the cells builds while it tests the walls
-    (_volumes_and_walls), so each cell is eliminated once and the join is
-    built once.  The walls decide when that proof is
-    valid, every store point is a cell vertex and no wall is bent.  Then
-    the cells triangulate the convex polytope P, meeting in common faces,
-    so g, equal to A_c on each cell c, is continuous and w at the
-    vertices.  On almost every segment in P the slope of g increases
+    is subdivision.verify(t, heights), whose one loop over the cells
+    builds the facet join and volumes it reads and tests the walls as it
+    goes, so each cell is eliminated once.  The walls decide when that
+    proof is valid, every store point is a cell vertex and no wall is
+    bent (its convex is True).  Then the cells triangulate the convex
+    polytope P, meeting in common faces, so g, equal to A_c on each cell
+    c, is continuous and w at the vertices.  On almost every segment in P the slope of g increases
     strictly at each wall it crosses, so g is convex (the wall
     inequalities of the secondary cone: De Loera-Rambau-Santos,
     *Triangulations*, 2010, ch. 5).  A store point p off c lies outside c,
@@ -214,15 +116,6 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     ambient that is no simplex or other unproven input) runs the scan, so
     rejection stays quadratic in the worst case.  A degenerate cell, which
     the structure names, stops it: not regular.
-
-    The pass runs whenever verify does not refuse t (subdivision._refusal),
-    so every cell is a (d + 1)-simplex; its volumes are the ones verify
-    would read, stopping at the same degenerate cell.  A refused input
-    builds no join.  The pass tests the first two cells of each facet.
-    When the join is no pseudomanifold bounded by the facets of P, verify
-    names the facet, the structure is not valid and the scan reports,
-    whatever the pass found: that the walls are read off a failed join
-    changes no report.
     """
     if t.dim != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")
@@ -232,11 +125,8 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     if any(len(p) != t.ambient_dim for p in pts):
         raise DimensionMismatch("point dimension does not match functional")
     heights, scale = _common_scale(w)
-    join, dets, bent = None, None, True
-    if subdivision._refusal(t) is None:
-        join, dets, bent = _volumes_and_walls(t, heights)
-    structure = subdivision.verify(t, dets, join)
-    if structure.valid and not bent and len(set().union(*t.cells)) == len(pts):
+    structure = subdivision.verify(t, heights)
+    if structure.valid and structure.convex and len(set().union(*t.cells)) == len(pts):
         return CertificateReport(True, structure=structure)
     try:
         return replace(_all_pairs(t, heights, scale), structure=structure)
@@ -277,7 +167,7 @@ def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> Certificat
     ]
     violations: list[tuple[Cell, Point, Fraction]] = []
     for c in t.cells:
-        row, den = _cell_form(t.cell_points(c), [heights[i] for i in c])
+        row, den = polytope.volume_form(t.cell_points(c), [heights[i] for i in c])[1]
         dots = [sum(map(mul, row, s)) for s in kinds]
         values = list(
             accumulate(map(dots.__getitem__, step_id), initial=row_at(row, pts[0]))
@@ -594,7 +484,7 @@ def pull_sweep(
                 frozenset(i for i in c if row_at(row, pts[i]) == 0)
                 for row in rows[c]
             ]
-        row, den = _cell_form(verts, [heights[i] for i in c])
+        row, den = polytope.volume_form(verts, [heights[i] for i in c])[1]
         cache[c] = row, den * scale
         add(c)
     check_convex("before")

@@ -9,15 +9,16 @@ bounding-box scan, pulling by coning over every proper face (De
 Loera-Rambau-Santos, *Triangulations*, 2010), the slice a hyperplane
 cuts from a subdivision by a half-space scan, the eps-halving pull that
 threads a witness through one pulling step at a time and the exact
-supremum of its drop, the all-pairs certificate check evaluated in
-Fractions on Fraction interpolants, the quadratic common-face check
-between every pair of cells, the resolution fan's flags evaluated on
-Fraction functionals from a cofactor facet scan, and rank by Fraction
-row reduction.  None of this is on the production path:
+supremum of its drop, the all-pairs certificate check and the wall
+check evaluated in Fractions on Fraction interpolants (``solve``, through
+``exact.integer_solve``, which no production code calls), the quadratic
+common-face check between every pair of cells, the resolution fan's
+flags evaluated on Fraction functionals from a cofactor facet scan, and
+rank by Fraction row reduction.  None of this is on the production path:
 ``witness.pull_sweep`` is the library's only pulling code,
-``subdivision.verify``'s facet join its only structural check,
-``polytope.volume_form`` (simplices) and ``witness._cell_form`` its only
-interpolants, and every ambient, glue
+``subdivision.verify``'s one loop over the cells its only structural
+check and wall test, ``polytope.volume_form`` its only interpolant
+solve, on simplices and polytopal cells alike, and every ambient, glue
 interface and glue apex height the pipeline uses is known in closed form.
 """
 
@@ -616,6 +617,27 @@ def verify_regularity_fraction(
             if len(violations) > 50:
                 return CertificateReport(False, violations)
     return CertificateReport(not violations, violations)
+
+
+def walls_convex(s: Subdivision, w: RegularityWitness) -> bool:
+    """Whether every wall of a triangulation, a facet (point set) of
+    exactly two cells, is strictly convex under w: at each cell's vertex
+    off it, w exceeds the other cell's Fraction interpolant.  Both sides
+    are tested."""
+    fns = {c: cell_interpolant(s, c, w) for c in s.cells}
+    on: dict[frozenset[Point], list[Cell]] = {}
+    for c in s.cells:
+        verts = frozenset(s.cell_points(c))
+        for p in verts:
+            on.setdefault(verts - {p}, []).append(c)
+    for facet, cells in on.items():
+        if len(cells) != 2:
+            continue
+        for c, other in (cells, cells[::-1]):
+            q = next(i for i in other if s.points[i] not in facet)
+            if w.values[q] <= fns[c](s.points[q]):
+                return False
+    return True
 
 
 def _check_nonstrict(

@@ -559,7 +559,7 @@ def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
     # on the accept path and on the scan's
     calls = []
     proof = sd.verify
-    # verify_regularity hands the proof the volumes and facet join it read
+    # verify_regularity hands the proof the integer heights
     monkeypatch.setattr(
         sd, "verify", lambda s, *rest: calls.append(s) or proof(s, *rest)
     )

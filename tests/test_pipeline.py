@@ -365,7 +365,7 @@ def test_cache_load_runs_the_structural_proof_once(tmp_path, monkeypatch):
     collinear["cells"][0] = [0, 1, 2]
     calls = []
     proof = sd.verify
-    # verify_regularity hands the proof the volumes and facet join it read
+    # verify_regularity hands the proof the integer heights
     monkeypatch.setattr(
         sd, "verify", lambda s, *rest: calls.append(s) or proof(s, *rest)
     )

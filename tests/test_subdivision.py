@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sylvtri import exact, family, pipeline, polytope, subdivision as sd, witness as wt
-from sylvtri.errors import DegenerateGeometry, DomainError
+from sylvtri.errors import DegenerateGeometry, DimensionMismatch, DomainError
 from sylvtri.witness import RegularityWitness
 
 import oracles
@@ -369,6 +369,23 @@ def test_verify_refuses_lower_dimensional_ambient():
         "cell (0, 1) is not full-dimensional: the ambient spans dimension 1 of 2"
     ]
     assert not rep.valid and not rep.unimodular and rep.volume_checksum is None
+
+
+def test_verify_refuses_heights_of_another_length():
+    # heights are one per store point: a list one short or one long raises
+    # DimensionMismatch, not IndexError, on an input the proof refuses too;
+    # with heights of the right length a refused input tests no wall
+    s = segment_triangulation()
+    assert sd.verify(s, [1, 0, 1]).convex is True
+    assert sd.verify(s, [0, 0, 0]).convex is False
+    sq = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    square = sd.make_subdivision(
+        sq, sq, [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
+    )
+    assert sd.verify(square, [0, 0, 0, 1]).convex is None
+    for t, heights in ((s, [1, 0]), (s, [1, 0, 1, 0]), (square, [0, 0, 0])):
+        with pytest.raises(DimensionMismatch, match="heights length"):
+            sd.verify(t, heights)
 
 
 AGREEMENT_BUILDS = (

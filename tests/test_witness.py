@@ -56,6 +56,11 @@ def test_verify_regularity_report_pinned():
     )
 
 
+def _form(verts, heights):
+    """The interpolant half of polytope.volume_form."""
+    return polytope.volume_form(verts, heights)[1]
+
+
 def check_polytopal_cell_form(data, dim):
     """d + 2 to 2d distinct points with affine integer heights: the form
     is the oracle's; a height moved off it, or the points flattened onto
@@ -69,16 +74,16 @@ def check_polytopal_cell_form(data, dim):
     c = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
     flat = [(*v[:-1], polytope.row_at(c, v[:-1])) for v in verts]
     with pytest.raises(DegenerateGeometry):
-        wt._cell_form(flat, heights)
+        _form(flat, heights)
     if exact.affine_rank(verts) < dim:
         with pytest.raises(DegenerateGeometry):
-            wt._cell_form(verts, heights)
+            _form(verts, heights)
         return
     store = tuple(sorted(verts))
     s = sd.Subdivision(store, store, (tuple(range(k)),))
     w = RegularityWitness(tuple(heights[verts.index(p)] for p in store))
     fn = oracles.cell_interpolant(s, s.cells[0], w)
-    row, den = wt._cell_form(verts, heights)
+    row, den = _form(verts, heights)
     assert den > 0 and all(type(x) is int for x in row)
     assert tuple(Fraction(x, den) for x in row[:-1]) == fn.coeffs
     assert Fraction(row[-1], den) == fn.constant
@@ -87,7 +92,7 @@ def check_polytopal_cell_form(data, dim):
         bent = list(heights)
         bent[i] += data.draw(st.integers(min_value=1, max_value=5))
         with pytest.raises(DegenerateGeometry):
-            wt._cell_form(verts, bent)
+            _form(verts, bent)
 
 
 @settings(max_examples=120, deadline=None)
@@ -111,14 +116,14 @@ def test_cell_form_matches_fraction_interpolant(data):
     if exact.affine_rank(verts) < dim:
         for vs, hs in ((verts, heights), (flipped, flipped_heights)):
             with pytest.raises(DegenerateGeometry):
-                wt._cell_form(vs, hs)
+                _form(vs, hs)
         return
     store = tuple(sorted(verts))
     s = sd.Subdivision(store, store, (tuple(range(dim + 1)),))
     w = RegularityWitness(tuple(heights[verts.index(p)] for p in store))
     fn = oracles.cell_interpolant(s, s.cells[0], w)
     for vs, hs in ((verts, heights), (flipped, flipped_heights)):
-        row, den = wt._cell_form(vs, hs)
+        row, den = _form(vs, hs)
         assert den > 0 and all(type(x) is int for x in row)
         assert tuple(Fraction(x, den) for x in row[:-1]) == fn.coeffs
         assert Fraction(row[-1], den) == fn.constant
@@ -129,16 +134,31 @@ def test_cell_form_matches_fraction_interpolant(data):
         moved.append(tuple(2 * b - a for a, b in zip(verts[0], verts[1])))
     for last in moved:
         with pytest.raises(DegenerateGeometry):
-            wt._cell_form([*verts[:-1], last], heights)
+            _form([*verts[:-1], last], heights)
+
+
+def _raised(call):
+    """(type, message) of what call raises, or None."""
+    try:
+        call()
+    except Exception as e:  # compared, not swallowed
+        return type(e), str(e)
+    return None
+
+
+def _homogeneous_solve(verts, heights):
+    """The form solved on the rows (v_k, 1), an equation per vertex."""
+    return exact.integer_solve([(*v, 1) for v in verts], heights)
 
 
 def _kernel_agrees(s, c, heights, scale, w):
-    """One cell's volume_form equals (signed_nvol, _cell_form) and, over
-    the common scale, the Fraction oracle's interpolant."""
+    """One cell's volume_form equals signed_nvol and the solve on the rows
+    (v_k, 1) and, over the common scale, the Fraction oracle's
+    interpolant."""
     verts, hs = s.cell_points(c), [heights[i] for i in c]
     det, (row, den) = polytope.volume_form(verts, hs)
     assert det == polytope.signed_nvol(verts)
-    assert (row, den) == wt._cell_form(verts, hs)
+    assert (row, den) == _homogeneous_solve(verts, hs)
     fn = oracles.cell_interpolant(s, c, w)
     assert [Fraction(x, den * scale) for x in row] == [*fn.coeffs, fn.constant]
 
@@ -174,32 +194,23 @@ def test_volume_form_matches_det_and_solve_on_random_simplices():
             for kernel in (
                 lambda: polytope.volume_form(verts, heights),
                 lambda: polytope.signed_nvol(verts),
-                lambda: wt._cell_form(verts, heights),
+                lambda: _homogeneous_solve(verts, heights),
             ):
                 with pytest.raises(DegenerateGeometry):
                     kernel()
+            assert _raised(lambda: polytope.volume_form(verts, heights)) == _raised(
+                lambda: _homogeneous_solve(verts, heights)
+            )
             continue
         store = tuple(sorted(verts))
         s = sd.Subdivision(store, store, (tuple(range(dim + 1)),))
         stored = [heights[verts.index(p)] for p in store]
         _kernel_agrees(s, s.cells[0], stored, 1, RegularityWitness(tuple(stored)))
         det, form = polytope.volume_form(verts, heights)
-        assert (det, form) == (polytope.signed_nvol(verts), wt._cell_form(verts, heights))
+        assert (det, form) == (
+            polytope.signed_nvol(verts), _homogeneous_solve(verts, heights)
+        )
     assert flat >= 28
-
-
-def _raised(call):
-    """(type, message) of what call raises, or None."""
-    try:
-        call()
-    except Exception as e:  # compared, not swallowed
-        return type(e), str(e)
-    return None
-
-
-def _homogeneous_solve(verts, heights):
-    """The form solved on the rows (v_k, 1), an equation per vertex."""
-    return exact.integer_solve([(*v, 1) for v in verts], heights)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -214,7 +225,7 @@ def test_cell_form_on_polytopal_glued_starts(n):
     polytopal = 0
     for c in s.cells:
         verts, hs = s.cell_points(c), [heights[i] for i in c]
-        row, den = wt._cell_form(verts, hs)
+        row, den = _form(verts, hs)
         assert den > 0 and all(type(x) is int for x in row)
         fn = oracles.cell_interpolant(s, c, w)
         for p in s.points:
@@ -226,7 +237,7 @@ def test_cell_form_on_polytopal_glued_starts(n):
             cases.append((verts, [hs[0] + 1, *hs[1:]], DegenerateGeometry))
         cases += [(verts[:k], hs[:k], DimensionMismatch) for k in (1, dim)]
         for vs, xs, kind in cases:
-            got = _raised(lambda: wt._cell_form(vs, xs))
+            got = _raised(lambda: _form(vs, xs))
             assert got is not None and got[0] is kind
             assert got == _raised(lambda: _homogeneous_solve(vs, xs))
     assert polytopal > 0
@@ -244,12 +255,23 @@ def _volumes_until_flat(t):
 
 
 def _fused_pass(t, w):
-    """The pass's join is facet_join's, keys and pairs in the same order,
-    and its volumes are signed_nvol's up to the first flat cell."""
-    join, dets, bent = wt._volumes_and_walls(t, wt._common_scale(w)[0])
-    assert list(join.items()) == list(sd.facet_join(t.cells).items())
-    assert dets == _volumes_until_flat(t)
-    return dets, bent
+    """verify with the heights gives verify's report, its checksum the sum
+    of signed_nvol's up to the first flat cell and its facets of three or
+    more cells facet_join's, in order; returns those volumes and the wall
+    verdict, which verify without heights leaves None."""
+    got, plain = sd.verify(t, wt._common_scale(w)[0]), sd.verify(t)
+    assert got == plain and plain.convex is None
+    assert got.first_non_unimodular == plain.first_non_unimodular
+    dets = _volumes_until_flat(t)
+    whole = len(dets) == len(t.cells)
+    assert got.volume_checksum == (sum(map(abs, dets)) if whole else None)
+    crowded = [
+        f"facet {key} shared by {len(on)} cells"
+        for key, on in sd.facet_join(t.cells).items()
+        if len(on) > 2
+    ]
+    assert [f for f in got.failures if " shared by " in f] == crowded
+    return dets, got.convex
 
 
 def test_fused_pass_on_artifacts():
@@ -259,8 +281,8 @@ def test_fused_pass_on_artifacts():
         for n in levels:
             art = pipeline.triangulate(pipeline.Family(fam), n)
             t = art.triangulation
-            dets, bent = _fused_pass(t, art.witness)
-            assert len(dets) == len(t.cells) and not bent
+            dets, convex = _fused_pass(t, art.witness)
+            assert len(dets) == len(t.cells) and convex is True
 
 
 def test_fused_pass_on_tampered_level3():
@@ -269,8 +291,8 @@ def test_fused_pass_on_tampered_level3():
     # the first cell listed twice: three facets of three cells, the copy
     # closing the first cell's boundary facet on its own side
     doubled = sd.Triangulation(t.points, t.ambient, t.cells + t.cells[:1])
-    dets, bent = _fused_pass(doubled, w)
-    assert len(dets) == len(doubled.cells) and bent
+    dets, convex = _fused_pass(doubled, w)
+    assert len(dets) == len(doubled.cells) and convex is False
     assert max(map(len, sd.facet_join(doubled.cells).values())) == 3
     _agree(doubled, w)
     # a coplanar cell first or mid-list: the volumes stop there and the
@@ -279,30 +301,37 @@ def test_fused_pass_on_tampered_level3():
         cells = list(t.cells)
         cells[at] = (0, 1, 2, 8)
         flat = sd.Triangulation(t.points, t.ambient, tuple(cells))
-        dets, bent = _fused_pass(flat, w)
-        assert len(dets) == at and bent
+        dets, convex = _fused_pass(flat, w)
+        assert len(dets) == at and convex is False
         assert not wt.verify_regularity(flat, w).regular
     # a raised height bends a wall; the volumes are read on to the end
     vals = list(w.values)
     vals[5] += 1000
     raised = RegularityWitness(tuple(vals))
-    dets, bent = _fused_pass(t, raised)
-    assert len(dets) == len(t.cells) and bent
+    dets, convex = _fused_pass(t, raised)
+    assert len(dets) == len(t.cells) and convex is False
     _agree(t, raised)
 
 
 def test_verify_regularity_builds_one_join(monkeypatch):
-    # the pass builds the join that verify reads, and an input verify
-    # refuses builds none
-    calls = []
-    join, fused = sd.facet_join, wt._volumes_and_walls
-    monkeypatch.setattr(sd, "facet_join", lambda cells: calls.append("join") or join(cells))
-    monkeypatch.setattr(
-        wt, "_volumes_and_walls", lambda *a: calls.append("pass") or fused(*a)
-    )
+    # verify's one loop builds the join it reads and each cell's volume
+    # and form, once, and an input verify refuses runs no volume_form in
+    # it (the scan then solves each cell)
     art = pipeline.triangulate_p2dual(3)
+    calls = []
+    join, form, proof = sd.facet_join, polytope.volume_form, sd.verify
+
+    def verify(*args):
+        calls.append("verify")
+        report = proof(*args)
+        calls.append("verified")
+        return report
+
+    monkeypatch.setattr(sd, "facet_join", lambda cells: calls.append("join") or join(cells))
+    monkeypatch.setattr(polytope, "volume_form", lambda *a: calls.append("form") or form(*a))
+    monkeypatch.setattr(sd, "verify", verify)
     assert wt.verify_regularity(art.triangulation, art.witness).regular
-    assert calls == ["pass"]
+    assert calls == ["verify", *["form"] * len(art.triangulation.cells), "verified"]
     calls.clear()
     sq = [(0, 0), (1, 0), (0, 1), (1, 1)]
     square = sd.make_subdivision(
@@ -310,7 +339,7 @@ def test_verify_regularity_builds_one_join(monkeypatch):
     )
     rep = wt.verify_regularity(square, RegularityWitness((0, 0, 0, 1)))
     assert rep.structure.failures == ["ambient is not a simplex: 4 points span dimension 2"]
-    assert rep.regular and calls == []
+    assert rep.regular and calls == ["verify", "verified", "form", "form"]
 
 
 def test_witness_length_mismatch():
@@ -586,6 +615,36 @@ def test_wall_verdicts_match_fraction_oracle_on_perturbations():
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == want
 
 
+def test_verify_convex_matches_fraction_wall_oracle():
+    # valid structures only: the twelve benchmark artifacts, every wall
+    # convex, and level-2 to 4 copies with one seeded store point's height
+    # moved by each of PERTURBATIONS, convex and bent, against the
+    # Fraction wall check, which tests both sides of every wall
+    def convex(t, w):
+        rep = sd.verify(t, wt._common_scale(w)[0])
+        assert rep.valid
+        return rep.convex
+
+    for fam, levels in (("p2dual", (1, 2, 3, 4)), ("p2", (1, 2, 3, 4)),
+                        ("p1", (2, 3, 4, 5))):
+        for n in levels:
+            art = pipeline.triangulate(pipeline.Family(fam), n)
+            assert convex(art.triangulation, art.witness) is True
+            assert oracles.walls_convex(art.triangulation, art.witness)
+    verdicts = []
+    for art in (pipeline.triangulate_p2dual(2), pipeline.triangulate_p2dual(3),
+                pipeline.triangulate_p2(3), pipeline.triangulate_p1(4)):
+        t, vals = art.triangulation, art.witness.values
+        rng = random.Random(len(t.points))
+        for pi in rng.sample(range(len(t.points)), 4):
+            for delta in PERTURBATIONS:
+                moved = RegularityWitness(vals[:pi] + (vals[pi] + delta,) + vals[pi + 1 :])
+                got = convex(t, moved)
+                assert got is oracles.walls_convex(t, moved)
+                verdicts.append(got)
+    assert verdicts.count(True) > 10 and verdicts.count(False) > 10
+
+
 def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
     # the level-3 glued store pull_sweep starts from: column cells and
     # simplices, with the glue witness and perturbations of it at points
@@ -730,7 +789,7 @@ def test_all_pairs_matches_fraction_oracle_on_tampered_copies(build, n, stops):
         verts = s.cell_points(swapped)
         if exact.affine_rank(verts) < s.ambient_dim:
             continue
-        dens.add(wt._cell_form(verts, [1] * len(verts))[1])
+        dens.add(_form(verts, [1] * len(verts))[1])
         counts.add(len(_scan_agrees(s, w).violating_pairs))
     assert 0 in counts and (51 in counts) is stops and len(counts) > 2
     assert max(dens) > 1
@@ -754,7 +813,7 @@ def test_all_pairs_matches_fraction_oracle_on_a_wide_simplex():
     # form has den 6, and points at, above and below it
     t = pipeline.triangulate_p2dual(2).triangulation
     one = sd.Triangulation(t.points, t.ambient, ((0, 3, 6),))
-    assert wt._cell_form(one.cell_points((0, 3, 6)), [0, 0, 0])[1] == 6
+    assert _form(one.cell_points((0, 3, 6)), [0, 0, 0])[1] == 6
     rng = random.Random(6)
     verdicts = set()
     for _ in range(20):
