@@ -14,8 +14,9 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import and_
+from typing import Sequence
 
-from . import exact, family, polytope, subdivision
+from . import exact, family, polytope
 from .errors import DomainError, FeasibilityLimit
 from .family import Family, sylvester
 from .pipeline import PipelineArtifact
@@ -62,25 +63,26 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     >= 0 at it and one is 0.
 
     The fan is complete when every ridge (a cone minus one ray, as sorted
-    ray indices) lies in exactly two cones, with their off-ridge rays on
-    opposite sides of it, and the cones' |det|s sum to D, the ambient's
-    normalized volume.  The cones' sides of their ridges are read off the
-    cones' facet join (subdivision.facet_join, subdivision.sides), with
-    the determinant of each cone's rays in index order, as the cells'
-    sides in subdivision.verify are off the same join, which verify
-    builds in its own loop over the cells.  Why this
-    proves the cones cover R^d without overlap: let m(x) count the cones
-    containing x.  A path crossing ridges only in their relative
-    interiors, away from the lower-dimensional intersections of ridges in
-    different hyperplanes, leaves one cone and enters another at each
-    ridge it crosses, so m is constant almost everywhere.  No cone is
-    flat (a zero det gives its ridges side 0, which fails), so m >= 1.
-    The rays of a cone over the cell facet G lie on the hyperplane of one
-    ambient facet, whose row is 0 there and > 0 at the origin, so the
-    cone meets that row's half-space, which contains P, in conv(0, G), of
-    normalized volume |det|.  Summing over the cones, m * D <= sum |det|,
-    and a sum of D makes m = 1.  The volume sum alone proves nothing: two
-    overlapping cones can make up for a gap.
+    ray indices) pairs off: in cone order, a map holds each ridge met
+    once so far with its cone's side of it, the next cone on it pops it,
+    and each pair lies on opposite sides (the parity rule of
+    subdivision.sides, with the determinant of each cone's rays in index
+    order), with no ridge left in the map; and the cones' |det|s sum to
+    D, the ambient's normalized volume.  Why this proves the cones cover
+    R^d without overlap: let m(x) count the cones containing x.  A path
+    crossing ridges only in their relative interiors, away from the
+    lower-dimensional intersections of ridges in different hyperplanes,
+    crosses ridges that were each met by an even number of cones, popped
+    in pairs on opposite sides, so as many cones end there as begin and
+    m is constant almost everywhere.  No cone is flat (a zero det gives
+    its ridges side 0, which fails), so m >= 1.  The rays of a cone over
+    the cell facet G lie on the hyperplane of one ambient facet, whose
+    row is 0 there and > 0 at the origin, so the cone meets that row's
+    half-space, which contains P, in conv(0, G), of normalized volume
+    |det|.  Summing over the cones, m * D <= sum |det|, and a sum of D
+    makes m = 1.  So no ridge lies in more than two cones, as two of
+    them would lie on one side of it, where m >= 2.  The volume sum
+    alone proves nothing: two overlapping cones can make up for a gap.
     """
     t = art.triangulation
     ambient = t.ambient
@@ -110,14 +112,26 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     cone_list = tuple(sorted(cones))
     dets = [exact.det_int([list(rays[i]) for i in cone]) for cone in cone_list]
     smooth = all(abs(dv) == 1 for dv in dets)
-    signs = [(dv > 0) - (dv < 0) for dv in dets]
-    ridges = subdivision.facet_join(cone_list).values()
-    complete = sum(map(abs, dets)) == nvol and all(
-        len(ab) == 2 and ab[0] == -ab[1] != 0
-        for ab in (subdivision.sides(on, signs) for on in ridges)
-    )
+    complete = sum(map(abs, dets)) == nvol and _ridges_pair(cone_list, dets)
     crepant = all(min(polytope.row_at(row, r) for row in rows) == 0 for r in rays)
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)
+
+
+def _ridges_pair(cones: Sequence[tuple[int, ...]], dets: Sequence[int]) -> bool:
+    """Whether the ridges of the cones pair off on opposite sides, each
+    popped from the map of ridges met once when its second cone comes."""
+    pending: dict[tuple[int, ...], int] = {}
+    for cone, det in zip(cones, dets):
+        side = (det > 0) - (det < 0)
+        for k in range(len(cone)):
+            key = cone[:k] + cone[k + 1 :]
+            other = pending.pop(key, None)
+            if other is None:
+                pending[key] = side
+            elif other != -side or not side:
+                return False
+            side = -side
+    return not pending
 
 
 def fan_to_json_dict(fan: ResolutionFan) -> dict:

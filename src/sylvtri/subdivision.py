@@ -105,8 +105,9 @@ def facet_join(cells: Sequence[Cell]) -> dict[Cell, list[tuple[int, int]]]:
     """Each facet of the simplices, a cell without its entry k, with the
     (cell index, k) of every cell on it, in cell order.
 
-    The fan joins its cones with it; verify builds the same join in its
-    own loop over the cells, with their volumes and walls."""
+    It serves only to name failures: verify's census builds it once the
+    pairing has refused an input.  No accept path builds it: verify and
+    the fan pair each facet when its second cell arrives."""
     join: dict[Cell, list[tuple[int, int]]] = {}
     for ci, c in enumerate(cells):
         for k in range(len(c)):
@@ -125,7 +126,9 @@ def sides(on: Iterable[tuple[int, int]], signs: Sequence[int]) -> list[int]:
     tells on which side of the linear span of the facet's rows row k
     lies: for rows (v, 1), the side of the facet's affine hyperplane.  So
     two simplices on one facet lie on opposite sides of it iff their
-    sides are opposite and non-zero.
+    sides are opposite and non-zero.  verify's census reads it off the
+    whole join; verify's and the fan's pairing loops apply the same rule
+    one cell at a time, negating the cell's sign from entry to entry.
     """
     return [signs[i] if k % 2 == 0 else -signs[i] for i, k in on]
 
@@ -155,9 +158,10 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
     P = conv(ambient).
 
     Checks the exact volume checksum against P, that every cell vertex
-    lies in P, the facet join (pseudomanifold) with its orientation check,
-    and per-cell unimodularity, which any failure clears: unimodular
-    implies valid and simplicial.  Preconditions:
+    lies in P, that the cells pair up on their facets (pseudomanifold)
+    on opposite sides (orientation), and per-cell unimodularity, which
+    any failure clears: unimodular implies valid and simplicial.
+    Preconditions:
 
     - every cell is a strictly increasing tuple of store indices: facets
       are keyed by sorted index tuples (pipeline.from_json_dict refuses
@@ -170,43 +174,51 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
       loader and Triangulation give d + 1-vertex cells, and every
       family's ambient is its level's simplex.
 
-    One loop over the cells builds everything the proof reads: the facet
-    join (facet_join's) and the signed volumes, up to the first
-    degenerate cell.  Given integer heights, one per store point (else
-    DimensionMismatch), each volume comes with the cell's interpolant
-    from one elimination (polytope.volume_form), and a cell that closes
-    a wall, a facet held by exactly one earlier cell, tests it against
-    the other's vertex off it (polytope.on_or_below), so no form is
-    kept; after a bent wall only volumes are read.  The verdict is the
-    report's convex, read only when the proof is valid, so a facet that
-    a third cell joins, which the proof names, changes no answer.
+    One loop over the cells computes the signed volumes, up to the first
+    degenerate cell, and pairs the facets.  A map holds each facet met
+    once so far, with its cell's side of it (the parity rule of sides:
+    the sign of det times (-1)^k) and that cell's vertex off it.  The
+    facet's next cell pops it, and the pair folds when the two sides
+    agree; a later cell on the facet starts a new pair.  Given integer
+    heights, one per store point (else DimensionMismatch), each volume
+    comes with the cell's interpolant from one elimination
+    (polytope.volume_form), and the cell that pops a facet tests that
+    wall against the other's vertex off it (polytope.on_or_below), so no
+    form is kept; after a bent wall only volumes are read.  The verdict
+    is the report's convex, read only when the proof is valid.
+
+    The proof accepts when no pair folds, every facet left in the map
+    lies in a facet of P, every cell vertex lies in P and the volumes sum
+    to nvol(P) (checksum).  Otherwise the map is freed and the census
+    runs: one scan of the whole join (facet_join) names the facets of
+    more than two cells, the unmatched ones off the boundary and the
+    folds, the folds after the other two kinds.
 
     Why this proves a triangulation of P when every cell is a
-    full-dimensional simplex.  It checks that every cell vertex
-    lies in P, so every cell does; that every facet (a cell minus one
-    vertex) belongs to two cells or lies in a facet of P (pseudomanifold);
-    that the two cells of a shared facet lie on opposite sides of it
-    (orientation); and that the normalized volumes sum to nvol(P)
-    (checksum).  Let m(x) count the cells containing x; it is locally
+    full-dimensional simplex.  Every cell vertex lies in P, so every
+    cell does.  Let m(x) count the cells containing x; it is locally
     constant off the cells' facets.  A path inside P that crosses facets
-    only in their relative interiors crosses no facet of P, so each facet
-    it crosses is shared by two cells on opposite sides: the path leaves
-    one and enters the other, and m does not change.  Such paths connect
-    almost all of P (they avoid only codimension-2 faces), so m is one
-    constant k almost everywhere and the volumes sum to k * nvol(P); the
-    checksum gives k = 1, and the cells cover P with disjoint interiors.
-    Shared facets match as vertex sets, so the cells through a
-    codimension-2 face close up into a ring covering a neighbourhood of its
-    relative interior, which no other cell meets; descending through the
-    face dimensions, any two cells meet in a common face.
+    only in their relative interiors, away from the intersections of
+    facets in different hyperplanes, crosses no facet of P.  A facet it
+    crosses was met by an even number of cells, or one would be left in
+    the map off the boundary, and they were popped in pairs, each on
+    opposite sides of it; so as many of them end there on each side as
+    begin, and m does not change.  Such paths connect almost all of P
+    (they avoid only codimension-2 sets), so m is one constant k almost
+    everywhere and the volumes sum to k * nvol(P); the checksum gives
+    k = 1, and the cells cover P with disjoint interiors.  So no facet
+    has three or more cells: at least two of them would lie on one side
+    of it, where m >= 2.  Each facet then has two cells on opposite
+    sides or one cell and lies in a facet of P, which is what the census
+    checks.  Shared facets match as vertex sets, so the cells through a
+    codimension-2 face close up into a ring covering a neighbourhood of
+    its relative interior, which no other cell meets; descending through
+    the face dimensions, any two cells meet in a common face.
 
     Without the orientation check, two cells folded onto one side of a
     shared facet (or of a facet of P) pass both the count and the
-    checksum.  The orientation check reads each cell's side of its
-    facets off the join (sides), with the signed determinant of its rows
-    (v, 1).  One scan of the join finds the facets of more than two cells,
-    the unmatched ones off the boundary and the folds; the folds are
-    reported after the other two kinds.
+    checksum.  With it but without the checksum, two triangulations of P
+    with no boundary facet in common, listed together, can pass: m = 2.
     """
     if heights is not None and len(heights) != len(s.points):
         raise DimensionMismatch("heights length does not match the point store")
@@ -216,30 +228,35 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
         return VerifyReport(False, simplicial, False, None, [refusal])
 
     pts, cells = s.points, s.cells
-    join: dict[Cell, list[tuple[int, int]]] = {}
+    # each facet met once so far: its cell's side and vertex off it
+    pending: dict[Cell, tuple[int, int]] = {}
     dets: list[int] = []
+    folded = False
     convex = None if heights is None else True
-    for ci, c in enumerate(cells):
-        form = None
-        if len(dets) == ci:  # no degenerate cell so far
-            verts = [pts[i] for i in c]
-            try:
-                if convex:
-                    det, form = polytope.volume_form(verts, [heights[i] for i in c])
-                else:
-                    det = polytope.signed_nvol(verts)
-                dets.append(det)
-            except DegenerateGeometry:
-                if convex:  # no wall through a degenerate cell is proved
-                    convex = False
+    for c in cells:
+        verts = [pts[i] for i in c]
+        try:
+            if convex:
+                det, form = polytope.volume_form(verts, [heights[i] for i in c])
+            else:
+                det, form = polytope.signed_nvol(verts), None
+        except DegenerateGeometry:
+            if convex:  # no wall through a degenerate cell is proved
+                convex = False
+            break  # the census reads the volumes up to here
+        dets.append(det)
+        side = 1 if det > 0 else -1
         for k in range(len(c)):
-            on = join.setdefault(c[:k] + c[k + 1 :], [])
-            on.append((ci, k))
-            if form is not None and len(on) == 2:
-                oi, ok = on[0]
-                q = cells[oi][ok]
-                if polytope.on_or_below(form, heights[q], pts[q]):
+            key = c[:k] + c[k + 1 :]
+            other = pending.pop(key, None)
+            if other is None:
+                pending[key] = (side, c[k])
+            else:
+                folded = folded or other[0] == side
+                q = other[1]
+                if form is not None and polytope.on_or_below(form, heights[q], pts[q]):
                     convex, form = False, None
+            side = -side
 
     # the ambient's d + 1 vertices span R^d: facet rows and nvol(P) at once
     ambient_rows, ambient_nvol = polytope.simplex_inverse(s.ambient)
@@ -259,33 +276,21 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
     # where one is negative, and on_facets[i] has bit j set where the j-th
     # is zero (the vertex lies on the j-th facet of P)
     on_facets, outside = {}, set()
-    for i in {i for c in cells for i in c}:
+    for i in set().union(*cells):
         values = [polytope.row_at(row, pts[i]) for row in ambient_rows]
         if min(values) < 0:
             outside.add(i)
         on_facets[i] = sum(1 << j for j, x in enumerate(values) if x == 0)
-    for c in cells:
+    for c in cells if outside else ():
         i = next((i for i in c if i in outside), None)
         if i is not None:
             failures.append(f"cell vertex {pts[i]} outside ambient")
 
-    # side 0 for the cells from a degenerate one on
-    signs = [(x > 0) - (x < 0) for x in dets]
-    signs += [0] * (len(cells) - len(signs))
-    folds: list[str] = []  # reported after the count failures
-    for key, on in join.items():
-        if len(on) == 2:
-            a, b = sides(on, signs)
-            if a == b != 0:
-                folds.append(
-                    f"cells {cells[on[0][0]]} and {cells[on[1][0]]} lie on "
-                    f"one side of their common facet {key}"
-                )
-        elif len(on) > 2:
-            failures.append(f"facet {key} shared by {len(on)} cells")
-        elif not reduce(and_, (on_facets[i] for i in key)):
-            failures.append(f"facet {key} unmatched and not on the boundary")
-    failures += folds
+    if failures or folded or not all(
+        reduce(and_, map(on_facets.__getitem__, key)) for key in pending
+    ):
+        del pending  # freed before the census builds the whole join
+        failures += _census(cells, dets, on_facets)
 
     # without a failure every cell's volume is in dets
     first_non_unimodular = None if failures else next(
@@ -301,3 +306,29 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
         first_non_unimodular=first_non_unimodular,
         convex=convex,
     )
+
+
+def _census(
+    cells: Sequence[Cell], dets: Sequence[int], on_facets: dict[int, int]
+) -> list[str]:
+    """verify's failure lines for the facets of a refused input, off the
+    whole join: facets of three or more cells and unmatched ones off the
+    boundary in join order, then the folds.  dets holds the volumes up to
+    the first degenerate cell, and the cells from it on get side 0."""
+    signs = [(x > 0) - (x < 0) for x in dets]
+    signs += [0] * (len(cells) - len(signs))
+    failures: list[str] = []
+    folds: list[str] = []
+    for key, on in facet_join(cells).items():
+        if len(on) == 2:
+            a, b = sides(on, signs)
+            if a == b != 0:
+                folds.append(
+                    f"cells {cells[on[0][0]]} and {cells[on[1][0]]} lie on "
+                    f"one side of their common facet {key}"
+                )
+        elif len(on) > 2:
+            failures.append(f"facet {key} shared by {len(on)} cells")
+        elif not reduce(and_, map(on_facets.__getitem__, key)):
+            failures.append(f"facet {key} unmatched and not on the boundary")
+    return failures + folds

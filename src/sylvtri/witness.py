@@ -99,8 +99,8 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
 
     The report is that of the all-pairs scan (_all_pairs); its structure
     is subdivision.verify(t, heights), whose one loop over the cells
-    builds the facet join and volumes it reads and tests the walls as it
-    goes, so each cell is eliminated once.  The walls decide when that
+    computes the volumes, pairs the facets and tests each wall as its
+    second cell arrives, so each cell is eliminated once.  The walls decide when that
     proof is valid, every store point is a cell vertex and no wall is
     bent (its convex is True).  Then the cells triangulate the convex
     polytope P, meeting in common faces, so g, equal to A_c on each cell

@@ -13,13 +13,17 @@ supremum of its drop, the all-pairs certificate check and the wall
 check evaluated in Fractions on Fraction interpolants (``solve``, through
 ``exact.integer_solve``, which no production code calls), the quadratic
 common-face check between every pair of cells, the resolution fan's
-flags evaluated on Fraction functionals from a cofactor facet scan, and
-rank by Fraction row reduction.  None of this is on the production path:
-``witness.pull_sweep`` is the library's only pulling code,
-``subdivision.verify``'s one loop over the cells its only structural
-check and wall test, ``polytope.volume_form`` its only interpolant
-solve, on simplices and polytopal cells alike, and every ambient, glue
-interface and glue apex height the pipeline uses is known in closed form.
+flags evaluated on Fraction functionals from a cofactor facet scan,
+rank by Fraction row reduction, the structural proof as one scan of the
+whole facet join (``verify_whole_join``), and each p2dual level's cells
+and small integer heights in closed form (``closed_form_p2dual``).  None
+of this is on the production path: ``witness.pull_sweep`` is the
+library's only pulling code, ``subdivision.verify``'s one loop over the
+cells, pairing each facet when its second cell arrives, its only
+structural check and wall test, ``polytope.volume_form`` its only
+interpolant solve, on simplices and polytopal cells alike, and every
+ambient, glue interface and glue apex height the pipeline uses is known
+in closed form.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from sylvtri import exact, polytope, subdivision as sd
+from sylvtri import exact, family, polytope, subdivision as sd
 from sylvtri.errors import (
     DegenerateGeometry,
     DimensionMismatch,
@@ -994,3 +998,120 @@ def fan_fraction(art) -> ResolutionFan:
         for r in rays
     )
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)
+
+
+def verify_whole_join(t: Triangulation) -> sd.VerifyReport:
+    """The structural report of subdivision.verify as a scan of the whole
+    facet join, on simplices over a simplex.
+
+    Every facet's cells are gathered first, in cell order, and the scan
+    names the facets of three or more cells and the unmatched ones off
+    the boundary in join order, then the folds.  Volumes are the
+    determinants of the rows (v, 1) up to the first flat cell, and the
+    cells from it on give no fold; the ambient's facets come from the
+    cofactor scan (simplex_facet_functionals), and a fold is decided for
+    each of the two cells by the determinant of the facet's rows (v, 1)
+    with the cell's vertex off it last, not by the parity rule off the
+    cell's own determinant.
+    """
+    pts, cells = t.points, t.cells
+    d = t.ambient_dim
+    assert len(t.ambient) == d + 1 and all(len(c) == d + 1 for c in cells)
+    dets: list[int] = []
+    for c in cells:
+        det = exact.det_int([[*pts[i], 1] for i in c])
+        if det == 0:
+            break
+        dets.append(det)
+    facets = simplex_facet_functionals(t.ambient)
+    failures: list[str] = []
+    checksum = None
+    if len(dets) < len(cells):
+        failures.append("degenerate cell: zero-volume simplex")
+    else:
+        checksum = sum(map(abs, dets))
+        nvol = abs(exact.det_int([[*v, 1] for v in t.ambient]))
+        if checksum != nvol:
+            failures.append(f"volume checksum {checksum} != ambient nvol {nvol}")
+    for c in cells:
+        out = next((i for i in c if any(h(pts[i]) < 0 for h in facets)), None)
+        if out is not None:
+            failures.append(f"cell vertex {pts[out]} outside ambient")
+    join: dict[Cell, list[int]] = {}
+    for ci, c in enumerate(cells):
+        for i in c:
+            join.setdefault(tuple(j for j in c if j != i), []).append(ci)
+    folds: list[str] = []
+    for key, on in join.items():
+        if len(on) > 2:
+            failures.append(f"facet {key} shared by {len(on)} cells")
+        elif len(on) == 1:
+            if not any(all(h(pts[i]) == 0 for i in key) for h in facets):
+                failures.append(f"facet {key} unmatched and not on the boundary")
+        elif max(on) < len(dets):
+            a, b = (
+                exact.det_int([[*pts[i], 1] for i in (*key, q)])
+                for q in (next(i for i in cells[ci] if i not in key) for ci in on)
+            )
+            if a * b > 0:
+                folds.append(
+                    f"cells {cells[on[0]]} and {cells[on[1]]} lie on one side "
+                    f"of their common facet {key}"
+                )
+    failures += folds
+    first = None if failures else next(
+        ((c, abs(x)) for c, x in zip(cells, dets) if abs(x) != 1), None
+    )
+    return sd.VerifyReport(
+        not failures, True, not failures and first is None, checksum, failures,
+        first,
+    )
+
+
+# M_n at levels 2-5: each the least power of two from 2^1 up whose
+# heights pass the wall check at levels 2-4; level 5 tried only 2^23
+CLOSED_FORM_M = {2: 2, 3: 2**5, 4: 2**11, 5: 2**23}
+
+
+def closed_form_p2dual(n: int) -> tuple[Triangulation, tuple[int, ...]]:
+    """The level-n p2dual triangulation in closed form, with integer
+    heights W_n, built level by level without pulling.
+
+    Over each level-(n-1) cell with vertices v_1 < ... < v_n (store
+    order), column heights h = family.hyperplane_height and apex z =
+    (-1, ..., -1, s_{n-1} - 1), the level-n cells are the cone cell
+    {z} u {(v_i, h(v_i))} and, for each j and -1 <= t < h(v_j), the
+    staircase cell {(v_i, -1) : i < j} u {(v_j, t), (v_j, t + 1)} u
+    {(v_i, h(v_i)) : i > j}.  The heights are W_1 = (1, 0, 1), W_n(y, t)
+    = M_n W_{n-1}(y) + t^2 - K_n r(y) t with r(y) the position of y in
+    the level-(n-1) store and K_n = 2 s_{n-1} + 3, and W_n(z) = 1 + the
+    largest other height.
+    """
+    ambient = family.build(family.FamilySpec(family.Family.P2DUAL, 1)).vertices
+    t = sd.make_subdivision([(-1,), (0,), (1,)], ambient, [[(-1,), (0,)], [(0,), (1,)]])
+    heights: tuple[int, ...] = (1, 0, 1)
+    for level in range(2, n + 1):
+        s_prev = family.sylvester(level - 1)
+        z = ((-1,) * (level - 1)) + (s_prev - 1,)
+        top = {y: family.hyperplane_height(level, y) for y in t.points}
+        cell_lists = []
+        for c in t.cells:
+            vs = t.cell_points(c)
+            cell_lists.append([(*v, top[v]) for v in vs] + [z])
+            for j, v in enumerate(vs):
+                below = [(*u, -1) for u in vs[:j]]
+                above = [(*u, top[u]) for u in vs[j + 1 :]]
+                cell_lists += [
+                    below + [(*v, s), (*v, s + 1)] + above for s in range(-1, top[v])
+                ]
+        m, k = CLOSED_FORM_M[level], 2 * s_prev + 3
+        w = {
+            (*y, s): m * heights[r] + s * s - k * r * s
+            for r, y in enumerate(t.points)
+            for s in range(-1, top[y] + 1)
+        }
+        w[z] = 1 + max(w.values())
+        spec = family.FamilySpec(family.Family.P2DUAL, level)
+        t = sd.make_subdivision(w, family.build(spec).vertices, cell_lists)
+        heights = tuple(w[p] for p in t.points)
+    return t, heights

@@ -628,3 +628,15 @@ def test_build_names_the_first_non_unimodular_cell(monkeypatch):
         f"not unimodular: cell {big} points {verts} normalized volume 2; "
         "provenance steps: base, pullback, glue, pull_all"
     )
+
+
+@pytest.mark.parametrize("n, bits", [(2, 5), (3, 10), (4, 21)])
+def test_closed_form_p2dual_is_the_pulling_result_and_certifies(n, bits):
+    # the cone and staircase cells are the pulling refinement's, and the
+    # small integer heights W_n certify them
+    t, heights = oracles.closed_form_p2dual(n)
+    built = pipeline.triangulate_p2dual(n).triangulation
+    assert t.points == built.points and t.cells == built.cells
+    assert t.ambient == built.ambient
+    assert wt.verify_regularity(t, wt.RegularityWitness(heights)).regular
+    assert max(map(abs, heights)).bit_length() == bits

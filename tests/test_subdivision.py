@@ -1,11 +1,14 @@
 """Subdivision engine tests: constructors, pulling, structural verification."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from sylvtri import exact, family, pipeline, polytope, subdivision as sd, witness as wt
+from sylvtri import (
+    exact, family, invariants, pipeline, polytope, subdivision as sd, witness as wt,
+)
 from sylvtri.errors import DegenerateGeometry, DimensionMismatch, DomainError
 from sylvtri.witness import RegularityWitness
 
@@ -315,6 +318,84 @@ def test_facet_join_reads_the_parity_rule():
         for (i, _), x in zip(on, sd.sides(on, [1, 0, 0])) if i != 0
     ]
     assert others == [0] * 6
+
+
+def pairing_copies(n):
+    """Copies of p2dual n that reach each case of verify's pairing, as
+    (name, triangulation, heights): one boundary cell listed twice, whose
+    copy closes its boundary facet; every cell listed twice, so each
+    interior facet has four cells popped as two opposite pairs; a cell
+    with one vertex swapped for a far store point; a flat cell first and
+    mid-list; a raised height."""
+    art = pipeline.triangulate_p2dual(n)
+    t = art.triangulation
+    heights = wt._common_scale(art.witness)[0]
+    d = t.dim
+    facets = oracles.simplex_facet_functionals(t.ambient)
+    boundary = next(
+        c for c in t.cells
+        if any(sum(h(p) == 0 for p in t.cell_points(c)) == d for h in facets)
+    )
+    # the CI reject steps' swaps: vertex 0 of cell 10 (level 3) or cell 2
+    # (level 4) for store point 12 or 43
+    at, was, far = {3: (10, (0, 19, 20, 22), 12), 4: (2, (0, 1, 205, 228, 351), 43)}[n]
+    assert t.cells[at] == was
+    swapped = list(t.cells)
+    swapped[at] = tuple(sorted((far, *was[1:])))
+    flat = tuple(range(d + 1))  # the first d + 1 points of the y0 column
+    assert exact.det_int([[*t.points[i], 1] for i in flat]) == 0
+    vals = list(art.witness.values)
+    vals[5] += 1000
+    raised = wt._common_scale(RegularityWitness(tuple(vals)))[0]
+    copies = [
+        ("boundary cell twice", t.cells + (boundary,), heights),
+        ("every cell twice", t.cells + t.cells, heights),
+        ("swapped cell", swapped, heights),
+        ("raised height", t.cells, raised),
+    ]
+    for at in (0, len(t.cells) // 2):
+        cells = list(t.cells)
+        cells[at] = flat
+        copies.append((f"flat cell at {at}", cells, heights))
+    return art, [
+        (name, sd.Triangulation(t.points, t.ambient, tuple(cells)), hs)
+        for name, cells, hs in copies
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_pairing_matches_whole_join_scan(n):
+    # the pairing keeps only the facets met once, so an input it refuses
+    # is named by the census; on every copy verify's report, with heights
+    # or without, is the whole-join scan's, and the fan's is the Fraction
+    # oracle's
+    art, copies = pairing_copies(n)
+    for name, t, hs in copies:
+        want = oracles.verify_whole_join(t)
+        for got in (sd.verify(t), sd.verify(t, hs)):
+            assert got == want, name
+            assert got.first_non_unimodular == want.first_non_unimodular, name
+        if name == "raised height":
+            assert want.valid and sd.verify(t, hs).convex is False
+            continue
+        assert not want.valid, name
+        copy = replace(art, triangulation=t)
+        assert invariants.fan_from_triangulation(copy) == oracles.fan_fraction(copy), name
+    # every interior facet of the doubled copy has four cells, popped as
+    # two pairs on opposite sides: only the boundary folds and the
+    # checksum refuse it
+    t = dict((name, t) for name, t, _ in copies)["every cell twice"]
+    signs = [polytope.signed_nvol(t.cell_points(c)) for c in t.cells]
+    four = [on for on in sd.facet_join(t.cells).values() if len(on) == 4]
+    assert four and all(
+        a == -b and c == -e
+        for a, b, c, e in (sd.sides(on, signs) for on in four)
+    )
+    failures = sd.verify(t).failures
+    nvol = len(t.cells) // 2
+    assert failures[0] == f"volume checksum {2 * nvol} != ambient nvol {nvol}"
+    assert any(f.endswith(" shared by 4 cells") for f in failures)
+    assert failures[-1].startswith("cells ") and " lie on one side " in failures[-1]
 
 
 def test_verify_unimodular_reads_signed_volumes():

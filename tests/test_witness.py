@@ -4,13 +4,16 @@ import hashlib
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylvtri import exact, pipeline, polytope, subdivision as sd, witness as wt
+from sylvtri import (
+    exact, invariants, pipeline, polytope, subdivision as sd, witness as wt,
+)
 from sylvtri.errors import DegenerateGeometry, DimensionMismatch, DomainError
 from sylvtri.witness import RegularityWitness
 
@@ -314,9 +317,11 @@ def test_fused_pass_on_tampered_level3():
 
 
 def test_verify_regularity_builds_one_join(monkeypatch):
-    # verify's one loop builds the join it reads and each cell's volume
-    # and form, once, and an input verify refuses runs no volume_form in
-    # it (the scan then solves each cell)
+    # verify's one loop pairs the facets and eliminates each cell once,
+    # and neither it nor the fan builds the whole join on an accepted
+    # artifact; a refused one builds it once, for verify's census, and
+    # an input verify refuses outright runs no volume_form in it (the
+    # scan then solves each cell)
     art = pipeline.triangulate_p2dual(3)
     calls = []
     join, form, proof = sd.facet_join, polytope.volume_form, sd.verify
@@ -333,6 +338,18 @@ def test_verify_regularity_builds_one_join(monkeypatch):
     assert wt.verify_regularity(art.triangulation, art.witness).regular
     assert calls == ["verify", *["form"] * len(art.triangulation.cells), "verified"]
     calls.clear()
+    assert invariants.fan_from_triangulation(art).complete and calls == []
+    # every cell twice: the pairing refuses it, and the census names why
+    t = art.triangulation
+    doubled = sd.Triangulation(t.points, t.ambient, t.cells + t.cells)
+    rep = wt.verify_regularity(doubled, art.witness)
+    assert not rep.structure.valid and calls.count("join") == 1
+    assert calls.index("join") < calls.index("verified")
+    calls.clear()
+    # the fan pairs its ridges, incomplete or not: no whole join either
+    holed = sd.Triangulation(t.points, t.ambient, t.cells[1:])
+    fan = invariants.fan_from_triangulation(replace(art, triangulation=holed))
+    assert not fan.complete and calls == []
     sq = [(0, 0), (1, 0), (0, 1), (1, 1)]
     square = sd.make_subdivision(
         sq, sq, [[(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]]
