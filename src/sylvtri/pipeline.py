@@ -24,7 +24,7 @@ from math import gcd
 from operator import lt
 from typing import Any
 
-from . import exact, family, polytope, subdivision, witness
+from . import exact, family, subdivision, witness
 from .errors import (
     ArtifactFormatError,
     FeasibilityLimit,
@@ -86,8 +86,10 @@ def triangulate_p2dual(
     at h(y).  Pulling at every lattice point in lexicographic order then
     triangulates it.  The cone cells lie on z's side of the hyperplane and
     the columns on the other, and the two parts agree on it by
-    construction, since each cone is built on a column top; verify proves
-    the final result.
+    construction, since each cone is built on a column top.  Every level,
+    the base case included, is served only once _first_failure accepts
+    it, the rule a cache entry passes: the expected cell count and the
+    certificate, which the artifact keeps for its callers.
 
     The witness is w(y, t) = w_prev(y) on the columns and omega at z,
     which must exceed, at z, the interpolant of every column.  A column
@@ -115,7 +117,7 @@ def triangulate_p2dual(
             RegularityWitness((Fraction(1), Fraction(0), Fraction(1))),
             ({"step": "base"},),
         )
-        return _store_cached(art, cache_dir)
+        return _serve(art, max_cells, cache_dir)
 
     prev = triangulate_p2dual(n - 1, max_cells, cache_dir)
     t_prev, w_prev = prev.triangulation, prev.witness
@@ -149,9 +151,8 @@ def triangulate_p2dual(
         }
     )
 
-    _internal_check(tri, family.cell_count(spec, max_cells), prov)
     art = PipelineArtifact(spec, tri, w_tri, tuple(prov))
-    return _store_cached(art, cache_dir)
+    return _serve(art, max_cells, cache_dir)
 
 
 def triangulate_p2(
@@ -198,14 +199,14 @@ def triangulate_p1(
     two parts agree on the hyperplane by construction, since both are
     built on the embedded cells; verify proves the final result.
 
-    No internal check runs: the construction fixes what it would read.
-    The second family has s_n - 1 unimodular cells: built, the dual
-    level's cells (checked by _internal_check, or at level 1 the base
-    case's two unit segments) under a map of |det| 1; loaded, checked by
-    _first_failure.  So there are 2 (s_n - 1) cells, one cone to each
-    apex per cell, and each is unimodular: expanding det[(x, 1)] along
-    the last coordinate, 0 on the base and a_last at the apex, gives
-    nvol(cone) = |a_last| nvol(base), with a_last 1 for e_last, -1 for w1.
+    No check runs at the build: the construction fixes what one would
+    read.  The second family has s_n - 1 unimodular cells: built, the
+    dual level's cells, which _first_failure accepted, under a map of
+    |det| 1; loaded, checked by _first_failure.  So there are 2 (s_n - 1)
+    cells, one cone to each apex per cell, and each is unimodular:
+    expanding det[(x, 1)] along the last coordinate, 0 on the base and
+    a_last at the apex, gives nvol(cone) = |a_last| nvol(base), with
+    a_last 1 for e_last, -1 for w1.
 
     The height omega at w1 must exceed the interpolant at w1 of every
     cell of the first cone.  The cell over sigma is 0 at e_last and
@@ -258,28 +259,6 @@ def triangulate(
     if fam is Family.P2:
         return triangulate_p2(n, max_cells, cache_dir)
     return triangulate_p1(n, max_cells, cache_dir)
-
-
-def _internal_check(
-    tri: Triangulation, expected_cells: int, prov: list[ProvenanceStep]
-) -> None:
-    """Refuse a build whose cell count is not expected_cells or which has
-    a cell of normalized volume other than 1, naming the first such cell
-    as verify does and the provenance by its step names."""
-    steps = ", ".join(step["step"] for step in prov)
-    if len(tri.cells) != expected_cells:
-        raise VerificationFailure(
-            f"cell count {len(tri.cells)} != expected {expected_cells}; "
-            f"provenance steps: {steps}"
-        )
-    for c in tri.cells:
-        verts = tri.cell_points(c)
-        vol = polytope.nvol(verts)
-        if vol != 1:
-            raise VerificationFailure(
-                f"not unimodular: cell {c} points {verts} normalized volume "
-                f"{vol}; provenance steps: {steps}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +467,8 @@ def _load_cached(
     would be.
 
     A disk entry is untrusted: read under the same max_cells, it must hold
-    the family and level it is filed under, and pass the structural proof,
-    the regularity check and the expected cell count before it is served.
+    the family and level it is filed under and pass _first_failure, as a
+    built p2dual level must (_serve), before it is served.
     """
     expected = family.cell_count(spec, max_cells)
     if expected is None:
@@ -519,7 +498,10 @@ def _load_cached(
 
 def _first_failure(art: PipelineArtifact, expected: int) -> str | None:
     """The first reason art, of expected cells, is not a certified
-    triangulation, or None."""
+    triangulation, or None: the cell count, then the certificate, whose
+    structural proof and wall check art keeps.  It alone decides whether a
+    cache entry (_load_cached) or a built p2dual level (_serve) is
+    served."""
     tri = art.triangulation
     if len(tri.cells) != expected:
         return f"cell count {len(tri.cells)} != expected {expected}"
@@ -536,6 +518,19 @@ def _first_failure(art: PipelineArtifact, expected: int) -> str | None:
             f"margin {exact.number_str(margin)}"
         )
     return None
+
+
+def _serve(
+    art: PipelineArtifact, max_cells: int, cache_dir: str | None
+) -> PipelineArtifact:
+    """Store and return a built p2dual level once _first_failure accepts
+    it; else raise VerificationFailure naming the failure and the
+    provenance by its step names."""
+    failure = _first_failure(art, family.cell_count(art.spec, max_cells))
+    if failure is not None:
+        steps = ", ".join(step["step"] for step in art.provenance)
+        raise VerificationFailure(f"{failure}; provenance steps: {steps}")
+    return _store_cached(art, cache_dir)
 
 
 def _store_cached(art: PipelineArtifact, cache_dir: str | None) -> PipelineArtifact:

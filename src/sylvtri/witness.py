@@ -348,8 +348,10 @@ def pull_sweep(
     DomainError).  By verify_regularity's argument the function g of the
     interpolants is then strictly convex, so A_c(p) < g(p) <= w(p) for each
     store point p off a cell c, as the oracle check_intermediate asks.
-    After the last pull every store point is a vertex, so the wall check,
-    run once more, proves the output witness.
+    The sweep does not check its output, in which every store point is a
+    vertex: the caller's certificate (verify_regularity) proves the
+    triangulation and witness returned, so it refuses a wall that the
+    last drop left flat.
 
     The pass checks the walls first.  Once none is bent, the cells are the
     domains of linearity of the convex g, so the walk below, whose end
@@ -414,10 +416,8 @@ def pull_sweep(
     H(m) - B(m) = (w(q) - B(q)) / Lam(q) <= 0, as B(q) <= g(q) <= w(q) by
     convexity.  A wall through m therefore never binds: its neighbour's
     vertex off it lies beyond F or bounds nothing (Lam >= 0), and when F
-    lies on the boundary of P no store point lies beyond it.  The pass
-    after the last pull derives the simplices' facets from the cells
-    again, so the final proof does not rest on the sweep's bookkeeping.
-    Its cells are simplices, as Triangulation checks: from m's pull on, a
+    lies on the boundary of P no store point lies beyond it.  The output's
+    cells are simplices, as Triangulation checks: from m's pull on, a
     cell holding m is a pyramid with apex m, as are a pyramid's children
     through its apex, and a pyramid with apex each of its vertices is a
     simplex.
@@ -462,15 +462,6 @@ def pull_sweep(
         for i in c:
             star[i].add(c)
 
-    def check_convex(when: str) -> None:
-        bent = _bent_wall(rows, facet_sets, cache.__getitem__, vals, pts)
-        if bent is not None:
-            c, other, fs = bent
-            raise DomainError(
-                f"witness is not convex {when} the pull: cells {c} and "
-                f"{other} across facet {sorted(fs)}"
-            )
-
     # the certificate pass before the first pull: every facet row, made
     # primitive, and interpolant, as solved, then the walls, then
     # each store point that is no vertex, found by a walk from the one
@@ -487,7 +478,13 @@ def pull_sweep(
         row, den = polytope.volume_form(verts, [heights[i] for i in c])[1]
         cache[c] = row, den * scale
         add(c)
-    check_convex("before")
+    bent = _bent_wall(rows, facet_sets, cache.__getitem__, vals, pts)
+    if bent is not None:
+        c, other, fs = bent
+        raise DomainError(
+            f"witness is not convex before the pull: cells {c} and "
+            f"{other} across facet {sorted(fs)}"
+        )
     at = next(iter(rows), None)  # the cell found for the last point located
     for pi in range(npts):
         if star[pi]:
@@ -570,6 +567,5 @@ def pull_sweep(
             cache[c] = _drop(a0, lam, eps)
         log.append((m, eps))
 
-    check_convex("after")
     tri = Triangulation(pts, s.ambient, tuple(sorted(rows)))
     return tri, RegularityWitness(tuple(vals)), log

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from sylvtri import cli, family, invariants, pipeline, subdivision as sd
+from sylvtri import (
+    cli, family, invariants, pipeline, subdivision as sd, witness as wt,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -567,14 +569,15 @@ def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
     assert cli.main(
         ["triangulate", "--family", "p2dual", "--n", "2", "--out", str(path)]
     ) == 0
-    assert len(calls) == 1
-    assert cli.main(["verify", str(path)]) == 0
+    # one proof per built level, 1 and 2; triangulate prints level 2's
     assert len(calls) == 2
+    assert cli.main(["verify", str(path)]) == 0
+    assert len(calls) == 3
     data = json.loads(path.read_text())
     data["cells"].append(data["cells"][0])
     path.write_text(json.dumps(data))
     assert cli.main(["verify", str(path)]) == 3
-    assert len(calls) == 3
+    assert len(calls) == 4
     # a disk-cache hit: the certificate the cache check ran is the one
     # triangulate prints
     argv = ["triangulate", "--family", "p2dual", "--n", "2", "--out", str(path),
@@ -585,6 +588,30 @@ def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
     calls.clear()
     assert cli.main(argv) == 0
     assert len(calls) == 1
+
+
+def test_triangulate_certifies_each_built_level_once(tmp_path, monkeypatch):
+    # each p2dual level is served once its certificate accepts it, and
+    # triangulate prints the top level's instead of running a second one;
+    # each sweep checks its walls once, before its first pull
+    certified, walls = [], []
+    regularity, bent_wall = wt.verify_regularity, wt._bent_wall
+    monkeypatch.setattr(
+        wt,
+        "verify_regularity",
+        lambda t, w: certified.append(t.ambient_dim) or regularity(t, w),
+    )
+    monkeypatch.setattr(
+        wt,
+        "_bent_wall",
+        lambda *args: walls.append(len(args[-1][0])) or bent_wall(*args),
+    )
+    path = tmp_path / "p2dual_3.json"
+    assert cli.main(
+        ["triangulate", "--family", "p2dual", "--n", "3", "--out", str(path)]
+    ) == 0
+    assert certified == [1, 2, 3]
+    assert walls == [2, 3]
 
 
 @pytest.mark.parametrize("case", ["triangulate --out", "fan --out", "--cache-dir"])

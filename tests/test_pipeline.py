@@ -579,7 +579,7 @@ def test_rational_refuses_a_huge_exponent_without_evaluating_it():
 
 def _swept_with(monkeypatch, edit):
     """Make the pulling sweep of every build pass its triangulation
-    through edit(tri) before the pipeline's internal check."""
+    through edit(tri) before the build's certificate check."""
     sweep = wt.pull_sweep
 
     def edited(s, w):
@@ -605,8 +605,10 @@ def test_build_refuses_a_wrong_cell_count(monkeypatch):
 
 def test_build_names_the_first_non_unimodular_cell(monkeypatch):
     # a sweep whose third and fifth cells are replaced by a simplex of
-    # normalized volume 2: the count holds, and the third is named with
-    # its store points and volume, as verify's "not unimodular:" line does
+    # normalized volume 2: the count holds, and the structural proof
+    # refuses the level by its volume checksum before it is served.  With
+    # the count right and the proof valid every cell has volume 1
+    # (_first_failure), so no build gets as far as naming the cell.
     pts = pipeline.triangulate_p2dual(2).triangulation.points
     pipeline.clear_cache()
     big = next(
@@ -621,13 +623,13 @@ def test_build_names_the_first_non_unimodular_cell(monkeypatch):
         return sd.Triangulation(t.points, t.ambient, tuple(cells))
 
     _swept_with(monkeypatch, edit)
-    verts = tuple(pts[i] for i in big)
     with pytest.raises(VerificationFailure) as e:
         pipeline.triangulate_p2dual(2)
     assert str(e.value) == (
-        f"not unimodular: cell {big} points {verts} normalized volume 2; "
+        "volume checksum 8 != ambient nvol 6; "
         "provenance steps: base, pullback, glue, pull_all"
     )
+    assert (Family.P2DUAL, 2) not in pipeline._CACHE
 
 
 @pytest.mark.parametrize("n, bits", [(2, 5), (3, 10), (4, 21)])

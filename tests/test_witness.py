@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from sylvtri import (
     exact, invariants, pipeline, polytope, subdivision as sd, witness as wt,
 )
-from sylvtri.errors import DegenerateGeometry, DimensionMismatch, DomainError
+from sylvtri.errors import (
+    DegenerateGeometry,
+    DimensionMismatch,
+    DomainError,
+    VerificationFailure,
+)
+from sylvtri.family import Family
 from sylvtri.witness import RegularityWitness
 
 import oracles
@@ -894,10 +900,12 @@ def test_pull_sweep_rejects_exactly_where_oracle_rejects(monkeypatch):
 @pytest.mark.parametrize("start", [_level2_glue, _level3_start])
 @pytest.mark.parametrize("last_only", [False, True])
 def test_pull_sweep_rejects_drops_at_the_bound(start, last_only, monkeypatch):
-    # a drop equal to its bound leaves a flat wall, which a later pull or
-    # the pass after the last pull must catch; a flat wall left by the
-    # last pull only the pass after it can catch
+    # a drop equal to its bound leaves a flat wall, which a later pull's
+    # bound phase catches inside the sweep; a flat wall left by the last
+    # pull only the certificate catches, which the build runs before it
+    # serves the level
     s, w = start()
+    n = len(s.points[0])
     calls = []
     power_drop = wt._largest_power_drop
 
@@ -908,8 +916,25 @@ def test_pull_sweep_rejects_drops_at_the_bound(start, last_only, monkeypatch):
         return upper
 
     monkeypatch.setattr(wt, "_largest_power_drop", at_bound)
-    with pytest.raises(DomainError):
-        wt.pull_sweep(s, w)
+    if not last_only:
+        with pytest.raises(DomainError):
+            wt.pull_sweep(s, w)
+        return
+    tri, w_tri, _ = wt.pull_sweep(s, w)
+    assert not wt.verify_regularity(tri, w_tri).regular
+    calls.clear()
+    monkeypatch.delitem(pipeline._CACHE, (Family.P2DUAL, n), raising=False)
+    flat = {
+        2: "cell (0, 4, 5) point (1, -1)",
+        3: "cell (0, 17, 18, 22) point (1, -1, -1)",
+    }
+    steps = ", ".join(["base"] + ["pullback, glue, pull_all"] * (n - 1))
+    with pytest.raises(VerificationFailure) as e:
+        pipeline.triangulate_p2dual(n)
+    assert str(e.value) == (
+        f"regularity violation: {flat[n]} margin 0; provenance steps: {steps}"
+    )
+    assert (Family.P2DUAL, n) not in pipeline._CACHE
 
 
 def test_pull_sweep_bound_failure_names_point_cell_and_facet(monkeypatch):
