@@ -61,39 +61,6 @@ def _common_scale(w: RegularityWitness) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in w.values], scale
 
 
-def _bent_wall(
-    cells: Iterable[Cell],
-    facet_sets: Callable[[Cell], Iterable[frozenset[int]]],
-    form: Callable[[Cell], Form],
-    values: Sequence[Fraction | int],
-    pts: Sequence[Point],
-) -> tuple[Cell, Cell, frozenset[int]] | None:
-    """The first wall (c, c', facet) that is not strictly convex, or None.
-
-    A wall is a facet (store-index set) of two cells; with c the one met
-    second, it is bent when the vertex q of c' off it lies at or below
-    form(c) (polytope.on_or_below).  Every key is a frozenset, a polytopal
-    cell's facet and a simplex's alike, so a wall between the two is met
-    from both sides.
-    """
-    walls: dict[frozenset[int], Cell] = {}  # facets met once so far
-    for c in cells:
-        fc = form(c)
-        for fs in facet_sets(c):
-            other = walls.pop(fs, None)
-            if other is None:
-                walls[fs] = c
-                continue
-            q = next(i for i in other if i not in fs)
-            if polytope.on_or_below(fc, values[q], pts[q]):
-                return c, other, fs
-    return None
-
-
-def _simplex_facets(c: Cell) -> list[frozenset[int]]:
-    return [frozenset(c[:k] + c[k + 1 :]) for k in range(len(c))]
-
-
 def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateReport:
     """Regular iff A_c(p) < w(p) for every cell c and store point p off c.
 
@@ -237,7 +204,7 @@ def _pyramid(
 
     pull_sweep splits its polytopal cells here.  It splits a simplex by
     position (_split_simplex), which the tests hold to this function over
-    _simplex_facets.
+    the simplex's facet sets.
     """
     fset, frow, lf = sets[f], rows[f], lam[f]
     meets = ridges(sets, f)
@@ -341,27 +308,26 @@ def pull_sweep(
     witness_pull in tests/oracles.py), touching only the cells around the
     pulled point.
 
-    Precondition, checked in one pass before the first pull: the cells
-    subdivide a convex polytope, the heights are affine on each cell (else
-    DegenerateGeometry), no wall is bent (_bent_wall) and each store point
-    that is no vertex lies at or above every cell containing it (else
-    DomainError).  By verify_regularity's argument the function g of the
-    interpolants is then strictly convex, so A_c(p) < g(p) <= w(p) for each
-    store point p off a cell c, as the oracle check_intermediate asks.
-    The sweep does not check its output, in which every store point is a
-    vertex: the caller's certificate (verify_regularity) proves the
+    Precondition, stated but not checked: the cells subdivide a convex
+    polytope P, the heights are affine on each cell (else
+    DegenerateGeometry, as the start forms are solved) and no wall is
+    bent, so by verify_regularity's argument the function g of the
+    interpolants is strictly convex and A_c(p) < g(p) for each store point
+    p off a cell c.  The starting height of a store point that is no
+    vertex is never read: the pull at it overwrites it with phi_m - eps.
+    With it at or above g(p) the input is one the oracle
+    check_intermediate accepts.  On an input that breaks the precondition
+    the sweep raises DomainError, at a drop bound upper <= 0 or in a walk,
+    or it returns cells.  It checks neither its input nor its output, in
+    which every store point is a vertex: the caller's certificate
+    (verify_regularity, which pipeline._serve applies) decides the
     triangulation and witness returned, so it refuses a wall that the
     last drop left flat.
 
-    The pass checks the walls first.  Once none is bent, the cells are the
-    domains of linearity of the convex g, so the walk below, whose end
-    rests on that, locates each store point p that is no vertex, in store
-    order, each from a cell found for the one before.  One cell holding p
-    then decides it: every cell containing p contains the face that holds
-    p in its relative interior, each interpolant on that face is the
-    affine interpolation of the same vertex heights, and the face's
-    vertices span it, so every such cell gives p the same value g(p).  The
-    pass compares w(p) with the least of them, which an error names.
+    Every cell containing a point p contains the face that holds p in its
+    relative interior, each interpolant on that face is the affine
+    interpolation of the same vertex heights, and the face's vertices span
+    it, so every such cell gives p the same value g(p).
 
     A pull at m lowers g, so the precondition holds after it iff the walls
     of the new cells, all through m, are strict.  Such a cell's
@@ -455,17 +421,12 @@ def pull_sweep(
     cache: dict[Cell, Form] = {}  # interpolants
     star: list[set[Cell]] = [set() for _ in range(npts)]  # cells with vertex i
 
-    def facet_sets(c: Cell) -> list[frozenset[int]]:
-        return facets.get(c) or _simplex_facets(c)
-
     def add(c: Cell) -> None:
         for i in c:
             star[i].add(c)
 
-    # the certificate pass before the first pull: every facet row, made
-    # primitive, and interpolant, as solved, then the walls, then
-    # each store point that is no vertex, found by a walk from the one
-    # before it, checked to lie at or above one cell holding it
+    # before the first pull: every facet row, made primitive, and
+    # interpolant, as solved
     heights, scale = _common_scale(w)
     for c in s.cells:
         verts = [pts[i] for i in c]
@@ -478,25 +439,6 @@ def pull_sweep(
         row, den = polytope.volume_form(verts, [heights[i] for i in c])[1]
         cache[c] = row, den * scale
         add(c)
-    bent = _bent_wall(rows, facet_sets, cache.__getitem__, vals, pts)
-    if bent is not None:
-        c, other, fs = bent
-        raise DomainError(
-            f"witness is not convex before the pull: cells {c} and "
-            f"{other} across facet {sorted(fs)}"
-        )
-    at = next(iter(rows), None)  # the cell found for the last point located
-    for pi in range(npts):
-        if star[pi]:
-            continue
-        p, v = pts[pi], vals[pi]
-        at = min(_walk(p, at, rows, facet_sets, star))
-        row, den = cache[at]
-        if v.numerator * den < row_at(row, p) * v.denominator:
-            raise DomainError(
-                f"witness is not convex before the pull: store point {p} "
-                f"lies below cell {at}"
-            )
 
     log: list[tuple[Point, Fraction]] = []
     for m_index in range(npts):
@@ -505,7 +447,9 @@ def pull_sweep(
             incident = tuple(star[m_index])  # before any split changes it
         else:
             start = star[m_index - 1] if m_index else rows
-            incident = tuple(_walk(m, next(iter(start)), rows, facet_sets, star))
+            incident = tuple(
+                _walk(m, next(iter(start)), rows, facets.__getitem__, star)
+            )
         row, den = cache[incident[0]]  # every cell holding m agrees at m
         phi_m = Fraction(row_at(row, m), den)
 

@@ -592,26 +592,19 @@ def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
 
 def test_triangulate_certifies_each_built_level_once(tmp_path, monkeypatch):
     # each p2dual level is served once its certificate accepts it, and
-    # triangulate prints the top level's instead of running a second one;
-    # each sweep checks its walls once, before its first pull
-    certified, walls = [], []
-    regularity, bent_wall = wt.verify_regularity, wt._bent_wall
+    # triangulate prints the top level's instead of running a second one
+    certified = []
+    regularity = wt.verify_regularity
     monkeypatch.setattr(
         wt,
         "verify_regularity",
         lambda t, w: certified.append(t.ambient_dim) or regularity(t, w),
-    )
-    monkeypatch.setattr(
-        wt,
-        "_bent_wall",
-        lambda *args: walls.append(len(args[-1][0])) or bent_wall(*args),
     )
     path = tmp_path / "p2dual_3.json"
     assert cli.main(
         ["triangulate", "--family", "p2dual", "--n", "3", "--out", str(path)]
     ) == 0
     assert certified == [1, 2, 3]
-    assert walls == [2, 3]
 
 
 @pytest.mark.parametrize("case", ["triangulate --out", "fan --out", "--cache-dir"])
