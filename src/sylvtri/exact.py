@@ -68,37 +68,6 @@ def det_int(m: list[list[int]]) -> int:
     return sign * m[-1][-1] if len(pivots) == n else 0
 
 
-def _solve_int(m: list[list[int]], n: int) -> tuple[list[tuple[int, ...]], int]:
-    """Solve the integer system [A | B], A with n columns and k >= n rows.
-
-    Destroys m.  Returns (Y, D) with D the last Bareiss pivot, +-the minor
-    on the pivot rows (+-det A when k = n), and Y = D X for the X with
-    A X = B.  After elimination a row past the pivots is zero on A's
-    columns, and each of its B entries is the minor on the pivot rows plus
-    that row and the pivot columns plus that B column (_eliminate); as the
-    pivot minor is nonzero, all vanish iff that equation follows from the
-    pivot rows.  By Cramer's rule on the pivot rows Y is integral, so each
-    ``//`` of the back substitution is exact.  Raises DegenerateGeometry
-    when A has rank < n or the equations are inconsistent.
-    """
-    if len(_eliminate(m, n)[0]) < n:
-        raise DegenerateGeometry("singular linear system")
-    if any(x for row in m[n:] for x in row[n:]):
-        raise DegenerateGeometry("inconsistent linear system")
-    d = m[n - 1][n - 1] if n else 1
-    y: list[tuple[int, ...]] = [()] * n
-    for i in range(n - 1, -1, -1):
-        ri = m[i]
-        y[i] = tuple(
-            [
-                (d * ri[c] - sum(ri[j] * y[j][c - n] for j in range(i + 1, n)))
-                // ri[i]
-                for c in range(n, len(ri))
-            ]
-        )
-    return y, d
-
-
 def pivot_columns(rows: Sequence[Row]) -> list[int]:
     """Pivot columns of a rectangular integer matrix (_eliminate's): the
     columns outside the span of those before them, as row operations keep
@@ -113,36 +82,29 @@ def rank(rows: Sequence[Row]) -> int:
     return len(pivot_columns(rows))
 
 
-def integer_solve(rows: Sequence[Row], rhs: Row) -> tuple[list[int], int]:
-    """Solve k >= n integer equations A x = b in n unknowns over D > 0.
-
-    Returns (y, D) with y = D * x for the unique solution x, computed
-    fraction-free by _solve_int: D = +-the pivot minor (|det A| when
-    k = n), made positive by negating y and D together.  Raises
-    DegenerateGeometry if A has rank < n or the equations are
-    inconsistent, DimensionMismatch if k < n or the rows are ragged.
-    """
-    n = len(rows[0]) if rows else 0
-    if len(rhs) != len(rows) or len(rows) < n or any(len(r) != n for r in rows):
-        raise DimensionMismatch("solve requires k >= n equations in n unknowns")
-    y, d = _solve_int([[*row, b] for row, b in zip(rows, rhs)], n)
-    if d < 0:
-        return [-yi for (yi,) in y], -d
-    return [yi for (yi,) in y], d
-
-
 def integer_inverse(rows: Sequence[Row]) -> tuple[list[tuple[int, ...]], int]:
     """Inverse of a square integer matrix as an integer matrix over D > 0.
 
     Returns (Y, D) with rows * Y = D * I: D is |det| and Y is the adjugate
-    up to the sign of det, the solution of [A | I] scaled by D (_solve_int).
-    Raises DegenerateGeometry if the matrix is singular.
+    up to the sign of det.  One Bareiss run of [A | I] (_eliminate) leaves
+    P = +-det A as its last pivot, and back substitution gives P A^-1,
+    integral by Cramer's rule, so each ``//`` is exact.  Raises
+    DegenerateGeometry if the matrix is singular.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("inverse requires a square matrix")
     m = [[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(rows)]
-    y, d = _solve_int(m, n)
+    if len(_eliminate(m, n)[0]) < n:
+        raise DegenerateGeometry("singular linear system")
+    d = m[-1][n - 1] if n else 1
+    y: list[tuple[int, ...]] = [()] * n
+    for i in range(n - 1, -1, -1):
+        ri = m[i]
+        y[i] = tuple(
+            (d * ri[c] - sum(ri[j] * y[j][c - n] for j in range(i + 1, n))) // ri[i]
+            for c in range(n, 2 * n)
+        )
     if d < 0:
         y, d = [tuple([-x for x in row]) for row in y], -d
     return y, d

@@ -148,7 +148,7 @@ def duality_map(n: int) -> DualityMap:
 def _dual_facet_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Integer facet rows of the level-n dual simplex, >= 0 on it."""
     return tuple(
-        polytope.inner_functionals(build(FamilySpec(Family.P2DUAL, n)).vertices)
+        polytope.simplex_inverse(build(FamilySpec(Family.P2DUAL, n)).vertices)[0]
     )
 
 

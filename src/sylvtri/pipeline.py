@@ -27,6 +27,7 @@ from typing import Any
 from . import exact, family, subdivision, witness
 from .errors import (
     ArtifactFormatError,
+    DomainError,
     FeasibilityLimit,
     UnsupportedVersion,
     VerificationFailure,
@@ -162,10 +163,18 @@ def triangulate_p2(
 ) -> PipelineArtifact:
     """Triangulation of the level-n second-family simplex.
 
-    Transport of the dual triangulation through the inverse duality map
-    (a unimodular lattice map, so all certificates carry over), in one
-    make_subdivision call: each dual store point is mapped once, and its
-    image keeps its height.
+    Transport of the dual triangulation through the inverse duality map,
+    in one make_subdivision call: each dual store point is mapped once,
+    and its image keeps its height.  The map has |det| 1
+    (DualityMap.inverse) and must send the dual simplex onto this one
+    (else DomainError), so it maps store onto store, and the artifact
+    keeps the dual certificate that _serve accepted: under such a map,
+    with the heights travelling with the points, every fact it reads is
+    invariant.  Volumes |det (v, 1)| and facet pairs are kept, every
+    orientation takes one global sign, a point lies in a cell iff its
+    image lies in the image, so containment and store coverage are kept,
+    and a cell's interpolant composed with the map is its image's, so
+    every wall inequality compares the same numbers.
     """
     spec = FamilySpec(Family.P2, n)
     cached = _load_cached(spec, max_cells, cache_dir)
@@ -173,14 +182,18 @@ def triangulate_p2(
         return cached
     dual = triangulate_p2dual(n, max_cells, cache_dir)
     inverse = family.duality_map(n).inverse()
+    ambient = family.build(spec).vertices
+    if sorted(map(inverse.apply, dual.triangulation.ambient)) != sorted(ambient):
+        raise DomainError(f"duality map misses the level-{n} p2 simplex")
     images = [inverse.apply(q) for q in dual.triangulation.points]
     heights = dict(zip(images, dual.witness.values))
     cells = [[images[i] for i in c] for c in dual.triangulation.cells]
-    tri = subdivision.make_subdivision(images, family.build(spec).vertices, cells)
+    tri = subdivision.make_subdivision(images, ambient, cells)
     w = RegularityWitness(tuple(heights[p] for p in tri.points))
     matrix = [list(row) for row in inverse.matrix]
     prov = dual.provenance + ({"step": "lattice_map", "matrix": matrix},)
     art = PipelineArtifact(spec, tri, w, prov)
+    vars(art)["certificate"] = dual.certificate
     return _store_cached(art, cache_dir)
 
 

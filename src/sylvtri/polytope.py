@@ -100,18 +100,17 @@ def volume_form(verts: Sequence[Point], heights: Sequence[int]) -> tuple[int, Fo
     The form (a, b) solves (v_k, 1) . (a, b) = h_k, so (v_k - v_0) . a =
     h_k - h_0 for k >= 1 and b = h_0 - a . v_0.  One Bareiss run of the
     (k - 1) x (d + 1) system [v_k - v_0 | h_k - h_0] (exact._eliminate)
-    decides rank and consistency, as in exact._solve_int: a row past the
-    d pivots is zero on the differences, and its height entry vanishes
-    iff its equation follows from the pivot rows.  Back substitution
-    gives P a, P the last pivot, integral by Cramer's rule; with D = |P|
-    the form is (D a, D h_0 - D a . v_0) over D.  On a simplex that is
-    exact.integer_solve's (y, D) on (v_k, 1) . r = h_k, as D = |det| of
-    the rows (v_k, 1), and the row sign times P is signed_nvol.  On a
+    decides rank and consistency: a row past the d pivots is zero on the
+    differences, and its height entry, a minor (_eliminate), vanishes iff
+    its equation follows from the pivot rows.  Back substitution gives
+    P a, P the last pivot, integral by Cramer's rule; with D = |P| the
+    form is (D a, D h_0 - D a . v_0) over D.  On a simplex D is |det| of
+    the rows (v_k, 1), so the form is D times the solution r of
+    (v_k, 1) . r = h_k, and the row sign times P is signed_nvol.  On a
     polytopal cell that signed pivot minor is read by no caller, and D
     depends on the pivot rows while row / D does not: every reader takes
-    the form scale-free.  Raises what that integer_solve raises:
-    DegenerateGeometry on a flat cell or heights not affine on it,
-    DimensionMismatch on at most d vertices.
+    the form scale-free.  Raises DegenerateGeometry on a flat cell or
+    heights not affine on it, DimensionMismatch on at most d vertices.
     """
     v0, h0 = verts[0], heights[0]
     dim = len(v0)
@@ -240,7 +239,7 @@ def ridge_row(
     return tuple([x // k for x in row])
 
 
-def _facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int, ...]]:
+def facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int, ...]]:
     """Facets (as point-index sets) of a full-dimensional conv(verts).
 
     Each maps to an integer row, >= 0 on the cell and 0 exactly at the
@@ -280,19 +279,3 @@ def _facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int,
         sets = [sets[f] | {i} if lam[f] == 0 else sets[f] for f in kept] + new_sets
         rows = [rows[f] for f in kept] + new_rows
     return dict(zip(sets, rows))
-
-
-def inner_functionals(vertices: Sequence[Point]) -> list[tuple[int, ...]]:
-    """Integer facet rows (coeffs..., const) of a full-dimensional cell.
-
-    Each row is >= 0 on the cell and 0 on exactly one facet (read with
-    row_at): a simplex's simplex_inverse rows, in vertex order, or a
-    polytopal cell's beneath-beyond rows (_facet_index_sets), ordered by
-    their facets' sorted index sets.  Both raise DegenerateGeometry on a
-    cell that does not span R^d: a flat simplex's matrix is singular.
-    """
-    if len(vertices) == len(vertices[0]) + 1:
-        return simplex_inverse(vertices)[0]
-    facets = _facet_index_sets(vertices)
-    return [facets[fs] for fs in sorted(facets, key=sorted)]
-

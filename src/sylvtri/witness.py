@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import ge, mul, sub
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import DegenerateGeometry, DimensionMismatch, DomainError
@@ -261,7 +261,7 @@ def _walk(
     m: Point,
     c: Cell,
     rows: dict[Cell, Sequence[Sequence[int]]],
-    facet_sets: Callable[[Cell], Sequence[frozenset[int]]],
+    facets: dict[Cell, Sequence[frozenset[int]]],
     star: Sequence[set[Cell]],
 ) -> set[Cell]:
     """The cells containing m, by a walk from cell c (see pull_sweep).
@@ -272,8 +272,8 @@ def _walk(
     facet without vertex b, and m lies in the face of the vertices whose
     rows are not 0 at m.  No facet sets are needed for it, since any d of
     its vertices span a facet.  A polytopal cell's rows come in the order
-    of its facet_sets.  Raises DomainError when the walk leaves the cells
-    or passes len(rows) of them.
+    of its facets' vertex sets.  Raises DomainError when the walk leaves
+    the cells or passes len(rows) of them.
     """
     dim = len(m)
     for _ in range(len(rows)):
@@ -283,10 +283,10 @@ def _walk(
         if beyond is None:
             if simplex:
                 return _cells_on(star, [i for i, x in zip(c, lam) if x])
-            sets = facet_sets(c)
+            sets = facets[c]
             through = [sets[f] for f, x in enumerate(lam) if x == 0]
             return _cells_on(star, set(c).intersection(*through))
-        wall = c[:beyond] + c[beyond + 1 :] if simplex else facet_sets(c)[beyond]
+        wall = c[:beyond] + c[beyond + 1 :] if simplex else facets[c][beyond]
         across = _cells_on(star, wall) - {c}
         if not across:
             raise DomainError(
@@ -425,17 +425,17 @@ def pull_sweep(
         for i in c:
             star[i].add(c)
 
-    # before the first pull: every facet row, made primitive, and
-    # interpolant, as solved
+    # before the first pull: every facet row, made primitive (a polytopal
+    # cell's from one hull call, with its facets), and interpolant, as solved
     heights, scale = _common_scale(w)
     for c in s.cells:
         verts = [pts[i] for i in c]
-        rows[c] = list(map(_primitive, polytope.inner_functionals(verts)))
-        if len(c) != dim + 1:
-            facets[c] = [
-                frozenset(i for i in c if row_at(row, pts[i]) == 0)
-                for row in rows[c]
-            ]
+        if len(c) == dim + 1:
+            rows[c] = list(map(_primitive, polytope.simplex_inverse(verts)[0]))
+        else:
+            hull = polytope.facet_index_sets(verts)  # sets of positions j in c
+            facets[c] = [frozenset(c[j] for j in fs) for fs in hull]
+            rows[c] = list(map(_primitive, hull.values()))
         row, den = polytope.volume_form(verts, [heights[i] for i in c])[1]
         cache[c] = row, den * scale
         add(c)
@@ -447,9 +447,7 @@ def pull_sweep(
             incident = tuple(star[m_index])  # before any split changes it
         else:
             start = star[m_index - 1] if m_index else rows
-            incident = tuple(
-                _walk(m, next(iter(start)), rows, facets.__getitem__, star)
-            )
+            incident = tuple(_walk(m, next(iter(start)), rows, facets, star))
         row, den = cache[incident[0]]  # every cell holding m agrees at m
         phi_m = Fraction(row_at(row, m), den)
 

@@ -11,7 +11,7 @@ cuts from a subdivision by a half-space scan, the eps-halving pull that
 threads a witness through one pulling step at a time and the exact
 supremum of its drop, the all-pairs certificate check and the wall
 check evaluated in Fractions on Fraction interpolants (``solve``, through
-``exact.integer_solve``, which no production code calls), the quadratic
+the fraction-free tall solve ``integer_solve``), the quadratic
 common-face check between every pair of cells, the resolution fan's
 flags evaluated on Fraction functionals from a cofactor facet scan,
 rank by Fraction row reduction, the structural proof as one scan of the
@@ -115,12 +115,28 @@ class AffineFunctional:
         return sum(map(mul, self.row, point)) + self.row[-1]
 
 
+def inner_functionals(verts: Sequence[Point]) -> list[tuple[int, ...]]:
+    """Integer facet rows (coeffs..., const) of a full-dimensional cell.
+
+    Each row is >= 0 on the cell and 0 on exactly one facet (read with
+    row_at): a simplex's simplex_inverse rows, in vertex order, or a
+    polytopal cell's beneath-beyond rows (polytope.facet_index_sets),
+    ordered by their facets' sorted index sets.  Both raise
+    DegenerateGeometry on a cell that does not span R^d: a flat simplex's
+    matrix is singular.
+    """
+    if len(verts) == len(verts[0]) + 1:
+        return polytope.simplex_inverse(verts)[0]
+    facets = polytope.facet_index_sets(verts)
+    return [facets[fs] for fs in sorted(facets, key=sorted)]
+
+
 def functionals(verts: Sequence[Point]) -> list[AffineFunctional]:
-    """A full-dimensional cell's facet rows (polytope.inner_functionals) as
+    """A full-dimensional cell's facet rows (inner_functionals) as
     Fraction functionals, >= 0 on the cell."""
     return [
         AffineFunctional(tuple(map(Fraction, row[:-1])), Fraction(row[-1]))
-        for row in polytope.inner_functionals(verts)
+        for row in inner_functionals(verts)
     ]
 
 
@@ -145,17 +161,52 @@ def integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     return out
 
 
+def integer_solve(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[list[int], int]:
+    """Solve k >= n integer equations A x = b in n unknowns over D > 0.
+
+    Returns (y, D) with y = D * x for the unique solution x, fraction-free:
+    one Bareiss run of [A | b] (exact._eliminate), D = +-the last pivot,
+    the minor on the pivot rows (|det A| when k = n), made positive by
+    negating y and D together.  A row past the pivots is zero on A's
+    columns, and its b entry is the minor on the pivot rows plus that row
+    and the pivot columns plus b; as the pivot minor is nonzero, it
+    vanishes iff that equation follows from the pivot rows.  By Cramer's
+    rule on the pivot rows y is integral, so each ``//`` of the back
+    substitution is exact.  Raises DegenerateGeometry if A has rank < n or
+    the equations are inconsistent, DimensionMismatch if k < n or the rows
+    are ragged.
+    """
+    n = len(rows[0]) if rows else 0
+    if len(rhs) != len(rows) or len(rows) < n or any(len(r) != n for r in rows):
+        raise DimensionMismatch("solve requires k >= n equations in n unknowns")
+    m = [[*row, b] for row, b in zip(rows, rhs)]
+    if len(exact._eliminate(m, n)[0]) < n:
+        raise DegenerateGeometry("singular linear system")
+    if any(row[n] for row in m[n:]):
+        raise DegenerateGeometry("inconsistent linear system")
+    d = m[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = m[i]
+        y[i] = (d * ri[n] - sum(ri[j] * y[j] for j in range(i + 1, n))) // ri[i]
+    if d < 0:
+        return [-v for v in y], -d
+    return y, d
+
+
 def solve(
     rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> list[Fraction]:
-    """Solution of a square rational system: x = y / D (exact.integer_solve).
+    """Solution of a square rational system: x = y / D (integer_solve).
 
     Raises DegenerateGeometry if the matrix is singular.
     """
     if len(rhs) != len(rows):
         raise DimensionMismatch("solve requires a square system")
     m = integer_rows([*row, b] for row, b in zip(rows, rhs))
-    y, d = exact.integer_solve([r[:-1] for r in m], [r[-1] for r in m])
+    y, d = integer_solve([r[:-1] for r in m], [r[-1] for r in m])
     return [Fraction(v, d) for v in y]
 
 

@@ -590,9 +590,11 @@ def test_commands_run_the_structural_proof_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_triangulate_certifies_each_built_level_once(tmp_path, monkeypatch):
-    # each p2dual level is served once its certificate accepts it, and
-    # triangulate prints the top level's instead of running a second one
+@pytest.mark.parametrize("fam", ["p2dual", "p2"])
+def test_triangulate_certifies_each_built_level_once(tmp_path, monkeypatch, fam):
+    # each p2dual level is served once its certificate accepts it, p2
+    # keeps its dual level's, and triangulate prints the top level's
+    # instead of running a second one
     certified = []
     regularity = wt.verify_regularity
     monkeypatch.setattr(
@@ -600,9 +602,9 @@ def test_triangulate_certifies_each_built_level_once(tmp_path, monkeypatch):
         "verify_regularity",
         lambda t, w: certified.append(t.ambient_dim) or regularity(t, w),
     )
-    path = tmp_path / "p2dual_3.json"
+    path = tmp_path / f"{fam}_3.json"
     assert cli.main(
-        ["triangulate", "--family", "p2dual", "--n", "3", "--out", str(path)]
+        ["triangulate", "--family", fam, "--n", "3", "--out", str(path)]
     ) == 0
     assert certified == [1, 2, 3]
 

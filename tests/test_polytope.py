@@ -104,7 +104,7 @@ def test_barycentric_functionals_match_interpolants():
 
 def test_halfspaces_saturation():
     s = LatticeSimplex(((1, 0), (0, 1), (-1, -1)))
-    rows = polytope.inner_functionals(s.vertices)
+    rows = oracles.inner_functionals(s.vertices)
     for i, row in enumerate(rows):
         for j, v in enumerate(s.vertices):
             val = polytope.row_at(row, v)
@@ -187,7 +187,7 @@ def test_faces_of_triangle_and_quad():
 
 def test_inner_functionals_orientation():
     for verts in (UNIT_TRIANGLE, QUAD):
-        rows = polytope.inner_functionals(verts)
+        rows = oracles.inner_functionals(verts)
         interior = tuple(
             Fraction(sum(v[i] for v in verts), len(verts))
             for i in range(2)
@@ -273,7 +273,7 @@ def test_incidence_faces_match_oracle_faces():
     assert len(columns) == 47
     for verts in polytopes + columns:
         facets = oracles.facet_vertex_sets(verts)
-        rows = polytope.inner_functionals(verts)
+        rows = oracles.inner_functionals(verts)
         assert all(polytope.row_at(row, v) >= 0 for row in rows for v in verts)
         zeros = [
             tuple(sorted(v for v in verts if polytope.row_at(row, v) == 0))
@@ -311,10 +311,10 @@ def degenerate_point_sets(draw):
 
 
 def _facet_points(verts):
-    """Facets of conv(verts) from _facet_index_sets: sorted point tuples
+    """Facets of conv(verts) from facet_index_sets: sorted point tuples
     mapped to primitive rows, checking each row against its set."""
     out = {}
-    for fs, row in polytope._facet_index_sets(verts).items():
+    for fs, row in polytope.facet_index_sets(verts).items():
         vals = [polytope.row_at(row, v) for v in verts]
         assert min(vals) >= 0
         assert fs == {i for i, x in enumerate(vals) if x == 0}
@@ -336,7 +336,7 @@ def test_facets_match_cofactor_scan(verts, seed):
     dim = len(verts[0])
     if exact.affine_rank(verts) < dim:
         with pytest.raises(DegenerateGeometry):
-            polytope._facet_index_sets(verts)
+            polytope.facet_index_sets(verts)
         return
     facets = _facet_points(verts)
     assert sorted(facets) == oracles.facet_vertex_sets(verts)
@@ -347,7 +347,7 @@ def test_facets_match_cofactor_scan(verts, seed):
 
 def test_facets_refuse_lower_dimensional_input():
     # no rank check runs first: simplex_inverse refuses a flat simplex,
-    # _facet_index_sets a flat polytopal cell
+    # facet_index_sets a flat polytopal cell
     for verts in (
         [(0, 0), (1, 1), (2, 2), (1, 1)],  # collinear in the plane
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],  # coplanar
@@ -356,7 +356,7 @@ def test_facets_refuse_lower_dimensional_input():
         [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],  # a flat tetrahedron
         [(0, 0, 0), (1, 2, 0), (2, 4, 0)],  # too few points to span R^3
     ):
-        for fn in (polytope._facet_index_sets, polytope.inner_functionals):
+        for fn in (polytope.facet_index_sets, oracles.inner_functionals):
             with pytest.raises(DegenerateGeometry):
                 fn(verts)
 

@@ -156,7 +156,7 @@ def _raised(call):
 
 def _homogeneous_solve(verts, heights):
     """The form solved on the rows (v_k, 1), an equation per vertex."""
-    return exact.integer_solve([(*v, 1) for v in verts], heights)
+    return oracles.integer_solve([(*v, 1) for v in verts], heights)
 
 
 def _kernel_agrees(s, c, heights, scale, w):
@@ -1045,7 +1045,7 @@ def _facets_of(verts, idx):
     """Facets of a cell from inner_functionals: vertex indices and rows."""
     return [
         (frozenset(i for i, v in zip(idx, verts) if polytope.row_at(row, v) == 0), row)
-        for row in polytope.inner_functionals(verts)
+        for row in oracles.inner_functionals(verts)
     ]
 
 
@@ -1242,7 +1242,7 @@ def test_walk_finds_the_cells_containing_each_point():
                 if oracles.contains(geom, p) is not oracles.Membership.OUTSIDE
             }
             for c in s.cells:
-                assert wt._walk(p, c, rows, sets.__getitem__, star) == want
+                assert wt._walk(p, c, rows, sets, star) == want
                 walks += 1
     assert walks > 2000
 
@@ -1255,7 +1255,7 @@ def test_walk_refuses_a_point_outside_the_cells():
     for p in [(5, 0, 0), (-2, -1, -1), (0, 0, 9)]:
         for c in s.cells:
             with pytest.raises(DomainError, match="not covered by any cell"):
-                wt._walk(p, c, rows, sets.__getitem__, star)
+                wt._walk(p, c, rows, sets, star)
     pts = [(0, 0), (0, 1), (1, 0), (3, 3)]
     uncovered = sd.make_subdivision(pts, pts[:3], [pts[:3]])
     with pytest.raises(DomainError, match=r"store point \(3, 3\) is not covered"):
@@ -1282,7 +1282,7 @@ def _non_vertex_values(s, w):
     return out
 
 
-def test_pull_sweep_checks_each_point_against_one_cell():
+def test_pull_sweep_reads_each_point_off_one_cell():
     # the non-vertex points of the level-3 and level-4 starts, each in two
     # or more cells (up to 11 at level 4): every cell holding p gives the
     # same value g(p), so the pull at p reads it off one of them.  Heights
