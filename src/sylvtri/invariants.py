@@ -59,8 +59,8 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     of a store point's mask says it lies on facet k; a cell facet lies in
     one boundary facet of the polytope iff the AND of its vertices' masks
     is nonzero, read for every facet of a cell at once off the running
-    ANDs of its masks from either end.  A ray is crepant iff every row is
-    >= 0 at it and one is 0.
+    ANDs of its masks from either end.  A ray, on a facet by construction,
+    is crepant iff polytope.facet_table does not count it outside.
 
     The fan is complete when every ridge (a cone minus one ray, as sorted
     ray indices) pairs off: in cone order, a map holds each ridge met
@@ -90,7 +90,7 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     if any(row[-1] <= 0 for row in rows):
         raise DomainError("origin is not strictly interior to the polytope")
 
-    masks = [polytope.facet_mask(rows, p) for p in t.points]
+    masks, outside = polytope.facet_table(rows, t.points)
     ray_index: dict[int, int] = {}
     rays: list[Point] = []
     cones: set[tuple[int, ...]] = set()
@@ -113,7 +113,7 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     dets = [exact.det_int([list(rays[i]) for i in cone]) for cone in cone_list]
     smooth = all(abs(dv) == 1 for dv in dets)
     complete = sum(map(abs, dets)) == nvol and _ridges_pair(cone_list, dets)
-    crepant = all(min(polytope.row_at(row, r) for row in rows) == 0 for r in rays)
+    crepant = outside.isdisjoint(ray_index)
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)
 
 

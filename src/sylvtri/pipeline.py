@@ -389,7 +389,7 @@ def _int_or_none(x: str) -> int | None:
     return v if str(v) == x else None
 
 
-def from_json_dict(data: dict, max_cells: int | None = None) -> PipelineArtifact:
+def from_json_dict(data: dict, max_cells: int = MAX_CELLS) -> PipelineArtifact:
     if not isinstance(data, dict):
         raise ArtifactFormatError("artifact must be a JSON object")
     version = data.get("version")
@@ -415,10 +415,9 @@ def from_json_dict(data: dict, max_cells: int | None = None) -> PipelineArtifact
         raise ArtifactFormatError(f"malformed artifact field: {e}") from e
     # refuse a level triangulate would refuse before building its ambient,
     # whose coordinates grow like the Sylvester numbers
-    limit = MAX_CELLS if max_cells is None else max_cells
-    if family.cell_count(spec, limit) is None:
+    if family.cell_count(spec, max_cells) is None:
         raise FeasibilityLimit(
-            f"artifact level {n} needs more than {limit} cells (loader limit)"
+            f"artifact level {n} needs more than {max_cells} cells (loader limit)"
         )
     if not points:
         raise ArtifactFormatError("point store is empty")
@@ -447,9 +446,8 @@ def from_json_dict(data: dict, max_cells: int | None = None) -> PipelineArtifact
     return PipelineArtifact(spec, tri, RegularityWitness(wvals), prov)
 
 
-def load(path: str, max_cells: int | None = None) -> PipelineArtifact:
-    """Read and validate an artifact file of at most max_cells cells
-    (MAX_CELLS if None)."""
+def load(path: str, max_cells: int = MAX_CELLS) -> PipelineArtifact:
+    """Read and validate an artifact file of at most max_cells cells."""
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -197,9 +197,18 @@ def row_at(row: Sequence[int], p: Point) -> int:
     return sum(map(mul, row, p)) + row[-1]
 
 
-def facet_mask(rows: Sequence[Sequence[int]], p: Point) -> int:
-    """Bit j set where p lies on facet j, the zero set of rows[j]."""
-    return sum(1 << j for j, row in enumerate(rows) if row_at(row, p) == 0)
+def facet_table(
+    rows: Sequence[Sequence[int]], points: Sequence[Point]
+) -> tuple[list[int], set[int]]:
+    """Each point's facet mask, bit j set where rows[j] is 0 there, and
+    the positions of the points outside, where some row is negative."""
+    masks, outside = [], set()
+    for i, p in enumerate(points):
+        values = [row_at(row, p) for row in rows]
+        if min(values) < 0:
+            outside.add(i)
+        masks.append(sum(1 << j for j, x in enumerate(values) if x == 0))
+    return masks, outside
 
 
 def ridges(sets: Sequence[frozenset[int]], f: int) -> dict[int, frozenset[int]]:

@@ -86,9 +86,9 @@ class VerifyReport:
     """The structural proof's verdict.  When the proof has no failure but a
     cell has |det| != 1, first_non_unimodular names the first such cell
     with its normalized volume; otherwise it is None.  convex is verify's
-    wall verdict under the heights it was given: None without heights or
-    when it refuses the input, False once a wall bends or a cell is
-    degenerate.  Neither enters equality."""
+    verdict on the interior walls under the heights it was given: None
+    without heights or when it refuses the input, False once a wall bends
+    or a cell is degenerate.  Neither enters equality."""
 
     valid: bool
     simplicial: bool
@@ -175,8 +175,9 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
       family's ambient is its level's simplex.
 
     One loop over the cells computes the signed volumes, up to the first
-    degenerate cell, and pairs the facets.  A map holds each facet met
-    once so far, with its cell's side of it (the parity rule of sides:
+    degenerate cell, and pairs the interior facets.  A map holds each
+    facet met once so far whose vertices' masks (polytope.facet_table)
+    share no bit, with its cell's side of it (the parity rule of sides:
     the sign of det times (-1)^k) and that cell's vertex off it.  The
     facet's next cell pops it, and the pair folds when the two sides
     agree; a later cell on the facet starts a new pair.  Given integer
@@ -187,33 +188,35 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
     form is kept; after a bent wall only volumes are read.  The verdict
     is the report's convex, read only when the proof is valid.
 
-    The proof accepts when no pair folds, every facet left in the map
-    lies in a facet of P, every cell vertex lies in P and the volumes sum
-    to nvol(P) (checksum).  Otherwise the map is freed and the census
-    runs: one scan of the whole join (facet_join) names the facets of
-    more than two cells, the unmatched ones off the boundary and the
-    folds, the folds after the other two kinds.
+    The proof accepts when no pair folds, the map ends empty, every cell
+    vertex lies in P and the volumes sum to nvol(P) (checksum).
+    Otherwise the map is freed and the census runs: one scan of the
+    whole join (facet_join) names the facets of more than two cells, the
+    unmatched ones off the boundary and the folds, the folds last.
 
     Why this proves a triangulation of P when every cell is a
     full-dimensional simplex.  Every cell vertex lies in P, so every
     cell does.  Let m(x) count the cells containing x; it is locally
     constant off the cells' facets.  A path inside P that crosses facets
     only in their relative interiors, away from the intersections of
-    facets in different hyperplanes, crosses no facet of P.  A facet it
+    facets in different hyperplanes, crosses no facet whose vertices'
+    masks share a bit: its hyperplane misses P's interior.  A facet it
     crosses was met by an even number of cells, or one would be left in
-    the map off the boundary, and they were popped in pairs, each on
-    opposite sides of it; so as many of them end there on each side as
-    begin, and m does not change.  Such paths connect almost all of P
-    (they avoid only codimension-2 sets), so m is one constant k almost
-    everywhere and the volumes sum to k * nvol(P); the checksum gives
-    k = 1, and the cells cover P with disjoint interiors.  So no facet
-    has three or more cells: at least two of them would lie on one side
-    of it, where m >= 2.  Each facet then has two cells on opposite
-    sides or one cell and lies in a facet of P, which is what the census
-    checks.  Shared facets match as vertex sets, so the cells through a
-    codimension-2 face close up into a ring covering a neighbourhood of
-    its relative interior, which no other cell meets; descending through
-    the face dimensions, any two cells meet in a common face.
+    the map, and they were popped in pairs, each on opposite sides of
+    it; so as many of them end there on each side as begin, and m does
+    not change.  Such paths connect almost all of P (they avoid only
+    codimension-2 sets), so m is one constant k almost everywhere and
+    the volumes sum to k * nvol(P); the checksum gives k = 1, and the
+    cells cover P with disjoint interiors.  So no facet has three or
+    more cells, nor one on the boundary two (both on P's side of it):
+    two of them would lie on one side of it, where m >= 2 (the census
+    reads the whole join, so it still names that fold).  Each facet
+    then has two cells on opposite sides or one cell and lies in a facet
+    of P, which is what the census checks.  Shared facets match as
+    vertex sets, so the cells through a codimension-2 face close up into
+    a ring covering a neighbourhood of its relative interior, which no
+    other cell meets; descending through the face dimensions, any two
+    cells meet in a common face.
 
     Without the orientation check, two cells folded onto one side of a
     shared facet (or of a facet of P) pass both the count and the
@@ -228,7 +231,10 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
         return VerifyReport(False, simplicial, False, None, [refusal])
 
     pts, cells = s.points, s.cells
-    # each facet met once so far: its cell's side and vertex off it
+    # the ambient's d + 1 vertices span R^d: facet rows and nvol(P) at once
+    ambient_rows, ambient_nvol = polytope.simplex_inverse(s.ambient)
+    masks, outside = polytope.facet_table(ambient_rows, pts)
+    # each interior facet met once so far: its cell's side and vertex off it
     pending: dict[Cell, tuple[int, int]] = {}
     dets: list[int] = []
     folded = False
@@ -249,17 +255,15 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
         for k in range(len(c)):
             key = c[:k] + c[k + 1 :]
             other = pending.pop(key, None)
-            if other is None:
-                pending[key] = (side, c[k])
-            else:
+            if other is not None:
                 folded = folded or other[0] == side
                 q = other[1]
                 if form is not None and polytope.on_or_below(form, heights[q], pts[q]):
                     convex, form = False, None
+            elif not reduce(and_, map(masks.__getitem__, key)):
+                pending[key] = (side, c[k])
             side = -side
 
-    # the ambient's d + 1 vertices span R^d: facet rows and nvol(P) at once
-    ambient_rows, ambient_nvol = polytope.simplex_inverse(s.ambient)
     failures: list[str] = []
     if len(dets) < len(cells):
         checksum = None
@@ -272,25 +276,14 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
                 f"nvol {ambient_nvol}"
             )
 
-    # each facet row of P at each cell vertex, once: a vertex is outside
-    # where one is negative, and on_facets[i] has bit j set where the j-th
-    # is zero (the vertex lies on the j-th facet of P)
-    on_facets, outside = {}, set()
-    for i in set().union(*cells):
-        values = [polytope.row_at(row, pts[i]) for row in ambient_rows]
-        if min(values) < 0:
-            outside.add(i)
-        on_facets[i] = sum(1 << j for j, x in enumerate(values) if x == 0)
     for c in cells if outside else ():
         i = next((i for i in c if i in outside), None)
         if i is not None:
             failures.append(f"cell vertex {pts[i]} outside ambient")
 
-    if failures or folded or not all(
-        reduce(and_, map(on_facets.__getitem__, key)) for key in pending
-    ):
+    if failures or folded or pending:
         del pending  # freed before the census builds the whole join
-        failures += _census(cells, dets, on_facets)
+        failures += _census(cells, dets, masks)
 
     # without a failure every cell's volume is in dets
     first_non_unimodular = None if failures else next(
@@ -309,7 +302,7 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
 
 
 def _census(
-    cells: Sequence[Cell], dets: Sequence[int], on_facets: dict[int, int]
+    cells: Sequence[Cell], dets: Sequence[int], masks: Sequence[int]
 ) -> list[str]:
     """verify's failure lines for the facets of a refused input, off the
     whole join: facets of three or more cells and unmatched ones off the
@@ -329,6 +322,6 @@ def _census(
                 )
         elif len(on) > 2:
             failures.append(f"facet {key} shared by {len(on)} cells")
-        elif not reduce(and_, map(on_facets.__getitem__, key)):
+        elif not reduce(and_, map(masks.__getitem__, key)):
             failures.append(f"facet {key} unmatched and not on the boundary")
     return failures + folds

@@ -459,8 +459,9 @@ def test_cache_entry_failures_shorten_huge_numbers(tmp_path):
 
 def test_cache_entry_is_read_under_the_build_limit(tmp_path, monkeypatch):
     # an entry saved by a build whose max_cells passes the loader's default
-    # limit is read back under the build's limit, cell count included
-    monkeypatch.setattr(pipeline, "MAX_CELLS", 5)
+    # limit is read back under the build's limit, cell count included (the
+    # default is bound when load is defined, so it is patched there)
+    monkeypatch.setattr(pipeline.load, "__defaults__", (5,))
     cache = str(tmp_path)
     pipeline.triangulate_p2dual(2, max_cells=100, cache_dir=cache)
     saved = (tmp_path / "p2dual_2.json").read_bytes()

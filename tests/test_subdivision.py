@@ -382,8 +382,8 @@ def test_verify_pairing_matches_whole_join_scan(n):
         copy = replace(art, triangulation=t)
         assert invariants.fan_from_triangulation(copy) == oracles.fan_fraction(copy), name
     # every interior facet of the doubled copy has four cells, popped as
-    # two pairs on opposite sides: only the boundary folds and the
-    # checksum refuse it
+    # two pairs on opposite sides, and its boundary facets never enter the
+    # map: only the checksum refuses it, and the census names the folds
     t = dict((name, t) for name, t, _ in copies)["every cell twice"]
     signs = [polytope.signed_nvol(t.cell_points(c)) for c in t.cells]
     four = [on for on in sd.facet_join(t.cells).values() if len(on) == 4]
@@ -396,6 +396,25 @@ def test_verify_pairing_matches_whole_join_scan(n):
     assert failures[0] == f"volume checksum {2 * nvol} != ambient nvol {nvol}"
     assert any(f.endswith(" shared by 4 cells") for f in failures)
     assert failures[-1].startswith("cells ") and " lie on one side " in failures[-1]
+
+
+def test_verify_names_only_cell_vertices_outside():
+    # a store point far outside P that no cell uses: the facet table reads
+    # every store point, but only cell vertices are reported, so the
+    # proof still accepts, with heights or without, and the fan is unchanged
+    art = pipeline.triangulate_p2dual(3)
+    t, w = art.triangulation, art.witness
+    far = (100, 100, 100)
+    assert far > t.points[-1]
+    t2 = sd.Triangulation(t.points + (far,), t.ambient, t.cells)
+    w2 = RegularityWitness(w.values + (Fraction(0),))
+    want = oracles.verify_whole_join(t2)
+    assert want.valid
+    for got in (sd.verify(t2), sd.verify(t2, wt._common_scale(w2)[0])):
+        assert got == want
+        assert not any("outside ambient" in f for f in got.failures)
+    copy = replace(art, triangulation=t2, witness=w2)
+    assert invariants.fan_from_triangulation(copy) == invariants.fan_from_triangulation(art)
 
 
 def test_verify_unimodular_reads_signed_volumes():
