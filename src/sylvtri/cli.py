@@ -20,7 +20,7 @@ import dataclasses
 import sys
 import time
 
-from . import exact, invariants, pipeline
+from . import exact, invariants, pipeline, witness
 from .errors import (
     ArtifactFormatError,
     DomainError,
@@ -153,9 +153,8 @@ def cmd_verify(args) -> int:
     if rep.first_non_unimodular is not None:
         c, vol = rep.first_non_unimodular
         print(f"not unimodular: cell {c} normalized volume {vol}", file=sys.stderr)
-    for c, p, margin in cert.violating_pairs[:10]:
-        print(f"regularity violation: cell {c} point {p} margin "
-              f"{exact.number_str(margin)}", file=sys.stderr)
+    for pair in cert.violating_pairs[:10]:
+        print(witness.violation_line(pair), file=sys.stderr)
     return EXIT_OK if rep.unimodular and cert.regular else EXIT_VERIFICATION
 
 

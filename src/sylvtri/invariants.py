@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import reduce
 from operator import and_
 from typing import Sequence
 
-from . import exact, family, polytope
+from . import exact, polytope
 from .errors import DomainError, FeasibilityLimit
-from .family import Family, sylvester
+from .family import sylvester
 from .pipeline import PipelineArtifact
 from .polytope import Point
 
@@ -58,9 +58,9 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     is strictly interior iff every row's constant Y[k][-1] is > 0.  Bit k
     of a store point's mask says it lies on facet k; a cell facet lies in
     one boundary facet of the polytope iff the AND of its vertices' masks
-    is nonzero, read for every facet of a cell at once off the running
-    ANDs of its masks from either end.  A ray, on a facet by construction,
-    is crepant iff polytope.facet_table does not count it outside.
+    is nonzero, the one boundary-facet test, which subdivision.verify and
+    its census apply too.  A ray, on a facet by construction, is crepant
+    iff polytope.facet_table does not count it outside.
 
     The fan is complete when every ridge (a cone minus one ray, as sorted
     ray indices) pairs off: in cone order, a map holds each ridge met
@@ -95,14 +95,10 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     rays: list[Point] = []
     cones: set[tuple[int, ...]] = set()
     for c in t.cells:
-        # facet k is on the boundary iff the masks before and after k meet
-        ms = [masks[i] for i in c]
-        before = list(accumulate(ms, and_, initial=-1))
-        after = list(accumulate(reversed(ms), and_, initial=-1))[::-1]
         for k in range(len(c)):
-            if not before[k] & after[k + 1]:
-                continue
             facet = c[:k] + c[k + 1 :]
+            if not reduce(and_, map(masks.__getitem__, facet)):
+                continue
             for i in facet:
                 if i not in ray_index:
                     ray_index[i] = len(rays)

@@ -24,7 +24,7 @@ from math import gcd
 from operator import lt
 from typing import Any
 
-from . import exact, family, subdivision, witness
+from . import family, subdivision, witness
 from .errors import (
     ArtifactFormatError,
     DomainError,
@@ -523,11 +523,7 @@ def _first_failure(art: PipelineArtifact, expected: int) -> str | None:
     # volumes are integers >= 1 summing to nvol(P), and the expected count
     # is nvol(P) (family.cell_count), so each is 1
     if not cert.regular:
-        c, p, margin = cert.violating_pairs[0]
-        return (
-            f"regularity violation: cell {c} point {p} "
-            f"margin {exact.number_str(margin)}"
-        )
+        return witness.violation_line(cert.violating_pairs[0])
     return None
 
 

@@ -134,20 +134,6 @@ def volume_form(verts: Sequence[Point], heights: Sequence[int]) -> tuple[int, Fo
     return -det if dim % 2 else det, (y, last)
 
 
-def on_or_below(form: Form, value: Fraction | int, q: Point) -> bool:
-    """Whether q at height value lies at or below form: value * den <=
-    row_at(row, q), scaled by value's denominator to stay in integers.
-
-    A wall, a facet of two cells, is bent when the vertex q of one cell
-    off it lies at or below the other's interpolant.  One side suffices
-    when the two cells lie on opposite sides of the facet: A' - A
-    vanishes on it, so (A' - A)(q) = w(q) - A(q) and, at the vertex p of
-    the other cell off it, (A' - A)(p) = A'(p) - w(p) have opposite signs.
-    """
-    row, den = form
-    return value.numerator * den <= row_at(row, q) * value.denominator
-
-
 def simplex_inverse(verts: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
     """Integer inverse (Y, D), D > 0, of a simplex's homogenised vertex matrix.
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import exact, polytope
 from .errors import DegenerateGeometry, DimensionMismatch
-from .polytope import Point
+from .polytope import Point, row_at
 
 Cell = tuple[int, ...]
 
@@ -175,18 +175,24 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
       family's ambient is its level's simplex.
 
     One loop over the cells computes the signed volumes, up to the first
-    degenerate cell, and pairs the interior facets.  A map holds each
-    facet met once so far whose vertices' masks (polytope.facet_table)
-    share no bit, with its cell's side of it (the parity rule of sides:
-    the sign of det times (-1)^k) and that cell's vertex off it.  The
-    facet's next cell pops it, and the pair folds when the two sides
-    agree; a later cell on the facet starts a new pair.  Given integer
-    heights, one per store point (else DimensionMismatch), each volume
-    comes with the cell's interpolant from one elimination
-    (polytope.volume_form), and the cell that pops a facet tests that
-    wall against the other's vertex off it (polytope.on_or_below), so no
-    form is kept; after a bent wall only volumes are read.  The verdict
-    is the report's convex, read only when the proof is valid.
+    degenerate cell, and pairs the interior facets.  A facet is on the
+    boundary of P iff its vertices' masks (polytope.facet_table) share a
+    bit: the one boundary-facet test, also _census's and the fan's.  A
+    map holds each other facet met once so far, with its cell's side of
+    it (the parity rule of sides: the sign of det times (-1)^k) and that
+    cell's vertex q off it.  The facet's next cell pops it, and the pair
+    folds when the two sides agree; a later cell on the facet starts a
+    new pair.  Given integer heights, one per store point (else
+    DimensionMismatch), each volume comes with the cell's interpolant
+    row / den from one elimination (polytope.volume_form), and the cell
+    that pops a facet tests that wall, so no form is kept: the one wall
+    test, bent iff heights[q] * den <= row_at(row, q).  One side
+    suffices when the two cells lie on opposite sides of the facet, as
+    in a valid proof: with A the popping cell's interpolant and A' the
+    other's, A' - A vanishes on the facet, so its values w(q) - A(q) at
+    q and A'(p) - w(p) at the popping cell's vertex p off it have
+    opposite signs.  After a bent wall only volumes are read.  The
+    verdict is the report's convex, read only when the proof is valid.
 
     The proof accepts when no pair folds, the map ends empty, every cell
     vertex lies in P and the volumes sum to nvol(P) (checksum).
@@ -258,7 +264,7 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
             if other is not None:
                 folded = folded or other[0] == side
                 q = other[1]
-                if form is not None and polytope.on_or_below(form, heights[q], pts[q]):
+                if form is not None and heights[q] * form[1] <= row_at(form[0], pts[q]):
                     convex, form = False, None
             elif not reduce(and_, map(masks.__getitem__, key)):
                 pending[key] = (side, c[k])

@@ -55,6 +55,12 @@ class CertificateReport:
     structure: VerifyReport | None = field(default=None, compare=False)
 
 
+def violation_line(pair: tuple[Cell, Point, Fraction]) -> str:
+    """One violating pair's line, for cli.cmd_verify and pipeline._first_failure."""
+    c, p, margin = pair
+    return f"regularity violation: cell {c} point {p} margin {exact.number_str(margin)}"
+
+
 def _common_scale(w: RegularityWitness) -> tuple[list[int], int]:
     """The witness over one common denominator: (W, L), W[i] = w_i * L."""
     scale = lcm(*(v.denominator for v in w.values))

@@ -292,6 +292,38 @@ def test_artifacts_byte_identical(dual_arts, p2_arts, p1_arts, tmp_path):
     assert got == ARTIFACT_SHA256
 
 
+# sha256 of repr((points, cells)) of each saved artifact as the loader
+# decodes it: apart from the file bytes, so that a change to the file or
+# witness format can show that the store and the cells did not change
+GEOMETRY_SHA256 = {
+    "p2dual_1": "c5fedea13497d357994a09a804495a8737da196e3aea056eb7fcdc9b2145edbd",
+    "p2dual_2": "36f5d63b7c96c161834d3e8aec0f01fe1356919f5ccb6ba712bbe509ac204549",
+    "p2dual_3": "0b76847e00f3ad0da7d37e65ec148baeadbe9e4dac08b8ce4c83fd1b5716ba7e",
+    "p2dual_4": "4a203d4b53e44f073db3166ab8a747b471575e463695cb57c34bd2d2d37d52c1",
+    "p2_1": "c5fedea13497d357994a09a804495a8737da196e3aea056eb7fcdc9b2145edbd",
+    "p2_2": "dfd1c643074543ab609150e2270b1315e9edd7ad9eb7c4afcca0a49473bdd7d4",
+    "p2_3": "6b5a88be7ce22c7e27237260816ea65f4904eda2373d840711b354a64badf53a",
+    "p2_4": "43a4fc7099df4f45850ba769669abf25d7338f7a4ec60ba405bf3517fb486be5",
+    "p1_2": "39f6ba0c2238bf9764a0bb988f04daa54c2e4d76117eebd02ddbabacfd36625d",
+    "p1_3": "4723ae98d8623d1a2a1c7bafdde94b91b6f8b1887e9974f0688f95985be569da",
+    "p1_4": "ffa50341dc2b9de4114655e82468f113d2b9dfa7ccfd3d3ad9a826f5d041072a",
+    "p1_5": "b9f68f423e846efea53c6d57283f4fce4e8f1d6797994d69c6b8a2d485bca566",
+}
+
+
+def test_artifact_points_and_cells_pinned(dual_arts, p2_arts, p1_arts, tmp_path):
+    arts = {f"p2dual_{n}": a for n, a in dual_arts[0].items()}
+    arts.update({f"p2_{n}": a for n, a in p2_arts.items()})
+    arts.update({f"p1_{n}": a for n, a in p1_arts.items()})
+    got = {}
+    for key, art in arts.items():
+        path = tmp_path / f"{key}.json"
+        pipeline.save(art, str(path))
+        t = pipeline.load(str(path)).triangulation
+        got[key] = hashlib.sha256(repr((t.points, t.cells)).encode()).hexdigest()
+    assert got == GEOMETRY_SHA256
+
+
 def test_cli_verify_default_finishes_at_level4(dual_arts, tmp_path, capsys):
     # the default `sylvtri verify` runs the linear facet join, so it takes
     # a level-4 artifact; no flag, --mode full and --mode local give the

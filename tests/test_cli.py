@@ -86,6 +86,50 @@ def test_triangulate_p1_limit_counts_its_own_cells(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_triangulate_refuses_a_tampered_cache_entry(tmp_path, capsys):
+    # a disk-cache entry whose raised height breaks its certificate is not
+    # served: one stderr line, exit 3, and no output file
+    cache = tmp_path / "cache"
+    argv = ["triangulate", "--family", "p2dual", "--n", "3", "--quiet",
+            "--cache-dir", str(cache), "--out"]
+    assert cli.main([*argv, str(tmp_path / "first.json")]) == 0
+    entry = cache / "p2dual_3.json"
+    data = json.loads(entry.read_text())
+    data["witness"][5] = str(Fraction(data["witness"][5]) + 1000)
+    entry.write_text(json.dumps(data))
+    pipeline.clear_cache()
+    capsys.readouterr()
+    out = tmp_path / "second.json"
+    assert cli.main([*argv, str(out)]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"verification failure: cache entry {entry}: regularity violation: "
+        "cell (4, 5, 12, 22) point (-1, -1, 5) margin -127999/64\n",
+    )
+    assert not out.exists()
+
+
+def test_triangulate_names_the_provenance_of_a_refused_artifact(
+    tmp_path, capsys, monkeypatch
+):
+    # an artifact whose certificate refuses it is saved and its line
+    # printed, then its provenance goes to stderr and the exit is 3
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    data["witness"][1] = "50/1"
+    art = pipeline.from_json_dict(data)
+    monkeypatch.setattr(pipeline, "triangulate", lambda *args: art)
+    out = tmp_path / "p2dual_2.json"
+    assert cli.main(
+        ["triangulate", "--family", "p2dual", "--n", "2", "--quiet",
+         "--out", str(out)]
+    ) == 3
+    assert capsys.readouterr() == (
+        "p2dual 2 cells=6 points=7 regular=false unimodular=true\n",
+        f"provenance: {list(art.provenance)}\n",
+    )
+    assert pipeline.load(str(out)).witness == art.witness
+
+
 def test_verify_good_artifact(tmp_path, capsys):
     path = tmp_path / "p1_3.json"
     pipeline.save(pipeline.triangulate_p1(3), str(path))
@@ -132,6 +176,29 @@ def test_verify_malformed_store_is_a_parse_error(tmp_path, capsys):
         for mode in ([], ["--mode", "local"]):
             assert cli.main(["verify", str(path), *mode]) == 4
             assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda d: [d], "artifact must be a JSON object"),
+        (
+            lambda d: dict(d, points=[d["points"][1], d["points"][0], *d["points"][2:]]),
+            "point store is not sorted and deduplicated",
+        ),
+        (
+            lambda d: dict(d, witness=d["witness"][:-1]),
+            "witness length does not match point store",
+        ),
+    ],
+    ids=["top-level array", "store out of order", "witness one short"],
+)
+def test_verify_loader_refusal_is_one_parse_error_line(tmp_path, capsys, edit, line):
+    data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(data)))
+    assert cli.main(["verify", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"parse error: {line}\n")
 
 
 def test_verify_zero_denominator_witness_is_a_parse_error(tmp_path, capsys):
