@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
-from typing import Sequence
 
 from . import exact, polytope
 from .errors import DomainError, FeasibilityLimit
 from .family import sylvester
 from .pipeline import PipelineArtifact
 from .polytope import Point
+from .subdivision import boundary_facets, pair_facets
 
 
 @dataclass(frozen=True)
@@ -45,48 +43,37 @@ class ResolutionFan:
 def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     """Fan whose maximal cones lie over the boundary cells of an artifact.
 
-    For each triangulation cell, each of its facets lying on the boundary
-    of the ambient polytope contributes the cone over that facet.  The
-    origin must be strictly interior.  The fan is smooth when every cone
-    has |det| = 1, which makes every ray primitive too: each ray lies in a
-    cone, and its gcd divides that cone's det.
+    Each facet of a triangulation cell on the boundary of the ambient
+    polytope (subdivision.boundary_facets) contributes the cone over it.
+    The origin must be strictly interior.  The fan is smooth when every
+    cone has |det| = 1, which makes every ray primitive too: each ray
+    lies in a cone, and its gcd divides that cone's det.
 
     Every test is a sign test on the ambient simplex's integer rows
     (Y, D) = polytope.simplex_inverse, D > 0: Y[k] . (x, 1) / D is the
     barycentric coordinate of x at vertex k, so row k is >= 0 on the
     simplex and 0 exactly on its facet opposite vertex k.  The origin
-    is strictly interior iff every row's constant Y[k][-1] is > 0.  Bit k
-    of a store point's mask says it lies on facet k; a cell facet lies in
-    one boundary facet of the polytope iff the AND of its vertices' masks
-    is nonzero, the one boundary-facet test, which subdivision.verify and
-    its census apply too.  A ray, on a facet by construction, is crepant
-    iff polytope.facet_table does not count it outside.
+    is strictly interior iff every row's constant Y[k][-1] is > 0.  A
+    ray, on a facet by construction, is crepant iff polytope.facet_table
+    does not count it outside.
 
-    The fan is complete when every ridge (a cone minus one ray, as sorted
-    ray indices) pairs off: in cone order, a map holds each ridge met
-    once so far with its cone's side of it, the next cone on it pops it,
-    and each pair lies on opposite sides (the parity rule of
-    subdivision.sides, with the determinant of each cone's rays in index
-    order), with no ridge left in the map; and the cones' |det|s sum to
-    D, the ambient's normalized volume.  Why this proves the cones cover
-    R^d without overlap: let m(x) count the cones containing x.  A path
-    crossing ridges only in their relative interiors, away from the
-    lower-dimensional intersections of ridges in different hyperplanes,
-    crosses ridges that were each met by an even number of cones, popped
-    in pairs on opposite sides, so as many cones end there as begin and
-    m is constant almost everywhere.  No cone is flat (a zero det gives
-    its ridges side 0, which fails), so m >= 1.  The rays of a cone over
-    the cell facet G lie on the hyperplane of one ambient facet, whose
-    row is 0 there and > 0 at the origin, so the cone meets that row's
-    half-space, which contains P, in conv(0, G), of normalized volume
-    |det|.  Summing over the cones, m * D <= sum |det|, and a sum of D
-    makes m = 1.  So no ridge lies in more than two cones, as two of
-    them would lie on one side of it, where m >= 2.  The volume sum
-    alone proves nothing: two overlapping cones can make up for a gap.
+    The fan is complete when subdivision.pair_facets pairs off every
+    ridge (a cone minus one ray, as sorted ray indices), each cone given
+    with the determinant of its rays in index order, and the cones'
+    |det|s sum to D, the ambient's normalized volume.  Why the cones then
+    cover R^d without overlap: by pair_facets' argument the number m(x)
+    of cones containing x is constant almost everywhere on R^d.  No cone
+    is flat (a zero det gives its ridges side 0, which folds), so m >= 1.
+    The rays of a cone over the cell facet G lie on the hyperplane of one
+    ambient facet, whose row is 0 there and > 0 at the origin, so the
+    cone meets that row's half-space, which contains P, in conv(0, G), of
+    normalized volume |det|.  Summing over the cones, m * D <= sum |det|,
+    and a sum of D makes m = 1.  So no ridge lies in more than two cones,
+    as two of them would lie on one side of it, where m >= 2.  The volume
+    sum alone proves nothing: two overlapping cones can make up for a gap.
     """
     t = art.triangulation
-    ambient = t.ambient
-    rows, nvol = polytope.simplex_inverse(ambient)
+    rows, nvol = polytope.simplex_inverse(t.ambient)
     if any(row[-1] <= 0 for row in rows):
         raise DomainError("origin is not strictly interior to the polytope")
 
@@ -95,10 +82,8 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     rays: list[Point] = []
     cones: set[tuple[int, ...]] = set()
     for c in t.cells:
-        for k in range(len(c)):
+        for k in boundary_facets(c, masks):
             facet = c[:k] + c[k + 1 :]
-            if not reduce(and_, map(masks.__getitem__, facet)):
-                continue
             for i in facet:
                 if i not in ray_index:
                     ray_index[i] = len(rays)
@@ -108,26 +93,11 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
     cone_list = tuple(sorted(cones))
     dets = [exact.det_int([list(rays[i]) for i in cone]) for cone in cone_list]
     smooth = all(abs(dv) == 1 for dv in dets)
-    complete = sum(map(abs, dets)) == nvol and _ridges_pair(cone_list, dets)
+    pending: dict[tuple[int, ...], tuple[int, int]] = {}
+    folded = any(f for f, _ in pair_facets(zip(cone_list, dets), None, pending))
+    complete = sum(map(abs, dets)) == nvol and not folded and not pending
     crepant = outside.isdisjoint(ray_index)
     return ResolutionFan(tuple(rays), cone_list, complete, smooth, crepant)
-
-
-def _ridges_pair(cones: Sequence[tuple[int, ...]], dets: Sequence[int]) -> bool:
-    """Whether the ridges of the cones pair off on opposite sides, each
-    popped from the map of ridges met once when its second cone comes."""
-    pending: dict[tuple[int, ...], int] = {}
-    for cone, det in zip(cones, dets):
-        side = (det > 0) - (det < 0)
-        for k in range(len(cone)):
-            key = cone[:k] + cone[k + 1 :]
-            other = pending.pop(key, None)
-            if other is None:
-                pending[key] = side
-            elif other != -side or not side:
-                return False
-            side = -side
-    return not pending
 
 
 def fan_to_json_dict(fan: ResolutionFan) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import exact, polytope
 from .errors import DegenerateGeometry, DimensionMismatch
@@ -103,11 +103,8 @@ class VerifyReport:
 
 def facet_join(cells: Sequence[Cell]) -> dict[Cell, list[tuple[int, int]]]:
     """Each facet of the simplices, a cell without its entry k, with the
-    (cell index, k) of every cell on it, in cell order.
-
-    It serves only to name failures: verify's census builds it once the
-    pairing has refused an input.  No accept path builds it: verify and
-    the fan pair each facet when its second cell arrives."""
+    (cell index, k) of every cell on it, in cell order.  Only verify's
+    census builds it, to name the failures of a refused input."""
     join: dict[Cell, list[tuple[int, int]]] = {}
     for ci, c in enumerate(cells):
         for k in range(len(c)):
@@ -127,10 +124,62 @@ def sides(on: Iterable[tuple[int, int]], signs: Sequence[int]) -> list[int]:
     lies: for rows (v, 1), the side of the facet's affine hyperplane.  So
     two simplices on one facet lie on opposite sides of it iff their
     sides are opposite and non-zero.  verify's census reads it off the
-    whole join; verify's and the fan's pairing loops apply the same rule
-    one cell at a time, negating the cell's sign from entry to entry.
+    whole join, and pair_facets one simplex at a time.
     """
     return [signs[i] if k % 2 == 0 else -signs[i] for i, k in on]
+
+
+def boundary_facets(c: Cell, masks: Sequence[int]) -> list[int]:
+    """The entries k of the simplex c whose facets, c without entry k,
+    lie on the boundary of P, their vertices' masks (polytope.facet_table)
+    sharing a bit: the one boundary rule.  A vertex of mask 0 lies on no
+    facet of P, so only the facet opposite a cell's first such vertex is
+    ANDed (each artifact cell has one, the origin); a second one on that
+    facet makes its AND 0."""
+    m = list(map(masks.__getitem__, c))
+    if 0 in m:
+        k = m.index(0)
+        del m[k]
+        return [k] if reduce(and_, m) else []
+    return [k for k in range(len(m)) if reduce(and_, m[:k] + m[k + 1 :])]
+
+
+def pair_facets(
+    simplices: Iterable[tuple[Cell, int]],
+    masks: Sequence[int] | None,
+    pending: dict[Cell, tuple[int, int]],
+) -> Iterator[tuple[bool, int]]:
+    """The one pairing routine, verify's and the fan's: pair the facets
+    of simplices given with the determinants of their rows in entry
+    order.  A simplex's side of its facet without entry k is the sign of
+    its determinant times (-1)^k (the parity rule of sides).  A facet met
+    before is popped from pending, yielding whether the pair folds (sides
+    not opposite and non-zero) and the earlier simplex's vertex off it.
+    Any other facet enters pending with its side and that vertex, unless
+    it lies on the boundary of P (boundary_facets; none does when masks
+    is None, as for a fan's cones).  The caller reads pending at the end.
+
+    Why this proves a covering: let m(x) count the simplices containing
+    x.  A path in P's interior (in R^d when masks is None) crossing
+    facets only in their relative interiors, away from the intersections
+    of facets in different hyperplanes, crosses no boundary facet.  When
+    no pair folds and pending ends empty, each facet it crosses was met
+    by an even number of simplices, popped in pairs on opposite sides,
+    so as many simplices end there on each side as begin and m does not
+    change.  Such paths connect almost all of P (they avoid only
+    codimension-2 sets), so m is one constant almost everywhere.
+    """
+    for c, det in simplices:
+        side = (det > 0) - (det < 0)
+        on = boundary_facets(c, masks) if masks is not None else ()
+        for k in range(len(c)):
+            key = c[:k] + c[k + 1 :]
+            other = pending.pop(key, None)
+            if other is not None:
+                yield other[0] != -side or not side, other[1]
+            elif k not in on:
+                pending[key] = (side, c[k])
+            side = -side
 
 
 def _refusal(s: Subdivision) -> str | None:
@@ -174,55 +223,39 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
       loader and Triangulation give d + 1-vertex cells, and every
       family's ambient is its level's simplex.
 
-    One loop over the cells computes the signed volumes, up to the first
-    degenerate cell, and pairs the interior facets.  A facet is on the
-    boundary of P iff its vertices' masks (polytope.facet_table) share a
-    bit: the one boundary-facet test, also _census's and the fan's.  A
-    map holds each other facet met once so far, with its cell's side of
-    it (the parity rule of sides: the sign of det times (-1)^k) and that
-    cell's vertex q off it.  The facet's next cell pops it, and the pair
-    folds when the two sides agree; a later cell on the facet starts a
-    new pair.  Given integer heights, one per store point (else
-    DimensionMismatch), each volume comes with the cell's interpolant
-    row / den from one elimination (polytope.volume_form), and the cell
-    that pops a facet tests that wall, so no form is kept: the one wall
-    test, bent iff heights[q] * den <= row_at(row, q).  One side
-    suffices when the two cells lie on opposite sides of the facet, as
-    in a valid proof: with A the popping cell's interpolant and A' the
-    other's, A' - A vanishes on the facet, so its values w(q) - A(q) at
-    q and A'(p) - w(p) at the popping cell's vertex p off it have
-    opposite signs.  After a bent wall only volumes are read.  The
-    verdict is the report's convex, read only when the proof is valid.
+    One pass computes the signed volumes, up to the first degenerate
+    cell, and feeds them to pair_facets, each of whose pops names the
+    earlier cell's vertex q off the facet.  Given integer heights, one
+    per store point (else DimensionMismatch), each volume comes with the
+    cell's interpolant row / den from one elimination
+    (polytope.volume_form), and the cell that pops a facet tests that
+    wall, so no form is kept: the one wall test, bent iff heights[q] *
+    den <= row_at(row, q).  One side suffices when the two cells lie on
+    opposite sides of the facet, as in a valid proof: with A the popping
+    cell's interpolant and A' the other's, A' - A vanishes on the facet,
+    so its values w(q) - A(q) at q and A'(p) - w(p) at the popping
+    cell's vertex p off it have opposite signs.  After a bent wall only
+    volumes are read; convex is read only when the proof is valid.
 
-    The proof accepts when no pair folds, the map ends empty, every cell
-    vertex lies in P and the volumes sum to nvol(P) (checksum).
-    Otherwise the map is freed and the census runs: one scan of the
-    whole join (facet_join) names the facets of more than two cells, the
-    unmatched ones off the boundary and the folds, the folds last.
+    The proof accepts when no pair folds, no facet is left pending, every
+    cell vertex lies in P and the volumes sum to nvol(P) (checksum).  Else
+    the census reads the whole join (facet_join) for facets of more than
+    two cells, unmatched ones off the boundary (boundary_facets) and folds.
 
     Why this proves a triangulation of P when every cell is a
     full-dimensional simplex.  Every cell vertex lies in P, so every
-    cell does.  Let m(x) count the cells containing x; it is locally
-    constant off the cells' facets.  A path inside P that crosses facets
-    only in their relative interiors, away from the intersections of
-    facets in different hyperplanes, crosses no facet whose vertices'
-    masks share a bit: its hyperplane misses P's interior.  A facet it
-    crosses was met by an even number of cells, or one would be left in
-    the map, and they were popped in pairs, each on opposite sides of
-    it; so as many of them end there on each side as begin, and m does
-    not change.  Such paths connect almost all of P (they avoid only
-    codimension-2 sets), so m is one constant k almost everywhere and
-    the volumes sum to k * nvol(P); the checksum gives k = 1, and the
-    cells cover P with disjoint interiors.  So no facet has three or
-    more cells, nor one on the boundary two (both on P's side of it):
-    two of them would lie on one side of it, where m >= 2 (the census
-    reads the whole join, so it still names that fold).  Each facet
-    then has two cells on opposite sides or one cell and lies in a facet
-    of P, which is what the census checks.  Shared facets match as
-    vertex sets, so the cells through a codimension-2 face close up into
-    a ring covering a neighbourhood of its relative interior, which no
-    other cell meets; descending through the face dimensions, any two
-    cells meet in a common face.
+    cell does.  By pair_facets' argument the number m(x) of cells
+    containing x is one constant k almost everywhere on P; the checksum
+    gives k = 1, and the cells cover P with disjoint interiors.  So no
+    facet has three or more cells, nor one on the boundary two (both on
+    P's side of it): two of them would lie on one side of it, where
+    m >= 2 (the census reads the whole join, so it still names that
+    fold).  Each facet then has two cells on opposite sides or one cell
+    and lies in a facet of P, which is what the census checks.  Shared
+    facets match as vertex sets, so the cells through a codimension-2
+    face close up into a ring covering a neighbourhood of its relative
+    interior, which no other cell meets; descending through the face
+    dimensions, any two cells meet in a common face.
 
     Without the orientation check, two cells folded onto one side of a
     shared facet (or of a facet of P) pass both the count and the
@@ -240,35 +273,32 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
     # the ambient's d + 1 vertices span R^d: facet rows and nvol(P) at once
     ambient_rows, ambient_nvol = polytope.simplex_inverse(s.ambient)
     masks, outside = polytope.facet_table(ambient_rows, pts)
-    # each interior facet met once so far: its cell's side and vertex off it
-    pending: dict[Cell, tuple[int, int]] = {}
     dets: list[int] = []
-    folded = False
     convex = None if heights is None else True
-    for c in cells:
-        verts = [pts[i] for i in c]
-        try:
-            if convex:
-                det, form = polytope.volume_form(verts, [heights[i] for i in c])
-            else:
-                det, form = polytope.signed_nvol(verts), None
-        except DegenerateGeometry:
-            if convex:  # no wall through a degenerate cell is proved
-                convex = False
-            break  # the census reads the volumes up to here
-        dets.append(det)
-        side = 1 if det > 0 else -1
-        for k in range(len(c)):
-            key = c[:k] + c[k + 1 :]
-            other = pending.pop(key, None)
-            if other is not None:
-                folded = folded or other[0] == side
-                q = other[1]
-                if form is not None and heights[q] * form[1] <= row_at(form[0], pts[q]):
-                    convex, form = False, None
-            elif not reduce(and_, map(masks.__getitem__, key)):
-                pending[key] = (side, c[k])
-            side = -side
+    form = None  # the current cell's interpolant while convex holds
+
+    def signed():  # each cell with its volume, up to the first degenerate one
+        nonlocal convex, form
+        for c in cells:
+            verts = [pts[i] for i in c]
+            try:
+                if convex:
+                    det, form = polytope.volume_form(verts, [heights[i] for i in c])
+                else:
+                    det = polytope.signed_nvol(verts)
+            except DegenerateGeometry:
+                if convex:  # no wall through a degenerate cell is proved
+                    convex = False
+                return  # the census reads the volumes up to here
+            dets.append(det)
+            yield c, det
+
+    pending: dict[Cell, tuple[int, int]] = {}
+    folded = False
+    for fold, q in pair_facets(signed(), masks, pending):
+        folded = folded or fold
+        if form is not None and heights[q] * form[1] <= row_at(form[0], pts[q]):
+            convex, form = False, None
 
     failures: list[str] = []
     if len(dets) < len(cells):
@@ -328,6 +358,6 @@ def _census(
                 )
         elif len(on) > 2:
             failures.append(f"facet {key} shared by {len(on)} cells")
-        elif not reduce(and_, map(masks.__getitem__, key)):
+        elif on[0][1] not in boundary_facets(cells[on[0][0]], masks):
             failures.append(f"facet {key} unmatched and not on the boundary")
     return failures + folds

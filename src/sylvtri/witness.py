@@ -175,11 +175,11 @@ def _largest_power_drop(upper: Fraction | None) -> Fraction:
 def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
     """The form a - eps * lam in lowest terms."""
     (arow, ad), (lrow, ld) = a, lam
-    en, ed = eps.numerator, eps.denominator
-    row = [x * ed * ld - en * y * ad for x, y in zip(arow, lrow)]
-    den = ad * ed * ld
+    s, t = eps.denominator * ld, eps.numerator * ad
+    row = [x * s - y * t for x, y in zip(arow, lrow)]
+    den = ad * s
     g = gcd(den, *row)
-    return tuple(x // g for x in row), den // g
+    return tuple([x // g for x in row]), den // g
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:

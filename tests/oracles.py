@@ -827,11 +827,15 @@ def _is_face_of(verts: Sequence[Point], sub: frozenset[Point]) -> bool:
 def common_face_ok(a_verts: Sequence[Point], b_verts: Sequence[Point]) -> bool:
     """Exact check that conv(A) and conv(B) intersect in a common face.
 
-    Fast path: a facet hyperplane of either cell weakly separates the two
-    with the shared vertices on it.  Cells wrapped around a shared lower
-    face admit no such separator, so the fallback enumerates the vertices
-    of the intersection polytope exactly and demands each lie in the
-    convex hull of the shared vertex set.
+    Fast path: a facet hyperplane of either cell weakly separates the two,
+    and the vertices of the other cell on it are exactly the shared ones.
+    The other cell then meets the hyperplane in conv(common), which holds
+    the intersection.  A separator with an unshared vertex of the other
+    cell on it proves nothing: the other cell's face there can overlap
+    the first cell's facet beyond conv(common).  Cells wrapped around a
+    shared lower face admit no such separator, so the fallback enumerates
+    the vertices of the intersection polytope exactly and demands each
+    lie in the convex hull of the shared vertex set.
     """
     A = tuple(sorted(set(a_verts)))
     B = tuple(sorted(set(b_verts)))
@@ -845,12 +849,11 @@ def common_face_ok(a_verts: Sequence[Point], b_verts: Sequence[Point]) -> bool:
         raise DegenerateGeometry("common-face check expects full-dimensional cells")
     if common and not (_is_face_of(A2, common) and _is_face_of(B2, common)):
         return False
-    # quick accept: weak separator among facet hyperplanes of either cell
+    # quick accept: a weak separator among the facet hyperplanes of either
+    # cell that holds no vertex of the other cell but the shared ones
     for verts, others in ((A2, B2), (B2, A2)):
         for fn in functionals(verts):
-            if all(fn(q) <= 0 for q in others) and all(
-                fn(p) == 0 for p in common
-            ):
+            if all(fn(q) < 0 or q in common and fn(q) == 0 for q in others):
                 return True
     return _intersection_in_face(A2, B2, common)
 
@@ -860,10 +863,11 @@ def _intersection_in_face(A: tuple, B: tuple, common: frozenset) -> bool:
     from itertools import combinations
 
     fns = functionals(A) + functionals(B)
-    # deduplicate coincident halfspaces (shared facets) to shrink the scan
+    # deduplicate coincident halfspaces (shared facets) to shrink the scan;
+    # a positive scale keeps the side, so opposite halfspaces stay apart
     seen: dict[tuple, AffineFunctional] = {}
     for fn in fns:
-        denom = next((c for c in fn.coeffs if c != 0), fn.constant)
+        denom = abs(next((c for c in fn.coeffs if c != 0), fn.constant))
         key = tuple(c / denom for c in fn.coeffs) + (fn.constant / denom,)
         seen.setdefault(key, fn)
     fns = list(seen.values())

@@ -3,6 +3,8 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -318,6 +320,113 @@ def test_facet_join_reads_the_parity_rule():
         for (i, _), x in zip(on, sd.sides(on, [1, 0, 0])) if i != 0
     ]
     assert others == [0] * 6
+
+
+def _plain_and(c, masks):
+    """The entries of c whose facets' d-fold mask AND is nonzero."""
+    return [
+        k for k in range(len(c))
+        if reduce(and_, (masks[i] for i in c[:k] + c[k + 1 :]))
+    ]
+
+
+def test_boundary_facets_is_the_mask_and_on_the_artifacts():
+    # every cell of the twelve benchmark artifacts has exactly one vertex
+    # of mask 0, the origin, so the rule takes one AND per cell; on every
+    # facet it agrees with the plain d-fold AND
+    for fam, levels in (("p2dual", (1, 2, 3, 4)), ("p2", (1, 2, 3, 4)),
+                        ("p1", (2, 3, 4, 5))):
+        for n in levels:
+            t = pipeline.triangulate(pipeline.Family(fam), n).triangulation
+            rows = polytope.simplex_inverse(t.ambient)[0]
+            masks = polytope.facet_table(rows, t.points)[0]
+            origin = t.index[(0,) * t.dim]
+            assert [i for i, m in enumerate(masks) if m == 0] == [origin]
+            for c in t.cells:
+                assert origin in c
+                assert sd.boundary_facets(c, masks) == _plain_and(c, masks)
+
+
+@pytest.mark.parametrize("ambient, cells", [
+    # the triangle of side 4: (1, 1), (2, 1) and (1, 2) are interior
+    (((0, 0), (4, 0), (0, 4)), {
+        ((0, 0), (1, 0), (0, 1)): [1, 2],  # no mask-0 vertex, a corner
+        ((0, 0), (4, 0), (0, 4)): [0, 1, 2],  # no mask-0 vertex, all of P
+        ((1, 0), (3, 0), (2, 2)): [2],  # no mask-0 vertex, one facet
+        ((1, 0), (3, 0), (1, 1)): [2],  # one, its opposite facet on y = 0
+        ((1, 0), (0, 1), (1, 1)): [],  # one, its opposite facet inside
+        ((0, 0), (1, 1), (2, 1)): [],  # two: every facet has one
+        ((1, 1), (2, 1), (1, 2)): [],  # three
+    }),
+    # the tetrahedron of side 5: (1, 1, 1) and (2, 1, 1) are interior
+    (((0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5)), {
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)): [1, 2, 3],
+        ((1, 0, 0), (3, 0, 0), (1, 2, 0), (1, 1, 3)): [3],
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)): [3],
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)): [],
+        ((0, 0, 0), (5, 0, 0), (1, 1, 1), (2, 1, 1)): [],
+    }),
+])
+def test_boundary_facets_on_built_cells(ambient, cells):
+    # the branches no artifact reaches: no mask-0 vertex, and two or more
+    pts = sorted({p for c in cells for p in c})
+    rows = polytope.simplex_inverse(ambient)[0]
+    masks = polytope.facet_table(rows, pts)[0]
+    for verts, want in cells.items():
+        c = tuple(pts.index(p) for p in verts)
+        assert sd.boundary_facets(c, masks) == want == _plain_and(c, masks), verts
+
+
+def test_pair_facets_reports_folds_zero_sides_and_open_facets():
+    # the points of test_facet_join_reads_the_parity_rule: the square's
+    # two triangles (0, 1, 2), det 1, and (1, 2, 3), det -1, lie on
+    # opposite sides of their edge (1, 2); (1, 2, 4), det 1, lies on the
+    # side of (0, 1, 2)
+    def run(simplices, masks=None):
+        pending = {}
+        return list(sd.pair_facets(simplices, masks, pending)), pending
+
+    square = [((0, 1, 2), 1), ((1, 2, 3), -1)]
+    pops, pending = run(square)
+    assert pops == [(False, 0)]  # the earlier triangle's vertex off (1, 2)
+    # the faces left over, each with its simplex's side and vertex off it
+    assert pending == {(0, 2): (-1, 1), (0, 1): (1, 2), (2, 3): (-1, 1), (1, 3): (1, 2)}
+    assert run([((0, 1, 2), 1), ((1, 2, 4), 1)])[0] == [(True, 0)]  # a fold
+    # a zero side folds, whichever simplex has it, and so do two
+    for a, b in ((0, -1), (1, 0), (0, 0)):
+        assert run([((0, 1, 2), a), ((1, 2, 3), b)])[0] == [(True, 0)], (a, b)
+    # a third simplex on the popped edge opens it again
+    pops, pending = run(square + [((1, 2, 4), 1)])
+    assert pops == [(False, 0)] and pending[(1, 2)] == (1, 4)
+    # inside the triangle (0, 0), (2, 0), (0, 2) the square's edges on the
+    # axes lie on the boundary and never open; (1, 3) and (2, 3) do
+    rows = polytope.simplex_inverse([(0, 0), (2, 0), (0, 2)])[0]
+    masks = polytope.facet_table(rows, [(0, 0), (1, 0), (0, 1), (1, 1)])[0]
+    pops, pending = run(square, masks)
+    assert pops == [(False, 0)] and pending == {(2, 3): (-1, 1), (1, 3): (1, 2)}
+
+
+def test_unshared_vertex_on_a_separating_facet_is_no_common_face():
+    # p1 level 3 with cells (0, 1, 2, 5) and (1, 2, 5, 6) merged into
+    # (0, 2, 5, 6), whose edge (0, 5) passes through point 1: the volume
+    # checksum still holds, but (0, 1, 3, 5) meets the new cell in the
+    # triangle (0, 1, 5), and the two share only vertices 0 and 5.  A facet
+    # hyperplane of (0, 1, 3, 5) weakly separates the two with vertex 2 of
+    # the other cell on it, unshared, so it proves no common face
+    t = pipeline.triangulate_p1(3).triangulation
+    assert t.points[1] == (-3, -2, 0) and t.points[0] == (-6, -4, -1)
+    cells = [c for c in t.cells if c not in ((0, 1, 2, 5), (1, 2, 5, 6))]
+    merged = sd.Triangulation(t.points, t.ambient, tuple(sorted(cells + [(0, 2, 5, 6)])))
+    a, b = merged.cell_points((0, 1, 3, 5)), merged.cell_points((0, 2, 5, 6))
+    assert not oracles.common_face_ok(a, b)
+    assert not oracles.common_face_ok(b, a)
+    assert not oracles.pairwise_verdict(merged)
+    rep = sd.verify(merged)
+    assert rep.volume_checksum == 12 and rep.failures == [
+        f"facet {key} unmatched and not on the boundary"
+        for key in ((0, 1, 5), (0, 5, 6), (1, 5, 6))
+    ]
+    assert rep == oracles.verify_whole_join(merged)
 
 
 def pairing_copies(n):
