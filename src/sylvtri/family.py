@@ -138,7 +138,7 @@ def duality_map(n: int) -> DualityMap:
     rows = tuple(
         tuple(sylvester(j) - 1 if i == j else -1 for j in range(n)) for i in range(n)
     )
-    d = exact.det_int([list(r) for r in rows])
+    d = exact.det_int(rows)
     if d != 1:
         raise DomainError(f"duality map determinant is {d}, expected 1")
     return DualityMap(rows)

@@ -91,7 +91,7 @@ def fan_from_triangulation(art: PipelineArtifact) -> ResolutionFan:
             cones.add(tuple(sorted(ray_index[i] for i in facet)))
 
     cone_list = tuple(sorted(cones))
-    dets = [exact.det_int([list(rays[i]) for i in cone]) for cone in cone_list]
+    dets = [exact.det_int([rays[i] for i in cone]) for cone in cone_list]
     smooth = all(abs(dv) == 1 for dv in dets)
     pending: dict[tuple[int, ...], tuple[int, int]] = {}
     folded = any(f for f, _ in pair_facets(zip(cone_list, dets), None, pending))

@@ -77,18 +77,15 @@ def signed_nvol(verts: Sequence[Point]) -> int:
     Its absolute value is nvol; its sign is the orientation of the vertex
     order.  Subtracting row 0 from the others leaves (v_i - v_0, 0), so
     expanding along the last column gives (-1)^d times the det of the d x d
-    differences v_i - v_0: one Bareiss run (exact._eliminate), the sign of
-    its row permutation times its last pivot.
+    differences v_i - v_0 (exact._simplex_det: the generated Laplace
+    expansion, Bareiss above exact._KERNEL_MAX_DIM).
     """
     dim = len(verts[0])
     if len(verts) != dim + 1:
         raise DegenerateGeometry("nvol requires a full-dimensional simplex")
-    v0 = verts[0]
-    m = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
-    pivots, sign = exact._eliminate(m, dim)
-    if len(pivots) < dim:
+    d = exact._simplex_det(verts)
+    if d == 0:
         raise DegenerateGeometry("zero-volume simplex")
-    d = sign * m[-1][-1] if dim else 1
     return -d if dim % 2 else d
 
 
@@ -98,38 +95,55 @@ def volume_form(verts: Sequence[Point], heights: Sequence[int]) -> tuple[int, Fo
     vertices.
 
     The form (a, b) solves (v_k, 1) . (a, b) = h_k, so (v_k - v_0) . a =
-    h_k - h_0 for k >= 1 and b = h_0 - a . v_0.  One Bareiss run of the
-    (k - 1) x (d + 1) system [v_k - v_0 | h_k - h_0] (exact._eliminate)
-    decides rank and consistency: a row past the d pivots is zero on the
-    differences, and its height entry, a minor (_eliminate), vanishes iff
-    its equation follows from the pivot rows.  Back substitution gives
-    P a, P the last pivot, integral by Cramer's rule; with D = |P| the
-    form is (D a, D h_0 - D a . v_0) over D.  On a simplex D is |det| of
-    the rows (v_k, 1), so the form is D times the solution r of
-    (v_k, 1) . r = h_k, and the row sign times P is signed_nvol.  On a
-    polytopal cell that signed pivot minor is read by no caller, and D
-    depends on the pivot rows while row / D does not: every reader takes
-    the form scale-free.  Raises DegenerateGeometry on a flat cell or
-    heights not affine on it, DimensionMismatch on at most d vertices.
+    h_k - h_0 for k >= 1 and b = h_0 - a . v_0; with P a nonzero minor of
+    the differences on d rows, P a is integral by Cramer's rule, and with
+    D = |P| the form is (D a, D h_0 - D a . v_0) over D.
+
+    A simplex (k = d + 1) up to exact._KERNEL_MAX_DIM runs the generated
+    kernel (exact._kernel): P = det of the d differences, and the Cramer
+    numerators of [v_k - v_0 | h_k - h_0] are P a, all integer minors
+    from one shared Laplace expansion, no division.  P = 0 is a flat
+    simplex.  D is then |det| of the rows (v_k, 1), so the form is D times
+    the solution r of (v_k, 1) . r = h_k, and (-1)^d P is signed_nvol.
+
+    A polytopal cell, or a simplex above the cap, takes one Bareiss run of
+    the (k - 1) x (d + 1) system [v_k - v_0 | h_k - h_0]
+    (exact._eliminate), which decides rank and consistency: a row past the
+    d pivots is zero on the differences, and its height entry, a minor
+    (_eliminate), vanishes iff its equation follows from the pivot rows.
+    Back substitution gives P a, P the last pivot, and the row sign times
+    P is the simplex's det.  On a polytopal cell that signed pivot minor
+    is read by no caller, and D depends on the pivot rows while row / D
+    does not: every reader takes the form scale-free.  Raises
+    DegenerateGeometry on a flat cell or heights not affine on it,
+    DimensionMismatch on at most d vertices.
     """
     v0, h0 = verts[0], heights[0]
     dim = len(v0)
     if len(verts) <= dim:
         raise DimensionMismatch("solve requires k >= n equations in n unknowns")
-    m = [[*map(sub, v, v0), h - h0] for v, h in zip(verts[1:], heights[1:])]
-    pivots, sign = exact._eliminate(m, dim)
-    if len(pivots) < dim:
-        raise DegenerateGeometry("singular linear system")
-    if any(row[dim] for row in m[dim:]):
-        raise DegenerateGeometry("inconsistent linear system")
-    last = m[dim - 1][dim - 1] if dim else 1
-    det = sign * last
-    y = [0] * dim
-    for i in range(dim - 1, -1, -1):
-        ri = m[i]
-        y[i] = (last * ri[dim] - sum(map(mul, ri[i + 1 : dim], y[i + 1 :]))) // ri[i]
-    if last < 0:
-        last, y = -last, [-x for x in y]
+    if len(verts) == dim + 1 and dim <= exact._KERNEL_MAX_DIM:
+        det, y = exact._kernel(dim)[1](verts, heights)
+        if det == 0:
+            raise DegenerateGeometry("singular linear system")
+        last = abs(det)
+        if det < 0:
+            y = [-x for x in y]
+    else:
+        m = [[*map(sub, v, v0), h - h0] for v, h in zip(verts[1:], heights[1:])]
+        pivots, sign = exact._eliminate(m, dim)
+        if len(pivots) < dim:
+            raise DegenerateGeometry("singular linear system")
+        if any(row[dim] for row in m[dim:]):
+            raise DegenerateGeometry("inconsistent linear system")
+        last = m[dim - 1][dim - 1] if dim else 1
+        det = sign * last
+        y = [0] * dim
+        for i in range(dim - 1, -1, -1):
+            ri = m[i]
+            y[i] = (last * ri[dim] - sum(map(mul, ri[i + 1 : dim], y[i + 1 :]))) // ri[i]
+        if last < 0:
+            last, y = -last, [-x for x in y]
     y.append(last * h0 - sum(map(mul, y, v0)))
     return -det if dim % 2 else det, (y, last)
 

@@ -14,7 +14,10 @@ check evaluated in Fractions on Fraction interpolants (``solve``, through
 the fraction-free tall solve ``integer_solve``), the quadratic
 common-face check between every pair of cells, the resolution fan's
 flags evaluated on Fraction functionals from a cofactor facet scan,
-rank by Fraction row reduction, the structural proof as one scan of the
+rank by Fraction row reduction, the determinant, signed volume and
+simplex interpolant by Bareiss elimination (``bareiss_det``,
+``bareiss_signed_nvol``, ``bareiss_volume_form``), which exact's
+generated kernel is checked against, the structural proof as one scan of the
 whole facet join (``verify_whole_join``), and each p2dual level's cells
 and small integer heights in closed form (``closed_form_p2dual``).  None
 of this is on the production path: ``witness.pull_sweep`` is the
@@ -34,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from sylvtri import exact, family, polytope, subdivision as sd
@@ -210,6 +213,64 @@ def solve(
     return [Fraction(v, d) for v in y]
 
 
+def bareiss_det(m: Sequence[Sequence[int]]) -> int:
+    """Reference determinant of a square integer matrix, independent of
+    exact's generated kernel: one Bareiss run (exact._eliminate) on a
+    copy, the sign of its row permutation times its last pivot."""
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise DimensionMismatch("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    m = [list(r) for r in m]
+    pivots, sign = exact._eliminate(m, n)
+    return sign * m[-1][-1] if len(pivots) == n else 0
+
+
+def bareiss_signed_nvol(verts: Sequence[Point]) -> int:
+    """Reference polytope.signed_nvol: (-1)^d times one Bareiss run on
+    the d x d differences v_i - v_0, with signed_nvol's errors."""
+    dim = len(verts[0])
+    if len(verts) != dim + 1:
+        raise DegenerateGeometry("nvol requires a full-dimensional simplex")
+    v0 = verts[0]
+    m = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
+    pivots, sign = exact._eliminate(m, dim)
+    if len(pivots) < dim:
+        raise DegenerateGeometry("zero-volume simplex")
+    d = sign * m[-1][-1] if dim else 1
+    return -d if dim % 2 else d
+
+
+def bareiss_volume_form(
+    verts: Sequence[Point], heights: Sequence[int]
+) -> tuple[int, tuple[list[int], int]]:
+    """Reference polytope.volume_form on any cell: one Bareiss run of
+    [v_k - v_0 | h_k - h_0] (exact._eliminate), the consistency check on
+    the rows past the d pivots and back substitution, with volume_form's
+    errors (see its docstring for the argument)."""
+    v0, h0 = verts[0], heights[0]
+    dim = len(v0)
+    if len(verts) <= dim:
+        raise DimensionMismatch("solve requires k >= n equations in n unknowns")
+    m = [[*map(sub, v, v0), h - h0] for v, h in zip(verts[1:], heights[1:])]
+    pivots, sign = exact._eliminate(m, dim)
+    if len(pivots) < dim:
+        raise DegenerateGeometry("singular linear system")
+    if any(row[dim] for row in m[dim:]):
+        raise DegenerateGeometry("inconsistent linear system")
+    last = m[dim - 1][dim - 1] if dim else 1
+    det = sign * last
+    y = [0] * dim
+    for i in range(dim - 1, -1, -1):
+        ri = m[i]
+        y[i] = (last * ri[dim] - sum(map(mul, ri[i + 1 : dim], y[i + 1 :]))) // ri[i]
+    if last < 0:
+        last, y = -last, [-x for x in y]
+    y.append(last * h0 - sum(map(mul, y, v0)))
+    return -det if dim % 2 else det, (y, last)
+
+
 def gauss_jordan(rows, rhs):
     """Independent solve oracle: plain Fraction Gauss-Jordan, or None if singular."""
     n = len(rows)
@@ -298,7 +359,7 @@ def facet_vertex_sets(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
         base = coords[idxs[0]]
         diffs = [[x - y for x, y in zip(coords[i], base)] for i in idxs[1:]]
         normal = [
-            exact.det_int([[int(c == j) for c in range(k)]] + [r[:] for r in diffs])
+            bareiss_det([[int(c == j) for c in range(k)], *diffs])
             for j in range(k)
         ]
         if not any(normal):
@@ -944,7 +1005,7 @@ def simplex_facet_functionals(vertices: Sequence[Point]) -> list[AffineFunctiona
         base = facet[0]
         diffs = [[x - y for x, y in zip(v, base)] for v in facet[1:]]
         normal = [
-            exact.det_int([[int(c == j) for c in range(d)]] + [r[:] for r in diffs])
+            bareiss_det([[int(c == j) for c in range(d)], *diffs])
             for j in range(d)
         ]
         const = -sum(map(mul, normal, base))
@@ -1026,7 +1087,7 @@ def fan_fraction(art) -> ResolutionFan:
 
     cone_list = tuple(sorted(cones))
     dets = [
-        abs(exact.det_int([list(rays[i]) for i in cone])) for cone in cone_list
+        abs(bareiss_det([rays[i] for i in cone])) for cone in cone_list
     ]
     smooth = all(dv == 1 for dv in dets) and all(
         gcd(*map(abs, r)) == 1 for r in rays
@@ -1074,7 +1135,7 @@ def verify_whole_join(t: Triangulation) -> sd.VerifyReport:
     assert len(t.ambient) == d + 1 and all(len(c) == d + 1 for c in cells)
     dets: list[int] = []
     for c in cells:
-        det = exact.det_int([[*pts[i], 1] for i in c])
+        det = bareiss_det([[*pts[i], 1] for i in c])
         if det == 0:
             break
         dets.append(det)
@@ -1085,7 +1146,7 @@ def verify_whole_join(t: Triangulation) -> sd.VerifyReport:
         failures.append("degenerate cell: zero-volume simplex")
     else:
         checksum = sum(map(abs, dets))
-        nvol = abs(exact.det_int([[*v, 1] for v in t.ambient]))
+        nvol = abs(bareiss_det([[*v, 1] for v in t.ambient]))
         if checksum != nvol:
             failures.append(f"volume checksum {checksum} != ambient nvol {nvol}")
     for c in cells:
@@ -1105,7 +1166,7 @@ def verify_whole_join(t: Triangulation) -> sd.VerifyReport:
                 failures.append(f"facet {key} unmatched and not on the boundary")
         elif max(on) < len(dets):
             a, b = (
-                exact.det_int([[*pts[i], 1] for i in (*key, q)])
+                bareiss_det([[*pts[i], 1] for i in (*key, q)])
                 for q in (next(i for i in cells[ci] if i not in key) for ci in on)
             )
             if a * b > 0:

@@ -1,5 +1,9 @@
 """Exact linear algebra kernel tests, including cross-route oracles."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylvtri import exact
+from sylvtri import exact, polytope
 from sylvtri.errors import DegenerateGeometry, DimensionMismatch
 
 import oracles
@@ -37,8 +41,11 @@ small_int = st.integers(min_value=-9, max_value=9)
 
 
 def det(m):
-    """det_int on a copy, since it destroys its argument."""
-    return exact.det_int([list(row) for row in m])
+    """det_int(m), checked to leave m as it was."""
+    before = [list(row) for row in m]
+    got = exact.det_int(m)
+    assert m == before
+    return got
 
 
 def matrix(n):
@@ -71,9 +78,11 @@ def test_det_examples():
     assert det([[5, 7], [0, 0]]) == 0
 
 
-def test_det_int_destructive_bareiss():
+def test_det_int_leaves_its_argument():
     m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-    assert exact.det_int([row[:] for row in m]) == cofactor_det(m)
+    assert exact.det_int(m) == cofactor_det(m) == -90
+    assert m == [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
+    assert exact.det_int(tuple(map(tuple, m))) == -90
 
 
 def test_det_rejects_non_square():
@@ -81,10 +90,129 @@ def test_det_rejects_non_square():
         exact.det_int([[1, 2, 3], [4, 5, 6]])
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrix(3))
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(matrix))
 def test_det_matches_cofactor_oracle(m):
     assert det(m) == cofactor_det(m)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except (DegenerateGeometry, DimensionMismatch) as e:
+        return type(e), str(e)
+
+
+def check_kernel_against_bareiss(verts, heights):
+    """det_int on the d x d differences, signed_nvol and volume_form on the
+    simplex equal the Bareiss references, errors included; True iff flat."""
+    diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
+    assert det(diffs) == oracles.bareiss_det(diffs)
+    assert outcome(polytope.signed_nvol, verts) == outcome(
+        oracles.bareiss_signed_nvol, verts
+    )
+    got = outcome(polytope.volume_form, verts, heights)
+    assert got == outcome(oracles.bareiss_volume_form, verts, heights)
+    return got == (DegenerateGeometry, "singular linear system")
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_kernel_matches_bareiss_reference(d):
+    # seeded simplices and heights with entries up to 2^130 in size; every
+    # fourth has its vertex k moved so that v_k - v_0 is an integer
+    # combination of the other differences (zero for d = 1)
+    rng = random.Random(4200 + d)
+    flat = 0
+    for trial in range(80):
+        bound = (9, 2**64, 2**130)[trial % 3]
+        verts = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d + 1)]
+        heights = [rng.randint(-bound, bound) for _ in range(d + 1)]
+        if d and trial % 4 == 3:
+            k = rng.randrange(1, d + 1)
+            cs = [(i, rng.randint(-3, 3)) for i in range(1, d + 1) if i != k]
+            verts[k] = [
+                v0 + sum(c * (verts[i][j] - v0) for i, c in cs)
+                for j, v0 in enumerate(verts[0])
+            ]
+        flat += check_kernel_against_bareiss(verts, heights)
+    assert flat >= (20 if d else 0)
+
+
+def _known_det(rng, n):
+    """An n x n matrix and its determinant: diag(a) under random
+    unimodular row and column shears, which leave det = prod(a)."""
+    a = [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(n)]
+    m = [[a[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-4, 4)
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] += c * row[i]
+    want = 1
+    for x in a:
+        want *= x
+    return m, want
+
+
+def test_kernel_dimension_cap(monkeypatch):
+    # up to _KERNEL_MAX_DIM each of det_int, signed_nvol and volume_form
+    # asks the generated kernel, above it none does, and on either side
+    # every answer is the reference's
+    cap = exact._KERNEL_MAX_DIM
+    asked = []
+    kernel = exact._kernel
+    monkeypatch.setattr(exact, "_kernel", lambda d: asked.append(d) or kernel(d))
+    rng = random.Random(77)
+    for d in (cap, cap + 1):
+        want_asked = [d] if d <= cap else []
+        m, want = _known_det(rng, d)
+        assert det(m) == want
+        assert det([row[:] for row in m[:-1]] + [m[0]]) == 0
+        for trial in range(6):
+            verts = [
+                [rng.randint(-(2**40), 2**40) for _ in range(d)] for _ in range(d + 1)
+            ]
+            if trial % 3 == 2:
+                verts[-1] = [2 * y - x for x, y in zip(verts[0], verts[1])]
+            heights = [rng.randint(-(2**40), 2**40) for _ in range(d + 1)]
+            assert check_kernel_against_bareiss(verts, heights) == (trial % 3 == 2)
+            for call in (
+                lambda: exact.det_int(verts[1:]),
+                lambda: outcome(polytope.signed_nvol, verts),
+                lambda: outcome(polytope.volume_form, verts, heights),
+            ):
+                asked.clear()
+                call()
+                assert asked == want_asked
+
+
+@pytest.mark.parametrize("d", range(1, exact._KERNEL_MAX_DIM + 1))
+def test_kernel_source_size(d):
+    # the product counts _kernel_source's docstring states
+    det_src, cramer_src = exact._kernel_source(d).split("def cramer")
+    assert det_src.count("*") == d * 2 ** (d - 1) - d
+    assert cramer_src.count("*") == (d + 1) * (2**d - 2)
+
+
+def test_importing_the_cli_compiles_no_kernel():
+    # kernels compile on first use, so every sylvtri command's start-up
+    # (the benchmark's setup_s) stays as it was
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exact.__file__)))
+    code = (
+        "import sylvtri.cli\n"
+        "from sylvtri import exact\n"
+        "print(exact._kernel.cache_info().currsize)\n"
+        "exact.det_int([[2]])\n"
+        "print(exact._kernel.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["0", "1"]
 
 
 @settings(max_examples=60, deadline=None)
