@@ -6,14 +6,14 @@ a rational result comes back as integer numerators over one common
 positive denominator D.  Matrices are small and dense: lists of rows.
 
 Two routes.  A d-simplex's determinant and interpolant (det_int,
-polytope.signed_nvol, the simplex case of polytope.volume_form) run
-straight-line Python generated once per dimension d (_kernel): Laplace
-expansion of the differences v_k - v_0 along the first row, each minor of
-the lower rows written once and shared, so no step divides and every
-intermediate is an integer minor.  Rank, pivot columns, the inverse and
-the interpolant of a polytopal cell run Bareiss elimination (_eliminate),
-as do simplices above _KERNEL_MAX_DIM, where the expansion's size,
-exponential in d against Bareiss's d^3 / 3 updates, stops paying.
+polytope.signed_nvol, polytope.volume_form) run straight-line Python
+generated once per dimension d (_kernel): Laplace expansion of the
+differences v_k - v_0 along the first row, each minor of the lower rows
+written once and shared, so no step divides and every intermediate is an
+integer minor.  Rank, pivot columns and the inverse run Bareiss
+elimination (_eliminate), as do simplices above _KERNEL_MAX_DIM, where the
+expansion's size, exponential in d against Bareiss's d^3 / 3 updates,
+stops paying.
 """
 
 from __future__ import annotations

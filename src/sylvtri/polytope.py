@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul, sub
+from operator import mul
 from typing import Sequence
 
 from . import exact
@@ -22,8 +22,8 @@ from .errors import DegenerateGeometry, DimensionMismatch, DomainError
 Point = tuple[int, ...]
 RatPoint = tuple[Fraction, ...]
 # An integer affine form (row, den), den > 0, stands for the map
-# x -> row_at(row, x) / den: a row of simplex_inverse over its D, or
-# volume_form's (y, D) with its constant term.
+# x -> row_at(row, x) / den: a row of simplex_inverse over its D, or the
+# interpolant (y, D) of volume_form or hull, with its constant term.
 Form = tuple[Sequence[int], int]
 
 
@@ -90,62 +90,42 @@ def signed_nvol(verts: Sequence[Point]) -> int:
 
 
 def volume_form(verts: Sequence[Point], heights: Sequence[int]) -> tuple[int, Form]:
-    """A cell's signed_nvol and the integer affine form (y, D), D > 0,
-    whose row_at(y, x) / D interpolates integer heights at its k >= d + 1
-    vertices.
+    """A d-simplex's signed_nvol and the integer affine form (y, D), D > 0,
+    whose row_at(y, x) / D interpolates integer heights at its vertices.
 
-    The form (a, b) solves (v_k, 1) . (a, b) = h_k, so (v_k - v_0) . a =
-    h_k - h_0 for k >= 1 and b = h_0 - a . v_0; with P a nonzero minor of
-    the differences on d rows, P a is integral by Cramer's rule, and with
-    D = |P| the form is (D a, D h_0 - D a . v_0) over D.
-
-    A simplex (k = d + 1) up to exact._KERNEL_MAX_DIM runs the generated
-    kernel (exact._kernel): P = det of the d differences, and the Cramer
-    numerators of [v_k - v_0 | h_k - h_0] are P a, all integer minors
-    from one shared Laplace expansion, no division.  P = 0 is a flat
-    simplex.  D is then |det| of the rows (v_k, 1), so the form is D times
-    the solution r of (v_k, 1) . r = h_k, and (-1)^d P is signed_nvol.
-
-    A polytopal cell, or a simplex above the cap, takes one Bareiss run of
-    the (k - 1) x (d + 1) system [v_k - v_0 | h_k - h_0]
-    (exact._eliminate), which decides rank and consistency: a row past the
-    d pivots is zero on the differences, and its height entry, a minor
-    (_eliminate), vanishes iff its equation follows from the pivot rows.
-    Back substitution gives P a, P the last pivot, and the row sign times
-    P is the simplex's det.  On a polytopal cell that signed pivot minor
-    is read by no caller, and D depends on the pivot rows while row / D
-    does not: every reader takes the form scale-free.  Raises
-    DegenerateGeometry on a flat cell or heights not affine on it,
-    DimensionMismatch on at most d vertices.
+    D is |det| of the rows (v_k, 1).  Up to exact._KERNEL_MAX_DIM the
+    generated kernel (exact._kernel) gives P, the det of the differences
+    v_k - v_0, and P times the linear part a, the Cramer numerators of
+    [v_k - v_0 | h_k - h_0], no division; (-1)^d P is signed_nvol.  Above
+    the cap the form is _interpolant's.  Raises DegenerateGeometry on a
+    flat simplex, DimensionMismatch on any other vertex count.
     """
     v0, h0 = verts[0], heights[0]
     dim = len(v0)
     if len(verts) <= dim:
         raise DimensionMismatch("solve requires k >= n equations in n unknowns")
-    if len(verts) == dim + 1 and dim <= exact._KERNEL_MAX_DIM:
-        det, y = exact._kernel(dim)[1](verts, heights)
-        if det == 0:
-            raise DegenerateGeometry("singular linear system")
-        last = abs(det)
-        if det < 0:
-            y = [-x for x in y]
-    else:
-        m = [[*map(sub, v, v0), h - h0] for v, h in zip(verts[1:], heights[1:])]
-        pivots, sign = exact._eliminate(m, dim)
-        if len(pivots) < dim:
-            raise DegenerateGeometry("singular linear system")
-        if any(row[dim] for row in m[dim:]):
-            raise DegenerateGeometry("inconsistent linear system")
-        last = m[dim - 1][dim - 1] if dim else 1
-        det = sign * last
-        y = [0] * dim
-        for i in range(dim - 1, -1, -1):
-            ri = m[i]
-            y[i] = (last * ri[dim] - sum(map(mul, ri[i + 1 : dim], y[i + 1 :]))) // ri[i]
-        if last < 0:
-            last, y = -last, [-x for x in y]
+    if len(verts) > dim + 1:
+        raise DimensionMismatch("need exactly d+1 vertices in dimension d")
+    if dim > exact._KERNEL_MAX_DIM:
+        form = _interpolant(simplex_inverse(verts), heights)
+        return signed_nvol(verts), form
+    det, y = exact._kernel(dim)[1](verts, heights)
+    if det == 0:
+        raise DegenerateGeometry("singular linear system")
+    last = abs(det)
+    if det < 0:
+        y = [-x for x in y]
     y.append(last * h0 - sum(map(mul, y, v0)))
     return -det if dim % 2 else det, (y, last)
+
+
+def _interpolant(
+    inverse: tuple[Sequence[Sequence[int]], int], heights: Sequence[int]
+) -> Form:
+    """sum_k h_k Y[k] over D for a simplex_inverse (Y, D), whose row k over
+    D is the barycentric coordinate at vertex k: h_k at vertex k, affine."""
+    y, den = inverse
+    return [sum(map(mul, heights, col)) for col in zip(*y)], den
 
 
 def simplex_inverse(verts: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
@@ -248,34 +228,42 @@ def ridge_row(
     return tuple([x // k for x in row])
 
 
-def facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int, ...]]:
-    """Facets (as point-index sets) of a full-dimensional conv(verts).
+def hull(
+    verts: Sequence[Point], heights: Sequence[int]
+) -> tuple[dict[frozenset[int], tuple[int, ...]], Form]:
+    """Facets (as point-index sets) of a full-dimensional conv(verts), and
+    the form (y, D), D > 0, interpolating integer heights on verts.
 
-    Each maps to an integer row, >= 0 on the cell and 0 exactly at the
-    facet's points.  Beneath-beyond (Seidel 1981; Edelsbrunner,
+    Each facet maps to an integer row, >= 0 on the cell and 0 exactly at
+    the facet's points.  Beneath-beyond (Seidel 1981; Edelsbrunner,
     *Algorithms in Combinatorial Geometry*, 1987): the facets of the
     simplex on the first d + 1 affinely independent points (verts[0] and
     those at the pivot columns of the differences v - verts[0]) are its
-    simplex_inverse rows; each further point x, in order, replaces the
-    hull P of the points before it by conv(P + x).  A facet F with row
-    f_F(x) < 0 is seen from x and goes; one with f_G(x) >= 0 stays a facet,
-    gaining x when f_G(x) = 0.  The new facets are conv((F & G) + x) for
-    the ridges F & G of P with f_F(x) < 0 < f_G(x), the horizon; their rows
-    ridge_row(f_G(x), f_G, f_F(x), f_F) vanish at x and on F & G and are
-    >= 0 on P, and an earlier point on one lies on F and G, so in F & G.
-    A ridge whose G has f_G(x) = 0 lies in G's hyperplane, part of G's
-    grown facet.  Raises DegenerateGeometry if the points do not span R^d.
+    simplex_inverse rows, in vertex order, and the form is read off them
+    (_interpolant); each further point x, in order, lies on the form and
+    replaces the hull P of the points before it by conv(P + x).  A facet F
+    with row f_F(x) < 0 is seen from x and goes; one with f_G(x) >= 0
+    stays a facet, gaining x when f_G(x) = 0.  The new facets are conv((F
+    & G) + x) for the ridges F & G of P with f_F(x) < 0 < f_G(x), the
+    horizon; their rows ridge_row(f_G(x), f_G, f_F(x), f_F) vanish at x
+    and on F & G and are >= 0 on P, and an earlier point on one lies on F
+    and G, so in F & G.  A ridge whose G has f_G(x) = 0 lies in G's
+    hyperplane, part of G's grown facet.  Raises DegenerateGeometry if the
+    points do not span R^d or a height lies off the form.
     """
     base = verts[0]
     columns = [[v[k] - base[k] for v in verts[1:]] for k in range(len(base))]
     simplex = [0] + [j + 1 for j in exact.pivot_columns(columns)]
     if len(simplex) != len(base) + 1:
-        raise DegenerateGeometry("facets require a full-dimensional cell")
-    rows = simplex_inverse([verts[i] for i in simplex])[0]
+        raise DegenerateGeometry("singular linear system")
+    rows, den = simplex_inverse([verts[i] for i in simplex])
+    form = _interpolant((rows, den), [heights[i] for i in simplex])
     sets = [frozenset(simplex) - {i} for i in simplex]
     for i in range(1, len(verts)):
         if i in simplex:
             continue
+        if row_at(form[0], verts[i]) != heights[i] * den:
+            raise DegenerateGeometry("inconsistent linear system")
         lam = [row_at(row, verts[i]) for row in rows]
         new_sets, new_rows = [], []
         for f, lf in enumerate(lam):
@@ -287,4 +275,4 @@ def facet_index_sets(verts: Sequence[Point]) -> dict[frozenset[int], tuple[int, 
         kept = [f for f, x in enumerate(lam) if x >= 0]
         sets = [sets[f] | {i} if lam[f] == 0 else sets[f] for f in kept] + new_sets
         rows = [rows[f] for f in kept] + new_rows
-    return dict(zip(sets, rows))
+    return dict(zip(sets, rows)), form

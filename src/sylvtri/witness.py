@@ -88,8 +88,11 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     wall, which is a violating pair, a store point that is no vertex, an
     ambient that is no simplex or other unproven input) runs the scan, so
     rejection stays quadratic in the worst case.  A degenerate cell, which
-    the structure names, stops it: not regular.
+    the structure names, stops it: not regular.  Cells that are not
+    full-dimensional simplices raise DimensionMismatch.
     """
+    if not isinstance(t, Triangulation):
+        raise DimensionMismatch("regularity check needs simplicial cells")
     if t.dim != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")
     if len(w.values) != len(t.points):
@@ -109,7 +112,7 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
         return CertificateReport(False, structure=structure)
 
 
-def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> CertificateReport:
+def _all_pairs(t: Triangulation, heights: Sequence[int], scale: int) -> CertificateReport:
     """The certificate check over every (cell, store point) pair.
 
     Cells go in order, each against the store in order, and the report
@@ -127,9 +130,9 @@ def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> Certificat
     per distinct step; the running sum and one count are C-level passes.
     The form interpolates the heights, so at a cell's own vertices A(p) =
     W[p] * den exactly, gap 0.  A cell with no more gaps <= 0 than it has
-    distinct vertices has none elsewhere, so no violation, and is passed
-    after that one count; only a cell that fails is read point by point
-    for its violations.
+    vertices (a flat one, a repeated vertex, raises) has none elsewhere,
+    so no violation, and is passed after that one count; only a cell that
+    fails is read point by point for its violations.
     """
     pts = t.points
     # one id per step between consecutive store points, ids in order met
@@ -146,7 +149,7 @@ def _all_pairs(t: Subdivision, heights: Sequence[int], scale: int) -> Certificat
             accumulate(map(dots.__getitem__, step_id), initial=row_at(row, pts[0]))
         )
         scaled = heights if den == 1 else [h * den for h in heights]
-        if sum(map(ge, values, scaled)) == len(set(c)):
+        if sum(map(ge, values, scaled)) == len(c):
             continue
         for pi, a in enumerate(values):
             if a < scaled[pi] or pi in c:
@@ -431,18 +434,14 @@ def pull_sweep(
         for i in c:
             star[i].add(c)
 
-    # before the first pull: every facet row, made primitive (a polytopal
-    # cell's from one hull call, with its facets), and interpolant, as solved
+    # before the first pull: one hull call per cell gives its facet rows,
+    # made primitive, a polytopal cell's facets and the interpolant, as solved
     heights, scale = _common_scale(w)
     for c in s.cells:
-        verts = [pts[i] for i in c]
-        if len(c) == dim + 1:
-            rows[c] = list(map(_primitive, polytope.simplex_inverse(verts)[0]))
-        else:
-            hull = polytope.facet_index_sets(verts)  # sets of positions j in c
+        hull, (row, den) = polytope.hull([pts[i] for i in c], [heights[i] for i in c])
+        rows[c] = list(map(_primitive, hull.values()))
+        if len(c) != dim + 1:  # sets of positions j in c
             facets[c] = [frozenset(c[j] for j in fs) for fs in hull]
-            rows[c] = list(map(_primitive, hull.values()))
-        row, den = polytope.volume_form(verts, [heights[i] for i in c])[1]
         cache[c] = row, den * scale
         add(c)
 

@@ -24,7 +24,9 @@ of this is on the production path: ``witness.pull_sweep`` is the
 library's only pulling code, ``subdivision.verify``'s one loop over the
 cells, pairing each facet when its second cell arrives, its only
 structural check and wall test, ``polytope.volume_form`` its only
-interpolant solve, on simplices and polytopal cells alike, and every
+interpolant solve for a simplex, ``polytope.hull`` the one call that
+reads each starting cell's facet rows and interpolant off one simplex
+inverse, and every
 ambient, glue interface and glue apex height the pipeline uses is known
 in closed form.
 """
@@ -123,14 +125,14 @@ def inner_functionals(verts: Sequence[Point]) -> list[tuple[int, ...]]:
 
     Each row is >= 0 on the cell and 0 on exactly one facet (read with
     row_at): a simplex's simplex_inverse rows, in vertex order, or a
-    polytopal cell's beneath-beyond rows (polytope.facet_index_sets),
-    ordered by their facets' sorted index sets.  Both raise
+    polytopal cell's beneath-beyond rows (polytope.hull, with zero
+    heights), ordered by their facets' sorted index sets.  Both raise
     DegenerateGeometry on a cell that does not span R^d: a flat simplex's
     matrix is singular.
     """
     if len(verts) == len(verts[0]) + 1:
         return polytope.simplex_inverse(verts)[0]
-    facets = polytope.facet_index_sets(verts)
+    facets = polytope.hull(verts, [0] * len(verts))[0]
     return [facets[fs] for fs in sorted(facets, key=sorted)]
 
 
@@ -245,10 +247,12 @@ def bareiss_signed_nvol(verts: Sequence[Point]) -> int:
 def bareiss_volume_form(
     verts: Sequence[Point], heights: Sequence[int]
 ) -> tuple[int, tuple[list[int], int]]:
-    """Reference polytope.volume_form on any cell: one Bareiss run of
-    [v_k - v_0 | h_k - h_0] (exact._eliminate), the consistency check on
-    the rows past the d pivots and back substitution, with volume_form's
-    errors (see its docstring for the argument)."""
+    """Reference polytope.volume_form, on any cell: one Bareiss run of
+    [v_k - v_0 | h_k - h_0] (exact._eliminate), which decides rank and
+    consistency (a row past the d pivots is zero on the differences, and
+    its height entry, a minor, vanishes iff its equation follows from the
+    pivot rows), then back substitution, with volume_form's errors on a
+    simplex.  volume_form itself refuses more than d + 1 vertices."""
     v0, h0 = verts[0], heights[0]
     dim = len(v0)
     if len(verts) <= dim:

@@ -311,10 +311,10 @@ def degenerate_point_sets(draw):
 
 
 def _facet_points(verts):
-    """Facets of conv(verts) from facet_index_sets: sorted point tuples
-    mapped to primitive rows, checking each row against its set."""
+    """Facets of conv(verts) from hull, with zero heights: sorted point
+    tuples mapped to primitive rows, checking each row against its set."""
     out = {}
-    for fs, row in polytope.facet_index_sets(verts).items():
+    for fs, row in polytope.hull(verts, [0] * len(verts))[0].items():
         vals = [polytope.row_at(row, v) for v in verts]
         assert min(vals) >= 0
         assert fs == {i for i, x in enumerate(vals) if x == 0}
@@ -336,7 +336,7 @@ def test_facets_match_cofactor_scan(verts, seed):
     dim = len(verts[0])
     if exact.affine_rank(verts) < dim:
         with pytest.raises(DegenerateGeometry):
-            polytope.facet_index_sets(verts)
+            polytope.hull(verts, [0] * len(verts))
         return
     facets = _facet_points(verts)
     assert sorted(facets) == oracles.facet_vertex_sets(verts)
@@ -347,7 +347,7 @@ def test_facets_match_cofactor_scan(verts, seed):
 
 def test_facets_refuse_lower_dimensional_input():
     # no rank check runs first: simplex_inverse refuses a flat simplex,
-    # facet_index_sets a flat polytopal cell
+    # hull a flat polytopal cell
     for verts in (
         [(0, 0), (1, 1), (2, 2), (1, 1)],  # collinear in the plane
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],  # coplanar
@@ -356,7 +356,8 @@ def test_facets_refuse_lower_dimensional_input():
         [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],  # a flat tetrahedron
         [(0, 0, 0), (1, 2, 0), (2, 4, 0)],  # too few points to span R^3
     ):
-        for fn in (polytope.facet_index_sets, oracles.inner_functionals):
+        for fn in (lambda vs: polytope.hull(vs, [0] * len(vs)),
+                   oracles.inner_functionals):
             with pytest.raises(DegenerateGeometry):
                 fn(verts)
 

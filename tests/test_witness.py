@@ -1,6 +1,7 @@
 """Regularity witness tests: certificates through every constructor."""
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -69,10 +70,15 @@ def _form(verts, heights):
     return polytope.volume_form(verts, heights)[1]
 
 
+def _hull_form(verts, heights):
+    """The interpolant half of polytope.hull."""
+    return polytope.hull(verts, heights)[1]
+
+
 def check_polytopal_cell_form(data, dim):
-    """d + 2 to 2d distinct points with affine integer heights: the form
-    is the oracle's; a height moved off it, or the points flattened onto
-    a hyperplane, is refused."""
+    """d + 2 to 2d distinct points with affine integer heights: hull's
+    form is the oracle's; a height moved off it, or the points flattened
+    onto a hyperplane, is refused."""
     coord = st.integers(min_value=-4, max_value=4)
     k = data.draw(st.integers(min_value=dim + 2, max_value=2 * dim))
     point = st.tuples(*[coord] * dim)
@@ -82,16 +88,16 @@ def check_polytopal_cell_form(data, dim):
     c = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
     flat = [(*v[:-1], polytope.row_at(c, v[:-1])) for v in verts]
     with pytest.raises(DegenerateGeometry):
-        _form(flat, heights)
+        _hull_form(flat, heights)
     if exact.affine_rank(verts) < dim:
         with pytest.raises(DegenerateGeometry):
-            _form(verts, heights)
+            _hull_form(verts, heights)
         return
     store = tuple(sorted(verts))
     s = sd.Subdivision(store, store, (tuple(range(k)),))
     w = RegularityWitness(tuple(heights[verts.index(p)] for p in store))
     fn = oracles.cell_interpolant(s, s.cells[0], w)
-    row, den = _form(verts, heights)
+    row, den = _hull_form(verts, heights)
     assert den > 0 and all(type(x) is int for x in row)
     assert tuple(Fraction(x, den) for x in row[:-1]) == fn.coeffs
     assert Fraction(row[-1], den) == fn.constant
@@ -100,7 +106,7 @@ def check_polytopal_cell_form(data, dim):
         bent = list(heights)
         bent[i] += data.draw(st.integers(min_value=1, max_value=5))
         with pytest.raises(DegenerateGeometry):
-            _form(verts, bent)
+            _hull_form(verts, bent)
 
 
 @settings(max_examples=120, deadline=None)
@@ -223,18 +229,22 @@ def test_volume_form_matches_det_and_solve_on_random_simplices():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cell_form_on_polytopal_glued_starts(n):
-    # the level-n start's columns are polytopal cells: the difference form
-    # is the Fraction interpolant at every store point, and a flat cell,
-    # a height moved off the affine map and too few vertices raise what
-    # the solve on the rows (v_k, 1) raises
+    # the level-n start's columns are polytopal cells: hull's form is the
+    # Fraction interpolant at every store point, and volume_form's on a
+    # simplex; a flat cell and a height moved off the affine map raise
+    # what the solve on the rows (v_k, 1) raises.  Too few vertices span
+    # no d-simplex for hull, and lack equations for volume_form and that
+    # solve alike
     s, w = pre_sweep(n)
     heights, scale = wt._common_scale(w)
     dim = s.ambient_dim
     polytopal = 0
     for c in s.cells:
         verts, hs = s.cell_points(c), [heights[i] for i in c]
-        row, den = _form(verts, hs)
+        row, den = _hull_form(verts, hs)
         assert den > 0 and all(type(x) is int for x in row)
+        if len(c) == dim + 1:
+            assert (row, den) == _form(verts, hs)
         fn = oracles.cell_interpolant(s, c, w)
         for p in s.points:
             assert Fraction(polytope.row_at(row, p), den * scale) == fn(p)
@@ -243,12 +253,63 @@ def test_cell_form_on_polytopal_glued_starts(n):
         if exact.affine_rank(verts[1:]) == dim:  # the others fix the form
             polytopal += 1
             cases.append((verts, [hs[0] + 1, *hs[1:]], DegenerateGeometry))
-        cases += [(verts[:k], hs[:k], DimensionMismatch) for k in (1, dim)]
         for vs, xs, kind in cases:
-            got = _raised(lambda: _form(vs, xs))
+            got = _raised(lambda: _hull_form(vs, xs))
             assert got is not None and got[0] is kind
             assert got == _raised(lambda: _homogeneous_solve(vs, xs))
+        for vs, xs in ((verts[:k], hs[:k]) for k in (1, dim)):
+            got = _raised(lambda: _hull_form(vs, xs))
+            assert got == (DegenerateGeometry, "singular linear system")
+            got = _raised(lambda: _form(vs, xs))
+            assert got is not None and got[0] is DimensionMismatch
+            assert got == _raised(lambda: _homogeneous_solve(vs, xs))
     assert polytopal > 0
+
+
+@pytest.mark.parametrize("dim", range(1, exact._KERNEL_MAX_DIM + 2))
+def test_volume_form_takes_simplices_only(dim):
+    # on both sides of the kernel cap: the unit simplex is solved, one
+    # more vertex makes a polytopal cell, which is refused, and at most d
+    # vertices keep the message of the solve on the rows (v_k, 1)
+    verts = [(0,) * dim, *(tuple(int(i == j) for j in range(dim)) for i in range(dim))]
+    heights = list(range(3, 3 + dim + 1))
+    det, form = polytope.volume_form(verts, heights)
+    assert det == polytope.signed_nvol(verts)
+    assert form == _homogeneous_solve(verts, heights)
+    got = _raised(lambda: polytope.volume_form([*verts, (1,) * dim], [*heights, 0]))
+    assert got is not None and got[0] is DimensionMismatch
+    for k in range(1, dim + 1):
+        got = _raised(lambda: polytope.volume_form(verts[:k], heights[:k]))
+        assert got == (
+            DimensionMismatch, "solve requires k >= n equations in n unknowns"
+        )
+        assert got == _raised(lambda: _homogeneous_solve(verts[:k], heights[:k]))
+
+
+def test_verify_regularity_refuses_polytopal_cells():
+    # the level-3 glued start, columns and simplices: no Triangulation, so
+    # refused before any proof or scan
+    glued, w = pre_sweep(3)
+    assert any(len(c) > glued.ambient_dim + 1 for c in glued.cells)
+    assert not isinstance(glued, sd.Triangulation)
+    with pytest.raises(DimensionMismatch, match="simplicial cells"):
+        wt.verify_regularity(glued, w)
+
+
+def test_pull_sweep_refuses_a_column_height_off_its_form():
+    # a vertex height of a level-3 column moved off the affine map the
+    # column's other vertices fix: its start hull call refuses it
+    s, w = pre_sweep(3)
+    dim = s.ambient_dim
+    c = next(c for c in s.cells if len(c) > dim + 1)
+    i = next(
+        i for i in c
+        if exact.affine_rank([s.points[j] for j in c if j != i]) == dim
+    )
+    vals = list(w.values)
+    vals[i] += 1
+    with pytest.raises(DegenerateGeometry, match="inconsistent linear system"):
+        wt.pull_sweep(s, RegularityWitness(tuple(vals)))
 
 
 def _volumes_until_flat(t):
@@ -670,36 +731,6 @@ def test_verify_convex_matches_fraction_wall_oracle():
     assert verdicts.count(True) > 10 and verdicts.count(False) > 10
 
 
-def test_verify_regularity_matches_fraction_oracle_on_polytopal_cells():
-    # the level-3 glued store pull_sweep starts from: column cells and
-    # simplices, with the glue witness and perturbations of it at points
-    # that are vertices of no cell (so each cell stays affine)
-    glued, w_glued = pre_sweep(3)
-    assert any(len(c) > glued.ambient_dim + 1 for c in glued.cells)
-    _agree(off_apex(glued, apex(3)), w_glued)
-    _agree(glued, w_glued)
-    free = sorted(set(range(len(glued.points))) - {i for c in glued.cells for i in c})
-    assert free
-    rng = random.Random(7)
-    for _ in range(10):
-        vals = list(w_glued.values)
-        pi = rng.choice(free)
-        vals[pi] += Fraction(rng.randint(-50, 50), rng.choice((1, 7, 64)))
-        _agree(glued, RegularityWitness(tuple(vals)))
-    # one random polytope as a single cell, heights affine on its vertices
-    # and moved at the other store points, some onto the form: the
-    # structure is unproven, so the all-pairs scan reports
-    for dim in (1, 2, 3) * 10:
-        s = oracles.random_polytope_subdivision(rng, dim)
-        coeffs = [rng.randint(-3, 3) for _ in range(dim)]
-        vals = [
-            sum(a * x for a, x in zip(coeffs, p))
-            + (0 if p in s.ambient else Fraction(rng.randint(-2, 2), 3))
-            for p in s.points
-        ]
-        _agree(s, RegularityWitness(tuple(vals)))
-
-
 def test_verify_regularity_matches_fraction_oracle_on_tampered_level3():
     # a height raised and a cell vertex replaced by a store point added
     # outside the ambient: the structure fails and the scan reports
@@ -719,6 +750,56 @@ def test_verify_regularity_needs_a_proven_structure():
     s = sd.Triangulation(((0,), (1,), (2,), (3,)), ((0,), (3,)), ((0, 2), (1, 3)))
     assert not sd.verify(s).valid
     assert not _agree(s, RegularityWitness((0, 0, 0, 0))).regular
+
+
+def test_nested_triangles_regular_iff_the_wall_lp_is_strict():
+    # De Loera-Rambau-Santos' nested triangles (*Triangulations*, 2010),
+    # decided without a witness: of the 7-cell triangulations of all six
+    # points, maximise t with every wall margin w(q) - A_c(q)
+    # >= t, the heights in [0, 100] and t <= 1, an exact LP.  Where t > 0
+    # the certificate accepts the LP's heights; where t = 0 no strict
+    # witness exists, and it refuses the LP's heights and 300 drawn ones
+    lp = pytest.importorskip("sympy.solvers.simplex")
+    from sympy import Rational, symbols
+
+    pts = ((0, 0), (0, 4), (1, 1), (1, 2), (2, 1), (4, 0))
+    ambient = ((0, 0), (4, 0), (0, 4))
+    triangles = [
+        c for c in itertools.combinations(range(6), 3)
+        if exact.affine_rank([pts[i] for i in c]) == 2
+    ]
+    nvol = {c: polytope.nvol([pts[i] for i in c]) for c in triangles}
+    tris = []
+    for cells in itertools.combinations(triangles, 7):
+        if sum(nvol[c] for c in cells) == 16:
+            t = sd.Triangulation(pts, ambient, cells)
+            if sd.verify(t).valid:
+                tris.append(t)
+    assert len(tris) == 8
+    h, top = symbols("h0:6"), symbols("t")
+    rng = random.Random(43)
+    verdicts = []
+    for t in tris:
+        margins = []
+        for c, d in itertools.combinations(t.cells, 2):
+            if len(set(c) & set(d)) == 2:  # a wall; q is d's vertex off it
+                (q,) = set(d) - set(c)
+                rows = [[pts[i][k] for i in c] for k in range(2)] + [[1, 1, 1]]
+                lam = oracles.solve(rows, [*pts[q], 1])
+                a_c = sum(Rational(str(x)) * h[i] for x, i in zip(lam, c))
+                margins.append(h[q] - a_c)
+        bounds = [m >= top for m in margins] + [top <= 1]
+        best, at = lp.lpmax(top, bounds + [x >= 0 for x in h] + [x <= 100 for x in h])
+        w = RegularityWitness(tuple(Fraction(str(at[x])) for x in h))
+        verdicts.append(best > 0)
+        if best > 0:
+            assert wt.verify_regularity(t, w).regular
+            continue
+        assert best == 0 and not wt.verify_regularity(t, w).regular
+        for _ in range(300):
+            vals = [Fraction(rng.randint(-999, 999), rng.randint(1, 9)) for _ in pts]
+            assert not wt.verify_regularity(t, RegularityWitness(tuple(vals))).regular
+    assert verdicts.count(True) == 6
 
 
 @pytest.mark.parametrize("h, regular", [(1, True), (0, False), (-1, False)])
@@ -827,10 +908,6 @@ def test_all_pairs_reports_store_points_off_the_vertices(h):
     s = sd.Subdivision(((0,), (1,), (2,), (3,)), ((0,), (3,)), ((0, 3),))
     got = _scan_agrees(s, RegularityWitness((0, h, 3, 0)))
     assert got.regular is (h > 0)
-    # the same cell with vertex 0 listed twice has two zero gaps at its
-    # vertices, not three
-    twice = sd.Subdivision(s.points, s.ambient, ((0, 0, 3),))
-    assert _scan_agrees(twice, RegularityWitness((0, h, 3, 0))).regular is (h > 0)
 
 
 def test_all_pairs_matches_fraction_oracle_on_a_wide_simplex():
