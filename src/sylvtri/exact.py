@@ -14,6 +14,15 @@ integer minor.  Rank, pivot columns and the inverse run Bareiss
 elimination (_eliminate), as do simplices above _KERNEL_MAX_DIM, where the
 expansion's size, exponential in d against Bareiss's d^3 / 3 updates,
 stops paying.
+
+Rows of d + 1 integers, facet rows and interpolants (polytope.Form), have
+straight-line kernels of their own, generated once per d with no cap
+(_row_kernel), as their size is linear in d: a row's value at a point
+(at, behind polytope.row_at), the gcd-reduced combination of two rows
+(comb, the row through a point and a ridge) and the form drop a - eps *
+lam in lowest terms (drop, behind witness._drop).  The pulling sweep,
+hull, facet_table and verify's wall test fetch them once and call them;
+nothing else computes these.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd
 from typing import Callable, Sequence
 
 from .errors import DegenerateGeometry, DimensionMismatch
@@ -99,6 +109,54 @@ def _kernel(d: int) -> tuple[Callable, Callable]:
     namespace: dict = {}
     exec(compile(_kernel_source(d), f"<exact._kernel({d})>", "exec"), namespace)
     return namespace["det"], namespace["cramer"]
+
+
+def _row_kernel_source(d: int) -> str:
+    """Source of at, comb and drop for integer rows of d + 1 entries, the
+    last a constant term.
+
+    at(r, p) is r[:d] . p + r[d], the row's value at a point p in Z^d.
+    comb(a, x, b, y) is the row a y - b x over the gcd of its entries, a
+    tuple; with every entry 0 it raises ZeroDivisionError.  With a and b
+    the values of facet rows x and y at a point, it vanishes there and on
+    the ridge of the two facets, and where a > 0 >= b it is >= 0 on the
+    polytope.  drop(x, xd, y, yd, n, q) is the form x / xd - (n / q) (y /
+    yd), xd, yd, q > 0, in lowest terms: with s = q yd and t = n xd the
+    row x s - y t over the denominator xd s, both divided by their gcd.
+    Each entry is one line: d products for at, 2 (d + 1) for comb and
+    2 (d + 1) + 3 for drop.
+    """
+    ids = range(d + 1)
+    cs = ", ".join(f"c{j}" for j in ids)
+    quotients = ", ".join(f"c{j} // g" for j in ids)
+    terms = [*(f"r[{j}] * p[{j}]" for j in range(d)), f"r[{d}]"]
+    lines = [
+        "def at(r, p):",
+        "    return " + " + ".join(terms),
+        "",
+        "def comb(a, x, b, y):",
+        *(f"    c{j} = a * y[{j}] - b * x[{j}]" for j in ids),
+        f"    g = gcd({cs})",
+        f"    return ({quotients},)",
+        "",
+        "def drop(x, xd, y, yd, n, q):",
+        "    s = q * yd",
+        "    t = n * xd",
+        *(f"    c{j} = x[{j}] * s - y[{j}] * t" for j in ids),
+        "    den = xd * s",
+        f"    g = gcd(den, {cs})",
+        f"    return ({quotients},), den // g",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _row_kernel(d: int) -> tuple[Callable, Callable, Callable]:
+    """(at, comb, drop) for rows of d + 1 integers, _row_kernel_source(d)
+    compiled once."""
+    namespace: dict = {"gcd": gcd}
+    exec(compile(_row_kernel_source(d), f"<exact._row_kernel({d})>", "exec"), namespace)
+    return namespace["at"], namespace["comb"], namespace["drop"]
 
 
 def _simplex_det(verts: Sequence[Row]) -> int:

@@ -5,14 +5,14 @@ of a full-dimensional cell is one integer row (coeffs..., const), >= 0 on
 the cell and 0 on that facet.  A simplex's facet rows are its integer
 inverse's; a polytopal cell's grow by the beneath-beyond step from those
 of a simplex on its points, one point at a time, each new row read off two
-old ones through a ridge (ridge_row), so no point subset is searched.
+old ones through a ridge (exact._row_kernel's comb), so no point subset
+is searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -172,9 +172,9 @@ def polar_dual(s: LatticeSimplex) -> LatticeSimplex | RationalSimplex:
 
 
 def row_at(row: Sequence[int], p: Point) -> int:
-    """row[:-1] . p + row[-1], an integer for an integral point."""
-    # map stops at p's end, so row[-1] is the homogenising term
-    return sum(map(mul, row, p)) + row[-1]
+    """row[:-1] . p + row[-1], an integer for an integral point: the
+    generated at (exact._row_kernel), which hot loops fetch once."""
+    return exact._row_kernel(len(row) - 1)[0](row, p)
 
 
 def facet_table(
@@ -183,8 +183,9 @@ def facet_table(
     """Each point's facet mask, bit j set where rows[j] is 0 there, and
     the positions of the points outside, where some row is negative."""
     masks, outside = [], set()
+    at = exact._row_kernel(len(rows[0]) - 1)[0]
     for i, p in enumerate(points):
-        values = [row_at(row, p) for row in rows]
+        values = [at(row, p) for row in rows]
         if min(values) < 0:
             outside.add(i)
         masks.append(sum(1 << j for j, x in enumerate(values) if x == 0))
@@ -213,21 +214,6 @@ def ridges(sets: Sequence[frozenset[int]], f: int) -> dict[int, frozenset[int]]:
     }
 
 
-def ridge_row(
-    lam_a: int, row_a: Sequence[int], lam_b: int, row_b: Sequence[int]
-) -> tuple[int, ...]:
-    """(lam_a row_b - lam_b row_a) over its gcd.
-
-    With lam_a and lam_b the values of facet rows row_a and row_b at a
-    point x, the row vanishes at x and on the ridge A & B, so it is the
-    hyperplane through x and that ridge; where lam_a > 0 >= lam_b it is
-    >= 0 on the polytope.
-    """
-    row = [lam_a * y - lam_b * x for x, y in zip(row_a, row_b)]
-    k = gcd(*row)
-    return tuple([x // k for x in row])
-
-
 def hull(
     verts: Sequence[Point], heights: Sequence[int]
 ) -> tuple[dict[frozenset[int], tuple[int, ...]], Form]:
@@ -245,13 +231,16 @@ def hull(
     with row f_F(x) < 0 is seen from x and goes; one with f_G(x) >= 0
     stays a facet, gaining x when f_G(x) = 0.  The new facets are conv((F
     & G) + x) for the ridges F & G of P with f_F(x) < 0 < f_G(x), the
-    horizon; their rows ridge_row(f_G(x), f_G, f_F(x), f_F) vanish at x
-    and on F & G and are >= 0 on P, and an earlier point on one lies on F
-    and G, so in F & G.  A ridge whose G has f_G(x) = 0 lies in G's
-    hyperplane, part of G's grown facet.  Raises DegenerateGeometry if the
-    points do not span R^d or a height lies off the form.
+    horizon; their rows comb(f_G(x), f_G, f_F(x), f_F) vanish at x and
+    on F & G and are >= 0 on P, and an earlier point on one lies on F and
+    G, so in F & G.  A ridge whose G has f_G(x) = 0 lies in G's
+    hyperplane, part of G's grown facet.  at and comb are
+    exact._row_kernel's, fetched once per call.  Raises
+    DegenerateGeometry if the points do not span R^d or a height lies off
+    the form.
     """
     base = verts[0]
+    at, comb, _ = exact._row_kernel(len(base))
     columns = [[v[k] - base[k] for v in verts[1:]] for k in range(len(base))]
     simplex = [0] + [j + 1 for j in exact.pivot_columns(columns)]
     if len(simplex) != len(base) + 1:
@@ -262,16 +251,16 @@ def hull(
     for i in range(1, len(verts)):
         if i in simplex:
             continue
-        if row_at(form[0], verts[i]) != heights[i] * den:
+        if at(form[0], verts[i]) != heights[i] * den:
             raise DegenerateGeometry("inconsistent linear system")
-        lam = [row_at(row, verts[i]) for row in rows]
+        lam = [at(row, verts[i]) for row in rows]
         new_sets, new_rows = [], []
         for f, lf in enumerate(lam):
             if lf < 0:
                 for g, ridge in ridges(sets, f).items():
                     if lam[g] > 0:
                         new_sets.append(ridge | {i})
-                        new_rows.append(ridge_row(lam[g], rows[g], lf, rows[f]))
+                        new_rows.append(comb(lam[g], rows[g], lf, rows[f]))
         kept = [f for f, x in enumerate(lam) if x >= 0]
         sets = [sets[f] | {i} if lam[f] == 0 else sets[f] for f in kept] + new_sets
         rows = [rows[f] for f in kept] + new_rows

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import exact, polytope
 from .errors import DegenerateGeometry, DimensionMismatch
-from .polytope import Point, row_at
+from .polytope import Point
 
 Cell = tuple[int, ...]
 
@@ -230,7 +230,8 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
     cell's interpolant row / den from one elimination
     (polytope.volume_form), and the cell that pops a facet tests that
     wall, so no form is kept: the one wall test, bent iff heights[q] *
-    den <= row_at(row, q).  One side suffices when the two cells lie on
+    den <= row_at(row, q), read by the generated at of exact._row_kernel,
+    fetched once.  One side suffices when the two cells lie on
     opposite sides of the facet, as in a valid proof: with A the popping
     cell's interpolant and A' the other's, A' - A vanishes on the facet,
     so its values w(q) - A(q) at q and A'(p) - w(p) at the popping
@@ -273,6 +274,7 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
     # the ambient's d + 1 vertices span R^d: facet rows and nvol(P) at once
     ambient_rows, ambient_nvol = polytope.simplex_inverse(s.ambient)
     masks, outside = polytope.facet_table(ambient_rows, pts)
+    at = exact._row_kernel(s.ambient_dim)[0]
     dets: list[int] = []
     convex = None if heights is None else True
     form = None  # the current cell's interpolant while convex holds
@@ -297,7 +299,7 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
     folded = False
     for fold, q in pair_facets(signed(), masks, pending):
         folded = folded or fold
-        if form is not None and heights[q] * form[1] <= row_at(form[0], pts[q]):
+        if form is not None and heights[q] * form[1] <= at(form[0], pts[q]):
             convex, form = False, None
 
     failures: list[str] = []

@@ -21,7 +21,7 @@ from typing import Collection, Iterable, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import DegenerateGeometry, DimensionMismatch, DomainError
-from .polytope import Form, Point, ridge_row, ridges, row_at
+from .polytope import Form, Point, ridges, row_at
 from .subdivision import Cell, Subdivision, Triangulation, VerifyReport
 
 
@@ -176,13 +176,9 @@ def _largest_power_drop(upper: Fraction | None) -> Fraction:
 
 
 def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
-    """The form a - eps * lam in lowest terms."""
-    (arow, ad), (lrow, ld) = a, lam
-    s, t = eps.denominator * ld, eps.numerator * ad
-    row = [x * s - y * t for x, y in zip(arow, lrow)]
-    den = ad * s
-    g = gcd(den, *row)
-    return tuple([x // g for x in row]), den // g
+    """The form a - eps * lam in lowest terms: the generated drop
+    (exact._row_kernel), which pull_sweep fetches once and calls."""
+    return exact._row_kernel(len(a[0]) - 1)[2](*a, *lam, *eps.as_integer_ratio())
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
@@ -205,10 +201,11 @@ def _pyramid(
     lam are m's values on the rows, lam[f] > 0.  The pyramid's facets are
     F and, for each facet G meeting F in a ridge (polytope.ridges),
     conv((F & G) + m), whose row lam[f] f_G - lam[g] f_F over its gcd
-    (polytope.ridge_row) vanishes at m and on F & G and is positive on
-    F - G.  Where lam[g] = 0 that row is f_G itself, as f_G is primitive,
-    so it is kept.  The facets come sorted by their least vertex off them,
-    so a simplex's rows come in vertex order, as simplex_inverse's do.
+    (the generated comb of exact._row_kernel) vanishes at m and on F & G
+    and is positive on F - G.  Where lam[g] = 0 that row is f_G itself, as
+    f_G is primitive, so it is kept.  The facets come sorted by their
+    least vertex off them, so a simplex's rows come in vertex order, as
+    simplex_inverse's do.
     Returns the facet sets and their rows, again primitive.
 
     pull_sweep splits its polytopal cells here.  It splits a simplex by
@@ -216,10 +213,11 @@ def _pyramid(
     the simplex's facet sets.
     """
     fset, frow, lf = sets[f], rows[f], lam[f]
+    comb = exact._row_kernel(len(frow) - 1)[1]
     meets = ridges(sets, f)
     out = [(m_index, f, frow)]  # (least vertex off, g, row)
     for g, ridge in meets.items():
-        row = rows[g] if lam[g] == 0 else ridge_row(lf, frow, lam[g], rows[g])
+        row = rows[g] if lam[g] == 0 else comb(lf, frow, lam[g], rows[g])
         out.append((min(fset - ridge), g, row))
     out.sort()  # (least vertex off, g) is unique, so rows are not compared
     child_sets = [fset if g == f else meets[g] | {m_index} for _, g, _ in out]
@@ -242,15 +240,16 @@ def _split_simplex(
     simplex every two facets meet in a ridge, so no ridge search is needed:
     the child replaces vertex k by m, its facet opposite m is F with
     rows[k], and its facet opposite each other vertex parent[j] is
-    conv((F & G_j) + m), with row ridge_row(lam[k], rows[k], lam[j],
-    rows[j]), or rows[j] itself where lam[j] = 0.  Returns the child's
-    sorted vertex tuple, its rows in that vertex order and F, the parent
-    without vertex k.
+    conv((F & G_j) + m), with row comb(lam[k], rows[k], lam[j], rows[j])
+    (exact._row_kernel's), or rows[j] itself where lam[j] = 0.  Returns
+    the child's sorted vertex tuple, its rows in that vertex order and F,
+    the parent without vertex k.
     """
     fk = parent[:k] + parent[k + 1 :]
     lk, rk = lam[k], rows[k]
+    comb = exact._row_kernel(len(rk) - 1)[1]
     child_rows = [
-        rows[j] if lam[j] == 0 else ridge_row(lk, rk, lam[j], rows[j])
+        rows[j] if lam[j] == 0 else comb(lk, rk, lam[j], rows[j])
         for j in range(len(parent))
         if j != k
     ]
@@ -285,8 +284,9 @@ def _walk(
     the cells or passes len(rows) of them.
     """
     dim = len(m)
+    at = exact._row_kernel(dim)[0]
     for _ in range(len(rows)):
-        lam = [row_at(r, m) for r in rows[c]]
+        lam = [at(r, m) for r in rows[c]]
         simplex = len(c) == dim + 1
         beyond = next((f for f, x in enumerate(lam) if x < 0), None)
         if beyond is None:
@@ -414,9 +414,15 @@ def pull_sweep(
     A pyramid with apex m is its own one child, over the facet F opposite
     m: every other facet G is (F & G) + m and keeps f_G (lam_G = 0).  A
     simplex with vertex m stays on a fast path that reads only m's row.
-    Forms stay as solved, over the common scale, until _drop writes them in
-    lowest terms; drop bounds compare values B(m) by cross-multiplication,
-    and only witness values, phi_m, the least bound and drops are Fractions.
+    Every kept form is in lowest terms, so unique: a starting cell's hull
+    form, over the common scale, is divided by the gcd of its denominator
+    and entries, and each drop writes its form so.  Drop bounds compare
+    values B(m) by cross-multiplication, and only witness values, phi_m,
+    the least bound and drops are Fractions.  The row arithmetic is
+    exact's straight-line row kernel for d (exact._row_kernel), fetched
+    once per sweep, walk or split: at reads a row at m, comb writes the
+    ridge rows (_split_simplex, _pyramid) and drop the forms A0 - eps *
+    Lam, with eps's numerator and denominator read once per pull.
     """
     pts = s.points
     npts = len(pts)
@@ -424,6 +430,7 @@ def pull_sweep(
     vals = list(w.values)
     if len(vals) != npts:
         raise DimensionMismatch("witness length does not match the point store")
+    at, _, drop = exact._row_kernel(dim)
 
     rows: dict[Cell, Sequence[Sequence[int]]] = {}  # facet rows; keys: live cells
     facets: dict[Cell, list[frozenset[int]]] = {}  # vertex sets, polytopal cells
@@ -435,14 +442,16 @@ def pull_sweep(
             star[i].add(c)
 
     # before the first pull: one hull call per cell gives its facet rows,
-    # made primitive, a polytopal cell's facets and the interpolant, as solved
+    # made primitive, a polytopal cell's facets and the interpolant, over
+    # the common scale in lowest terms
     heights, scale = _common_scale(w)
     for c in s.cells:
         hull, (row, den) = polytope.hull([pts[i] for i in c], [heights[i] for i in c])
         rows[c] = list(map(_primitive, hull.values()))
         if len(c) != dim + 1:  # sets of positions j in c
             facets[c] = [frozenset(c[j] for j in fs) for fs in hull]
-        cache[c] = row, den * scale
+        *row, den = _primitive((*row, den * scale))
+        cache[c] = tuple(row), den
         add(c)
 
     log: list[tuple[Point, Fraction]] = []
@@ -454,7 +463,7 @@ def pull_sweep(
             start = star[m_index - 1] if m_index else rows
             incident = tuple(_walk(m, next(iter(start)), rows, facets, star))
         row, den = cache[incident[0]]  # every cell holding m agrees at m
-        phi_m = Fraction(row_at(row, m), den)
+        phi_m = Fraction(at(row, m), den)
 
         # every cell holding m ends as pyramids with apex m, interpolant
         # A0 - eps * Lam, Lam = f_F / lam_F, F the facet opposite m; collect
@@ -466,11 +475,11 @@ def pull_sweep(
             simplex = len(parent) == dim + 1
             if simplex and m_index in parent:  # the fast path: kept as it is
                 k = parent.index(m_index)  # the one row not vanishing at m
-                lam_k = row_at(prows[k], m)
+                lam_k = at(prows[k], m)
                 fk = parent[:k] + parent[k + 1 :]
                 eps_cells.append((parent, cache[parent], (prows[k], lam_k), fk))
                 continue
-            lam = [row_at(r, m) for r in prows]
+            lam = [at(r, m) for r in prows]
             seen = [f for f, x in enumerate(lam) if x > 0]
             a0 = cache.pop(parent)
             sets = facets.pop(parent, None)  # None for a simplex
@@ -497,7 +506,7 @@ def pull_sweep(
         for c, _, _, fs in eps_cells:
             for b in _cells_on(star, fs) - {c}:
                 brow, bden = cache[b]
-                num = row_at(brow, m)
+                num = at(brow, m)
                 if bn is None or num * bd > bn * bden:
                     bn, bd, across = num, bden, (b, fs)
         upper = None if bn is None else phi_m - Fraction(bn, bd)
@@ -510,8 +519,9 @@ def pull_sweep(
 
         eps = _largest_power_drop(upper)
         vals[m_index] = phi_m - eps
-        for c, a0, lam, _ in eps_cells:
-            cache[c] = _drop(a0, lam, eps)
+        en, ed = eps.numerator, eps.denominator
+        for c, (arow, ad), (lrow, ld), _ in eps_cells:
+            cache[c] = drop(arow, ad, lrow, ld, en, ed)
         log.append((m, eps))
 
     tri = Triangulation(pts, s.ambient, tuple(sorted(rows)))

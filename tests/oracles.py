@@ -275,6 +275,35 @@ def bareiss_volume_form(
     return -det if dim % 2 else det, (y, last)
 
 
+def reference_row_at(row: Sequence[int], p: Point) -> int:
+    """Reference polytope.row_at, independent of exact's generated row
+    kernel: row[:-1] . p + row[-1] by one generic dot product."""
+    # map stops at p's end, so row[-1] is the homogenising term
+    return sum(map(mul, row, p)) + row[-1]
+
+
+def reference_comb(
+    lam_a: int, row_a: Sequence[int], lam_b: int, row_b: Sequence[int]
+) -> tuple[int, ...]:
+    """Reference for exact._row_kernel's comb: (lam_a row_b - lam_b row_a)
+    over its gcd, a ZeroDivisionError where every entry is 0."""
+    row = [lam_a * y - lam_b * x for x, y in zip(row_a, row_b)]
+    k = gcd(*row)
+    return tuple([x // k for x in row])
+
+
+def reference_drop(
+    a: tuple[Sequence[int], int], lam: tuple[Sequence[int], int], eps: Fraction
+) -> tuple[tuple[int, ...], int]:
+    """Reference witness._drop: the form a - eps * lam in lowest terms."""
+    (arow, ad), (lrow, ld) = a, lam
+    s, t = eps.denominator * ld, eps.numerator * ad
+    row = [x * s - y * t for x, y in zip(arow, lrow)]
+    den = ad * s
+    g = gcd(den, *row)
+    return tuple([x // g for x in row]), den // g
+
+
 def gauss_jordan(rows, rhs):
     """Independent solve oracle: plain Fraction Gauss-Jordan, or None if singular."""
     n = len(rows)

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel tests, including cross-route oracles."""
 
+import math
 import os
 import random
 import subprocess
@@ -96,11 +97,12 @@ def test_det_matches_cofactor_oracle(m):
     assert det(m) == cofactor_det(m)
 
 
-def outcome(f, *args):
-    """f(*args), or the type and message of the exception it raises."""
+def outcome(f, *args, errors=(DegenerateGeometry, DimensionMismatch)):
+    """f(*args), or the type and message of the exception in errors that
+    it raises."""
     try:
         return f(*args)
-    except (DegenerateGeometry, DimensionMismatch) as e:
+    except errors as e:
         return type(e), str(e)
 
 
@@ -190,10 +192,53 @@ def test_kernel_dimension_cap(monkeypatch):
 
 @pytest.mark.parametrize("d", range(1, exact._KERNEL_MAX_DIM + 1))
 def test_kernel_source_size(d):
-    # the product counts _kernel_source's docstring states
+    # the product counts _kernel_source's and _row_kernel_source's
+    # docstrings state
     det_src, cramer_src = exact._kernel_source(d).split("def cramer")
     assert det_src.count("*") == d * 2 ** (d - 1) - d
     assert cramer_src.count("*") == (d + 1) * (2**d - 2)
+    at_src, rest = exact._row_kernel_source(d).split("def comb")
+    comb_src, drop_src = rest.split("def drop")
+    assert at_src.count("*") == d
+    assert comb_src.count("*") == 2 * (d + 1)
+    assert drop_src.count("*") == 2 * (d + 1) + 3
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_row_kernel_matches_reference(d, monkeypatch):
+    # seeded rows and points with entries up to 2^130 in size: at, comb
+    # and drop give the references' results, comb the reference's
+    # ZeroDivisionError where a y - b x vanishes, and drop's form is in
+    # lowest terms with den > 0.  Every fourth trial has y = c x, with
+    # b = a c, so that comb vanishes, and eps = sign(c) yd / (|c| xd), so
+    # that drop's row does.  Row kernels have no dimension cap and
+    # generate no determinant kernel.
+    monkeypatch.setattr(exact, "_kernel", lambda d: pytest.fail(f"_kernel({d})"))
+    at, comb, drop = exact._row_kernel.__wrapped__(d)
+    rng = random.Random(4400 + d)
+    for trial in range(80):
+        bound = (9, 2**64, 2**130)[trial % 3]
+        x, y, p = (
+            [rng.randint(-bound, bound) for _ in range(k)] for k in (d + 1, d + 1, d)
+        )
+        a, b, n = (rng.randint(-bound, bound) for _ in range(3))
+        xd, yd, q = (rng.randint(1, bound) for _ in range(3))
+        if trial % 4 == 3:
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            y, b = [c * v for v in x], a * c
+            n, q = (yd if c > 0 else -yd), abs(c) * xd
+        assert at(x, p) == oracles.reference_row_at(x, p)
+        got, want = (
+            outcome(f, a, x, b, y, errors=ZeroDivisionError)
+            for f in (comb, oracles.reference_comb)
+        )
+        assert got == want
+        row, den = drop(x, xd, y, yd, n, q)
+        assert (row, den) == oracles.reference_drop((x, xd), (y, yd), Fraction(n, q))
+        assert den > 0 and math.gcd(den, *row) == 1
+        if trial % 4 == 3:
+            assert got[0] is ZeroDivisionError
+            assert (row, den) == ((0,) * (d + 1), 1)
 
 
 def test_importing_the_cli_compiles_no_kernel():
@@ -202,17 +247,21 @@ def test_importing_the_cli_compiles_no_kernel():
     src = os.path.dirname(os.path.dirname(os.path.abspath(exact.__file__)))
     code = (
         "import sylvtri.cli\n"
-        "from sylvtri import exact\n"
-        "print(exact._kernel.cache_info().currsize)\n"
+        "from sylvtri import exact, polytope\n"
+        "sizes = lambda: print(exact._kernel.cache_info().currsize,"
+        " exact._row_kernel.cache_info().currsize)\n"
+        "sizes()\n"
         "exact.det_int([[2]])\n"
-        "print(exact._kernel.cache_info().currsize)\n"
+        "sizes()\n"
+        "polytope.row_at((1, 2), (3,))\n"
+        "sizes()\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.split() == ["0", "1"]
+    assert out.stdout.split() == ["0", "0", "1", "0", "1", "1"]
 
 
 @settings(max_examples=60, deadline=None)
