@@ -129,19 +129,26 @@ def sides(on: Iterable[tuple[int, int]], signs: Sequence[int]) -> list[int]:
     return [signs[i] if k % 2 == 0 else -signs[i] for i, k in on]
 
 
+def on_boundary(vertex_masks: Iterable[int]) -> bool:
+    """Whether a facet lies on the boundary of P, given its vertices'
+    masks (polytope.facet_table): they share a bit, the one boundary rule.
+    A facet of a cell inside P lies on the boundary iff it lies in one
+    facet of P, and then all its vertices do."""
+    return reduce(and_, vertex_masks) != 0
+
+
 def boundary_facets(c: Cell, masks: Sequence[int]) -> list[int]:
     """The entries k of the simplex c whose facets, c without entry k,
-    lie on the boundary of P, their vertices' masks (polytope.facet_table)
-    sharing a bit: the one boundary rule.  A vertex of mask 0 lies on no
-    facet of P, so only the facet opposite a cell's first such vertex is
-    ANDed (each artifact cell has one, the origin); a second one on that
-    facet makes its AND 0."""
+    lie on the boundary of P (on_boundary).  A vertex of mask 0 lies on
+    no facet of P, so only the facet opposite a cell's first such vertex
+    is tested (each artifact cell has one, the origin); a second one on
+    that facet fails the test."""
     m = list(map(masks.__getitem__, c))
     if 0 in m:
         k = m.index(0)
         del m[k]
-        return [k] if reduce(and_, m) else []
-    return [k for k in range(len(m)) if reduce(and_, m[:k] + m[k + 1 :])]
+        return [k] if on_boundary(m) else []
+    return [k for k in range(len(m)) if on_boundary(m[:k] + m[k + 1 :])]
 
 
 def pair_facets(
@@ -360,6 +367,6 @@ def _census(
                 )
         elif len(on) > 2:
             failures.append(f"facet {key} shared by {len(on)} cells")
-        elif on[0][1] not in boundary_facets(cells[on[0][0]], masks):
+        elif not on_boundary(map(masks.__getitem__, key)):
             failures.append(f"facet {key} unmatched and not on the boundary")
     return failures + folds

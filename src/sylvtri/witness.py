@@ -14,14 +14,14 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import ge, mul, sub
-from typing import Collection, Iterable, Sequence
+from operator import add, le, sub
+from typing import Callable, Collection, Iterable, Sequence
 
 from . import exact, polytope, subdivision
 from .errors import DegenerateGeometry, DimensionMismatch, DomainError
-from .polytope import Form, Point, ridges, row_at
+from .polytope import Form, Point, ridges
 from .subdivision import Cell, Subdivision, Triangulation, VerifyReport
 
 
@@ -73,22 +73,26 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     The report is that of the all-pairs scan (_all_pairs); its structure
     is subdivision.verify(t, heights), whose one loop over the cells
     computes the volumes, pairs the facets and tests each wall as its
-    second cell arrives, so each cell is eliminated once.  The walls decide when that
-    proof is valid, every store point is a cell vertex and no wall is
-    bent (its convex is True).  Then the cells triangulate the convex
-    polytope P, meeting in common faces, so g, equal to A_c on each cell
-    c, is continuous and w at the vertices.  On almost every segment in P the slope of g increases
-    strictly at each wall it crosses, so g is convex (the wall
-    inequalities of the secondary cone: De Loera-Rambau-Santos,
-    *Triangulations*, 2010, ch. 5).  A store point p off c lies outside c,
-    or it would lie in the common face of c and a cell it is a vertex of;
-    a segment from almost any interior point of c to p leaves c through a
-    wall, after which g - A_c, 0 until then, has a positive,
-    non-decreasing slope: A_c(p) < g(p) = w(p).  Every other case (a bent
-    wall, which is a violating pair, a store point that is no vertex, an
-    ambient that is no simplex or other unproven input) runs the scan, so
-    rejection stays quadratic in the worst case.  A degenerate cell, which
-    the structure names, stops it: not regular.  Cells that are not
+    second cell arrives, so each cell is eliminated once.  The walls
+    decide when that proof is valid, every store point is a cell vertex
+    and no wall is bent (its convex is True).  Then the cells triangulate
+    the convex polytope P, meeting in common faces, so g, equal to A_c on
+    each cell c, is continuous and w at the vertices.  On almost every
+    segment in P the slope of g increases strictly at each wall it
+    crosses, so g is convex (the wall inequalities of the secondary cone:
+    De Loera-Rambau-Santos, *Triangulations*, 2010, ch. 5).  A store point
+    p off c lies outside c, or it would lie in the common face of c and a
+    cell it is a vertex of; a segment from almost any interior point of c
+    to p leaves c through a wall, after which g - A_c, 0 until then, has a
+    positive, non-decreasing slope: A_c(p) < g(p) = w(p).
+
+    Every other case (a bent wall, which is a violating pair, a store
+    point that is no vertex, an ambient that is no simplex or other
+    unproven input) runs the scan.  It bounds each cell's form on each
+    vertical run of the store by the run's two ends and reads only the
+    runs that fail the bound, but it still visits every (cell, run) pair,
+    so rejection stays quadratic in the worst case.  A degenerate cell,
+    which the structure names, stops it: not regular.  Cells that are not
     full-dimensional simplices raise DimensionMismatch.
     """
     if not isinstance(t, Triangulation):
@@ -120,37 +124,77 @@ def _all_pairs(t: Triangulation, heights: Sequence[int], scale: int) -> Certific
     a cell's form (row, den), w(p) - A_cell(p) = (W[p] * den -
     row_at(row, p)) / (L * den), so a pair passes iff that integer
     numerator, its gap, is positive.  Only a violation builds its Fraction
-    margin.
+    margin.  The form interpolates the heights, so at a cell's own
+    vertices A(p) = W[p] * den exactly, gap 0.  A cell with no more gaps
+    <= 0 (hits) than it has vertices (a flat one, a repeated vertex,
+    raises) has none elsewhere, so no violation, and is passed after that
+    count; only a cell that fails is read point by point for its
+    violations.
 
-    The numerators A(p) = row_at(row, p) come as exact integer prefix
-    sums along the store: A is affine, so A(p_{i+1}) = A(p_i) + row .
-    (p_{i+1} - p_i), with the constant term cancelled.  A sorted lattice
-    store has few distinct steps p_{i+1} - p_i (24-35 at level 4), so
-    they are interned once per scan and each cell takes one dot product
-    per distinct step; the running sum and one count are C-level passes.
-    The form interpolates the heights, so at a cell's own vertices A(p) =
-    W[p] * den exactly, gap 0.  A cell with no more gaps <= 0 than it has
-    vertices (a flat one, a repeated vertex, raises) has none elsewhere,
-    so no violation, and is passed after that one count; only a cell that
-    fails is read point by point for its violations.
+    The count goes by vertical runs: maximal runs of consecutive store
+    points that share all coordinates but the last, t.  The store is
+    sorted and deduplicated (Subdivision), so t increases along a run.  A
+    is affine, so on a run A = base + rl * t, rl = row[-2]: it is largest
+    at the run's last point when rl > 0, else at its first.  If the run's
+    least height times den is above that end value, every point of the
+    run has a positive gap, and the run holds no hit.  A run that is not
+    is read: a single point is a hit, as its bound is its own gap, and a
+    longer run counts its hits in C-level maps over its last coordinates.
+    So the count is the point-by-point count, at every run.  A p2dual
+    level is columns over the previous level's points (24 runs of 353
+    points at level 4, 353 of 178,070 at level 5), and a level-4 cell
+    reads about 64 points; the p2 and p1 stores are single-point runs, so
+    there the bound is the per-point test.
+
+    A at the chosen end of every run comes as exact integer prefix sums:
+    A(q) = A(p) + row . (q - p) for consecutive run ends p, q, the
+    constant term cancelled.  These steps take few distinct values (15 at
+    level-4 p2dual, both ends together; 31-35 in the level-4 p2 and
+    level-5 p1 stores), so one function generated per scan (_step_dots)
+    gives a cell's dot products with all of them; the running sum and the
+    bound are C-level passes.
     """
     pts = t.points
-    # one id per step between consecutive store points, ids in order met
-    kinds: dict[Point, int] = {}
-    step_id = [
-        kinds.setdefault(tuple(map(sub, q, p)), len(kinds))
-        for p, q in zip(pts, pts[1:])
-    ]
+    at = exact._row_kernel(len(pts[0]))[0]
+    ts = [p[-1] for p in pts]
+    # the vertical runs [s, e): each run's last coordinates, heights and
+    # least height, and whether it holds more than one point
+    starts = [0, *(i for i in range(1, len(pts)) if pts[i][:-1] != pts[i - 1][:-1])]
+    bounds = list(zip(starts, [*starts[1:], len(pts)]))
+    run_t = [ts[s:e] for s, e in bounds]
+    run_h = [heights[s:e] for s, e in bounds]
+    least = list(map(min, run_h))
+    longs = [e - s > 1 for s, e in bounds]
+    firsts = [pts[s] for s, _ in bounds]
+    lasts = [pts[e - 1] for _, e in bounds]
+    dots, (first_ids, last_ids) = _step_dots(firsts, lasts)
+    # per end of the runs, first and last (where A is largest when rl >
+    # 0): its step ids, the first run's point there and every run's last
+    # coordinate there
+    ends_at = (
+        (first_ids, firsts[0], [p[-1] for p in firsts]),
+        (last_ids, lasts[0], [p[-1] for p in lasts]),
+    )
+    run_of = [j for j, (s, e) in enumerate(bounds) for _ in range(s, e)]
+    runs = list(range(len(bounds)))  # built once: compress only reads them
     violations: list[tuple[Cell, Point, Fraction]] = []
     for c in t.cells:
         row, den = polytope.volume_form(t.cell_points(c), [heights[i] for i in c])[1]
-        dots = [sum(map(mul, row, s)) for s in kinds]
-        values = list(
-            accumulate(map(dots.__getitem__, step_id), initial=row_at(row, pts[0]))
-        )
-        scaled = heights if den == 1 else [h * den for h in heights]
-        if sum(map(ge, values, scaled)) == len(c):
+        rl = row[-2]
+        ids, first, tref = ends_at[rl > 0]
+        top = list(accumulate(map(dots(row).__getitem__, ids), initial=at(row, first)))
+        floors = least if den == 1 else map(den.__mul__, least)
+        failing = list(compress(runs, map(le, floors, top)))
+        hits = len(failing)
+        for j in filter(longs.__getitem__, failing):
+            base = top[j] - rl * tref[j]
+            hs = run_h[j] if den == 1 else map(den.__mul__, run_h[j])
+            hits += sum(map(le, hs, map(base.__add__, map(rl.__mul__, run_t[j])))) - 1
+        if hits == len(c):
             continue
+        bases = list(map(sub, top, map(rl.__mul__, tref)))
+        values = list(map(add, map(bases.__getitem__, run_of), map(rl.__mul__, ts)))
+        scaled = heights if den == 1 else [h * den for h in heights]
         for pi, a in enumerate(values):
             if a < scaled[pi] or pi in c:
                 continue
@@ -158,6 +202,39 @@ def _all_pairs(t: Triangulation, heights: Sequence[int], scale: int) -> Certific
             if len(violations) > 50:
                 return CertificateReport(False, violations)
     return CertificateReport(not violations, violations)
+
+
+def _step_dots(*walks: Sequence[Point]) -> tuple[Callable, list[list[int]]]:
+    """One generated function for the steps between consecutive points of
+    each walk: (dots, ids), dots(r) a row's dot products with the distinct
+    steps and ids[k] the index of each step of walk k in that list.
+
+    Each step q - p is written into the source as integer constants, one
+    expression per step with its zero terms left out; the row's constant
+    term cancels from every step.  Compiled per call, and dropped with its
+    caller's scan."""
+    kinds: dict[Point, int] = {}
+    ids = [
+        [kinds.setdefault(tuple(map(sub, q, p)), len(kinds)) for p, q in zip(w, w[1:])]
+        for w in walks
+    ]
+    exprs = []
+    for step in kinds:
+        terms = [
+            f"{'-' if x < 0 else '+'} r{j}" + ("" if abs(x) == 1 else f" * {abs(x)}")
+            for j, x in enumerate(step)
+            if x
+        ]
+        exprs.append(" ".join(terms).removeprefix("+ ") or "0")
+    d = len(walks[0][0])
+    source = (
+        "def dots(r):\n"
+        f"    {', '.join(f'r{j}' for j in range(d))}, _ = r\n"
+        f"    return [{', '.join(exprs)}]\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<witness._step_dots>", "exec"), namespace)
+    return namespace["dots"], ids
 
 
 def _largest_power_drop(upper: Fraction | None) -> Fraction:
@@ -173,12 +250,6 @@ def _largest_power_drop(upper: Fraction | None) -> Fraction:
     p, q = upper.numerator, upper.denominator
     k = q.bit_length() - p.bit_length()
     return Fraction(1, 1 << (k + ((p << k) <= q)))
-
-
-def _drop(a: Form, lam: Form, eps: Fraction) -> Form:
-    """The form a - eps * lam in lowest terms: the generated drop
-    (exact._row_kernel), which pull_sweep fetches once and calls."""
-    return exact._row_kernel(len(a[0]) - 1)[2](*a, *lam, *eps.as_integer_ratio())
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:

@@ -295,7 +295,8 @@ def reference_comb(
 def reference_drop(
     a: tuple[Sequence[int], int], lam: tuple[Sequence[int], int], eps: Fraction
 ) -> tuple[tuple[int, ...], int]:
-    """Reference witness._drop: the form a - eps * lam in lowest terms."""
+    """Reference for the generated drop (exact._row_kernel): the form a -
+    eps * lam in lowest terms."""
     (arow, ad), (lrow, ld) = a, lam
     s, t = eps.denominator * ld, eps.numerator * ad
     row = [x * s - y * t for x, y in zip(arow, lrow)]

@@ -375,6 +375,10 @@ def test_boundary_facets_on_built_cells(ambient, cells):
     for verts, want in cells.items():
         c = tuple(pts.index(p) for p in verts)
         assert sd.boundary_facets(c, masks) == want == _plain_and(c, masks), verts
+        # the one-facet rule the census applies to each unmatched facet
+        for k in range(len(c)):
+            facet = c[:k] + c[k + 1 :]
+            assert sd.on_boundary(masks[i] for i in facet) is (k in want), (verts, k)
 
 
 def test_pair_facets_reports_folds_zero_sides_and_open_facets():

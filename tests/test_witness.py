@@ -6,6 +6,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -597,8 +598,10 @@ def test_pull_sweep_point_location_matches_solve():
 
 
 def test_drop_matches_fraction_arithmetic():
-    # the sweep's integer update A0 - eps * Lam lands in the lowest terms
-    # AffineFunctional computes from its Fraction data
+    # the sweep's integer update A0 - eps * Lam, the generated drop of
+    # exact._row_kernel, lands in the lowest terms AffineFunctional
+    # computes from its Fraction data
+    drop = exact._row_kernel(2)[2]
     a0 = oracles.AffineFunctional((Fraction(3, 4), Fraction(-5, 6)), Fraction(7, 10))
     lam = oracles.AffineFunctional((Fraction(2, 5), Fraction(-1, 5)), Fraction(3, 5))
     for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 2**40), Fraction(3, 7)):
@@ -606,7 +609,7 @@ def test_drop_matches_fraction_arithmetic():
             tuple(a - eps * b for a, b in zip(a0.coeffs, lam.coeffs)),
             a0.constant - eps * lam.constant,
         )
-        got = wt._drop((a0.row, a0.denominator), (lam.row, lam.denominator), eps)
+        got = drop(a0.row, a0.denominator, lam.row, lam.denominator, *eps.as_integer_ratio())
         assert got == (want.row, want.denominator)
 
 
@@ -922,6 +925,118 @@ def test_all_pairs_matches_fraction_oracle_on_a_wide_simplex():
         vals = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in t.points]
         verdicts.add(_scan_agrees(one, RegularityWitness(tuple(vals))).regular)
     assert verdicts == {True, False}
+
+
+def _column_store(columns):
+    """The triangle (0, 0), (8, 0), (0, 8) as its one cell, over a store of
+    its vertices and the given columns {x: [y, ...]}."""
+    corners = ((0, 0), (8, 0), (0, 8))
+    pts = tuple(sorted({*corners, *((x, y) for x, ys in columns.items() for y in ys)}))
+    cell = tuple(pts.index(p) for p in corners)
+    return sd.Triangulation(pts, corners, (tuple(sorted(cell)),))
+
+
+@pytest.mark.parametrize("slope", [2, 0, -1])
+@pytest.mark.parametrize("delta", [-1, 0])
+def test_all_pairs_finds_a_violation_inside_a_column(slope, delta):
+    # d = 2: the form is slope * y (a last coordinate increasing,
+    # constant or decreasing along the columns), every store point off the
+    # vertices lies 1 above it but (1, 2), inside the column x = 1, which
+    # lies delta on it; the column's two ends pass, so only the run's
+    # least height finds it
+    s = _column_store({1: [0, 1, 2, 3, 4, 5], 4: [1, 2, 3]})
+    corners = set(s.ambient)
+    w = [slope * y + (0 if (x, y) in corners else 1) for x, y in s.points]
+    w[s.index[(1, 2)]] += delta - 1
+    got = _scan_agrees(s, RegularityWitness(tuple(w)))
+    assert [p for _, p, _ in got.violating_pairs] == [(1, 2)]
+    assert got.violating_pairs[0][2] == delta
+
+
+def test_all_pairs_on_columns_whose_last_coordinates_skip_values():
+    # columns with gaps in their last coordinate, and one point alone on
+    # its vertical line, under heights scattered around forms of each
+    # slope sign: the scan's report is the oracle's every time
+    s = _column_store({0: [3, 4, 7], 2: [0, 1, 3, 6], 3: [2], 5: [0, 3]})
+    corners = set(s.ambient)
+    rng = random.Random(45)
+    counts = set()
+    for _ in range(60):
+        slope = Fraction(rng.randint(-4, 4), rng.choice((1, 3)))
+        vals = [
+            slope * y + (0 if (x, y) in corners else Fraction(rng.randint(-1, 6), 2))
+            for x, y in s.points
+        ]
+        counts.add(len(_scan_agrees(s, RegularityWitness(tuple(vals))).violating_pairs))
+    assert 0 in counts and len(counts) > 3
+
+
+def test_all_pairs_on_a_single_run_store():
+    # d = 1: the whole store is one vertical run, with the segment's two
+    # cells; a store point off the vertices, raised or lowered, is found
+    s = sd.Triangulation(((0,), (2,), (3,), (5,), (9,)), ((0,), (9,)), ((0, 1), (1, 4)))
+    rng = random.Random(1)
+    verdicts = set()
+    for _ in range(40):
+        vals = [Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in s.points]
+        verdicts.add(_scan_agrees(s, RegularityWitness(tuple(vals))).regular)
+    assert verdicts == {True, False}
+
+
+def test_all_pairs_on_long_runs_with_den_above_one():
+    # level-3 p2dual, whose store is seven vertical runs of up to eight
+    # points, scanned by random cells of normalized volume above 1 (den >
+    # 1), each under an affine function of every slope sign that its
+    # vertices take exactly and the other points miss by -1/3 to 2
+    t = pipeline.triangulate_p2dual(3).triangulation
+    rng = random.Random(3)
+    dens, counts = set(), set()
+    for _ in range(100):
+        c = tuple(sorted(rng.sample(range(len(t.points)), 4)))
+        verts = t.cell_points(c)
+        if exact.affine_rank(verts) < 3 or _form(verts, [0] * 4)[1] == 1:
+            continue
+        dens.add(_form(verts, [0] * 4)[1])
+        coeffs = [rng.randint(-3, 3) for _ in range(4)]
+        vals = [
+            sum(map(mul, coeffs, (*p, 1)))
+            + (0 if i in c else Fraction(rng.randint(-1, 6), 3))
+            for i, p in enumerate(t.points)
+        ]
+        s = sd.Triangulation(t.points, t.ambient, (c,))
+        counts.add(len(_scan_agrees(s, RegularityWitness(tuple(vals))).violating_pairs))
+    assert len(dens) > 3 and len(counts) > 3
+
+
+@pytest.fixture(scope="module")
+def level4():
+    art = pipeline.triangulate_p2dual(4)
+    return art.triangulation, art.witness
+
+
+@pytest.mark.parametrize("cell", [0, 3, 9])
+def test_all_pairs_full_report_on_raised_level4_heights(level4, cell):
+    # a level-4 height raised by 2^32, the benchmark's reject copy: the
+    # point is the second-last vertex of an early cell, and the report
+    # holds its 51 pairs, each with the oracle's exact margin
+    t, w = level4
+    vals = list(w.values)
+    vals[t.cells[cell][-2]] += 2**32
+    got = _scan_agrees(t, RegularityWitness(tuple(vals)))
+    assert len(got.violating_pairs) == 51
+
+
+def test_all_pairs_full_report_on_a_far_vertex_level4_cell(level4):
+    # level-4 cell 2 with its vertex 0 swapped for the far store point 43,
+    # as in the far-vertex reject smoke test: its form has den > 1 and the
+    # report holds 51 pairs, each with the oracle's exact margin
+    t, w = level4
+    assert t.cells[2] == (0, 1, 205, 228, 351)
+    assert t.points[43] == (-1, -1, -1, 42)
+    cells = t.cells[:2] + ((1, 43, 205, 228, 351),) + t.cells[3:]
+    s = sd.Triangulation(t.points, t.ambient, cells)
+    assert _form(s.cell_points(cells[2]), [0] * 5)[1] > 1
+    assert len(_scan_agrees(s, w).violating_pairs) == 51
 
 
 def _criterion10_configs():
