@@ -20,9 +20,9 @@ straight-line kernels of their own, generated once per d with no cap
 (_row_kernel), as their size is linear in d: a row's value at a point
 (at, behind polytope.row_at), the gcd-reduced combination of two rows
 (comb, the row through a point and a ridge) and the form drop a - eps *
-lam in lowest terms (drop).  The pulling sweep, hull, facet_table and
-verify's wall test fetch them once and call them; nothing else computes
-these.
+lam in lowest terms (drop).  The pulling sweep, hull, facet_table,
+verify's wall test and family.DualityMap.apply fetch them once and call
+them; nothing else computes these.
 """
 
 from __future__ import annotations

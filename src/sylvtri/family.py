@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import exact, polytope
 from .errors import DomainError, FeasibilityLimit
@@ -120,7 +120,15 @@ class DualityMap:
     matrix: tuple[tuple[int, ...], ...]  # rows
 
     def apply(self, p: Point) -> Point:
-        return tuple(sum(r * x for r, x in zip(row, p)) for row in self.matrix)
+        """The image of p, each row's value at p by the generated at of
+        exact._row_kernel."""
+        at, rows = self._kernel_rows
+        return tuple([at(r, p) for r in rows])
+
+    @cached_property
+    def _kernel_rows(self):
+        """at for rows of len(p) + 1 entries, and the rows with constant 0."""
+        return exact._row_kernel(len(self.matrix[0]))[0], [(*r, 0) for r in self.matrix]
 
     def inverse(self) -> "DualityMap":
         """The inverse map; a matrix with |det| != 1 has no integer inverse."""

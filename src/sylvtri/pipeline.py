@@ -4,7 +4,11 @@ Builds the triangulation of the dual simplex family recursively (columns
 over the previous level and one cone over their tops, assembled at once,
 then pulling at every lattice point), transports it to the second family
 through the duality map, and extends it to the first family by a pair of
-cones.  Every artifact carries its regularity witness and an
+cones.  Transport and cones are index arithmetic on the level below: the
+second family's store is one permutation of the dual store, and the
+first family's is the second's with the two apexes inserted, so each
+cell is an index row passed through that permutation or shift, with no
+point looked up.  Every artifact carries its regularity witness and an
 ordered provenance log of the steps that built it: each level's
 pullback, the glue and cone apexes with their heights, the lattice map,
 and every pulled point with its drop.  No command replays the log yet:
@@ -16,13 +20,14 @@ from __future__ import annotations
 import json
 import os
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import lt
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from . import family, subdivision, witness
 from .errors import (
@@ -33,6 +38,7 @@ from .errors import (
     VerificationFailure,
 )
 from .family import Family, FamilySpec
+from .polytope import Point
 from .subdivision import Cell, Triangulation
 from .witness import CertificateReport, RegularityWitness
 
@@ -156,6 +162,32 @@ def triangulate_p2dual(
     return _serve(art, max_cells, cache_dir)
 
 
+def transport(
+    points: Sequence[Point],
+    cells: Sequence[Cell],
+    values: Sequence[Fraction],
+    apply: Callable[[Point], Point],
+) -> tuple[tuple[Point, ...], tuple[Cell, ...], tuple[Fraction, ...]]:
+    """The image of a triangulation under an injective lattice map, by
+    index arithmetic: its store, cells and heights as building them afresh
+    from the mapped points would give.  The store is the images in sorted
+    order, so order, the old index at each new position, is one
+    permutation of the old store.  Each cell's indices pass through its
+    inverse, rank, and are re-sorted; the cells are sorted, and the
+    heights are the values in store order.  A map that is not injective
+    leaves a repeated point in the store, which Subdivision refuses."""
+    images = list(map(apply, points))
+    order = sorted(range(len(images)), key=images.__getitem__)
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    return (
+        tuple(map(images.__getitem__, order)),
+        tuple(sorted(tuple(sorted(map(rank.__getitem__, c))) for c in cells)),
+        tuple(map(values.__getitem__, order)),
+    )
+
+
 def triangulate_p2(
     n: int,
     max_cells: int = MAX_CELLS,
@@ -164,12 +196,14 @@ def triangulate_p2(
     """Triangulation of the level-n second-family simplex.
 
     Transport of the dual triangulation through the inverse duality map,
-    in one make_subdivision call: each dual store point is mapped once,
-    and its image keeps its height.  The map has |det| 1
-    (DualityMap.inverse) and must send the dual simplex onto this one
-    (else DomainError), so it maps store onto store, and the artifact
-    keeps the dual certificate that _serve accepted: under such a map,
-    with the heights travelling with the points, every fact it reads is
+    by index arithmetic (transport): each dual store point is mapped
+    once, the new store is the images in sorted order, each cell is the
+    dual cell's indices under that permutation, and each image keeps its
+    height.  The map has |det| 1 (DualityMap.inverse), so it is
+    injective, and it must send the dual simplex onto this one (else
+    DomainError), so it maps store onto store, and the artifact keeps
+    the dual certificate that _serve accepted: under such a map, with
+    the heights travelling with the points, every fact it reads is
     invariant.  Volumes |det (v, 1)| and facet pairs are kept, every
     orientation takes one global sign, a point lies in a cell iff its
     image lies in the image, so containment and store coverage are kept,
@@ -185,14 +219,14 @@ def triangulate_p2(
     ambient = family.build(spec).vertices
     if sorted(map(inverse.apply, dual.triangulation.ambient)) != sorted(ambient):
         raise DomainError(f"duality map misses the level-{n} p2 simplex")
-    images = [inverse.apply(q) for q in dual.triangulation.points]
-    heights = dict(zip(images, dual.witness.values))
-    cells = [[images[i] for i in c] for c in dual.triangulation.cells]
-    tri = subdivision.make_subdivision(images, ambient, cells)
-    w = RegularityWitness(tuple(heights[p] for p in tri.points))
+    t_dual = dual.triangulation
+    points, cells, values = transport(
+        t_dual.points, t_dual.cells, dual.witness.values, inverse.apply
+    )
+    tri = Triangulation(points, ambient, cells)
     matrix = [list(row) for row in inverse.matrix]
     prov = dual.provenance + ({"step": "lattice_map", "matrix": matrix},)
-    art = PipelineArtifact(spec, tri, w, prov)
+    art = PipelineArtifact(spec, tri, RegularityWitness(values), prov)
     vars(art)["certificate"] = dual.certificate
     return _store_cached(art, cache_dir)
 
@@ -207,10 +241,18 @@ def triangulate_p1(
     The second-family triangulation is embedded at last coordinate 0, and
     each embedded cell is coned both to the last basis vector e_last
     (height 0) and to the weight vertex w1 = (2 w2, -1), w2 the second
-    family's weight vertex, in one subdivision.  The cones to w1 lie on
-    its side of {x_{n+1} = 0} and those to e_last on the other, and the
-    two parts agree on the hyperplane by construction, since both are
-    built on the embedded cells; verify proves the final result.
+    family's weight vertex.  The cones to w1 lie on its side of
+    {x_{n+1} = 0} and those to e_last on the other, and the two parts
+    agree on the hyperplane by construction, since both are built on the
+    embedded cells; verify proves the final result.
+
+    The cells are index rows.  Embedding keeps the store's order, and
+    neither apex has last coordinate 0, so the store is the second
+    family's points at last coordinate 0 with e_last and w1 inserted at
+    their bisect positions.  Each cone is a second-family cell's indices
+    shifted past the apexes before them, with the apex's index inserted
+    in order, and the witness is the second family's heights with 0 and
+    omega inserted at the apexes' positions.
 
     No check runs at the build: the construction fixes what one would
     read.  The second family has s_n - 1 unimodular cells: built, the
@@ -242,21 +284,26 @@ def triangulate_p1(
     e_last = tuple(1 if i == n else 0 for i in range(n_plus_1))
     w1 = family.weight_vertex_w1(n_plus_1)
     omega = 1 + 2 * p2.witness.values[t2.index[family.weight_vertex_w2(n)]]
-    heights = {(*p, 0): v for p, v in zip(t2.points, p2.witness.values)}
-    heights[e_last], heights[w1] = 0, omega
-    base = [tuple((*p, 0) for p in t2.cell_points(c)) for c in t2.cells]
-    tri = subdivision.make_subdivision(
-        heights.keys(),
-        family.build(spec).vertices,
-        [(*cell, apex) for apex in (e_last, w1) for cell in base],
+    points = [(*p, 0) for p in t2.points]
+    values = list(p2.witness.values)
+    apexes = sorted([(e_last, 0), (w1, omega)])
+    cuts = [bisect(points, a) for a, _ in apexes]
+    shift = [i + sum(i >= cut for cut in cuts) for i in range(len(points))]
+    slots = [cut + k for k, cut in enumerate(cuts)]  # the apexes' store indices
+    for i, (a, v) in zip(slots, apexes):
+        points.insert(i, a)
+        values.insert(i, v)
+    cones = (
+        tuple(sorted([*map(shift.__getitem__, c), i])) for i in slots for c in t2.cells
     )
+    ambient = family.build(spec).vertices
+    tri = Triangulation(tuple(points), ambient, tuple(sorted(cones)))
 
     prov = p2.provenance + (
         {"step": "cone", "apex": list(e_last), "omega": "0/1"},
         {"step": "glue", "apex": list(w1), "omega": _frac_str(omega)},
     )
-    w = RegularityWitness(tuple(heights[p] for p in tri.points))
-    art = PipelineArtifact(spec, tri, w, prov)
+    art = PipelineArtifact(spec, tri, RegularityWitness(tuple(values)), prov)
     return _store_cached(art, cache_dir)
 
 

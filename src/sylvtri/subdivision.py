@@ -4,9 +4,10 @@ A Subdivision holds a lexicographically sorted point store plus maximal
 cells as sorted index tuples into that store.  Its constructor,
 make_subdivision, is pure: it assembles a new Subdivision from explicit
 point data over the ambient vertices it is given.  The pipeline builds
-every level in one make_subdivision call (each p2dual level's columns
-and cone, p2's images of the p2dual cells, p1's two cones); the pulling
-refinement is witness.pull_sweep.
+each p2dual level's columns and cone in one make_subdivision call; p2's
+images of the p2dual cells and p1's two cones are index rows the
+pipeline computes from the level below, with no point tuple looked up.
+The pulling refinement is witness.pull_sweep.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sylvtri import exact, family, pipeline, subdivision as sd, witness as wt
@@ -20,7 +20,7 @@ from sylvtri.errors import (
 from sylvtri.family import Family, FamilySpec
 
 import oracles
-from test_subdivision import apex, clip_halfspace, off_apex
+from test_subdivision import apex, clip_halfspace, lattice_image, off_apex
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +90,42 @@ def test_p2_carries_the_dual_certificate():
         assert carried.violating_pairs == fresh.violating_pairs == []
         for key in ("valid", "unimodular", "volume_checksum"):
             assert getattr(carried.structure, key) == getattr(fresh.structure, key)
+
+
+@st.composite
+def unimodular_maps(draw):
+    """A level n in {2, 3} and an integer n x n matrix of |det| 1: shears
+    row_i += k row_j, then a permutation of the rows and their signs."""
+    n = draw(st.sampled_from([2, 3]))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(-3, 3))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return n, [[s * x for x in rows[p]] for p, s in zip(perm, signs)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@example((2, [[-1, 0], [0, -1]]))
+@example((3, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]))
+@example((3, [[0, 0, -1], [0, -1, 0], [-1, 0, 0]]))
+@given(unimodular_maps())
+def test_transport_is_make_subdivision_of_the_mapped_points(case):
+    # p2's relabelling gives the store, cells and heights that
+    # make_subdivision builds from the mapped p2dual level, whatever the
+    # map does to the store order; the examples reverse it, so that every
+    # cell is re-sorted
+    n, matrix = case
+    assert abs(exact.det_int(matrix)) == 1
+    art = pipeline.triangulate_p2dual(n)
+    tri, values = art.triangulation, art.witness.values
+    apply = family.DualityMap(tuple(map(tuple, matrix))).apply
+    ref = lattice_image(tri, matrix)
+    heights = dict(zip(map(apply, tri.points), values))
+    got = pipeline.transport(tri.points, tri.cells, values, apply)
+    assert got == (ref.points, ref.cells, tuple(heights[p] for p in ref.points))
 
 
 def test_p2_refuses_a_map_that_misses_the_ambient(monkeypatch):

@@ -187,6 +187,31 @@ def test_triangulate_p2_transports_the_dual_level():
             assert w == dual.witness.values[t_dual.index[dmap.apply(q)]]
 
 
+def test_triangulate_p1_cones_the_p2_level():
+    # at levels 2-5, every p1 cell is a p2 cell sigma embedded at last
+    # coordinate 0 and coned to one apex, e_last or w1, one for one; every
+    # embedded point keeps p2's height at its preimage, e_last has height
+    # 0 and w1 omega = 1 + 2 w_p2(w2)
+    for n_plus_1 in (2, 3, 4, 5):
+        n = n_plus_1 - 1
+        p2, p1 = pipeline.triangulate_p2(n), pipeline.triangulate_p1(n_plus_1)
+        t2, t1 = p2.triangulation, p1.triangulation
+        e_last = tuple(int(i == n) for i in range(n_plus_1))
+        w1 = family.weight_vertex_w1(n_plus_1)
+        cones = {
+            frozenset((*p, 0) for p in cell) | {apex}
+            for cell in oracles.cell_point_sets(t2)
+            for apex in (e_last, w1)
+        }
+        assert len(t1.cells) == len(cones) == 2 * len(t2.cells)
+        assert oracles.cell_point_sets(t1) == cones
+        h2 = dict(zip(t2.points, p2.witness.values))
+        heights = {(*p, 0): w for p, w in h2.items()}
+        heights[e_last] = 0
+        heights[w1] = 1 + 2 * h2[family.weight_vertex_w2(n)]
+        assert dict(zip(t1.points, p1.witness.values)) == heights
+
+
 def test_verify_detects_gap_and_overlap():
     # the triangle of side 2 in its four unit triangles, with the middle
     # one dropped (a gap), or with the triangle (0, 0), (2, 0), (1, 1)
