@@ -468,7 +468,7 @@ def from_json_dict(data: dict, max_cells: int = MAX_CELLS) -> PipelineArtifact:
         )
     if not points:
         raise ArtifactFormatError("point store is empty")
-    if list(points) != sorted(set(points)):
+    if not all(map(lt, points, points[1:])):
         raise ArtifactFormatError("point store is not sorted and deduplicated")
     for p in points:  # every family's level-n simplex spans R^n
         if len(p) != n:

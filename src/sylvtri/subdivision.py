@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, lt
 from typing import Iterable, Iterator, Sequence
 
 from . import exact, polytope
@@ -33,7 +33,7 @@ class Subdivision:
     cells: tuple[Cell, ...]
 
     def __post_init__(self):
-        if list(self.points) != sorted(set(self.points)):
+        if not all(map(lt, self.points, self.points[1:])):
             raise DegenerateGeometry("point store must be sorted and deduplicated")
 
     @cached_property
@@ -59,10 +59,8 @@ class Triangulation(Subdivision):
 
     def __post_init__(self):
         super().__post_init__()
-        d = self.dim
-        for c in self.cells:
-            if len(c) != d + 1:
-                raise DegenerateGeometry("triangulation cell is not a simplex")
+        if set(map(len, self.cells)) - {self.dim + 1}:
+            raise DegenerateGeometry("triangulation cell is not a simplex")
 
 
 def make_subdivision(

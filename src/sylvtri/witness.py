@@ -12,11 +12,11 @@ certified, never assumed.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import le, sub
 from typing import Callable, Collection, Iterable, Sequence
 
 from . import exact, polytope, subdivision
@@ -88,12 +88,15 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
 
     Every other case (a bent wall, which is a violating pair, a store
     point that is no vertex, an ambient that is no simplex or other
-    unproven input) runs the scan.  It bounds each cell's form on each
-    vertical run of the store by the run's two ends and reads only the
-    runs that fail the bound, but it still visits every (cell, run) pair,
-    so rejection stays quadratic in the worst case.  A degenerate cell,
-    which the structure names, stops it: not regular.  Cells that are not
-    full-dimensional simplices raise DimensionMismatch.
+    unproven input) runs the scan, whose pairs the report carries.  It
+    bounds each cell's affine form on each vertical run of the store by
+    the run's two ends, so a run whose least height clears that bound
+    holds no point at or below the form; it reads each other run once,
+    and its points at or below the form off the cell are the violating
+    pairs.  Every (cell, run) pair is still visited, so rejection stays
+    quadratic in the worst case.  A degenerate cell, which the structure
+    names, stops it: not regular.  Cells that are not full-dimensional
+    simplices raise DimensionMismatch.
     """
     if not isinstance(t, Triangulation):
         raise DimensionMismatch("regularity check needs simplicial cells")
@@ -102,49 +105,52 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     if len(w.values) != len(t.points):
         raise DimensionMismatch("witness length does not match the point store")
     pts = t.points
-    if any(len(p) != t.ambient_dim for p in pts):
+    if set(map(len, pts)) != {t.ambient_dim}:
         raise DimensionMismatch("point dimension does not match functional")
     heights, scale = _common_scale(w)
     structure = subdivision.verify(t, heights)
     if structure.valid and structure.convex and len(set().union(*t.cells)) == len(pts):
         return CertificateReport(True, structure=structure)
     try:
-        return replace(_all_pairs(t, heights, scale), structure=structure)
+        pairs = _all_pairs(t, heights, scale)
     except DegenerateGeometry:  # a degenerate cell, which the proof refused
         if structure.valid:
             raise
         return CertificateReport(False, structure=structure)
+    return CertificateReport(not pairs, pairs, structure)
 
 
-def _all_pairs(t: Triangulation, heights: Sequence[int], scale: int) -> CertificateReport:
-    """The certificate check over every (cell, store point) pair.
+def _all_pairs(
+    t: Triangulation, heights: Sequence[int], scale: int
+) -> list[tuple[Cell, Point, Fraction]]:
+    """The violating (cell, store point) pairs of the certificate check.
 
-    Cells go in order, each against the store in order, and the report
+    Cells go in order, each against the store in order, and the list
     stops after 51 violations.  With heights W = L * w (_common_scale) and
     a cell's form (row, den), w(p) - A_cell(p) = (W[p] * den -
     row_at(row, p)) / (L * den), so a pair passes iff that integer
     numerator, its gap, is positive.  Only a violation builds its Fraction
-    margin.  The form interpolates the heights, so at a cell's own
-    vertices A(p) = W[p] * den exactly, gap 0.  A cell with no more gaps
-    <= 0 (hits) than it has vertices (a flat one, a repeated vertex,
-    raises) has none elsewhere, so no violation, and is passed after that
-    count; only a cell that fails is read point by point for its
-    violations.
+    margin.  A hit is a point with gap <= 0; the form interpolates the
+    heights, so each of the cell's own vertices is a hit with gap 0, and
+    every other hit is a violation.
 
-    The count goes by vertical runs: maximal runs of consecutive store
+    The scan goes by vertical runs: maximal runs of consecutive store
     points that share all coordinates but the last, t.  The store is
     sorted and deduplicated (Subdivision), so t increases along a run.  A
     is affine, so on a run A = base + rl * t, rl = row[-2]: it is largest
     at the run's last point when rl > 0, else at its first.  If the run's
     least height times den is above that end value, every point of the
-    run has a positive gap, and the run holds no hit.  A run that is not
-    is read: a single point is a hit, as its bound is its own gap, and a
-    longer run counts its hits in C-level maps over its last coordinates.
-    So the count is the point-by-point count, at every run.  A p2dual
-    level is columns over the previous level's points (24 runs of 353
-    points at level 4, 353 of 178,070 at level 5), and a level-4 cell
-    reads about 64 points; the p2 and p1 stores are single-point runs, so
-    there the bound is the per-point test.
+    run has W * den >= den * least > A(end) >= A there, a positive gap,
+    so the run holds no hit and is not read.  Each run that fails the
+    bound is read once, in store order: A = base + rl * t over its last
+    coordinates in C-level maps, and each hit there that is no vertex of
+    the cell is a violation.  A single-point run that is a vertex is
+    skipped unread.  So the pairs are those of the point-by-point scan,
+    in its order, from one read of each failing run.  A p2dual level is
+    columns over the previous level's points (24 runs of 353 points at
+    level 4, 353 of 178,070 at level 5), and a level-4 cell reads about
+    64 points; the p2 and p1 stores are single-point runs, so there the
+    bound is the per-point test.
 
     A at the chosen end of every run comes as exact integer prefix sums:
     A(q) = A(p) + row . (q - p) for consecutive run ends p, q, the
@@ -158,13 +164,12 @@ def _all_pairs(t: Triangulation, heights: Sequence[int], scale: int) -> Certific
     at = exact._row_kernel(len(pts[0]))[0]
     ts = [p[-1] for p in pts]
     # the vertical runs [s, e): each run's last coordinates, heights and
-    # least height, and whether it holds more than one point
+    # least height
     starts = [0, *(i for i in range(1, len(pts)) if pts[i][:-1] != pts[i - 1][:-1])]
     bounds = list(zip(starts, [*starts[1:], len(pts)]))
     run_t = [ts[s:e] for s, e in bounds]
     run_h = [heights[s:e] for s, e in bounds]
     least = list(map(min, run_h))
-    longs = [e - s > 1 for s, e in bounds]
     firsts = [pts[s] for s, _ in bounds]
     lasts = [pts[e - 1] for _, e in bounds]
     dots, (first_ids, last_ids) = _step_dots(firsts, lasts)
@@ -175,7 +180,6 @@ def _all_pairs(t: Triangulation, heights: Sequence[int], scale: int) -> Certific
         (first_ids, firsts[0], [p[-1] for p in firsts]),
         (last_ids, lasts[0], [p[-1] for p in lasts]),
     )
-    run_of = [j for j, (s, e) in enumerate(bounds) for _ in range(s, e)]
     runs = list(range(len(bounds)))  # built once: compress only reads them
     violations: list[tuple[Cell, Point, Fraction]] = []
     for c in t.cells:
@@ -184,24 +188,21 @@ def _all_pairs(t: Triangulation, heights: Sequence[int], scale: int) -> Certific
         ids, first, tref = ends_at[rl > 0]
         top = list(accumulate(map(dots(row).__getitem__, ids), initial=at(row, first)))
         floors = least if den == 1 else map(den.__mul__, least)
-        failing = list(compress(runs, map(le, floors, top)))
-        hits = len(failing)
-        for j in filter(longs.__getitem__, failing):
+        for j in compress(runs, map(le, floors, top)):
+            s, e = bounds[j]
+            if e - s == 1 and s in c:
+                continue
             base = top[j] - rl * tref[j]
             hs = run_h[j] if den == 1 else map(den.__mul__, run_h[j])
-            hits += sum(map(le, hs, map(base.__add__, map(rl.__mul__, run_t[j])))) - 1
-        if hits == len(c):
-            continue
-        bases = list(map(sub, top, map(rl.__mul__, tref)))
-        values = list(map(add, map(bases.__getitem__, run_of), map(rl.__mul__, ts)))
-        scaled = heights if den == 1 else [h * den for h in heights]
-        for pi, a in enumerate(values):
-            if a < scaled[pi] or pi in c:
-                continue
-            violations.append((c, pts[pi], Fraction(scaled[pi] - a, scale * den)))
-            if len(violations) > 50:
-                return CertificateReport(False, violations)
-    return CertificateReport(not violations, violations)
+            values = map(base.__add__, map(rl.__mul__, run_t[j]))
+            for pi in compress(range(s, e), map(le, hs, values)):
+                if pi in c:
+                    continue
+                gap = heights[pi] * den - base - rl * ts[pi]
+                violations.append((c, pts[pi], Fraction(gap, scale * den)))
+                if len(violations) > 50:
+                    return violations
+    return violations
 
 
 def _step_dots(*walks: Sequence[Point]) -> tuple[Callable, list[list[int]]]:

@@ -115,7 +115,8 @@ def test_criterion_04_triangulation_construction(dual_arts, _line):
 
 def _scan(t, w):
     """The all-pairs scan verify_regularity falls back on, run directly."""
-    return wt._all_pairs(t, *wt._common_scale(w))
+    pairs = wt._all_pairs(t, *wt._common_scale(w))
+    return wt.CertificateReport(not pairs, pairs)
 
 
 def test_criterion_05_regularity_certificates(dual_arts, p2_arts, p1_arts, _line):

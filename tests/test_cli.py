@@ -187,11 +187,19 @@ def test_verify_malformed_store_is_a_parse_error(tmp_path, capsys):
             "point store is not sorted and deduplicated",
         ),
         (
+            lambda d: dict(
+                d,
+                points=[d["points"][0], *d["points"]],
+                witness=[d["witness"][0], *d["witness"]],
+            ),
+            "point store is not sorted and deduplicated",
+        ),
+        (
             lambda d: dict(d, witness=d["witness"][:-1]),
             "witness length does not match point store",
         ),
     ],
-    ids=["top-level array", "store out of order", "witness one short"],
+    ids=["top-level array", "store out of order", "store point repeated", "witness one short"],
 )
 def test_verify_loader_refusal_is_one_parse_error_line(tmp_path, capsys, edit, line):
     data = pipeline.to_json_dict(pipeline.triangulate_p2dual(2))

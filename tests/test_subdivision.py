@@ -72,8 +72,10 @@ def off_apex(s, z):
 
 
 def test_store_must_be_sorted_unique():
-    with pytest.raises(DegenerateGeometry):
-        sd.Subdivision(((1,), (0,)), ((0,), (1,)), ((0, 1),))
+    # a store out of order, and a sorted store with a point repeated
+    for points in (((1,), (0,)), ((0,), (0,), (1,))):
+        with pytest.raises(DegenerateGeometry):
+            sd.Subdivision(points, ((0,), (1,)), ((0, 1),))
 
 
 def test_triangulation_rejects_non_simplex_cells():

@@ -856,7 +856,8 @@ def _scan_agrees(s, w):
     """The all-pairs scan's report, run directly, equals the Fraction
     oracle's: the same pairs in the same order, exact margins, the stop
     after 51 violations and the verdict."""
-    got = wt._all_pairs(s, *wt._common_scale(w))
+    pairs = wt._all_pairs(s, *wt._common_scale(w))
+    got = wt.CertificateReport(not pairs, pairs)
     assert got == oracles.verify_regularity_fraction(s, w)
     return got
 
@@ -873,17 +874,18 @@ def _scan_agrees(s, w):
     ],
 )
 def test_all_pairs_matches_fraction_oracle_on_tampered_copies(build, n, stops):
-    # each store point's height raised by a small and a large amount, and
-    # each cell with one vertex swapped for another store point (a cell of
-    # volume > 1, so its form has den > 1); from level 3 on (p1: 4) some
-    # copy reaches the stop after 51 violations
+    # each store point's height raised and lowered by a small and a large
+    # amount (a lowered point violates against many cells, one pair
+    # each), and each cell with one vertex swapped for another store point
+    # (a cell of volume > 1, so its form has den > 1); from level 3 on
+    # (p1: 4) some copy reaches the stop after 51 violations
     art = build(n)
     t, w = art.triangulation, art.witness
     assert _scan_agrees(t, w).regular
     rng = random.Random(n)
     counts = set()
     for pi in range(len(t.points)):
-        for delta in (Fraction(1, 3), Fraction(10**6)):
+        for delta in (Fraction(1, 3), Fraction(10**6), Fraction(-1, 3), -(10**6)):
             vals = list(w.values)
             vals[pi] += delta
             got = _scan_agrees(t, RegularityWitness(tuple(vals)))
