@@ -26,7 +26,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import lt
+from operator import itemgetter, lt
 from typing import Any, Callable, Sequence
 
 from . import family, subdivision, witness
@@ -386,18 +386,18 @@ def _cells(x: Any) -> tuple[Cell, ...]:
 
 def _cells_fit(cells: tuple[Cell, ...], npts: int, size: int) -> bool:
     """Whether every cell has size indices in range(npts), strictly
-    increasing, decided by C-level passes over all cells at once: min and
-    max of the indices, the set of lengths, and, once every cell has size
-    entries, the k-th index of every cell against its (k+1)-th, read as
-    strided slices of the flattened indices."""
-    flat = list(chain.from_iterable(cells))
+    increasing, decided by C-level passes over the cells' columns, with no
+    copy of the indices: the set of lengths, then column k against column
+    k + 1, then the least first and greatest last index (a strictly
+    increasing cell's least and greatest)."""
     return (
-        (not flat or 0 <= min(flat) and max(flat) < npts)
-        and set(map(len, cells)) <= {size}
+        set(map(len, cells)) <= {size}
         and all(
-            all(map(lt, flat[k::size], flat[k + 1 :: size]))
+            all(map(lt, map(itemgetter(k), cells), map(itemgetter(k + 1), cells)))
             for k in range(size - 1)
         )
+        and 0 <= min(map(itemgetter(0), cells), default=0)
+        and max(map(itemgetter(-1), cells), default=0) < npts
     )
 
 

@@ -41,10 +41,6 @@ class Subdivision:
         """Store position of each point (shared: do not mutate)."""
         return {p: i for i, p in enumerate(self.points)}
 
-    @cached_property
-    def dim(self) -> int:
-        return exact.affine_rank(self.ambient)
-
     @property
     def ambient_dim(self) -> int:
         return len(self.points[0])
@@ -55,11 +51,11 @@ class Subdivision:
 
 @dataclass(frozen=True)
 class Triangulation(Subdivision):
-    """Subdivision whose maximal cells are all simplices."""
+    """Subdivision whose maximal cells all have ambient_dim + 1 vertices."""
 
     def __post_init__(self):
         super().__post_init__()
-        if set(map(len, self.cells)) - {self.dim + 1}:
+        if set(map(len, self.cells)) - {self.ambient_dim + 1}:
             raise DegenerateGeometry("triangulation cell is not a simplex")
 
 
@@ -69,13 +65,13 @@ def make_subdivision(
     cell_point_lists: Iterable[Sequence[Point]],
 ) -> Subdivision:
     """Assemble a subdivision from explicit point data, sorting the store;
-    it is a Triangulation exactly when every cell has dim + 1 points."""
+    it is a Triangulation exactly when each cell has ambient_dim + 1 points."""
     store = tuple(sorted(set(points)))
     idx = {p: i for i, p in enumerate(store)}
     cells = tuple(
         sorted(tuple(sorted(idx[p] for p in cp)) for cp in cell_point_lists)
     )
-    d = exact.affine_rank(ambient)
+    d = len(store[0])
     cls = Triangulation if all(len(c) == d + 1 for c in cells) else Subdivision
     return cls(store, tuple(ambient), cells)
 
@@ -90,7 +86,6 @@ class VerifyReport:
     or a cell is degenerate.  Neither enters equality."""
 
     valid: bool
-    simplicial: bool
     unimodular: bool
     volume_checksum: int | None
     failures: list[str] = field(default_factory=list)
@@ -188,46 +183,25 @@ def pair_facets(
             side = -side
 
 
-def _refusal(s: Subdivision) -> str | None:
-    """Why verify proves nothing about s, or None: the ambient does not
-    span R^d, a cell is not a simplex or the ambient is not one."""
-    d = s.dim
-    if d != s.ambient_dim:
-        return (
-            f"cell {next(iter(s.cells), None)} is not full-dimensional: the "
-            f"ambient spans dimension {d} of {s.ambient_dim}"
-        )
-    bad = next((c for c in s.cells if len(c) != d + 1), None)
-    if bad is not None:
-        return f"cell {bad} is not a simplex"
-    if len(s.ambient) != d + 1:
-        return (
-            f"ambient is not a simplex: {len(s.ambient)} points span "
-            f"dimension {d}"
-        )
-    return None
-
-
-def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport:
+def verify(s: Triangulation, heights: Sequence[int] | None = None) -> VerifyReport:
     """Structural proof that the cells of s triangulate the simplex
     P = conv(ambient).
 
     Checks the exact volume checksum against P, that every cell vertex
     lies in P, that the cells pair up on their facets (pseudomanifold)
     on opposite sides (orientation), and per-cell unimodularity, which
-    any failure clears: unimodular implies valid and simplicial.
-    Preconditions:
+    any failure clears: unimodular implies valid.  Preconditions:
 
+    - s is a Triangulation, so every cell has d + 1 vertices in R^d;
+      any other Subdivision raises DimensionMismatch.  The loader builds
+      a Triangulation over its family's simplex;
     - every cell is a strictly increasing tuple of store indices: facets
       are keyed by sorted index tuples (pipeline.from_json_dict refuses
       any other cell);
-    - the ambient spans R^d, every cell has d + 1 vertices and the
-      ambient is a simplex, its d + 1 vertices.  Otherwise nothing is
-      proved or computed: the report is invalid with one failure, naming
-      the first cell (not full-dimensional, or not a simplex) or the
-      ambient, and volume_checksum None.  The pipeline meets them: the
-      loader and Triangulation give d + 1-vertex cells, and every
-      family's ambient is its level's simplex.
+    - the ambient is a simplex, d + 1 vertices.  Otherwise nothing is
+      proved or computed: the report is invalid with one failure naming
+      the ambient, and volume_checksum None.  An ambient of d + 1 points
+      that spans less than R^d raises DegenerateGeometry.
 
     One pass computes the signed volumes, up to the first degenerate
     cell, and feeds them to pair_facets, each of whose pops names the
@@ -249,38 +223,40 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
     the census reads the whole join (facet_join) for facets of more than
     two cells, unmatched ones off the boundary (boundary_facets) and folds.
 
-    Why this proves a triangulation of P when every cell is a
-    full-dimensional simplex.  Every cell vertex lies in P, so every
-    cell does.  By pair_facets' argument the number m(x) of cells
-    containing x is one constant k almost everywhere on P; the checksum
-    gives k = 1, and the cells cover P with disjoint interiors.  So no
-    facet has three or more cells, nor one on the boundary two (both on
-    P's side of it): two of them would lie on one side of it, where
-    m >= 2 (the census reads the whole join, so it still names that
-    fold).  Each facet then has two cells on opposite sides or one cell
-    and lies in a facet of P, which is what the census checks.  Shared
-    facets match as vertex sets, so the cells through a codimension-2
-    face close up into a ring covering a neighbourhood of its relative
-    interior, which no other cell meets; descending through the face
-    dimensions, any two cells meet in a common face.
+    Why this proves a triangulation of P.  A degenerate cell is a failure,
+    so every cell is a full-dimensional simplex.  Every cell vertex lies
+    in P, so every cell does.  By pair_facets' argument the number m(x) of
+    cells containing x is one constant k almost everywhere on P; the
+    checksum gives k = 1, and the cells cover P with disjoint interiors.
+    So no facet has three or more cells, nor one on the boundary two (both
+    on P's side of it): two of them would lie on one side of it, where
+    m >= 2 (the census reads the whole join, so it still names that fold).
+    Each facet then has two cells on opposite sides or one cell and lies
+    in a facet of P, which is what the census checks.  Shared facets match
+    as vertex sets, so the cells through a codimension-2 face close up
+    into a ring covering a neighbourhood of its relative interior, which
+    no other cell meets; descending through the face dimensions, any two
+    cells meet in a common face.
 
     Without the orientation check, two cells folded onto one side of a
     shared facet (or of a facet of P) pass both the count and the
     checksum.  With it but without the checksum, two triangulations of P
     with no boundary facet in common, listed together, can pass: m = 2.
     """
+    if not isinstance(s, Triangulation):
+        raise DimensionMismatch("structural proof needs simplicial cells")
     if heights is not None and len(heights) != len(s.points):
         raise DimensionMismatch("heights length does not match the point store")
-    refusal = _refusal(s)
-    if refusal is not None:
-        simplicial = all(len(c) == s.dim + 1 for c in s.cells)
-        return VerifyReport(False, simplicial, False, None, [refusal])
+    d, k = s.ambient_dim, len(s.ambient)
+    if k != d + 1:
+        failure = f"ambient is not a simplex: {k} points span dimension {d}"
+        return VerifyReport(False, False, None, [failure])
 
     pts, cells = s.points, s.cells
-    # the ambient's d + 1 vertices span R^d: facet rows and nvol(P) at once
+    # facet rows and nvol(P) at once; raises if the d + 1 vertices are flat
     ambient_rows, ambient_nvol = polytope.simplex_inverse(s.ambient)
     masks, outside = polytope.facet_table(ambient_rows, pts)
-    at = exact._row_kernel(s.ambient_dim)[0]
+    at = exact._row_kernel(d)[0]
     dets: list[int] = []
     convex = None if heights is None else True
     form = None  # the current cell's interpolant while convex holds
@@ -336,7 +312,6 @@ def verify(s: Subdivision, heights: Sequence[int] | None = None) -> VerifyReport
 
     return VerifyReport(
         valid=not failures,
-        simplicial=True,
         unimodular=not failures and first_non_unimodular is None,
         volume_checksum=checksum,
         failures=failures,

@@ -95,13 +95,11 @@ def verify_regularity(t: Triangulation, w: RegularityWitness) -> CertificateRepo
     and its points at or below the form off the cell are the violating
     pairs.  Every (cell, run) pair is still visited, so rejection stays
     quadratic in the worst case.  A degenerate cell, which the structure
-    names, stops it: not regular.  Cells that are not full-dimensional
-    simplices raise DimensionMismatch.
+    names, stops it: not regular.  Any t but a Triangulation raises
+    DimensionMismatch.
     """
     if not isinstance(t, Triangulation):
         raise DimensionMismatch("regularity check needs simplicial cells")
-    if t.dim != t.ambient_dim:
-        raise DimensionMismatch("regularity check needs full-dimensional cells")
     if len(w.values) != len(t.points):
         raise DimensionMismatch("witness length does not match the point store")
     pts = t.points

@@ -627,7 +627,7 @@ def pull_literal(s: Subdivision, m_index: int) -> Subdivision:
     avoiding m, then keeps the maximal (full-rank) ones.
     """
     m = s.points[m_index]
-    d = s.dim
+    d = exact.affine_rank(s.ambient)
     new_cells: list[tuple[Point, ...]] = []
     for c in s.cells:
         verts = s.cell_points(c)
@@ -749,7 +749,7 @@ def verify_regularity_fraction(
     for every store point p outside each cell, (cell, store point) order,
     and the report stops after 51 violations.
     """
-    if t.dim != t.ambient_dim:
+    if exact.affine_rank(t.ambient) != t.ambient_dim:
         raise DimensionMismatch("regularity check needs full-dimensional cells")
     if len(w.values) != len(t.points):
         raise DimensionMismatch("witness length does not match the point store")
@@ -1213,8 +1213,7 @@ def verify_whole_join(t: Triangulation) -> sd.VerifyReport:
         ((c, abs(x)) for c, x in zip(cells, dets) if abs(x) != 1), None
     )
     return sd.VerifyReport(
-        not failures, True, not failures and first is None, checksum, failures,
-        first,
+        not failures, not failures and first is None, checksum, failures, first
     )
 
 

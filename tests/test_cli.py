@@ -109,6 +109,39 @@ def test_triangulate_refuses_a_tampered_cache_entry(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_triangulate_with_a_cache_dir_serializes_once(tmp_path, monkeypatch):
+    # with --cache-dir the entry the call served is copied to --out: a
+    # build serializes levels 1-3 once each, a disk hit not at all, and a
+    # hand-edited but valid entry reaches --out with its own bytes
+    calls = []
+    to_json_dict = pipeline.to_json_dict
+    monkeypatch.setattr(
+        pipeline, "to_json_dict", lambda art: calls.append(art) or to_json_dict(art)
+    )
+    cache = tmp_path / "cache"
+    entry = cache / "p2dual_3.json"
+    argv = ["triangulate", "--family", "p2dual", "--n", "3", "--quiet",
+            "--cache-dir", str(cache), "--out"]
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, str(out)]) == 0
+    assert len(calls) == 3
+    assert out.read_bytes() == entry.read_bytes()
+    entry.write_text(json.dumps(json.loads(entry.read_text()), indent=1))
+    pipeline.clear_cache()
+    calls.clear()
+    assert cli.main([*argv, str(out)]) == 0
+    assert calls == []
+    assert out.read_bytes() == entry.read_bytes()
+    # --out naming the entry itself leaves it as it is
+    pipeline.clear_cache()
+    assert cli.main([*argv, str(entry)]) == 0
+    assert out.read_bytes() == entry.read_bytes()
+    # a level this process already holds is still served by the disk entry
+    other = tmp_path / "other"
+    assert cli.main([*argv[:-3], "--cache-dir", str(other), "--out", str(out)]) == 0
+    assert out.read_bytes() == (other / "p2dual_3.json").read_bytes()
+
+
 def test_triangulate_names_the_provenance_of_a_refused_artifact(
     tmp_path, capsys, monkeypatch
 ):

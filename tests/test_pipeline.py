@@ -1,6 +1,7 @@
 """Pipeline tests: recursive construction, artifacts, caching."""
 
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -296,6 +297,53 @@ def test_load_names_the_first_bad_cell(edits, message):
         data["cells"][k] = cell
     with pytest.raises(ArtifactFormatError, match=message):
         pipeline.from_json_dict(data)
+
+
+def _fits_cell_by_cell(cells, npts, size):
+    """The loader's cell rule, read one cell at a time."""
+    return all(
+        len(c) == size
+        and all(0 <= i < npts for i in c)
+        and all(a < b for a, b in zip(c, c[1:]))
+        for c in cells
+    )
+
+
+def _mutated(c, kind, k, npts):
+    """Cell c with entry k out of range (-1 first, npts after, so the
+    first and last entries keep the order), swapped with the next entry
+    (cyclically), repeating its neighbour, dropped, or doubled."""
+    c = list(c)
+    if kind == "out of range":
+        c[k] = npts if k else -1
+    elif kind == "swapped":
+        m = (k + 1) % len(c)
+        c[k], c[m] = c[m], c[k]
+    elif kind == "repeated":
+        c[k] = c[k - 1] if k else c[1]
+    elif kind == "short":
+        del c[k]
+    else:
+        c.insert(k, c[k])
+    return tuple(c)
+
+
+def test_cells_fit_is_the_per_cell_rule():
+    # seeded mutations of the level-3 cells, one of each kind at each
+    # position of a cell: the column checks decide as the per-cell rule
+    t = pipeline.triangulate_p2dual(3).triangulation
+    npts, size = len(t.points), 4
+    rng = random.Random(48)
+    assert pipeline._cells_fit(t.cells, npts, size)
+    assert pipeline._cells_fit((), npts, size)
+    for kind in ("out of range", "swapped", "repeated", "short", "long"):
+        for k in range(size):
+            cells = list(t.cells)
+            j = rng.randrange(len(cells))
+            cells[j] = _mutated(cells[j], kind, k, npts)
+            fit = _fits_cell_by_cell(cells, npts, size)
+            assert not fit, (kind, k)
+            assert pipeline._cells_fit(tuple(cells), npts, size) is fit, (kind, k)
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -125,13 +125,12 @@ def test_restrict_rejects_crossing_cells():
 def test_glue_level2():
     glued, _ = pre_sweep(2)
     assert len(glued.cells) == 4
-    # the facet join proves only simplices: the polytopal cells are
-    # refused before any volume is computed, and the all-pairs oracle
+    # the facet join proves only simplices: a Subdivision with polytopal
+    # cells raises before any volume is computed, and the all-pairs oracle
     # checks what they do form
-    rep = sd.verify(glued)
-    assert not rep.valid and not rep.simplicial
-    assert rep.failures == ["cell (0, 2, 4, 5) is not a simplex"]
-    assert rep.volume_checksum is None
+    assert not isinstance(glued, sd.Triangulation)
+    with pytest.raises(DimensionMismatch, match="simplicial cells"):
+        sd.verify(glued)
     assert oracles.pairwise_verdict(glued)
 
 
@@ -367,7 +366,7 @@ def test_boundary_facets_is_the_mask_and_on_the_artifacts():
             t = pipeline.triangulate(pipeline.Family(fam), n).triangulation
             rows = polytope.simplex_inverse(t.ambient)[0]
             masks = polytope.facet_table(rows, t.points)[0]
-            origin = t.index[(0,) * t.dim]
+            origin = t.index[(0,) * t.ambient_dim]
             assert [i for i, m in enumerate(masks) if m == 0] == [origin]
             for c in t.cells:
                 assert origin in c
@@ -470,7 +469,7 @@ def pairing_copies(n):
     art = pipeline.triangulate_p2dual(n)
     t = art.triangulation
     heights = wt._common_scale(art.witness)[0]
-    d = t.dim
+    d = t.ambient_dim
     facets = oracles.simplex_facet_functionals(t.ambient)
     boundary = next(
         c for c in t.cells
@@ -569,8 +568,8 @@ def test_verify_unimodular_reads_signed_volumes():
 
 def test_verify_refuses_polytopal_cells():
     # two copies of one unit square in the 2x1 rectangle, whose volumes
-    # would sum to the rectangle's: the proof takes simplices only, so the
-    # first cell is named before any volume is computed
+    # would sum to the rectangle's: the proof takes a Triangulation only,
+    # so it raises before any volume is computed
     sq = [(0, 0), (0, 1), (1, 0), (1, 1)]
     rect = [(0, 0), (0, 1), (2, 0), (2, 1)]
     s = sd.Subdivision(
@@ -579,10 +578,8 @@ def test_verify_refuses_polytopal_cells():
         ((0, 1, 2, 3), (0, 1, 2, 3)),
     )
     assert [s.cell_points(c) for c in s.cells] == [tuple(sq)] * 2
-    rep = sd.verify(s)
-    assert rep.volume_checksum is None
-    assert rep.failures == ["cell (0, 1, 2, 3) is not a simplex"]
-    assert not rep.valid and not rep.simplicial
+    with pytest.raises(DimensionMismatch, match="simplicial cells"):
+        sd.verify(s)
     assert not oracles.pairwise_verdict(s)
     # triangle cells under a square ambient: a triangulation, but the
     # ambient is no simplex, so it is refused with nothing computed
@@ -591,24 +588,23 @@ def test_verify_refuses_polytopal_cells():
     )
     rep = sd.verify(square)
     assert rep.failures == ["ambient is not a simplex: 4 points span dimension 2"]
-    assert rep.volume_checksum is None and rep.simplicial
+    assert rep.volume_checksum is None
     assert not rep.valid and not rep.unimodular
     assert oracles.pairwise_verdict(square)
 
 
 def test_verify_refuses_lower_dimensional_ambient():
-    # a segment subdivided inside the plane: not full-dimensional, so the
-    # first cell is named
+    # a segment subdivided inside the plane: its cells have two vertices
+    # in R^2, so it is no Triangulation and the proof raises
     s = sd.make_subdivision(
         [(0, 0), (1, 1), (2, 2)],
         [(0, 0), (2, 2)],
         [[(0, 0), (1, 1)], [(1, 1), (2, 2)]],
     )
-    rep = sd.verify(s)
-    assert rep.failures == [
-        "cell (0, 1) is not full-dimensional: the ambient spans dimension 1 of 2"
-    ]
-    assert not rep.valid and not rep.unimodular and rep.volume_checksum is None
+    assert not isinstance(s, sd.Triangulation)
+    with pytest.raises(DimensionMismatch, match="simplicial cells"):
+        sd.verify(s)
+    assert not oracles.pairwise_verdict(s)
 
 
 def test_verify_refuses_heights_of_another_length():
@@ -684,8 +680,9 @@ def test_verify_agrees_with_pairwise_oracle():
 
 def test_make_subdivision_is_a_triangulation_iff_its_cells_are_simplices():
     # make_subdivision derives the class from the cells: the level-3 glue
-    # holds polytopal columns (as does its image under a lattice map), the
-    # slice, a cone over it and the image of a triangulation do not
+    # holds polytopal columns (as does its image under a lattice map) and
+    # the slice's simplices span a plane in R^3; a cone over the slice and
+    # the image of a triangulation have ambient_dim + 1 vertices per cell
     glued, _ = pre_sweep(3)
     z = apex(3)
     half = clip_halfspace(3)
@@ -699,11 +696,11 @@ def test_make_subdivision_is_a_triangulation_iff_its_cells_are_simplices():
     flip = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     cases = [
         (glued, False),
-        (slice_, True),
+        (slice_, False),
         (cone, True),
         (lattice_image(glued, flip), False),
         (lattice_image(pipeline.triangulate_p2dual(3).triangulation, flip), True),
     ]
     for s, simplices in cases:
-        assert all(len(c) == s.dim + 1 for c in s.cells) is simplices
+        assert all(len(c) == s.ambient_dim + 1 for c in s.cells) is simplices
         assert isinstance(s, sd.Triangulation) is simplices
